@@ -75,7 +75,6 @@ from .modules import (
     ModuleVector,
     Submodule,
     inner_product,
-    k0_class,
     module_norm,
     nested_decomposition_witness,
     orth_complement,

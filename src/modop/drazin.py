@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IdentityViolation, StructureError, UnmetHypothesisError
+from .errors import IdentityViolation, StructureError
 from .fredholm import _power_rank_chain
-from .linmap import AdjointableMap
+from .linmap import AdjointableMap, commutator_residual
 from .modules import K0Class, Submodule, flat_dim
-from .subspace import null_space, op_norm, orthonormal_image, subspace_equal
+from .subspace import null_space, op_norm, orthonormal_image, subspace_equal, svd_data
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 Array = np.ndarray
@@ -117,10 +117,10 @@ def _core_split(f: AdjointableMap, tol: ToleranceConfig) -> _Split:
                 f"block {b}: Im F^p and ker F^p do not fill the space "
                 f"({u.shape[1]} + {v.shape[1]} != {s.shape[0]})"
             )
-        sv = np.linalg.svd(s, compute_uv=False)
-        if sv[-1] <= tol.rank_tol * max(sv[0], 1.0) * s.shape[0]:
+        sv = svd_data(s, tol, scale=1.0)
+        if sv.rank < s.shape[0]:
             raise IdentityViolation(f"block {b}: splitting bases are numerically dependent")
-        cond = max(cond, float(sv[0] / sv[-1]))
+        cond = max(cond, sv.values[0] / sv.values[-1])
         s_mats.append(s)
         s_invs.append(np.linalg.inv(s))
         ranks.append(u.shape[1])
@@ -307,11 +307,7 @@ def _power_images(
 def commuting_drazin_criterion(
     f: AdjointableMap, d: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL
 ) -> CriterionReport:
-    if f.shape != d.shape or f.m != d.m or not f.is_endomorphism or not d.is_endomorphism:
-        raise StructureError("need two endomorphisms of the same module")
-    comm = (f @ d - d @ f).norm() / max(f.norm() * d.norm(), 1e-300)
-    if comm > tol.comm_tol:
-        raise UnmetHypothesisError(f"maps do not commute (relative residual {comm:.3e})")
+    comm = commutator_residual(f, d, tol)
 
     fd = f @ d
     p, _ = _stabilization_exponent(fd, tol)
@@ -455,11 +451,7 @@ class CommutingBrowderReport:
 def commuting_browder_check(
     f: AdjointableMap, d: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL
 ) -> CommutingBrowderReport:
-    if f.shape != d.shape or f.m != d.m or not f.is_endomorphism or not d.is_endomorphism:
-        raise StructureError("need two endomorphisms of the same module")
-    comm = (f @ d - d @ f).norm() / max(f.norm() * d.norm(), 1e-300)
-    if comm > tol.comm_tol:
-        raise UnmetHypothesisError(f"maps do not commute (relative residual {comm:.3e})")
+    comm = commutator_residual(f, d, tol)
     df = d @ f
     split = _core_split(df, tol)
     p = split.p
@@ -473,8 +465,7 @@ def commuting_browder_check(
         for b, (g1, r) in enumerate(zip(g1s, split.ranks)):
             if r == 0:
                 continue
-            sv = np.linalg.svd(g1, compute_uv=False)
-            if sv[-1] <= tol.rank_tol * max(sv[0], g.norm()) * r:
+            if svd_data(g1, tol, dim_ctx=r, scale=g.norm()).rank < r:
                 raise IdentityViolation(f"block {b}: factor not invertible on the stable range")
         return BrowderWitness(
             range_space=split.range_space,

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IdentityViolation, StructureError, UnmetHypothesisError
-from .linmap import AdjointableMap, RestrictedEndomorphism
+from .errors import IdentityViolation, StructureError
+from .linmap import AdjointableMap, RestrictedEndomorphism, commutator_residual
 from .modules import K0Class, Submodule, flat_dim
 from .subspace import chain_exactness, op_norm
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -515,11 +515,7 @@ class BFredholmCommutingReport:
 def b_fredholm_commuting_check(
     f: AdjointableMap, d: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL
 ) -> BFredholmCommutingReport:
-    if f.shape != d.shape or f.m != d.m or not f.is_endomorphism or not d.is_endomorphism:
-        raise StructureError("need two endomorphisms of the same module")
-    comm = (f @ d - d @ f).norm() / max(f.norm() * d.norm(), 1e-300)
-    if comm > tol.comm_tol:
-        raise UnmetHypothesisError(f"maps do not commute (relative residual {comm:.3e})")
+    comm = commutator_residual(f, d, tol)
     rep_f = b_fredholm_report(f, tol)
     rep_d = b_fredholm_report(d, tol)
     rep_p = b_fredholm_report(d @ f, tol)

@@ -9,14 +9,18 @@ realization are exactly the per-block singular values with multiplicity
 n_b.  The dense flat realization is kept available (lazily) as an
 independent oracle.
 
-Rank decisions for a map share one absolute cutoff across blocks,
-derived from the global largest singular value, so blockwise and dense
-computations agree decision-for-decision.
+Each map carries one spectral record, computed on first use and cached:
+the values-only SVD of every block (``_svals``, read by ``norm`` and
+``singular_data``) and the full SVD (``_svd``, read by ``kernel``,
+``image`` and ``mp_pseudoinverse``).  Rank decisions share one absolute
+cutoff across blocks, derived from the global largest singular value by
+:func:`modop.subspace._decide`, so blockwise and dense computations agree
+decision-for-decision.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,7 +29,7 @@ import numpy as np
 from .algebra import AlgebraElement, AlgebraShape
 from .errors import StructureError, UnmetHypothesisError
 from .modules import ModuleVector, Submodule, flat_dim
-from .subspace import SingularData, as_complex, empty_basis, op_norm
+from .subspace import SingularData, _decide, as_complex, op_norm, orthonormal_image
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 Array = np.ndarray
@@ -33,47 +37,57 @@ Array = np.ndarray
 __all__ = [
     "AdjointableMap",
     "RestrictedEndomorphism",
-    "adjoint",
-    "compose",
-    "kernel",
-    "image",
     "orthogonal_projection",
-    "mp_pseudoinverse",
-    "singular_data",
     "penrose_residuals",
+    "commutator_residual",
 ]
 
 
-def _merge_decision(
-    block_values: list[np.ndarray],
-    multiplicities: tuple[int, ...],
-    tol: ToleranceConfig,
-    dim_ctx: int,
-    scale: float | None,
-) -> tuple[SingularData, float]:
-    """Shared-threshold rank decision across blocks; returns data + threshold."""
-    reps = [np.repeat(v, mult) for v, mult in zip(block_values, multiplicities)]
-    merged = np.sort(np.concatenate(reps))[::-1] if reps else np.zeros(0)
-    smax = float(merged[0]) if merged.size else 0.0
-    ref = max(smax, scale if scale is not None else 0.0)
-    threshold = tol.rank_threshold(ref, dim_ctx)
-    vals = tuple(float(v) for v in merged)
-    rank = int(np.sum(merged > threshold))
-    gamma = float(merged[rank - 1]) if rank > 0 else math.inf
-    refm = max(ref, 1e-300)
-    if len(vals) == 0:
-        margin = math.inf
-    elif rank == 0:
-        margin = math.inf if vals[0] == 0.0 else (threshold - vals[0]) / max(threshold, 1e-300)
-    elif rank == len(vals):
-        margin = vals[-1] / refm
-    else:
-        margin = (vals[rank - 1] - vals[rank]) / refm
-    return SingularData(vals, rank, gamma, threshold, ref, margin), threshold
+class BlockwiseMap:
+    """A map stored as one complex matrix per algebra block.
+
+    Subclasses provide ``blocks``, ``shape`` and ``dim_ctx`` (the ambient
+    dimension entering the rank cutoff).  Each block is decomposed at
+    most twice per map: once for values only and once in full.  The two
+    LAPACK jobs agree only to the last few digits, so each consumer keeps
+    reading the record it needs; ``tol`` and ``scale`` only move the
+    cutoff and are call arguments, not cache keys.
+    """
+
+    blocks: tuple[Array, ...]
+
+    @cached_property
+    def _svals(self) -> tuple[Array, ...]:
+        return tuple(np.linalg.svd(c, compute_uv=False) for c in self.blocks)
+
+    @cached_property
+    def _svd(self) -> tuple[tuple[Array, Array, Array], ...]:
+        return tuple(np.linalg.svd(c) for c in self.blocks)
+
+    def _merged(
+        self, values: Iterable[Array], tol: ToleranceConfig, scale: float | None
+    ) -> SingularData:
+        """Shared-cutoff decision: block b's values repeated n_b times."""
+        reps = [np.repeat(v, nb) for v, nb in zip(values, self.shape.block_sizes)]
+        return _decide(np.sort(np.concatenate(reps))[::-1], tol, self.dim_ctx, scale)
+
+    def _ranks(self, tol: ToleranceConfig, scale: float | None) -> list[int]:
+        """Per-block ranks of the full SVDs under the shared cutoff."""
+        threshold = self._merged((s for _, s, _ in self._svd), tol, scale).threshold
+        return [int(np.sum(s > threshold)) for _, s, _ in self._svd]
+
+    def norm(self) -> float:
+        """Operator norm in the module sense (= largest block singular value)."""
+        return max((float(s[0]) if s.size else 0.0 for s in self._svals), default=0.0)
+
+    def singular_data(
+        self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
+    ) -> SingularData:
+        return self._merged(self._svals, tol, scale)
 
 
 @dataclass(frozen=True, eq=False)
-class AdjointableMap:
+class AdjointableMap(BlockwiseMap):
     """Module map A^m -> A^n over a block algebra.
 
     ``blocks[b]`` is the compressed complex matrix of shape
@@ -225,8 +239,9 @@ class AdjointableMap:
         while k:
             if k & 1:
                 out = out @ base
-            base = base @ base
             k >>= 1
+            if k:
+                base = base @ base
         return out
 
     def apply(self, x: ModuleVector) -> ModuleVector:
@@ -243,75 +258,40 @@ class AdjointableMap:
             raise StructureError("submodule not inside the domain module")
         scale = self.norm()
         bases = []
-        for nb, c, w in zip(self.shape.block_sizes, self.blocks, sub.column_bases):
-            moved = c @ w
-            from .subspace import orthonormal_image
-
-            basis, _ = orthonormal_image(moved, tol, dim_ctx=self.dim_ctx, scale=scale)
+        for c, w in zip(self.blocks, sub.column_bases):
+            basis, _ = orthonormal_image(c @ w, tol, dim_ctx=self.dim_ctx, scale=scale)
             bases.append(basis)
         return Submodule(self.shape, self.n, tuple(bases))
 
-    # -- metrics -----------------------------------------------------------
-
-    def norm(self) -> float:
-        """Operator norm in the module sense (= largest block singular value)."""
-        return max((op_norm(c) for c in self.blocks), default=0.0)
+    # -- metrics, kernels, images, inverses ----------------------------------
 
     def allclose(self, other: "AdjointableMap", atol: float = 1e-12) -> bool:
         self._same_spaces(other)
         return all(np.allclose(a, b, atol=atol) for a, b in zip(self.blocks, other.blocks))
 
-    def singular_data(
-        self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
-    ) -> SingularData:
-        vals = [
-            np.linalg.svd(c, compute_uv=False) if c.size else np.zeros(0) for c in self.blocks
-        ]
-        data, _ = _merge_decision(vals, self.shape.block_sizes, tol, self.dim_ctx, scale)
-        return data
-
-    # -- kernels, images, inverses ------------------------------------------
-
     def kernel(
         self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
     ) -> Submodule:
-        bases = []
-        svds = [np.linalg.svd(c) for c in self.blocks]
-        _, threshold = _merge_decision(
-            [s for _, s, _ in svds], self.shape.block_sizes, tol, self.dim_ctx, scale
-        )
-        for (_, s, vh), nb in zip(svds, self.shape.block_sizes):
-            rank = int(np.sum(s > threshold))
-            bases.append(np.ascontiguousarray(vh[rank:].conj().T))
+        ranks = self._ranks(tol, scale)
+        bases = [vh[r:].conj().T for (_, _, vh), r in zip(self._svd, ranks)]
         return Submodule(self.shape, self.m, tuple(bases))
 
     def image(
         self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
     ) -> Submodule:
-        bases = []
-        svds = [np.linalg.svd(c) for c in self.blocks]
-        _, threshold = _merge_decision(
-            [s for _, s, _ in svds], self.shape.block_sizes, tol, self.dim_ctx, scale
-        )
-        for (u, s, _), nb in zip(svds, self.shape.block_sizes):
-            rank = int(np.sum(s > threshold))
-            bases.append(np.ascontiguousarray(u[:, :rank]))
+        ranks = self._ranks(tol, scale)
+        bases = [u[:, :r] for (u, _, _), r in zip(self._svd, ranks)]
         return Submodule(self.shape, self.n, tuple(bases))
 
     def mp_pseudoinverse(
         self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
     ) -> "AdjointableMap":
         """Moore-Penrose pseudoinverse, blockwise under the shared cutoff."""
-        svds = [np.linalg.svd(c) for c in self.blocks]
-        _, threshold = _merge_decision(
-            [s for _, s, _ in svds], self.shape.block_sizes, tol, self.dim_ctx, scale
-        )
         blocks = []
-        for u, s, vh in svds:
-            rank = int(np.sum(s > threshold))
+        for (u, s, vh), r in zip(self._svd, self._ranks(tol, scale)):
             inv = np.zeros((vh.shape[0], u.shape[0]), dtype=np.complex128)
-            if rank:
-                inv = vh[:rank].conj().T @ np.diag(1.0 / s[:rank]) @ u[:, :rank].conj().T
+            if r:
+                inv = vh[:r].conj().T @ np.diag(1.0 / s[:r]) @ u[:, :r].conj().T
             blocks.append(inv)
         return AdjointableMap(self.shape, self.n, self.m, tuple(blocks))
 
@@ -337,7 +317,7 @@ def _vector_from_talls(shape: AlgebraShape, m: int, talls: list[Array]) -> Modul
 
 
 @dataclass(frozen=True, eq=False)
-class RestrictedEndomorphism:
+class RestrictedEndomorphism(BlockwiseMap):
     """An endomorphism compressed to an invariant submodule.
 
     The underlying submodule is projective but generally not free, so
@@ -375,91 +355,40 @@ class RestrictedEndomorphism:
     def dim(self) -> int:
         return self.domain.dim
 
-    def norm(self) -> float:
-        return max((op_norm(c) for c in self.blocks), default=0.0)
+    @property
+    def shape(self) -> AlgebraShape:
+        return self.domain.shape
 
-    def singular_data(
-        self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
-    ) -> SingularData:
-        vals = [
-            np.linalg.svd(c, compute_uv=False) if c.size else np.zeros(0) for c in self.blocks
-        ]
-        data, _ = _merge_decision(
-            vals, self.domain.shape.block_sizes, tol, self.domain.ambient_dim, scale
-        )
-        return data
+    @property
+    def dim_ctx(self) -> int:
+        return self.domain.ambient_dim
 
     def kernel(
         self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
     ) -> Submodule:
         """Kernel of the restriction, as a submodule of the ambient module."""
-        svds = [np.linalg.svd(c) if c.size else None for c in self.blocks]
-        values = [s[1] if s is not None else np.zeros(0) for s in svds]
-        _, threshold = _merge_decision(
-            values, self.domain.shape.block_sizes, tol, self.domain.ambient_dim, scale
-        )
-        bases = []
-        for sv, w in zip(svds, self.domain.column_bases):
-            if sv is None:
-                bases.append(w[:, :0])
-                continue
-            _, s, vh = sv
-            rank = int(np.sum(s > threshold))
-            bases.append(w @ vh[rank:].conj().T)
-        return Submodule(self.domain.shape, self.domain.m, tuple(bases))
+        ranks = self._ranks(tol, scale)
+        ws = self.domain.column_bases
+        bases = [w @ vh[r:].conj().T for w, (_, _, vh), r in zip(ws, self._svd, ranks)]
+        return Submodule(self.shape, self.domain.m, tuple(bases))
 
     def image(
         self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
     ) -> Submodule:
-        svds = [np.linalg.svd(c) if c.size else None for c in self.blocks]
-        values = [s[1] if s is not None else np.zeros(0) for s in svds]
-        _, threshold = _merge_decision(
-            values, self.domain.shape.block_sizes, tol, self.domain.ambient_dim, scale
-        )
-        bases = []
-        for sv, w in zip(svds, self.domain.column_bases):
-            if sv is None:
-                bases.append(w[:, :0])
-                continue
-            u, s, _ = sv
-            rank = int(np.sum(s > threshold))
-            bases.append(w @ u[:, :rank])
-        return Submodule(self.domain.shape, self.domain.m, tuple(bases))
+        ranks = self._ranks(tol, scale)
+        ws = self.domain.column_bases
+        bases = [w @ u[:, :r] for w, (u, _, _), r in zip(ws, self._svd, ranks)]
+        return Submodule(self.shape, self.domain.m, tuple(bases))
 
 
 # ---------------------------------------------------------------------------
-# functional aliases for the core operations
-
-
-def adjoint(f: AdjointableMap) -> AdjointableMap:
-    return f.adjoint()
-
-
-def compose(f: AdjointableMap, g: AdjointableMap) -> AdjointableMap:
-    """f after g."""
-    return f @ g
-
-
-def kernel(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> Submodule:
-    return f.kernel(tol)
-
-
-def image(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> Submodule:
-    return f.image(tol)
+# projections, Penrose residuals, commutation
 
 
 def orthogonal_projection(sub: Submodule) -> AdjointableMap:
     """Orthogonal projection onto a submodule, as an adjointable map."""
     blocks = tuple(w @ w.conj().T for w in sub.column_bases)
     return AdjointableMap(sub.shape, sub.m, sub.m, blocks)
-
-
-def mp_pseudoinverse(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> AdjointableMap:
-    return f.mp_pseudoinverse(tol)
-
-
-def singular_data(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> SingularData:
-    return f.singular_data(tol)
 
 
 def penrose_residuals(f: AdjointableMap, x: AdjointableMap) -> dict[str, float]:
@@ -476,3 +405,19 @@ def penrose_residuals(f: AdjointableMap, x: AdjointableMap) -> dict[str, float]:
         "fx_selfadjoint": (fx - fx.adjoint()).norm() / max(fx.norm(), 1e-300),
         "xf_selfadjoint": (xf - xf.adjoint()).norm() / max(xf.norm(), 1e-300),
     }
+
+
+def commutator_residual(
+    f: AdjointableMap, d: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL
+) -> float:
+    """Relative commutator ||FD - DF|| / (||F|| ||D||) of two endomorphisms
+    of one module; the precondition of every commuting-pair certificate.
+
+    Raises :class:`UnmetHypothesisError` above ``tol.comm_tol``.
+    """
+    if f.shape != d.shape or f.m != d.m or not f.is_endomorphism or not d.is_endomorphism:
+        raise StructureError("need two endomorphisms of the same module")
+    comm = (f @ d - d @ f).norm() / max(f.norm() * d.norm(), 1e-300)
+    if comm > tol.comm_tol:
+        raise UnmetHypothesisError(f"maps do not commute (relative residual {comm:.3e})")
+    return comm

@@ -45,7 +45,6 @@ __all__ = [
     "inner_product",
     "module_norm",
     "submodule_span",
-    "k0_class",
     "orth_complement",
     "sum_and_intersection",
     "DecompositionWitness",
@@ -281,7 +280,6 @@ class Submodule:
     shape: AlgebraShape
     m: int
     column_bases: tuple[Array, ...]
-    invariance_residual_bound: float = 0.0
 
     def __post_init__(self):
         if len(self.column_bases) != self.shape.num_blocks:
@@ -468,10 +466,6 @@ def _generator_residual(shape: AlgebraShape, m: int, q: Array) -> float:
 def submodule_span(vectors: list[ModuleVector], tol: ToleranceConfig = DEFAULT_TOL) -> Submodule:
     """Smallest submodule containing the given vectors."""
     return Submodule.span_vectors(vectors, tol)
-
-
-def k0_class(sub: Submodule) -> K0Class:
-    return sub.k0()
 
 
 def orth_complement(sub: Submodule) -> Submodule:

@@ -24,7 +24,7 @@ from .algebra import AlgebraElement, AlgebraShape
 from .errors import StructureError
 from .linmap import AdjointableMap
 from .modules import Submodule
-from .subspace import orthonormal_image
+from .subspace import complement, null_space, orthonormal_image
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 Array = np.ndarray
@@ -90,18 +90,10 @@ def random_map(
     """Random adjointable map; ``rank_deficit`` kills that many trailing
     singular values per block (clipped to the block size), leaving the
     kept ones in [0.5, 2] so the rank decision has a wide margin."""
-    blocks = []
-    for nb in shape.block_sizes:
-        rows, cols = n * nb, m * nb
-        k = min(rows, cols)
-        keep = max(k - rank_deficit, 0)
-        svals = np.zeros(k)
-        if keep:
-            svals[:keep] = np.exp(rng.uniform(np.log(0.5), np.log(2.0), size=keep))
-        u = _unitary(rng, rows)
-        v = _unitary(rng, cols)
-        blocks.append((u[:, :k] * svals) @ v[:, :k].conj().T)
-    return AdjointableMap(shape, m, n, tuple(blocks))
+    blocks = tuple(
+        random_matrix(n * nb, m * nb, rng, rank_deficit=rank_deficit) for nb in shape.block_sizes
+    )
+    return AdjointableMap(shape, m, n, blocks)
 
 
 def random_endomorphism(
@@ -226,22 +218,15 @@ def random_complement(
 ) -> Submodule:
     """Algebraic complement of ``sub``, tilted away from the orthogonal one.
 
-    Starting from the orthocomplement, each basis column is mixed with a
-    random direction inside ``sub`` (relative size ``shear`` < 1), which
-    bounds the resulting projector norm by roughly 1/(1 - shear).
+    Each block is a :func:`sheared_complement` of the block's column
+    basis, which bounds the resulting projector norm by roughly
+    1/(1 - shear).
     """
-    if not 0.0 <= shear < 1.0:
-        raise StructureError("shear must lie in [0, 1)")
-    bases = []
-    for w, wc in zip(sub.column_bases, sub.complement().column_bases):
-        if wc.shape[1] == 0 or w.shape[1] == 0:
-            bases.append(wc)
-            continue
-        mix = w @ _cnormal(rng, w.shape[1], wc.shape[1])
-        mix *= shear / max(np.linalg.norm(mix, 2), 1e-300)
-        q, _ = orthonormal_image(wc + mix, tol, scale=1.0)
-        bases.append(q)
-    return Submodule(sub.shape, sub.m, tuple(bases))
+    bases = tuple(
+        sheared_complement(w, sub.m * nb, rng, shear=shear, tol=tol)
+        for nb, w in zip(sub.shape.block_sizes, sub.column_bases)
+    )
+    return Submodule(sub.shape, sub.m, bases)
 
 
 def random_matrix(
@@ -252,7 +237,7 @@ def random_matrix(
     rank_deficit: int = 0,
 ) -> Array:
     """Plain complex matrix with a planted rank deficit (kept singular
-    values in [0.5, 2]); the Banach-side analogue of :func:`random_map`."""
+    values in [0.5, 2]); one block of :func:`random_map`."""
     k = min(rows, cols)
     keep = max(k - rank_deficit, 0)
     svals = np.zeros(k)
@@ -273,12 +258,10 @@ def sheared_complement(
     one by mixing in directions inside the span (relative size ``shear``)."""
     if not 0.0 <= shear < 1.0:
         raise StructureError("shear must lie in [0, 1)")
-    from .subspace import complement as orth_complement
-
-    wc = orth_complement(np.asarray(basis, dtype=complex), ambient)
-    if wc.shape[1] == 0 or np.asarray(basis).shape[1] == 0:
-        return wc
     basis = np.asarray(basis, dtype=complex)
+    wc = complement(basis, ambient)
+    if wc.shape[1] == 0 or basis.shape[1] == 0:
+        return wc
     mix = basis @ _cnormal(rng, basis.shape[1], wc.shape[1])
     mix *= shear / max(np.linalg.norm(mix, 2), 1e-300)
     q, _ = orthonormal_image(wc + mix, tol, scale=1.0)
@@ -296,12 +279,10 @@ def random_regular_data(
 ) -> tuple[Array, Array, Array]:
     """(T, kernel complement, image complement) with bounded obliqueness —
     raw material for a regular-operator certificate on plain matrices."""
-    from .subspace import null_space, orthonormal_image as orth_image
-
     t = random_matrix(rows, cols, rng, rank_deficit=rank_deficit)
     scale = max(np.linalg.norm(t, 2), 1e-300)
     kernel, _ = null_space(t, tol, scale=scale)
-    image, _ = orth_image(t, tol, scale=scale)
+    image, _ = orthonormal_image(t, tol, scale=scale)
     ker_c = sheared_complement(kernel, cols, rng, shear=shear, tol=tol)
     im_c = sheared_complement(image, rows, rng, shear=shear, tol=tol)
     return t, ker_c, im_c

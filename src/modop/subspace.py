@@ -1,9 +1,12 @@
 """Complex-subspace numerics: the single SVD core everything routes through.
 
 Subspaces of C^d are represented by matrices with orthonormal columns
-(zero columns for the trivial subspace).  All rank decisions funnel
-through :func:`svd_data`, which applies the shared tolerance policy and
-records the margin by which each decision was made.
+(zero columns for the trivial subspace).  Every rank decision on
+singular values funnels through one function, :func:`_decide`: it sets
+the cutoff under the shared tolerance policy and records the margin by
+which the decision was made.  :func:`svd_data`, :func:`orthonormal_image`,
+:func:`null_space` and the per-block maps of :mod:`modop.linmap` (which
+merge their blocks' values first) all call it.
 
 One wrinkle worth stating: rank cutoffs are relative to a *scale
 reference*.  For a matrix taken as primary input this is its own largest
@@ -77,20 +80,33 @@ class SingularData:
         return self.values[0] if self.values else 0.0
 
 
-def _decision(values: np.ndarray, threshold: float, scale: float) -> SingularData:
+def _decide(
+    values: np.ndarray, tol: ToleranceConfig, dim_ctx: int, scale: float | None
+) -> SingularData:
+    """Rank, gamma, cutoff and margin for descending singular ``values``.
+
+    The reference scale is ``max(smax, scale)`` and the cutoff is
+    ``tol.rank_threshold(ref, dim_ctx)``; empty input has cutoff 0.0.
+    """
     vals = tuple(float(v) for v in values)
+    smax = vals[0] if vals else 0.0
+    ref = max(smax, scale if scale is not None else 0.0)
+    threshold = tol.rank_threshold(ref, dim_ctx) if vals else 0.0
     rank = int(np.sum(values > threshold))
-    gamma = float(values[rank - 1]) if rank > 0 else math.inf
-    ref = max(scale, 1e-300)
-    if len(vals) == 0:
+    gamma = vals[rank - 1] if rank > 0 else math.inf
+    refm = max(ref, 1e-300)
+    if not vals:
         margin = math.inf
     elif rank == 0:
         margin = math.inf if vals[0] == 0.0 else (threshold - vals[0]) / max(threshold, 1e-300)
     elif rank == len(vals):
-        margin = vals[-1] / ref
+        margin = vals[-1] / refm
     else:
-        margin = (vals[rank - 1] - vals[rank]) / ref
-    return SingularData(vals, rank, gamma, threshold, scale, margin)
+        margin = (vals[rank - 1] - vals[rank]) / refm
+    return SingularData(vals, rank, gamma, threshold, ref, margin)
+
+
+_NO_VALUES = np.zeros(0)
 
 
 def svd_data(
@@ -107,13 +123,8 @@ def svd_data(
     (defaults to the matrix's own largest singular value).
     """
     a = as_complex(a)
-    if a.size == 0:
-        return _decision(np.zeros(0), 0.0, scale or 0.0)
-    s = np.linalg.svd(a, compute_uv=False)
-    smax = float(s[0]) if s.size else 0.0
-    ref = max(smax, scale if scale is not None else 0.0)
-    dim = dim_ctx if dim_ctx is not None else max(a.shape)
-    return _decision(s, tol.rank_threshold(ref, dim), ref)
+    s = np.linalg.svd(a, compute_uv=False) if a.size else _NO_VALUES
+    return _decide(s, tol, dim_ctx if dim_ctx is not None else max(a.shape), scale)
 
 
 def op_norm(a: Array) -> float:
@@ -132,13 +143,10 @@ def orthonormal_image(
 ) -> tuple[Array, SingularData]:
     """Orthonormal basis of the column span, with the rank decision."""
     a = as_complex(a)
-    if a.shape[1] == 0 or a.size == 0:
-        return empty_basis(a.shape[0]), _decision(np.zeros(0), 0.0, scale or 0.0)
+    if a.size == 0:
+        return empty_basis(a.shape[0]), _decide(_NO_VALUES, tol, 0, scale)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    smax = float(s[0]) if s.size else 0.0
-    ref = max(smax, scale if scale is not None else 0.0)
-    dim = dim_ctx if dim_ctx is not None else max(a.shape)
-    data = _decision(s, tol.rank_threshold(ref, dim), ref)
+    data = _decide(s, tol, dim_ctx if dim_ctx is not None else max(a.shape), scale)
     return np.ascontiguousarray(u[:, : data.rank]), data
 
 
@@ -153,14 +161,11 @@ def null_space(
     a = as_complex(a)
     n = a.shape[1]
     if n == 0:
-        return empty_basis(0), _decision(np.zeros(0), 0.0, scale or 0.0)
+        return empty_basis(0), _decide(_NO_VALUES, tol, 0, scale)
     if a.shape[0] == 0:
-        return np.eye(n, dtype=np.complex128), _decision(np.zeros(0), 0.0, scale or 0.0)
+        return np.eye(n, dtype=np.complex128), _decide(_NO_VALUES, tol, 0, scale)
     _, s, vh = np.linalg.svd(a, full_matrices=True)
-    smax = float(s[0]) if s.size else 0.0
-    ref = max(smax, scale if scale is not None else 0.0)
-    dim = dim_ctx if dim_ctx is not None else max(a.shape)
-    data = _decision(s, tol.rank_threshold(ref, dim), ref)
+    data = _decide(s, tol, dim_ctx if dim_ctx is not None else max(a.shape), scale)
     return np.ascontiguousarray(vh[data.rank :].conj().T), data
 
 
@@ -264,10 +269,7 @@ def intersect(
 def subspace_sum(q1: Array, q2: Array, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Array, SingularData]:
     """Orthonormal basis of span(q1) + span(q2)."""
     q1, q2 = as_complex(q1), as_complex(q2)
-    stacked = np.hstack([q1, q2])
-    if stacked.shape[1] == 0:
-        return empty_basis(q1.shape[0]), _decision(np.zeros(0), 0.0, 1.0)
-    return orthonormal_image(stacked, tol, scale=1.0)
+    return orthonormal_image(np.hstack([q1, q2]), tol, scale=1.0)
 
 
 def min_modulus_restricted_raw(q_m: Array, q_n: Array) -> float:

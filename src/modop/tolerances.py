@@ -1,11 +1,14 @@
 """Single tolerance policy shared by every numerical decision.
 
-All spectral computations route through one SVD wrapper (see
-:mod:`modop.subspace`) parameterized by a :class:`ToleranceConfig`.
-Rank cutoffs scale with the largest singular value and the ambient
-dimension, in line with standard numerical-rank practice; angle and
-residual tolerances are absolute.  Every classification decision made
-under these knobs records the margin by which it was made.
+Every rank decision goes through one function,
+``modop.subspace._decide``, parameterized by a :class:`ToleranceConfig`;
+a module map feeds it the singular values it computed once and cached
+(see :mod:`modop.linmap`), so tolerance and scale move the cutoff but
+never trigger a new decomposition.  Rank cutoffs scale with the largest
+singular value and the ambient dimension, in line with standard
+numerical-rank practice; angle and residual tolerances are absolute.
+Every classification decision made under these knobs records the margin
+by which it was made.
 """
 
 from __future__ import annotations

@@ -13,8 +13,16 @@ from modop.banach import (
     make_regular_orthogonal,
     oblique_decomposition,
 )
+from modop.algebra import AlgebraShape
 from modop.errors import StructureError, UnmetHypothesisError
-from modop.randgen import random_matrix, random_regular_data, sheared_complement
+from modop.randgen import (
+    random_complement,
+    random_map,
+    random_matrix,
+    random_regular_data,
+    random_submodule,
+    sheared_complement,
+)
 
 
 def regular_from(rng, rows, cols, rank_deficit=1, shear=0.3):
@@ -163,3 +171,11 @@ def test_sheared_complement_stays_complementary(rng):
     assert sheared.rank == reg.rank
     assert max(sheared.residuals.values()) < 1e-10
     assert sheared.im_decomposition.norm < 10  # modest shear, modest projector
+    # the module generators draw exactly as their per-block matrix twins
+    f = random_map(AlgebraShape((4,)), 2, 3, np.random.default_rng(5), rank_deficit=1)
+    t = random_matrix(12, 8, np.random.default_rng(5), rank_deficit=1)
+    assert np.array_equal(f.blocks[0], t)
+    sub = random_submodule(AlgebraShape((3,)), 2, rng, ranks=(2,))
+    comp = random_complement(sub, np.random.default_rng(6), shear=0.5)
+    twin = sheared_complement(sub.column_bases[0], 6, np.random.default_rng(6), shear=0.5)
+    assert np.array_equal(comp.column_bases[0], twin)

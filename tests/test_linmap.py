@@ -69,6 +69,13 @@ def test_power_is_iterated_matmul(shape23, rng):
     assert np.allclose(f.power(3).realization, np.linalg.matrix_power(f.realization, 3))
 
 
+def test_power_does_not_square_past_the_last_bit():
+    f = AdjointableMap.from_matrix(1e200 * np.eye(2))
+    with np.errstate(all="raise"):
+        p = f.power(1)
+    assert np.array_equal(p.blocks[0], f.blocks[0])
+
+
 def test_norm_equals_realization_norm(shape23, rng):
     f = random_map(shape23, 3, 2, rng)
     assert abs(f.norm() - np.linalg.norm(f.realization, 2)) < 1e-12
@@ -142,6 +149,46 @@ def test_restriction_to_invariant_submodule(shape23, rng):
     ker, img = r.kernel(), r.image()
     assert sub.contains(ker)[0] and sub.contains(img)[0]
     assert ker.dim + img.dim == sub.dim
+
+
+def _count_svds(monkeypatch) -> dict[str, int]:
+    calls = {"values": 0, "full": 0}
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls["full" if kwargs.get("compute_uv", True) else "values"] += 1
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def test_each_map_is_decomposed_once(shape23, rng, monkeypatch):
+    f = random_map(shape23, 3, 2, rng, rank_deficit=1)
+    calls = _count_svds(monkeypatch)
+    for _ in range(2):
+        f.norm()
+        f.singular_data()
+        f.kernel()
+        f.image()
+        f.mp_pseudoinverse()
+    assert calls["values"] <= shape23.num_blocks
+    assert calls["full"] <= shape23.num_blocks
+
+
+def test_each_restriction_is_decomposed_once(shape23, rng, monkeypatch):
+    sub = random_submodule(shape23, 3, rng, ranks=(0, 2))  # one empty block
+    p = orthogonal_projection(sub)
+    r = RestrictedEndomorphism.of(p @ random_endomorphism(shape23, 3, rng) @ p, sub)
+    calls = _count_svds(monkeypatch)
+    for _ in range(2):
+        r.norm()
+        r.singular_data()
+        ker, img = r.kernel(), r.image()
+    assert calls["values"] <= shape23.num_blocks
+    assert calls["full"] <= shape23.num_blocks
+    assert ker.dim + img.dim == sub.dim
+    assert sub.contains(ker)[0] and sub.contains(img)[0]
 
 
 def test_restriction_rejects_non_invariant(shape23, rng):
