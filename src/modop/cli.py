@@ -15,9 +15,8 @@ banach     regular-operator certificate for a flattened operator, with
            an optional finite-rank perturbation.
 
 Determinism contract: identical command line (seed, counts, tolerances)
-produces byte-identical output.  Suite instances draw from per-index
-generators, so the thread pool that runs them cannot reorder anything
-observable; results are emitted sorted by instance index.
+produces byte-identical output.  Suite instances run serially in index
+order, each drawing from its own index-keyed generator.
 
 Exit codes: 0 all checks pass, 1 a property check failed, 2 usage or
 data errors.
@@ -28,7 +27,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
@@ -68,8 +66,8 @@ class RunConfig:
 
 
 def _rng_for(seed: int, index: int) -> np.random.Generator:
-    # Index-keyed streams: instance i sees the same draws no matter how
-    # many workers run or in which order they finish.
+    # Index-keyed streams: instance i sees the same draws whatever other
+    # instances ran before it, or whether they ran at all.
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
@@ -289,25 +287,13 @@ def run_suite(name: str, cfg: RunConfig) -> dict[str, Any]:
     """All instances of one suite; per-metric worst values and failures."""
     if name not in SUITES:
         raise DataError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    runner = SUITES[name]
-
-    def one(idx: int):
-        try:
-            return idx, runner(_rng_for(cfg.seed, idx), cfg), None
-        except ModopError as exc:
-            return idx, None, f"{type(exc).__name__}: {exc}"
-
-    if cfg.n > 0:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = sorted(pool.map(one, range(cfg.n)), key=lambda r: r[0])
-    else:
-        results = []
-
     worst: dict[str, float] = {}
     failures = []
-    for idx, metrics, err in results:
-        if err is not None:
-            failures.append({"instance": idx, "error": err})
+    for idx in range(cfg.n):
+        try:
+            metrics = SUITES[name](_rng_for(cfg.seed, idx), cfg)
+        except ModopError as exc:
+            failures.append({"instance": idx, "error": f"{type(exc).__name__}: {exc}"})
             continue
         for key, val in metrics.items():
             if not math.isfinite(val):

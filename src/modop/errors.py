@@ -47,4 +47,5 @@ class IdentityViolation(ModopError):
 
 
 class DataError(ModopError):
-    """Malformed serialized input (JSON files, CLI payloads)."""
+    """Malformed or out-of-range input: JSON files, CLI payloads, tolerance
+    knobs, and non-finite map entries."""

@@ -21,6 +21,15 @@ restricted minimum moduli computed blockwise are *equal* to their flat
 (and module-norm) counterparts — the extremising vectors can be taken
 of rank one.  That is also why the sampled norm-bound check below uses
 genuine module norms while the spectral work stays at block size.
+
+Those module norms are largest singular values of small tall matrices T
+(one per block and sample), read off the Gram matrix as
+sqrt(lambda_max(T^H T)).  The Gram route squares the condition number,
+which ruins the *smallest* singular values, but the largest eigenvalue of
+T^H T carries an absolute error of order eps * ||T||^2 = eps * lambda_max,
+so its square root is accurate to a few ulps (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed., section 20).  For n_b = 1 the
+tall matrix is a single column and its norm is the plain 2-norm.
 """
 
 from __future__ import annotations
@@ -142,13 +151,17 @@ def _bound_from_delta(delta: float) -> float:
 
 
 def _module_norms_flat(sub_shape, m: int, flats: Array) -> Array:
-    """Module norms of a batch of flat vectors (columns)."""
+    """Module norms of a batch of flat vectors (columns), via Gram matrices."""
     count = flats.shape[1]
     norms = np.zeros(count)
     for (off, seg), nb in zip(block_layout(sub_shape, m), sub_shape.block_sizes):
-        talls = flats[off : off + seg].T.reshape(count, m * nb, nb)
-        svs = np.linalg.svd(talls, compute_uv=False)
-        norms = np.maximum(norms, svs[:, 0] if svs.size else np.zeros(count))
+        if nb == 1:
+            block = np.linalg.norm(flats[off : off + seg], axis=0)
+        else:
+            talls = flats[off : off + seg].T.reshape(count, m * nb, nb)
+            grams = talls.conj().transpose(0, 2, 1) @ talls
+            block = np.sqrt(np.maximum(np.linalg.eigvalsh(grams)[:, -1], 0.0))
+        norms = np.maximum(norms, block)
     return norms
 
 

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape
-from .errors import StructureError, UnmetHypothesisError
+from .errors import DataError, StructureError, UnmetHypothesisError
 from .modules import ModuleVector, Submodule, flat_dim
 from .subspace import SingularData, _decide, as_complex, op_norm, orthonormal_image
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -128,7 +128,7 @@ class AdjointableMap(BlockwiseMap):
 
     @classmethod
     def from_entries(cls, rows: list[list[AlgebraElement]]) -> "AdjointableMap":
-        """Build from an (n x m) nested list of algebra elements."""
+        """Build from an (n x m) nested list of algebra elements (finite)."""
         n = len(rows)
         if n == 0 or len(rows[0]) == 0:
             raise StructureError("entry matrix must be nonempty")
@@ -143,6 +143,7 @@ class AdjointableMap(BlockwiseMap):
                         raise StructureError("mixed algebra shapes in entries")
                     c[i * nb : (i + 1) * nb, j * nb : (j + 1) * nb] = rows[i][j].blocks[b]
             blocks.append(c)
+        _require_finite(blocks)
         return cls(shape, m, n, tuple(blocks))
 
     @classmethod
@@ -152,10 +153,11 @@ class AdjointableMap(BlockwiseMap):
 
     @classmethod
     def from_matrix(cls, mat: Array) -> "AdjointableMap":
-        """A plain complex matrix as a map over the trivial one-block algebra."""
+        """A plain finite complex matrix as a map over the trivial one-block algebra."""
         mat = as_complex(mat)
         if mat.ndim != 2 or 0 in mat.shape:
             raise StructureError("need a nonempty 2-d matrix")
+        _require_finite([mat])
         return cls(AlgebraShape((1,)), mat.shape[1], mat.shape[0], (mat,))
 
     # -- structure access -------------------------------------------------
@@ -300,6 +302,14 @@ class AdjointableMap(BlockwiseMap):
             f"AdjointableMap(shape={self.shape}, A^{self.m} -> A^{self.n}, "
             f"norm={self.norm():.3g})"
         )
+
+
+def _require_finite(blocks: list[Array]) -> None:
+    """Reject inf/nan where outside data becomes a map, before any SVD can
+    spin or fail on it.  Maps derived from finite ones are not re-checked:
+    a check on every construction costs a few percent of a power chain."""
+    if not np.isfinite(np.concatenate([b.ravel() for b in blocks])).all():
+        raise DataError("map entries must be finite (got inf or nan)")
 
 
 def _vector_from_talls(shape: AlgebraShape, m: int, talls: list[Array]) -> ModuleVector:

@@ -13,6 +13,11 @@ submodule  -- ``{"shape": [...], "m": k, "vectors": [vector-entries...]}``;
                 orthonormal — loading re-orthonormalizes and closes
                 under the algebra action.
 
+Every matrix entry must be finite: ``inf``/``nan`` (JSON ``1e999``,
+``NaN``) are rejected with :class:`~modop.errors.DataError` before any
+numerical work runs: once per loaded vector, and for operators by
+:meth:`~modop.linmap.AdjointableMap.from_entries`.
+
 Report emission is write-only: a generic walker keeps scalars,
 dimension data, margins, residuals, and K0 classes, and drops raw
 matrices.  Floats are printed in fixed 17-significant-digit scientific
@@ -159,9 +164,12 @@ def vector_from_jsonable(data: Any) -> ModuleVector:
     entries = data.get("entries")
     if not isinstance(m, int) or not isinstance(entries, list) or len(entries) != m:
         raise DataError(f"vector: need integer 'm' and exactly m 'entries' (m={m!r})")
-    return ModuleVector(
+    vec = ModuleVector(
         shape, m, tuple(element_from_jsonable(shape, e, f"entries[{i}]") for i, e in enumerate(entries))
     )
+    if not np.isfinite(vec.flatten()).all():
+        raise DataError("vector: entries must be finite (got inf or nan)")
+    return vec
 
 
 def operator_to_jsonable(f: AdjointableMap) -> dict:

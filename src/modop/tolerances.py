@@ -13,7 +13,10 @@ by which it was made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
+
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,9 @@ class ToleranceConfig:
         projections and reduced minimum moduli.
     ill_posed_projector_norm
         An oblique projector with norm beyond this is flagged ill-posed.
+
+    Every knob must be finite and positive; anything else raises
+    :class:`~modop.errors.DataError`.
     """
 
     rank_tol: float = 1e-10
@@ -50,6 +56,12 @@ class ToleranceConfig:
     comm_tol: float = 1e-10
     positivity_tau: float = 1e-6
     ill_posed_projector_norm: float = 1e6
+
+    def __post_init__(self):
+        for fld in fields(self):
+            val = getattr(self, fld.name)
+            if not (math.isfinite(val) and val > 0):
+                raise DataError(f"tolerance {fld.name} must be finite and positive, got {val!r}")
 
     def with_(self, **kw) -> "ToleranceConfig":
         """Return a copy with some knobs replaced."""

@@ -9,7 +9,7 @@ import pytest
 from modop.algebra import AlgebraShape
 from modop.cli import RunConfig, SUITE_NAMES, main, run_suite
 from modop.linmap import AdjointableMap
-from modop.randgen import random_low_rank, random_map
+from modop.randgen import random_low_rank, random_map, random_submodule
 from modop.serialize import dumps_canonical, operator_to_jsonable, save_json, submodule_to_jsonable
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -71,8 +71,6 @@ def test_geometry_subcommand_on_operator_pair(tmp_path, rng, capsys):
 
 
 def test_geometry_accepts_submodule_files(tmp_path, rng, capsys):
-    from modop.randgen import random_submodule
-
     shape = AlgebraShape((2,))
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -168,3 +166,40 @@ def test_tolerance_overrides_are_echoed(capsys):
     assert main(argv) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"]["rank_tol"] == 1e-9
+
+
+def _no_svd(*args, **kwargs):
+    raise AssertionError("an SVD ran on data that should have been rejected")
+
+
+@pytest.mark.parametrize("token", ["1e999", "NaN"])
+def test_nonfinite_operator_entry_is_usage_error(tmp_path, monkeypatch, capsys, token):
+    payload = operator_to_jsonable(AdjointableMap.identity(AlgebraShape((2,)), 1))
+    payload["entries"][0][0][0][1][1] = [12345.0, 0.0]
+    path = tmp_path / "bad.json"
+    path.write_text(dumps_canonical(payload).replace("1.2345000000000000e+04", token))
+    monkeypatch.setattr(np.linalg, "svd", _no_svd)
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "finite" in err and len(err.splitlines()) == 1
+
+
+def test_nonfinite_submodule_entry_is_usage_error(tmp_path, rng, monkeypatch, capsys):
+    shape = AlgebraShape((2,))
+    payload = submodule_to_jsonable(random_submodule(shape, 2, rng, ranks=(1,)))
+    payload["vectors"][0]["entries"][1][0][0][0] = [float("nan"), 0.0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    good = write_operator(tmp_path, "good.json", AdjointableMap.identity(shape, 2))
+    monkeypatch.setattr(np.linalg, "svd", _no_svd)
+    assert main(["geometry", str(bad), good]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_invalid_tolerance_is_usage_error(value, capsys):
+    assert main(["verify", "dual", "--n", "3", "--tol-rank", value, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tolerance rank_tol must be finite and positive")
+    assert len(captured.err.splitlines()) == 1

@@ -8,6 +8,7 @@ import pytest
 from modop.algebra import AlgebraShape
 from modop.errors import StructureError
 from modop.geometry import (
+    _module_norms_flat,
     bouldin_criterion,
     closed_sum_report,
     dixmier_angle,
@@ -15,7 +16,7 @@ from modop.geometry import (
 )
 from modop.linmap import AdjointableMap
 from modop.modules import Submodule
-from modop.randgen import random_submodule
+from modop.randgen import parse_shape, random_submodule
 from modop.subspace import min_modulus_restricted_raw
 
 
@@ -140,3 +141,23 @@ def test_geometry_inputs_validated(shape23, rng):
     g = AdjointableMap.identity(shape23, 3)
     with pytest.raises(StructureError):
         bouldin_criterion(f, g)
+
+
+@pytest.mark.parametrize("shape_text", ["1", "2,3", "4", "1^6"])
+def test_module_norms_match_tall_matrix_oracle(shape_text, rng):
+    shape = parse_shape(shape_text)
+    m, count = 3, 40
+    dim = m * shape.dim
+    flats = rng.normal(size=(dim, count)) + 1j * rng.normal(size=(dim, count))
+    flats[:, 7] = 0.0  # an all-zero sample must give 0, not nan
+    got = _module_norms_flat(shape, m, flats)
+    expect = np.zeros(count)
+    for j in range(count):
+        off = 0
+        for nb in shape.block_sizes:
+            tall = flats[off : off + m * nb * nb, j].reshape(m * nb, nb)
+            expect[j] = max(expect[j], np.linalg.norm(tall, 2))
+            off += m * nb * nb
+    assert got[7] == 0.0
+    assert np.all(np.abs(got - expect) <= 1e-13 * expect)
+    assert _module_norms_flat(shape, m, flats[:, :0]).shape == (0,)

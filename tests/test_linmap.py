@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from modop.algebra import AlgebraElement, AlgebraShape
-from modop.errors import StructureError, UnmetHypothesisError
+from modop.errors import DataError, StructureError, UnmetHypothesisError
 from modop.linmap import (
     AdjointableMap,
     RestrictedEndomorphism,
@@ -212,6 +212,19 @@ def test_shape_validation(shape23):
         AdjointableMap(shape23, 2, 2, (np.eye(3), np.eye(6)))  # wrong block shape
     with pytest.raises(StructureError):
         AdjointableMap.from_matrix(np.zeros((0, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.nan)])
+def test_nonfinite_entries_rejected(shape23, bad):
+    mat = np.eye(3, dtype=complex)
+    mat[2, 1] = bad
+    with pytest.raises(DataError):
+        AdjointableMap.from_matrix(mat)
+    one = AlgebraElement.identity(shape23)
+    blocks = [np.eye(2, dtype=complex), np.eye(3, dtype=complex)]
+    blocks[1][2, 0] = bad
+    with pytest.raises(DataError):
+        AdjointableMap.from_entries([[one, AlgebraElement(shape23, tuple(blocks))]])
 
 
 @given(st.integers(0, 2**32 - 1))

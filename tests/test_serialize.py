@@ -42,6 +42,23 @@ def test_vector_roundtrip(shape23, rng):
     assert np.allclose(w.flatten(), v.flatten())
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_nonfinite_entries_rejected(shape23, rng, bad):
+    flat = random_vector_flat(shape23, 2, rng)
+    vec = vector_to_jsonable(ModuleVector.from_flat(shape23, 2, flat))
+    vec["entries"][1][1][2][0] = [0.0, bad]
+    with pytest.raises(DataError) as exc:
+        vector_from_jsonable(vec)
+    assert "finite" in str(exc.value)
+    sub = {"shape": [2, 3], "m": 2, "vectors": [vec]}
+    with pytest.raises(DataError):
+        submodule_from_jsonable(sub)
+    op = operator_to_jsonable(random_map(shape23, 1, 1, rng))
+    op["entries"][0][0][0][1][1] = [bad, 0.0]
+    with pytest.raises(DataError):
+        operator_from_jsonable(op)
+
+
 def test_submodule_roundtrip(shape23, rng):
     sub = random_submodule(shape23, 3, rng, ranks=(1, 2))
     back = submodule_from_jsonable(submodule_to_jsonable(sub))
