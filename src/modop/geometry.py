@@ -28,8 +28,8 @@ sqrt(lambda_max(T^H T)).  The Gram route squares the condition number,
 which ruins the *smallest* singular values, but the largest eigenvalue of
 T^H T carries an absolute error of order eps * ||T||^2 = eps * lambda_max,
 so its square root is accurate to a few ulps (Higham, *Accuracy and
-Stability of Numerical Algorithms*, 2nd ed., section 20).  For n_b = 1 the
-tall matrix is a single column and its norm is the plain 2-norm.
+Stability of Numerical Algorithms*, 2nd ed., section 20).  For n_b = 1
+the Gram matrix is the squared column norm, so one path serves every block.
 """
 
 from __future__ import annotations
@@ -155,12 +155,9 @@ def _module_norms_flat(sub_shape, m: int, flats: Array) -> Array:
     count = flats.shape[1]
     norms = np.zeros(count)
     for (off, seg), nb in zip(block_layout(sub_shape, m), sub_shape.block_sizes):
-        if nb == 1:
-            block = np.linalg.norm(flats[off : off + seg], axis=0)
-        else:
-            talls = flats[off : off + seg].T.reshape(count, m * nb, nb)
-            grams = talls.conj().transpose(0, 2, 1) @ talls
-            block = np.sqrt(np.maximum(np.linalg.eigvalsh(grams)[:, -1], 0.0))
+        talls = flats[off : off + seg].T.reshape(count, m * nb, nb)
+        grams = np.einsum("kij,kil->kjl", talls.conj(), talls)
+        block = np.sqrt(np.maximum(np.linalg.eigvalsh(grams)[:, -1], 0.0))
         norms = np.maximum(norms, block)
     return norms
 

@@ -40,6 +40,7 @@ __all__ = [
     "orthogonal_projection",
     "penrose_residuals",
     "commutator_residual",
+    "require_finite",
 ]
 
 
@@ -143,7 +144,7 @@ class AdjointableMap(BlockwiseMap):
                         raise StructureError("mixed algebra shapes in entries")
                     c[i * nb : (i + 1) * nb, j * nb : (j + 1) * nb] = rows[i][j].blocks[b]
             blocks.append(c)
-        _require_finite(blocks)
+        require_finite(blocks, "map")
         return cls(shape, m, n, tuple(blocks))
 
     @classmethod
@@ -157,7 +158,7 @@ class AdjointableMap(BlockwiseMap):
         mat = as_complex(mat)
         if mat.ndim != 2 or 0 in mat.shape:
             raise StructureError("need a nonempty 2-d matrix")
-        _require_finite([mat])
+        require_finite([mat], "map")
         return cls(AlgebraShape((1,)), mat.shape[1], mat.shape[0], (mat,))
 
     # -- structure access -------------------------------------------------
@@ -304,12 +305,13 @@ class AdjointableMap(BlockwiseMap):
         )
 
 
-def _require_finite(blocks: list[Array]) -> None:
-    """Reject inf/nan where outside data becomes a map, before any SVD can
-    spin or fail on it.  Maps derived from finite ones are not re-checked:
-    a check on every construction costs a few percent of a power chain."""
-    if not np.isfinite(np.concatenate([b.ravel() for b in blocks])).all():
-        raise DataError("map entries must be finite (got inf or nan)")
+def require_finite(arrays: list[Array], what: str) -> None:
+    """Reject inf/nan where outside data becomes a map or a vector, before
+    any SVD can spin or fail on it.  Maps derived from finite ones are not
+    re-checked: a check on every construction costs a few percent of a
+    power chain."""
+    if not np.isfinite(np.concatenate([a.ravel() for a in arrays])).all():
+        raise DataError(f"{what} entries must be finite (got inf or nan)")
 
 
 def _vector_from_talls(shape: AlgebraShape, m: int, talls: list[Array]) -> ModuleVector:

@@ -15,7 +15,8 @@ submodule  -- ``{"shape": [...], "m": k, "vectors": [vector-entries...]}``;
 
 Every matrix entry must be finite: ``inf``/``nan`` (JSON ``1e999``,
 ``NaN``) are rejected with :class:`~modop.errors.DataError` before any
-numerical work runs: once per loaded vector, and for operators by
+numerical work runs, by the one check :func:`~modop.linmap.require_finite`:
+once per loaded vector, and for operators by
 :meth:`~modop.linmap.AdjointableMap.from_entries`.
 
 Report emission is write-only: a generic walker keeps scalars,
@@ -37,7 +38,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape
 from .errors import DataError, ModopError
-from .linmap import AdjointableMap
+from .linmap import AdjointableMap, require_finite
 from .modules import K0Class, ModuleVector, Submodule, submodule_span
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -131,7 +132,7 @@ def _matrix_from_pairs(data: Any, n: int, where: str) -> np.ndarray:
         raise DataError(f"{where}: expected nested [re, im] lists ({exc})") from exc
     if arr.shape != (n, n, 2):
         raise DataError(f"{where}: expected shape ({n}, {n}, 2), got {arr.shape}")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return np.ascontiguousarray(arr).view(np.complex128)[..., 0]
 
 
 def element_to_jsonable(a: AlgebraElement) -> list:
@@ -167,8 +168,7 @@ def vector_from_jsonable(data: Any) -> ModuleVector:
     vec = ModuleVector(
         shape, m, tuple(element_from_jsonable(shape, e, f"entries[{i}]") for i, e in enumerate(entries))
     )
-    if not np.isfinite(vec.flatten()).all():
-        raise DataError("vector: entries must be finite (got inf or nan)")
+    require_finite([vec.flatten()], "vector")
     return vec
 
 

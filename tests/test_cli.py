@@ -172,10 +172,12 @@ def _no_svd(*args, **kwargs):
     raise AssertionError("an SVD ran on data that should have been rejected")
 
 
-@pytest.mark.parametrize("token", ["1e999", "NaN"])
-def test_nonfinite_operator_entry_is_usage_error(tmp_path, monkeypatch, capsys, token):
+@pytest.mark.parametrize(
+    "token, part", [("1e999", "re"), ("NaN", "re"), ("1e999", "im"), ("NaN", "im")]
+)
+def test_nonfinite_operator_entry_is_usage_error(tmp_path, monkeypatch, capsys, token, part):
     payload = operator_to_jsonable(AdjointableMap.identity(AlgebraShape((2,)), 1))
-    payload["entries"][0][0][0][1][1] = [12345.0, 0.0]
+    payload["entries"][0][0][0][1][1] = [12345.0, 0.0] if part == "re" else [0.0, 12345.0]
     path = tmp_path / "bad.json"
     path.write_text(dumps_canonical(payload).replace("1.2345000000000000e+04", token))
     monkeypatch.setattr(np.linalg, "svd", _no_svd)
