@@ -77,10 +77,7 @@ class ObliqueDecomposition:
     norm: float
     cond: float
     idempotency_residual: float
-
-    @property
-    def ill_posed(self) -> bool:
-        return self.norm > DEFAULT_TOL.ill_posed_projector_norm
+    ill_posed: bool  # norm above the caller's tol.ill_posed_projector_norm
 
 
 def oblique_decomposition(
@@ -99,6 +96,7 @@ def oblique_decomposition(
         norm=proj.norm,
         cond=proj.cond,
         idempotency_residual=float(resid),
+        ill_posed=proj.norm > tol.ill_posed_projector_norm,
     )
 
 

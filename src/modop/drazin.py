@@ -1,9 +1,11 @@
 """Ascent, descent, Drazin inversion, and Browder decompositions.
 
 The Drazin inverse is computed from the structure that makes it exist:
-once the power images stabilise at exponent p, the module splits
+once the image chain stabilises at exponent p, the module splits
 (obliquely, in general) as Im F^p +' ker F^p with F invertible on the
-first summand and nilpotent on the second.  Everything here works
+first summand and nilpotent on the second.  p (the descent), the ascent
+and both summands come from the image and kernel staircases of the
+map's power chain, never from explicit powers.  Everything here works
 blockwise on the compressed matrices, so the splitting, the inverse,
 and the core/nilpotent parts all stay inside the category of module
 maps by construction.
@@ -21,10 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IdentityViolation, StructureError
-from .fredholm import _power_rank_chain
 from .linmap import AdjointableMap, commutator_residual
 from .modules import K0Class, Submodule, flat_dim
-from .subspace import null_space, op_norm, orthonormal_image, subspace_equal, svd_data
+from .subspace import op_norm, svd_data
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 Array = np.ndarray
@@ -51,35 +52,14 @@ __all__ = [
 # ascent / descent
 
 
-def _stabilization_exponent(f: AdjointableMap, tol: ToleranceConfig) -> tuple[int, float]:
-    ranks, _, margin = _power_rank_chain(f, tol)
-    return len(ranks) - 2, margin
-
-
 def ascent(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Least p with ker F^p = ker F^(p+1) (bounded by the dimension)."""
-    if not f.is_endomorphism:
-        raise StructureError("ascent needs an endomorphism")
-    p, _ = _stabilization_exponent(f, tol)
-    nf = max(f.norm(), 1e-300)
-    ker_p = f.power(p).kernel(tol, scale=nf**p)
-    ker_p1 = f.power(p + 1).kernel(tol, scale=nf ** (p + 1))
-    if not ker_p.equals(ker_p1, tol):
-        raise IdentityViolation("kernel chain not actually stable at the rank plateau")
-    return p
+    """Least p with ker F^p = ker F^(p+1), from the kernel staircase."""
+    return f.power_chain(tol).ascent
 
 
 def descent(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Least p with Im F^p = Im F^(p+1) (bounded by the dimension)."""
-    if not f.is_endomorphism:
-        raise StructureError("descent needs an endomorphism")
-    p, _ = _stabilization_exponent(f, tol)
-    nf = max(f.norm(), 1e-300)
-    im_p = f.power(p).image(tol, scale=nf**p)
-    im_p1 = f.power(p + 1).image(tol, scale=nf ** (p + 1))
-    if not im_p.equals(im_p1, tol):
-        raise IdentityViolation("image chain not actually stable at the rank plateau")
-    return p
+    """Least p with Im F^p = Im F^(p+1), from the image staircase."""
+    return f.power_chain(tol).descent
 
 
 # ---------------------------------------------------------------------------
@@ -101,16 +81,12 @@ class _Split:
 
 
 def _core_split(f: AdjointableMap, tol: ToleranceConfig) -> _Split:
-    p, chain_margin = _stabilization_exponent(f, tol)
-    nf = max(f.norm(), 1e-300)
-    fp = f.power(p)
-    rng_space = fp.image(tol, scale=nf**p)
-    nul_space = fp.kernel(tol, scale=nf**p)
+    chain = f.power_chain(tol)
+    p = chain.descent
+    rng_space, nul_space = chain.image(p), chain.kernel(p)
     s_mats, s_invs, ranks = [], [], []
     cond = 1.0
-    for b, c in enumerate(fp.blocks):
-        u, _ = orthonormal_image(c, tol, scale=nf**p)
-        v, _ = null_space(c, tol, scale=nf**p)
+    for b, (u, v) in enumerate(zip(rng_space.column_bases, nul_space.column_bases)):
         s = np.hstack([u, v])
         if s.shape[0] != s.shape[1]:
             raise IdentityViolation(
@@ -132,7 +108,7 @@ def _core_split(f: AdjointableMap, tol: ToleranceConfig) -> _Split:
         s_invs=tuple(s_invs),
         ranks=tuple(ranks),
         cond=cond,
-        margin=chain_margin,
+        margin=chain.margin,
     )
 
 
@@ -169,20 +145,11 @@ def drazin_inverse(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> Dra
     split = _core_split(f, tol)
     p = split.p
     nf = max(f.norm(), 1e-300)
+    f1s, _, core_gamma, off_resid = _browder_blocks(f, split)
     x_blocks, e_blocks = [], []
-    core_gamma = math.inf
-    off_resid = 0.0
-    for c, s, sinv, r in zip(f.blocks, split.s_mats, split.s_invs, split.ranks):
-        t = sinv @ c @ s
-        f1 = t[:r, :r]
-        if r:
-            sv1 = np.linalg.svd(f1, compute_uv=False)
-            core_gamma = min(core_gamma, float(sv1[-1]))
-        if r < t.shape[0] and r:
-            off = max(op_norm(t[:r, r:]), op_norm(t[r:, :r]))
-            off_resid = max(off_resid, off / nf)
-        y = np.zeros_like(t)
-        e = np.zeros_like(t)
+    for f1, s, sinv, r in zip(f1s, split.s_mats, split.s_invs, split.ranks):
+        y = np.zeros_like(s)
+        e = np.zeros_like(s)
         if r:
             y[:r, :r] = np.linalg.inv(f1)
             e[:r, :r] = np.eye(r)
@@ -196,9 +163,11 @@ def drazin_inverse(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> Dra
     nx = x.norm()
     r_xfx = (x @ f @ x - x).norm() / max(nx, 1e-300) if nx > 0 else 0.0
     r_comm = (f @ x - x @ f).norm() / max(nf * nx, 1e-300) if nx > 0 else 0.0
-    fp = f.power(p)
-    r_power = (f.power(p + 1) @ x - fp).norm() / max(nf**p, 1e-300)
-    r_nilp = 0.0 if p == 0 else nilp.power(p).norm() / max(nf**p, 1e-300)
+    # ||F^(p+1) X - F^p|| / ||F||^p and ||N^p|| / ||F||^p, on F/||F|| and
+    # N/||F|| so that no power of the norm is formed.
+    gp = ((1.0 / nf) * f).power(p)
+    r_power = (gp @ (f @ x) - gp).norm()
+    r_nilp = 0.0 if p == 0 else ((1.0 / nf) * nilp).power(p).norm()
     return DrazinReport(
         p=p,
         drazin_inverse=x,
@@ -235,24 +204,21 @@ class DualityReport:
 
 
 def drazin_dual_check(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> DualityReport:
+    fstar = f.adjoint()
     rep = drazin_inverse(f, tol)
-    rep_adj = drazin_inverse(f.adjoint(), tol)
+    rep_adj = drazin_inverse(fstar, tol)
     if rep.p != rep_adj.p:
         raise IdentityViolation(f"Drazin index differs under adjoint: {rep.p} vs {rep_adj.p}")
     denom = max(rep.drazin_inverse.norm(), 1e-300)
     resid = (rep.drazin_inverse.adjoint() - rep_adj.drazin_inverse).norm() / denom
     if resid > tol.residual_tol * max(1.0, rep.splitting_cond * rep_adj.splitting_cond):
         raise IdentityViolation(f"(F^D)* differs from (F*)^D by relative {resid:.3e}")
-    nf = max(f.norm(), 1e-300)
-    fstar = f.adjoint()
+    chain, chain_adj = f.power_chain(tol), fstar.power_chain(tol)
     orth: list[float] = []
     for k in range(1, rep.p + 1):
-        ker_k = fstar.power(k).kernel(tol, scale=nf**k)
-        im_perp = f.power(k).image(tol, scale=nf**k).complement()
-        ok = ker_k.equals(im_perp, tol)
-        worst = ker_k.equality_defect(im_perp)
+        worst = chain_adj.kernel(k).equality_defect(chain.image(k).complement())
         orth.append(worst)
-        if not ok:
+        if worst > tol.angle_tol:
             raise IdentityViolation(
                 f"ker (F*)^{k} is not the orthocomplement of Im F^{k} (defect {worst:.3e})"
             )
@@ -287,63 +253,38 @@ class CriterionReport:
     commutator_residual: float
 
 
-def _power_images(
-    f: AdjointableMap, upto: int, tol: ToleranceConfig
-) -> list[Submodule]:
-    """Im F^0 .. Im F^upto, reusing the plateau once ranks stabilise."""
-    nf = max(f.norm(), 1e-300)
-    images: list[Submodule] = [Submodule.full(f.shape, f.m)]
-    power = AdjointableMap.identity(f.shape, f.m)
-    for k in range(1, upto + 1):
-        power = power @ f
-        img = power.image(tol, scale=nf**k)
-        if img.dim == images[-1].dim:
-            images.extend([img] * (upto - k + 1))
-            break
-        images.append(img)
-    return images[: upto + 1]
-
-
 def commuting_drazin_criterion(
     f: AdjointableMap, d: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL
 ) -> CriterionReport:
     comm = commutator_residual(f, d, tol)
 
-    fd = f @ d
-    p, _ = _stabilization_exponent(fd, tol)
+    p = (f @ d).power_chain(tol).descent
     dim = flat_dim(f.shape, f.m)
-    nd = max(d.norm(), 1e-300)
-    ker_dp = d.power(p).kernel(tol, scale=nd**p)
-    ker_dp_adj = d.adjoint().power(p).kernel(tol, scale=nd**p)
+    ker_dp = d.power_chain(tol).kernel(p)
+    ker_dp_adj = d.adjoint().power_chain(tol).kernel(p)
 
-    images_f = _power_images(f, 2 * dim, tol)
-    images_fadj = _power_images(f.adjoint(), 2 * dim, tol)
+    def meets(g: AdjointableMap, ker: Submodule) -> list[Submodule]:
+        """Im G^k ∩ ker for k = 0 .. 2 dim, one intersection per distinct image."""
+        chain = g.power_chain(tol)
+        distinct = [chain.image(k).intersection(ker, tol)[0] for k in range(chain.descent + 1)]
+        return [distinct[min(k, chain.descent)] for k in range(2 * dim + 1)]
 
-    def meets(images: list[Submodule], ker: Submodule) -> list[Submodule]:
-        return [images[k].intersection(ker, tol)[0] for k in range(len(images))]
+    meets_f = meets(f, ker_dp)
+    meets_fadj = meets(f.adjoint(), ker_dp_adj)
 
-    meets_f = meets(images_f, ker_dp)
-    meets_fadj = meets(images_fadj, ker_dp_adj)
+    def period(seq: list[Submodule], k: int) -> int | None:
+        """Least s <= dim with seq[k] = seq[k + s], if any."""
+        return next((s for s in range(1, dim + 1) if seq[k].equals(seq[k + s], tol)), None)
 
     found: tuple[int, int, int, int] | None = None
     for k in range(p, dim + 1):
-        hit_s = None
-        for s in range(1, dim + 1):
-            if meets_f[k].equals(meets_f[k + s], tol):
-                hit_s = s
-                break
-        if hit_s is None:
+        s = period(meets_f, k)
+        if s is None:
             continue
-        for kp in range(k, dim + 1):
-            hit_t = None
-            for t in range(1, dim + 1):
-                if meets_fadj[kp].equals(meets_fadj[kp + t], tol):
-                    hit_t = t
-                    break
-            if hit_t is not None:
-                found = (hit_s, hit_t, k, kp)
-                break
-        if found is not None:
+        hits = ((period(meets_fadj, kp), kp) for kp in range(k, dim + 1))
+        t, kp = next(((t, kp) for t, kp in hits if t is not None), (None, None))
+        if t is not None:
+            found = (s, t, k, kp)
             break
 
     direct = drazin_inverse(f, tol)
@@ -392,8 +333,10 @@ class BrowderWitness:
 
 
 def _browder_blocks(
-    f: AdjointableMap, split: _Split, tol: ToleranceConfig
+    f: AdjointableMap, split: _Split
 ) -> tuple[tuple[Array, ...], tuple[Array, ...], float, float]:
+    """Diagonal blocks of F on the split, the smallest singular value of the
+    core blocks, and the largest off-diagonal block relative to ||F||."""
     nf = max(f.norm(), 1e-300)
     f1s, f4s = [], []
     gamma = math.inf
@@ -418,7 +361,7 @@ def browder_decomposition(
     if not f.is_endomorphism:
         raise StructureError("Browder decomposition needs an endomorphism")
     split = _core_split(f, tol)
-    f1s, f4s, gamma, off = _browder_blocks(f, split, tol)
+    f1s, f4s, gamma, off = _browder_blocks(f, split)
     if off > tol.residual_tol * max(1.0, split.cond):
         raise IdentityViolation(
             f"power splitting is not invariant under F (off-diagonal {off:.3e})"
@@ -457,7 +400,7 @@ def commuting_browder_check(
     p = split.p
 
     def _witness(g: AdjointableMap) -> BrowderWitness:
-        g1s, g4s, gamma, off = _browder_blocks(g, split, tol)
+        g1s, g4s, gamma, off = _browder_blocks(g, split)
         if off > tol.residual_tol * max(1.0, split.cond):
             raise IdentityViolation(
                 f"factor is not block-diagonal on the shared splitting (off {off:.3e})"
@@ -480,13 +423,16 @@ def commuting_browder_check(
     wit_f = _witness(f)
     wit_d = _witness(d)
 
-    nf, nd = max(f.norm(), 1e-300), max(d.norm(), 1e-300)
-    lhs = f.power(p) @ d.power(p)
-    rhs = f.power(p + 1) @ d.power(p + 1)
-    ker_lhs = lhs.kernel(tol, scale=nf**p * nd**p)
-    ker_rhs = rhs.kernel(tol, scale=nf ** (p + 1) * nd ** (p + 1))
-    defect = ker_lhs.equality_defect(ker_rhs)
-    if not ker_lhs.equals(ker_rhs, tol):
+    # ker F^k D^k = D^-k(ker F^k): k preimage steps through D from F's
+    # kernel staircase, apart from the product's own chain.
+    def ker_fd_power(k: int) -> Submodule:
+        sub = f.power_chain(tol).kernel(k)
+        for _ in range(k):
+            sub = d.preimage_step(sub, tol)[0]
+        return sub
+
+    defect = ker_fd_power(p).equality_defect(ker_fd_power(p + 1))
+    if defect > tol.angle_tol:
         raise IdentityViolation(
             f"kernel identity ker F^p D^p = ker F^(p+1) D^(p+1) fails (defect {defect:.3e})"
         )
@@ -553,36 +499,22 @@ def shift_counterexample(
     comm = (f @ proj - proj @ f).norm() / max(f.norm(), 1e-300)
     fp_report = drazin_inverse(f @ proj, tol)
 
-    nf = max(f.norm(), 1e-300)
-    dims: list[int] = []
-    power = AdjointableMap.identity(shape, 2)
-    for k in range(0, n + 2):
-        if k:
-            power = power @ f
-        if kind == "range-strict":
-            dims.append(power.image(tol, scale=nf**k).dim)
-        else:
-            dims.append(power.kernel(tol, scale=nf**k).dim)
-    strict_depth = 0
-    for k in range(1, len(dims)):
-        if dims[k] != dims[k - 1]:
-            strict_depth = k
-        else:
-            break
-    stabilization = next(k for k in range(len(dims) - 1) if dims[k] == dims[k + 1])
-    if strict_depth != n or stabilization != n:
-        raise IdentityViolation(
-            f"shift chain malformed: strict depth {strict_depth}, "
-            f"stabilization exponent {stabilization}, expected both = {n}"
-        )
+    # The staircases grow strictly up to their plateau, so the strict depth
+    # and the stabilization exponent are both the descent (or ascent).
+    chain = f.power_chain(tol)
+    depth, step = (
+        (chain.descent, chain.image) if kind == "range-strict" else (chain.ascent, chain.kernel)
+    )
+    if depth != n:
+        raise IdentityViolation(f"shift chain malformed: stabilization exponent {depth}, expected {n}")
     return ShiftExampleReport(
         kind=kind,
         n=n,
         f=f,
         projection=proj,
-        chain_dims=tuple(dims),
-        strict_depth=strict_depth,
-        stabilization_depth=stabilization,
+        chain_dims=tuple(step(k).dim for k in range(n + 2)),
+        strict_depth=depth,
+        stabilization_depth=depth,
         fp_drazin_index=fp_report.p,
         commutation_residual=float(comm),
     )

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import IdentityViolation, StructureError
 from .linmap import AdjointableMap, RestrictedEndomorphism, commutator_residual
-from .modules import K0Class, Submodule, flat_dim
+from .modules import K0Class, Submodule
 from .subspace import chain_exactness, op_norm
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -428,9 +428,10 @@ def product_chain(
 class BFredholmReport:
     """Stabilization data of the power-image chain of an endomorphism.
 
-    ``stabilization_exponent`` is the least n with rank F^n == rank
-    F^(n+1); the restriction of F to Im F^n is then invertible and its
-    index (the b-index) vanishes.
+    ``stabilization_exponent`` (the descent n), ``rank_chain`` and
+    ``stable_image`` = Im F^n are read off the image staircase of the
+    map's power chain; the restriction of F to Im F^n is then invertible
+    and its index (the b-index) vanishes.
     """
 
     stabilization_exponent: int
@@ -443,33 +444,13 @@ class BFredholmReport:
     margin: float
 
 
-def _power_rank_chain(
-    f: AdjointableMap, tol: ToleranceConfig, max_steps: int | None = None
-) -> tuple[list[int], list[AdjointableMap], float]:
-    """Ranks of F^0, F^1, ... until two consecutive agree."""
-    dim = flat_dim(f.shape, f.m)
-    limit = max_steps if max_steps is not None else dim + 1
-    nf = f.norm()
-    powers = [AdjointableMap.identity(f.shape, f.m)]
-    ranks = [dim]
-    margin = math.inf
-    for k in range(1, limit + 2):
-        powers.append(powers[-1] @ f)
-        data = powers[-1].singular_data(tol, scale=max(nf, 1e-300) ** k)
-        ranks.append(data.rank)
-        margin = min(margin, data.margin)
-        if ranks[-1] == ranks[-2]:
-            return ranks, powers, margin
-    raise IdentityViolation("power rank chain failed to stabilize within the dimension bound")
-
-
 def b_fredholm_report(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> BFredholmReport:
     if not f.is_endomorphism:
         raise StructureError("power stabilization needs an endomorphism")
-    ranks, powers, chain_margin = _power_rank_chain(f, tol)
-    n = len(ranks) - 2  # first index with ranks[n] == ranks[n+1]
+    chain = f.power_chain(tol)
+    n = chain.descent
     nf = f.norm()
-    stable = powers[n].image(tol, scale=max(nf, 1e-300) ** n)
+    stable = chain.image(n)
     restricted = RestrictedEndomorphism.of(f, stable, tol)
     rest_data = restricted.singular_data(tol, scale=nf)
     rest_ker = restricted.kernel(tol, scale=nf)
@@ -480,17 +461,16 @@ def b_fredholm_report(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> 
         raise IdentityViolation(
             f"restriction to the stable image is not invertible (b-index {b_index})"
         )
-    ker_f = f.kernel(tol, scale=nf)
-    meet, gap = ker_f.intersection(stable, tol)
+    meet, gap = chain.kernel(1).intersection(stable, tol)
     return BFredholmReport(
         stabilization_exponent=n,
-        rank_chain=tuple(ranks[:-1]),
+        rank_chain=chain.rank_chain,
         stable_image=stable,
         restricted=restricted,
         restricted_gamma=rest_data.gamma,
         kernel_meet_stable_image=meet,
         b_index=b_index,
-        margin=_min_margin(chain_margin, gap),
+        margin=_min_margin(chain.margin, gap),
     )
 
 

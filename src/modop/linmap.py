@@ -20,6 +20,7 @@ decision-for-decision.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,15 +28,16 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape
-from .errors import DataError, StructureError, UnmetHypothesisError
+from .errors import DataError, IdentityViolation, StructureError, UnmetHypothesisError
 from .modules import ModuleVector, Submodule, flat_dim
-from .subspace import SingularData, _decide, as_complex, op_norm, orthonormal_image
+from .subspace import SingularData, _decide, as_complex, null_space, op_norm, orthonormal_image
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 Array = np.ndarray
 
 __all__ = [
     "AdjointableMap",
+    "PowerChain",
     "RestrictedEndomorphism",
     "orthogonal_projection",
     "penrose_residuals",
@@ -257,14 +259,51 @@ class AdjointableMap(BlockwiseMap):
         self, sub: Submodule, tol: ToleranceConfig = DEFAULT_TOL
     ) -> Submodule:
         """Image of a submodule (computed exactly per block on column bases)."""
+        return self.image_step(sub, tol)[0]
+
+    def image_step(
+        self, sub: Submodule, tol: ToleranceConfig = DEFAULT_TOL
+    ) -> tuple[Submodule, float]:
+        """F(sub) per block, plus the worst margin of its rank decisions,
+        which are made at the scale ||F|| and the map's ``dim_ctx``."""
         if sub.shape != self.shape or sub.m != self.m:
             raise StructureError("submodule not inside the domain module")
+        return self._per_block(
+            orthonormal_image, (c @ w for c, w in zip(self.blocks, sub.column_bases)), self.n, tol
+        )
+
+    def preimage_step(
+        self, sub: Submodule, tol: ToleranceConfig = DEFAULT_TOL
+    ) -> tuple[Submodule, float]:
+        """F^-1(sub) per block, as the kernel of (I - P_sub) F, plus the worst
+        margin of the rank decisions (same scale as :meth:`image_step`)."""
+        if sub.shape != self.shape or sub.m != self.n:
+            raise StructureError("submodule not inside the codomain module")
+        return self._per_block(
+            null_space,
+            (c - k @ (k.conj().T @ c) for c, k in zip(self.blocks, sub.column_bases)),
+            self.m,
+            tol,
+        )
+
+    def _per_block(self, route, mats, m: int, tol: ToleranceConfig) -> tuple[Submodule, float]:
         scale = self.norm()
-        bases = []
-        for c, w in zip(self.blocks, sub.column_bases):
-            basis, _ = orthonormal_image(c @ w, tol, dim_ctx=self.dim_ctx, scale=scale)
+        bases, margin = [], math.inf
+        for a in mats:
+            basis, data = route(a, tol, dim_ctx=self.dim_ctx, scale=scale)
             bases.append(basis)
-        return Submodule(self.shape, self.n, tuple(bases))
+            margin = min(margin, data.margin)
+        return Submodule(self.shape, m, tuple(bases)), margin
+
+    def power_chain(self, tol: ToleranceConfig = DEFAULT_TOL) -> "PowerChain":
+        """The power chain of this endomorphism, one per tolerance."""
+        if not self.is_endomorphism:
+            raise StructureError("power chains need an endomorphism")
+        return self._chains.setdefault(tol, PowerChain(self, tol))
+
+    @cached_property
+    def _chains(self) -> dict[ToleranceConfig, "PowerChain"]:
+        return {}
 
     # -- metrics, kernels, images, inverses ----------------------------------
 
@@ -303,6 +342,64 @@ class AdjointableMap(BlockwiseMap):
             f"AdjointableMap(shape={self.shape}, A^{self.m} -> A^{self.n}, "
             f"norm={self.norm():.3g})"
         )
+
+
+@dataclass(frozen=True, eq=False)
+class PowerChain:
+    """Image and kernel staircases of an endomorphism F, free of powers.
+
+    Im F^(k+1) = F(Im F^k) and ker F^(k+1) = F^-1(ker F^k), each step one
+    SVD per block at the scale ||F|| (Kublanovskaya 1966; Golub &
+    Wilkinson 1976): a cutoff at ||F||^k misreads the index when
+    ||F^k|| << ||F||^k, and overflows for large ||F||.  Each staircase is
+    built on first use and stops at its plateau, the descent and the
+    ascent respectively; ``image(k)`` and ``kernel(k)`` return the
+    plateau past it.  ``margin`` is the smallest step margin of both.
+    """
+
+    f: AdjointableMap
+    tol: ToleranceConfig
+
+    def _staircase(self, start: Submodule, step) -> tuple[tuple[Submodule, ...], float]:
+        subs, margin = [start], math.inf
+        for _ in range(start.ambient_dim + 1):
+            nxt, step_margin = step(subs[-1], self.tol)
+            margin = min(margin, step_margin)
+            if nxt.dim == subs[-1].dim:
+                return tuple(subs), margin
+            subs.append(nxt)
+        raise IdentityViolation("power chain failed to stabilize within the dimension bound")
+
+    @cached_property
+    def _images(self) -> tuple[tuple[Submodule, ...], float]:
+        return self._staircase(Submodule.full(self.f.shape, self.f.m), self.f.image_step)
+
+    @cached_property
+    def _kernels(self) -> tuple[tuple[Submodule, ...], float]:
+        return self._staircase(Submodule.zero(self.f.shape, self.f.m), self.f.preimage_step)
+
+    @property
+    def descent(self) -> int:
+        return len(self._images[0]) - 1
+
+    @property
+    def ascent(self) -> int:
+        return len(self._kernels[0]) - 1
+
+    @property
+    def rank_chain(self) -> tuple[int, ...]:
+        """dim Im F^k for k = 0 .. descent."""
+        return tuple(s.dim for s in self._images[0])
+
+    @property
+    def margin(self) -> float:
+        return min(self._images[1], self._kernels[1])
+
+    def image(self, k: int) -> Submodule:
+        return self._images[0][min(k, self.descent)]
+
+    def kernel(self, k: int) -> Submodule:
+        return self._kernels[0][min(k, self.ascent)]
 
 
 def require_finite(arrays: list[Array], what: str) -> None:

@@ -16,8 +16,8 @@ submodule  -- ``{"shape": [...], "m": k, "vectors": [vector-entries...]}``;
 Every matrix entry must be finite: ``inf``/``nan`` (JSON ``1e999``,
 ``NaN``) are rejected with :class:`~modop.errors.DataError` before any
 numerical work runs, by the one check :func:`~modop.linmap.require_finite`:
-once per loaded vector, and for operators by
-:meth:`~modop.linmap.AdjointableMap.from_entries`.
+once per loaded vector and once per loaded operator (converted blockwise,
+or entry by entry when malformed, so the error names the bad entry).
 
 Report emission is write-only: a generic walker keeps scalars,
 dimension data, margins, residuals, and K0 classes, and drops raw
@@ -196,6 +196,11 @@ def operator_from_jsonable(data: Any) -> AdjointableMap:
     entries = data["entries"]
     if not isinstance(entries, list) or len(entries) != n:
         raise DataError(f"operator: 'entries' must have {n} rows")
+    blocks = _blocks_from_entries(shape, entries, m, n)
+    if blocks is not None:
+        require_finite(blocks, "map")
+        return AdjointableMap(shape, m, n, tuple(blocks))
+    # Malformed somewhere: parse entry by entry to name the first bad one.
     rows = []
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != m:
@@ -204,6 +209,28 @@ def operator_from_jsonable(data: Any) -> AdjointableMap:
             [element_from_jsonable(shape, e, f"entries[{i}][{j}]") for j, e in enumerate(row)]
         )
     return AdjointableMap.from_entries(rows)
+
+
+def _blocks_from_entries(shape: AlgebraShape, entries: list, m: int, n: int) -> list | None:
+    """Compressed blocks of a well-formed n x m entry list, one array
+    conversion per block; None if any row, entry or block is malformed."""
+    k = shape.num_blocks
+    if not all(
+        isinstance(row, list) and len(row) == m and all(isinstance(e, list) and len(e) == k for e in row)
+        for row in entries
+    ):
+        return None
+    try:
+        arrs = [np.asarray([[e[b] for e in row] for row in entries], dtype=float) for b in range(k)]
+    except (TypeError, ValueError):
+        return None
+    if any(a.shape != (n, m, nb, nb, 2) for a, nb in zip(arrs, shape.block_sizes)):
+        return None
+    # entry (i, j), element (r, c) -> row i*nb + r, column j*nb + c
+    return [
+        np.ascontiguousarray(a.transpose(0, 2, 1, 3, 4)).view(np.complex128).reshape(n * nb, m * nb)
+        for a, nb in zip(arrs, shape.block_sizes)
+    ]
 
 
 def submodule_to_jsonable(sub: Submodule) -> dict:

@@ -10,10 +10,11 @@ merge their blocks' values first) all call it.
 
 One wrinkle worth stating: rank cutoffs are relative to a *scale
 reference*.  For a matrix taken as primary input this is its own largest
-singular value, but for derived matrices (powers, products, residuals of
-near-nilpotent maps) the caller passes the product of the factor norms.
-Otherwise a numerically-zero matrix (entries ~1e-16) would be declared
-full rank because the cutoff shrank along with it.
+singular value, but for derived matrices (products, residuals of
+near-nilpotent maps, a map applied to a basis) the caller passes the
+factor norms.  Otherwise a numerically-zero matrix (entries ~1e-16) would
+be declared full rank because the cutoff shrank along with it.  Powers
+are never formed: :class:`modop.linmap.PowerChain` steps at scale ||F||.
 """
 
 from __future__ import annotations

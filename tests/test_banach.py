@@ -15,6 +15,7 @@ from modop.banach import (
 )
 from modop.algebra import AlgebraShape
 from modop.errors import StructureError, UnmetHypothesisError
+from modop.tolerances import DEFAULT_TOL
 from modop.randgen import (
     random_complement,
     random_map,
@@ -85,6 +86,14 @@ def test_oblique_decomposition_conditioning(rng):
     assert dec.norm > 1e6
     assert dec.ill_posed
     assert dec.idempotency_residual < 1e-8
+
+
+def test_ill_posed_follows_the_callers_tolerance():
+    onto = np.array([[1.0], [0.0]])
+    along = np.array([[1.0], [1e-2]])  # projector norm about 100
+    assert not oblique_decomposition(onto, along).ill_posed
+    strict = DEFAULT_TOL.with_(ill_posed_projector_norm=10.0)
+    assert oblique_decomposition(onto, along, strict).ill_posed
 
 
 def test_perturbation_frozen_rank_one():

@@ -9,7 +9,7 @@ import pytest
 from modop.algebra import AlgebraShape
 from modop.cli import RunConfig, SUITE_NAMES, main, run_suite
 from modop.linmap import AdjointableMap
-from modop.randgen import random_low_rank, random_map, random_submodule
+from modop.randgen import random_endomorphism, random_low_rank, random_map, random_submodule
 from modop.serialize import dumps_canonical, operator_to_jsonable, save_json, submodule_to_jsonable
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -55,6 +55,61 @@ def test_drazin_subcommand_reports_structure(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["p"] == 2 and payload["ascent"] == 2
     assert payload["block_structure"] == {"range_k0": [1], "null_k0": [2]}
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150])
+def test_one_operator_commands_on_extreme_scales(tmp_path, rng, capsys, scale):
+    f = random_endomorphism(AlgebraShape((2, 3)), 2, rng, nilpotent=(2, 1))
+    path = write_operator(tmp_path, "scaled.json", scale * f)
+    assert main(["drazin", path, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["p"] == payload["ascent"] == 2
+    assert main(["analyze", path, "--format", "json"]) == 0
+    bundle = json.loads(capsys.readouterr().out)
+    assert bundle["drazin"]["p"] == bundle["power_stabilization"]["stabilization_exponent"] == 2
+
+
+def _count_step_svds(monkeypatch) -> dict[str, int]:
+    """Full SVDs run inside each staircase step, by step kind (the map's
+    values-only record, read by ``norm``, is not a step's)."""
+    calls = {"image_step": 0, "preimage_step": 0}
+    inside: list[str] = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        if inside and kwargs.get("compute_uv", True):
+            calls[inside[-1]] += 1
+        return svd(a, *args, **kwargs)
+
+    def tracked(name):
+        step = getattr(AdjointableMap, name)
+
+        def run(self, sub, tol):
+            inside.append(name)
+            try:
+                return step(self, sub, tol)
+            finally:
+                inside.pop()
+
+        return run
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    for name in calls:
+        monkeypatch.setattr(AdjointableMap, name, tracked(name))
+    return calls
+
+
+def test_commands_build_each_staircase_once(tmp_path, rng, monkeypatch, capsys):
+    f = random_endomorphism(AlgebraShape((2, 3)), 2, rng, nilpotent=(2, 1))
+    path = write_operator(tmp_path, "endo.json", f)
+    calls = _count_step_svds(monkeypatch)
+    for cmd in ("drazin", "analyze"):
+        calls.update(image_step=0, preimage_step=0)
+        assert main([cmd, path, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload if cmd == "drazin" else payload["drazin"])["p"] == 2
+        # one SVD per block for each of the steps 1 .. p + 1 of each staircase
+        assert calls == {"image_step": 2 * 3, "preimage_step": 2 * 3}
 
 
 def test_geometry_subcommand_on_operator_pair(tmp_path, rng, capsys):

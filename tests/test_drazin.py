@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_acceptance import kernel_chain_ascent
 
 from modop.algebra import AlgebraShape
 from modop.drazin import (
@@ -17,6 +20,7 @@ from modop.drazin import (
     shift_counterexample,
 )
 from modop.errors import StructureError, UnmetHypothesisError
+from modop.fredholm import b_fredholm_report
 from modop.linmap import AdjointableMap
 from modop.randgen import random_commuting_pair, random_endomorphism, random_map
 
@@ -73,6 +77,44 @@ def test_drazin_axioms_on_planted_endo(shape23, rng):
     # the inverse itself is Drazin-invertible with index <= 1
     x = rep.drazin_inverse
     assert (x @ f @ x).allclose(x, atol=1e-9 * max(x.norm(), 1.0))
+
+
+@pytest.mark.parametrize("m, seed", [(96, 0), (192, 7)])
+def test_planted_index_of_large_non_normal_map(m, seed):
+    # ||F^k|| << ||F||^k here: a rank cutoff scaled by ||F||^k read p as 13-15
+    f, _ = random_commuting_pair(AlgebraShape((1,)), m, np.random.default_rng(seed), nilpotent=(3,))
+    assert drazin_inverse(f).p == ascent(f) == kernel_chain_ascent(f) == 3
+
+
+def test_criterion_on_large_non_normal_pair():
+    f, d = random_commuting_pair(AlgebraShape((1,)), 96, np.random.default_rng(0), nilpotent=(3,))
+    rep = commuting_drazin_criterion(f, d)
+    assert rep.verdict and rep.direct_verdict
+    assert rep.found is not None
+
+
+def _scale_free_record(f):
+    rep, stab = drazin_inverse(f), b_fredholm_report(f)
+    return (
+        rep.p,
+        ascent(f),
+        stab.rank_chain,
+        rep.range_space.k0(),
+        rep.null_space.k0(),
+        stab.kernel_meet_stable_image.k0(),
+    )
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nilpotent=st.lists(st.integers(1, 2), max_size=2),
+)
+def test_reports_do_not_depend_on_the_operator_scale(seed, nilpotent):
+    f = random_endomorphism(AlgebraShape((2, 3)), 2, np.random.default_rng(seed), nilpotent=nilpotent)
+    expected = _scale_free_record(f)
+    assert expected[0] == max(nilpotent, default=0)
+    for c in (1e-150, 1e150):
+        assert _scale_free_record(c * f) == expected
 
 
 def test_drazin_inverse_of_invertible_is_inverse(shape23, rng):
