@@ -40,7 +40,6 @@ from .drazin import (
 from .errors import (
     DataError,
     IdentityViolation,
-    InvarianceError,
     ModopError,
     StructureError,
     UnmetHypothesisError,

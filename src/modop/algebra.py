@@ -135,7 +135,7 @@ class AlgebraElement:
         return all(np.max(np.abs(a)) <= atol if a.size else True for a in self.blocks)
 
     def dense(self) -> Array:
-        """Block-diagonal complex realization (oracle for norms/spectra)."""
+        """Block-diagonal complex matrix (oracle for norms/spectra)."""
         d = sum(self.shape.block_sizes)
         out = np.zeros((d, d), dtype=np.complex128)
         off = 0

@@ -28,12 +28,14 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import banach, drazin, fredholm, geometry, probes, randgen, serialize
-from .errors import DataError, IdentityViolation, ModopError, UnmetHypothesisError
+from .algebra import AlgebraShape
+from .errors import DataError, IdentityViolation, ModopError, StructureError, UnmetHypothesisError
 from .linmap import AdjointableMap
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -54,6 +56,11 @@ class RunConfig:
     tol: ToleranceConfig = DEFAULT_TOL
     out: str | None = None
     format: str = "text"
+
+    @cached_property
+    def algebra(self) -> AlgebraShape:
+        """The parsed ``shape``."""
+        return randgen.parse_shape(self.shape)
 
     def echo(self) -> dict:
         return {
@@ -77,7 +84,7 @@ def _rng_for(seed: int, index: int) -> np.random.Generator:
 
 
 def _suite_exact_sequence(rng: np.random.Generator, cfg: RunConfig) -> dict[str, float]:
-    shape = randgen.parse_shape(cfg.shape)
+    shape = cfg.algebra
     m1, m2, m3 = 2 + int(rng.integers(0, 2)), 3, 2
     f = randgen.random_map(shape, m1, m2, rng, rank_deficit=int(rng.integers(0, 2)))
     g = randgen.random_map(shape, m2, m3, rng, rank_deficit=int(rng.integers(0, 2)))
@@ -92,7 +99,7 @@ def _suite_exact_sequence(rng: np.random.Generator, cfg: RunConfig) -> dict[str,
 
 
 def _suite_perturbation_chain(rng: np.random.Generator, cfg: RunConfig) -> dict[str, float]:
-    shape = randgen.parse_shape(cfg.shape)
+    shape = cfg.algebra
     m, n = 2, 3
     t = randgen.random_map(shape, m, n, rng, rank_deficit=int(rng.integers(0, 2)))
     f = randgen.random_low_rank(shape, m, n, rng, rank=1 + int(rng.integers(0, 2)), scale=0.8)
@@ -103,7 +110,7 @@ def _suite_perturbation_chain(rng: np.random.Generator, cfg: RunConfig) -> dict[
 
 
 def _suite_product_chain(rng: np.random.Generator, cfg: RunConfig) -> dict[str, float]:
-    shape = randgen.parse_shape(cfg.shape)
+    shape = cfg.algebra
     m1, m2, m3 = 3, 2, 3
     f = randgen.random_map(shape, m1, m2, rng, rank_deficit=int(rng.integers(0, 2)))
     d = randgen.random_map(shape, m2, m3, rng, rank_deficit=int(rng.integers(0, 2)))
@@ -389,17 +396,26 @@ def cmd_banach(args: argparse.Namespace, tol: ToleranceConfig) -> tuple[Any, int
 
 
 def cmd_probe(args: argparse.Namespace, tol: ToleranceConfig) -> tuple[Any, int]:
-    sizes = [int(s) for s in str(args.sizes).split(",") if s.strip()]
-    if not sizes:
-        raise DataError("at least one size is required (e.g. --sizes 4,8,16)")
+    try:
+        sizes = [int(s) for s in str(args.sizes).split(",") if s.strip()]
+    except ValueError:
+        sizes = []
+    if not sizes or min(sizes) < 1:
+        raise DataError(f"--sizes needs integers >= 1 (e.g. 4,8,16), got {args.sizes!r}")
     diag = probes.family_table(args.family, sizes, tol)
     return serialize.report_to_jsonable(diag), EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace, tol: ToleranceConfig) -> tuple[Any, int]:
+    if args.n < 0:
+        raise DataError(f"--n must be >= 0, got {args.n}")
     cfg = RunConfig(
         seed=args.seed, n=args.n, shape=args.shape, tol=tol, out=args.out, format=args.format
     )
+    try:
+        cfg.algebra  # parsed once, here; every instance reads it
+    except StructureError as exc:
+        raise DataError(f'{exc} (e.g. --shape "2,3" or "1^8")') from None
     payload = run_suite(args.suite, cfg)
     code = EXIT_OK if not payload["failures"] else EXIT_VIOLATION
     return payload, code

@@ -14,19 +14,6 @@ class StructureError(ModopError):
     """Shapes, sizes, or algebra layouts do not match."""
 
 
-class InvarianceError(ModopError):
-    """A subspace fails the algebra-invariance certificate.
-
-    Raised when a candidate submodule is not closed under the right
-    algebra action (equivalently, when its per-block dimensions are
-    not divisible by the block sizes).
-    """
-
-    def __init__(self, msg: str, residual: float | None = None):
-        super().__init__(msg)
-        self.residual = residual
-
-
 class UnmetHypothesisError(ModopError):
     """A documented precondition of an operation does not hold.
 

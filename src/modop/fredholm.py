@@ -145,15 +145,19 @@ class ExactSequenceReport:
     """0 -> ker f -> ker gf -> ker g -> (Im f)perp -> (Im gf)perp -> (Im g)perp -> 0.
 
     Connecting maps: inclusion, the map itself, and orthogonal
-    projections onto the complement spaces.  ``node_residuals`` are
-    worst-of composition norm and principal-angle defect at each
-    interior node; the alternating sums are exact integer checks.
+    projections onto the complement spaces.  The sequence is certified
+    per algebra block, on the column bases of the six submodules (the
+    flat sequence is each block's tensored with I_{n_b}), and every
+    residual is the worst over blocks.  ``node_residuals`` are worst-of
+    composition norm and principal-angle defect at each interior node;
+    ``map_containment_residuals`` measure how far the inclusion and the
+    f-arrow leave their targets; the alternating sums are exact integer
+    checks.
     """
 
     spaces: tuple[Submodule, ...]
     dims: tuple[int, ...]
     classes: tuple[K0Class, ...]
-    maps: tuple[Array, ...]
     node_residuals: tuple[float, ...]
     map_containment_residuals: tuple[float, ...]
     injectivity_defect: float
@@ -172,6 +176,14 @@ class ExactSequenceReport:
     @property
     def index_additive(self) -> bool:
         return self.index_gf.entries == (self.index_f + self.index_g).entries
+
+
+def _stickout(target: Array, moved: Array) -> float:
+    """Norm of the part of span(moved) outside span(target)."""
+    if moved.shape[1] == 0:
+        return 0.0
+    proj = target @ (target.conj().T @ moved) if target.shape[1] else np.zeros_like(moved)
+    return op_norm(moved - proj)
 
 
 def exact_sequence(
@@ -193,36 +205,27 @@ def exact_sequence(
     im_g_perp = rep_g.coker_space
 
     spaces = (ker_f, ker_gf, ker_g, im_f_perp, im_gf_perp, im_g_perp)
-    bases = [s.flat_basis for s in spaces]
     dims = tuple(s.dim for s in spaces)
 
-    # Connecting maps in node coordinates, with the f- and g-arrows
+    # Per block, in node column-basis coordinates, with the f- and g-arrows
     # normalised so every map is O(1).  The two restriction arrows
     # (inclusion, and f from ker gf into ker g) must genuinely land in
     # their targets; the projection arrows carry no such requirement.
-    f_real = f.realization / max(nf, 1e-300)
-    g_real = g.realization / max(ng, 1e-300)
-    maps = (
-        bases[1].conj().T @ bases[0],
-        bases[2].conj().T @ (f_real @ bases[1]),
-        bases[3].conj().T @ bases[2],
-        bases[4].conj().T @ (g_real @ bases[3]),
-        bases[5].conj().T @ bases[4],
-    )
-
-    def _stickout(target: Array, moved: Array) -> float:
-        if moved.shape[1] == 0:
-            return 0.0
-        proj = target @ (target.conj().T @ moved) if target.shape[1] else np.zeros_like(moved)
-        return op_norm(moved - proj)
-
-    containments = (
-        _stickout(bases[1], bases[0]),
-        _stickout(bases[2], f_real @ bases[1]),
-    )
-
-    nodes, inj, surj = chain_exactness(list(dims), list(maps), tol)
-    node_residuals = tuple(n.residual for n in nodes)
+    rows = []
+    for b, (cf, cg) in enumerate(zip(f.blocks, g.blocks)):
+        w = [s.column_bases[b] for s in spaces]
+        moved_f = (cf / max(nf, 1e-300)) @ w[1]
+        maps = [
+            w[1].conj().T @ w[0],
+            w[2].conj().T @ moved_f,
+            w[3].conj().T @ w[2],
+            w[4].conj().T @ ((cg / max(ng, 1e-300)) @ w[3]),
+            w[5].conj().T @ w[4],
+        ]
+        nodes, inj, surj = chain_exactness([x.shape[1] for x in w], maps, tol)
+        containments = [_stickout(w[1], w[0]), _stickout(w[2], moved_f)]
+        rows.append([n.residual for n in nodes] + containments + [inj, surj])
+    worst = [max(col) for col in zip(*rows)]
 
     classes = tuple(s.k0() for s in spaces)
     alt_dim = dims[0] - dims[1] + dims[2] - dims[3] + dims[4] - dims[5]
@@ -233,11 +236,10 @@ def exact_sequence(
         spaces=spaces,
         dims=dims,
         classes=classes,
-        maps=maps,
-        node_residuals=node_residuals,
-        map_containment_residuals=containments,
-        injectivity_defect=inj,
-        surjectivity_defect=surj,
+        node_residuals=tuple(worst[:4]),
+        map_containment_residuals=tuple(worst[4:6]),
+        injectivity_defect=worst[6],
+        surjectivity_defect=worst[7],
         alternating_dim_sum=alt_dim,
         alternating_k0_sum=alt_k0,
         index_f=rep_f.index,

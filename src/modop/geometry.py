@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import IdentityViolation, StructureError
 from .linmap import AdjointableMap
-from .modules import K0Class, Submodule, block_layout
+from .modules import K0Class, Submodule
 from .subspace import min_modulus_restricted_raw, op_norm, projector
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -150,12 +150,11 @@ def _bound_from_delta(delta: float) -> float:
     return (delta + 1.0) / delta
 
 
-def _module_norms_flat(sub_shape, m: int, flats: Array) -> Array:
-    """Module norms of a batch of flat vectors (columns), via Gram matrices."""
-    count = flats.shape[1]
-    norms = np.zeros(count)
-    for (off, seg), nb in zip(block_layout(sub_shape, m), sub_shape.block_sizes):
-        talls = flats[off : off + seg].T.reshape(count, m * nb, nb)
+def _module_norms(stacks: list[Array]) -> Array:
+    """Module norms of a batch of vectors, given per block as a
+    (count, m*n_b, n_b) stack of tall forms, via Gram matrices."""
+    norms = np.zeros(stacks[0].shape[0])
+    for talls in stacks:
         grams = np.einsum("kij,kil->kjl", talls.conj(), talls)
         block = np.sqrt(np.maximum(np.linalg.eigvalsh(grams)[:, -1], 0.0))
         norms = np.maximum(norms, block)
@@ -203,11 +202,11 @@ def closed_sum_report(
     worst = None
     if samples > 0 and m_red.dim > 0 and n_red.dim > 0:
         gen = rng if rng is not None else np.random.default_rng(0)
-        xs = m_red.sample_flat(gen, samples)
-        ys = n_red.sample_flat(gen, samples)
-        sums = _module_norms_flat(m.shape, m.m, xs + ys)
+        xs = m_red.sample_talls(gen, samples)
+        ys = n_red.sample_talls(gen, samples)
+        sums = _module_norms([x + y for x, y in zip(xs, ys)])
         scale = np.maximum(sums, 1e-300)
-        x_norms = _module_norms_flat(m.shape, m.m, xs) / scale
+        x_norms = _module_norms(xs) / scale
         worst = float(np.max(x_norms)) if x_norms.size else 0.0
         if worst > bound + tol.angle_tol:
             raise IdentityViolation(

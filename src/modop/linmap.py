@@ -4,10 +4,11 @@ A module map is an (n x m) matrix over the algebra acting by left
 multiplication.  Per algebra block it compresses to one complex matrix
 acting column-wise on tall coordinate matrices, and that compressed
 form is the computational workhorse: adjoints are conjugate transposes,
-composition is matrix product, and singular values of the full flat
-realization are exactly the per-block singular values with multiplicity
-n_b.  The dense flat realization is kept available (lazily) as an
-independent oracle.
+composition is matrix product, and the flat matrix of the map is block b's
+compressed matrix tensored with I_{n_b}, so its singular values are the
+per-block ones with multiplicity n_b.  Every certificate works on the
+compressed blocks.  The dense flat matrix (``realization``) serves only
+as the test oracle and as the plain matrix ``modop banach`` works on.
 
 Each map carries one spectral record, computed on first use and cached:
 the values-only SVD of every block (``_svals``, read by ``norm`` and
@@ -181,7 +182,8 @@ class AdjointableMap(BlockwiseMap):
 
     @cached_property
     def realization(self) -> Array:
-        """Dense flat realization (block-diagonal Kronecker lift); oracle path."""
+        """Dense flat matrix (block-diagonal Kronecker lift): the test oracle
+        and the plain matrix of ``modop banach``; no certificate reads it."""
         d_dom, d_cod = flat_dim(self.shape, self.m), flat_dim(self.shape, self.n)
         out = np.zeros((d_cod, d_dom), dtype=np.complex128)
         dom_off = cod_off = 0
@@ -253,7 +255,7 @@ class AdjointableMap(BlockwiseMap):
         if x.shape != self.shape or x.m != self.m:
             raise StructureError("vector not in the domain module")
         talls = [c @ x.tall(b) for b, c in enumerate(self.blocks)]
-        return _vector_from_talls(self.shape, self.n, talls)
+        return ModuleVector.from_talls(self.shape, self.n, talls)
 
     def apply_to_submodule(
         self, sub: Submodule, tol: ToleranceConfig = DEFAULT_TOL
@@ -409,16 +411,6 @@ def require_finite(arrays: list[Array], what: str) -> None:
     power chain."""
     if not np.isfinite(np.concatenate([a.ravel() for a in arrays])).all():
         raise DataError(f"{what} entries must be finite (got inf or nan)")
-
-
-def _vector_from_talls(shape: AlgebraShape, m: int, talls: list[Array]) -> ModuleVector:
-    entries = []
-    for i in range(m):
-        blks = []
-        for b, nb in enumerate(shape.block_sizes):
-            blks.append(talls[b][i * nb : (i + 1) * nb])
-        entries.append(AlgebraElement(shape, tuple(blks)))
-    return ModuleVector(shape, m, tuple(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -50,12 +50,15 @@ def parse_shape(text: str) -> AlgebraShape:
         token = token.strip()
         if not token:
             continue
-        if "^" in token:
-            base, _, count = token.partition("^")
-            sizes.extend([int(base)] * int(count))
-        else:
-            sizes.append(int(token))
-    if not sizes or any(s < 1 for s in sizes):
+        base, caret, count = token.partition("^")
+        try:
+            size, reps = int(base), (int(count) if caret else 1)
+        except ValueError:
+            size = reps = 0
+        if reps < 1 or size < 1:
+            raise StructureError(f"invalid shape specification {text!r}")
+        sizes.extend([size] * reps)
+    if not sizes:
         raise StructureError(f"invalid shape specification {text!r}")
     return AlgebraShape(tuple(sizes))
 

@@ -5,8 +5,9 @@ Subspaces of C^d are represented by matrices with orthonormal columns
 singular values funnels through one function, :func:`_decide`: it sets
 the cutoff under the shared tolerance policy and records the margin by
 which the decision was made.  :func:`svd_data`, :func:`orthonormal_image`,
-:func:`null_space` and the per-block maps of :mod:`modop.linmap` (which
-merge their blocks' values first) all call it.
+:func:`null_space`, the chain maps of :func:`chain_exactness` (one full
+SVD each) and the per-block maps of :mod:`modop.linmap` (which merge
+their blocks' values first) all call it.
 
 One wrinkle worth stating: rank cutoffs are relative to a *scale
 reference*.  For a matrix taken as primary input this is its own largest
@@ -325,6 +326,17 @@ def oblique_projector(
     return ObliqueProjector(e, onto.shape[1], along.shape[1], float(cond), op_norm(e))
 
 
+def _arrow(a: Array, tol: ToleranceConfig) -> tuple[SingularData, Array, Array]:
+    """Rank decision at unit scale, image basis and kernel basis of a chain map."""
+    a = as_complex(a)
+    if a.size == 0:
+        data = _decide(_NO_VALUES, tol, 0, 1.0)
+        return data, empty_basis(a.shape[0]), np.eye(a.shape[1], dtype=np.complex128)
+    u, s, vh = np.linalg.svd(a, full_matrices=True)
+    data = _decide(s, tol, max(a.shape), 1.0)
+    return data, u[:, : data.rank], vh[data.rank :].conj().T
+
+
 @dataclass(frozen=True)
 class NodeCheck:
     """Exactness bookkeeping at one interior node of a finite chain."""
@@ -354,25 +366,24 @@ def chain_exactness(
     ``maps[i]`` is the matrix of V_i -> V_{i+1} in orthonormal bases of
     the node spaces.  Returns per-node records for the interior nodes
     plus the injectivity residual of the first map and the surjectivity
-    residual of the last (as sin-style defects; 0 means clean).
+    residual of the last (as sin-style defects; 0 means clean).  Each map
+    is decomposed once: one full SVD gives its rank, image, kernel and norm.
     """
     assert len(maps) == len(dims) - 1
-    # Injectivity defect of the first map: gap below smallest singular value.
-    first = svd_data(maps[0], tol, scale=1.0)
-    inj_defect = 0.0 if first.rank == dims[0] else 1.0
-    last = svd_data(maps[-1], tol, scale=1.0)
-    surj_defect = 0.0 if last.rank == dims[-1] else 1.0
+    arrows = [_arrow(a, tol) for a in maps]
+    inj_defect = 0.0 if arrows[0][0].rank == dims[0] else 1.0
+    surj_defect = 0.0 if arrows[-1][0].rank == dims[-1] else 1.0
     nodes: list[NodeCheck] = []
     for i in range(1, len(dims) - 1):
-        inc, out = maps[i - 1], maps[i]
-        im_basis, im_data = orthonormal_image(inc, tol, scale=1.0)
-        ker_basis, _ = null_space(out, tol, scale=1.0)
+        out = maps[i]
+        im_data, im_basis, _ = arrows[i - 1]
+        out_data, _, ker_basis = arrows[i]
         # Residual of out on the *orthonormalised* image.  Maps are expected
         # in unit scale (orthonormal node bases, normalised operators), so
         # divide by max(1, |out|): a structurally-zero factor on either side
         # then cannot amplify roundoff into a fake defect.
         if im_basis.shape[1] and out.size:
-            comp = op_norm(out @ im_basis) / max(op_norm(out), 1.0)
+            comp = op_norm(out @ im_basis) / max(out_data.smax, 1.0)
         else:
             comp = 0.0
         if im_basis.shape[1] == 0 and ker_basis.shape[1] == 0:

@@ -260,3 +260,23 @@ def test_invalid_tolerance_is_usage_error(value, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: tolerance rank_tol must be finite and positive")
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "exact-sequence", "--shape", "2,x"],
+        ["verify", "exact-sequence", "--shape", "0"],
+        ["verify", "exact-sequence", "--shape", ""],
+        ["verify", "exact-sequence", "--shape", "1^0"],
+        ["verify", "exact-sequence", "--n", "-1"],
+        ["probe", "multiplier", "--sizes", "0"],
+        ["probe", "multiplier", "--sizes", "4,x"],
+    ],
+    ids=" ".join,
+)
+def test_malformed_arguments_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1

@@ -17,7 +17,7 @@ from modop.fredholm import (
 )
 from modop.linmap import AdjointableMap
 from modop.modules import K0Class
-from modop.randgen import random_commuting_pair, random_low_rank, random_map
+from modop.randgen import parse_shape, random_commuting_pair, random_low_rank, random_map
 
 
 def embed_first(shape):
@@ -98,6 +98,47 @@ def test_exact_sequence_generic(shape23, rng):
     # sanity on the endpoint spaces
     assert rep.spaces[0].equals(f.kernel())
     assert rep.spaces[5].equals(g.image().complement())
+
+
+@pytest.mark.parametrize(
+    "shape_text, m1, m2, m3", [("2,3", 3, 2, 2), ("1^8", 2, 3, 2), ("4", 4, 4, 4), ("1,2", 2, 2, 3)]
+)
+def test_exact_sequence_dims_match_flat_ranks(shape_text, m1, m2, m3, rng):
+    # plain-numpy oracle: nullities and co-ranks of the dense flat matrices
+    shape = parse_shape(shape_text)
+    f = random_map(shape, m1, m2, rng, rank_deficit=1)
+    g = random_map(shape, m2, m3, rng, rank_deficit=1)
+    rep = exact_sequence(f, g)
+    a, b, ab = f.realization, g.realization, (g @ f).realization
+    ra, rb, rab = (np.linalg.matrix_rank(x) for x in (a, b, ab))
+    expect = (
+        a.shape[1] - ra,
+        a.shape[1] - rab,
+        b.shape[1] - rb,
+        a.shape[0] - ra,
+        b.shape[0] - rab,
+        b.shape[0] - rb,
+    )
+    assert rep.dims == expect
+    assert rep.worst_residual < 1e-8
+
+
+def test_exact_sequence_runs_at_block_size(rng, monkeypatch):
+    # shape (16,), m = 4: blocks are 64 x 64, the flat matrices 1024 x 1024
+    shape = parse_shape("16")
+    f = random_map(shape, 4, 4, rng, rank_deficit=1)
+    g = random_map(shape, 4, 4, rng, rank_deficit=1)
+    sides = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        sides.append(max(a.shape[-2:]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    rep = exact_sequence(f, g)
+    assert rep.worst_residual < 1e-8 and rep.index_additive
+    assert sides and max(sides) <= 4 * 16
 
 
 def test_exact_sequence_requires_composability(shape23, rng):

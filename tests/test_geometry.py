@@ -8,7 +8,7 @@ import pytest
 from modop.algebra import AlgebraShape
 from modop.errors import StructureError
 from modop.geometry import (
-    _module_norms_flat,
+    _module_norms,
     bouldin_criterion,
     closed_sum_report,
     dixmier_angle,
@@ -18,6 +18,8 @@ from modop.linmap import AdjointableMap
 from modop.modules import Submodule
 from modop.randgen import parse_shape, random_submodule
 from modop.subspace import min_modulus_restricted_raw
+
+from flat_oracle import flat_basis
 
 
 def line(shape, m, b_angles):
@@ -49,10 +51,10 @@ def test_blockwise_values_equal_flat_oracle(shape23, rng):
     m = random_submodule(shape23, 3, rng, ranks=(1, 2))
     n = random_submodule(shape23, 3, rng, ranks=(2, 1))
     c0 = dixmier_angle(m, n)
-    flat_cross = m.flat_basis.conj().T @ n.flat_basis
+    flat_cross = flat_basis(m).conj().T @ flat_basis(n)
     assert abs(c0 - np.linalg.svd(flat_cross, compute_uv=False)[0]) < 1e-12
     delta = min_modulus_restricted(m, n)
-    assert abs(delta - min_modulus_restricted_raw(m.flat_basis, n.flat_basis)) < 1e-12
+    assert abs(delta - min_modulus_restricted_raw(flat_basis(m), flat_basis(n))) < 1e-12
 
 
 def test_min_modulus_conventions(shape23, rng):
@@ -147,17 +149,16 @@ def test_geometry_inputs_validated(shape23, rng):
 def test_module_norms_match_tall_matrix_oracle(shape_text, rng):
     shape = parse_shape(shape_text)
     m, count = 3, 40
-    dim = m * shape.dim
-    flats = rng.normal(size=(dim, count)) + 1j * rng.normal(size=(dim, count))
-    flats[:, 7] = 0.0  # an all-zero sample must give 0, not nan
-    got = _module_norms_flat(shape, m, flats)
-    expect = np.zeros(count)
-    for j in range(count):
-        off = 0
-        for nb in shape.block_sizes:
-            tall = flats[off : off + m * nb * nb, j].reshape(m * nb, nb)
-            expect[j] = max(expect[j], np.linalg.norm(tall, 2))
-            off += m * nb * nb
+    stacks = [
+        rng.normal(size=(count, m * nb, nb)) + 1j * rng.normal(size=(count, m * nb, nb))
+        for nb in shape.block_sizes
+    ]
+    for talls in stacks:
+        talls[7] = 0.0  # an all-zero sample must give 0, not nan
+    got = _module_norms(stacks)
+    expect = np.array(
+        [max(np.linalg.norm(talls[j], 2) for talls in stacks) for j in range(count)]
+    )
     assert got[7] == 0.0
     assert np.all(np.abs(got - expect) <= 1e-13 * expect)
-    assert _module_norms_flat(shape, m, flats[:, :0]).shape == (0,)
+    assert _module_norms([talls[:0] for talls in stacks]).shape == (0,)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from modop.algebra import AlgebraElement, AlgebraShape
-from modop.errors import InvarianceError, StructureError, UnmetHypothesisError
+from modop.errors import StructureError, UnmetHypothesisError
 from modop.modules import (
     K0Class,
     ModuleVector,
@@ -19,7 +19,15 @@ from modop.modules import (
     submodule_span,
     sum_and_intersection,
 )
-from modop.randgen import random_complement, random_element, random_submodule, random_vector_flat
+from modop.randgen import (
+    parse_shape,
+    random_complement,
+    random_element,
+    random_submodule,
+    random_vector_flat,
+)
+
+from flat_oracle import flat_basis, invariance_residual
 
 
 def random_vector(shape, m, rng):
@@ -116,7 +124,7 @@ def test_free_class_counts_columns(shape23):
 def test_span_closes_under_action(shape23, rng):
     vecs = [random_vector(shape23, 3, rng) for _ in range(2)]
     sub = submodule_span(vecs)
-    assert sub.invariance_residual() < 1e-10
+    assert invariance_residual(sub.shape, sub.m, flat_basis(sub)) < 1e-10
     # every generator stays inside
     for v in vecs:
         a = random_element(shape23, rng)
@@ -126,11 +134,37 @@ def test_span_closes_under_action(shape23, rng):
 
 def test_single_flat_vector_is_not_a_submodule(shape23, rng):
     mat = random_vector_flat(shape23, 2, rng)[:, None]
-    with pytest.raises(InvarianceError):
-        Submodule.span_flat(shape23, 2, mat, require_invariant=True)
+    assert invariance_residual(shape23, 2, mat / np.linalg.norm(mat)) > 0.1
     # the closure itself is fine and strictly larger
     sub = Submodule.span_flat(shape23, 2, mat)
     assert sub.dim > 1
+    assert invariance_residual(shape23, 2, flat_basis(sub)) < 1e-10
+
+
+@pytest.mark.parametrize("ranks", [(1, 2), (0, 3), (2, 0)])
+def test_basis_vectors_are_the_flat_oracle_basis(shape23, rng, ranks):
+    sub = random_submodule(shape23, 3, rng, ranks=ranks)
+    vecs = sub.basis_vectors()
+    assert len(vecs) == sub.dim
+    assert np.array_equal(np.column_stack([v.flatten() for v in vecs]), flat_basis(sub))
+
+
+@pytest.mark.parametrize("shape_text, ranks", [("2,3", (1, 2)), ("2,3", (0, 3)), ("1^4", (1, 0, 2, 1))])
+def test_sampled_talls_match_flat_oracle_sampling(shape_text, ranks):
+    # same draws as coefficients on the flat oracle basis, reshaped per block
+    shape = parse_shape(shape_text)
+    sub = random_submodule(shape, 3, np.random.default_rng(1), ranks=ranks)
+    count = 7
+    stacks = sub.sample_talls(np.random.default_rng(2), count)
+    q = flat_basis(sub)
+    rng = np.random.default_rng(2)
+    flats = q @ (rng.normal(size=(q.shape[1], count)) + 1j * rng.normal(size=(q.shape[1], count)))
+    off = 0
+    for nb, talls in zip(shape.block_sizes, stacks):
+        seg = 3 * nb * nb
+        assert talls.shape == (count, 3 * nb, nb)
+        assert np.allclose(talls, flats[off : off + seg].T.reshape(count, 3 * nb, nb), atol=1e-14)
+        off += seg
 
 
 def test_complement_decomposes_ambient(shape23, rng):
@@ -176,7 +210,7 @@ def test_zero_submodule_conventions(shape23):
     z = Submodule.zero(shape23, 2)
     assert z.dim == 0
     assert z.k0().is_zero()
-    assert z.invariance_residual() == 0.0
+    assert invariance_residual(shape23, 2, flat_basis(z)) == 0.0
     assert Submodule.full(shape23, 2).contains(z)[0]
 
 
@@ -218,6 +252,6 @@ def test_span_invariant_under_action_generically(seed):
     shape = AlgebraShape((2, 1))
     v = ModuleVector.from_flat(shape, 2, random_vector_flat(shape, 2, rng))
     sub = submodule_span([v])
-    assert sub.invariance_residual() < 1e-10
+    assert invariance_residual(sub.shape, sub.m, flat_basis(sub)) < 1e-10
     a = random_element(shape, rng)
     assert sub.contains(submodule_span([v.right_mul(a)]))[0]

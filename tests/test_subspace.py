@@ -165,6 +165,28 @@ def test_chain_exactness_flags_homology():
     assert nodes[0].incoming_rank == 0 and nodes[0].outgoing_kernel_dim == 2
 
 
+def test_chain_exactness_decomposes_each_map_once(monkeypatch):
+    # V_i = A_i + B_i, each map sends B_i onto A_(i+1) and kills A_i: exact
+    a, b = [0, 1, 3, 1, 1, 1], [1, 3, 1, 1, 1, 0]
+    maps = []
+    for i in range(5):
+        m = np.zeros((a[i + 1] + b[i + 1], a[i] + b[i]))
+        m[: a[i + 1], a[i] :] = np.eye(b[i])
+        maps.append(m)
+    calls = {"full": 0}
+    svd = np.linalg.svd
+
+    def counting(x, *args, **kwargs):
+        calls["full"] += kwargs.get("compute_uv", True)
+        return svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    nodes, inj, surj = chain_exactness([x + y for x, y in zip(a, b)], maps)
+    assert inj == 0.0 and surj == 0.0
+    assert all(n.exact and n.residual < 1e-14 for n in nodes)
+    assert calls["full"] == len(maps)
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_pythagoras_for_angles(seed):
     # For one-dimensional spans, cos^2 + sin^2 = 1 links the two routes:
