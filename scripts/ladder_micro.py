@@ -1,0 +1,107 @@
+"""Size-ladder micro-benchmark of three certificates.
+
+Times ``fredholm_report``, ``exact_sequence`` and ``drazin_inverse`` on
+maps built before the clock starts, along the ladder (2,3)/2, (16)/4,
+1^32/4 and 1^256/4 (algebra shape / module rank).  Each repetition runs
+on a fresh copy of its maps, so no cached spectral record or power chain
+carries over from one repetition to the next.  Prints one JSON object:
+the median milliseconds per certificate and rung, plus the numpy
+version and the host.
+
+    python3 scripts/ladder_micro.py [--repeats 7] [--seed 0] [--src DIR] [--out FILE]
+
+``--src`` selects the ``src`` directory of the modop to time (default:
+this checkout's), so another commit can be timed from an export of it:
+
+    git archive <rev> | tar -x -C .bench_build/<rev>
+    python3 scripts/ladder_micro.py --src .bench_build/<rev>/src
+
+OpenBLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` is already set.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+# (shape, module rank, nilpotent Jordan sizes of the planted endomorphism)
+RUNGS = (
+    ("2,3", 2, (2, 1)),
+    ("16", 4, (3, 2)),
+    ("1^32", 4, (2, 1)),
+    ("1^256", 4, (2, 1)),
+)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=7, help="runs per median (default 7)")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the planted maps")
+    parser.add_argument("--src", default=None, help="modop source directory to time")
+    parser.add_argument("--out", default=None, help="also write the JSON to this file")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
+
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    src = Path(args.src) if args.src else Path(__file__).resolve().parent.parent / "src"
+    sys.path.insert(0, str(src.resolve()))
+    import numpy as np
+
+    from modop import drazin, fredholm, randgen
+    from modop.linmap import AdjointableMap
+
+    def fresh(f: AdjointableMap) -> AdjointableMap:
+        return AdjointableMap(f.shape, f.m, f.n, f.blocks)
+
+    results: dict[str, dict[str, float]] = {
+        "fredholm_report": {},
+        "exact_sequence": {},
+        "drazin_inverse": {},
+    }
+    for text, m, nilpotent in RUNGS:
+        rng = np.random.default_rng([args.seed, len(text), m])
+        shape = randgen.parse_shape(text)
+        f = randgen.random_map(shape, m, m, rng, rank_deficit=1)
+        g = randgen.random_map(shape, m, m, rng, rank_deficit=1)
+        endo = randgen.random_endomorphism(shape, m, rng, nilpotent=nilpotent)
+        rung = f"({text})/{m}"
+        runs = {
+            "fredholm_report": lambda fs: fredholm.fredholm_report(fs[0]),
+            "exact_sequence": lambda fs: fredholm.exact_sequence(fs[0], fs[1]),
+            "drazin_inverse": lambda fs: drazin.drazin_inverse(fs[2]),
+        }
+        for name, run in runs.items():
+            copies = [(fresh(f), fresh(g), fresh(endo)) for _ in range(args.repeats)]
+            times = []
+            for maps in copies:
+                start = time.perf_counter()
+                run(maps)
+                times.append((time.perf_counter() - start) * 1e3)
+            results[name][rung] = round(statistics.median(times), 3)
+
+    payload = {
+        "unit": "ms (median)",
+        "repeats": args.repeats,
+        "seed": args.seed,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "host": platform.machine(),
+        "openblas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+        "results": results,
+    }
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    print(text)
+    if args.out:
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

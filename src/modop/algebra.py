@@ -9,7 +9,7 @@ blockwise matrix multiplication — which makes the C*-identity
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,9 @@ class AlgebraShape:
     """Block sizes of a direct sum of full matrix algebras."""
 
     block_sizes: tuple[int, ...]
+    # Complex dimension, the sum of squared block sizes: summed once here,
+    # since rank cutoffs read it on every decision.
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = tuple(int(n) for n in self.block_sizes)
@@ -40,15 +43,11 @@ class AlgebraShape:
         if any(n < 1 for n in sizes):
             raise StructureError(f"block sizes must be positive, got {sizes}")
         object.__setattr__(self, "block_sizes", sizes)
+        object.__setattr__(self, "dim", sum(n * n for n in sizes))
 
     @property
     def num_blocks(self) -> int:
         return len(self.block_sizes)
-
-    @property
-    def dim(self) -> int:
-        """Complex dimension: sum of squared block sizes."""
-        return sum(n * n for n in self.block_sizes)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(n) for n in self.block_sizes) + ")"

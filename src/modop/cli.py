@@ -372,6 +372,11 @@ def cmd_geometry(args: argparse.Namespace, tol: ToleranceConfig) -> tuple[Any, i
         left = left.image(tol, scale=max(left.norm(), 1e-300))
     if isinstance(right, AdjointableMap):
         right = right.kernel(tol, scale=max(right.norm(), 1e-300))
+    if left.shape != right.shape or left.m != right.m:
+        raise DataError(
+            f"operands live in different modules: A^{left.m} over {left.shape} "
+            f"({args.left}) and A^{right.m} over {right.shape} ({args.right})"
+        )
     rep = geometry.closed_sum_report(left, right, tol, rng=np.random.default_rng(args.seed))
     payload = serialize.report_to_jsonable(rep)
     payload["left"] = serialize.report_to_jsonable(left)
@@ -402,7 +407,10 @@ def cmd_probe(args: argparse.Namespace, tol: ToleranceConfig) -> tuple[Any, int]
         sizes = []
     if not sizes or min(sizes) < 1:
         raise DataError(f"--sizes needs integers >= 1 (e.g. 4,8,16), got {args.sizes!r}")
-    diag = probes.family_table(args.family, sizes, tol)
+    try:
+        diag = probes.family_table(args.family, sizes, tol)
+    except StructureError as exc:  # a size the family cannot be built at
+        raise DataError(f"{exc} (--sizes {args.sizes!r} for {args.family})") from None
     return serialize.report_to_jsonable(diag), EXIT_OK
 
 

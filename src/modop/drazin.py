@@ -25,7 +25,7 @@ import numpy as np
 from .errors import IdentityViolation, StructureError
 from .linmap import AdjointableMap, commutator_residual
 from .modules import K0Class, Submodule, flat_dim
-from .subspace import op_norm, svd_data
+from .subspace import stacked, svd_datas
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 Array = np.ndarray
@@ -84,8 +84,7 @@ def _core_split(f: AdjointableMap, tol: ToleranceConfig) -> _Split:
     chain = f.power_chain(tol)
     p = chain.descent
     rng_space, nul_space = chain.image(p), chain.kernel(p)
-    s_mats, s_invs, ranks = [], [], []
-    cond = 1.0
+    s_mats = []
     for b, (u, v) in enumerate(zip(rng_space.column_bases, nul_space.column_bases)):
         s = np.hstack([u, v])
         if s.shape[0] != s.shape[1]:
@@ -93,23 +92,27 @@ def _core_split(f: AdjointableMap, tol: ToleranceConfig) -> _Split:
                 f"block {b}: Im F^p and ker F^p do not fill the space "
                 f"({u.shape[1]} + {v.shape[1]} != {s.shape[0]})"
             )
-        sv = svd_data(s, tol, scale=1.0)
+        s_mats.append(s)
+    cond = 1.0
+    for b, (s, sv) in enumerate(zip(s_mats, svd_datas(s_mats, tol, scale=1.0))):
         if sv.rank < s.shape[0]:
             raise IdentityViolation(f"block {b}: splitting bases are numerically dependent")
         cond = max(cond, sv.values[0] / sv.values[-1])
-        s_mats.append(s)
-        s_invs.append(np.linalg.inv(s))
-        ranks.append(u.shape[1])
     return _Split(
         p=p,
         range_space=rng_space,
         null_space=nul_space,
         s_mats=tuple(s_mats),
-        s_invs=tuple(s_invs),
-        ranks=tuple(ranks),
+        s_invs=tuple(stacked(np.linalg.inv, s_mats)),
+        ranks=tuple(u.shape[1] for u in rng_space.column_bases),
         cond=cond,
         margin=chain.margin,
     )
+
+
+def _similar(s: Array, a: Array, s_inv: Array) -> Array:
+    """S A S^-1, for one block or a stack."""
+    return s @ a @ s_inv
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,17 +149,20 @@ def drazin_inverse(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> Dra
     p = split.p
     nf = max(f.norm(), 1e-300)
     f1s, _, core_gamma, off_resid = _browder_blocks(f, split)
-    x_blocks, e_blocks = [], []
-    for f1, s, sinv, r in zip(f1s, split.s_mats, split.s_invs, split.ranks):
+    core_inverses = iter(stacked(np.linalg.inv, [f1 for f1 in f1s if f1.size]))
+    ys, es = [], []
+    for s, r in zip(split.s_mats, split.ranks):
         y = np.zeros_like(s)
         e = np.zeros_like(s)
         if r:
-            y[:r, :r] = np.linalg.inv(f1)
+            y[:r, :r] = next(core_inverses)
             e[:r, :r] = np.eye(r)
-        x_blocks.append(s @ y @ sinv)
-        e_blocks.append(s @ e @ sinv)
-    x = AdjointableMap(f.shape, f.m, f.m, tuple(x_blocks))
-    proj = AdjointableMap(f.shape, f.m, f.m, tuple(e_blocks))
+        ys.append(y)
+        es.append(e)
+    x = AdjointableMap(f.shape, f.m, f.m, tuple(stacked(_similar, split.s_mats, ys, split.s_invs)))
+    proj = AdjointableMap(
+        f.shape, f.m, f.m, tuple(stacked(_similar, split.s_mats, es, split.s_invs))
+    )
     core = f @ proj
     nilp = f - core
 
@@ -338,21 +344,18 @@ def _browder_blocks(
     """Diagonal blocks of F on the split, the smallest singular value of the
     core blocks, and the largest off-diagonal block relative to ||F||."""
     nf = max(f.norm(), 1e-300)
-    f1s, f4s = [], []
-    gamma = math.inf
-    off_resid = 0.0
-    for c, s, sinv, r in zip(f.blocks, split.s_mats, split.s_invs, split.ranks):
-        t = sinv @ c @ s
-        f1, f4 = t[:r, :r], t[r:, r:]
-        f1s.append(f1)
-        f4s.append(f4)
-        if r:
-            gamma = min(gamma, float(np.linalg.svd(f1, compute_uv=False)[-1]))
-        if 0 < r < t.shape[0]:
-            off_resid = max(
-                off_resid, max(op_norm(t[:r, r:]), op_norm(t[r:, :r])) / nf
-            )
-    return tuple(f1s), tuple(f4s), gamma, off_resid
+    ts = stacked(_similar, split.s_invs, f.blocks, split.s_mats)
+    f1s = tuple(t[:r, :r] for t, r in zip(ts, split.ranks))
+    f4s = tuple(t[r:, r:] for t, r in zip(ts, split.ranks))
+    cores = stacked(np.linalg.svd, [f1 for f1 in f1s if f1.size], compute_uv=False)
+    gamma = min((float(v[-1]) for v in cores), default=math.inf)
+    mixed = [(t, r) for t, r in zip(ts, split.ranks) if 0 < r < t.shape[0]]
+    upper = stacked(np.linalg.svd, [t[:r, r:] for t, r in mixed], compute_uv=False)
+    lower = stacked(np.linalg.svd, [t[r:, :r] for t, r in mixed], compute_uv=False)
+    off_resid = max(
+        (max(float(a[0]), float(b[0])) / nf for a, b in zip(upper, lower)), default=0.0
+    )
+    return f1s, f4s, gamma, off_resid
 
 
 def browder_decomposition(
@@ -405,10 +408,10 @@ def commuting_browder_check(
             raise IdentityViolation(
                 f"factor is not block-diagonal on the shared splitting (off {off:.3e})"
             )
-        for b, (g1, r) in enumerate(zip(g1s, split.ranks)):
-            if r == 0:
-                continue
-            if svd_data(g1, tol, dim_ctx=r, scale=g.norm()).rank < r:
+        cores = [(b, g1) for b, g1 in enumerate(g1s) if g1.size]
+        datas = svd_datas([g1 for _, g1 in cores], tol, scale=g.norm())
+        for (b, g1), data in zip(cores, datas):
+            if data.rank < g1.shape[0]:
                 raise IdentityViolation(f"block {b}: factor not invertible on the stable range")
         return BrowderWitness(
             range_space=split.range_space,

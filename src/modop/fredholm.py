@@ -15,6 +15,7 @@ failure raises instead of flagging.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import IdentityViolation, StructureError
 from .linmap import AdjointableMap, RestrictedEndomorphism, commutator_residual
 from .modules import K0Class, Submodule
-from .subspace import chain_exactness, op_norm
+from .subspace import chains_exactness, residual_values
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 Array = np.ndarray
@@ -178,12 +179,11 @@ class ExactSequenceReport:
         return self.index_gf.entries == (self.index_f + self.index_g).entries
 
 
-def _stickout(target: Array, moved: Array) -> float:
-    """Norm of the part of span(moved) outside span(target)."""
-    if moved.shape[1] == 0:
-        return 0.0
-    proj = target @ (target.conj().T @ moved) if target.shape[1] else np.zeros_like(moved)
-    return op_norm(moved - proj)
+def _stickout(targets: Sequence[Array], moved: Sequence[Array]) -> float:
+    """Worst norm, over blocks, of the part of span(moved) outside span(target)."""
+    live = [(t, x) for t, x in zip(targets, moved) if x.shape[1]]
+    values = residual_values([t for t, _ in live], [x for _, x in live])
+    return max((float(v[0]) for v in values), default=0.0)
 
 
 def exact_sequence(
@@ -211,7 +211,7 @@ def exact_sequence(
     # normalised so every map is O(1).  The two restriction arrows
     # (inclusion, and f from ker gf into ker g) must genuinely land in
     # their targets; the projection arrows carry no such requirement.
-    rows = []
+    chains, moved = [], []
     for b, (cf, cg) in enumerate(zip(f.blocks, g.blocks)):
         w = [s.column_bases[b] for s in spaces]
         moved_f = (cf / max(nf, 1e-300)) @ w[1]
@@ -222,9 +222,14 @@ def exact_sequence(
             w[4].conj().T @ ((cg / max(ng, 1e-300)) @ w[3]),
             w[5].conj().T @ w[4],
         ]
-        nodes, inj, surj = chain_exactness([x.shape[1] for x in w], maps, tol)
-        containments = [_stickout(w[1], w[0]), _stickout(w[2], moved_f)]
-        rows.append([n.residual for n in nodes] + containments + [inj, surj])
+        chains.append(([x.shape[1] for x in w], maps))
+        moved.append(moved_f)
+    rows = [
+        [n.residual for n in nodes] + [inj, surj]
+        for nodes, inj, surj in chains_exactness(chains, tol)
+    ]
+    inclusion = _stickout(ker_gf.column_bases, ker_f.column_bases)
+    f_arrow = _stickout(ker_g.column_bases, moved)
     worst = [max(col) for col in zip(*rows)]
 
     classes = tuple(s.k0() for s in spaces)
@@ -237,9 +242,9 @@ def exact_sequence(
         dims=dims,
         classes=classes,
         node_residuals=tuple(worst[:4]),
-        map_containment_residuals=tuple(worst[4:6]),
-        injectivity_defect=worst[6],
-        surjectivity_defect=worst[7],
+        map_containment_residuals=(inclusion, f_arrow),
+        injectivity_defect=worst[4],
+        surjectivity_defect=worst[5],
         alternating_dim_sum=alt_dim,
         alternating_k0_sum=alt_k0,
         index_f=rep_f.index,

@@ -42,7 +42,7 @@ import numpy as np
 from .errors import IdentityViolation, StructureError
 from .linmap import AdjointableMap
 from .modules import K0Class, Submodule
-from .subspace import min_modulus_restricted_raw, op_norm, projector
+from .subspace import herm, residual_values, stacked
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 Array = np.ndarray
@@ -100,18 +100,23 @@ def dixmier_angle(m: Submodule, n: Submodule, tol: ToleranceConfig = DEFAULT_TOL
     """
     if m.shape != n.shape or m.m != n.m:
         raise StructureError("submodules live in different modules")
-    c_svd = 0.0
-    c_proj = 0.0
-    for qm, qn in zip(m.column_bases, n.column_bases):
-        if qm.shape[1] == 0 or qn.shape[1] == 0:
-            continue
-        c_svd = max(c_svd, float(np.linalg.svd(qm.conj().T @ qn, compute_uv=False)[0]))
-        c_proj = max(c_proj, op_norm(projector(qm) @ projector(qn)))
+    pairs = [(a, b) for a, b in zip(m.column_bases, n.column_bases) if a.shape[1] and b.shape[1]]
+    qms, qns = [a for a, _ in pairs], [b for _, b in pairs]
+    c_svd = max((float(v[0]) for v in stacked(_cross_values, qms, qns)), default=0.0)
+    c_proj = max((float(v[0]) for v in stacked(_projector_values, qms, qns)), default=0.0)
     if abs(c_svd - c_proj) > tol.angle_tol:
         raise IdentityViolation(
             f"angle cross-check failed: {c_svd:.12e} vs {c_proj:.12e}"
         )
     return min(c_svd, 1.0)
+
+
+def _cross_values(qm: Array, qn: Array) -> Array:
+    return np.linalg.svd(herm(qm) @ qn, compute_uv=False)
+
+
+def _projector_values(qm: Array, qn: Array) -> Array:
+    return np.linalg.svd((qm @ herm(qm)) @ (qn @ herm(qn)), compute_uv=False)
 
 
 def min_modulus_restricted(m: Submodule, n: Submodule, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -122,14 +127,9 @@ def min_modulus_restricted(m: Submodule, n: Submodule, tol: ToleranceConfig = DE
     """
     if m.shape != n.shape or m.m != n.m:
         raise StructureError("submodules live in different modules")
-    delta = min(
-        (
-            min_modulus_restricted_raw(qm, qn)
-            for qm, qn in zip(m.column_bases, n.column_bases)
-            if qn.shape[1] > 0
-        ),
-        default=math.inf,
-    )
+    pairs = [(qm, qn) for qm, qn in zip(m.column_bases, n.column_bases) if qn.shape[1]]
+    residuals = residual_values([qm for qm, _ in pairs], [qn for _, qn in pairs])
+    delta = min((float(v[-1]) for v in residuals), default=math.inf)
     meet, _ = m.intersection(n, tol)
     if meet.dim > 0 and delta > 10.0 * tol.coincide_tol:
         raise IdentityViolation(

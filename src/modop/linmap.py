@@ -13,7 +13,11 @@ as the test oracle and as the plain matrix ``modop banach`` works on.
 Each map carries one spectral record, computed on first use and cached:
 the values-only SVD of every block (``_svals``, read by ``norm`` and
 ``singular_data``) and the full SVD (``_svd``, read by ``kernel``,
-``image`` and ``mp_pseudoinverse``).  Rank decisions share one absolute
+``image`` and ``mp_pseudoinverse``).  Both are grouped stacked records:
+:func:`modop.subspace.stacked` makes one LAPACK call per distinct block
+shape and hands back per-block views, bitwise equal to per-block calls;
+the staircase steps and restrictions are grouped the same way.  Rank
+decisions share one absolute
 cutoff across blocks, derived from the global largest singular value by
 :func:`modop.subspace._decide`, so blockwise and dense computations agree
 decision-for-decision.
@@ -22,7 +26,7 @@ decision-for-decision.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,7 +35,16 @@ import numpy as np
 from .algebra import AlgebraElement, AlgebraShape
 from .errors import DataError, IdentityViolation, StructureError, UnmetHypothesisError
 from .modules import ModuleVector, Submodule, flat_dim
-from .subspace import SingularData, _decide, as_complex, null_space, op_norm, orthonormal_image
+from .subspace import (
+    SingularData,
+    _decide,
+    as_complex,
+    herm,
+    null_spaces,
+    orthonormal_images,
+    residual_values,
+    stacked,
+)
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 Array = np.ndarray
@@ -62,23 +75,25 @@ class BlockwiseMap:
 
     @cached_property
     def _svals(self) -> tuple[Array, ...]:
-        return tuple(np.linalg.svd(c, compute_uv=False) for c in self.blocks)
+        return tuple(stacked(np.linalg.svd, self.blocks, compute_uv=False))
 
     @cached_property
     def _svd(self) -> tuple[tuple[Array, Array, Array], ...]:
-        return tuple(np.linalg.svd(c) for c in self.blocks)
+        return tuple(stacked(np.linalg.svd, self.blocks))
 
     def _merged(
-        self, values: Iterable[Array], tol: ToleranceConfig, scale: float | None
+        self, values: Sequence[Array], tol: ToleranceConfig, scale: float | None
     ) -> SingularData:
         """Shared-cutoff decision: block b's values repeated n_b times."""
-        reps = [np.repeat(v, nb) for v, nb in zip(values, self.shape.block_sizes)]
-        return _decide(np.sort(np.concatenate(reps))[::-1], tol, self.dim_ctx, scale)
+        counts = np.repeat(self.shape.block_sizes, [v.size for v in values])
+        merged = np.repeat(np.concatenate(values), counts)
+        return _decide(np.sort(merged)[::-1], tol, self.dim_ctx, scale)
 
     def _ranks(self, tol: ToleranceConfig, scale: float | None) -> list[int]:
         """Per-block ranks of the full SVDs under the shared cutoff."""
-        threshold = self._merged((s for _, s, _ in self._svd), tol, scale).threshold
-        return [int(np.sum(s > threshold)) for _, s, _ in self._svd]
+        values = [s for _, s, _ in self._svd]
+        threshold = self._merged(values, tol, scale).threshold
+        return [sum(1 for v in s.tolist() if v > threshold) for s in values]
 
     def norm(self) -> float:
         """Operator norm in the module sense (= largest block singular value)."""
@@ -110,12 +125,11 @@ class AdjointableMap(BlockwiseMap):
             raise StructureError("one compressed block per algebra block required")
         frozen = []
         for nb, blk in zip(self.shape.block_sizes, self.blocks):
-            blk = as_complex(blk)
+            blk = np.array(blk, dtype=np.complex128, order="C")  # a private copy
             if blk.shape != (self.n * nb, self.m * nb):
                 raise StructureError(
                     f"compressed block shape {blk.shape}, expected ({self.n * nb},{self.m * nb})"
                 )
-            blk = np.array(blk)
             blk.setflags(write=False)
             frozen.append(blk)
         object.__setattr__(self, "blocks", tuple(frozen))
@@ -225,10 +239,7 @@ class AdjointableMap(BlockwiseMap):
                 f"cannot compose: domain rank {self.m} != codomain rank {other.n}"
             )
         return AdjointableMap(
-            self.shape,
-            other.m,
-            self.n,
-            tuple(a @ b for a, b in zip(self.blocks, other.blocks)),
+            self.shape, other.m, self.n, tuple(stacked(np.matmul, self.blocks, other.blocks))
         )
 
     def adjoint(self) -> "AdjointableMap":
@@ -270,9 +281,8 @@ class AdjointableMap(BlockwiseMap):
         which are made at the scale ||F|| and the map's ``dim_ctx``."""
         if sub.shape != self.shape or sub.m != self.m:
             raise StructureError("submodule not inside the domain module")
-        return self._per_block(
-            orthonormal_image, (c @ w for c, w in zip(self.blocks, sub.column_bases)), self.n, tol
-        )
+        moved = stacked(np.matmul, self.blocks, sub.column_bases)
+        return self._per_block(orthonormal_images, moved, self.n, tol)
 
     def preimage_step(
         self, sub: Submodule, tol: ToleranceConfig = DEFAULT_TOL
@@ -281,21 +291,13 @@ class AdjointableMap(BlockwiseMap):
         margin of the rank decisions (same scale as :meth:`image_step`)."""
         if sub.shape != self.shape or sub.m != self.n:
             raise StructureError("submodule not inside the codomain module")
-        return self._per_block(
-            null_space,
-            (c - k @ (k.conj().T @ c) for c, k in zip(self.blocks, sub.column_bases)),
-            self.m,
-            tol,
-        )
+        outside = stacked(_outside, self.blocks, sub.column_bases)
+        return self._per_block(null_spaces, outside, self.m, tol)
 
     def _per_block(self, route, mats, m: int, tol: ToleranceConfig) -> tuple[Submodule, float]:
-        scale = self.norm()
-        bases, margin = [], math.inf
-        for a in mats:
-            basis, data = route(a, tol, dim_ctx=self.dim_ctx, scale=scale)
-            bases.append(basis)
-            margin = min(margin, data.margin)
-        return Submodule(self.shape, m, tuple(bases)), margin
+        results = route(mats, tol, dim_ctx=self.dim_ctx, scale=self.norm())
+        margin = min((data.margin for _, data in results), default=math.inf)
+        return Submodule(self.shape, m, tuple(basis for basis, _ in results)), margin
 
     def power_chain(self, tol: ToleranceConfig = DEFAULT_TOL) -> "PowerChain":
         """The power chain of this endomorphism, one per tolerance."""
@@ -404,6 +406,11 @@ class PowerChain:
         return self._kernels[0][min(k, self.ascent)]
 
 
+def _outside(c: Array, k: Array) -> Array:
+    """(I - P_k) C: the part of C's columns outside span(k)."""
+    return c - k @ (herm(k) @ c)
+
+
 def require_finite(arrays: list[Array], what: str) -> None:
     """Reject inf/nan where outside data becomes a map or a vector, before
     any SVD can spin or fail on it.  Maps derived from finite ones are not
@@ -439,13 +446,10 @@ class RestrictedEndomorphism(BlockwiseMap):
         if not f.is_endomorphism or f.shape != sub.shape or f.m != sub.m:
             raise StructureError("restriction needs an endomorphism of the ambient module")
         scale = max(f.norm(), 1e-300)
-        defect = 0.0
-        blocks = []
-        for c, w in zip(f.blocks, sub.column_bases):
-            moved = c @ w
-            inside = w.conj().T @ moved
-            defect = max(defect, op_norm(moved - w @ inside) / scale)
-            blocks.append(inside)
+        moved = stacked(np.matmul, f.blocks, sub.column_bases)
+        blocks = stacked(lambda w, x: herm(w) @ x, sub.column_bases, moved)
+        residuals = residual_values(sub.column_bases, moved)
+        defect = max((float(v[0]) / scale for v in residuals if v.size), default=0.0)
         if defect > tol.angle_tol * 10:
             raise UnmetHypothesisError(
                 f"submodule is not invariant under the map (defect {defect:.3e})"

@@ -29,14 +29,15 @@ from .algebra import AlgebraElement, AlgebraShape
 from .errors import IdentityViolation, StructureError, UnmetHypothesisError
 from .subspace import (
     as_complex,
-    complement as _complement_raw,
     empty_basis,
-    intersect as _intersect_raw,
+    intersections,
+    null_spaces,
     op_norm,
     orthonormal_image,
+    orthonormal_images,
     principal_angles,
-    subspace_equal,
-    subspace_sum,
+    residual_values,
+    subspace_equals,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -259,12 +260,11 @@ class Submodule:
             raise StructureError("one column basis per block required")
         frozen = []
         for n, w in zip(self.shape.block_sizes, self.column_bases):
-            w = as_complex(w)
+            w = np.array(w, dtype=np.complex128, order="C")  # a private copy
             if w.shape[0] != self.m * n:
                 raise StructureError(
                     f"column basis rows {w.shape[0]} != {self.m}*{n}"
                 )
-            w = np.array(w)
             w.setflags(write=False)
             frozen.append(w)
         object.__setattr__(self, "column_bases", tuple(frozen))
@@ -348,54 +348,42 @@ class Submodule:
 
     def equals(self, other: "Submodule", tol: ToleranceConfig = DEFAULT_TOL) -> bool:
         self._check_ambient(other)
-        return all(
-            subspace_equal(a, b, tol)[0]
-            for a, b in zip(self.column_bases, other.column_bases)
-        )
+        pairs = subspace_equals(self.column_bases, other.column_bases, tol)
+        return all(ok for ok, _ in pairs)
 
     def equality_defect(self, other: "Submodule") -> float:
         """Worst sine between corresponding blocks (+inf on dimension mismatch)."""
         self._check_ambient(other)
-        worst = 0.0
-        for a, b in zip(self.column_bases, other.column_bases):
-            worst = max(worst, subspace_equal(a, b)[1])
-        return worst
+        pairs = subspace_equals(self.column_bases, other.column_bases)
+        return max((worst for _, worst in pairs), default=0.0)
 
     def contains(self, other: "Submodule", tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float]:
         self._check_ambient(other)
-        worst = 0.0
-        ok = True
-        for big, small in zip(self.column_bases, other.column_bases):
-            if small.shape[1] == 0:
-                continue
-            if big.shape[1] == 0:
-                return False, 1.0
-            resid = op_norm(small - big @ (big.conj().T @ small))
-            worst = max(worst, resid)
-            ok = ok and resid <= tol.angle_tol
-        return ok, worst
+        pairs = [(a, b) for a, b in zip(self.column_bases, other.column_bases) if b.shape[1]]
+        if any(big.shape[1] == 0 for big, _ in pairs):
+            return False, 1.0
+        values = residual_values([big for big, _ in pairs], [small for _, small in pairs])
+        resids = [float(v[0]) for v in values]
+        return all(r <= tol.angle_tol for r in resids), max(resids, default=0.0)
 
     def complement(self) -> "Submodule":
-        """Orthogonal complement (a submodule, since the action is *-closed)."""
-        bases = [
-            _complement_raw(w, self.m * n)
-            for n, w in zip(self.shape.block_sizes, self.column_bases)
-        ]
+        """Orthogonal complement (a submodule, since the action is *-closed):
+        per block the kernel of W^H, decided at unit scale."""
+        adjoints = [w.conj().T for w in self.column_bases]
+        bases = [basis for basis, _ in null_spaces(adjoints, scale=1.0)]
         return Submodule(self.shape, self.m, tuple(bases))
 
     def intersection(self, other: "Submodule", tol: ToleranceConfig = DEFAULT_TOL) -> tuple["Submodule", float]:
         """Intersection plus the worst cosine gap behind the decisions."""
         self._check_ambient(other)
-        bases, gap = [], np.inf
-        for a, b in zip(self.column_bases, other.column_bases):
-            w, g = _intersect_raw(a, b, tol)
-            bases.append(w)
-            gap = min(gap, g)
-        return Submodule(self.shape, self.m, tuple(bases)), float(gap)
+        pairs = intersections(self.column_bases, other.column_bases, tol)
+        gap = min(g for _, g in pairs)
+        return Submodule(self.shape, self.m, tuple(w for w, _ in pairs)), float(gap)
 
     def add(self, other: "Submodule", tol: ToleranceConfig = DEFAULT_TOL) -> "Submodule":
         self._check_ambient(other)
-        bases = [subspace_sum(a, b, tol)[0] for a, b in zip(self.column_bases, other.column_bases)]
+        spans = [np.hstack([a, b]) for a, b in zip(self.column_bases, other.column_bases)]
+        bases = [basis for basis, _ in orthonormal_images(spans, tol, scale=1.0)]
         return Submodule(self.shape, self.m, tuple(bases))
 
     def sample_talls(self, rng: np.random.Generator, count: int = 1) -> list[Array]:

@@ -4,10 +4,23 @@ Subspaces of C^d are represented by matrices with orthonormal columns
 (zero columns for the trivial subspace).  Every rank decision on
 singular values funnels through one function, :func:`_decide`: it sets
 the cutoff under the shared tolerance policy and records the margin by
-which the decision was made.  :func:`svd_data`, :func:`orthonormal_image`,
-:func:`null_space`, the chain maps of :func:`chain_exactness` (one full
+which the decision was made.  :func:`svd_data`, :func:`orthonormal_images`,
+:func:`null_spaces`, the chain maps of :func:`chains_exactness` (one full
 SVD each) and the per-block maps of :mod:`modop.linmap` (which merge
 their blocks' values first) all call it.
+
+Work on lists of matrices (one per algebra block, or one per arrow) is
+grouped: :func:`stacked` sorts the matrices by their full (rows, cols)
+shape and makes one stacked LAPACK or BLAS call per group, so the number
+of numpy calls grows with the number of distinct block shapes, not with
+the number of blocks.  Stacked output is bitwise equal to the
+per-matrix output, so grouping moves no digit.  Each grouped function
+has a single-matrix form.  :func:`orthonormal_image`, :func:`null_space`,
+:func:`svd_data` and :func:`intersect` share the per-matrix step of
+their grouped form but call numpy on the matrix directly: the flat
+calculus of :mod:`modop.banach` calls them one matrix at a time.
+:func:`subspace_equal`, :func:`chain_exactness` and
+:func:`min_modulus_restricted_raw` run the grouped form on one item.
 
 One wrinkle worth stating: rank cutoffs are relative to a *scale
 reference*.  For a matrix taken as primary input this is its own largest
@@ -21,6 +34,7 @@ are never formed: :class:`modop.linmap.PowerChain` steps at scale ||F||.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,22 +46,30 @@ Array = np.ndarray
 
 __all__ = [
     "SingularData",
+    "stacked",
     "svd_data",
+    "svd_datas",
     "op_norm",
     "orthonormal_image",
+    "orthonormal_images",
     "null_space",
+    "null_spaces",
     "complement",
     "projector",
     "principal_angles",
+    "residual_values",
     "subspace_equal",
+    "subspace_equals",
     "subspace_contains",
     "intersect",
+    "intersections",
     "subspace_sum",
     "min_modulus_restricted_raw",
     "ObliqueProjector",
     "oblique_projector",
     "NodeCheck",
     "chain_exactness",
+    "chains_exactness",
 ]
 
 
@@ -57,6 +79,44 @@ def as_complex(a) -> Array:
 
 def empty_basis(ambient: int) -> Array:
     return np.zeros((ambient, 0), dtype=np.complex128)
+
+
+def herm(a: Array) -> Array:
+    """Conjugate transpose of a matrix or of every matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def stacked(fn: Callable, *operands: Sequence[Array], **kwargs) -> list:
+    """``[fn(*mats, **kwargs) for mats in zip(*operands)]`` with one call of
+    ``fn`` per group of items whose matrices share their full shapes.
+
+    ``fn`` is a numpy routine that maps over leading stack axes
+    (``np.linalg.svd``, ``qr``, ``inv``, ``np.matmul`` or an expression of
+    them).  Each group of two or more is passed as 3-D stacks and the
+    results are sliced back into input order (tuple results, such as an
+    SVD, per item as tuples); stacked LAPACK and BLAS output is bitwise
+    equal to the per-matrix output.  A group of one, or one whose matrices
+    have a zero dimension, is computed matrix by matrix, as before
+    grouping: numpy's stacked SVD costs a few microseconds more per call
+    than the plain one, which a lone matrix would pay for nothing.
+    Groups are keyed by shape alone: the operands are complex128, as
+    everywhere in modop.
+    """
+    keys = [a.shape for a in operands[0]]
+    for op in operands[1:]:
+        keys = [k + a.shape for k, a in zip(keys, op)]
+    if len(set(keys)) == len(keys):  # every matrix alone in its group
+        return [fn(*mats, **kwargs) for mats in zip(*operands)]
+    groups: dict[tuple, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    out: list = [None] * len(keys)
+    for key, idx in groups.items():
+        if len(idx) > 1 and 0 not in key:
+            res = fn(*(np.array([op[i] for i in idx]) for op in operands), **kwargs)
+            for i, r in zip(idx, zip(*res) if isinstance(res, tuple) else res):
+                out[i] = r
+    return [fn(*mats, **kwargs) if r is None else r for r, mats in zip(out, zip(*operands))]
 
 
 @dataclass(frozen=True)
@@ -90,11 +150,11 @@ def _decide(
     The reference scale is ``max(smax, scale)`` and the cutoff is
     ``tol.rank_threshold(ref, dim_ctx)``; empty input has cutoff 0.0.
     """
-    vals = tuple(float(v) for v in values)
+    vals = tuple(values.tolist())
     smax = vals[0] if vals else 0.0
     ref = max(smax, scale if scale is not None else 0.0)
     threshold = tol.rank_threshold(ref, dim_ctx) if vals else 0.0
-    rank = int(np.sum(values > threshold))
+    rank = sum(1 for v in vals if v > threshold)
     gamma = vals[rank - 1] if rank > 0 else math.inf
     refm = max(ref, 1e-300)
     if not vals:
@@ -109,6 +169,35 @@ def _decide(
 
 
 _NO_VALUES = np.zeros(0)
+
+
+def _svds(mats: Sequence[Array], **kwargs) -> list:
+    """SVD of each matrix, grouped by shape; None for a matrix with a zero
+    dimension, which callers answer without LAPACK."""
+    live = [i for i, a in enumerate(mats) if a.size]
+    out: list = [None] * len(mats)
+    for i, res in zip(live, stacked(np.linalg.svd, [mats[i] for i in live], **kwargs)):
+        out[i] = res
+    return out
+
+
+def svd_datas(
+    mats: Sequence[Array],
+    tol: ToleranceConfig = DEFAULT_TOL,
+    *,
+    dim_ctx: int | None = None,
+    scale: float | None = None,
+) -> list[SingularData]:
+    """:func:`svd_data` of each matrix, one stacked SVD per shape group."""
+    return [
+        _decide(
+            _NO_VALUES if s is None else s,
+            tol,
+            dim_ctx if dim_ctx is not None else max(a.shape),
+            scale,
+        )
+        for a, s in zip(mats, _svds(mats, compute_uv=False))
+    ]
 
 
 def svd_data(
@@ -136,6 +225,28 @@ def op_norm(a: Array) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
+def _image(a: Array, res, tol: ToleranceConfig, dim_ctx: int | None, scale: float | None):
+    """Column-span basis and rank decision of ``a`` from its reduced SVD
+    ``res`` (None when ``a`` is empty)."""
+    if res is None:
+        return empty_basis(a.shape[0]), _decide(_NO_VALUES, tol, 0, scale)
+    u, s, _ = res
+    data = _decide(s, tol, dim_ctx if dim_ctx is not None else max(a.shape), scale)
+    return np.ascontiguousarray(u[:, : data.rank]), data
+
+
+def orthonormal_images(
+    mats: Sequence[Array],
+    tol: ToleranceConfig = DEFAULT_TOL,
+    *,
+    dim_ctx: int | None = None,
+    scale: float | None = None,
+) -> list[tuple[Array, SingularData]]:
+    """:func:`orthonormal_image` of each matrix, one stacked SVD per shape group."""
+    svds = _svds(mats, full_matrices=False)
+    return [_image(a, res, tol, dim_ctx, scale) for a, res in zip(mats, svds)]
+
+
 def orthonormal_image(
     a: Array,
     tol: ToleranceConfig = DEFAULT_TOL,
@@ -145,11 +256,29 @@ def orthonormal_image(
 ) -> tuple[Array, SingularData]:
     """Orthonormal basis of the column span, with the rank decision."""
     a = as_complex(a)
-    if a.size == 0:
-        return empty_basis(a.shape[0]), _decide(_NO_VALUES, tol, 0, scale)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    res = np.linalg.svd(a, full_matrices=False) if a.size else None
+    return _image(a, res, tol, dim_ctx, scale)
+
+
+def _kernel(a: Array, res, tol: ToleranceConfig, dim_ctx: int | None, scale: float | None):
+    """Kernel basis and rank decision of ``a`` from its full SVD ``res``
+    (None when ``a`` is empty)."""
+    if res is None:
+        return np.eye(a.shape[1], dtype=np.complex128), _decide(_NO_VALUES, tol, 0, scale)
+    _, s, vh = res
     data = _decide(s, tol, dim_ctx if dim_ctx is not None else max(a.shape), scale)
-    return np.ascontiguousarray(u[:, : data.rank]), data
+    return np.ascontiguousarray(vh[data.rank :].conj().T), data
+
+
+def null_spaces(
+    mats: Sequence[Array],
+    tol: ToleranceConfig = DEFAULT_TOL,
+    *,
+    dim_ctx: int | None = None,
+    scale: float | None = None,
+) -> list[tuple[Array, SingularData]]:
+    """:func:`null_space` of each matrix, one stacked SVD per shape group."""
+    return [_kernel(a, res, tol, dim_ctx, scale) for a, res in zip(mats, _svds(mats))]
 
 
 def null_space(
@@ -161,14 +290,7 @@ def null_space(
 ) -> tuple[Array, SingularData]:
     """Orthonormal basis of the (right) kernel, with the rank decision."""
     a = as_complex(a)
-    n = a.shape[1]
-    if n == 0:
-        return empty_basis(0), _decide(_NO_VALUES, tol, 0, scale)
-    if a.shape[0] == 0:
-        return np.eye(n, dtype=np.complex128), _decide(_NO_VALUES, tol, 0, scale)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    data = _decide(s, tol, dim_ctx if dim_ctx is not None else max(a.shape), scale)
-    return np.ascontiguousarray(vh[data.rank :].conj().T), data
+    return _kernel(a, np.linalg.svd(a) if a.size else None, tol, dim_ctx, scale)
 
 
 def complement(q: Array, ambient: int | None = None, tol: ToleranceConfig = DEFAULT_TOL) -> Array:
@@ -196,22 +318,45 @@ def principal_angles(q1: Array, q2: Array) -> Array:
     return np.arccos(np.clip(s, 0.0, 1.0))
 
 
-def subspace_equal(q1: Array, q2: Array, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float]:
-    """Equality as subspaces: same dimension and worst sine below tol.
+def _residual_values(q: Array, x: Array) -> Array:
+    return np.linalg.svd(x - q @ (herm(q) @ x), compute_uv=False)
+
+
+def residual_values(qs: Sequence[Array], xs: Sequence[Array]) -> list[Array]:
+    """Singular values of x - q q^H x, the part of span(x) outside span(q),
+    for each pair: one stacked SVD per shape group."""
+    return stacked(_residual_values, qs, xs)
+
+
+def subspace_equals(
+    q1s: Sequence[Array], q2s: Sequence[Array], tol: ToleranceConfig = DEFAULT_TOL
+) -> list[tuple[bool, float]]:
+    """Equality as subspaces, pair by pair: same dimension and worst sine
+    below tol.
 
     Measured via projection defects in both directions rather than
     arccos of principal cosines; near zero angle the cosine is
     quadratically insensitive and would report sqrt(eps) noise.
     """
-    if q1.shape[1] != q2.shape[1]:
-        return False, math.inf
-    if q1.shape[1] == 0:
-        return True, 0.0
-    q1, q2 = as_complex(q1), as_complex(q2)
-    d12 = op_norm(q1 - q2 @ (q2.conj().T @ q1))
-    d21 = op_norm(q2 - q1 @ (q1.conj().T @ q2))
-    worst = max(d12, d21)
-    return worst <= tol.angle_tol, worst
+    live = [i for i, (a, b) in enumerate(zip(q1s, q2s)) if a.shape[1] == b.shape[1] > 0]
+    a, b = [q1s[i] for i in live], [q2s[i] for i in live]
+    d12 = iter(residual_values(b, a))
+    d21 = iter(residual_values(a, b))
+    out = []
+    for q1, q2 in zip(q1s, q2s):
+        if q1.shape[1] != q2.shape[1]:
+            out.append((False, math.inf))
+        elif q1.shape[1] == 0:
+            out.append((True, 0.0))
+        else:
+            worst = max(float(next(d12)[0]), float(next(d21)[0]))
+            out.append((worst <= tol.angle_tol, worst))
+    return out
+
+
+def subspace_equal(q1: Array, q2: Array, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float]:
+    """Equality as subspaces (see :func:`subspace_equals`)."""
+    return subspace_equals([as_complex(q1)], [as_complex(q2)], tol)[0]
 
 
 def subspace_contains(
@@ -227,44 +372,69 @@ def subspace_contains(
     return resid <= tol.angle_tol, resid
 
 
+def _difference_svd(q1: Array, q2: Array):
+    return np.linalg.svd(np.concatenate([q1, -q2], axis=-1), full_matrices=True)
+
+
+def _meet(q1: Array, res, cut: float) -> tuple[Array | None, float]:
+    """Intersection of span(q1) and span(q2) from the full SVD ``res`` of
+    [q1, -q2]: a basis with columns of norm ~ 1/sqrt(2) (None when the
+    intersection is trivial) and the angle gap behind the decision.
+
+    A null vector (a; b) means q1 a = q2 b, and the singular value equals
+    2 sin(theta/2) of the corresponding principal angle — a *linearly*
+    accurate angle measure, unlike principal cosines which flatten out
+    quadratically near zero.  Values at or below ``cut`` count as shared.
+    """
+    _, s, vh = res
+    # descending values, padded with the zeros of a wide stack
+    svals = s.tolist() + [0.0] * (vh.shape[0] - s.size)
+    n = len(svals)
+    k = sum(1 for v in svals if v <= cut)
+    if k == 0:
+        return None, svals[-1] - cut
+    gap = svals[n - k - 1] - svals[n - k] if k < n else math.inf
+    return q1 @ vh[n - k :].conj().T[: q1.shape[1]], gap
+
+
+def intersections(
+    q1s: Sequence[Array], q2s: Sequence[Array], tol: ToleranceConfig = DEFAULT_TOL
+) -> list[tuple[Array, float]]:
+    """:func:`intersect` of each pair, one stacked SVD and one stacked QR
+    per shape group."""
+    cut = 2.0 * math.sin(0.5 * tol.coincide_tol)
+    out = [(empty_basis(q.shape[0]), math.inf) for q in q1s]
+    live = [i for i, (a, b) in enumerate(zip(q1s, q2s)) if a.shape[1] and b.shape[1]]
+    svds = stacked(_difference_svd, [q1s[i] for i in live], [q2s[i] for i in live])
+    raws = {}
+    for i, res in zip(live, svds):
+        raw, gap = _meet(q1s[i], res, cut)
+        out[i] = (out[i][0], gap)
+        if raw is not None:
+            raws[i] = raw
+    # Re-orthonormalise the shared directions via QR.
+    for (i, raw), (qq, _) in zip(raws.items(), stacked(np.linalg.qr, list(raws.values()))):
+        out[i] = (np.ascontiguousarray(qq[:, : raw.shape[1]]), out[i][1])
+    return out
+
+
 def intersect(
     q1: Array, q2: Array, tol: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[Array, float]:
     """Orthonormal basis of the intersection of two spanned subspaces.
 
-    Computed from the small singular values of ``[q1, -q2]``: a null
-    vector (a; b) means q1 a = q2 b, and the singular value equals
-    2 sin(theta/2) of the corresponding principal angle — a *linearly*
-    accurate angle measure, unlike principal cosines which flatten out
-    quadratically near zero.  Directions below ``tol.coincide_tol``
-    (radians) count as shared.  Returns the basis and the angle gap
-    separating kept from dropped directions (+inf when unambiguous).
+    Computed from the small singular values of ``[q1, -q2]`` (see
+    :func:`_meet`); directions below ``tol.coincide_tol`` (radians) count
+    as shared.  Returns the basis and the angle gap separating kept from
+    dropped directions (+inf when unambiguous).
     """
     q1, q2 = as_complex(q1), as_complex(q2)
-    amb = q1.shape[0]
     if q1.shape[1] == 0 or q2.shape[1] == 0:
-        return empty_basis(amb), math.inf
-    stacked = np.hstack([q1, -q2])
-    _, s, vh = np.linalg.svd(stacked, full_matrices=True)
-    svals = np.zeros(stacked.shape[1])
-    svals[: s.size] = s
-    cut = 2.0 * math.sin(0.5 * tol.coincide_tol)
-    keep = svals <= cut  # ascending tail of the spectrum
-    k = int(np.sum(keep))
-    if k == 0:
-        gap = float(np.min(svals) - cut) if svals.size else math.inf
-    elif k == len(svals):
-        gap = math.inf
-    else:
-        dropped = np.sort(svals[~keep])
-        kept = np.sort(svals[keep])
-        gap = float(dropped[0] - kept[-1])
-    if k == 0:
-        return empty_basis(amb), gap
-    coeff_a = vh[svals <= cut].conj().T[: q1.shape[1]]
-    raw = q1 @ coeff_a
-    # Columns have norm ~ 1/sqrt(2); re-orthonormalise via QR.
-    qq, rr = np.linalg.qr(raw)
+        return empty_basis(q1.shape[0]), math.inf
+    raw, gap = _meet(q1, _difference_svd(q1, q2), 2.0 * math.sin(0.5 * tol.coincide_tol))
+    if raw is None:
+        return empty_basis(q1.shape[0]), gap
+    qq, _ = np.linalg.qr(raw)
     return np.ascontiguousarray(qq[:, : raw.shape[1]]), gap
 
 
@@ -282,9 +452,7 @@ def min_modulus_restricted_raw(q_m: Array, q_n: Array) -> float:
     q_m, q_n = as_complex(q_m), as_complex(q_n)
     if q_n.shape[1] == 0:
         return math.inf
-    resid = q_n - q_m @ (q_m.conj().T @ q_n) if q_m.shape[1] else q_n
-    s = np.linalg.svd(resid, compute_uv=False)
-    return float(s[-1])
+    return float(residual_values([q_m], [q_n])[0][-1])
 
 
 @dataclass(frozen=True)
@@ -326,17 +494,6 @@ def oblique_projector(
     return ObliqueProjector(e, onto.shape[1], along.shape[1], float(cond), op_norm(e))
 
 
-def _arrow(a: Array, tol: ToleranceConfig) -> tuple[SingularData, Array, Array]:
-    """Rank decision at unit scale, image basis and kernel basis of a chain map."""
-    a = as_complex(a)
-    if a.size == 0:
-        data = _decide(_NO_VALUES, tol, 0, 1.0)
-        return data, empty_basis(a.shape[0]), np.eye(a.shape[1], dtype=np.complex128)
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    data = _decide(s, tol, max(a.shape), 1.0)
-    return data, u[:, : data.rank], vh[data.rank :].conj().T
-
-
 @dataclass(frozen=True)
 class NodeCheck:
     """Exactness bookkeeping at one interior node of a finite chain."""
@@ -356,49 +513,81 @@ class NodeCheck:
         return max(self.composition_residual, self.angle_gap)
 
 
+def _product_values(a: Array, b: Array) -> Array:
+    return np.linalg.svd(a @ b, compute_uv=False)
+
+
+def chains_exactness(
+    chains: Sequence[tuple[Sequence[int], Sequence[Array]]],
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> list[tuple[list[NodeCheck], float, float]]:
+    """Check exactness of chains 0 -> V_0 -> ... -> V_k -> 0 given coordinate maps.
+
+    ``chains`` holds (dims, maps) pairs; ``maps[i]`` is the matrix of
+    V_i -> V_{i+1} in orthonormal bases of the node spaces.  Returns per
+    chain the records of its interior nodes plus the injectivity residual
+    of the first map and the surjectivity residual of the last (as
+    sin-style defects; 0 means clean).  Each map is decomposed once: one
+    full SVD gives its rank (at unit scale), image, kernel and norm.  The
+    SVDs, node compositions and node comparisons of all chains are
+    grouped by shape.
+    """
+    assert all(len(maps) == len(dims) - 1 for dims, maps in chains)
+    flat = [a for _, maps in chains for a in maps]
+    datas, images, kernels = [], [], []
+    for a, res in zip(flat, _svds(flat)):
+        if res is None:
+            datas.append(_decide(_NO_VALUES, tol, 0, 1.0))
+            images.append(empty_basis(a.shape[0]))
+            kernels.append(np.eye(a.shape[1], dtype=np.complex128))
+            continue
+        u, s, vh = res
+        datas.append(_decide(s, tol, max(a.shape), 1.0))
+        images.append(u[:, : datas[-1].rank])
+        kernels.append(vh[datas[-1].rank :].conj().T)
+    # interior nodes, by the index in ``flat`` of their incoming map
+    nodes, first = [], 0
+    for _, maps in chains:
+        nodes.extend(range(first, first + len(maps) - 1))
+        first += len(maps)
+    # Residual of the outgoing map on the *orthonormalised* image.  Maps are
+    # expected in unit scale (orthonormal node bases, normalised operators),
+    # so divide by max(1, |out|): a structurally-zero factor on either side
+    # then cannot amplify roundoff into a fake defect.
+    composed = [i for i in nodes if images[i].shape[1] and flat[i + 1].size]
+    norms = stacked(_product_values, [flat[i + 1] for i in composed], [images[i] for i in composed])
+    comps = dict.fromkeys(nodes, 0.0)
+    for i, vals in zip(composed, norms):
+        comps[i] = float(vals[0]) / max(datas[i + 1].smax, 1.0)
+    gaps = {i: 0.0 if images[i].shape[1] == kernels[i + 1].shape[1] else 1.0 for i in nodes}
+    compared = [i for i in nodes if images[i].shape[1] == kernels[i + 1].shape[1] > 0]
+    equal = subspace_equals([images[i] for i in compared], [kernels[i + 1] for i in compared], tol)
+    for i, (_, gap) in zip(compared, equal):
+        gaps[i] = gap
+    out, first = [], 0
+    for dims, maps in chains:
+        checks = [
+            NodeCheck(
+                dim=dims[i - first + 1],
+                incoming_rank=datas[i].rank,
+                outgoing_kernel_dim=kernels[i + 1].shape[1],
+                composition_residual=float(comps[i]),
+                angle_gap=float(gaps[i]),
+            )
+            for i in range(first, first + len(maps) - 1)
+        ]
+        last = first + len(maps) - 1
+        inj = 0.0 if datas[first].rank == dims[0] else 1.0
+        surj = 0.0 if datas[last].rank == dims[-1] else 1.0
+        out.append((checks, inj, surj))
+        first += len(maps)
+    return out
+
+
 def chain_exactness(
     dims: list[int],
     maps: list[Array],
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> tuple[list[NodeCheck], float, float]:
-    """Check exactness of 0 -> V_0 -> ... -> V_k -> 0 given coordinate maps.
-
-    ``maps[i]`` is the matrix of V_i -> V_{i+1} in orthonormal bases of
-    the node spaces.  Returns per-node records for the interior nodes
-    plus the injectivity residual of the first map and the surjectivity
-    residual of the last (as sin-style defects; 0 means clean).  Each map
-    is decomposed once: one full SVD gives its rank, image, kernel and norm.
-    """
-    assert len(maps) == len(dims) - 1
-    arrows = [_arrow(a, tol) for a in maps]
-    inj_defect = 0.0 if arrows[0][0].rank == dims[0] else 1.0
-    surj_defect = 0.0 if arrows[-1][0].rank == dims[-1] else 1.0
-    nodes: list[NodeCheck] = []
-    for i in range(1, len(dims) - 1):
-        out = maps[i]
-        im_data, im_basis, _ = arrows[i - 1]
-        out_data, _, ker_basis = arrows[i]
-        # Residual of out on the *orthonormalised* image.  Maps are expected
-        # in unit scale (orthonormal node bases, normalised operators), so
-        # divide by max(1, |out|): a structurally-zero factor on either side
-        # then cannot amplify roundoff into a fake defect.
-        if im_basis.shape[1] and out.size:
-            comp = op_norm(out @ im_basis) / max(out_data.smax, 1.0)
-        else:
-            comp = 0.0
-        if im_basis.shape[1] == 0 and ker_basis.shape[1] == 0:
-            gap = 0.0
-        elif im_basis.shape[1] != ker_basis.shape[1]:
-            gap = 1.0
-        else:
-            _, gap = subspace_equal(im_basis, ker_basis, tol)
-        nodes.append(
-            NodeCheck(
-                dim=dims[i],
-                incoming_rank=im_data.rank,
-                outgoing_kernel_dim=ker_basis.shape[1],
-                composition_residual=float(comp),
-                angle_gap=float(gap),
-            )
-        )
-    return nodes, inj_defect, surj_defect
+    """Exactness of one chain (see :func:`chains_exactness`)."""
+    return chains_exactness([(dims, [as_complex(a) for a in maps])], tol)[0]

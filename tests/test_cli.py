@@ -136,6 +136,17 @@ def test_geometry_accepts_submodule_files(tmp_path, rng, capsys):
     assert payload["left"]["dim"] == 2 and payload["right"]["dim"] == 4
 
 
+def test_geometry_operands_from_different_modules_are_usage_error(tmp_path, rng, capsys):
+    shape = AlgebraShape((2, 3))
+    left = write_operator(tmp_path, "left.json", random_map(shape, 2, 3, rng))  # image in A^3
+    right = write_operator(tmp_path, "right.json", random_endomorphism(shape, 2, rng))
+    assert main(["geometry", left, right, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: operands live in different modules")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_banach_subcommand_with_perturbation(tmp_path, rng, capsys):
     shape = AlgebraShape((2,))
     t = random_map(shape, 2, 2, rng, rank_deficit=1)
@@ -272,6 +283,7 @@ def test_invalid_tolerance_is_usage_error(value, capsys):
         ["verify", "exact-sequence", "--n", "-1"],
         ["probe", "multiplier", "--sizes", "0"],
         ["probe", "multiplier", "--sizes", "4,x"],
+        ["probe", "nonclosed-square", "--sizes", "1"],
     ],
     ids=" ".join,
 )
