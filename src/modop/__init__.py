@@ -55,7 +55,6 @@ from .fredholm import (
     b_fredholm_report,
     exact_sequence,
     fredholm_report,
-    generalized_weyl_check,
     product_chain,
     weyl_defect_witness,
     weyl_perturbation_chain,
@@ -68,18 +67,7 @@ from .geometry import (
     min_modulus_restricted,
 )
 from .linmap import AdjointableMap, RestrictedEndomorphism
-from .modules import (
-    DecompositionWitness,
-    K0Class,
-    ModuleVector,
-    Submodule,
-    inner_product,
-    module_norm,
-    nested_decomposition_witness,
-    orth_complement,
-    submodule_span,
-    sum_and_intersection,
-)
+from .modules import K0Class, ModuleVector, Submodule, inner_product
 from .probes import (
     FamilyDiagnostic,
     family_table,

@@ -24,7 +24,6 @@ residual checks silently degrade.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,15 +31,14 @@ import numpy as np
 from .errors import IdentityViolation, StructureError, UnmetHypothesisError
 from .subspace import (
     as_complex,
-    chain_exactness,
+    chains_exactness,
     complement,
-    empty_basis,
-    intersect,
-    null_space,
+    intersections,
+    null_spaces,
     oblique_projector,
     op_norm,
-    orthonormal_image,
-    svd_data,
+    orthonormal_images,
+    svd_datas,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -87,12 +85,13 @@ def oblique_decomposition(
     onto, along = as_complex(onto), as_complex(along)
     proj = oblique_projector(onto, along, tol)
     e = proj.matrix
-    resid = op_norm(e @ e - e) / max(op_norm(e), 1e-300)
+    resid = op_norm(e @ e - e) / max(proj.norm, 1e-300)
+    (image, _), (kernel, _) = orthonormal_images([onto, along], tol, scale=1.0)
     return ObliqueDecomposition(
         ambient=e.shape[0],
         idempotent=e,
-        image_basis=orthonormal_image(onto, tol, scale=1.0)[0] if onto.shape[1] else onto,
-        kernel_basis=orthonormal_image(along, tol, scale=1.0)[0] if along.shape[1] else along,
+        image_basis=image,
+        kernel_basis=kernel,
         norm=proj.norm,
         cond=proj.cond,
         idempotency_residual=float(resid),
@@ -163,8 +162,8 @@ def make_regular(
     """
     t = as_complex(t)
     scale = max(op_norm(t), 1e-300)
-    kernel, _ = null_space(t, tol, scale=scale)
-    image, img_data = orthonormal_image(t, tol, scale=scale)
+    kernel, _ = null_spaces([t], tol, scale=scale)[0]
+    image, img_data = orthonormal_images([t], tol, scale=scale)[0]
     ker_complement = as_complex(ker_complement)
     im_complement = as_complex(im_complement)
 
@@ -191,8 +190,8 @@ def make_regular(
     r1 = op_norm(t @ tprime @ t - t) / scale
     nprime = max(op_norm(tprime), 1e-300)
     r2 = op_norm(tprime @ t @ tprime - tprime) / nprime
-    r3 = op_norm(t @ tprime - e_y) / max(op_norm(e_y), 1.0)
-    r4 = op_norm(tprime @ t - ker_dec.idempotent) / max(op_norm(ker_dec.idempotent), 1.0)
+    r3 = op_norm(t @ tprime - e_y) / max(im_dec.norm, 1.0)
+    r4 = op_norm(tprime @ t - ker_dec.idempotent) / max(ker_dec.norm, 1.0)
     return RegularOperator(
         t=t,
         tprime=tprime,
@@ -218,9 +217,9 @@ def make_regular_orthogonal(t: Array, tol: ToleranceConfig = DEFAULT_TOL) -> Reg
     """
     t = as_complex(t)
     scale = max(op_norm(t), 1e-300)
-    kernel, _ = null_space(t, tol, scale=scale)
-    image, _ = orthonormal_image(t, tol, scale=scale)
-    return make_regular(t, complement(kernel, t.shape[1]), complement(image, t.shape[0]), tol)
+    kernel, _ = null_spaces([t], tol, scale=scale)[0]
+    image, _ = orthonormal_images([t], tol, scale=scale)[0]
+    return make_regular(t, complement(kernel), complement(image), tol)
 
 
 @dataclass(frozen=True)
@@ -298,50 +297,37 @@ def banach_perturbation(
     tf = t + f
     scale_sum = max(nt + nf, 1e-300)
 
-    rank_f = svd_data(f, tol, scale=max(nf, 1e-300)).rank
-    ker_f, _ = null_space(f, tol, scale=max(nf, 1e-300))
+    rank_f = svd_datas([f], tol, scale=max(nf, 1e-300))[0].rank
+    ker_f, _ = null_spaces([f], tol, scale=max(nf, 1e-300))[0]
 
-    w, _ = orthonormal_image(t @ ker_f, tol, scale=max(nt, 1e-300)) if ker_f.shape[1] else (
-        empty_basis(t.shape[0]),
-        None,
-    )
-    q_proj = np.eye(t.shape[0], dtype=complex) - (w @ w.conj().T if w.shape[1] else 0.0)
-    p_proj = ker_f @ ker_f.conj().T if ker_f.shape[1] else np.zeros((t.shape[1], t.shape[1]), complex)
-    p_proj = np.eye(t.shape[1], dtype=complex) - p_proj
+    w, _ = orthonormal_images([t @ ker_f], tol, scale=max(nt, 1e-300))[0]
+    q_proj = np.eye(t.shape[0], dtype=complex) - w @ w.conj().T
+    p_proj = np.eye(t.shape[1], dtype=complex) - ker_f @ ker_f.conj().T
 
-    im_t = reg.image_basis
-    im_tf, _ = orthonormal_image(tf, tol, scale=scale_sum)
-    n_space, _ = orthonormal_image(q_proj @ im_t, tol, scale=1.0) if im_t.shape[1] else (
-        empty_basis(t.shape[0]), None)
-    n_prime, _ = orthonormal_image(q_proj @ im_tf, tol, scale=1.0) if im_tf.shape[1] else (
-        empty_basis(t.shape[0]), None)
-
-    ker_t = reg.kernel_basis
-    ker_tf, _ = null_space(tf, tol, scale=scale_sum)
-    common, _ = intersect(ker_t, ker_f, tol)
-    common2, _ = intersect(ker_tf, ker_f, tol)
+    im_t, ker_t = reg.image_basis, reg.kernel_basis
+    im_tf, _ = orthonormal_images([tf], tol, scale=scale_sum)[0]
+    ker_tf, _ = null_spaces([tf], tol, scale=scale_sum)[0]
+    (common, _), (common2, _) = intersections([ker_t, ker_tf], [ker_f, ker_f], tol)
     if common.shape[1] != common2.shape[1]:
         raise IdentityViolation(
             "ker(T+F) ∩ ker F and ker T ∩ ker F have different dimensions "
             f"({common2.shape[1]} vs {common.shape[1]})"
         )
-    m_space, _ = orthonormal_image(p_proj @ ker_t, tol, scale=1.0) if ker_t.shape[1] else (
-        empty_basis(t.shape[1]), None)
-    m_prime, _ = orthonormal_image(p_proj @ ker_tf, tol, scale=1.0) if ker_tf.shape[1] else (
-        empty_basis(t.shape[1]), None)
+    projected = [q_proj @ im_t, q_proj @ im_tf, p_proj @ ker_t, p_proj @ ker_tf]
+    (n_space, _), (n_prime, _), (m_space, _), (m_prime, _) = orthonormal_images(
+        projected, tol, scale=1.0
+    )
 
     # Y = W (+) N' (+) V: V completes Im(T+F) = W (+) N'.
-    w_plus_np, _ = orthonormal_image(np.hstack([w, n_prime]), tol, scale=1.0) if (
-        w.shape[1] + n_prime.shape[1]
-    ) else (empty_basis(t.shape[0]), None)
+    w_plus_np, _ = orthonormal_images([np.hstack([w, n_prime])], tol, scale=1.0)[0]
     if w_plus_np.shape[1] != im_tf.shape[1]:
         raise IdentityViolation(
             f"Im(T+F) should split as T(ker F) (+) N' "
             f"({w.shape[1]} + {n_prime.shape[1]} vs rank {im_tf.shape[1]})"
         )
-    v_basis = complement(w_plus_np, t.shape[0])
+    v_basis = complement(w_plus_np)
 
-    perturbed = make_regular(tf, complement(ker_tf, t.shape[1]), v_basis, tol)
+    perturbed = make_regular(tf, complement(ker_tf), v_basis, tol)
 
     wit = defect_witness(reg)
     lhs = ker_tf.shape[1] + m_space.shape[1] + n_space.shape[1] + wit.z1
@@ -432,7 +418,7 @@ def banach_product(
     r_aba = op_norm(s @ tu @ a_on_tx - a_on_tx) / scale_s
     ntu = max(op_norm(tu), 1e-300)
     r_bab = op_norm(tu @ s @ tu - tu) / ntu
-    meet, _ = intersect(s_reg.kernel_basis, q_tx, tol)
+    meet, _ = intersections([s_reg.kernel_basis], [q_tx], tol)[0]
 
     gw_t = generalized_weyl_banach(t_reg)
     gw_s = generalized_weyl_banach(s_reg)
@@ -444,18 +430,16 @@ def banach_product(
 
     # Six-space sequence through the oblique quotient realisations.
     scale_t = max(op_norm(t), 1e-300)
-    ker_st = st_reg.kernel_basis
+    (t_quotient, _), (s_quotient, _) = orthonormal_images(
+        [t_reg.im_complement, s_reg.im_complement], tol, scale=1.0
+    )
     spaces = (
         t_reg.kernel_basis,
-        ker_st,
+        st_reg.kernel_basis,
         s_reg.kernel_basis,
-        orthonormal_image(t_reg.im_complement, tol, scale=1.0)[0]
-        if t_reg.im_complement.shape[1]
-        else t_reg.im_complement,
+        t_quotient,
         st_reg.im_complement,
-        orthonormal_image(s_reg.im_complement, tol, scale=1.0)[0]
-        if s_reg.im_complement.shape[1]
-        else s_reg.im_complement,
+        s_quotient,
     )
     g_t = np.eye(t.shape[0], dtype=complex) - t_reg.im_decomposition.idempotent
     g_st = np.eye(s.shape[0], dtype=complex) - st_reg.im_decomposition.idempotent
@@ -468,7 +452,7 @@ def banach_product(
         spaces[5].conj().T @ (g_s @ spaces[4]),
     )
     dims = tuple(b.shape[1] for b in spaces)
-    nodes, inj, surj = chain_exactness(list(dims), list(maps), tol)
+    nodes, inj, surj = chains_exactness([(dims, maps)], tol)[0]
     alt = dims[0] - dims[1] + dims[2] - dims[3] + dims[4] - dims[5]
     if alt != 0:
         raise IdentityViolation(f"alternating dimension sum is {alt}, not 0")

@@ -37,7 +37,6 @@ __all__ = [
     "BFredholmReport",
     "BFredholmCommutingReport",
     "fredholm_report",
-    "generalized_weyl_check",
     "weyl_defect_witness",
     "exact_sequence",
     "weyl_perturbation_chain",
@@ -107,12 +106,6 @@ def fredholm_report(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> Fr
         is_generalized_weyl=ker.k0().entries == coker.k0().entries,
         margin=margin,
     )
-
-
-def generalized_weyl_check(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float]:
-    """Whether kernel and cokernel classes match, plus the decision margin."""
-    rep = fredholm_report(f, tol)
-    return rep.is_generalized_weyl, rep.margin
 
 
 @dataclass(frozen=True)
@@ -303,7 +296,7 @@ def weyl_perturbation_chain(
     ker_f = f.kernel(tol, scale=nf)
     perturb_class = K0Class.free(f.shape, f.m) - ker_f.k0()  # class of Im F
 
-    w = t.apply_to_submodule(ker_f, tol)  # T(ker F)
+    w = t.image_step(ker_f, tol)[0]  # T(ker F)
     im_t = t.image(tol, scale=nt)
     im_tf = tf.image(tol, scale=scale_sum)
 

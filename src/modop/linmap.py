@@ -53,8 +53,6 @@ __all__ = [
     "AdjointableMap",
     "PowerChain",
     "RestrictedEndomorphism",
-    "orthogonal_projection",
-    "penrose_residuals",
     "commutator_residual",
     "require_finite",
 ]
@@ -165,11 +163,6 @@ class AdjointableMap(BlockwiseMap):
         return cls(shape, m, n, tuple(blocks))
 
     @classmethod
-    def from_element(cls, a: AlgebraElement) -> "AdjointableMap":
-        """Left multiplication by a single element, as a map A^1 -> A^1."""
-        return cls.from_entries([[a]])
-
-    @classmethod
     def from_matrix(cls, mat: Array) -> "AdjointableMap":
         """A plain finite complex matrix as a map over the trivial one-block algebra."""
         mat = as_complex(mat)
@@ -267,12 +260,6 @@ class AdjointableMap(BlockwiseMap):
             raise StructureError("vector not in the domain module")
         talls = [c @ x.tall(b) for b, c in enumerate(self.blocks)]
         return ModuleVector.from_talls(self.shape, self.n, talls)
-
-    def apply_to_submodule(
-        self, sub: Submodule, tol: ToleranceConfig = DEFAULT_TOL
-    ) -> Submodule:
-        """Image of a submodule (computed exactly per block on column bases)."""
-        return self.image_step(sub, tol)[0]
 
     def image_step(
         self, sub: Submodule, tol: ToleranceConfig = DEFAULT_TOL
@@ -487,29 +474,7 @@ class RestrictedEndomorphism(BlockwiseMap):
 
 
 # ---------------------------------------------------------------------------
-# projections, Penrose residuals, commutation
-
-
-def orthogonal_projection(sub: Submodule) -> AdjointableMap:
-    """Orthogonal projection onto a submodule, as an adjointable map."""
-    blocks = tuple(w @ w.conj().T for w in sub.column_bases)
-    return AdjointableMap(sub.shape, sub.m, sub.m, blocks)
-
-
-def penrose_residuals(f: AdjointableMap, x: AdjointableMap) -> dict[str, float]:
-    """Relative residuals of the four Moore-Penrose equations."""
-    fn = max(f.norm(), 1e-300)
-    xn = max(x.norm(), 1e-300)
-    fxf = f @ x @ f
-    xfx = x @ f @ x
-    fx = f @ x
-    xf = x @ f
-    return {
-        "fxf": (fxf - f).norm() / fn,
-        "xfx": (xfx - x).norm() / xn,
-        "fx_selfadjoint": (fx - fx.adjoint()).norm() / max(fx.norm(), 1e-300),
-        "xf_selfadjoint": (xf - xf.adjoint()).norm() / max(xf.norm(), 1e-300),
-    }
+# commutation
 
 
 def commutator_residual(

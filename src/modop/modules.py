@@ -26,16 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape
-from .errors import IdentityViolation, StructureError, UnmetHypothesisError
+from .errors import StructureError
 from .subspace import (
     as_complex,
     empty_basis,
     intersections,
     null_spaces,
-    op_norm,
-    orthonormal_image,
     orthonormal_images,
-    principal_angles,
     residual_values,
     subspace_equals,
 )
@@ -48,12 +45,6 @@ __all__ = [
     "ModuleVector",
     "Submodule",
     "inner_product",
-    "module_norm",
-    "submodule_span",
-    "orth_complement",
-    "sum_and_intersection",
-    "DecompositionWitness",
-    "nested_decomposition_witness",
     "flat_dim",
     "block_layout",
 ]
@@ -233,10 +224,6 @@ def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
     return AlgebraElement(x.shape, tuple(blocks))
 
 
-def module_norm(x: ModuleVector) -> float:
-    return x.norm()
-
-
 # ---------------------------------------------------------------------------
 # submodules
 
@@ -291,12 +278,9 @@ class Submodule:
         flat_matrix = as_complex(flat_matrix)
         if flat_matrix.shape[0] != flat_dim(shape, m):
             raise StructureError("flat matrix row count mismatch")
-        q, _ = orthonormal_image(flat_matrix, tol, scale=1.0)
-        bases = []
-        for tall, n in zip(_tall_from_flat(shape, m, q), shape.block_sizes):
-            w, _ = orthonormal_image(tall, tol, scale=1.0)
-            bases.append(w)
-        return cls(shape, m, tuple(bases))
+        q, _ = orthonormal_images([flat_matrix], tol, scale=1.0)[0]
+        talls = _tall_from_flat(shape, m, q)
+        return cls(shape, m, tuple(w for w, _ in orthonormal_images(talls, tol, scale=1.0)))
 
     @classmethod
     def span_vectors(
@@ -409,99 +393,3 @@ class Submodule:
 
     def __repr__(self) -> str:
         return f"Submodule(shape={self.shape}, m={self.m}, k0={self.k0()})"
-
-
-# ---------------------------------------------------------------------------
-# module-level operations
-
-
-def submodule_span(vectors: list[ModuleVector], tol: ToleranceConfig = DEFAULT_TOL) -> Submodule:
-    """Smallest submodule containing the given vectors."""
-    return Submodule.span_vectors(vectors, tol)
-
-
-def orth_complement(sub: Submodule) -> Submodule:
-    return sub.complement()
-
-
-def sum_and_intersection(
-    a: Submodule, b: Submodule, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[Submodule, Submodule]:
-    """Sum and intersection, with the per-block dimension identity enforced.
-
-    The two are computed along independent numerical routes (stacked-rank
-    versus principal-cosine counting), so the identity
-    ``k0(M+N) + k0(M∩N) == k0(M) + k0(N)`` is a real cross-check; its
-    failure means an ill-margined rank decision and raises.
-    """
-    total = a.add(b, tol)
-    inter, gap = a.intersection(b, tol)
-    lhs = total.k0() + inter.k0()
-    rhs = a.k0() + b.k0()
-    if lhs.entries != rhs.entries:
-        raise IdentityViolation(
-            f"dimension identity failed: (sum + intersection) {lhs} != {rhs} "
-            f"(worst cosine gap {gap:.3e}); instance too close to tolerance"
-        )
-    return total, inter
-
-
-@dataclass(frozen=True, eq=False)
-class DecompositionWitness:
-    """Two submodules certified to decompose a parent: parent = P1 (+) P2.
-
-    ``orthogonal`` records whether the parts happen to be mutually
-    orthogonal; the decomposition itself is allowed to be oblique.
-    """
-
-    parent: Submodule
-    parts: tuple[Submodule, Submodule]
-    orthogonal: bool
-    intersection_gap: float
-    sum_angle: float
-
-
-def _certify_decomposition(
-    parent: Submodule, p1: Submodule, p2: Submodule, tol: ToleranceConfig
-) -> DecompositionWitness:
-    inter, gap = p1.intersection(p2, tol)
-    if not inter.k0().is_zero():
-        raise UnmetHypothesisError(f"claimed parts intersect in class {inter.k0()}")
-    if p1.dim + p2.dim != parent.dim:
-        raise UnmetHypothesisError(
-            f"part dimensions {p1.dim}+{p2.dim} != parent dimension {parent.dim}"
-        )
-    total = p1.add(p2, tol)
-    if not total.equals(parent, tol):
-        raise UnmetHypothesisError("parts do not span the parent")
-    worst_angle = 0.0
-    for qa, qb in zip(total.column_bases, parent.column_bases):
-        if qa.shape[1]:
-            worst_angle = max(worst_angle, float(np.max(principal_angles(qa, qb))))
-    ortho = True
-    for wa, wb in zip(p1.column_bases, p2.column_bases):
-        if wa.shape[1] and wb.shape[1]:
-            ortho = ortho and op_norm(wa.conj().T @ wb) <= tol.angle_tol
-    return DecompositionWitness(parent, (p1, p2), ortho, float(gap), worst_angle)
-
-
-def nested_decomposition_witness(
-    m1: Submodule,
-    m2: Submodule,
-    m1_complement: Submodule,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> DecompositionWitness:
-    """Split M2 = M1 (+) (M1c ∩ M2) given M1 ⊆ M2 and ambient = M1 (+) M1c.
-
-    A complement of the smaller submodule in the ambient module induces,
-    by intersection, a complement inside any intermediate submodule.
-    Violated preconditions raise :class:`UnmetHypothesisError` — they
-    indict the instance, not the statement.
-    """
-    ok, resid = m2.contains(m1, tol)
-    if not ok:
-        raise UnmetHypothesisError(f"M1 not contained in M2 (residual {resid:.3e})")
-    ambient = Submodule.full(m1.shape, m1.m)
-    _certify_decomposition(ambient, m1, m1_complement, tol)  # raises if not a complement
-    part2, _ = m1_complement.intersection(m2, tol)
-    return _certify_decomposition(m2, m1, part2, tol)

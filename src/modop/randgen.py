@@ -24,7 +24,7 @@ from .algebra import AlgebraElement, AlgebraShape
 from .errors import StructureError
 from .linmap import AdjointableMap
 from .modules import Submodule
-from .subspace import complement, null_space, orthonormal_image
+from .subspace import complement, null_spaces, orthonormal_images
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 Array = np.ndarray
@@ -225,10 +225,7 @@ def random_complement(
     basis, which bounds the resulting projector norm by roughly
     1/(1 - shear).
     """
-    bases = tuple(
-        sheared_complement(w, sub.m * nb, rng, shear=shear, tol=tol)
-        for nb, w in zip(sub.shape.block_sizes, sub.column_bases)
-    )
+    bases = tuple(sheared_complement(w, rng, shear=shear, tol=tol) for w in sub.column_bases)
     return Submodule(sub.shape, sub.m, bases)
 
 
@@ -251,23 +248,23 @@ def random_matrix(
 
 def sheared_complement(
     basis: Array,
-    ambient: int,
     rng: np.random.Generator,
     *,
     shear: float = 0.3,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> Array:
-    """Complement of span(basis) in C^ambient, tilted off the orthogonal
-    one by mixing in directions inside the span (relative size ``shear``)."""
+    """Complement of span(basis) in the space of its rows, tilted off the
+    orthogonal one by mixing in directions inside the span (relative size
+    ``shear``)."""
     if not 0.0 <= shear < 1.0:
         raise StructureError("shear must lie in [0, 1)")
     basis = np.asarray(basis, dtype=complex)
-    wc = complement(basis, ambient)
+    wc = complement(basis)
     if wc.shape[1] == 0 or basis.shape[1] == 0:
         return wc
     mix = basis @ _cnormal(rng, basis.shape[1], wc.shape[1])
     mix *= shear / max(np.linalg.norm(mix, 2), 1e-300)
-    q, _ = orthonormal_image(wc + mix, tol, scale=1.0)
+    q, _ = orthonormal_images([wc + mix], tol, scale=1.0)[0]
     return q
 
 
@@ -284,8 +281,8 @@ def random_regular_data(
     raw material for a regular-operator certificate on plain matrices."""
     t = random_matrix(rows, cols, rng, rank_deficit=rank_deficit)
     scale = max(np.linalg.norm(t, 2), 1e-300)
-    kernel, _ = null_space(t, tol, scale=scale)
-    image, _ = orthonormal_image(t, tol, scale=scale)
-    ker_c = sheared_complement(kernel, cols, rng, shear=shear, tol=tol)
-    im_c = sheared_complement(image, rows, rng, shear=shear, tol=tol)
+    kernel, _ = null_spaces([t], tol, scale=scale)[0]
+    image, _ = orthonormal_images([t], tol, scale=scale)[0]
+    ker_c = sheared_complement(kernel, rng, shear=shear, tol=tol)
+    im_c = sheared_complement(image, rng, shear=shear, tol=tol)
     return t, ker_c, im_c

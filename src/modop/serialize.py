@@ -37,9 +37,9 @@ from typing import Any
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape
-from .errors import DataError, ModopError
+from .errors import DataError
 from .linmap import AdjointableMap, require_finite
-from .modules import K0Class, ModuleVector, Submodule, submodule_span
+from .modules import K0Class, ModuleVector, Submodule
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
@@ -111,12 +111,17 @@ def dumps_canonical(obj: Any, indent: int = 0) -> str:
 # core schemas
 
 
+def _positive_int(x: Any) -> bool:
+    """A JSON integer >= 1; JSON true/false load as bool, an int subclass."""
+    return type(x) is int and x >= 1
+
+
 def shape_to_jsonable(shape: AlgebraShape) -> list[int]:
     return list(shape.block_sizes)
 
 
 def shape_from_jsonable(data: Any) -> AlgebraShape:
-    if not isinstance(data, list) or not all(isinstance(x, int) and x >= 1 for x in data):
+    if not isinstance(data, list) or not all(_positive_int(x) for x in data):
         raise DataError(f"'shape' must be a list of positive integers, got {data!r}")
     return AlgebraShape(tuple(data))
 
@@ -163,7 +168,7 @@ def vector_from_jsonable(data: Any) -> ModuleVector:
     shape = shape_from_jsonable(data.get("shape"))
     m = data.get("m")
     entries = data.get("entries")
-    if not isinstance(m, int) or not isinstance(entries, list) or len(entries) != m:
+    if not _positive_int(m) or not isinstance(entries, list) or len(entries) != m:
         raise DataError(f"vector: need integer 'm' and exactly m 'entries' (m={m!r})")
     vec = ModuleVector(
         shape, m, tuple(element_from_jsonable(shape, e, f"entries[{i}]") for i, e in enumerate(entries))
@@ -191,7 +196,7 @@ def operator_from_jsonable(data: Any) -> AdjointableMap:
         raise DataError(f"operator: missing fields {sorted(missing)}")
     shape = shape_from_jsonable(data["shape"])
     m, n = data["domain"], data["codomain"]
-    if not (isinstance(m, int) and isinstance(n, int) and m >= 1 and n >= 1):
+    if not (_positive_int(m) and _positive_int(n)):
         raise DataError(f"operator: domain/codomain must be positive integers ({m!r}, {n!r})")
     entries = data["entries"]
     if not isinstance(entries, list) or len(entries) != n:
@@ -249,6 +254,8 @@ def submodule_from_jsonable(data: Any, tol: ToleranceConfig = DEFAULT_TOL) -> Su
         raise DataError(f"submodule: missing fields {sorted(missing)}")
     shape = shape_from_jsonable(data["shape"])
     m = data["m"]
+    if not _positive_int(m):
+        raise DataError(f"submodule: 'm' must be a positive integer, got {m!r}")
     raw = data["vectors"]
     if not isinstance(raw, list):
         raise DataError("submodule: 'vectors' must be a list")
@@ -263,7 +270,7 @@ def submodule_from_jsonable(data: Any, tol: ToleranceConfig = DEFAULT_TOL) -> Su
         if vec.shape != shape or vec.m != m:
             raise DataError(f"submodule: vectors[{i}] lives in a different module")
         vectors.append(vec)
-    return submodule_span(vectors, tol)
+    return Submodule.span_vectors(vectors, tol)
 
 
 # ---------------------------------------------------------------------------

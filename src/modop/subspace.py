@@ -4,23 +4,21 @@ Subspaces of C^d are represented by matrices with orthonormal columns
 (zero columns for the trivial subspace).  Every rank decision on
 singular values funnels through one function, :func:`_decide`: it sets
 the cutoff under the shared tolerance policy and records the margin by
-which the decision was made.  :func:`svd_data`, :func:`orthonormal_images`,
+which the decision was made.  :func:`svd_datas`, :func:`orthonormal_images`,
 :func:`null_spaces`, the chain maps of :func:`chains_exactness` (one full
 SVD each) and the per-block maps of :mod:`modop.linmap` (which merge
 their blocks' values first) all call it.
 
-Work on lists of matrices (one per algebra block, or one per arrow) is
-grouped: :func:`stacked` sorts the matrices by their full (rows, cols)
-shape and makes one stacked LAPACK or BLAS call per group, so the number
-of numpy calls grows with the number of distinct block shapes, not with
-the number of blocks.  Stacked output is bitwise equal to the
-per-matrix output, so grouping moves no digit.  Each grouped function
-has a single-matrix form.  :func:`orthonormal_image`, :func:`null_space`,
-:func:`svd_data` and :func:`intersect` share the per-matrix step of
-their grouped form but call numpy on the matrix directly: the flat
-calculus of :mod:`modop.banach` calls them one matrix at a time.
-:func:`subspace_equal`, :func:`chain_exactness` and
-:func:`min_modulus_restricted_raw` run the grouped form on one item.
+Each operation has one form, on a list of matrices (one per algebra
+block, one per arrow, or the independent operands of one step of the
+flat calculus of :mod:`modop.banach`).  :func:`stacked` sorts the
+matrices by their full (rows, cols) shape and makes one stacked LAPACK
+or BLAS call per group, so the number of numpy calls grows with the
+number of distinct block shapes, not with the number of blocks.  Stacked
+output is bitwise equal to the per-matrix output, so grouping moves no
+digit; a list of one matrix makes the plain numpy call.  A matrix with a
+zero dimension needs no LAPACK: its image is the empty basis, its kernel
+the identity and its margin +inf.
 
 One wrinkle worth stating: rank cutoffs are relative to a *scale
 reference*.  For a matrix taken as primary input this is its own largest
@@ -47,28 +45,17 @@ Array = np.ndarray
 __all__ = [
     "SingularData",
     "stacked",
-    "svd_data",
     "svd_datas",
     "op_norm",
-    "orthonormal_image",
     "orthonormal_images",
-    "null_space",
     "null_spaces",
     "complement",
-    "projector",
-    "principal_angles",
     "residual_values",
-    "subspace_equal",
     "subspace_equals",
-    "subspace_contains",
-    "intersect",
     "intersections",
-    "subspace_sum",
-    "min_modulus_restricted_raw",
     "ObliqueProjector",
     "oblique_projector",
     "NodeCheck",
-    "chain_exactness",
     "chains_exactness",
 ]
 
@@ -188,7 +175,13 @@ def svd_datas(
     dim_ctx: int | None = None,
     scale: float | None = None,
 ) -> list[SingularData]:
-    """:func:`svd_data` of each matrix, one stacked SVD per shape group."""
+    """Singular values of each matrix plus the rank decision they support,
+    one stacked SVD per shape group.
+
+    ``dim_ctx`` is the ambient complex dimension entering the cutoff
+    (defaults to ``max(a.shape)`` per matrix); ``scale`` is the reference
+    magnitude (defaults to each matrix's own largest singular value).
+    """
     return [
         _decide(
             _NO_VALUES if s is None else s,
@@ -198,24 +191,6 @@ def svd_datas(
         )
         for a, s in zip(mats, _svds(mats, compute_uv=False))
     ]
-
-
-def svd_data(
-    a: Array,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    *,
-    dim_ctx: int | None = None,
-    scale: float | None = None,
-) -> SingularData:
-    """Singular values plus the rank decision they support.
-
-    ``dim_ctx`` is the ambient complex dimension entering the cutoff
-    (defaults to ``max(a.shape)``); ``scale`` is the reference magnitude
-    (defaults to the matrix's own largest singular value).
-    """
-    a = as_complex(a)
-    s = np.linalg.svd(a, compute_uv=False) if a.size else _NO_VALUES
-    return _decide(s, tol, dim_ctx if dim_ctx is not None else max(a.shape), scale)
 
 
 def op_norm(a: Array) -> float:
@@ -242,22 +217,10 @@ def orthonormal_images(
     dim_ctx: int | None = None,
     scale: float | None = None,
 ) -> list[tuple[Array, SingularData]]:
-    """:func:`orthonormal_image` of each matrix, one stacked SVD per shape group."""
+    """Orthonormal basis of the column span of each matrix, with the rank
+    decision; one stacked SVD per shape group."""
     svds = _svds(mats, full_matrices=False)
     return [_image(a, res, tol, dim_ctx, scale) for a, res in zip(mats, svds)]
-
-
-def orthonormal_image(
-    a: Array,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    *,
-    dim_ctx: int | None = None,
-    scale: float | None = None,
-) -> tuple[Array, SingularData]:
-    """Orthonormal basis of the column span, with the rank decision."""
-    a = as_complex(a)
-    res = np.linalg.svd(a, full_matrices=False) if a.size else None
-    return _image(a, res, tol, dim_ctx, scale)
 
 
 def _kernel(a: Array, res, tol: ToleranceConfig, dim_ctx: int | None, scale: float | None):
@@ -277,45 +240,15 @@ def null_spaces(
     dim_ctx: int | None = None,
     scale: float | None = None,
 ) -> list[tuple[Array, SingularData]]:
-    """:func:`null_space` of each matrix, one stacked SVD per shape group."""
+    """Orthonormal basis of the (right) kernel of each matrix, with the rank
+    decision; one stacked SVD per shape group."""
     return [_kernel(a, res, tol, dim_ctx, scale) for a, res in zip(mats, _svds(mats))]
 
 
-def null_space(
-    a: Array,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    *,
-    dim_ctx: int | None = None,
-    scale: float | None = None,
-) -> tuple[Array, SingularData]:
-    """Orthonormal basis of the (right) kernel, with the rank decision."""
-    a = as_complex(a)
-    return _kernel(a, np.linalg.svd(a) if a.size else None, tol, dim_ctx, scale)
-
-
-def complement(q: Array, ambient: int | None = None, tol: ToleranceConfig = DEFAULT_TOL) -> Array:
-    """Orthonormal basis of the orthogonal complement of span(q)."""
-    q = as_complex(q)
-    amb = ambient if ambient is not None else q.shape[0]
-    if q.shape[1] == 0:
-        return np.eye(amb, dtype=np.complex128)
-    basis, _ = null_space(q.conj().T, tol, dim_ctx=amb, scale=1.0)
-    return basis
-
-
-def projector(q: Array) -> Array:
-    """Orthogonal projector onto span(q)."""
-    q = as_complex(q)
-    return q @ q.conj().T
-
-
-def principal_angles(q1: Array, q2: Array) -> Array:
-    """Principal angles (radians, ascending) between two spanned subspaces."""
-    q1, q2 = as_complex(q1), as_complex(q2)
-    if q1.shape[1] == 0 or q2.shape[1] == 0:
-        return np.zeros(0)
-    s = np.linalg.svd(q1.conj().T @ q2, compute_uv=False)
-    return np.arccos(np.clip(s, 0.0, 1.0))
+def complement(q: Array) -> Array:
+    """Orthonormal basis of the orthogonal complement of span(q), decided
+    at unit scale."""
+    return null_spaces([herm(q)], dim_ctx=q.shape[0], scale=1.0)[0][0]
 
 
 def _residual_values(q: Array, x: Array) -> Array:
@@ -354,24 +287,6 @@ def subspace_equals(
     return out
 
 
-def subspace_equal(q1: Array, q2: Array, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float]:
-    """Equality as subspaces (see :func:`subspace_equals`)."""
-    return subspace_equals([as_complex(q1)], [as_complex(q2)], tol)[0]
-
-
-def subspace_contains(
-    q_big: Array, q_small: Array, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[bool, float]:
-    """Whether span(q_small) lies inside span(q_big); residual = sin of worst angle."""
-    q_big, q_small = as_complex(q_big), as_complex(q_small)
-    if q_small.shape[1] == 0:
-        return True, 0.0
-    if q_big.shape[1] == 0:
-        return False, 1.0
-    resid = op_norm(q_small - q_big @ (q_big.conj().T @ q_small))
-    return resid <= tol.angle_tol, resid
-
-
 def _difference_svd(q1: Array, q2: Array):
     return np.linalg.svd(np.concatenate([q1, -q2], axis=-1), full_matrices=True)
 
@@ -400,8 +315,14 @@ def _meet(q1: Array, res, cut: float) -> tuple[Array | None, float]:
 def intersections(
     q1s: Sequence[Array], q2s: Sequence[Array], tol: ToleranceConfig = DEFAULT_TOL
 ) -> list[tuple[Array, float]]:
-    """:func:`intersect` of each pair, one stacked SVD and one stacked QR
-    per shape group."""
+    """Orthonormal basis of the intersection of span(q1) and span(q2) for
+    each pair, one stacked SVD and one stacked QR per shape group.
+
+    Computed from the small singular values of ``[q1, -q2]`` (see
+    :func:`_meet`); directions below ``tol.coincide_tol`` (radians) count
+    as shared.  Each pair also gets the angle gap separating kept from
+    dropped directions (+inf when unambiguous).
+    """
     cut = 2.0 * math.sin(0.5 * tol.coincide_tol)
     out = [(empty_basis(q.shape[0]), math.inf) for q in q1s]
     live = [i for i, (a, b) in enumerate(zip(q1s, q2s)) if a.shape[1] and b.shape[1]]
@@ -416,43 +337,6 @@ def intersections(
     for (i, raw), (qq, _) in zip(raws.items(), stacked(np.linalg.qr, list(raws.values()))):
         out[i] = (np.ascontiguousarray(qq[:, : raw.shape[1]]), out[i][1])
     return out
-
-
-def intersect(
-    q1: Array, q2: Array, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[Array, float]:
-    """Orthonormal basis of the intersection of two spanned subspaces.
-
-    Computed from the small singular values of ``[q1, -q2]`` (see
-    :func:`_meet`); directions below ``tol.coincide_tol`` (radians) count
-    as shared.  Returns the basis and the angle gap separating kept from
-    dropped directions (+inf when unambiguous).
-    """
-    q1, q2 = as_complex(q1), as_complex(q2)
-    if q1.shape[1] == 0 or q2.shape[1] == 0:
-        return empty_basis(q1.shape[0]), math.inf
-    raw, gap = _meet(q1, _difference_svd(q1, q2), 2.0 * math.sin(0.5 * tol.coincide_tol))
-    if raw is None:
-        return empty_basis(q1.shape[0]), gap
-    qq, _ = np.linalg.qr(raw)
-    return np.ascontiguousarray(qq[:, : raw.shape[1]]), gap
-
-
-def subspace_sum(q1: Array, q2: Array, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Array, SingularData]:
-    """Orthonormal basis of span(q1) + span(q2)."""
-    q1, q2 = as_complex(q1), as_complex(q2)
-    return orthonormal_image(np.hstack([q1, q2]), tol, scale=1.0)
-
-
-def min_modulus_restricted_raw(q_m: Array, q_n: Array) -> float:
-    """Smallest singular value of (I - P_M) restricted to span(q_n).
-
-    +inf (degenerate) when span(q_n) is the zero space.
-    """
-    q_m, q_n = as_complex(q_m), as_complex(q_n)
-    if q_n.shape[1] == 0:
-        return math.inf
-    return float(residual_values([q_m], [q_n])[0][-1])
 
 
 @dataclass(frozen=True)
@@ -485,7 +369,7 @@ def oblique_projector(
             f"complement dimensions {onto.shape[1]}+{along.shape[1]} != ambient {amb}"
         )
     s_mat = np.hstack([onto, along])
-    sdata = svd_data(s_mat, tol, scale=1.0)
+    sdata = svd_datas([s_mat], tol, scale=1.0)[0]
     if sdata.rank < amb:
         raise UnmetHypothesisError("claimed complements share directions (singular basis matrix)")
     inv = np.linalg.inv(s_mat)
@@ -582,12 +466,3 @@ def chains_exactness(
         out.append((checks, inj, surj))
         first += len(maps)
     return out
-
-
-def chain_exactness(
-    dims: list[int],
-    maps: list[Array],
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> tuple[list[NodeCheck], float, float]:
-    """Exactness of one chain (see :func:`chains_exactness`)."""
-    return chains_exactness([(dims, [as_complex(a) for a in maps])], tol)[0]

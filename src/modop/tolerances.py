@@ -14,7 +14,7 @@ by which it was made.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .errors import DataError
 
@@ -62,10 +62,6 @@ class ToleranceConfig:
             val = getattr(self, fld.name)
             if not (math.isfinite(val) and val > 0):
                 raise DataError(f"tolerance {fld.name} must be finite and positive, got {val!r}")
-
-    def with_(self, **kw) -> "ToleranceConfig":
-        """Return a copy with some knobs replaced."""
-        return replace(self, **kw)
 
     def rank_threshold(self, smax: float, ambient_dim: int) -> float:
         """Absolute cutoff below which singular values count as zero."""

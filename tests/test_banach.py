@@ -1,5 +1,7 @@
 """Chosen-complement operator calculus: generalized inverses, perturbation, products."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from modop.banach import (
 )
 from modop.algebra import AlgebraShape
 from modop.errors import StructureError, UnmetHypothesisError
+from modop.subspace import op_norm
 from modop.tolerances import DEFAULT_TOL
 from modop.randgen import (
     random_complement,
@@ -88,11 +91,40 @@ def test_oblique_decomposition_conditioning(rng):
     assert dec.idempotency_residual < 1e-8
 
 
+def test_make_regular_computes_each_projector_norm_once(monkeypatch):
+    t, kc, ic = random_regular_data(6, 6, np.random.default_rng(8), rank_deficit=1)
+    calls = [0]
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls[0] += 1
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    reg = make_regular(t, kc, ic)
+    monkeypatch.undo()
+    # ||T||, ker T and Im T; per decomposition the basis matrix, ||E||, the
+    # idempotency residual and the two halves' bases; five residual norms.
+    # Recomputing ||E|| for the idempotency residuals and the two projection
+    # residuals made 22.
+    assert calls[0] == 18
+    # the stored norms give the bits the recomputed ones gave
+    for dec in (reg.ker_decomposition, reg.im_decomposition):
+        e = dec.idempotent
+        assert dec.norm == op_norm(e)
+        assert dec.idempotency_residual == op_norm(e @ e - e) / max(op_norm(e), 1e-300)
+    e_y, e_x = reg.im_decomposition.idempotent, reg.ker_decomposition.idempotent
+    r3 = op_norm(reg.t @ reg.tprime - e_y) / max(op_norm(e_y), 1.0)
+    r4 = op_norm(reg.tprime @ reg.t - e_x) / max(op_norm(e_x), 1.0)
+    assert reg.residuals["tt_is_im_projection"] == r3
+    assert reg.residuals["t_t_is_ker_projection"] == r4
+
+
 def test_ill_posed_follows_the_callers_tolerance():
     onto = np.array([[1.0], [0.0]])
     along = np.array([[1.0], [1e-2]])  # projector norm about 100
     assert not oblique_decomposition(onto, along).ill_posed
-    strict = DEFAULT_TOL.with_(ill_posed_projector_norm=10.0)
+    strict = dataclasses.replace(DEFAULT_TOL, ill_posed_projector_norm=10.0)
     assert oblique_decomposition(onto, along, strict).ill_posed
 
 
@@ -174,8 +206,8 @@ def test_product_composability_checked(rng):
 def test_sheared_complement_stays_complementary(rng):
     t = random_matrix(5, 5, rng, rank_deficit=2)
     reg = make_regular_orthogonal(t)
-    kc = sheared_complement(reg.kernel_basis, 5, rng, shear=0.5)
-    ic = sheared_complement(reg.image_basis, 5, rng, shear=0.5)
+    kc = sheared_complement(reg.kernel_basis, rng, shear=0.5)
+    ic = sheared_complement(reg.image_basis, rng, shear=0.5)
     sheared = make_regular(t, kc, ic)
     assert sheared.rank == reg.rank
     assert max(sheared.residuals.values()) < 1e-10
@@ -186,5 +218,5 @@ def test_sheared_complement_stays_complementary(rng):
     assert np.array_equal(f.blocks[0], t)
     sub = random_submodule(AlgebraShape((3,)), 2, rng, ranks=(2,))
     comp = random_complement(sub, np.random.default_rng(6), shear=0.5)
-    twin = sheared_complement(sub.column_bases[0], 6, np.random.default_rng(6), shear=0.5)
+    twin = sheared_complement(sub.column_bases[0], np.random.default_rng(6), shear=0.5)
     assert np.array_equal(comp.column_bases[0], twin)

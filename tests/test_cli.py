@@ -1,14 +1,20 @@
 """End-to-end command-line behaviour, run in process via main()."""
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from modop.algebra import AlgebraShape
 from modop.cli import RunConfig, SUITE_NAMES, main, run_suite
 from modop.linmap import AdjointableMap
+from modop.modules import Submodule
 from modop.randgen import random_endomorphism, random_low_rank, random_map, random_submodule
 from modop.serialize import dumps_canonical, operator_to_jsonable, save_json, submodule_to_jsonable
 
@@ -292,3 +298,112 @@ def test_malformed_arguments_are_usage_errors(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+_ONE_BY_ONE = operator_to_jsonable(AdjointableMap.identity(AlgebraShape((1,)), 1))
+_BOOL_VECTOR = submodule_to_jsonable(Submodule.full(AlgebraShape((1,)), 1))
+_BOOL_VECTOR["vectors"][0]["m"] = True
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param({"shape": [2], "m": m, "vectors": []}, id=f"submodule m={m!r}")
+        for m in ("x", 1.5, None, -1, 0, True)
+    ]
+    + [
+        pytest.param({**_ONE_BY_ONE, key: value}, id=f"operator {key}={value!r}")
+        for key, value in (("domain", True), ("codomain", True), ("shape", [True]))
+    ]
+    + [pytest.param(_BOOL_VECTOR, id="vector m=True")],
+)
+def test_rank_that_is_not_a_positive_integer_is_usage_error(tmp_path, capsys, payload):
+    # JSON true loads as a bool, which Python counts as the integer 1
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    assert main(["geometry", str(path), str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "integer" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+# -- exit-code fuzzing: mutated operator and submodule files ----------------
+
+_BAD_RANKS = st.one_of(
+    st.integers(max_value=0), st.floats(), st.text(max_size=3), st.none(), st.booleans()
+)
+_RANKS = st.one_of(st.integers(1, 2), _BAD_RANKS)
+_JUNK = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=2)),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=12,
+)
+_FUZZ_SHAPE = AlgebraShape((1, 2))
+
+
+@st.composite
+def _operator_files(draw):
+    """A valid A^2 -> A^2 operator payload with mutated ranks and entries."""
+    payload = operator_to_jsonable(random_map(_FUZZ_SHAPE, 2, 2, np.random.default_rng(3)))
+    payload["domain"], payload["codomain"] = draw(_RANKS), draw(_RANKS)
+    how = draw(st.sampled_from(["keep", "replace", "entry"]))
+    if how == "replace":
+        payload["entries"] = draw(_JUNK)
+    elif how == "entry":
+        i, j = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        payload["entries"][i][j] = draw(_JUNK)
+    return payload
+
+
+@st.composite
+def _submodule_files(draw):
+    """A valid rank-1 submodule payload with mutated rank and vectors."""
+    sub = random_submodule(_FUZZ_SHAPE, 1, np.random.default_rng(4), ranks=(1, 1))
+    payload = submodule_to_jsonable(sub)
+    payload["m"] = draw(_RANKS)
+    how = draw(st.sampled_from(["keep", "empty", "replace", "vector", "vector entries"]))
+    if how == "empty":
+        payload["vectors"] = []
+    elif how == "replace":
+        payload["vectors"] = draw(_JUNK)
+    elif how == "vector":
+        payload["vectors"][draw(st.integers(0, 2))] = draw(_JUNK)
+    elif how == "vector entries":
+        payload["vectors"][draw(st.integers(0, 2))]["entries"] = draw(_JUNK)
+    return payload
+
+
+def _positive_int(x) -> bool:
+    return type(x) is int and x >= 1
+
+
+def _run_main(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(_operator_files(), _submodule_files())
+def test_mutated_files_exit_cleanly(op_payload, sub_payload):
+    # every outcome is an exit code, never a traceback; a usage error is one
+    # line; a rank that is not a positive integer is always a usage error
+    with tempfile.TemporaryDirectory() as tmp:
+        op, sub = Path(tmp) / "op.json", Path(tmp) / "sub.json"
+        op.write_text(json.dumps(op_payload))
+        sub.write_text(json.dumps(sub_payload))
+        bad_op = not (_positive_int(op_payload["domain"]) and _positive_int(op_payload["codomain"]))
+        runs = [
+            (["geometry", str(sub), str(sub)], not _positive_int(sub_payload["m"])),
+            (["geometry", str(op), str(op)], bad_op),
+            (["analyze", str(op)], bad_op),
+            (["banach", str(op)], bad_op),
+        ]
+        for argv, must_reject in runs:
+            code, out, err = _run_main(argv + ["--format", "json"])
+            assert code in (0, 1, 2), argv
+            if code == 2:
+                assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+            if must_reject:
+                assert code == 2, (argv, err)

@@ -10,7 +10,6 @@ from modop.fredholm import (
     b_fredholm_report,
     exact_sequence,
     fredholm_report,
-    generalized_weyl_check,
     product_chain,
     weyl_defect_witness,
     weyl_perturbation_chain,
@@ -67,10 +66,9 @@ def test_defect_witness_balances(shape23, rng):
 def test_generalized_weyl_for_selfadjoint(shape23, rng):
     g = random_map(shape23, 2, 2, rng, rank_deficit=1)
     f = g.adjoint() @ g  # self-adjoint: kernel class == cokernel class
-    ok, margin = generalized_weyl_check(f)
-    assert ok and margin > 0
-    ok2, _ = generalized_weyl_check(random_map(shape23, 3, 2, rng))
-    assert not ok2  # full-rank 3 -> 2 has kernel but no cokernel
+    rep = fredholm_report(f)
+    assert rep.is_generalized_weyl and rep.margin > 0
+    assert not fredholm_report(random_map(shape23, 3, 2, rng)).is_generalized_weyl  # full-rank 3 -> 2 has kernel but no cokernel
 
 
 def test_exact_sequence_zero_composite(shape23):

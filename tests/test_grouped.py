@@ -2,6 +2,7 @@
 with output bitwise equal to the per-matrix computation."""
 
 import json
+import math
 import sys
 
 import numpy as np
@@ -12,7 +13,15 @@ from modop.cli import main
 from modop.linmap import AdjointableMap
 from modop.randgen import parse_shape, random_endomorphism, random_submodule
 from modop.serialize import operator_to_jsonable, save_json
-from modop.subspace import stacked
+from modop.subspace import (
+    complement,
+    empty_basis,
+    intersections,
+    null_spaces,
+    orthonormal_images,
+    stacked,
+    svd_datas,
+)
 
 
 def _one_by_one(fn, *operands, **kwargs):
@@ -116,3 +125,48 @@ def test_ragged_widths_match_per_matrix_loop(rng, monkeypatch):
     assert [w.shape[1] for w in meet] == [1, 1, 2, 1, 0, 2, 1]
     for got, want in ((meet, ref_meet), (comp_a, ref_a), (comp_b, ref_b)):
         assert all(x.shape == y.shape and np.array_equal(x, y) for x, y in zip(got, want))
+
+
+def _cnormal(rng, rows, cols):
+    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+
+def test_zero_size_matrices_get_empty_answers_beside_live_ones(rng):
+    # (d, 0) and (0, d) matrices inside one list with two live 4 x 3 ones
+    live, twin = _cnormal(rng, 4, 3), _cnormal(rng, 4, 3)
+    thin, flat = empty_basis(4), np.zeros((0, 3), dtype=np.complex128)
+    mats = [live, thin, flat, twin]
+    images = orthonormal_images(mats, scale=1.0)
+    kernels = null_spaces(mats, scale=1.0)
+    datas = svd_datas(mats, scale=1.0)
+    for i, a in ((0, live), (3, twin)):
+        # grouped with its twin, a live matrix still gets the plain numpy bits
+        assert np.array_equal(images[i][0], np.linalg.svd(a, full_matrices=False)[0])
+        assert kernels[i][0].shape == (3, 0)
+        assert datas[i].values == tuple(np.linalg.svd(a, compute_uv=False).tolist())
+        assert datas[i].rank == 3 and math.isfinite(datas[i].margin)
+    for i, (rows, cols) in ((1, (4, 0)), (2, (0, 3))):
+        image, image_data = images[i]
+        kernel, kernel_data = kernels[i]
+        assert image.shape == (rows, 0) and image.dtype == np.complex128
+        assert np.array_equal(kernel, np.eye(cols))  # everything is in the kernel
+        for data in (image_data, kernel_data, datas[i]):
+            assert data.values == () and data.rank == 0
+            assert data.gamma == math.inf and data.margin == math.inf
+    # the orthogonal complement of the zero subspace is everything
+    assert np.array_equal(complement(thin), np.eye(4))
+
+
+def test_zero_width_bases_meet_in_nothing_beside_live_pairs(rng):
+    q1 = np.linalg.qr(_cnormal(rng, 5, 3))[0]
+    q2 = np.linalg.qr(np.hstack([q1[:, :1], _cnormal(rng, 5, 2)]))[0]  # shares one line
+    thin = empty_basis(5)
+    pairs = intersections([q1, thin, q1, thin], [thin, q2, q2, thin])
+    for i in (0, 1, 3):
+        basis, gap = pairs[i]
+        assert basis.shape == (5, 0) and basis.dtype == np.complex128
+        assert gap == math.inf
+    meet, gap = pairs[2]
+    assert meet.shape == (5, 1) and gap > 0.1
+    lone_meet, lone_gap = intersections([q1], [q2])[0]
+    assert np.array_equal(meet, lone_meet) and gap == lone_gap

@@ -6,22 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from modop.algebra import AlgebraElement, AlgebraShape
-from modop.errors import StructureError, UnmetHypothesisError
-from modop.modules import (
-    K0Class,
-    ModuleVector,
-    Submodule,
-    flat_dim,
-    inner_product,
-    module_norm,
-    nested_decomposition_witness,
-    orth_complement,
-    submodule_span,
-    sum_and_intersection,
-)
+from modop.errors import StructureError
+from modop.modules import K0Class, ModuleVector, Submodule, flat_dim, inner_product
 from modop.randgen import (
     parse_shape,
-    random_complement,
     random_element,
     random_submodule,
     random_vector_flat,
@@ -84,8 +72,8 @@ def test_inner_product_respects_right_action(shape23, rng):
 def test_module_norm_oracle(shape23, rng):
     x = random_vector(shape23, 3, rng)
     oracle = max(np.linalg.norm(x.tall(b), 2) for b in range(shape23.num_blocks))
-    assert abs(module_norm(x) - oracle) < 1e-12
-    assert module_norm(x) <= np.linalg.norm(x.flatten()) + 1e-12
+    assert abs(x.norm() - oracle) < 1e-12
+    assert x.norm() <= np.linalg.norm(x.flatten()) + 1e-12
 
 
 def test_vector_shape_validation(shape23):
@@ -123,12 +111,12 @@ def test_free_class_counts_columns(shape23):
 
 def test_span_closes_under_action(shape23, rng):
     vecs = [random_vector(shape23, 3, rng) for _ in range(2)]
-    sub = submodule_span(vecs)
+    sub = Submodule.span_vectors(vecs)
     assert invariance_residual(sub.shape, sub.m, flat_basis(sub)) < 1e-10
     # every generator stays inside
     for v in vecs:
         a = random_element(shape23, rng)
-        moved = submodule_span([v.right_mul(a)])
+        moved = Submodule.span_vectors([v.right_mul(a)])
         assert sub.contains(moved)[0]
 
 
@@ -169,7 +157,7 @@ def test_sampled_talls_match_flat_oracle_sampling(shape_text, ranks):
 
 def test_complement_decomposes_ambient(shape23, rng):
     sub = random_submodule(shape23, 3, rng)
-    comp = orth_complement(sub)
+    comp = sub.complement()
     inter, _ = sub.intersection(comp)
     assert inter.k0().is_zero()
     assert sub.add(comp).equals(Submodule.full(shape23, 3))
@@ -180,7 +168,7 @@ def test_sum_intersection_dimension_identity(shape23, rng):
     for _ in range(5):
         a = random_submodule(shape23, 4, rng)
         b = random_submodule(shape23, 4, rng)
-        total, inter = sum_and_intersection(a, b)
+        total, (inter, _) = a.add(b), a.intersection(b)
         assert (total.k0() + inter.k0()).entries == (a.k0() + b.k0()).entries
         assert total.contains(a)[0] and total.contains(b)[0]
         assert a.contains(inter)[0] and b.contains(inter)[0]
@@ -214,35 +202,12 @@ def test_zero_submodule_conventions(shape23):
     assert Submodule.full(shape23, 2).contains(z)[0]
 
 
-def test_nested_decomposition_witness(shape23, rng):
-    m1 = random_submodule(shape23, 4, rng, ranks=(2, 3))
-    m2 = m1.add(random_submodule(shape23, 4, rng, ranks=(2, 2)))
-    m1c = random_complement(m1, rng)
-    wit = nested_decomposition_witness(m1, m2, m1c)
-    assert wit.parent.equals(m2)
-    p1, p2 = wit.parts
-    assert p1.equals(m1)
-    assert p1.dim + p2.dim == m2.dim
-    assert m1c.contains(p2)[0] and m2.contains(p2)[0]
-    inter, _ = p1.intersection(p2)
-    assert inter.k0().is_zero()
-
-
-def test_nested_decomposition_rejects_bad_input(shape23, rng):
-    m1 = random_submodule(shape23, 3, rng, ranks=(1, 1))
-    m2 = m1.add(random_submodule(shape23, 3, rng, ranks=(1, 1)))
-    with pytest.raises(UnmetHypothesisError):
-        nested_decomposition_witness(m2, m1, orth_complement(m2))  # containment flipped
-    with pytest.raises(UnmetHypothesisError):
-        nested_decomposition_witness(m1, m2, orth_complement(m2))  # not a complement of m1
-
-
 @given(st.integers(0, 2**32 - 1))
 def test_lattice_identity_holds_generically(seed):
     rng = np.random.default_rng(seed)
     shape = AlgebraShape((2,))
     a, b = random_submodule(shape, 3, rng), random_submodule(shape, 3, rng)
-    total, inter = sum_and_intersection(a, b)
+    total, (inter, _) = a.add(b), a.intersection(b)
     assert total.dim + inter.dim == a.dim + b.dim
 
 
@@ -251,7 +216,7 @@ def test_span_invariant_under_action_generically(seed):
     rng = np.random.default_rng(seed)
     shape = AlgebraShape((2, 1))
     v = ModuleVector.from_flat(shape, 2, random_vector_flat(shape, 2, rng))
-    sub = submodule_span([v])
+    sub = Submodule.span_vectors([v])
     assert invariance_residual(sub.shape, sub.m, flat_basis(sub)) < 1e-10
     a = random_element(shape, rng)
-    assert sub.contains(submodule_span([v.right_mul(a)]))[0]
+    assert sub.contains(Submodule.span_vectors([v.right_mul(a)]))[0]

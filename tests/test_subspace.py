@@ -9,20 +9,17 @@ from hypothesis import strategies as st
 
 from modop.errors import UnmetHypothesisError
 from modop.subspace import (
-    chain_exactness,
+    as_complex,
+    chains_exactness,
     complement,
-    intersect,
-    min_modulus_restricted_raw,
-    null_space,
+    intersections,
+    null_spaces,
     oblique_projector,
     op_norm,
-    orthonormal_image,
-    principal_angles,
-    projector,
-    subspace_contains,
-    subspace_equal,
-    subspace_sum,
-    svd_data,
+    orthonormal_images,
+    residual_values,
+    subspace_equals,
+    svd_datas,
 )
 
 
@@ -35,9 +32,24 @@ def tilted_plane(theta, ambient=4):
     return q
 
 
+def image_basis(a):
+    """Column-span basis and rank decision of one matrix."""
+    return orthonormal_images([as_complex(a)])[0]
+
+
+def kernel_basis(a):
+    """Kernel basis and rank decision of one matrix."""
+    return null_spaces([as_complex(a)])[0]
+
+
+def projector(q):
+    """Orthogonal projector onto span(q), q with orthonormal columns."""
+    return q @ q.conj().T
+
+
 def test_svd_data_reads_off_planted_spectrum():
     a = np.diag([3.0, 1.0, 1e-14])
-    data = svd_data(a)
+    (data,) = svd_datas([as_complex(a)])
     assert data.rank == 2
     assert abs(data.gamma - 1.0) < 1e-12
     assert abs(data.smax - 3.0) < 1e-12
@@ -45,7 +57,7 @@ def test_svd_data_reads_off_planted_spectrum():
 
 
 def test_svd_data_zero_map_conventions():
-    data = svd_data(np.zeros((3, 2)))
+    (data,) = svd_datas([as_complex(np.zeros((3, 2)))])
     assert data.rank == 0
     assert data.gamma == math.inf
     assert data.margin == math.inf
@@ -53,8 +65,8 @@ def test_svd_data_zero_map_conventions():
 
 def test_image_and_kernel_split_dimensions(rng):
     a = rng.normal(size=(6, 5)) @ np.diag([1, 1, 1, 0, 0]) @ rng.normal(size=(5, 5))
-    img, img_data = orthonormal_image(a)
-    ker, _ = null_space(a)
+    img, img_data = image_basis(a)
+    ker, _ = kernel_basis(a)
     assert img.shape[1] == 3 and ker.shape[1] == 2
     assert img_data.rank == 3
     assert np.allclose(img.conj().T @ img, np.eye(3))
@@ -63,7 +75,7 @@ def test_image_and_kernel_split_dimensions(rng):
 
 
 def test_complement_is_orthogonal_split(rng):
-    q, _ = orthonormal_image(rng.normal(size=(5, 2)))
+    q, _ = image_basis(rng.normal(size=(5, 2)))
     c = complement(q)
     assert c.shape == (5, 3)
     assert op_norm(q.conj().T @ c) < 1e-13
@@ -71,27 +83,29 @@ def test_complement_is_orthogonal_split(rng):
 
 
 def test_principal_angle_matches_planted_tilt():
+    # the residual singular values are the sines of the principal angles
     theta = 0.3
     a = tilted_plane(0.0)
     b = tilted_plane(theta)
-    angles = principal_angles(a, b)
-    assert abs(angles[0]) < 1e-8
-    assert abs(angles[-1] - theta) < 1e-12
+    sines = residual_values([a], [b])[0]
+    assert abs(sines[-1]) < 1e-8
+    assert abs(sines[0] - math.sin(theta)) < 1e-12
 
 
 def test_subspace_equal_is_sine_based(rng):
-    q, _ = orthonormal_image(rng.normal(size=(6, 3)))
+    q, _ = image_basis(rng.normal(size=(6, 3)))
     # same span, different basis
     u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    ok, defect = subspace_equal(q, q @ u)
+    (ok, defect), (tilted_ok, tilted_defect) = subspace_equals(
+        [q, tilted_plane(0.0)], [q @ u, tilted_plane(1e-5)]
+    )
     assert ok and defect < 1e-12
-    ok, defect = subspace_equal(tilted_plane(0.0), tilted_plane(1e-5))
-    assert not ok
-    assert abs(defect - math.sin(1e-5)) < 1e-9  # linear, not sqrt(eps)-floored
+    assert not tilted_ok
+    assert abs(tilted_defect - math.sin(1e-5)) < 1e-9  # linear, not sqrt(eps)-floored
 
 
 def test_intersection_recovers_shared_line():
-    inter, gap = intersect(tilted_plane(0.0), tilted_plane(0.3))
+    ((inter, gap),) = intersections([tilted_plane(0.0)], [tilted_plane(0.3)])
     assert inter.shape[1] == 1
     e0 = np.zeros(4, dtype=complex)
     e0[0] = 1.0
@@ -99,11 +113,14 @@ def test_intersection_recovers_shared_line():
     assert gap > 0.1  # the 0.3-angle direction is clearly not shared
 
 
-def test_sum_and_containment():
-    total, _ = subspace_sum(tilted_plane(0.0), tilted_plane(0.3))
+def test_sum_and_containment(tol):
+    # the sum is the image of the stacked bases; containment is a vanishing
+    # residual of the smaller span against the larger
+    total, _ = orthonormal_images([np.hstack([tilted_plane(0.0), tilted_plane(0.3)])], scale=1.0)[0]
     assert total.shape[1] == 3
-    assert subspace_contains(total, tilted_plane(0.0))[0]
-    assert not subspace_contains(tilted_plane(0.0), total)[0]
+    inside, outside = residual_values([total, tilted_plane(0.0)], [tilted_plane(0.0), total])
+    assert inside[0] <= tol.angle_tol
+    assert outside[0] > tol.angle_tol
 
 
 def test_min_modulus_is_sine_of_gap_angle():
@@ -111,16 +128,15 @@ def test_min_modulus_is_sine_of_gap_angle():
     m = tilted_plane(0.0)[:, :1]  # span{e0}
     n = np.zeros((4, 1), dtype=complex)
     n[0, 0], n[1, 0] = math.cos(theta), math.sin(theta)
-    assert abs(min_modulus_restricted_raw(m, n) - math.sin(theta)) < 1e-12
-    assert min_modulus_restricted_raw(m, np.zeros((4, 0))) == math.inf
+    assert abs(residual_values([m], [n])[0][-1] - math.sin(theta)) < 1e-12
 
 
 def test_oblique_projector_idempotent_and_sliced(rng):
-    onto, _ = orthonormal_image(rng.normal(size=(6, 2)))
+    onto, _ = image_basis(rng.normal(size=(6, 2)))
     along = complement(onto)
     # shear the complement so the projector is genuinely oblique
     along = along + 0.3 * onto @ rng.normal(size=(2, 4))
-    along, _ = orthonormal_image(along)
+    along, _ = image_basis(along)
     p = oblique_projector(onto, along)
     e = p.matrix
     assert op_norm(e @ e - e) < 1e-12
@@ -130,14 +146,14 @@ def test_oblique_projector_idempotent_and_sliced(rng):
 
 
 def test_oblique_projector_orthogonal_case_has_norm_one(rng):
-    onto, _ = orthonormal_image(rng.normal(size=(5, 3)))
+    onto, _ = image_basis(rng.normal(size=(5, 3)))
     p = oblique_projector(onto, complement(onto))
     assert abs(p.norm - 1.0) < 1e-12
     assert np.allclose(p.matrix, projector(onto))
 
 
 def test_oblique_projector_rejects_non_complements(rng):
-    onto, _ = orthonormal_image(rng.normal(size=(5, 3)))
+    onto, _ = image_basis(rng.normal(size=(5, 3)))
     with pytest.raises(UnmetHypothesisError):
         oblique_projector(onto, onto)  # dimensions wrong
     with pytest.raises(UnmetHypothesisError):
@@ -149,7 +165,7 @@ def test_chain_exactness_on_split_chain():
     # 0 -> C -> C^2 -> C -> 0 with inclusion then projection: exact everywhere
     inc = np.array([[1.0], [0.0]])
     proj = np.array([[0.0, 1.0]])
-    nodes, inj, surj = chain_exactness([1, 2, 1], [inc, proj])
+    ((nodes, inj, surj),) = chains_exactness([([1, 2, 1], [inc, proj])])
     assert inj == 0.0 and surj == 0.0
     assert len(nodes) == 1 and nodes[0].exact
     assert nodes[0].residual < 1e-14
@@ -159,7 +175,7 @@ def test_chain_exactness_flags_homology():
     # zero maps: kernel is everything, image is nothing -> not exact
     z1 = np.zeros((2, 1))
     z2 = np.zeros((1, 2))
-    nodes, inj, surj = chain_exactness([1, 2, 1], [z1, z2])
+    ((nodes, inj, surj),) = chains_exactness([([1, 2, 1], [z1, z2])])
     assert inj == 1.0 and surj == 1.0
     assert not nodes[0].exact
     assert nodes[0].incoming_rank == 0 and nodes[0].outgoing_kernel_dim == 2
@@ -181,7 +197,7 @@ def test_chain_exactness_decomposes_each_map_once(monkeypatch):
         return svd(x, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
-    nodes, inj, surj = chain_exactness([x + y for x, y in zip(a, b)], maps)
+    ((nodes, inj, surj),) = chains_exactness([([x + y for x, y in zip(a, b)], maps)])
     assert inj == 0.0 and surj == 0.0
     assert all(n.exact and n.residual < 1e-14 for n in nodes)
     assert calls["full"] == len(maps)
@@ -192,10 +208,10 @@ def test_pythagoras_for_angles(seed):
     # For one-dimensional spans, cos^2 + sin^2 = 1 links the two routes:
     # principal cosine vs min-modulus of the residual.
     rng = np.random.default_rng(seed)
-    m, _ = orthonormal_image(rng.normal(size=(5, 1)) + 1j * rng.normal(size=(5, 1)))
-    n, _ = orthonormal_image(rng.normal(size=(5, 1)) + 1j * rng.normal(size=(5, 1)))
-    c = math.cos(principal_angles(m, n)[0])
-    s = min_modulus_restricted_raw(m, n)
+    m, _ = image_basis(rng.normal(size=(5, 1)) + 1j * rng.normal(size=(5, 1)))
+    n, _ = image_basis(rng.normal(size=(5, 1)) + 1j * rng.normal(size=(5, 1)))
+    c = abs(np.vdot(m[:, 0], n[:, 0]))  # principal cosine of two lines
+    s = residual_values([m], [n])[0][-1]
     assert abs(c * c + s * s - 1.0) < 1e-10
 
 
@@ -204,7 +220,7 @@ def test_rank_decisions_agree_between_image_and_kernel(seed):
     rng = np.random.default_rng(seed)
     r = int(rng.integers(0, 4))
     a = rng.normal(size=(6, r)) @ rng.normal(size=(r, 5)) if r else np.zeros((6, 5))
-    img, _ = orthonormal_image(a)
-    ker, _ = null_space(a)
+    img, _ = image_basis(a)
+    ker, _ = kernel_basis(a)
     assert img.shape[1] + ker.shape[1] == 5
     assert img.shape[1] == r
