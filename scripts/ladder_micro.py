@@ -1,7 +1,8 @@
-"""Size-ladder micro-benchmark of three certificates.
+"""Size-ladder micro-benchmark of three certificates and the power chain.
 
-Times ``fredholm_report``, ``exact_sequence`` and ``drazin_inverse`` on
-maps built before the clock starts, along the ladder (2,3)/2, (16)/4,
+Times ``fredholm_report``, ``exact_sequence``, ``drazin_inverse`` and
+``power_chain`` (both staircases of the planted endomorphism) on maps
+built before the clock starts, along the ladder (2,3)/2, (16)/4,
 1^32/4 and 1^256/4 (algebra shape / module rank).  Each repetition runs
 on a fresh copy of its maps, so no cached spectral record or power chain
 carries over from one repetition to the next.  Prints one JSON object:
@@ -60,10 +61,15 @@ def main(argv: list[str] | None = None) -> int:
     def fresh(f: AdjointableMap) -> AdjointableMap:
         return AdjointableMap(f.shape, f.m, f.n, f.blocks)
 
+    def staircases(f: AdjointableMap) -> tuple[int, int]:
+        chain = f.power_chain()
+        return chain.descent, chain.ascent
+
     results: dict[str, dict[str, float]] = {
         "fredholm_report": {},
         "exact_sequence": {},
         "drazin_inverse": {},
+        "power_chain": {},
     }
     for text, m, nilpotent in RUNGS:
         rng = np.random.default_rng([args.seed, len(text), m])
@@ -76,6 +82,7 @@ def main(argv: list[str] | None = None) -> int:
             "fredholm_report": lambda fs: fredholm.fredholm_report(fs[0]),
             "exact_sequence": lambda fs: fredholm.exact_sequence(fs[0], fs[1]),
             "drazin_inverse": lambda fs: drazin.drazin_inverse(fs[2]),
+            "power_chain": lambda fs: staircases(fs[2]),
         }
         for name, run in runs.items():
             copies = [(fresh(f), fresh(g), fresh(endo)) for _ in range(args.repeats)]

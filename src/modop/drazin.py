@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import IdentityViolation, StructureError
 from .linmap import AdjointableMap, commutator_residual
-from .modules import K0Class, Submodule, flat_dim
+from .modules import K0Class, Submodule
 from .subspace import stacked, svd_datas
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -149,14 +149,12 @@ def drazin_inverse(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> Dra
     p = split.p
     nf = max(f.norm(), 1e-300)
     f1s, _, core_gamma, off_resid = _browder_blocks(f, split)
-    core_inverses = iter(stacked(np.linalg.inv, [f1 for f1 in f1s if f1.size]))
     ys, es = [], []
-    for s, r in zip(split.s_mats, split.ranks):
+    for s, r, inv in zip(split.s_mats, split.ranks, stacked(np.linalg.inv, f1s)):
         y = np.zeros_like(s)
         e = np.zeros_like(s)
-        if r:
-            y[:r, :r] = next(core_inverses)
-            e[:r, :r] = np.eye(r)
+        y[:r, :r] = inv
+        e[:r, :r] = np.eye(r)
         ys.append(y)
         es.append(e)
     x = AdjointableMap(f.shape, f.m, f.m, tuple(stacked(_similar, split.s_mats, ys, split.s_invs)))
@@ -265,29 +263,37 @@ def commuting_drazin_criterion(
     comm = commutator_residual(f, d, tol)
 
     p = (f @ d).power_chain(tol).descent
-    dim = flat_dim(f.shape, f.m)
     ker_dp = d.power_chain(tol).kernel(p)
     ker_dp_adj = d.adjoint().power_chain(tol).kernel(p)
 
     def meets(g: AdjointableMap, ker: Submodule) -> list[Submodule]:
-        """Im G^k ∩ ker for k = 0 .. 2 dim, one intersection per distinct image."""
+        """Im G^k ∩ ker for k = 0 .. descent of G; constant past its end."""
         chain = g.power_chain(tol)
-        distinct = [chain.image(k).intersection(ker, tol)[0] for k in range(chain.descent + 1)]
-        return [distinct[min(k, chain.descent)] for k in range(2 * dim + 1)]
+        return [chain.image(k).intersection(ker, tol)[0] for k in range(chain.descent + 1)]
 
     meets_f = meets(f, ker_dp)
     meets_fadj = meets(f.adjoint(), ker_dp_adj)
 
+    # Each sequence is constant past its plateau (its last entry), so an
+    # index search stops there: every later index reads the same entry.
+    def at(seq: list[Submodule], k: int) -> Submodule:
+        return seq[min(k, len(seq) - 1)]
+
+    def indices(seq: list[Submodule], k: int) -> range:
+        return range(k, max(k, len(seq) - 1) + 1)
+
     def period(seq: list[Submodule], k: int) -> int | None:
-        """Least s <= dim with seq[k] = seq[k + s], if any."""
-        return next((s for s in range(1, dim + 1) if seq[k].equals(seq[k + s], tol)), None)
+        """Least s with seq[k] = seq[k + s], if any."""
+        return next(
+            (j - k for j in indices(seq, k + 1) if at(seq, k).equals(at(seq, j), tol)), None
+        )
 
     found: tuple[int, int, int, int] | None = None
-    for k in range(p, dim + 1):
+    for k in indices(meets_f, p):
         s = period(meets_f, k)
         if s is None:
             continue
-        hits = ((period(meets_fadj, kp), kp) for kp in range(k, dim + 1))
+        hits = ((period(meets_fadj, kp), kp) for kp in indices(meets_fadj, k))
         t, kp = next(((t, kp) for t, kp in hits if t is not None), (None, None))
         if t is not None:
             found = (s, t, k, kp)
@@ -307,8 +313,8 @@ def commuting_drazin_criterion(
     return CriterionReport(
         p=p,
         found=found,
-        intersection_classes=tuple(m.k0() for m in meets_f[p : dim + 1]),
-        adjoint_classes=tuple(m.k0() for m in meets_fadj[p : dim + 1]),
+        intersection_classes=tuple(at(meets_f, k).k0() for k in indices(meets_f, p)),
+        adjoint_classes=tuple(at(meets_fadj, k).k0() for k in indices(meets_fadj, p)),
         verdict=verdict,
         direct_verdict=direct_verdict,
         commutator_residual=float(comm),
@@ -363,17 +369,26 @@ def browder_decomposition(
 ) -> BrowderWitness:
     if not f.is_endomorphism:
         raise StructureError("Browder decomposition needs an endomorphism")
-    split = _core_split(f, tol)
-    f1s, f4s, gamma, off = _browder_blocks(f, split)
+    return _witness(f, _core_split(f, tol), tol)
+
+
+def _witness(g: AdjointableMap, split: _Split, tol: ToleranceConfig) -> BrowderWitness:
+    """G certified block-diagonal on ``split`` and invertible on its range."""
+    g1s, g4s, gamma, off = _browder_blocks(g, split)
     if off > tol.residual_tol * max(1.0, split.cond):
         raise IdentityViolation(
-            f"power splitting is not invariant under F (off-diagonal {off:.3e})"
+            f"map is not block-diagonal on the splitting (off-diagonal {off:.3e})"
         )
+    cores = [(b, g1) for b, g1 in enumerate(g1s) if g1.size]
+    datas = svd_datas([g1 for _, g1 in cores], tol, scale=g.norm())
+    for (b, g1), data in zip(cores, datas):
+        if data.rank < g1.shape[0]:
+            raise IdentityViolation(f"block {b}: map not invertible on the stable range")
     return BrowderWitness(
         range_space=split.range_space,
         null_space=split.null_space,
-        f1_blocks=f1s,
-        f4_blocks=f4s,
+        f1_blocks=g1s,
+        f4_blocks=g4s,
         gamma_f1=gamma,
         off_diagonal_residual=off,
         splitting_cond=split.cond,
@@ -402,29 +417,8 @@ def commuting_browder_check(
     split = _core_split(df, tol)
     p = split.p
 
-    def _witness(g: AdjointableMap) -> BrowderWitness:
-        g1s, g4s, gamma, off = _browder_blocks(g, split)
-        if off > tol.residual_tol * max(1.0, split.cond):
-            raise IdentityViolation(
-                f"factor is not block-diagonal on the shared splitting (off {off:.3e})"
-            )
-        cores = [(b, g1) for b, g1 in enumerate(g1s) if g1.size]
-        datas = svd_datas([g1 for _, g1 in cores], tol, scale=g.norm())
-        for (b, g1), data in zip(cores, datas):
-            if data.rank < g1.shape[0]:
-                raise IdentityViolation(f"block {b}: factor not invertible on the stable range")
-        return BrowderWitness(
-            range_space=split.range_space,
-            null_space=split.null_space,
-            f1_blocks=g1s,
-            f4_blocks=g4s,
-            gamma_f1=gamma,
-            off_diagonal_residual=off,
-            splitting_cond=split.cond,
-        )
-
-    wit_f = _witness(f)
-    wit_d = _witness(d)
+    wit_f = _witness(f, split, tol)
+    wit_d = _witness(d, split, tol)
 
     # ker F^k D^k = D^-k(ker F^k): k preimage steps through D from F's
     # kernel staircase, apart from the product's own chain.

@@ -13,19 +13,19 @@ as the test oracle and as the plain matrix ``modop banach`` works on.
 Each map carries one spectral record, computed on first use and cached:
 the values-only SVD of every block (``_svals``, read by ``norm`` and
 ``singular_data``) and the full SVD (``_svd``, read by ``kernel``,
-``image`` and ``mp_pseudoinverse``).  Both are grouped stacked records:
+``image``, ``mp_pseudoinverse`` and step 1 of both power-chain
+staircases).  Both are grouped stacked records:
 :func:`modop.subspace.stacked` makes one LAPACK call per distinct block
 shape and hands back per-block views, bitwise equal to per-block calls;
-the staircase steps and restrictions are grouped the same way.  Rank
-decisions share one absolute
-cutoff across blocks, derived from the global largest singular value by
-:func:`modop.subspace._decide`, so blockwise and dense computations agree
-decision-for-decision.
+the later staircase steps and restrictions are grouped the same way.
+Every rank decision on a map, a staircase step included, is one call of
+:func:`modop.subspace._decide` on the merged values of all blocks: one
+absolute cutoff across blocks, derived from the global largest singular
+value, so blockwise and dense computations agree decision-for-decision.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,8 +40,6 @@ from .subspace import (
     _decide,
     as_complex,
     herm,
-    null_spaces,
-    orthonormal_images,
     residual_values,
     stacked,
 )
@@ -61,12 +59,13 @@ __all__ = [
 class BlockwiseMap:
     """A map stored as one complex matrix per algebra block.
 
-    Subclasses provide ``blocks``, ``shape`` and ``dim_ctx`` (the ambient
-    dimension entering the rank cutoff).  Each block is decomposed at
-    most twice per map: once for values only and once in full.  The two
-    LAPACK jobs agree only to the last few digits, so each consumer keeps
-    reading the record it needs; ``tol`` and ``scale`` only move the
-    cutoff and are call arguments, not cache keys.
+    Subclasses provide ``blocks``, ``shape``, ``dim_ctx`` (the ambient
+    dimension entering the rank cutoff) and ``_lift`` (per-block bases as a
+    submodule).  Each block is decomposed at most twice per map: once for
+    values only and once in full.  The two LAPACK jobs agree only to the
+    last few digits, so each consumer keeps reading the record it needs;
+    ``tol`` and ``scale`` only move the cutoff and are call arguments, not
+    cache keys.
     """
 
     blocks: tuple[Array, ...]
@@ -87,11 +86,39 @@ class BlockwiseMap:
         merged = np.repeat(np.concatenate(values), counts)
         return _decide(np.sort(merged)[::-1], tol, self.dim_ctx, scale)
 
-    def _ranks(self, tol: ToleranceConfig, scale: float | None) -> list[int]:
-        """Per-block ranks of the full SVDs under the shared cutoff."""
-        values = [s for _, s, _ in self._svd]
-        threshold = self._merged(values, tol, scale).threshold
-        return [sum(1 for v in s.tolist() if v > threshold) for s in values]
+    def _ranks(
+        self, svds: Sequence[tuple[Array, Array, Array]], tol: ToleranceConfig, scale: float | None
+    ) -> tuple[list[int], SingularData]:
+        """Per-block ranks of ``svds`` under one shared cutoff, and the
+        decision that set it."""
+        data = self._merged([s for _, s, _ in svds], tol, scale)
+        return [sum(1 for v in s.tolist() if v > data.threshold) for _, s, _ in svds], data
+
+    def _image_of(
+        self, svds: Sequence[tuple[Array, Array, Array]], tol: ToleranceConfig, scale: float | None
+    ) -> tuple[Submodule, float]:
+        """Column span of each decomposed block, and the decision's margin."""
+        ranks, data = self._ranks(svds, tol, scale)
+        bases = [u[:, :r] for (u, _, _), r in zip(svds, ranks)]
+        return self._lift(bases, codomain=True), data.margin
+
+    def _kernel_of(
+        self, svds: Sequence[tuple[Array, Array, Array]], tol: ToleranceConfig, scale: float | None
+    ) -> tuple[Submodule, float]:
+        """Kernel of each fully decomposed block, and the decision's margin."""
+        ranks, data = self._ranks(svds, tol, scale)
+        bases = [vh[r:].conj().T for (_, _, vh), r in zip(svds, ranks)]
+        return self._lift(bases, codomain=False), data.margin
+
+    def kernel(
+        self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
+    ) -> Submodule:
+        return self._kernel_of(self._svd, tol, scale)[0]
+
+    def image(
+        self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
+    ) -> Submodule:
+        return self._image_of(self._svd, tol, scale)[0]
 
     def norm(self) -> float:
         """Operator norm in the module sense (= largest block singular value)."""
@@ -264,27 +291,22 @@ class AdjointableMap(BlockwiseMap):
     def image_step(
         self, sub: Submodule, tol: ToleranceConfig = DEFAULT_TOL
     ) -> tuple[Submodule, float]:
-        """F(sub) per block, plus the worst margin of its rank decisions,
-        which are made at the scale ||F|| and the map's ``dim_ctx``."""
+        """F(sub), plus the margin of its shared-cutoff rank decision, made at
+        the scale ||F|| and the map's ``dim_ctx``."""
         if sub.shape != self.shape or sub.m != self.m:
             raise StructureError("submodule not inside the domain module")
         moved = stacked(np.matmul, self.blocks, sub.column_bases)
-        return self._per_block(orthonormal_images, moved, self.n, tol)
+        return self._image_of(stacked(np.linalg.svd, moved, full_matrices=False), tol, self.norm())
 
     def preimage_step(
         self, sub: Submodule, tol: ToleranceConfig = DEFAULT_TOL
     ) -> tuple[Submodule, float]:
-        """F^-1(sub) per block, as the kernel of (I - P_sub) F, plus the worst
-        margin of the rank decisions (same scale as :meth:`image_step`)."""
+        """F^-1(sub), as the kernel of (I - P_sub) F, plus the margin of its
+        rank decision (same rule as :meth:`image_step`)."""
         if sub.shape != self.shape or sub.m != self.n:
             raise StructureError("submodule not inside the codomain module")
         outside = stacked(_outside, self.blocks, sub.column_bases)
-        return self._per_block(null_spaces, outside, self.m, tol)
-
-    def _per_block(self, route, mats, m: int, tol: ToleranceConfig) -> tuple[Submodule, float]:
-        results = route(mats, tol, dim_ctx=self.dim_ctx, scale=self.norm())
-        margin = min((data.margin for _, data in results), default=math.inf)
-        return Submodule(self.shape, m, tuple(basis for basis, _ in results)), margin
+        return self._kernel_of(stacked(np.linalg.svd, outside), tol, self.norm())
 
     def power_chain(self, tol: ToleranceConfig = DEFAULT_TOL) -> "PowerChain":
         """The power chain of this endomorphism, one per tolerance."""
@@ -302,26 +324,15 @@ class AdjointableMap(BlockwiseMap):
         self._same_spaces(other)
         return all(np.allclose(a, b, atol=atol) for a, b in zip(self.blocks, other.blocks))
 
-    def kernel(
-        self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
-    ) -> Submodule:
-        ranks = self._ranks(tol, scale)
-        bases = [vh[r:].conj().T for (_, _, vh), r in zip(self._svd, ranks)]
-        return Submodule(self.shape, self.m, tuple(bases))
-
-    def image(
-        self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
-    ) -> Submodule:
-        ranks = self._ranks(tol, scale)
-        bases = [u[:, :r] for (u, _, _), r in zip(self._svd, ranks)]
-        return Submodule(self.shape, self.n, tuple(bases))
+    def _lift(self, bases: list[Array], *, codomain: bool) -> Submodule:
+        return Submodule(self.shape, self.n if codomain else self.m, tuple(bases))
 
     def mp_pseudoinverse(
         self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
     ) -> "AdjointableMap":
         """Moore-Penrose pseudoinverse, blockwise under the shared cutoff."""
         blocks = []
-        for (u, s, vh), r in zip(self._svd, self._ranks(tol, scale)):
+        for (u, s, vh), r in zip(self._svd, self._ranks(self._svd, tol, scale)[0]):
             inv = np.zeros((vh.shape[0], u.shape[0]), dtype=np.complex128)
             if r:
                 inv = vh[:r].conj().T @ np.diag(1.0 / s[:r]) @ u[:, :r].conj().T
@@ -340,34 +351,43 @@ class PowerChain:
     """Image and kernel staircases of an endomorphism F, free of powers.
 
     Im F^(k+1) = F(Im F^k) and ker F^(k+1) = F^-1(ker F^k), each step one
-    SVD per block at the scale ||F|| (Kublanovskaya 1966; Golub &
-    Wilkinson 1976): a cutoff at ||F||^k misreads the index when
-    ||F^k|| << ||F||^k, and overflows for large ||F||.  Each staircase is
-    built on first use and stops at its plateau, the descent and the
-    ascent respectively; ``image(k)`` and ``kernel(k)`` return the
-    plateau past it.  ``margin`` is the smallest step margin of both.
+    SVD per block and one shared-cutoff decision at the scale ||F||
+    (Kublanovskaya 1966; Golub & Wilkinson 1976): a cutoff at ||F||^k
+    misreads the index when ||F^k|| << ||F||^k, and overflows for large
+    ||F||.  Step 1 of both reads F's own full SVD record, the decomposition
+    a step would make anyway: F I = F, (I - 0) F = F, and on square blocks
+    the economy and the full SVD agree.  Each staircase is built on first
+    use and stops at its plateau, the descent and the ascent respectively;
+    ``image(k)`` and ``kernel(k)`` return the plateau past it.  ``margin``
+    is the smallest step margin of both.
     """
 
     f: AdjointableMap
     tol: ToleranceConfig
 
-    def _staircase(self, start: Submodule, step) -> tuple[tuple[Submodule, ...], float]:
-        subs, margin = [start], math.inf
+    def _staircase(
+        self, start: Submodule, first: tuple[Submodule, float], step
+    ) -> tuple[tuple[Submodule, ...], float]:
+        subs, (nxt, margin) = [start], first
         for _ in range(start.ambient_dim + 1):
-            nxt, step_margin = step(subs[-1], self.tol)
-            margin = min(margin, step_margin)
             if nxt.dim == subs[-1].dim:
                 return tuple(subs), margin
             subs.append(nxt)
+            nxt, step_margin = step(nxt, self.tol)
+            margin = min(margin, step_margin)
         raise IdentityViolation("power chain failed to stabilize within the dimension bound")
 
     @cached_property
     def _images(self) -> tuple[tuple[Submodule, ...], float]:
-        return self._staircase(Submodule.full(self.f.shape, self.f.m), self.f.image_step)
+        f = self.f
+        first = f._image_of(f._svd, self.tol, f.norm())
+        return self._staircase(Submodule.full(f.shape, f.m), first, f.image_step)
 
     @cached_property
     def _kernels(self) -> tuple[tuple[Submodule, ...], float]:
-        return self._staircase(Submodule.zero(self.f.shape, self.f.m), self.f.preimage_step)
+        f = self.f
+        first = f._kernel_of(f._svd, self.tol, f.norm())
+        return self._staircase(Submodule.zero(f.shape, f.m), first, f.preimage_step)
 
     @property
     def descent(self) -> int:
@@ -455,22 +475,11 @@ class RestrictedEndomorphism(BlockwiseMap):
     def dim_ctx(self) -> int:
         return self.domain.ambient_dim
 
-    def kernel(
-        self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
-    ) -> Submodule:
-        """Kernel of the restriction, as a submodule of the ambient module."""
-        ranks = self._ranks(tol, scale)
+    def _lift(self, bases: list[Array], *, codomain: bool) -> Submodule:
+        """Bases in the domain's column-basis coordinates, as a submodule of
+        the ambient module (domain and codomain coincide)."""
         ws = self.domain.column_bases
-        bases = [w @ vh[r:].conj().T for w, (_, _, vh), r in zip(ws, self._svd, ranks)]
-        return Submodule(self.shape, self.domain.m, tuple(bases))
-
-    def image(
-        self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
-    ) -> Submodule:
-        ranks = self._ranks(tol, scale)
-        ws = self.domain.column_bases
-        bases = [w @ u[:, :r] for w, (u, _, _), r in zip(ws, self._svd, ranks)]
-        return Submodule(self.shape, self.domain.m, tuple(bases))
+        return Submodule(self.shape, self.domain.m, tuple(w @ x for w, x in zip(ws, bases)))
 
 
 # ---------------------------------------------------------------------------

@@ -121,8 +121,8 @@ def shape_to_jsonable(shape: AlgebraShape) -> list[int]:
 
 
 def shape_from_jsonable(data: Any) -> AlgebraShape:
-    if not isinstance(data, list) or not all(_positive_int(x) for x in data):
-        raise DataError(f"'shape' must be a list of positive integers, got {data!r}")
+    if not isinstance(data, list) or not data or not all(_positive_int(x) for x in data):
+        raise DataError(f"'shape' must be a nonempty list of positive integers, got {data!r}")
     return AlgebraShape(tuple(data))
 
 
@@ -336,30 +336,34 @@ def load_json(path: str) -> Any:
         raise DataError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
-def load_operator(path: str) -> AdjointableMap:
+def _load(path: str, parse) -> Any:
+    """``parse`` of a file's JSON, its data errors prefixed with the path."""
     data = load_json(path)
     try:
-        return operator_from_jsonable(data)
+        return parse(data)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def load_operator(path: str) -> AdjointableMap:
+    return _load(path, operator_from_jsonable)
 
 
 def load_submodule(path: str, tol: ToleranceConfig = DEFAULT_TOL) -> Submodule:
-    data = load_json(path)
-    try:
-        return submodule_from_jsonable(data, tol)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    return _load(path, lambda data: submodule_from_jsonable(data, tol))
 
 
 def load_geometry_operand(path: str, tol: ToleranceConfig = DEFAULT_TOL):
     """Operator or submodule file, distinguished by its fields."""
-    data = load_json(path)
+    return _load(path, lambda data: _geometry_operand(data, tol))
+
+
+def _geometry_operand(data: Any, tol: ToleranceConfig):
     if isinstance(data, dict) and "vectors" in data:
         return submodule_from_jsonable(data, tol)
     if isinstance(data, dict) and "entries" in data:
         return operator_from_jsonable(data)
-    raise DataError(f"{path}: neither an operator ('entries') nor a submodule ('vectors') file")
+    raise DataError("neither an operator ('entries') nor a submodule ('vectors') file")
 
 
 def save_json(path: str, payload: Any) -> None:

@@ -5,9 +5,10 @@ Subspaces of C^d are represented by matrices with orthonormal columns
 singular values funnels through one function, :func:`_decide`: it sets
 the cutoff under the shared tolerance policy and records the margin by
 which the decision was made.  :func:`svd_datas`, :func:`orthonormal_images`,
-:func:`null_spaces`, the chain maps of :func:`chains_exactness` (one full
-SVD each) and the per-block maps of :mod:`modop.linmap` (which merge
-their blocks' values first) all call it.
+:func:`null_spaces` and the chain maps of :func:`chains_exactness` (one full
+SVD each) call it once per matrix.  The maps of :mod:`modop.linmap` call
+it once per block family: a map's records and each step of its power
+chain merge the values of all blocks into one decision.
 
 Each operation has one form, on a list of matrices (one per algebra
 block, one per arrow, or the independent operands of one step of the
@@ -17,8 +18,8 @@ or BLAS call per group, so the number of numpy calls grows with the
 number of distinct block shapes, not with the number of blocks.  Stacked
 output is bitwise equal to the per-matrix output, so grouping moves no
 digit; a list of one matrix makes the plain numpy call.  A matrix with a
-zero dimension needs no LAPACK: its image is the empty basis, its kernel
-the identity and its margin +inf.
+zero dimension takes the same path: numpy gives it an empty image, an
+identity kernel and no singular values, so its margin is +inf.
 
 One wrinkle worth stating: rank cutoffs are relative to a *scale
 reference*.  For a matrix taken as primary input this is its own largest
@@ -82,10 +83,11 @@ def stacked(fn: Callable, *operands: Sequence[Array], **kwargs) -> list:
     them).  Each group of two or more is passed as 3-D stacks and the
     results are sliced back into input order (tuple results, such as an
     SVD, per item as tuples); stacked LAPACK and BLAS output is bitwise
-    equal to the per-matrix output.  A group of one, or one whose matrices
-    have a zero dimension, is computed matrix by matrix, as before
-    grouping: numpy's stacked SVD costs a few microseconds more per call
-    than the plain one, which a lone matrix would pay for nothing.
+    equal to the per-matrix output.  A group of one is computed on its own,
+    as before grouping: numpy's stacked SVD costs a few microseconds more
+    per call than the plain one, which a lone matrix would pay for nothing.
+    Matrices with a zero dimension are grouped like any other: numpy's
+    routines accept empty stacks.
     Groups are keyed by shape alone: the operands are complex128, as
     everywhere in modop.
     """
@@ -99,7 +101,7 @@ def stacked(fn: Callable, *operands: Sequence[Array], **kwargs) -> list:
         groups.setdefault(key, []).append(i)
     out: list = [None] * len(keys)
     for key, idx in groups.items():
-        if len(idx) > 1 and 0 not in key:
+        if len(idx) > 1:
             res = fn(*(np.array([op[i] for i in idx]) for op in operands), **kwargs)
             for i, r in zip(idx, zip(*res) if isinstance(res, tuple) else res):
                 out[i] = r
@@ -155,100 +157,63 @@ def _decide(
     return SingularData(vals, rank, gamma, threshold, ref, margin)
 
 
-_NO_VALUES = np.zeros(0)
-
-
-def _svds(mats: Sequence[Array], **kwargs) -> list:
-    """SVD of each matrix, grouped by shape; None for a matrix with a zero
-    dimension, which callers answer without LAPACK."""
-    live = [i for i, a in enumerate(mats) if a.size]
-    out: list = [None] * len(mats)
-    for i, res in zip(live, stacked(np.linalg.svd, [mats[i] for i in live], **kwargs)):
-        out[i] = res
-    return out
-
-
 def svd_datas(
     mats: Sequence[Array],
     tol: ToleranceConfig = DEFAULT_TOL,
     *,
-    dim_ctx: int | None = None,
     scale: float | None = None,
 ) -> list[SingularData]:
     """Singular values of each matrix plus the rank decision they support,
     one stacked SVD per shape group.
 
-    ``dim_ctx`` is the ambient complex dimension entering the cutoff
-    (defaults to ``max(a.shape)`` per matrix); ``scale`` is the reference
-    magnitude (defaults to each matrix's own largest singular value).
+    The cutoff's dimension is ``max(a.shape)`` per matrix; ``scale`` is the
+    reference magnitude (defaults to each matrix's own largest singular
+    value).
     """
     return [
-        _decide(
-            _NO_VALUES if s is None else s,
-            tol,
-            dim_ctx if dim_ctx is not None else max(a.shape),
-            scale,
-        )
-        for a, s in zip(mats, _svds(mats, compute_uv=False))
+        _decide(s, tol, max(a.shape), scale)
+        for a, s in zip(mats, stacked(np.linalg.svd, mats, compute_uv=False))
     ]
 
 
 def op_norm(a: Array) -> float:
-    a = as_complex(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
-
-
-def _image(a: Array, res, tol: ToleranceConfig, dim_ctx: int | None, scale: float | None):
-    """Column-span basis and rank decision of ``a`` from its reduced SVD
-    ``res`` (None when ``a`` is empty)."""
-    if res is None:
-        return empty_basis(a.shape[0]), _decide(_NO_VALUES, tol, 0, scale)
-    u, s, _ = res
-    data = _decide(s, tol, dim_ctx if dim_ctx is not None else max(a.shape), scale)
-    return np.ascontiguousarray(u[:, : data.rank]), data
+    return float(np.linalg.svd(as_complex(a), compute_uv=False).max(initial=0.0))
 
 
 def orthonormal_images(
     mats: Sequence[Array],
     tol: ToleranceConfig = DEFAULT_TOL,
     *,
-    dim_ctx: int | None = None,
     scale: float | None = None,
 ) -> list[tuple[Array, SingularData]]:
     """Orthonormal basis of the column span of each matrix, with the rank
     decision; one stacked SVD per shape group."""
-    svds = _svds(mats, full_matrices=False)
-    return [_image(a, res, tol, dim_ctx, scale) for a, res in zip(mats, svds)]
-
-
-def _kernel(a: Array, res, tol: ToleranceConfig, dim_ctx: int | None, scale: float | None):
-    """Kernel basis and rank decision of ``a`` from its full SVD ``res``
-    (None when ``a`` is empty)."""
-    if res is None:
-        return np.eye(a.shape[1], dtype=np.complex128), _decide(_NO_VALUES, tol, 0, scale)
-    _, s, vh = res
-    data = _decide(s, tol, dim_ctx if dim_ctx is not None else max(a.shape), scale)
-    return np.ascontiguousarray(vh[data.rank :].conj().T), data
+    out = []
+    for a, (u, s, _) in zip(mats, stacked(np.linalg.svd, mats, full_matrices=False)):
+        data = _decide(s, tol, max(a.shape), scale)
+        out.append((np.ascontiguousarray(u[:, : data.rank]), data))
+    return out
 
 
 def null_spaces(
     mats: Sequence[Array],
     tol: ToleranceConfig = DEFAULT_TOL,
     *,
-    dim_ctx: int | None = None,
     scale: float | None = None,
 ) -> list[tuple[Array, SingularData]]:
     """Orthonormal basis of the (right) kernel of each matrix, with the rank
     decision; one stacked SVD per shape group."""
-    return [_kernel(a, res, tol, dim_ctx, scale) for a, res in zip(mats, _svds(mats))]
+    out = []
+    for a, (_, s, vh) in zip(mats, stacked(np.linalg.svd, mats)):
+        data = _decide(s, tol, max(a.shape), scale)
+        out.append((np.ascontiguousarray(vh[data.rank :].conj().T), data))
+    return out
 
 
 def complement(q: Array) -> Array:
     """Orthonormal basis of the orthogonal complement of span(q), decided
     at unit scale."""
-    return null_spaces([herm(q)], dim_ctx=q.shape[0], scale=1.0)[0][0]
+    return null_spaces([herm(q)], scale=1.0)[0][0]
 
 
 def _residual_values(q: Array, x: Array) -> Array:
@@ -419,13 +384,7 @@ def chains_exactness(
     assert all(len(maps) == len(dims) - 1 for dims, maps in chains)
     flat = [a for _, maps in chains for a in maps]
     datas, images, kernels = [], [], []
-    for a, res in zip(flat, _svds(flat)):
-        if res is None:
-            datas.append(_decide(_NO_VALUES, tol, 0, 1.0))
-            images.append(empty_basis(a.shape[0]))
-            kernels.append(np.eye(a.shape[1], dtype=np.complex128))
-            continue
-        u, s, vh = res
+    for a, (u, s, vh) in zip(flat, stacked(np.linalg.svd, flat)):
         datas.append(_decide(s, tol, max(a.shape), 1.0))
         images.append(u[:, : datas[-1].rank])
         kernels.append(vh[datas[-1].rank :].conj().T)

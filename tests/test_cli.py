@@ -114,8 +114,9 @@ def test_commands_build_each_staircase_once(tmp_path, rng, monkeypatch, capsys):
         assert main([cmd, path, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert (payload if cmd == "drazin" else payload["drazin"])["p"] == 2
-        # one SVD per block for each of the steps 1 .. p + 1 of each staircase
-        assert calls == {"image_step": 2 * 3, "preimage_step": 2 * 3}
+        # one SVD per block for each of the steps 2 .. p + 1 of each staircase;
+        # step 1 reads the map's own SVD record
+        assert calls == {"image_step": 2 * 2, "preimage_step": 2 * 2}
 
 
 def test_geometry_subcommand_on_operator_pair(tmp_path, rng, capsys):
@@ -326,6 +327,32 @@ def test_rank_that_is_not_a_positive_integer_is_usage_error(tmp_path, capsys, pa
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "integer" in captured.err
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [("analyze", {**_ONE_BY_ONE, "shape": []}), ("geometry", {"shape": [], "m": 1, "vectors": []})],
+    ids=["operator", "submodule"],
+)
+def test_empty_shape_is_usage_error(tmp_path, capsys, command, payload):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    operands = [str(path)] * (2 if command == "geometry" else 1)
+    assert main([command, *operands]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and "'shape'" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_geometry_names_the_bad_file(tmp_path, capsys):
+    good = write_operator(tmp_path, "good.json", AdjointableMap.identity(AlgebraShape((1,)), 1))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"shape": [1], "m": -1, "vectors": []}))
+    for argv in ([good, str(bad)], [str(bad), good]):
+        assert main(["geometry", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: submodule: 'm'") and good not in err
 
 
 # -- exit-code fuzzing: mutated operator and submodule files ----------------

@@ -1,6 +1,7 @@
 """The grouped spectral core: one stacked LAPACK call per block shape,
 with output bitwise equal to the per-matrix computation."""
 
+import collections
 import json
 import math
 import sys
@@ -8,12 +9,14 @@ import sys
 import numpy as np
 import pytest
 
+from modop import linmap, subspace
 from modop.algebra import AlgebraShape
 from modop.cli import main
 from modop.linmap import AdjointableMap
 from modop.randgen import parse_shape, random_endomorphism, random_submodule
 from modop.serialize import operator_to_jsonable, save_json
 from modop.subspace import (
+    _decide,
     complement,
     empty_basis,
     intersections,
@@ -80,6 +83,45 @@ def test_analyze_svd_calls_scale_with_shapes_not_blocks(tmp_path, monkeypatch, c
         counts[text] = calls[0]
         monkeypatch.undo()
     assert counts["1^32"] == counts["1^8"]
+
+
+def test_staircase_decisions_scale_with_steps_not_blocks(monkeypatch):
+    # one shared-cutoff decision per staircase step, whatever the block count
+    counts = {}
+    for text in ("1^8", "1^32"):
+        f = random_endomorphism(parse_shape(text), 4, np.random.default_rng(7), nilpotent=(2, 1))
+        calls = [0]
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return _decide(*args, **kwargs)
+
+        for module in (subspace, linmap):
+            monkeypatch.setattr(module, "_decide", counting)
+        chain = f.power_chain()
+        assert chain.descent == chain.ascent == 2
+        counts[text] = calls[0]
+        monkeypatch.undo()
+    assert counts["1^32"] == counts["1^8"]
+
+
+def test_analyze_runs_no_svd_job_twice(tmp_path, monkeypatch, capsys):
+    # step 1 of both staircases reads the map's own full SVD record
+    f = random_endomorphism(AlgebraShape((2, 3)), 2, np.random.default_rng(5), nilpotent=(2, 1))
+    path = _write(tmp_path, "endo.json", f)
+    jobs = collections.Counter()
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        flags = (kwargs.get("full_matrices", True), kwargs.get("compute_uv", True))
+        for mat in np.asarray(a).reshape((-1,) + np.shape(a)[-2:]):
+            jobs[mat.shape, mat.tobytes(), flags] += 1
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    assert main(["analyze", path, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["drazin"]["p"] == 2
+    assert jobs and max(jobs.values()) == 1
 
 
 @pytest.mark.parametrize("kind", ["planted", "zero", "invertible"])
