@@ -1,11 +1,13 @@
-"""Size-ladder micro-benchmark of three certificates and the power chain.
+"""Size-ladder micro-benchmark of four certificates and the power chain.
 
 Times ``fredholm_report``, ``exact_sequence``, ``drazin_inverse`` and
 ``power_chain`` (both staircases of the planted endomorphism) on maps
 built before the clock starts, along the ladder (2,3)/2, (16)/4,
 1^32/4 and 1^256/4 (algebra shape / module rank).  Each repetition runs
 on a fresh copy of its maps, so no cached spectral record or power chain
-carries over from one repetition to the next.  Prints one JSON object:
+carries over from one repetition to the next.  ``closed_sum_report``
+(10,000 sampled pairs, as the closed-sum suite runs it) is timed on a
+random submodule pair at (1)/25 and at (2,3)/2.  Prints one JSON object:
 the median milliseconds per certificate and rung, plus the numpy
 version and the host.
 
@@ -38,6 +40,11 @@ RUNGS = (
     ("1^32", 4, (2, 1)),
     ("1^256", 4, (2, 1)),
 )
+# (shape, module rank, column ranks of the two submodules) of the closed-sum pairs
+PAIRS = (
+    ("1", 25, (6,), (12,)),
+    ("2,3", 2, (1, 2), (2, 3)),
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -55,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(src.resolve()))
     import numpy as np
 
-    from modop import drazin, fredholm, randgen
+    from modop import drazin, fredholm, geometry, randgen
     from modop.linmap import AdjointableMap
 
     def fresh(f: AdjointableMap) -> AdjointableMap:
@@ -70,6 +77,7 @@ def main(argv: list[str] | None = None) -> int:
         "exact_sequence": {},
         "drazin_inverse": {},
         "power_chain": {},
+        "closed_sum_report": {},
     }
     for text, m, nilpotent in RUNGS:
         rng = np.random.default_rng([args.seed, len(text), m])
@@ -92,6 +100,17 @@ def main(argv: list[str] | None = None) -> int:
                 run(maps)
                 times.append((time.perf_counter() - start) * 1e3)
             results[name][rung] = round(statistics.median(times), 3)
+    for text, m, ranks_m, ranks_n in PAIRS:
+        rng = np.random.default_rng([args.seed, len(text), m])
+        shape = randgen.parse_shape(text)
+        a = randgen.random_submodule(shape, m, rng, ranks=ranks_m)
+        b = randgen.random_submodule(shape, m, rng, ranks=ranks_n)
+        times = []
+        for rep in range(args.repeats):
+            start = time.perf_counter()
+            geometry.closed_sum_report(a, b, rng=np.random.default_rng(rep), samples=10_000)
+            times.append((time.perf_counter() - start) * 1e3)
+        results["closed_sum_report"][f"({text})/{m}"] = round(statistics.median(times), 3)
 
     payload = {
         "unit": "ms (median)",

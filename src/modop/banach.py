@@ -120,10 +120,6 @@ class RegularOperator:
     residuals: dict[str, float] = field(default_factory=dict)
 
     @property
-    def domain_dim(self) -> int:
-        return self.t.shape[1]
-
-    @property
     def codomain_dim(self) -> int:
         return self.t.shape[0]
 

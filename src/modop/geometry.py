@@ -22,8 +22,8 @@ restricted minimum moduli computed blockwise are *equal* to their flat
 of rank one.  That is also why the sampled norm-bound check below uses
 genuine module norms while the spectral work stays at block size.
 
-Those module norms are largest singular values of small tall matrices T
-(one per block and sample), read off the Gram matrix as
+Those module norms are largest singular values of small coefficient
+matrices T (one per block and sample), read off the Gram matrix as
 sqrt(lambda_max(T^H T)).  The Gram route squares the condition number,
 which ruins the *smallest* singular values, but the largest eigenvalue of
 T^H T carries an absolute error of order eps * ||T||^2 = eps * lambda_max,
@@ -151,8 +151,8 @@ def _bound_from_delta(delta: float) -> float:
 
 
 def _module_norms(stacks: list[Array]) -> Array:
-    """Module norms of a batch of vectors, given per block as a
-    (count, m*n_b, n_b) stack of tall forms, via Gram matrices."""
+    """Module norms of a batch of vectors, given per block as a (count, rows, n_b)
+    stack of tall forms or of their coefficients on an orthonormal basis, via Gram matrices."""
     norms = np.zeros(stacks[0].shape[0])
     for talls in stacks:
         grams = np.einsum("kij,kil->kjl", talls.conj(), talls)
@@ -176,8 +176,10 @@ def closed_sum_report(
 
     A nonzero intersection is removed first (both spaces are cut down to
     their parts transverse to it) and flagged ``reduced``; the bound is
-    then verified by sampling: random x in M, y in N with module norm
-    of x + y at most 1 must satisfy ||x|| <= (delta+1)/delta.
+    then verified by sampling x = W_M a in M and y = W_N b in N: they
+    must satisfy ||x|| <= (delta+1)/delta * ||x + y||.  Samples stay
+    coefficients: per block ||x|| is the norm of a, and ||x + y|| that of
+    R [a; b], with R from a QR factorization of [W_M W_N].
     """
     if m.shape != n.shape or m.m != n.m:
         raise StructureError("submodules live in different modules")
@@ -202,12 +204,14 @@ def closed_sum_report(
     worst = None
     if samples > 0 and m_red.dim > 0 and n_red.dim > 0:
         gen = rng if rng is not None else np.random.default_rng(0)
-        xs = m_red.sample_talls(gen, samples)
-        ys = n_red.sample_talls(gen, samples)
-        sums = _module_norms([x + y for x, y in zip(xs, ys)])
-        scale = np.maximum(sums, 1e-300)
-        x_norms = _module_norms(xs) / scale
-        worst = float(np.max(x_norms)) if x_norms.size else 0.0
+        xs = m_red.sample_coefficients(gen, samples)
+        ys = n_red.sample_coefficients(gen, samples)
+        spans = [np.hstack(ws) for ws in zip(m_red.column_bases, n_red.column_bases)]
+        rs = stacked(np.linalg.qr, spans, mode="r")
+        sums = [np.tensordot(r, np.concatenate([x, y]), axes=1) for r, x, y in zip(rs, xs, ys)]
+        scale = np.maximum(_module_norms([s.transpose(2, 0, 1) for s in sums]), 1e-300)
+        x_norms = _module_norms([x.transpose(2, 0, 1) for x in xs]) / scale
+        worst = float(np.max(x_norms))
         if worst > bound + tol.angle_tol:
             raise IdentityViolation(
                 f"sampled summand norm {worst:.6e} exceeds the bound {bound:.6e}"

@@ -10,7 +10,8 @@ right algebra action decomposes per block as (column space) x (column
 positions).  A submodule is therefore stored as one orthonormal column
 basis per block — its K0 class is just the tuple of those basis sizes,
 so every K-theory statement downstream reduces to integer arithmetic on
-ranks decided per block.
+ranks decided per block, and random vectors are sampled as coefficients
+on those bases, never as tall forms.
 
 Flat coordinates (every entry block raveled, blocks in order, chosen so
 the standard inner product equals the trace of the algebra-valued one)
@@ -370,26 +371,19 @@ class Submodule:
         bases = [basis for basis, _ in orthonormal_images(spans, tol, scale=1.0)]
         return Submodule(self.shape, self.m, tuple(bases))
 
-    def sample_talls(self, rng: np.random.Generator, count: int = 1) -> list[Array]:
-        """Random vectors inside the submodule, per block as a
-        (count, m*n_b, n_b) stack of tall forms W_b C_b.
+    def sample_coefficients(self, rng: np.random.Generator, count: int = 1) -> list[Array]:
+        """Random vectors inside the submodule, per block as the
+        (k_b, n_b, count) coefficients C_b of their tall forms W_b C_b.
 
         The gaussian coefficients are drawn as one (dim, count) array whose
         rows run in :meth:`basis_vectors` order, so block b's rows reshape
-        to the (k_b, n_b) coefficient matrices C_b of all samples at once:
-        one gemm per block.  The stack is a transposed view of that product;
-        a contiguous copy made closed-sum sampling up to 1.8x slower.
+        to the C_b of all samples at once.  W_b has orthonormal columns, so
+        every norm of W_b C_b is that of C_b: the tall forms are never built.
         """
-        dim = self.dim
-        coeff = rng.normal(size=(dim, count)) + 1j * rng.normal(size=(dim, count))
-        stacks, off = [], 0
-        for n, w in zip(self.shape.block_sizes, self.column_bases):
-            k = w.shape[1]
-            c = coeff[off : off + k * n].reshape(k, n * count)
-            tall = (w @ c).reshape(self.m * n, n, count)
-            stacks.append(tall.transpose(2, 0, 1))
-            off += k * n
-        return stacks
+        sizes, ks = self.shape.block_sizes, [w.shape[1] for w in self.column_bases]
+        coeff = rng.normal(size=(self.dim, count)) + 1j * rng.normal(size=(self.dim, count))
+        parts = np.split(coeff, np.cumsum([k * n for k, n in zip(ks, sizes)])[:-1])
+        return [c.reshape(k, n, count) for c, k, n in zip(parts, ks, sizes)]
 
     def __repr__(self) -> str:
         return f"Submodule(shape={self.shape}, m={self.m}, k0={self.k0()})"

@@ -45,8 +45,8 @@ class ToleranceConfig:
     ill_posed_projector_norm
         An oblique projector with norm beyond this is flagged ill-posed.
 
-    Every knob must be finite and positive; anything else raises
-    :class:`~modop.errors.DataError`.
+    Every knob must be finite and positive, with ``angle_tol`` at most
+    ``coincide_tol``; anything else raises :class:`~modop.errors.DataError`.
     """
 
     rank_tol: float = 1e-10
@@ -62,6 +62,11 @@ class ToleranceConfig:
             val = getattr(self, fld.name)
             if not (math.isfinite(val) and val > 0):
                 raise DataError(f"tolerance {fld.name} must be finite and positive, got {val!r}")
+        if self.angle_tol > self.coincide_tol:
+            raise DataError(
+                f"tolerance angle_tol ({self.angle_tol!r}) must not exceed "
+                f"coincide_tol ({self.coincide_tol!r})"
+            )
 
     def rank_threshold(self, smax: float, ambient_dim: int) -> float:
         """Absolute cutoff below which singular values count as zero."""

@@ -280,6 +280,16 @@ def test_invalid_tolerance_is_usage_error(value, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("value", ["1e-6", "0.5"])
+def test_angle_tolerance_above_coincide_tolerance_is_usage_error(value, capsys):
+    assert main(["verify", "closed-sum", "--n", "1", "--tol-angle", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tolerance angle_tol")
+    assert "coincide_tol" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from modop import geometry
 from modop.algebra import AlgebraShape
-from modop.errors import StructureError
+from modop.errors import IdentityViolation, StructureError
 from modop.geometry import (
     _module_norms,
     bouldin_criterion,
@@ -104,6 +105,78 @@ def test_closed_sum_near_parallel_bound_grows(shape23, rng):
     assert rep.bound_C > 100  # (sin 1e-2 + 1)/sin 1e-2
     assert rep.sampled_max_norm <= rep.bound_C
     assert rep.sampled_max_norm > 1.0  # summands really do blow past norm(x+y)
+
+
+def test_summand_bound_gate_trips_on_a_planted_bound(shape23, rng, monkeypatch):
+    # the near-parallel samples reach well past 1, so a bound of 1 must fail
+    m = line(shape23, 2, (0.0, 0.0))
+    n = line(shape23, 2, (1e-2, 1e-2))
+    monkeypatch.setattr(geometry, "_bound_from_delta", lambda delta: 1.0)
+    with pytest.raises(IdentityViolation, match=r"sampled summand norm .* exceeds the bound"):
+        closed_sum_report(m, n, rng=rng, samples=3000)
+
+
+def test_pythagoras_gate_trips_on_a_planted_cosine(shape23, monkeypatch):
+    m = line(shape23, 2, (0.0, 0.0))
+    n = line(shape23, 2, (0.3, 0.3))
+    true_angle = geometry.dixmier_angle
+    monkeypatch.setattr(
+        geometry, "dixmier_angle", lambda a, b, tol: true_angle(a, b, tol) - 1e-3
+    )
+    with pytest.raises(IdentityViolation, match=r"c0\^2 \+ delta\^2 = 1 violated"):
+        closed_sum_report(m, n, samples=0)
+
+
+def _cnormal(rng, rows, cols):
+    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+
+def _flat_module_norms(sub, flats):
+    """Module norm of each flat column: the largest spectral norm of its
+    per-block tall forms (oracle: one SVD per sample and block)."""
+    count, off, norms = flats.shape[1], 0, np.zeros(flats.shape[1])
+    for nb in sub.shape.block_sizes:
+        seg = sub.m * nb * nb
+        talls = flats[off : off + seg].T.reshape(count, sub.m * nb, nb)
+        norms = np.maximum(norms, np.linalg.norm(talls, ord=2, axis=(1, 2)))
+        off += seg
+    return norms
+
+
+def _planted_pairs(shape, rng):
+    k = shape.num_blocks
+    shared = random_submodule(shape, 4, rng, ranks=(1,) + (0,) * (k - 1))
+    return {
+        "transverse": (
+            random_submodule(shape, 4, rng, ranks=(1,) * k),
+            random_submodule(shape, 4, rng, ranks=(2,) * k),
+        ),
+        "reduced": (
+            shared.add(random_submodule(shape, 4, rng, ranks=(0,) * (k - 1) + (1,))),
+            shared.add(random_submodule(shape, 4, rng, ranks=(1,) * k)),
+        ),
+        "near-parallel": (line(shape, 4, (0.0,) * k), line(shape, 4, (1e-2,) * k)),
+    }
+
+
+@pytest.mark.parametrize("case", ["transverse", "reduced", "near-parallel"])
+@pytest.mark.parametrize("shape_text", ["1", "2,3", "1^4"])
+def test_coefficient_norms_match_ambient_oracle(shape_text, case):
+    shape = parse_shape(shape_text)
+    m, n = _planted_pairs(shape, np.random.default_rng(4))[case]
+    samples = 2000
+    rep = closed_sum_report(m, n, rng=np.random.default_rng(9), samples=samples)
+    assert rep.reduced == (case == "reduced")
+    if rep.reduced:
+        perp = m.intersection(n)[0].complement()
+        m, n = m.intersection(perp)[0], n.intersection(perp)[0]
+    # same seeded draws, taken as coefficients on the flat oracle bases
+    draw = np.random.default_rng(9)
+    x = flat_basis(m) @ _cnormal(draw, m.dim, samples)
+    y = flat_basis(n) @ _cnormal(draw, n.dim, samples)
+    expect = float(np.max(_flat_module_norms(m, x) / _flat_module_norms(m, x + y)))
+    assert rep.sample_count == samples
+    assert abs(rep.sampled_max_norm - expect) <= 1e-12 * expect
 
 
 def test_composition_margin_equals_planted_sine():

@@ -139,18 +139,20 @@ def test_basis_vectors_are_the_flat_oracle_basis(shape23, rng, ranks):
 
 @pytest.mark.parametrize("shape_text, ranks", [("2,3", (1, 2)), ("2,3", (0, 3)), ("1^4", (1, 0, 2, 1))])
 def test_sampled_talls_match_flat_oracle_sampling(shape_text, ranks):
-    # same draws as coefficients on the flat oracle basis, reshaped per block
+    # the tall forms W_b C_b of the sampled coefficients are the same draws
+    # taken as coefficients on the flat oracle basis, reshaped per block
     shape = parse_shape(shape_text)
     sub = random_submodule(shape, 3, np.random.default_rng(1), ranks=ranks)
     count = 7
-    stacks = sub.sample_talls(np.random.default_rng(2), count)
+    coeffs = sub.sample_coefficients(np.random.default_rng(2), count)
     q = flat_basis(sub)
     rng = np.random.default_rng(2)
     flats = q @ (rng.normal(size=(q.shape[1], count)) + 1j * rng.normal(size=(q.shape[1], count)))
     off = 0
-    for nb, talls in zip(shape.block_sizes, stacks):
+    for nb, w, c in zip(shape.block_sizes, sub.column_bases, coeffs):
         seg = 3 * nb * nb
-        assert talls.shape == (count, 3 * nb, nb)
+        assert c.shape == (w.shape[1], nb, count)
+        talls = np.stack([w @ c[:, :, s] for s in range(count)])
         assert np.allclose(talls, flats[off : off + seg].T.reshape(count, 3 * nb, nb), atol=1e-14)
         off += seg
 
