@@ -1,0 +1,178 @@
+#!/usr/bin/env python3
+"""Compare the output of ``modop`` commands between another commit and this checkout.
+
+Exports ``--parent`` with ``git archive`` into ``.bench_build/<commit>/``,
+writes seeded input files once into ``.bench_build/byte-compare-inputs/``
+and runs every command below with the ``src/`` of that export and with
+this checkout's ``src/``, one fresh process per run and OpenBLAS on one
+thread.  Stdout, stderr and the exit code of the two runs must be equal.
+
+Commands:
+  * ``verify``: the eleven suites at seeds 1-3 on shapes 2,3, 1^8 and 4;
+  * ``analyze`` (json and text), ``drazin`` and ``banach`` on a planted
+    endomorphism and a rank-deficient map A^3 -> A^2 over (2,3), 1^8
+    and (4), module rank 3;
+  * ``geometry`` on transverse, intersecting and operator pairs at seeds
+    0-2;
+  * the three ``probe`` families, text and csv.
+
+Prints each differing command with its differing lines and exits 1 if
+any command differs, 0 otherwise.
+
+    python3 scripts/byte_compare.py --parent HEAD~1
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import os
+import shutil
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BUILD = ROOT / ".bench_build"
+INPUTS = BUILD / "byte-compare-inputs"
+
+VERIFY_SHAPES = ("2,3", "1^8", "4")
+VERIFY_SEEDS = (1, 2, 3)
+MAP_SHAPES = ("2,3", "1^8", "4")
+MAP_RANK = 3
+GEOMETRY_SEEDS = (0, 1, 2)
+
+
+def export(rev: str) -> Path:
+    """A fresh ``git archive`` of ``rev`` under ``.bench_build/``."""
+    commit = subprocess.run(
+        ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+        cwd=ROOT, check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    dest = BUILD / commit
+    shutil.rmtree(dest, ignore_errors=True)
+    dest.mkdir(parents=True)
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", commit], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return dest
+
+
+def write_inputs() -> list[list[str]]:
+    """Seeded input files, and the command lines that read them."""
+    sys.path.insert(0, str(ROOT / "src"))
+    import numpy as np
+
+    from modop import randgen, serialize
+    from modop.cli import SUITE_NAMES
+    from modop.modules import Submodule
+    from modop.probes import FAMILY_NAMES
+
+    shutil.rmtree(INPUTS, ignore_errors=True)
+    INPUTS.mkdir(parents=True)
+
+    def save(name: str, payload: dict) -> str:
+        path = INPUTS / name
+        serialize.save_json(str(path), payload)
+        return str(path)
+
+    commands = [
+        ["verify", suite, "--seed", str(seed), "--shape", shape, "--format", "json"]
+        for shape in VERIFY_SHAPES
+        for seed in VERIFY_SEEDS
+        for suite in SUITE_NAMES
+    ]
+
+    for text in MAP_SHAPES:
+        shape = randgen.parse_shape(text)
+        rng = np.random.default_rng([MAP_RANK, *shape.block_sizes])
+        endo = randgen.random_endomorphism(shape, MAP_RANK, rng, nilpotent=(2, 1))
+        rect = randgen.random_map(shape, MAP_RANK, 2, rng, rank_deficit=1)
+        for kind, f in (("endo", endo), ("rect", rect)):
+            path = save(f"{kind}-{text}-{MAP_RANK}.json", serialize.operator_to_jsonable(f))
+            commands += [
+                ["analyze", path, "--format", "json"],
+                ["analyze", path],
+                ["drazin", path, "--format", "json"],
+                ["banach", path, "--format", "json"],
+            ]
+
+    shape = randgen.parse_shape("2,3")
+    for seed in GEOMETRY_SEEDS:
+        rng = np.random.default_rng(seed)
+        left = randgen.random_submodule(shape, 3, rng, ranks=(2, 3))
+        right = randgen.random_submodule(shape, 3, rng, ranks=(3, 4))
+        # a line of ``left`` planted in a generic 3- (4-) space: they meet in it
+        meets = [
+            np.linalg.qr(np.hstack([a[:, :1], b]))[0]
+            for a, b in zip(left.column_bases, right.column_bases)
+        ]
+        f = randgen.random_map(shape, 2, 3, rng, rank_deficit=1)
+        d = randgen.random_map(shape, 3, 2, rng, rank_deficit=1)
+        pairs = {
+            "transverse": (left, right),
+            "intersecting": (left, Submodule(shape, 3, tuple(meets))),
+            "operators": (f, d),
+        }
+        for kind, operands in pairs.items():
+            paths = [
+                save(
+                    f"geometry-{kind}-{seed}-{side}.json",
+                    serialize.operator_to_jsonable(x)
+                    if kind == "operators"
+                    else serialize.submodule_to_jsonable(x),
+                )
+                for side, x in zip(("left", "right"), operands)
+            ]
+            commands.append(["geometry", *paths, "--seed", str(seed), "--format", "json"])
+
+    for family in FAMILY_NAMES:
+        commands += [["probe", family], ["probe", family, "--format", "csv"]]
+    return commands
+
+
+def run(tree: Path, argv: list[str]) -> tuple[str, str, int]:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "modop", *argv], cwd=tree, env=env, capture_output=True, text=True
+    )
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def differences(before: tuple[str, str, int], after: tuple[str, str, int]) -> list[str]:
+    lines = []
+    for stream, old, new in zip(("stdout", "stderr"), before[:2], after[:2]):
+        diff = list(difflib.unified_diff(old.splitlines(), new.splitlines(), lineterm="", n=0))
+        # past the ---/+++ header, every line is a hunk header or a changed line
+        lines += [f"  {stream} {ln}" for ln in diff[2:] if not ln.startswith("@@")]
+    if before[2] != after[2]:
+        lines.append(f"  exit code {before[2]} -> {after[2]}")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="commit to compare against, e.g. HEAD")
+    args = parser.parse_args(argv)
+
+    parent = export(args.parent)
+    commands = write_inputs()
+    jobs = [(tree, argv) for argv in commands for tree in (parent, ROOT)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(lambda job: run(*job), jobs))
+
+    differing = 0
+    for i, argv in enumerate(commands):
+        lines = differences(results[2 * i], results[2 * i + 1])
+        if lines:
+            differing += 1
+            print("modop " + " ".join(argv).replace(f"{INPUTS}{os.sep}", ""))
+            print("\n".join(lines))
+    print(f"{differing} of {len(commands)} commands differ from {args.parent}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

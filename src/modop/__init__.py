@@ -28,11 +28,8 @@ from .drazin import (
     DrazinReport,
     DualityReport,
     ShiftExampleReport,
-    ascent,
-    browder_decomposition,
     commuting_browder_check,
     commuting_drazin_criterion,
-    descent,
     drazin_dual_check,
     drazin_inverse,
     shift_counterexample,

@@ -35,7 +35,6 @@ from .subspace import (
     complement,
     intersections,
     null_spaces,
-    oblique_projector,
     op_norm,
     orthonormal_images,
     svd_datas,
@@ -81,21 +80,34 @@ class ObliqueDecomposition:
 def oblique_decomposition(
     onto: Array, along: Array, tol: ToleranceConfig = DEFAULT_TOL
 ) -> ObliqueDecomposition:
-    """The idempotent with range span(onto) and kernel span(along)."""
+    """The idempotent with range span(onto) and kernel span(along).
+
+    The two spans must be algebraic complements of the ambient space;
+    anything else raises :class:`UnmetHypothesisError`.
+    """
     onto, along = as_complex(onto), as_complex(along)
-    proj = oblique_projector(onto, along, tol)
-    e = proj.matrix
-    resid = op_norm(e @ e - e) / max(proj.norm, 1e-300)
+    amb = onto.shape[0]
+    if onto.shape[1] + along.shape[1] != amb:
+        raise UnmetHypothesisError(
+            f"complement dimensions {onto.shape[1]}+{along.shape[1]} != ambient {amb}"
+        )
+    s_mat = np.hstack([onto, along])
+    sdata = svd_datas([s_mat], tol, scale=1.0)[0]
+    if sdata.rank < amb:
+        raise UnmetHypothesisError("claimed complements share directions (singular basis matrix)")
+    e = onto @ np.linalg.inv(s_mat)[: onto.shape[1]]
+    norm = op_norm(e)
+    resid = op_norm(e @ e - e) / max(norm, 1e-300)
     (image, _), (kernel, _) = orthonormal_images([onto, along], tol, scale=1.0)
     return ObliqueDecomposition(
-        ambient=e.shape[0],
+        ambient=amb,
         idempotent=e,
         image_basis=image,
         kernel_basis=kernel,
-        norm=proj.norm,
-        cond=proj.cond,
+        norm=norm,
+        cond=float(sdata.values[0] / sdata.values[-1]) if amb else 1.0,
         idempotency_residual=float(resid),
-        ill_posed=proj.norm > tol.ill_posed_projector_norm,
+        ill_posed=norm > tol.ill_posed_projector_norm,
     )
 
 

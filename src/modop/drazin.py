@@ -1,4 +1,4 @@
-"""Ascent, descent, Drazin inversion, and Browder decompositions.
+"""Drazin inversion and Browder decompositions, read off the power chain.
 
 The Drazin inverse is computed from the structure that makes it exist:
 once the image chain stabilises at exponent p, the module splits
@@ -37,29 +37,12 @@ __all__ = [
     "BrowderWitness",
     "CommutingBrowderReport",
     "ShiftExampleReport",
-    "ascent",
-    "descent",
     "drazin_inverse",
     "drazin_dual_check",
     "commuting_drazin_criterion",
-    "browder_decomposition",
     "commuting_browder_check",
     "shift_counterexample",
 ]
-
-
-# ---------------------------------------------------------------------------
-# ascent / descent
-
-
-def ascent(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Least p with ker F^p = ker F^(p+1), from the kernel staircase."""
-    return f.power_chain(tol).ascent
-
-
-def descent(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Least p with Im F^p = Im F^(p+1), from the image staircase."""
-    return f.power_chain(tol).descent
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +119,6 @@ class DrazinReport:
     splitting_cond: float
     residuals: dict[str, float] = field(default_factory=dict)
     margin: float = math.inf
-
-    @property
-    def decomposition(self) -> tuple[Submodule, Submodule]:
-        return self.range_space, self.null_space
 
 
 def drazin_inverse(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> DrazinReport:
@@ -327,8 +306,8 @@ def commuting_drazin_criterion(
 
 @dataclass(frozen=True, eq=False)
 class BrowderWitness:
-    """Invariant splitting M +' N with F invertible on M and the
-    complement finitely generated (automatic here, still recorded)."""
+    """Invariant splitting M +' N with F invertible on M; in this finite
+    model the complement N is always finitely generated."""
 
     range_space: Submodule
     null_space: Submodule
@@ -337,11 +316,6 @@ class BrowderWitness:
     gamma_f1: float
     off_diagonal_residual: float
     splitting_cond: float
-    finitely_generated: bool = True
-
-    @property
-    def decomposition(self) -> tuple[Submodule, Submodule]:
-        return self.range_space, self.null_space
 
 
 def _browder_blocks(
@@ -362,14 +336,6 @@ def _browder_blocks(
         (max(float(a[0]), float(b[0])) / nf for a, b in zip(upper, lower)), default=0.0
     )
     return f1s, f4s, gamma, off_resid
-
-
-def browder_decomposition(
-    f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL
-) -> BrowderWitness:
-    if not f.is_endomorphism:
-        raise StructureError("Browder decomposition needs an endomorphism")
-    return _witness(f, _core_split(f, tol), tol)
 
 
 def _witness(g: AdjointableMap, split: _Split, tol: ToleranceConfig) -> BrowderWitness:
@@ -454,10 +420,10 @@ class ShiftExampleReport:
     a truncated shift.
 
     The power chain is strictly monotone up to depth n and only then
-    stabilises — the depth grows with n, which is how the genuinely
-    infinite phenomenon (no stabilisation at all) appears in a finite
-    model.  The commuting projection P keeps FP Drazin invertible the
-    whole time.
+    stabilises, so ``strict_depth`` is also its stabilization exponent.
+    The depth grows with n, which is how the genuinely infinite
+    phenomenon (no stabilisation at all) appears in a finite model.  The
+    commuting projection P keeps FP Drazin invertible the whole time.
     """
 
     kind: str
@@ -466,7 +432,6 @@ class ShiftExampleReport:
     projection: AdjointableMap
     chain_dims: tuple[int, ...]
     strict_depth: int
-    stabilization_depth: int
     fp_drazin_index: int
     commutation_residual: float
 
@@ -497,7 +462,7 @@ def shift_counterexample(
     fp_report = drazin_inverse(f @ proj, tol)
 
     # The staircases grow strictly up to their plateau, so the strict depth
-    # and the stabilization exponent are both the descent (or ascent).
+    # is also the stabilization exponent: the descent (or ascent).
     chain = f.power_chain(tol)
     depth, step = (
         (chain.descent, chain.image) if kind == "range-strict" else (chain.ascent, chain.kernel)
@@ -511,7 +476,6 @@ def shift_counterexample(
         projection=proj,
         chain_dims=tuple(step(k).dim for k in range(n + 2)),
         strict_depth=depth,
-        stabilization_depth=depth,
         fp_drazin_index=fp_report.p,
         commutation_residual=float(comm),
     )

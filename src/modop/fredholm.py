@@ -430,8 +430,10 @@ class BFredholmReport:
 
     ``stabilization_exponent`` (the descent n), ``rank_chain`` and
     ``stable_image`` = Im F^n are read off the image staircase of the
-    map's power chain; the restriction of F to Im F^n is then invertible
-    and its index (the b-index) vanishes.
+    map's power chain.  The restriction of F to Im F^n (Berkani's T_n) is
+    then invertible: its rank decision, made at the scale ||F||, must
+    find full rank, and ``restricted_gamma`` is its smallest singular
+    value (+inf on the zero space).
     """
 
     stabilization_exponent: int
@@ -440,7 +442,6 @@ class BFredholmReport:
     restricted: RestrictedEndomorphism
     restricted_gamma: float
     kernel_meet_stable_image: Submodule
-    b_index: K0Class
     margin: float
 
 
@@ -449,17 +450,13 @@ def b_fredholm_report(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> 
         raise StructureError("power stabilization needs an endomorphism")
     chain = f.power_chain(tol)
     n = chain.descent
-    nf = f.norm()
     stable = chain.image(n)
     restricted = RestrictedEndomorphism.of(f, stable, tol)
-    rest_data = restricted.singular_data(tol, scale=nf)
-    rest_ker = restricted.kernel(tol, scale=nf)
-    rest_img = restricted.image(tol, scale=nf)
-    coker_rest = stable.k0() - rest_img.k0()
-    b_index = rest_ker.k0() - coker_rest
-    if not b_index.is_zero():
+    rest_data = restricted.singular_data(tol, scale=f.norm())
+    if rest_data.rank != stable.dim:
         raise IdentityViolation(
-            f"restriction to the stable image is not invertible (b-index {b_index})"
+            "restriction to the stable image is not invertible "
+            f"(rank {rest_data.rank} of {stable.dim})"
         )
     meet, gap = chain.kernel(1).intersection(stable, tol)
     return BFredholmReport(
@@ -469,14 +466,14 @@ def b_fredholm_report(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> 
         restricted=restricted,
         restricted_gamma=rest_data.gamma,
         kernel_meet_stable_image=meet,
-        b_index=b_index,
         margin=_min_margin(chain.margin, gap),
     )
 
 
 @dataclass(frozen=True, eq=False)
 class BFredholmCommutingReport:
-    """Stabilization additivity data for a commuting pair."""
+    """Power stabilization of a commuting pair and of its product, and how
+    each factor's kernel meets the product's stable image."""
 
     report_f: BFredholmReport
     report_d: BFredholmReport
@@ -484,12 +481,6 @@ class BFredholmCommutingReport:
     commutator_residual: float
     kernel_f_meet_stable: Submodule
     kernel_d_meet_stable: Submodule
-
-    @property
-    def b_index_additive(self) -> bool:
-        lhs = self.report_product.b_index
-        rhs = self.report_f.b_index + self.report_d.b_index
-        return lhs.entries == rhs.entries
 
 
 def b_fredholm_commuting_check(
@@ -502,7 +493,7 @@ def b_fredholm_commuting_check(
     stable = rep_p.stable_image
     meet_f, _ = f.kernel(tol, scale=f.norm()).intersection(stable, tol)
     meet_d, _ = d.kernel(tol, scale=d.norm()).intersection(stable, tol)
-    for meet, parent in ((meet_f, rep_f), (meet_d, rep_d)):
+    for meet in (meet_f, meet_d):
         if not (meet.k0() <= stable.k0() and meet.k0().is_nonnegative()):
             raise IdentityViolation("intersection class exceeds its parents")
     return BFredholmCommutingReport(

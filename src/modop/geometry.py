@@ -76,7 +76,6 @@ class GeometryReport:
     reduced: bool = False
     intersection_class: K0Class | None = None
     pythagoras_residual: float | None = None
-    cross_check_residual: float | None = None
     sampled_max_norm: float | None = None
     sample_count: int = 0
     margin_p: float | None = None

@@ -10,14 +10,17 @@ per-block ones with multiplicity n_b.  Every certificate works on the
 compressed blocks.  The dense flat matrix (``realization``) serves only
 as the test oracle and as the plain matrix ``modop banach`` works on.
 
-Each map carries one spectral record, computed on first use and cached:
-the values-only SVD of every block (``_svals``, read by ``norm`` and
-``singular_data``) and the full SVD (``_svd``, read by ``kernel``,
-``image``, ``mp_pseudoinverse`` and step 1 of both power-chain
-staircases).  Both are grouped stacked records:
+Each map carries two spectral records, computed on first use and
+cached: the values-only SVD of every block (``_svals``, read by ``norm``
+and ``singular_data``) and the full SVD (``_svd``, read by ``kernel``,
+``image`` and step 1 of both power-chain staircases).  The two LAPACK
+jobs agree only to the last few digits, so each consumer keeps reading
+the record it needs.  Both are grouped stacked records:
 :func:`modop.subspace.stacked` makes one LAPACK call per distinct block
 shape and hands back per-block views, bitwise equal to per-block calls;
 the later staircase steps and restrictions are grouped the same way.
+A restriction to an invariant submodule keeps the values-only record
+alone: its rank decision is all that certifies it invertible.
 Every rank decision on a map, a staircase step included, is one call of
 :func:`modop.subspace._decide` on the merged values of all blocks: one
 absolute cutoff across blocks, derived from the global largest singular
@@ -59,13 +62,9 @@ __all__ = [
 class BlockwiseMap:
     """A map stored as one complex matrix per algebra block.
 
-    Subclasses provide ``blocks``, ``shape``, ``dim_ctx`` (the ambient
-    dimension entering the rank cutoff) and ``_lift`` (per-block bases as a
-    submodule).  Each block is decomposed at most twice per map: once for
-    values only and once in full.  The two LAPACK jobs agree only to the
-    last few digits, so each consumer keeps reading the record it needs;
-    ``tol`` and ``scale`` only move the cutoff and are call arguments, not
-    cache keys.
+    Subclasses provide ``blocks``, ``shape`` and ``dim_ctx`` (the ambient
+    dimension entering the rank cutoff).  ``tol`` and ``scale`` only move
+    the cutoff and are call arguments, not cache keys.
     """
 
     blocks: tuple[Array, ...]
@@ -74,10 +73,6 @@ class BlockwiseMap:
     def _svals(self) -> tuple[Array, ...]:
         return tuple(stacked(np.linalg.svd, self.blocks, compute_uv=False))
 
-    @cached_property
-    def _svd(self) -> tuple[tuple[Array, Array, Array], ...]:
-        return tuple(stacked(np.linalg.svd, self.blocks))
-
     def _merged(
         self, values: Sequence[Array], tol: ToleranceConfig, scale: float | None
     ) -> SingularData:
@@ -85,40 +80,6 @@ class BlockwiseMap:
         counts = np.repeat(self.shape.block_sizes, [v.size for v in values])
         merged = np.repeat(np.concatenate(values), counts)
         return _decide(np.sort(merged)[::-1], tol, self.dim_ctx, scale)
-
-    def _ranks(
-        self, svds: Sequence[tuple[Array, Array, Array]], tol: ToleranceConfig, scale: float | None
-    ) -> tuple[list[int], SingularData]:
-        """Per-block ranks of ``svds`` under one shared cutoff, and the
-        decision that set it."""
-        data = self._merged([s for _, s, _ in svds], tol, scale)
-        return [sum(1 for v in s.tolist() if v > data.threshold) for _, s, _ in svds], data
-
-    def _image_of(
-        self, svds: Sequence[tuple[Array, Array, Array]], tol: ToleranceConfig, scale: float | None
-    ) -> tuple[Submodule, float]:
-        """Column span of each decomposed block, and the decision's margin."""
-        ranks, data = self._ranks(svds, tol, scale)
-        bases = [u[:, :r] for (u, _, _), r in zip(svds, ranks)]
-        return self._lift(bases, codomain=True), data.margin
-
-    def _kernel_of(
-        self, svds: Sequence[tuple[Array, Array, Array]], tol: ToleranceConfig, scale: float | None
-    ) -> tuple[Submodule, float]:
-        """Kernel of each fully decomposed block, and the decision's margin."""
-        ranks, data = self._ranks(svds, tol, scale)
-        bases = [vh[r:].conj().T for (_, _, vh), r in zip(svds, ranks)]
-        return self._lift(bases, codomain=False), data.margin
-
-    def kernel(
-        self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
-    ) -> Submodule:
-        return self._kernel_of(self._svd, tol, scale)[0]
-
-    def image(
-        self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
-    ) -> Submodule:
-        return self._image_of(self._svd, tol, scale)[0]
 
     def norm(self) -> float:
         """Operator norm in the module sense (= largest block singular value)."""
@@ -288,6 +249,46 @@ class AdjointableMap(BlockwiseMap):
         talls = [c @ x.tall(b) for b, c in enumerate(self.blocks)]
         return ModuleVector.from_talls(self.shape, self.n, talls)
 
+    # -- kernels and images ---------------------------------------------------
+
+    @cached_property
+    def _svd(self) -> tuple[tuple[Array, Array, Array], ...]:
+        return tuple(stacked(np.linalg.svd, self.blocks))
+
+    def _ranks(
+        self, svds: Sequence[tuple[Array, Array, Array]], tol: ToleranceConfig, scale: float | None
+    ) -> tuple[list[int], SingularData]:
+        """Per-block ranks of ``svds`` under one shared cutoff, and the
+        decision that set it."""
+        data = self._merged([s for _, s, _ in svds], tol, scale)
+        return [sum(1 for v in s.tolist() if v > data.threshold) for _, s, _ in svds], data
+
+    def _image_of(
+        self, svds: Sequence[tuple[Array, Array, Array]], tol: ToleranceConfig, scale: float | None
+    ) -> tuple[Submodule, float]:
+        """Column span of each decomposed block, and the decision's margin."""
+        ranks, data = self._ranks(svds, tol, scale)
+        bases = tuple(u[:, :r] for (u, _, _), r in zip(svds, ranks))
+        return Submodule(self.shape, self.n, bases), data.margin
+
+    def _kernel_of(
+        self, svds: Sequence[tuple[Array, Array, Array]], tol: ToleranceConfig, scale: float | None
+    ) -> tuple[Submodule, float]:
+        """Kernel of each fully decomposed block, and the decision's margin."""
+        ranks, data = self._ranks(svds, tol, scale)
+        bases = tuple(vh[r:].conj().T for (_, _, vh), r in zip(svds, ranks))
+        return Submodule(self.shape, self.m, bases), data.margin
+
+    def kernel(
+        self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
+    ) -> Submodule:
+        return self._kernel_of(self._svd, tol, scale)[0]
+
+    def image(
+        self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
+    ) -> Submodule:
+        return self._image_of(self._svd, tol, scale)[0]
+
     def image_step(
         self, sub: Submodule, tol: ToleranceConfig = DEFAULT_TOL
     ) -> tuple[Submodule, float]:
@@ -318,26 +319,9 @@ class AdjointableMap(BlockwiseMap):
     def _chains(self) -> dict[ToleranceConfig, "PowerChain"]:
         return {}
 
-    # -- metrics, kernels, images, inverses ----------------------------------
-
     def allclose(self, other: "AdjointableMap", atol: float = 1e-12) -> bool:
         self._same_spaces(other)
         return all(np.allclose(a, b, atol=atol) for a, b in zip(self.blocks, other.blocks))
-
-    def _lift(self, bases: list[Array], *, codomain: bool) -> Submodule:
-        return Submodule(self.shape, self.n if codomain else self.m, tuple(bases))
-
-    def mp_pseudoinverse(
-        self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
-    ) -> "AdjointableMap":
-        """Moore-Penrose pseudoinverse, blockwise under the shared cutoff."""
-        blocks = []
-        for (u, s, vh), r in zip(self._svd, self._ranks(self._svd, tol, scale)[0]):
-            inv = np.zeros((vh.shape[0], u.shape[0]), dtype=np.complex128)
-            if r:
-                inv = vh[:r].conj().T @ np.diag(1.0 / s[:r]) @ u[:, :r].conj().T
-            blocks.append(inv)
-        return AdjointableMap(self.shape, self.n, self.m, tuple(blocks))
 
     def __repr__(self) -> str:
         return (
@@ -439,7 +423,8 @@ class RestrictedEndomorphism(BlockwiseMap):
     the restriction is stored as per-block matrices in the submodule's
     column-basis coordinates rather than as an algebra matrix.
     ``invariance_defect`` certifies how far the parent map moved the
-    submodule out of itself (relative to the parent norm).
+    submodule out of itself (relative to the parent norm).  Only the
+    values-only record is kept: ``norm`` and ``singular_data``.
     """
 
     domain: Submodule
@@ -474,12 +459,6 @@ class RestrictedEndomorphism(BlockwiseMap):
     @property
     def dim_ctx(self) -> int:
         return self.domain.ambient_dim
-
-    def _lift(self, bases: list[Array], *, codomain: bool) -> Submodule:
-        """Bases in the domain's column-basis coordinates, as a submodule of
-        the ambient module (domain and codomain coincide)."""
-        ws = self.domain.column_bases
-        return Submodule(self.shape, self.domain.m, tuple(w @ x for w, x in zip(ws, bases)))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnmetHypothesisError
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 Array = np.ndarray
@@ -54,8 +53,6 @@ __all__ = [
     "residual_values",
     "subspace_equals",
     "intersections",
-    "ObliqueProjector",
-    "oblique_projector",
     "NodeCheck",
     "chains_exactness",
 ]
@@ -302,45 +299,6 @@ def intersections(
     for (i, raw), (qq, _) in zip(raws.items(), stacked(np.linalg.qr, list(raws.values()))):
         out[i] = (np.ascontiguousarray(qq[:, : raw.shape[1]]), out[i][1])
     return out
-
-
-@dataclass(frozen=True)
-class ObliqueProjector:
-    """Idempotent onto span(onto) along span(along), with conditioning data."""
-
-    matrix: Array
-    onto_dim: int
-    along_dim: int
-    cond: float
-    norm: float
-
-    @property
-    def ill_posed(self) -> bool:
-        return not math.isfinite(self.norm)
-
-
-def oblique_projector(
-    onto: Array, along: Array, tol: ToleranceConfig = DEFAULT_TOL
-) -> ObliqueProjector:
-    """Projector onto span(onto) along span(along).
-
-    The two spans must be algebraic complements of the ambient space;
-    anything else raises :class:`UnmetHypothesisError`.
-    """
-    onto, along = as_complex(onto), as_complex(along)
-    amb = onto.shape[0]
-    if onto.shape[1] + along.shape[1] != amb:
-        raise UnmetHypothesisError(
-            f"complement dimensions {onto.shape[1]}+{along.shape[1]} != ambient {amb}"
-        )
-    s_mat = np.hstack([onto, along])
-    sdata = svd_datas([s_mat], tol, scale=1.0)[0]
-    if sdata.rank < amb:
-        raise UnmetHypothesisError("claimed complements share directions (singular basis matrix)")
-    inv = np.linalg.inv(s_mat)
-    e = onto @ inv[: onto.shape[1]]
-    cond = sdata.values[0] / sdata.values[-1] if amb else 1.0
-    return ObliqueProjector(e, onto.shape[1], along.shape[1], float(cond), op_norm(e))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 import contextlib
 import io
+import itertools
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +13,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from modop import banach, drazin, fredholm, geometry
 from modop.algebra import AlgebraShape
 from modop.cli import RunConfig, SUITE_NAMES, main, run_suite
 from modop.linmap import AdjointableMap
-from modop.modules import Submodule
+from modop.modules import K0Class, Submodule
 from modop.randgen import random_endomorphism, random_low_rank, random_map, random_submodule
 from modop.serialize import dumps_canonical, operator_to_jsonable, save_json, submodule_to_jsonable
 
@@ -208,6 +211,97 @@ def test_run_suite_api_matches_cli(capsys):
     assert main(["verify", "drazin-axioms", "--n", "2", "--seed", "5", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == json.loads(dumps_canonical(payload))
     assert set(SUITE_NAMES) >= {"drazin-axioms", "exact-sequence", "closed-sum"}
+
+
+def _pad_kernel_witness(real):
+    def planted(f, tol):
+        w = real(f, tol)
+        return replace(w, pad_kernel=w.pad_kernel + K0Class.free(f.shape, 1))
+
+    return planted
+
+
+def _inflated_residuals(real):
+    def planted(f, tol):
+        rep = real(f, tol)
+        return replace(rep, residuals={name: 1.0 for name in rep.residuals})
+
+    return planted
+
+
+def _index_bumped_on_second_call(real):
+    calls = itertools.count()
+
+    def planted(f, tol):
+        rep = real(f, tol)
+        return replace(rep, p=rep.p + 1) if next(calls) % 2 else rep
+
+    return planted
+
+
+def _zero_core_blocks(real):
+    def planted(g, split):
+        g1s, g4s, _, off = real(g, split)
+        return tuple(np.zeros_like(g1) for g1 in g1s), g4s, 0.0, off
+
+    return planted
+
+
+def _tilted_angle(real):
+    return lambda m, n, tol: real(m, n, tol) + 0.1
+
+
+def _padded_banach_witness(real):
+    def planted(reg):
+        w = real(reg)
+        return replace(w, z1=w.z1 + 1)
+
+    return planted
+
+
+def _repeated_kernel_column(real):
+    def planted(t, tol):
+        reg = real(t, tol)
+        return replace(reg, kernel_basis=np.hstack([reg.kernel_basis, reg.kernel_basis[:, :1]]))
+
+    return planted
+
+
+# One planted defect per suite whose certificate raises before it returns:
+# the suite reports the library's own message.
+PLANTED_DEFECTS = [
+    ("perturbation-chain", fredholm, "weyl_defect_witness", _pad_kernel_witness,
+     "perturbation chain identity failed"),
+    ("product-chain", fredholm, "weyl_defect_witness", _pad_kernel_witness,
+     "product chain identity failed"),
+    ("commuting-drazin", drazin, "drazin_inverse", _inflated_residuals,
+     "criterion verdict True disagrees with the direct test False"),
+    ("dual", drazin, "drazin_inverse", _index_bumped_on_second_call,
+     "Drazin index differs under adjoint"),
+    ("browder", drazin, "_browder_blocks", _zero_core_blocks,
+     "block 0: map not invertible on the stable range"),
+    ("closed-sum", geometry, "dixmier_angle", _tilted_angle,
+     "c0^2 + delta^2 = 1 violated"),
+    ("banach-perturbation", banach, "defect_witness", _padded_banach_witness,
+     "perturbation dimension identity failed"),
+    ("banach-product", banach, "defect_witness", _padded_banach_witness,
+     "composition witness identity failed"),
+    ("banach-product", banach, "make_regular_orthogonal", _repeated_kernel_column,
+     "alternating dimension sum is -1, not 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, module, name, plant, message",
+    PLANTED_DEFECTS,
+    ids=[f"{suite}:{name}" for suite, _, name, _, _ in PLANTED_DEFECTS],
+)
+def test_suite_reports_a_planted_certificate_defect(monkeypatch, suite, module, name, plant, message):
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    payload = run_suite(suite, RunConfig(seed=0, n=1, shape="2,3"))
+    assert payload["passes"] == 0
+    (failure,) = payload["failures"]
+    assert failure["error"].startswith(f"IdentityViolation: {message}")
 
 
 def test_malformed_file_is_usage_error(tmp_path, capsys):

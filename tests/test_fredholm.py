@@ -1,10 +1,12 @@
 """Index bookkeeping: reports, six-node exactness, chains, power stabilization."""
 
+import math
+
 import numpy as np
 import pytest
 
 from modop.algebra import AlgebraElement, AlgebraShape
-from modop.errors import StructureError, UnmetHypothesisError
+from modop.errors import IdentityViolation, StructureError, UnmetHypothesisError
 from modop.fredholm import (
     b_fredholm_commuting_check,
     b_fredholm_report,
@@ -14,9 +16,15 @@ from modop.fredholm import (
     weyl_defect_witness,
     weyl_perturbation_chain,
 )
-from modop.linmap import AdjointableMap
+from modop.linmap import AdjointableMap, PowerChain
 from modop.modules import K0Class
-from modop.randgen import parse_shape, random_commuting_pair, random_low_rank, random_map
+from modop.randgen import (
+    parse_shape,
+    random_commuting_pair,
+    random_endomorphism,
+    random_low_rank,
+    random_map,
+)
 
 
 def embed_first(shape):
@@ -185,7 +193,6 @@ def test_power_stabilization_frozen_example():
     assert rep.rank_chain == (3, 2, 1)
     assert rep.stable_image.dim == 1
     assert abs(rep.restricted_gamma - 2.0) < 1e-12  # F acts as *2 on the stable line
-    assert rep.b_index.is_zero()
     assert rep.kernel_meet_stable_image.k0().is_zero()
 
 
@@ -195,7 +202,7 @@ def test_power_stabilization_nilpotent():
     assert rep.stabilization_exponent == 3
     assert rep.rank_chain == (3, 2, 1, 0)
     assert rep.stable_image.dim == 0
-    assert rep.b_index.is_zero()  # empty restriction is vacuously invertible
+    assert rep.restricted_gamma == math.inf  # empty restriction is vacuously invertible
 
 
 def test_power_stabilization_invertible(shape23, rng):
@@ -205,14 +212,30 @@ def test_power_stabilization_invertible(shape23, rng):
     assert rep.stable_image.dim == f.kernel().ambient_dim
 
 
+PLANTED = [
+    AdjointableMap.from_matrix(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])),
+    random_endomorphism(parse_shape("2,3"), 2, np.random.default_rng(3), nilpotent=(2, 1)),
+]
+
+
+@pytest.mark.parametrize("f", PLANTED, ids=["diag(J2,2)", "(2,3)/2"])
+def test_power_stabilization_rejects_a_descent_one_step_short(f, monkeypatch):
+    # Im F^(n-1) is invariant, but F is not injective on it: the
+    # restriction there has a rank defect that the gate must see.
+    descent = PowerChain.descent.fget
+    assert descent(f.power_chain()) == 2
+    monkeypatch.setattr(PowerChain, "descent", property(lambda chain: descent(chain) - 1))
+    with pytest.raises(IdentityViolation, match=r"not invertible \(rank \d+ of \d+\)"):
+        b_fredholm_report(f)
+
+
 def test_commuting_stabilization_additivity(rng):
     shape = AlgebraShape((1,))
     f, d = random_commuting_pair(shape, 7, rng, nilpotent=(2,))
     rep = b_fredholm_commuting_check(f, d)
     assert rep.commutator_residual < 1e-12
-    assert rep.b_index_additive
-    assert rep.report_f.b_index.is_zero()
-    assert rep.report_product.b_index.is_zero()
+    for sub in (rep.report_f, rep.report_d, rep.report_product):
+        assert sub.restricted_gamma > 0
 
 
 def test_commuting_check_rejects_noncommuting(rng):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from modop.banach import oblique_decomposition
 from modop.errors import UnmetHypothesisError
 from modop.subspace import (
     as_complex,
@@ -14,7 +15,6 @@ from modop.subspace import (
     complement,
     intersections,
     null_spaces,
-    oblique_projector,
     op_norm,
     orthonormal_images,
     residual_values,
@@ -137,8 +137,8 @@ def test_oblique_projector_idempotent_and_sliced(rng):
     # shear the complement so the projector is genuinely oblique
     along = along + 0.3 * onto @ rng.normal(size=(2, 4))
     along, _ = image_basis(along)
-    p = oblique_projector(onto, along)
-    e = p.matrix
+    p = oblique_decomposition(onto, along)
+    e = p.idempotent
     assert op_norm(e @ e - e) < 1e-12
     assert op_norm(e @ onto - onto) < 1e-12
     assert op_norm(e @ along) < 1e-12
@@ -147,18 +147,18 @@ def test_oblique_projector_idempotent_and_sliced(rng):
 
 def test_oblique_projector_orthogonal_case_has_norm_one(rng):
     onto, _ = image_basis(rng.normal(size=(5, 3)))
-    p = oblique_projector(onto, complement(onto))
+    p = oblique_decomposition(onto, complement(onto))
     assert abs(p.norm - 1.0) < 1e-12
-    assert np.allclose(p.matrix, projector(onto))
+    assert np.allclose(p.idempotent, projector(onto))
 
 
 def test_oblique_projector_rejects_non_complements(rng):
     onto, _ = image_basis(rng.normal(size=(5, 3)))
     with pytest.raises(UnmetHypothesisError):
-        oblique_projector(onto, onto)  # dimensions wrong
+        oblique_decomposition(onto, onto)  # dimensions wrong
     with pytest.raises(UnmetHypothesisError):
         # right dimension count, but shares span(onto) directions
-        oblique_projector(onto, np.hstack([onto[:, :1], complement(onto)[:, :1]]))
+        oblique_decomposition(onto, np.hstack([onto[:, :1], complement(onto)[:, :1]]))
 
 
 def test_chain_exactness_on_split_chain():
