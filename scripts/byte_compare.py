@@ -33,8 +33,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-BUILD = ROOT / ".bench_build"
+from _export import BUILD, ROOT, export
+
 INPUTS = BUILD / "byte-compare-inputs"
 
 VERIFY_SHAPES = ("2,3", "1^8", "4")
@@ -42,22 +42,6 @@ VERIFY_SEEDS = (1, 2, 3)
 MAP_SHAPES = ("2,3", "1^8", "4")
 MAP_RANK = 3
 GEOMETRY_SEEDS = (0, 1, 2)
-
-
-def export(rev: str) -> Path:
-    """A fresh ``git archive`` of ``rev`` under ``.bench_build/``."""
-    commit = subprocess.run(
-        ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
-        cwd=ROOT, check=True, capture_output=True, text=True,
-    ).stdout.strip()
-    dest = BUILD / commit
-    shutil.rmtree(dest, ignore_errors=True)
-    dest.mkdir(parents=True)
-    archive = subprocess.run(
-        ["git", "archive", "--format=tar", commit], cwd=ROOT, check=True, capture_output=True
-    ).stdout
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
-    return dest
 
 
 def write_inputs() -> list[list[str]]:

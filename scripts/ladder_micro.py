@@ -5,19 +5,20 @@ Times ``fredholm_report``, ``exact_sequence``, ``drazin_inverse`` and
 built before the clock starts, along the ladder (2,3)/2, (16)/4,
 1^32/4 and 1^256/4 (algebra shape / module rank).  Each repetition runs
 on a fresh copy of its maps, so no cached spectral record or power chain
-carries over from one repetition to the next.  ``closed_sum_report``
-(10,000 sampled pairs, as the closed-sum suite runs it) is timed on a
-random submodule pair at (1)/25 and at (2,3)/2.  Prints one JSON object:
-the median milliseconds per certificate and rung, plus the numpy
-version and the host.
+carries over from one repetition to the next.  ``closed_sum_report`` is
+timed on a random submodule pair at (1)/25 and at (2,3)/2 twice: with
+10,000 sampled pairs, as the ``geometry`` command runs it
+(``closed_sum_report``), and with ``samples=0``, as the closed-sum suite
+runs it (``closed_sum_report_unsampled``).  Prints one JSON object: the
+median milliseconds per certificate and rung, plus the numpy version and
+the host.
 
-    python3 scripts/ladder_micro.py [--repeats 7] [--seed 0] [--src DIR] [--out FILE]
+    python3 scripts/ladder_micro.py [--repeats 7] [--seed 0] [--parent REV] [--out FILE]
 
-``--src`` selects the ``src`` directory of the modop to time (default:
-this checkout's), so another commit can be timed from an export of it:
+``--parent`` times the modop of another commit instead of this
+checkout's, from a ``git archive`` export under ``.bench_build/``:
 
-    git archive <rev> | tar -x -C .bench_build/<rev>
-    python3 scripts/ladder_micro.py --src .bench_build/<rev>/src
+    python3 scripts/ladder_micro.py --parent HEAD~1
 
 OpenBLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` is already set.
 """
@@ -32,6 +33,8 @@ import statistics
 import sys
 import time
 from pathlib import Path
+
+from _export import ROOT, export
 
 # (shape, module rank, nilpotent Jordan sizes of the planted endomorphism)
 RUNGS = (
@@ -51,15 +54,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=7, help="runs per median (default 7)")
     parser.add_argument("--seed", type=int, default=0, help="seed of the planted maps")
-    parser.add_argument("--src", default=None, help="modop source directory to time")
+    parser.add_argument("--parent", default=None, help="time this commit instead of the checkout")
     parser.add_argument("--out", default=None, help="also write the JSON to this file")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
 
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    src = Path(args.src) if args.src else Path(__file__).resolve().parent.parent / "src"
-    sys.path.insert(0, str(src.resolve()))
+    tree = export(args.parent) if args.parent else ROOT
+    sys.path.insert(0, str(tree / "src"))
     import numpy as np
 
     from modop import drazin, fredholm, geometry, randgen
@@ -78,6 +81,7 @@ def main(argv: list[str] | None = None) -> int:
         "drazin_inverse": {},
         "power_chain": {},
         "closed_sum_report": {},
+        "closed_sum_report_unsampled": {},
     }
     for text, m, nilpotent in RUNGS:
         rng = np.random.default_rng([args.seed, len(text), m])
@@ -105,17 +109,19 @@ def main(argv: list[str] | None = None) -> int:
         shape = randgen.parse_shape(text)
         a = randgen.random_submodule(shape, m, rng, ranks=ranks_m)
         b = randgen.random_submodule(shape, m, rng, ranks=ranks_n)
-        times = []
-        for rep in range(args.repeats):
-            start = time.perf_counter()
-            geometry.closed_sum_report(a, b, rng=np.random.default_rng(rep), samples=10_000)
-            times.append((time.perf_counter() - start) * 1e3)
-        results["closed_sum_report"][f"({text})/{m}"] = round(statistics.median(times), 3)
+        for name, samples in (("closed_sum_report", 10_000), ("closed_sum_report_unsampled", 0)):
+            times = []
+            for rep in range(args.repeats):
+                start = time.perf_counter()
+                geometry.closed_sum_report(a, b, rng=np.random.default_rng(rep), samples=samples)
+                times.append((time.perf_counter() - start) * 1e3)
+            results[name][f"({text})/{m}"] = round(statistics.median(times), 3)
 
     payload = {
         "unit": "ms (median)",
         "repeats": args.repeats,
         "seed": args.seed,
+        "commit": tree.name if args.parent else "checkout",
         "numpy": np.__version__,
         "python": platform.python_version(),
         "host": platform.machine(),

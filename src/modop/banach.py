@@ -37,6 +37,7 @@ from .subspace import (
     null_spaces,
     op_norm,
     orthonormal_images,
+    residual_values,
     svd_datas,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -83,7 +84,14 @@ def oblique_decomposition(
     """The idempotent with range span(onto) and kernel span(along).
 
     The two spans must be algebraic complements of the ambient space;
-    anything else raises :class:`UnmetHypothesisError`.
+    anything else raises :class:`UnmetHypothesisError`.  When both are
+    nonzero, the identity ||E|| = 1/sin theta_min, theta_min the smallest
+    principal angle between them, is checked to within 1e-8 on the sine
+    scale.  Both sides come from the orthonormal bases of the two spans:
+    ||E|| from the top rows of the inverse of [image kernel], sin theta_min
+    from the residual of one basis against the other.  E itself is built
+    from the given bases, whose error grows with their conditioning, not
+    with the angle.
     """
     onto, along = as_complex(onto), as_complex(along)
     amb = onto.shape[0]
@@ -99,6 +107,13 @@ def oblique_decomposition(
     norm = op_norm(e)
     resid = op_norm(e @ e - e) / max(norm, 1e-300)
     (image, _), (kernel, _) = orthonormal_images([onto, along], tol, scale=1.0)
+    if image.shape[1] and kernel.shape[1]:
+        exact = op_norm(np.linalg.inv(np.hstack([image, kernel]))[: image.shape[1]])
+        sin_min = float(residual_values([kernel], [image])[0][-1])
+        if abs(1.0 / exact - sin_min) > 1e-8:
+            raise IdentityViolation(
+                f"idempotent norm {exact:.12e} is not 1/sin theta_min = {1.0 / sin_min:.12e}"
+            )
     return ObliqueDecomposition(
         ambient=amb,
         idempotent=e,

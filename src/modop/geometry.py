@@ -19,17 +19,28 @@ flat cross-Gram of two submodules is the direct sum of the per-block
 cross-Grams, each tensored with an identity, so angle cosines and
 restricted minimum moduli computed blockwise are *equal* to their flat
 (and module-norm) counterparts — the extremising vectors can be taken
-of rank one.  That is also why the sampled norm-bound check below uses
-genuine module norms while the spectral work stays at block size.
+of rank one.
 
-Those module norms are largest singular values of small coefficient
-matrices T (one per block and sample), read off the Gram matrix as
-sqrt(lambda_max(T^H T)).  The Gram route squares the condition number,
-which ruins the *smallest* singular values, but the largest eigenvalue of
-T^H T carries an absolute error of order eps * ||T||^2 = eps * lambda_max,
-so its square root is accurate to a few ulps (Higham, *Accuracy and
-Stability of Numerical Algorithms*, 2nd ed., section 20).  For n_b = 1
-the Gram matrix is the squared column norm, so one path serves every block.
+The summand bound is certified exactly.  The supremum of ||x||/||x + y||
+over x in M, y in N is the norm of the oblique projector P onto M along
+N, and ||P|| = 1/delta (Kato, *Perturbation Theory for Linear
+Operators*, I section 4.6; Szyld, Numer. Algorithms 42, 2006).  Per
+block, with R the triangular factor of [W_M W_N], P acts in coefficient
+coordinates as the top k rows of R^-1, so ||P|| is the largest of their
+singular values over the blocks.  That route (QR and inverse) does not
+share a step with delta's (residual SVD), and the two must agree; since
+||P|| <= (delta+1)/delta, the closed-sum bound follows.
+
+The ``geometry`` command also samples the bound: it draws pairs x, y and
+takes genuine module norms of x and x + y.  Those norms are largest
+singular values of small coefficient matrices T (one per block and
+sample), read off the Gram matrix as sqrt(lambda_max(T^H T)).  The Gram
+route squares the condition number, which ruins the *smallest* singular
+values, but the largest eigenvalue of T^H T carries an absolute error of
+order eps * ||T||^2 = eps * lambda_max, so its square root is accurate
+to a few ulps (Higham, *Accuracy and Stability of Numerical Algorithms*,
+2nd ed., section 20).  For n_b = 1 the Gram matrix is the squared column
+norm, so one path serves every block.
 """
 
 from __future__ import annotations
@@ -63,6 +74,9 @@ class GeometryReport:
     ``c0`` and ``delta`` describe the reduced pair (intersection removed
     when ``reduced``); ``bound_C = (delta+1)/delta`` is the norm bound
     for summands of the closed sum (1.0 in the degenerate empty case).
+    ``oblique_norm`` is the norm of the projector onto the reduced M
+    along the reduced N (None unless both are nonzero), which equals
+    1/delta.
     ``margin_p``/``margin_q`` are the two restricted-projection minimum
     moduli of the composition criterion (None when not applicable,
     +inf and ``degenerate`` when their domain is the zero space).
@@ -76,6 +90,7 @@ class GeometryReport:
     reduced: bool = False
     intersection_class: K0Class | None = None
     pythagoras_residual: float | None = None
+    oblique_norm: float | None = None
     sampled_max_norm: float | None = None
     sample_count: int = 0
     margin_p: float | None = None
@@ -149,6 +164,15 @@ def _bound_from_delta(delta: float) -> float:
     return (delta + 1.0) / delta
 
 
+def _oblique_factors(wm: Array, wn: Array) -> tuple[Array, Array]:
+    """R of [wm wn] = QR, and the singular values of the projector onto
+    span(wm) along span(wn), for orthonormal wm and wn: the top rows of
+    R^-1 map the Q-coordinates of a vector of the sum to the
+    wm-coefficients of its projection."""
+    r = np.linalg.qr(np.concatenate([wm, wn], axis=-1), mode="r")
+    return r, np.linalg.svd(np.linalg.inv(r)[..., : wm.shape[-1], :], compute_uv=False)
+
+
 def _module_norms(stacks: list[Array]) -> Array:
     """Module norms of a batch of vectors, given per block as a (count, rows, n_b)
     stack of tall forms or of their coefficients on an orthonormal basis, via Gram matrices."""
@@ -174,11 +198,17 @@ def closed_sum_report(
     """delta, c0, and the (delta+1)/delta summand bound for M + N.
 
     A nonzero intersection is removed first (both spaces are cut down to
-    their parts transverse to it) and flagged ``reduced``; the bound is
-    then verified by sampling x = W_M a in M and y = W_N b in N: they
-    must satisfy ||x|| <= (delta+1)/delta * ||x + y||.  Samples stay
-    coefficients: per block ||x|| is the norm of a, and ||x + y|| that of
-    R [a; b], with R from a QR factorization of [W_M W_N].
+    their parts transverse to it) and flagged ``reduced``.  When both
+    reduced spaces are nonzero, the norm of the oblique projector onto M
+    along N is computed per block from the QR factor R of [W_M W_N] (see
+    the module docstring; a block with no M columns contributes 0, one
+    with no N columns 1) and must equal 1/delta to within 1e-8 on the
+    sine scale.  Every ratio ||x||/||x + y|| is at most that norm, so
+    the bound ||x|| <= (delta+1)/delta * ||x + y|| holds exactly.
+
+    With ``samples`` > 0 the bound is also sampled, as the ``geometry``
+    command reports it: x = W_M a in M and y = W_N b in N, with ||x|| the
+    norm of a and ||x + y|| that of R [a; b], per block.
     """
     if m.shape != n.shape or m.m != n.m:
         raise StructureError("submodules live in different modules")
@@ -200,14 +230,21 @@ def closed_sum_report(
             raise IdentityViolation(f"c0^2 + delta^2 = 1 violated by {pyth:.3e}")
     bound = _bound_from_delta(delta)
 
-    worst = None
-    if samples > 0 and m_red.dim > 0 and n_red.dim > 0:
+    oblique = worst = None
+    if m_red.dim > 0 and n_red.dim > 0:
+        factors = stacked(_oblique_factors, m_red.column_bases, n_red.column_bases)
+        oblique = max(float(v.max(initial=0.0)) for _, v in factors)
+        if abs(delta - 1.0 / oblique) > 1e-8:
+            raise IdentityViolation(
+                f"oblique projector norm {oblique:.12e} is not 1/delta = {1.0 / delta:.12e}"
+            )
+    if samples > 0 and oblique is not None:
         gen = rng if rng is not None else np.random.default_rng(0)
         xs = m_red.sample_coefficients(gen, samples)
         ys = n_red.sample_coefficients(gen, samples)
-        spans = [np.hstack(ws) for ws in zip(m_red.column_bases, n_red.column_bases)]
-        rs = stacked(np.linalg.qr, spans, mode="r")
-        sums = [np.tensordot(r, np.concatenate([x, y]), axes=1) for r, x, y in zip(rs, xs, ys)]
+        sums = [
+            np.tensordot(r, np.concatenate([x, y]), axes=1) for (r, _), x, y in zip(factors, xs, ys)
+        ]
         scale = np.maximum(_module_norms([s.transpose(2, 0, 1) for s in sums]), 1e-300)
         x_norms = _module_norms([x.transpose(2, 0, 1) for x in xs]) / scale
         worst = float(np.max(x_norms))
@@ -224,6 +261,7 @@ def closed_sum_report(
         reduced=reduced,
         intersection_class=meet.k0(),
         pythagoras_residual=pyth,
+        oblique_norm=oblique,
         sampled_max_norm=worst,
         sample_count=samples if worst is not None else 0,
     )

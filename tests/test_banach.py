@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from modop import banach
 from modop.banach import (
     BanachWitness,
     banach_perturbation,
@@ -16,8 +17,8 @@ from modop.banach import (
     oblique_decomposition,
 )
 from modop.algebra import AlgebraShape
-from modop.errors import StructureError, UnmetHypothesisError
-from modop.subspace import op_norm
+from modop.errors import IdentityViolation, StructureError, UnmetHypothesisError
+from modop.subspace import op_norm, residual_values
 from modop.tolerances import DEFAULT_TOL
 from modop.randgen import (
     random_complement,
@@ -91,6 +92,38 @@ def test_oblique_decomposition_conditioning(rng):
     assert dec.idempotency_residual < 1e-8
 
 
+def test_idempotent_norm_is_one_over_the_smallest_sine(rng):
+    theta = 0.3
+    onto = np.array([[1.0], [0.0]])
+    along = np.array([[np.cos(theta)], [np.sin(theta)]])
+    assert abs(1.0 / oblique_decomposition(onto, along).norm - np.sin(theta)) < 1e-14
+    # an empty half leaves E = 0 or E = I, and nothing to cross-check
+    full = random_matrix(4, 4, rng)
+    assert oblique_decomposition(full[:, :0], full).norm == 0.0
+    assert abs(oblique_decomposition(full, full[:, :0]).norm - 1.0) < 1e-12
+
+
+def test_idempotent_norm_gate_reads_the_orthonormal_bases():
+    # onto's columns are 1e-9 apart, so E, built from them, is off by more
+    # than 1e-8 on the sine scale, though the spans meet at a large angle
+    q, _ = np.linalg.qr(np.random.default_rng(39).standard_normal((4, 4)))
+    u, v, w, z = q.T
+    onto = np.stack([u, u + 1e-9 * v], axis=1)
+    along = np.stack([w + 0.1 * u, z], axis=1)
+    dec = oblique_decomposition(onto, along)
+    sin_min = residual_values([dec.kernel_basis], [dec.image_basis])[0][-1]
+    assert dec.cond > 1e9 and sin_min > 0.9
+    assert abs(1.0 / dec.norm - sin_min) > 1e-8
+
+
+def test_idempotent_norm_gate_trips_on_a_planted_norm(rng, monkeypatch):
+    onto, along = random_matrix(5, 2, rng), random_matrix(5, 3, rng)
+    true_norm = banach.op_norm
+    monkeypatch.setattr(banach, "op_norm", lambda a: true_norm(a) * (1.0 + 1e-6))
+    with pytest.raises(IdentityViolation, match=r"idempotent norm .* is not 1/sin theta_min"):
+        oblique_decomposition(onto, along)
+
+
 def test_make_regular_computes_each_projector_norm_once(monkeypatch):
     t, kc, ic = random_regular_data(6, 6, np.random.default_rng(8), rank_deficit=1)
     calls = [0]
@@ -104,10 +137,10 @@ def test_make_regular_computes_each_projector_norm_once(monkeypatch):
     reg = make_regular(t, kc, ic)
     monkeypatch.undo()
     # ||T||, ker T and Im T; per decomposition the basis matrix, ||E||, the
-    # idempotency residual and the two halves' bases; five residual norms.
-    # Recomputing ||E|| for the idempotency residuals and the two projection
-    # residuals made 22.
-    assert calls[0] == 18
+    # idempotency residual, the two halves' bases, and the norm and sine
+    # of the identity check; five residual norms.  Recomputing ||E|| for
+    # the idempotency residuals and the two projection residuals made 26.
+    assert calls[0] == 22
     # the stored norms give the bits the recomputed ones gave
     for dec in (reg.ker_decomposition, reg.im_decomposition):
         e = dec.idempotent

@@ -157,6 +157,39 @@ def test_geometry_operands_from_different_modules_are_usage_error(tmp_path, rng,
     assert len(captured.err.splitlines()) == 1
 
 
+def test_lapack_failure_exits_cleanly(tmp_path, rng, capsys, monkeypatch):
+    shape = AlgebraShape((2,))
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_json(str(a), submodule_to_jsonable(random_submodule(shape, 3, rng, ranks=(1,))))
+    save_json(str(b), submodule_to_jsonable(random_submodule(shape, 3, rng, ranks=(1,))))
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(geometry, "stacked", failing)
+    assert main(["geometry", str(a), str(b)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: LAPACK failed: Singular matrix\n"
+
+
+def test_lapack_failure_in_one_suite_instance_keeps_the_others(capsys, monkeypatch):
+    true_factors, calls = geometry._oblique_factors, [0]
+
+    def failing_once(wm, wn):
+        calls[0] += 1
+        if calls[0] == 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return true_factors(wm, wn)
+
+    monkeypatch.setattr(geometry, "_oblique_factors", failing_once)
+    assert main(["verify", "closed-sum", "--n", "4", "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passes"] == 3
+    assert [f["error"] for f in payload["failures"]] == ["LinAlgError: Singular matrix"]
+    assert payload["worst"]["bound_utilization"] > 0
+
+
 def test_banach_subcommand_with_perturbation(tmp_path, rng, capsys):
     shape = AlgebraShape((2,))
     t = random_map(shape, 2, 2, rng, rank_deficit=1)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from modop import geometry
 from modop.algebra import AlgebraShape
@@ -177,6 +178,89 @@ def test_coefficient_norms_match_ambient_oracle(shape_text, case):
     expect = float(np.max(_flat_module_norms(m, x) / _flat_module_norms(m, x + y)))
     assert rep.sample_count == samples
     assert abs(rep.sampled_max_norm - expect) <= 1e-12 * expect
+
+
+def test_oblique_norm_gate_trips_on_a_planted_norm(shape23, monkeypatch):
+    m = line(shape23, 2, (0.0, 0.0))
+    n = line(shape23, 2, (0.3, 0.3))
+    true_factors = geometry._oblique_factors
+
+    def planted(wm, wn):
+        r, values = true_factors(wm, wn)
+        return r, values * (1.0 + 1e-6)
+
+    monkeypatch.setattr(geometry, "_oblique_factors", planted)
+    # the Pythagoras gate runs first and passes: the message is the new gate's
+    with pytest.raises(IdentityViolation, match=r"oblique projector norm .* is not 1/delta"):
+        closed_sum_report(m, n, samples=0)
+
+
+def _flat_reduced(qm, qn):
+    """Flat orthonormal bases of M and N with their intersection projected
+    out (dense oracle: SciPy null space of [Q_M, -Q_N])."""
+    null = scipy.linalg.null_space(np.hstack([qm, -qn]), rcond=1e-9)
+    if null.shape[1] == 0:
+        return qm, qn
+    meet = scipy.linalg.orth(qm @ null[: qm.shape[1]])
+    return tuple(
+        scipy.linalg.orth(q - meet @ (meet.conj().T @ q), rcond=1e-9) for q in (qm, qn)
+    )
+
+
+def _zero_block_pair(shape, rng):
+    """Blocks alternate between no M columns and no N columns, with the
+    remaining blocks (if any) carrying both."""
+    k = shape.num_blocks
+    ranks_m = tuple((0, 1, 1)[b % 3] for b in range(k))
+    ranks_n = tuple((2, 0, 1)[b % 3] for b in range(k))
+    return random_submodule(shape, 4, rng, ranks=ranks_m), random_submodule(
+        shape, 4, rng, ranks=ranks_n
+    )
+
+
+@pytest.mark.parametrize(
+    "shape_text, case",
+    [
+        (text, case)
+        for text in ("1", "2,3", "1^4")
+        for case in ("transverse", "reduced", "near-parallel")
+    ]
+    + [("2,3", "zero-blocks"), ("1^4", "zero-blocks")],
+)
+def test_oblique_norm_matches_dense_projector_oracle(shape_text, case):
+    shape = parse_shape(shape_text)
+    rng = np.random.default_rng(4)
+    if case == "zero-blocks":
+        m, n = _zero_block_pair(shape, rng)
+    else:
+        m, n = _planted_pairs(shape, rng)[case]
+    rep = closed_sum_report(m, n, samples=0)
+    assert rep.reduced == (case == "reduced")
+    qm, qn = _flat_reduced(flat_basis(m), flat_basis(n))
+    # P = [Q_M 0] [Q_M Q_N]^+ : onto M along N, zero off M + N
+    both = np.hstack([qm, qn])
+    proj = np.hstack([qm, np.zeros_like(qn)]) @ np.linalg.pinv(both)
+    expect = float(np.linalg.norm(proj, 2))
+    assert abs(rep.oblique_norm - expect) <= 1e-12 * expect
+
+
+def test_sampled_ratios_never_exceed_the_oblique_norm():
+    rng = np.random.default_rng(50)
+    shape = parse_shape("2,3")
+    for _ in range(50):
+        m = random_submodule(shape, 3, rng, ranks=tuple(rng.integers(1, 3, size=2)))
+        n = random_submodule(shape, 3, rng, ranks=tuple(rng.integers(1, 3, size=2)))
+        rep = closed_sum_report(m, n, rng=rng, samples=200)
+        assert rep.sampled_max_norm <= rep.oblique_norm * (1.0 + 1e-12)
+
+
+def test_oblique_norm_gate_holds_when_ill_conditioned(shape23):
+    m = line(shape23, 2, (0.0, 0.0))
+    n = line(shape23, 2, (1e-6, 1e-6))
+    rep = closed_sum_report(m, n, samples=0)  # the gate must not fire
+    assert not rep.reduced
+    assert abs(rep.delta - math.sin(1e-6)) < 1e-15
+    assert abs(rep.oblique_norm - 1.0 / math.sin(1e-6)) <= 1e-9 / math.sin(1e-6)
 
 
 def test_composition_margin_equals_planted_sine():
