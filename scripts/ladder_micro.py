@@ -1,4 +1,4 @@
-"""Size-ladder micro-benchmark of four certificates and the power chain.
+"""Size-ladder micro-benchmark of five certificates and the power chain.
 
 Times ``fredholm_report``, ``exact_sequence``, ``drazin_inverse`` and
 ``power_chain`` (both staircases of the planted endomorphism) on maps
@@ -9,7 +9,10 @@ carries over from one repetition to the next.  ``closed_sum_report`` is
 timed on a random submodule pair at (1)/25 and at (2,3)/2 twice: with
 10,000 sampled pairs, as the ``geometry`` command runs it
 (``closed_sum_report``), and with ``samples=0``, as the closed-sum suite
-runs it (``closed_sum_report_unsampled``).  Prints one JSON object: the
+runs it (``closed_sum_report_unsampled``).  ``commuting_drazin_criterion``
+is timed on commuting pairs (1)/24, (1)/48 and (1)/96 with a planted
+nilpotent part of index 3, the pairs the ladder-blockwise benchmark
+analyzes, fresh copies per repetition.  Prints one JSON object: the
 median milliseconds per certificate and rung, plus the numpy version and
 the host.
 
@@ -48,6 +51,9 @@ PAIRS = (
     ("1", 25, (6,), (12,)),
     ("2,3", 2, (1, 2), (2, 3)),
 )
+# module ranks over shape (1) and nilpotent Jordan sizes of the commuting pairs
+COMMUTING_MS = (24, 48, 96)
+COMMUTING_NILPOTENT = (3,)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -82,6 +88,7 @@ def main(argv: list[str] | None = None) -> int:
         "power_chain": {},
         "closed_sum_report": {},
         "closed_sum_report_unsampled": {},
+        "commuting_drazin_criterion": {},
     }
     for text, m, nilpotent in RUNGS:
         rng = np.random.default_rng([args.seed, len(text), m])
@@ -116,6 +123,17 @@ def main(argv: list[str] | None = None) -> int:
                 geometry.closed_sum_report(a, b, rng=np.random.default_rng(rep), samples=samples)
                 times.append((time.perf_counter() - start) * 1e3)
             results[name][f"({text})/{m}"] = round(statistics.median(times), 3)
+    for m in COMMUTING_MS:
+        rng = np.random.default_rng([args.seed, m])
+        f, d = randgen.random_commuting_pair(
+            randgen.parse_shape("1"), m, rng, nilpotent=COMMUTING_NILPOTENT
+        )
+        times = []
+        for f_copy, d_copy in [(fresh(f), fresh(d)) for _ in range(args.repeats)]:
+            start = time.perf_counter()
+            drazin.commuting_drazin_criterion(f_copy, d_copy)
+            times.append((time.perf_counter() - start) * 1e3)
+        results["commuting_drazin_criterion"][f"(1)/{m}"] = round(statistics.median(times), 3)
 
     payload = {
         "unit": "ms (median)",

@@ -298,10 +298,6 @@ class PerturbationRecord:
     projector_norms: dict[str, float]
     ill_posed: bool
 
-    @property
-    def identity_holds(self) -> bool:
-        return self.lhs == self.rhs
-
 
 def banach_perturbation(
     reg: RegularOperator, f: Array, tol: ToleranceConfig = DEFAULT_TOL
@@ -405,19 +401,13 @@ class ProductRecord:
     gw_t: bool
     gw_s: bool
     gw_st: bool
-    verdict: bool
     chain_dims: tuple[int, ...]
     node_residuals: tuple[float, ...]
     injectivity_defect: float
     surjectivity_defect: float
-    alternating_sum: int
     witness_lhs: int
     witness_rhs: int
     ill_posed: bool
-
-    @property
-    def witness_identity_holds(self) -> bool:
-        return self.witness_lhs == self.witness_rhs
 
 
 def banach_product(
@@ -494,12 +484,10 @@ def banach_product(
         gw_t=gw_t,
         gw_s=gw_s,
         gw_st=gw_st,
-        verdict=not (gw_t and gw_s) or gw_st,
         chain_dims=dims,
         node_residuals=tuple(n.residual for n in nodes),
         injectivity_defect=inj,
         surjectivity_defect=surj,
-        alternating_sum=alt,
         witness_lhs=lhs,
         witness_rhs=rhs,
         ill_posed=s_reg.ill_posed or t_reg.ill_posed or st_reg.ill_posed,

@@ -219,20 +219,26 @@ def drazin_dual_check(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> 
 
 @dataclass(frozen=True, eq=False)
 class CriterionReport:
-    """Search record for the two power-intersection stabilization conditions.
+    """Where Im F^j ∩ ker D^p and its adjoint twin stop moving.
 
-    ``found`` is the lexicographically first (s, t, k, k') with p <= k <= k'
-    such that Im F^k ∩ ker D^p stops moving when k grows by s, and the
-    adjoint-side chain does the same at (k', t).  ``verdict`` must agree
-    with the direct Drazin test of F.
+    p is the index of DF, and ``k`` the least j >= p with
+    Im F^j ∩ ker D^p = Im F^(j+1) ∩ ker D^p.  In finite dimension k is
+    exact: take the Fitting splitting of DF at p.  Where F is nilpotent
+    and D invertible, ind F <= p.  D^p kills the part where F is
+    invertible and D nilpotent, which lies in every Im F^j.  Where both
+    are nilpotent, Im F^p ⊆ ker D^p, because D^p F^p = 0 there.  So for
+    j >= p the meets fall strictly until j = max(p, ind F) and stay
+    constant from there.  The pair (F*, D*) commutes with the same p, so
+    the adjoint meets Im (F*)^j ∩ ker (D*)^p stop at the same index:
+    k = k' = max(p, ind F), with period s = t = 1 (Drazin, Amer. Math.
+    Monthly 65, 1958).  ``intersection_classes`` and ``adjoint_classes``
+    are the classes of the meets for j = p .. k.
     """
 
     p: int
-    found: tuple[int, int, int, int] | None
+    k: int
     intersection_classes: tuple[K0Class, ...]
     adjoint_classes: tuple[K0Class, ...]
-    verdict: bool
-    direct_verdict: bool
     commutator_residual: float
 
 
@@ -240,62 +246,30 @@ def commuting_drazin_criterion(
     f: AdjointableMap, d: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL
 ) -> CriterionReport:
     comm = commutator_residual(f, d, tol)
-
     p = (f @ d).power_chain(tol).descent
-    ker_dp = d.power_chain(tol).kernel(p)
-    ker_dp_adj = d.adjoint().power_chain(tol).kernel(p)
 
-    def meets(g: AdjointableMap, ker: Submodule) -> list[Submodule]:
-        """Im G^k ∩ ker for k = 0 .. descent of G; constant past its end."""
-        chain = g.power_chain(tol)
-        return [chain.image(k).intersection(ker, tol)[0] for k in range(chain.descent + 1)]
+    def plateau(g: AdjointableMap, h: AdjointableMap) -> tuple[int, list[Submodule]]:
+        """First j >= p with Im G^j ∩ ker H^p = Im G^(j+1) ∩ ker H^p, and the
+        meets for j = p .. max(p, ind G), past which Im G^j is constant."""
+        chain, ker = g.power_chain(tol), h.power_chain(tol).kernel(p)
+        last = max(p, chain.descent)
+        meets = [chain.image(j).intersection(ker, tol)[0] for j in range(p, last + 1)]
+        k = next((p + i for i in range(last - p) if meets[i].equals(meets[i + 1], tol)), last)
+        return k, meets
 
-    meets_f = meets(f, ker_dp)
-    meets_fadj = meets(f.adjoint(), ker_dp_adj)
-
-    # Each sequence is constant past its plateau (its last entry), so an
-    # index search stops there: every later index reads the same entry.
-    def at(seq: list[Submodule], k: int) -> Submodule:
-        return seq[min(k, len(seq) - 1)]
-
-    def indices(seq: list[Submodule], k: int) -> range:
-        return range(k, max(k, len(seq) - 1) + 1)
-
-    def period(seq: list[Submodule], k: int) -> int | None:
-        """Least s with seq[k] = seq[k + s], if any."""
-        return next(
-            (j - k for j in indices(seq, k + 1) if at(seq, k).equals(at(seq, j), tol)), None
-        )
-
-    found: tuple[int, int, int, int] | None = None
-    for k in indices(meets_f, p):
-        s = period(meets_f, k)
-        if s is None:
-            continue
-        hits = ((period(meets_fadj, kp), kp) for kp in indices(meets_fadj, k))
-        t, kp = next(((t, kp) for t, kp in hits if t is not None), (None, None))
-        if t is not None:
-            found = (s, t, k, kp)
-            break
-
-    direct = drazin_inverse(f, tol)
-    direct_verdict = all(
-        v <= tol.residual_tol * max(1.0, direct.splitting_cond)
-        for name, v in direct.residuals.items()
-        if name != "off_diagonal"
-    )
-    verdict = found is not None
-    if verdict != direct_verdict:
+    k, meets_f = plateau(f, d)
+    k_adj, meets_fadj = plateau(f.adjoint(), d.adjoint())
+    expected = max(p, f.power_chain(tol).descent)
+    if not k == k_adj == expected:
         raise IdentityViolation(
-            f"criterion verdict {verdict} disagrees with the direct test {direct_verdict}"
+            f"intersection chains stabilize at k = {k}, k' = {k_adj}, not at "
+            f"max(p, ind F) = {expected}"
         )
     return CriterionReport(
         p=p,
-        found=found,
-        intersection_classes=tuple(at(meets_f, k).k0() for k in indices(meets_f, p)),
-        adjoint_classes=tuple(at(meets_fadj, k).k0() for k in indices(meets_fadj, p)),
-        verdict=verdict,
-        direct_verdict=direct_verdict,
+        k=k,
+        intersection_classes=tuple(m.k0() for m in meets_f),
+        adjoint_classes=tuple(m.k0() for m in meets_fadj),
         commutator_residual=float(comm),
     )
 

@@ -278,10 +278,6 @@ class ChainReport:
     residuals: dict[str, float] = field(default_factory=dict)
     note: str = MODEL_NOTE
 
-    @property
-    def identity_holds(self) -> bool:
-        return self.lhs.entries == self.rhs.entries
-
 
 def weyl_perturbation_chain(
     t: AdjointableMap, f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL
@@ -383,10 +379,6 @@ class ProductChainReport:
     margin: float
     note: str = MODEL_NOTE
 
-    @property
-    def identity_holds(self) -> bool:
-        return self.lhs.entries == self.rhs.entries
-
 
 def product_chain(
     d: AdjointableMap, f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL
@@ -472,8 +464,9 @@ def b_fredholm_report(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> 
 
 @dataclass(frozen=True, eq=False)
 class BFredholmCommutingReport:
-    """Power stabilization of a commuting pair and of its product, and how
-    each factor's kernel meets the product's stable image."""
+    """Power stabilization of a commuting pair and of its product, and the
+    meets of each factor's kernel with the product's stable image (both
+    certified zero)."""
 
     report_f: BFredholmReport
     report_d: BFredholmReport
@@ -493,9 +486,13 @@ def b_fredholm_commuting_check(
     stable = rep_p.stable_image
     meet_f, _ = f.kernel(tol, scale=f.norm()).intersection(stable, tol)
     meet_d, _ = d.kernel(tol, scale=d.norm()).intersection(stable, tol)
-    for meet in (meet_f, meet_d):
-        if not (meet.k0() <= stable.k0() and meet.k0().is_nonnegative()):
-            raise IdentityViolation("intersection class exceeds its parents")
+    # A vector of Im(DF)^n in ker F or ker D lies in ker DF, and DF is
+    # invertible on Im(DF)^n: both meets are zero.
+    for name, meet in (("F", meet_f), ("D", meet_d)):
+        if meet.dim:
+            raise IdentityViolation(
+                f"ker {name} meets the stable image Im(DF)^n in dimension {meet.dim}"
+            )
     return BFredholmCommutingReport(
         report_f=rep_f,
         report_d=rep_d,

@@ -116,14 +116,8 @@ class K0Class:
     def __neg__(self) -> "K0Class":
         return K0Class(tuple(-a for a in self.entries))
 
-    def __le__(self, other: "K0Class") -> bool:
-        return all(a <= b for a, b in zip(self.entries, other.entries))
-
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
-
-    def is_nonnegative(self) -> bool:
-        return all(a >= 0 for a in self.entries)
 
     def positive_part(self) -> "K0Class":
         return K0Class(tuple(max(0, a) for a in self.entries))

@@ -17,7 +17,7 @@ from modop.drazin import (
     shift_counterexample,
 )
 from modop.errors import StructureError, UnmetHypothesisError
-from modop.fredholm import b_fredholm_report
+from modop.fredholm import b_fredholm_commuting_check, b_fredholm_report
 from modop.linmap import AdjointableMap
 from modop.randgen import random_commuting_pair, random_endomorphism, random_map
 
@@ -85,8 +85,7 @@ def test_planted_index_of_large_non_normal_map(m, seed):
 def test_criterion_on_large_non_normal_pair():
     f, d = random_commuting_pair(AlgebraShape((1,)), 96, np.random.default_rng(0), nilpotent=(3,))
     rep = commuting_drazin_criterion(f, d)
-    assert rep.verdict and rep.direct_verdict
-    assert rep.found is not None
+    assert rep.k == max(rep.p, f.power_chain().descent) == 3
 
 
 def _scale_free_record(f):
@@ -136,19 +135,69 @@ def test_criterion_invertible_pair(rng):
     f = random_map(shape, 4, 4, rng)
     d = f @ f
     rep = commuting_drazin_criterion(f, d)
-    assert rep.verdict and rep.direct_verdict
-    assert rep.found == (1, 1, 0, 0)  # stabilizes instantly: everything is zero
-    assert rep.p == 0
+    assert rep.p == rep.k == 0  # stabilizes instantly: everything is zero
+    assert rep.intersection_classes == rep.adjoint_classes
+    assert [c.entries for c in rep.intersection_classes] == [(0,)]
 
 
 def test_criterion_nilpotent_pair_frozen():
     f = AdjointableMap.from_matrix(jordan(3))
     rep = commuting_drazin_criterion(f, f)
     assert rep.p == 2  # (F D)^2 = J^4 = 0 but J^2 != 0
-    assert rep.verdict and rep.direct_verdict
-    assert rep.found == (1, 1, 3, 3)  # chains go quiet once powers hit zero
+    assert rep.k == 3 == max(rep.p, f.power_chain().descent)  # quiet once powers hit zero
     assert rep.commutator_residual == 0.0
-    assert rep.intersection_classes[0].entries == (1,)  # Im J^2 ∩ ker J^2 = line
+    # Im J^2 ∩ ker J^2 = line, then Im J^3 = 0
+    assert [c.entries for c in rep.intersection_classes] == [(1,), (0,)]
+    assert [c.entries for c in rep.adjoint_classes] == [(1,), (0,)]
+
+
+def kronecker_pair(rng, a_planted, b_planted):
+    """F = S(A ⊗ I)S^-1 and D = S(I ⊗ B)S^-1 for A, B with planted (Jordan
+    sizes, invertible dimension): they commute, but unlike the pairs of
+    ``random_commuting_pair`` they are not polynomials of one map."""
+    a, b = (
+        random_endomorphism(AlgebraShape((1,)), sum(sizes) + inv, rng, nilpotent=sizes).blocks[0]
+        for sizes, inv in (a_planted, b_planted)
+    )
+    m = a.shape[0] * b.shape[0]
+    s = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)) + 2.0 * np.eye(m)
+    s_inv = np.linalg.inv(s)
+    f = s @ np.kron(a, np.eye(b.shape[0])) @ s_inv
+    d = s @ np.kron(np.eye(a.shape[0]), b) @ s_inv
+    return AdjointableMap.from_matrix(f), AdjointableMap.from_matrix(d)
+
+
+def _kronecker_index(a_planted, b_planted):
+    """ind(A ⊗ B) from the planted blocks: J_i ⊗ J_j has index min(i, j),
+    J_i ⊗ C has index i, and C ⊗ C' is invertible."""
+    (a_sizes, a_inv), (b_sizes, b_inv) = a_planted, b_planted
+    a_parts = list(a_sizes) + [math.inf] * bool(a_inv)
+    b_parts = list(b_sizes) + [math.inf] * bool(b_inv)
+    return max((min(i, j) for i in a_parts for j in b_parts if min(i, j) < math.inf), default=0)
+
+
+KRONECKER_PLANTS = [
+    (((3,), 0), ((2,), 0)),  # both nilpotent: p = 2 < ind F = 3
+    (((3,), 1), ((2,), 0)),
+    (((2,), 1), ((2,), 1)),
+    (((3, 1), 0), ((2,), 1)),
+    (((2,), 2), ((3,), 0)),  # p = 3 > ind F = 2
+    (((), 2), ((2,), 1)),  # F invertible
+]
+
+
+@pytest.mark.parametrize("a_planted, b_planted", KRONECKER_PLANTS)
+def test_criterion_and_kernel_meets_on_kronecker_pairs(a_planted, b_planted):
+    rng = np.random.default_rng(0)
+    ind_f = max(a_planted[0], default=0)
+    p = _kronecker_index(a_planted, b_planted)
+    for _ in range(5):
+        f, d = kronecker_pair(rng, a_planted, b_planted)
+        rep = commuting_drazin_criterion(f, d)
+        assert rep.p == p and f.power_chain().descent == ind_f
+        assert rep.k == max(p, ind_f)
+        stab = b_fredholm_commuting_check(f, d)
+        assert stab.kernel_f_meet_stable.dim == stab.kernel_d_meet_stable.dim == 0
 
 
 def test_criterion_rejects_noncommuting(rng):

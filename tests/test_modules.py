@@ -93,8 +93,6 @@ def test_k0_arithmetic():
     assert (a - b).entries == (1, -3)
     assert (-b).entries == (-1, -3)
     assert K0Class.zero(2).is_zero()
-    assert a <= a + b
-    assert not (a - b).is_nonnegative()
     assert (a - b).positive_part().entries == (1, 0)
     assert str(a - b) == "[1,-3]"
 
