@@ -57,6 +57,7 @@ from .fredholm import (
     weyl_perturbation_chain,
 )
 from .geometry import (
+    CompositionReport,
     GeometryReport,
     bouldin_criterion,
     closed_sum_report,

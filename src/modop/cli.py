@@ -186,15 +186,16 @@ def _suite_bouldin(rng: np.random.Generator, cfg: RunConfig) -> dict[str, float]
     f = randgen.random_map(shape, m1, m2, rng, rank_deficit=int(rng.integers(0, 3)))
     d = randgen.random_map(shape, m2, m3, rng, rank_deficit=int(rng.integers(0, 3)))
     rep = geometry.bouldin_criterion(f, d, cfg.tol)
+    margin_q = rep.closed_sum.delta
     gap = (
-        abs(rep.margin_p - rep.margin_q)
-        if math.isfinite(rep.margin_p) and math.isfinite(rep.margin_q)
+        abs(rep.margin_p - margin_q)
+        if math.isfinite(rep.margin_p) and math.isfinite(margin_q)
         else 0.0
     )
     return {
         "margin_gap": gap,
-        "duality_residual": rep.duality_residual or 0.0,
-        "margin": rep.margin_p if math.isfinite(rep.margin_p) else rep.margin_q,
+        "duality_residual": rep.duality_residual,
+        "margin": rep.margin_p if math.isfinite(rep.margin_p) else margin_q,
     }
 
 
@@ -327,6 +328,10 @@ def cmd_analyze(args: argparse.Namespace, tol: ToleranceConfig) -> tuple[Any, in
 
 def cmd_drazin(args: argparse.Namespace, tol: ToleranceConfig) -> tuple[Any, int]:
     f = serialize.load_operator(args.operator)
+    if not f.is_endomorphism:
+        raise DataError(
+            f"{args.operator}: Drazin inversion needs an endomorphism, got A^{f.m} -> A^{f.n}"
+        )
     rep = drazin.drazin_inverse(f, tol)
     payload = serialize.report_to_jsonable(rep)
     payload["ascent"] = f.power_chain(tol).ascent
@@ -358,15 +363,19 @@ def cmd_geometry(args: argparse.Namespace, tol: ToleranceConfig) -> tuple[Any, i
 
 def cmd_banach(args: argparse.Namespace, tol: ToleranceConfig) -> tuple[Any, int]:
     t_map = serialize.load_operator(args.operator)
-    t = t_map.realization
-    reg = banach.make_regular_orthogonal(t, tol)
+    f_map = serialize.load_operator(args.perturbation) if args.perturbation else None
+    if f_map is not None and (f_map.shape, f_map.m, f_map.n) != (t_map.shape, t_map.m, t_map.n):
+        raise DataError(
+            f"{args.perturbation}: the perturbation maps A^{f_map.m} -> A^{f_map.n} over "
+            f"{f_map.shape}, the operator A^{t_map.m} -> A^{t_map.n} over {t_map.shape}"
+        )
+    reg = banach.make_regular_orthogonal(t_map.realization, tol)
     payload: dict[str, Any] = {
         "regular": serialize.report_to_jsonable(reg),
         "generalized_weyl": banach.generalized_weyl_banach(reg),
         "witness": serialize.report_to_jsonable(banach.defect_witness(reg)),
     }
-    if args.perturbation:
-        f_map = serialize.load_operator(args.perturbation)
+    if f_map is not None:
         rec = banach.banach_perturbation(reg, f_map.realization, tol)
         payload["perturbation"] = serialize.report_to_jsonable(rec)
     return payload, EXIT_OK

@@ -8,9 +8,13 @@ are tied by the exact identity c0^2 + delta^2 = 1, and delta alone
 yields the constant (delta+1)/delta that bounds the summand norms of a
 closed sum.
 
-The composition criterion reduces to the same geometry: after removing
-the intersection K = ker D ∩ Im F, the two restricted-projection
-margins are both equal to the sine of the smallest angle between the
+Bouldin's closed-range criterion for a composition DF (R. Bouldin, "The
+product of operators with closed range", Tohoku Math. J. 25, 1973) is the
+same geometry for the pair (Im F, ker D).  Both spaces are cut down once
+to their parts transverse to K = Im F ∩ ker D; the closed-sum report of
+that reduced pair gives c0, delta and the verdict, and delta is one of
+the two restricted-projection margins.  The other margin is the mirror
+quantity.  Both equal the sine of the smallest angle between the
 leftover pieces, so they are positive together — that equivalence is
 asserted, not assumed.
 
@@ -60,6 +64,7 @@ Array = np.ndarray
 
 __all__ = [
     "GeometryReport",
+    "CompositionReport",
     "dixmier_angle",
     "min_modulus_restricted",
     "closed_sum_report",
@@ -69,17 +74,15 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class GeometryReport:
-    """Angle/minimum-modulus data for a pair of spaces or a composition.
+    """Angle/minimum-modulus data for the closed sum of a pair of spaces.
 
     ``c0`` and ``delta`` describe the reduced pair (intersection removed
     when ``reduced``); ``bound_C = (delta+1)/delta`` is the norm bound
-    for summands of the closed sum (1.0 in the degenerate empty case).
+    for summands of the closed sum (1.0 in the degenerate case, where
+    the reduced second space is zero and ``delta`` is +inf).
     ``oblique_norm`` is the norm of the projector onto the reduced M
     along the reduced N (None unless both are nonzero), which equals
     1/delta.
-    ``margin_p``/``margin_q`` are the two restricted-projection minimum
-    moduli of the composition criterion (None when not applicable,
-    +inf and ``degenerate`` when their domain is the zero space).
     """
 
     c0: float
@@ -93,13 +96,24 @@ class GeometryReport:
     oblique_norm: float | None = None
     sampled_max_norm: float | None = None
     sample_count: int = 0
-    margin_p: float | None = None
-    margin_q: float | None = None
-    bounded_below_p: bool | None = None
-    bounded_below_q: bool | None = None
-    gamma_composition: float | None = None
-    duality_residual: float | None = None
-    closed_sum_agrees: bool | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class CompositionReport:
+    """Bouldin's criterion for the composition DF.
+
+    ``closed_sum`` is the closed-sum report of (Im F, ker D); its
+    ``delta`` is margin_q and its ``verdict`` says whether Im DF is
+    closed.  ``margin_p`` is the mirror margin (+inf when its domain is
+    the zero space), ``gamma_composition`` the reduced minimum modulus
+    of DF, and ``duality_residual`` the largest change of a finite
+    margin under (F, D) -> (D*, F*).
+    """
+
+    closed_sum: GeometryReport
+    margin_p: float
+    gamma_composition: float
+    duality_residual: float
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +202,20 @@ def _module_norms(stacks: list[Array]) -> Array:
 # closed-sum report
 
 
+def _reduce(
+    m: Submodule, n: Submodule, tol: ToleranceConfig
+) -> tuple[Submodule, Submodule, Submodule]:
+    """K = M ∩ N, and the parts M ∩ K^perp and N ∩ K^perp of the pair
+    transverse to it (M and N themselves when K = 0)."""
+    if m.shape != n.shape or m.m != n.m:
+        raise StructureError("submodules live in different modules")
+    meet, _ = m.intersection(n, tol)
+    if meet.dim == 0:
+        return meet, m, n
+    perp = meet.complement()
+    return meet, m.intersection(perp, tol)[0], n.intersection(perp, tol)[0]
+
+
 def closed_sum_report(
     m: Submodule,
     n: Submodule,
@@ -210,16 +238,18 @@ def closed_sum_report(
     command reports it: x = W_M a in M and y = W_N b in N, with ||x|| the
     norm of a and ||x + y|| that of R [a; b], per block.
     """
-    if m.shape != n.shape or m.m != n.m:
-        raise StructureError("submodules live in different modules")
-    meet, _ = m.intersection(n, tol)
-    reduced = meet.dim > 0
-    m_red, n_red = m, n
-    if reduced:
-        perp = meet.complement()
-        m_red, _ = m.intersection(perp, tol)
-        n_red, _ = n.intersection(perp, tol)
+    return _closed_sum(*_reduce(m, n, tol), tol, rng, samples)
 
+
+def _closed_sum(
+    meet: Submodule,
+    m_red: Submodule,
+    n_red: Submodule,
+    tol: ToleranceConfig,
+    rng: np.random.Generator | None,
+    samples: int,
+) -> GeometryReport:
+    """The closed-sum report of a pair already cut down by ``_reduce``."""
     delta = min_modulus_restricted(m_red, n_red, tol)
     c0 = dixmier_angle(m_red, n_red, tol)
     degenerate = math.isinf(delta)
@@ -258,7 +288,7 @@ def closed_sum_report(
         bound_C=bound,
         verdict=delta > tol.positivity_tau,
         degenerate=degenerate,
-        reduced=reduced,
+        reduced=meet.dim > 0,
         intersection_class=meet.k0(),
         pythagoras_residual=pyth,
         oblique_norm=oblique,
@@ -271,40 +301,25 @@ def closed_sum_report(
 # composition closed-range criterion
 
 
-def _criterion_margins(
-    f: AdjointableMap, d: AdjointableMap, tol: ToleranceConfig
-) -> tuple[float, float, Submodule, Submodule, Submodule]:
-    """(margin_p, margin_q, K, S1, S2) for the pair Im F / ker D."""
-    im_f = f.image(tol, scale=f.norm())
-    ker_d = d.kernel(tol, scale=d.norm())
-    meet, _ = ker_d.intersection(im_f, tol)
-    perp = meet.complement()
-    s1, _ = im_f.intersection(perp, tol)
-    s2, _ = ker_d.intersection(perp, tol)
-    margin_p = min_modulus_restricted(ker_d, s1, tol) if s1.dim else math.inf
-    margin_q = min_modulus_restricted(im_f, s2, tol) if s2.dim else math.inf
-    return margin_p, margin_q, meet, s1, s2
-
-
 def bouldin_criterion(
     f: AdjointableMap, d: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL
-) -> GeometryReport:
-    """Margins of the two restricted projections governing Im DF.
+) -> CompositionReport:
+    """Bouldin's criterion for Im DF from one closed-sum report of (Im F, ker D).
 
-    K = ker D ∩ Im F is split off; margin_p is the minimum modulus of
-    the projection onto (ker D)^perp restricted to Im F ∩ K^perp,
-    margin_q the mirror quantity.  Both equal the sine of the smallest
-    angle between the leftover pieces, hence are positive together;
-    that equivalence, the (F, D) -> (D*, F*) symmetry, and agreement
-    with the closed-sum verdict for ker D + Im F are all checked.
+    K = Im F ∩ ker D is split off once.  margin_q, the minimum modulus of
+    the projection onto (Im F)^perp restricted to ker D ∩ K^perp, is the
+    closed-sum delta: on that space, projecting onto (Im F)^perp is
+    projecting onto (Im F ∩ K^perp)^perp.  margin_p is the mirror
+    quantity on Im F ∩ K^perp.  Both equal the sine of the smallest
+    angle between the leftover pieces, hence are positive together; that
+    equivalence and the (F, D) -> (D*, F*) symmetry are checked.
     """
     if f.shape != d.shape or d.m != f.n:
         raise StructureError("maps are not composable (d after f)")
-    margin_p, margin_q, meet, s1, s2 = _criterion_margins(f, d, tol)
-
-    pos_p = margin_p > tol.positivity_tau
-    pos_q = margin_q > tol.positivity_tau
-    if pos_p != pos_q:
+    meet, s1, s2 = _reduce(f.image(tol, scale=f.norm()), d.kernel(tol, scale=d.norm()), tol)
+    cs = _closed_sum(meet, s1, s2, tol, rng=None, samples=0)
+    margin_p, margin_q = min_modulus_restricted(s2, s1, tol), cs.delta
+    if (margin_p > tol.positivity_tau) != cs.verdict:
         raise IdentityViolation(
             f"restricted-projection margins disagree: {margin_p:.3e} vs {margin_q:.3e}"
         )
@@ -314,12 +329,11 @@ def bouldin_criterion(
                 f"the two margins should coincide: {margin_p:.12e} vs {margin_q:.12e}"
             )
 
-    degenerate = s1.dim == 0 or s2.dim == 0
-    c0 = dixmier_angle(s1, s2, tol)
-    delta = margin_p if s1.dim else (margin_q if s2.dim else math.inf)
-
-    # Duality: the same margins must come out of the adjoint-side pair.
-    dual_p, dual_q, _, _, _ = _criterion_margins(d.adjoint(), f.adjoint(), tol)
+    # Duality: the same margins must come out of the adjoint-side pair
+    # (Im D*, ker F*) = ((ker D)^perp, (Im F)^perp).
+    ds, fs = d.adjoint(), f.adjoint()
+    _, t1, t2 = _reduce(ds.image(tol, scale=ds.norm()), fs.kernel(tol, scale=fs.norm()), tol)
+    dual_p, dual_q = min_modulus_restricted(t2, t1, tol), min_modulus_restricted(t1, t2, tol)
     finite_pairs = [
         (a, b)
         for a, b in ((margin_p, dual_p), (margin_q, dual_q))
@@ -331,26 +345,7 @@ def bouldin_criterion(
             f"margins not symmetric under the adjoint swap (residual {duality_resid:.3e})"
         )
 
-    df = d @ f
-    gamma = df.singular_data(tol, scale=d.norm() * f.norm()).gamma
-
-    cs = closed_sum_report(
-        f.image(tol, scale=f.norm()), d.kernel(tol, scale=d.norm()), tol, samples=0
-    )
-    verdict = pos_p
-    return GeometryReport(
-        c0=c0,
-        delta=delta,
-        bound_C=_bound_from_delta(delta),
-        verdict=verdict,
-        degenerate=degenerate,
-        reduced=meet.dim > 0,
-        intersection_class=meet.k0(),
-        margin_p=margin_p,
-        margin_q=margin_q,
-        bounded_below_p=pos_p,
-        bounded_below_q=pos_q,
-        gamma_composition=gamma,
-        duality_residual=duality_resid,
-        closed_sum_agrees=cs.verdict == verdict,
+    gamma = (d @ f).singular_data(tol, scale=d.norm() * f.norm()).gamma
+    return CompositionReport(
+        closed_sum=cs, margin_p=margin_p, gamma_composition=gamma, duality_residual=duality_resid
     )

@@ -33,7 +33,7 @@ import numpy as np
 
 from .algebra import AlgebraShape
 from .errors import IdentityViolation, StructureError
-from .geometry import bouldin_criterion, closed_sum_report, dixmier_angle, min_modulus_restricted
+from .geometry import bouldin_criterion, dixmier_angle, min_modulus_restricted
 from .linmap import AdjointableMap
 from .subspace import svd_datas
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -142,9 +142,7 @@ def shifted_diagonal(n: int) -> Array:
     return np.diag(np.ones(n - 1), 1).astype(complex) + np.diag(1.0 / np.arange(1, n + 1))
 
 
-def nonclosed_square_family(
-    n: int, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[AdjointableMap, FamilyDiagnostic]:
+def nonclosed_square_family(n: int) -> AdjointableMap:
     """The tilted-pairs map whose square loses its margin.
 
     In block M_(2n): M is spanned by the even basis lines, N by the
@@ -152,8 +150,8 @@ def nonclosed_square_family(
     F maps the orthocomplement of N isometrically onto M, scaled by
     SQUARE_FAMILY_SCALE, so ker F = N and Im F = M.  Everything about
     the pair (M, N) — the angle cosine n/sqrt(n^2+1), the margin
-    1/sqrt(n^2+1), both squared-map minima — has a closed form that the
-    returned diagnostic is checked against.
+    1/sqrt(n^2+1), both squared-map minima — has a closed form, which
+    ``family_table`` checks the diagnostic against.
     """
     if n < 2:
         raise StructureError("need n >= 2")
@@ -170,25 +168,7 @@ def nonclosed_square_family(
         # complement of the tilted line n_j = cos e(2j) + sin e(2j+1).
         f_mat[2 * j, 2 * j] = -s * sin_a[j]
         f_mat[2 * j, 2 * j + 1] = s * cos_a[j]
-    f = AdjointableMap(shape, 1, 1, (f_mat,))
-
-    expected_gamma = s
-    expected_gamma2 = s * s / math.sqrt(n * n + 1.0)
-    expected_delta = 1.0 / math.sqrt(n * n + 1.0)
-    expected_c0 = n / math.sqrt(n * n + 1.0)
-    diag = _diagnose("nonclosed-square", [n], [f], tol)
-    checks = (
-        (diag.gamma_f[0], expected_gamma),
-        (diag.gamma_f2[0], expected_gamma2),
-        (diag.delta[0], expected_delta),
-        (diag.c0[0], expected_c0),
-    )
-    for got, want in checks:
-        if abs(got - want) > 1e-10 * max(1.0, want):
-            raise IdentityViolation(
-                f"square family off closed form: got {got!r}, expected {want!r}"
-            )
-    return f, diag
+    return AdjointableMap(shape, 1, 1, (f_mat,))
 
 
 # ---------------------------------------------------------------------------
@@ -205,18 +185,19 @@ def _diagnose(
     for f in maps:
         nf = max(f.norm(), 1e-300)
         gamma_f.append(f.singular_data(tol, scale=nf).gamma)
-        gamma_f2.append((f @ f).singular_data(tol, scale=nf * nf).gamma)
+        # c0 and delta of the unreduced pair: they differ from the reduced
+        # pair's when Im F meets ker F (left-multiplier at n = 16)
         image = f.image(tol, scale=nf)
         kernel = f.kernel(tol, scale=nf)
         c0s.append(dixmier_angle(image, kernel, tol))
         deltas.append(min_modulus_restricted(image, kernel, tol))
         rep = bouldin_criterion(f, f, tol)
-        margins.append(rep.margin_p if rep.margin_p is not None else math.inf)
-        cs = closed_sum_report(image, kernel, tol, samples=0)
+        gamma_f2.append(rep.gamma_composition)
+        margins.append(rep.margin_p)
         gamma2_positive = (
             math.isinf(gamma_f2[-1]) or gamma_f2[-1] > tol.positivity_tau
         )
-        agrees.append(cs.verdict == gamma2_positive)
+        agrees.append(rep.closed_sum.verdict == gamma2_positive)
 
     def decreasing(xs: Sequence[float]) -> bool:
         finite = [x for x in xs if math.isfinite(x)]
@@ -255,5 +236,21 @@ def family_table(
     elif family == "left-multiplier":
         maps = [left_multiplier_family(shifted_diagonal(k), k, tol) for k in sizes]
     else:
-        maps = [nonclosed_square_family(k, tol)[0] for k in sizes]
-    return _diagnose(family, sizes, maps, tol)
+        maps = [nonclosed_square_family(k) for k in sizes]
+    diag = _diagnose(family, sizes, maps, tol)
+    if family == "nonclosed-square":
+        s = SQUARE_FAMILY_SCALE
+        for i, n in enumerate(diag.sizes):
+            root = math.sqrt(n * n + 1.0)
+            checks = (
+                (diag.gamma_f[i], s),
+                (diag.gamma_f2[i], s * s / root),
+                (diag.delta[i], 1.0 / root),
+                (diag.c0[i], n / root),
+            )
+            for got, want in checks:
+                if abs(got - want) > 1e-10 * max(1.0, want):
+                    raise IdentityViolation(
+                        f"square family off closed form at n = {n}: got {got!r}, expected {want!r}"
+                    )
+    return diag

@@ -157,6 +157,19 @@ def test_geometry_operands_from_different_modules_are_usage_error(tmp_path, rng,
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["banach", "drazin"])
+def test_operator_of_the_wrong_kind_is_usage_error(tmp_path, rng, capsys, command):
+    shape = AlgebraShape((2, 3))
+    rect = write_operator(tmp_path, "rect.json", random_map(shape, 2, 3, rng))  # A^2 -> A^3
+    endo = write_operator(tmp_path, "endo.json", random_endomorphism(shape, 2, rng))
+    argv = {"banach": ["banach", endo, rect], "drazin": ["drazin", rect]}[command]
+    assert main(argv + ["--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and rect in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_lapack_failure_exits_cleanly(tmp_path, rng, capsys, monkeypatch):
     shape = AlgebraShape((2,))
     a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,6 +1,7 @@
 """Angles between submodules, closed-sum bounds, composition margins."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -263,34 +264,86 @@ def test_oblique_norm_gate_holds_when_ill_conditioned(shape23):
     assert abs(rep.oblique_norm - 1.0 / math.sin(1e-6)) <= 1e-9 / math.sin(1e-6)
 
 
-def test_composition_margin_equals_planted_sine():
-    theta = 0.4
+def _sine_pair(theta):
     f = AdjointableMap.from_matrix(np.array([[math.cos(theta)], [math.sin(theta)]]))
     d = AdjointableMap.from_matrix(np.array([[0.0, 1.0]]))  # kernel = first axis
-    rep = bouldin_criterion(f, d)
+    return f, d
+
+
+def test_composition_margin_equals_planted_sine():
+    theta = 0.4
+    rep = bouldin_criterion(*_sine_pair(theta))
     assert abs(rep.margin_p - math.sin(theta)) < 1e-12
-    assert abs(rep.margin_q - math.sin(theta)) < 1e-12
+    assert abs(rep.closed_sum.delta - math.sin(theta)) < 1e-12  # margin_q
+    assert abs(rep.closed_sum.c0 - math.cos(theta)) < 1e-12
     assert abs(rep.gamma_composition - math.sin(theta)) < 1e-12
-    assert rep.verdict and rep.bounded_below_p and rep.bounded_below_q
+    assert rep.closed_sum.verdict and not rep.closed_sum.reduced
     assert rep.duality_residual < 1e-12
-    assert rep.closed_sum_agrees
 
 
 def test_composition_identity_pair_degenerate(shape23):
     one = AdjointableMap.identity(shape23, 2)
     rep = bouldin_criterion(one, one)
-    assert rep.degenerate  # ker D = 0 leaves nothing to project
-    assert rep.margin_q == math.inf
-    assert rep.verdict
+    assert rep.closed_sum.degenerate  # ker D = 0 leaves nothing to project
+    assert rep.closed_sum.delta == math.inf  # margin_q: its domain is the zero space
+    assert rep.closed_sum.verdict
+
+
+def test_composition_margin_on_the_zero_space_is_infinite():
+    # F = 0: Im F = 0, so margin_p has nothing to act on
+    f = AdjointableMap.from_matrix(np.zeros((2, 1)))
+    d = AdjointableMap.from_matrix(np.array([[0.0, 1.0]]))
+    rep = bouldin_criterion(f, d)
+    assert rep.margin_p == math.inf
+    assert rep.closed_sum.delta == 1.0 and rep.closed_sum.verdict
 
 
 def test_composition_with_overlap_is_reduced():
     f = AdjointableMap.from_matrix(np.eye(2))
     d = AdjointableMap.from_matrix(np.array([[0.0, 1.0]]))
     rep = bouldin_criterion(f, d)
-    assert rep.reduced
-    assert rep.intersection_class.entries == (1,)  # ker D sits inside Im F
-    assert rep.verdict  # leftover pieces are orthogonal
+    assert rep.closed_sum.reduced
+    assert rep.closed_sum.intersection_class.entries == (1,)  # ker D sits inside Im F
+    assert rep.closed_sum.verdict  # leftover pieces are orthogonal
+
+
+def _closed_sum_delta(new_delta):
+    def plant(real):
+        def planted(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            delta = new_delta(rep.delta)
+            return replace(rep, delta=delta, verdict=delta > 0.0)
+
+        return planted
+
+    return plant
+
+
+def _tilted_adjoint(real):
+    # an "adjoint" off by 1e-6 in every entry: the dual pair moves, the pair does not
+    def planted(self):
+        a = real(self)
+        return AdjointableMap(a.shape, a.m, a.n, tuple(b + 1e-6 for b in a.blocks))
+
+    return planted
+
+
+# One planted defect per composition gate, on the sin 0.4 pair.
+COMPOSITION_DEFECTS = [
+    (geometry, "_closed_sum", _closed_sum_delta(lambda delta: 0.0),
+     "restricted-projection margins disagree"),
+    (geometry, "_closed_sum", _closed_sum_delta(lambda delta: delta + 1e-6),
+     "the two margins should coincide"),
+    (AdjointableMap, "adjoint", _tilted_adjoint,
+     "margins not symmetric under the adjoint swap"),
+]
+
+
+@pytest.mark.parametrize("module, name, plant, message", COMPOSITION_DEFECTS)
+def test_composition_gates_trip_on_planted_defects(monkeypatch, module, name, plant, message):
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    with pytest.raises(IdentityViolation, match=message):
+        bouldin_criterion(*_sine_pair(0.4))
 
 
 def test_geometry_inputs_validated(shape23, rng):

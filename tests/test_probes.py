@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from modop.errors import StructureError
+from modop import geometry, probes
+from modop.errors import IdentityViolation, StructureError
 from modop.probes import (
     FAMILY_NAMES,
     SQUARE_FAMILY_SCALE,
@@ -50,21 +51,49 @@ def test_shifted_diagonal_layout():
 
 
 def test_square_family_closed_forms():
-    for n in (2, 5, 16):
-        f, diag = nonclosed_square_family(n)
-        s = SQUARE_FAMILY_SCALE
-        assert abs(diag.gamma_f[0] - s) < 1e-12
-        assert abs(diag.gamma_f2[0] - s * s / math.sqrt(n * n + 1)) < 1e-12
-        assert abs(diag.delta[0] - 1 / math.sqrt(n * n + 1)) < 1e-12
-        assert abs(diag.c0[0] - n / math.sqrt(n * n + 1)) < 1e-12
+    sizes = (2, 5, 16)
+    diag = family_table("nonclosed-square", sizes)
+    s = SQUARE_FAMILY_SCALE
+    for i, n in enumerate(sizes):
+        assert abs(diag.gamma_f[i] - s) < 1e-12
+        assert abs(diag.gamma_f2[i] - s * s / math.sqrt(n * n + 1)) < 1e-12
+        assert abs(diag.delta[i] - 1 / math.sqrt(n * n + 1)) < 1e-12
+        assert abs(diag.c0[i] - n / math.sqrt(n * n + 1)) < 1e-12
         # the criterion margin moves in lockstep with the pair margin
-        assert abs(diag.bouldin_margins[0] - diag.delta[0]) < 1e-12
-        assert diag.closed_sum_agrees[0]
+        assert abs(diag.bouldin_margins[i] - diag.delta[i]) < 1e-12
+        assert diag.closed_sum_agrees[i]
+
+
+def test_square_family_closed_form_gate_trips_on_a_planted_map(monkeypatch):
+    real = probes.nonclosed_square_family
+    monkeypatch.setattr(probes, "nonclosed_square_family", lambda n: 2.0 * real(n))
+    with pytest.raises(IdentityViolation, match="square family off closed form at n = 4"):
+        family_table("nonclosed-square", [4])
+
+
+def test_family_table_diagnoses_each_map_once(monkeypatch):
+    calls = {"bouldin_criterion": 0, "_closed_sum": 0, "dixmier_angle": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(probes, "bouldin_criterion")
+    counting(geometry, "_closed_sum")
+    counting(geometry, "dixmier_angle")  # the criterion's angles, not the probe's own
+    family_table("nonclosed-square", [2, 3, 4])
+    # one composition criterion per size, and one closed-sum geometry in each
+    assert calls == {"bouldin_criterion": 3, "_closed_sum": 3, "dixmier_angle": 3}
 
 
 def test_square_family_kernel_image_structure():
     n = 4
-    f, _ = nonclosed_square_family(n)
+    f = nonclosed_square_family(n)
     # ker F = the tilted lines, Im F = the even lines; F^2 only vanishes
     # in the limit, so here its reduced minimum is positive but tiny
     img, ker = f.image(), f.kernel()
@@ -76,13 +105,12 @@ def test_square_family_kernel_image_structure():
 
 def test_square_family_rate():
     # gamma(F^2) * n approaches the positive constant s^2 = 1/36
-    _, d8 = nonclosed_square_family(8)
-    _, d32 = nonclosed_square_family(32)
+    diag = family_table("nonclosed-square", [8, 32])
     s2 = SQUARE_FAMILY_SCALE**2
-    assert abs(d8.gamma_f2[0] * 8 - s2) < s2 / 50
-    assert abs(d32.gamma_f2[0] * 32 - s2) < s2 / 500
+    assert abs(diag.gamma_f2[0] * 8 - s2) < s2 / 50
+    assert abs(diag.gamma_f2[1] * 32 - s2) < s2 / 500
     # while the un-squared margin never moves
-    assert d8.gamma_f[0] == d32.gamma_f[0]
+    assert diag.gamma_f[0] == diag.gamma_f[1]
 
 
 def test_family_table_monotonicity_verdicts():
