@@ -1,9 +1,10 @@
-"""Size-ladder micro-benchmark of five certificates and the power chain.
+"""Size-ladder micro-benchmark of six certificates and the power chain.
 
-Times ``fredholm_report``, ``exact_sequence``, ``drazin_inverse`` and
-``power_chain`` (both staircases of the planted endomorphism) on maps
-built before the clock starts, along the ladder (2,3)/2, (16)/4,
-1^32/4 and 1^256/4 (algebra shape / module rank).  Each repetition runs
+Times ``fredholm_report``, ``exact_sequence``, ``drazin_inverse``,
+``b_fredholm_report`` and ``power_chain`` (both staircases of the
+planted endomorphism) on maps built before the clock starts, along the
+ladder (2,3)/2, (16)/4, 1^32/4 and 1^256/4 (algebra shape / module
+rank).  Each repetition runs
 on a fresh copy of its maps, so no cached spectral record or power chain
 carries over from one repetition to the next.  ``closed_sum_report`` is
 timed on a random submodule pair at (1)/25 and at (2,3)/2 twice: with
@@ -85,6 +86,7 @@ def main(argv: list[str] | None = None) -> int:
         "fredholm_report": {},
         "exact_sequence": {},
         "drazin_inverse": {},
+        "b_fredholm_report": {},
         "power_chain": {},
         "closed_sum_report": {},
         "closed_sum_report_unsampled": {},
@@ -101,6 +103,7 @@ def main(argv: list[str] | None = None) -> int:
             "fredholm_report": lambda fs: fredholm.fredholm_report(fs[0]),
             "exact_sequence": lambda fs: fredholm.exact_sequence(fs[0], fs[1]),
             "drazin_inverse": lambda fs: drazin.drazin_inverse(fs[2]),
+            "b_fredholm_report": lambda fs: fredholm.b_fredholm_report(fs[2]),
             "power_chain": lambda fs: staircases(fs[2]),
         }
         for name, run in runs.items():

@@ -22,7 +22,6 @@ from .banach import (
     oblique_decomposition,
 )
 from .drazin import (
-    BrowderWitness,
     CommutingBrowderReport,
     CriterionReport,
     DrazinReport,
@@ -64,7 +63,7 @@ from .geometry import (
     dixmier_angle,
     min_modulus_restricted,
 )
-from .linmap import AdjointableMap, RestrictedEndomorphism
+from .linmap import AdjointableMap, BrowderWitness
 from .modules import K0Class, ModuleVector, Submodule, inner_product
 from .probes import (
     FamilyDiagnostic,

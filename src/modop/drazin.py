@@ -5,7 +5,10 @@ once the image chain stabilises at exponent p, the module splits
 (obliquely, in general) as Im F^p +' ker F^p with F invertible on the
 first summand and nilpotent on the second.  p (the descent), the ascent
 and both summands come from the image and kernel staircases of the
-map's power chain, never from explicit powers.  Everything here works
+map's power chain, never from explicit powers, and the split itself,
+with F certified block-diagonal on it and invertible on its core, is
+the chain's own record (``PowerChain.split`` and ``PowerChain.core``),
+shared with power stabilization in :mod:`modop.fredholm`.  Everything here works
 blockwise on the compressed matrices, so the splitting, the inverse,
 and the core/nilpotent parts all stay inside the category of module
 maps by construction.
@@ -23,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IdentityViolation, StructureError
-from .linmap import AdjointableMap, commutator_residual
+from .linmap import AdjointableMap, BrowderWitness, _similar, commutator_residual
 from .modules import K0Class, Submodule
-from .subspace import stacked, svd_datas
+from .subspace import stacked
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 Array = np.ndarray
@@ -34,7 +37,6 @@ __all__ = [
     "DrazinReport",
     "DualityReport",
     "CriterionReport",
-    "BrowderWitness",
     "CommutingBrowderReport",
     "ShiftExampleReport",
     "drazin_inverse",
@@ -46,56 +48,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# core-nilpotent splitting (shared by drazin_inverse / browder ops)
-
-
-@dataclass(frozen=True)
-class _Split:
-    """Per-block oblique change of basis onto Im F^p +' ker F^p."""
-
-    p: int
-    range_space: Submodule
-    null_space: Submodule
-    s_mats: tuple[Array, ...]
-    s_invs: tuple[Array, ...]
-    ranks: tuple[int, ...]
-    cond: float
-    margin: float
-
-
-def _core_split(f: AdjointableMap, tol: ToleranceConfig) -> _Split:
-    chain = f.power_chain(tol)
-    p = chain.descent
-    rng_space, nul_space = chain.image(p), chain.kernel(p)
-    s_mats = []
-    for b, (u, v) in enumerate(zip(rng_space.column_bases, nul_space.column_bases)):
-        s = np.hstack([u, v])
-        if s.shape[0] != s.shape[1]:
-            raise IdentityViolation(
-                f"block {b}: Im F^p and ker F^p do not fill the space "
-                f"({u.shape[1]} + {v.shape[1]} != {s.shape[0]})"
-            )
-        s_mats.append(s)
-    cond = 1.0
-    for b, (s, sv) in enumerate(zip(s_mats, svd_datas(s_mats, tol, scale=1.0))):
-        if sv.rank < s.shape[0]:
-            raise IdentityViolation(f"block {b}: splitting bases are numerically dependent")
-        cond = max(cond, sv.values[0] / sv.values[-1])
-    return _Split(
-        p=p,
-        range_space=rng_space,
-        null_space=nul_space,
-        s_mats=tuple(s_mats),
-        s_invs=tuple(stacked(np.linalg.inv, s_mats)),
-        ranks=tuple(u.shape[1] for u in rng_space.column_bases),
-        cond=cond,
-        margin=chain.margin,
-    )
-
-
-def _similar(s: Array, a: Array, s_inv: Array) -> Array:
-    """S A S^-1, for one block or a stack."""
-    return s @ a @ s_inv
+# Drazin inverse
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,14 +75,15 @@ class DrazinReport:
 
 
 def drazin_inverse(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> DrazinReport:
+    """F^D = S diag(F1^-1, 0) S^-1 on the split of F's power chain, where F
+    is certified block-diagonal and invertible on the core."""
     if not f.is_endomorphism:
         raise StructureError("Drazin inversion needs an endomorphism")
-    split = _core_split(f, tol)
-    p = split.p
+    chain = f.power_chain(tol)
+    split, core, p = chain.split, chain.core, chain.descent
     nf = max(f.norm(), 1e-300)
-    f1s, _, core_gamma, off_resid = _browder_blocks(f, split)
     ys, es = [], []
-    for s, r, inv in zip(split.s_mats, split.ranks, stacked(np.linalg.inv, f1s)):
+    for s, r, inv in zip(split.s_mats, split.ranks, stacked(np.linalg.inv, core.f1_blocks)):
         y = np.zeros_like(s)
         e = np.zeros_like(s)
         y[:r, :r] = inv
@@ -140,8 +94,8 @@ def drazin_inverse(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> Dra
     proj = AdjointableMap(
         f.shape, f.m, f.m, tuple(stacked(_similar, split.s_mats, es, split.s_invs))
     )
-    core = f @ proj
-    nilp = f - core
+    core_part = f @ proj
+    nilp = f - core_part
 
     nx = x.norm()
     r_xfx = (x @ f @ x - x).norm() / max(nx, 1e-300) if nx > 0 else 0.0
@@ -154,21 +108,21 @@ def drazin_inverse(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> Dra
     return DrazinReport(
         p=p,
         drazin_inverse=x,
-        core_part=core,
+        core_part=core_part,
         nilpotent_part=nilp,
         spectral_projector=proj,
         range_space=split.range_space,
         null_space=split.null_space,
-        core_gamma=core_gamma,
+        core_gamma=core.gamma_f1,
         splitting_cond=split.cond,
         residuals={
             "xfx_minus_x": float(r_xfx),
             "commutator": float(r_comm),
             "power_identity": float(r_power),
             "nilpotency": float(r_nilp),
-            "off_diagonal": float(off_resid),
+            "off_diagonal": float(core.off_diagonal_residual),
         },
-        margin=split.margin,
+        margin=chain.margin,
     )
 
 
@@ -181,7 +135,6 @@ class DualityReport:
     """The Drazin structure transported through the adjoint."""
 
     p: int
-    p_adjoint: int
     inverse_residual: float
     orthogonality_residuals: tuple[float, ...]  # ker (F*)^k vs (Im F^k)^perp, k = 1..p
 
@@ -207,7 +160,6 @@ def drazin_dual_check(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> 
             )
     return DualityReport(
         p=rep.p,
-        p_adjoint=rep_adj.p,
         inverse_residual=float(resid),
         orthogonality_residuals=tuple(orth),
     )
@@ -279,63 +231,6 @@ def commuting_drazin_criterion(
 
 
 @dataclass(frozen=True, eq=False)
-class BrowderWitness:
-    """Invariant splitting M +' N with F invertible on M; in this finite
-    model the complement N is always finitely generated."""
-
-    range_space: Submodule
-    null_space: Submodule
-    f1_blocks: tuple[Array, ...]
-    f4_blocks: tuple[Array, ...]
-    gamma_f1: float
-    off_diagonal_residual: float
-    splitting_cond: float
-
-
-def _browder_blocks(
-    f: AdjointableMap, split: _Split
-) -> tuple[tuple[Array, ...], tuple[Array, ...], float, float]:
-    """Diagonal blocks of F on the split, the smallest singular value of the
-    core blocks, and the largest off-diagonal block relative to ||F||."""
-    nf = max(f.norm(), 1e-300)
-    ts = stacked(_similar, split.s_invs, f.blocks, split.s_mats)
-    f1s = tuple(t[:r, :r] for t, r in zip(ts, split.ranks))
-    f4s = tuple(t[r:, r:] for t, r in zip(ts, split.ranks))
-    cores = stacked(np.linalg.svd, [f1 for f1 in f1s if f1.size], compute_uv=False)
-    gamma = min((float(v[-1]) for v in cores), default=math.inf)
-    mixed = [(t, r) for t, r in zip(ts, split.ranks) if 0 < r < t.shape[0]]
-    upper = stacked(np.linalg.svd, [t[:r, r:] for t, r in mixed], compute_uv=False)
-    lower = stacked(np.linalg.svd, [t[r:, :r] for t, r in mixed], compute_uv=False)
-    off_resid = max(
-        (max(float(a[0]), float(b[0])) / nf for a, b in zip(upper, lower)), default=0.0
-    )
-    return f1s, f4s, gamma, off_resid
-
-
-def _witness(g: AdjointableMap, split: _Split, tol: ToleranceConfig) -> BrowderWitness:
-    """G certified block-diagonal on ``split`` and invertible on its range."""
-    g1s, g4s, gamma, off = _browder_blocks(g, split)
-    if off > tol.residual_tol * max(1.0, split.cond):
-        raise IdentityViolation(
-            f"map is not block-diagonal on the splitting (off-diagonal {off:.3e})"
-        )
-    cores = [(b, g1) for b, g1 in enumerate(g1s) if g1.size]
-    datas = svd_datas([g1 for _, g1 in cores], tol, scale=g.norm())
-    for (b, g1), data in zip(cores, datas):
-        if data.rank < g1.shape[0]:
-            raise IdentityViolation(f"block {b}: map not invertible on the stable range")
-    return BrowderWitness(
-        range_space=split.range_space,
-        null_space=split.null_space,
-        f1_blocks=g1s,
-        f4_blocks=g4s,
-        gamma_f1=gamma,
-        off_diagonal_residual=off,
-        splitting_cond=split.cond,
-    )
-
-
-@dataclass(frozen=True, eq=False)
 class CommutingBrowderReport:
     """Both factors of a commuting product, certified on the product's
     own stable splitting."""
@@ -353,12 +248,9 @@ def commuting_browder_check(
     f: AdjointableMap, d: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL
 ) -> CommutingBrowderReport:
     comm = commutator_residual(f, d, tol)
-    df = d @ f
-    split = _core_split(df, tol)
-    p = split.p
-
-    wit_f = _witness(f, split, tol)
-    wit_d = _witness(d, split, tol)
+    chain = (d @ f).power_chain(tol)
+    split, p = chain.split, chain.descent
+    wit_f, wit_d = chain.witness(f), chain.witness(d)
 
     # ker F^k D^k = D^-k(ker F^k): k preimage steps through D from F's
     # kernel staircase, apart from the product's own chain.
@@ -394,8 +286,8 @@ class ShiftExampleReport:
     a truncated shift.
 
     The power chain is strictly monotone up to depth n and only then
-    stabilises, so ``strict_depth`` is also its stabilization exponent.
-    The depth grows with n, which is how the genuinely infinite
+    stabilises, at exponent n (the function raises otherwise).  The depth
+    grows with n, which is how the genuinely infinite
     phenomenon (no stabilisation at all) appears in a finite model.  The
     commuting projection P keeps FP Drazin invertible the whole time.
     """
@@ -405,7 +297,6 @@ class ShiftExampleReport:
     f: AdjointableMap
     projection: AdjointableMap
     chain_dims: tuple[int, ...]
-    strict_depth: int
     fp_drazin_index: int
     commutation_residual: float
 
@@ -432,7 +323,7 @@ def shift_counterexample(
     p_mat[:n, :n] = np.eye(n)
     proj = AdjointableMap(shape, 2, 2, (p_mat,))
 
-    comm = (f @ proj - proj @ f).norm() / max(f.norm(), 1e-300)
+    comm = commutator_residual(f, proj, tol)
     fp_report = drazin_inverse(f @ proj, tol)
 
     # The staircases grow strictly up to their plateau, so the strict depth
@@ -449,7 +340,6 @@ def shift_counterexample(
         f=f,
         projection=proj,
         chain_dims=tuple(step(k).dim for k in range(n + 2)),
-        strict_depth=depth,
         fp_drazin_index=fp_report.p,
         commutation_residual=float(comm),
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IdentityViolation, StructureError
-from .linmap import AdjointableMap, RestrictedEndomorphism, commutator_residual
+from .linmap import AdjointableMap, commutator_residual
 from .modules import K0Class, Submodule
 from .subspace import chains_exactness, residual_values
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -418,18 +418,19 @@ class BFredholmReport:
 
     ``stabilization_exponent`` (the descent n), ``rank_chain`` and
     ``stable_image`` = Im F^n are read off the image staircase of the
-    map's power chain.  The restriction of F to Im F^n (Berkani's T_n) is
-    then invertible: its rank decision, made at the scale ||F||, must
-    find full rank, and ``restricted_gamma`` is its smallest singular
-    value (+inf on the zero space).
+    map's power chain.  F restricted to Im F^n (Berkani's T_n) is then
+    invertible: the chain's core–nilpotent split Im F^n +' ker F^n must be
+    nonsingular, F block-diagonal on it, and the rank decision on F's core
+    block, made at the scale ||F||, must find full rank.
+    ``restricted_gamma`` is that block's smallest singular value (+inf on
+    the zero space), the ``core_gamma`` of the Drazin report.  ker F
+    meets Im F^n only in 0: ker F lies in ker F^n, the other summand.
     """
 
     stabilization_exponent: int
     rank_chain: tuple[int, ...]
     stable_image: Submodule
-    restricted: RestrictedEndomorphism
     restricted_gamma: float
-    kernel_meet_stable_image: Submodule
     margin: float
 
 
@@ -438,23 +439,12 @@ def b_fredholm_report(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> 
         raise StructureError("power stabilization needs an endomorphism")
     chain = f.power_chain(tol)
     n = chain.descent
-    stable = chain.image(n)
-    restricted = RestrictedEndomorphism.of(f, stable, tol)
-    rest_data = restricted.singular_data(tol, scale=f.norm())
-    if rest_data.rank != stable.dim:
-        raise IdentityViolation(
-            "restriction to the stable image is not invertible "
-            f"(rank {rest_data.rank} of {stable.dim})"
-        )
-    meet, gap = chain.kernel(1).intersection(stable, tol)
     return BFredholmReport(
         stabilization_exponent=n,
         rank_chain=chain.rank_chain,
-        stable_image=stable,
-        restricted=restricted,
-        restricted_gamma=rest_data.gamma,
-        kernel_meet_stable_image=meet,
-        margin=_min_margin(chain.margin, gap),
+        stable_image=chain.image(n),
+        restricted_gamma=chain.core.gamma_f1,
+        margin=chain.margin,
     )
 
 

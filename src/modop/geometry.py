@@ -155,15 +155,23 @@ def min_modulus_restricted(m: Submodule, n: Submodule, tol: ToleranceConfig = DE
     """
     if m.shape != n.shape or m.m != n.m:
         raise StructureError("submodules live in different modules")
+    return _min_modulus(m, n, tol, m.intersection(n, tol)[0])
+
+
+def _min_modulus(
+    m: Submodule, n: Submodule, tol: ToleranceConfig, meet: Submodule | None = None
+) -> float:
+    """``min_modulus_restricted`` checked against ``meet`` = M ∩ N; None
+    for a pair already cut down by ``_reduce``, whose intersection is zero."""
     pairs = [(qm, qn) for qm, qn in zip(m.column_bases, n.column_bases) if qn.shape[1]]
     residuals = residual_values([qm for qm, _ in pairs], [qn for _, qn in pairs])
     delta = min((float(v[-1]) for v in residuals), default=math.inf)
-    meet, _ = m.intersection(n, tol)
-    if meet.dim > 0 and delta > 10.0 * tol.coincide_tol:
-        raise IdentityViolation(
-            f"nonzero intersection (class {meet.k0()}) but delta = {delta:.3e}"
-        )
-    if meet.dim == 0 and math.isfinite(delta) and delta <= tol.rank_tol:
+    if meet is not None and meet.dim > 0:
+        if delta > 10.0 * tol.coincide_tol:
+            raise IdentityViolation(
+                f"nonzero intersection (class {meet.k0()}) but delta = {delta:.3e}"
+            )
+    elif math.isfinite(delta) and delta <= tol.rank_tol:
         raise IdentityViolation(
             f"trivial intersection but delta = {delta:.3e} is numerically zero"
         )
@@ -250,7 +258,7 @@ def _closed_sum(
     samples: int,
 ) -> GeometryReport:
     """The closed-sum report of a pair already cut down by ``_reduce``."""
-    delta = min_modulus_restricted(m_red, n_red, tol)
+    delta = _min_modulus(m_red, n_red, tol)
     c0 = dixmier_angle(m_red, n_red, tol)
     degenerate = math.isinf(delta)
     pyth = None
@@ -318,7 +326,7 @@ def bouldin_criterion(
         raise StructureError("maps are not composable (d after f)")
     meet, s1, s2 = _reduce(f.image(tol, scale=f.norm()), d.kernel(tol, scale=d.norm()), tol)
     cs = _closed_sum(meet, s1, s2, tol, rng=None, samples=0)
-    margin_p, margin_q = min_modulus_restricted(s2, s1, tol), cs.delta
+    margin_p, margin_q = _min_modulus(s2, s1, tol), cs.delta
     if (margin_p > tol.positivity_tau) != cs.verdict:
         raise IdentityViolation(
             f"restricted-projection margins disagree: {margin_p:.3e} vs {margin_q:.3e}"
@@ -333,7 +341,7 @@ def bouldin_criterion(
     # (Im D*, ker F*) = ((ker D)^perp, (Im F)^perp).
     ds, fs = d.adjoint(), f.adjoint()
     _, t1, t2 = _reduce(ds.image(tol, scale=ds.norm()), fs.kernel(tol, scale=fs.norm()), tol)
-    dual_p, dual_q = min_modulus_restricted(t2, t1, tol), min_modulus_restricted(t1, t2, tol)
+    dual_p, dual_q = _min_modulus(t2, t1, tol), _min_modulus(t1, t2, tol)
     finite_pairs = [
         (a, b)
         for a, b in ((margin_p, dual_p), (margin_q, dual_q))

@@ -18,13 +18,20 @@ jobs agree only to the last few digits, so each consumer keeps reading
 the record it needs.  Both are grouped stacked records:
 :func:`modop.subspace.stacked` makes one LAPACK call per distinct block
 shape and hands back per-block views, bitwise equal to per-block calls;
-the later staircase steps and restrictions are grouped the same way.
-A restriction to an invariant submodule keeps the values-only record
-alone: its rank decision is all that certifies it invertible.
-Every rank decision on a map, a staircase step included, is one call of
-:func:`modop.subspace._decide` on the merged values of all blocks: one
-absolute cutoff across blocks, derived from the global largest singular
-value, so blockwise and dense computations agree decision-for-decision.
+the later staircase steps are grouped the same way.
+
+An endomorphism's :class:`PowerChain`, one per tolerance, also holds the
+core–nilpotent split Im F^p +' ker F^p at the descent p (the change of
+basis S = [U V], S^-1 and cond S) and F's blocks on it, certified
+block-diagonal with an invertible core.  The Drazin inverse and power
+stabilization read that one record; the Browder check certifies both
+factors of a commuting product on the product's split, by the same
+routine.
+Every rank decision on a map, a staircase step and a core block
+included, is one call of :func:`modop.subspace._decide` on the merged
+values of all blocks: one absolute cutoff across blocks, derived from
+the global largest singular value, so blockwise and dense computations
+agree decision-for-decision.
 """
 
 from __future__ import annotations
@@ -38,61 +45,23 @@ import numpy as np
 from .algebra import AlgebraElement, AlgebraShape
 from .errors import DataError, IdentityViolation, StructureError, UnmetHypothesisError
 from .modules import ModuleVector, Submodule, flat_dim
-from .subspace import (
-    SingularData,
-    _decide,
-    as_complex,
-    herm,
-    residual_values,
-    stacked,
-)
+from .subspace import SingularData, _decide, as_complex, herm, stacked, svd_datas
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 Array = np.ndarray
 
 __all__ = [
     "AdjointableMap",
+    "BrowderWitness",
+    "CoreSplit",
     "PowerChain",
-    "RestrictedEndomorphism",
     "commutator_residual",
     "require_finite",
 ]
 
 
-class BlockwiseMap:
-    """A map stored as one complex matrix per algebra block.
-
-    Subclasses provide ``blocks``, ``shape`` and ``dim_ctx`` (the ambient
-    dimension entering the rank cutoff).  ``tol`` and ``scale`` only move
-    the cutoff and are call arguments, not cache keys.
-    """
-
-    blocks: tuple[Array, ...]
-
-    @cached_property
-    def _svals(self) -> tuple[Array, ...]:
-        return tuple(stacked(np.linalg.svd, self.blocks, compute_uv=False))
-
-    def _merged(
-        self, values: Sequence[Array], tol: ToleranceConfig, scale: float | None
-    ) -> SingularData:
-        """Shared-cutoff decision: block b's values repeated n_b times."""
-        counts = np.repeat(self.shape.block_sizes, [v.size for v in values])
-        merged = np.repeat(np.concatenate(values), counts)
-        return _decide(np.sort(merged)[::-1], tol, self.dim_ctx, scale)
-
-    def norm(self) -> float:
-        """Operator norm in the module sense (= largest block singular value)."""
-        return max((float(s[0]) if s.size else 0.0 for s in self._svals), default=0.0)
-
-    def singular_data(
-        self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
-    ) -> SingularData:
-        return self._merged(self._svals, tol, scale)
-
-
 @dataclass(frozen=True, eq=False)
-class AdjointableMap(BlockwiseMap):
+class AdjointableMap:
     """Module map A^m -> A^n over a block algebra.
 
     ``blocks[b]`` is the compressed complex matrix of shape
@@ -249,7 +218,28 @@ class AdjointableMap(BlockwiseMap):
         talls = [c @ x.tall(b) for b, c in enumerate(self.blocks)]
         return ModuleVector.from_talls(self.shape, self.n, talls)
 
-    # -- kernels and images ---------------------------------------------------
+    # -- spectral records, kernels and images ----------------------------------
+
+    @cached_property
+    def _svals(self) -> tuple[Array, ...]:
+        return tuple(stacked(np.linalg.svd, self.blocks, compute_uv=False))
+
+    def _merged(
+        self, values: Sequence[Array], tol: ToleranceConfig, scale: float | None
+    ) -> SingularData:
+        """Shared-cutoff decision: block b's values repeated n_b times."""
+        counts = np.repeat(self.shape.block_sizes, [v.size for v in values])
+        merged = np.repeat(np.concatenate(values), counts)
+        return _decide(np.sort(merged)[::-1], tol, self.dim_ctx, scale)
+
+    def norm(self) -> float:
+        """Operator norm in the module sense (= largest block singular value)."""
+        return max((float(s[0]) if s.size else 0.0 for s in self._svals), default=0.0)
+
+    def singular_data(
+        self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
+    ) -> SingularData:
+        return self._merged(self._svals, tol, scale)
 
     @cached_property
     def _svd(self) -> tuple[tuple[Array, Array, Array], ...]:
@@ -332,7 +322,8 @@ class AdjointableMap(BlockwiseMap):
 
 @dataclass(frozen=True, eq=False)
 class PowerChain:
-    """Image and kernel staircases of an endomorphism F, free of powers.
+    """Image and kernel staircases of an endomorphism F, free of powers,
+    and the core–nilpotent split they end in.
 
     Im F^(k+1) = F(Im F^k) and ker F^(k+1) = F^-1(ker F^k), each step one
     SVD per block and one shared-cutoff decision at the scale ||F||
@@ -344,6 +335,11 @@ class PowerChain:
     use and stops at its plateau, the descent and the ascent respectively;
     ``image(k)`` and ``kernel(k)`` return the plateau past it.  ``margin``
     is the smallest step margin of both.
+
+    At the descent p the plateaus split the module as Im F^p +' ker F^p
+    (``split``), and ``core`` is F certified on that split: block-diagonal
+    and invertible on Im F^p.  Both are computed once per chain.
+    ``witness`` certifies any map on the split the same way.
     """
 
     f: AdjointableMap
@@ -396,6 +392,114 @@ class PowerChain:
     def kernel(self, k: int) -> Submodule:
         return self._kernels[0][min(k, self.ascent)]
 
+    @cached_property
+    def split(self) -> "CoreSplit":
+        """Im F^p +' ker F^p at the descent p.  Raises unless, per block, the
+        two bases S = [U V] form a square matrix of full rank."""
+        p = self.descent
+        range_space, null_space = self.image(p), self.kernel(p)
+        s_mats = []
+        for b, (u, v) in enumerate(zip(range_space.column_bases, null_space.column_bases)):
+            s = np.hstack([u, v])
+            if s.shape[0] != s.shape[1]:
+                raise IdentityViolation(
+                    f"block {b}: Im F^p and ker F^p do not fill the space "
+                    f"({u.shape[1]} + {v.shape[1]} != {s.shape[0]})"
+                )
+            s_mats.append(s)
+        cond = 1.0
+        for b, (s, sv) in enumerate(zip(s_mats, svd_datas(s_mats, self.tol, scale=1.0))):
+            if sv.rank < s.shape[0]:
+                raise IdentityViolation(f"block {b}: splitting bases are numerically dependent")
+            cond = max(cond, sv.values[0] / sv.values[-1])
+        return CoreSplit(
+            range_space, null_space, tuple(s_mats), tuple(stacked(np.linalg.inv, s_mats)), cond
+        )
+
+    @cached_property
+    def core(self) -> "BrowderWitness":
+        """F on its own split."""
+        return self.witness(self.f)
+
+    def witness(self, g: AdjointableMap) -> "BrowderWitness":
+        """G on this chain's split: S^-1 G S per block, certified block-diagonal
+        and invertible on the range.
+
+        The off-diagonal blocks, relative to ||G||, must stay within
+        ``residual_tol`` times the split's condition number.  The core blocks
+        get one values-only SVD and one shared-cutoff decision at the scale
+        ||G||, which must find full rank; ``gamma_f1`` is their smallest
+        singular value (+inf on the zero space).
+        """
+        split, tol = self.split, self.tol
+        ranks = split.ranks
+        ts = stacked(_similar, split.s_invs, g.blocks, split.s_mats)
+        g1s = tuple(t[:r, :r] for t, r in zip(ts, ranks))
+        g4s = tuple(t[r:, r:] for t, r in zip(ts, ranks))
+        mixed = [(t, r) for t, r in zip(ts, ranks) if 0 < r < t.shape[0]]
+        upper = stacked(np.linalg.svd, [t[:r, r:] for t, r in mixed], compute_uv=False)
+        lower = stacked(np.linalg.svd, [t[r:, :r] for t, r in mixed], compute_uv=False)
+        ng = max(g.norm(), 1e-300)
+        off = max((max(float(a[0]), float(b[0])) / ng for a, b in zip(upper, lower)), default=0.0)
+        if off > tol.residual_tol * max(1.0, split.cond):
+            raise IdentityViolation(
+                f"map is not block-diagonal on the splitting (off-diagonal {off:.3e})"
+            )
+        cores = iter(stacked(np.linalg.svd, [g1 for g1 in g1s if g1.size], compute_uv=False))
+        values = [next(cores) if g1.size else np.zeros(0) for g1 in g1s]
+        data = g._merged(values, tol, g.norm())
+        if data.rank != split.range_space.dim:
+            raise IdentityViolation(
+                "map is not invertible on the stable range "
+                f"(rank {data.rank} of {split.range_space.dim})"
+            )
+        return BrowderWitness(
+            range_space=split.range_space,
+            null_space=split.null_space,
+            f1_blocks=g1s,
+            f4_blocks=g4s,
+            gamma_f1=data.gamma,
+            off_diagonal_residual=off,
+            splitting_cond=split.cond,
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class CoreSplit:
+    """Per-block oblique change of basis S = [U V] onto Im F^p +' ker F^p,
+    its inverse, and the largest condition number of S (at least 1): the
+    closedness margin of the split."""
+
+    range_space: Submodule
+    null_space: Submodule
+    s_mats: tuple[Array, ...]
+    s_invs: tuple[Array, ...]
+    cond: float
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        return tuple(u.shape[1] for u in self.range_space.column_bases)
+
+
+@dataclass(frozen=True, eq=False)
+class BrowderWitness:
+    """Invariant splitting M +' N with a map G invertible on M, and G's
+    diagonal blocks on it; in this finite model the complement N is always
+    finitely generated."""
+
+    range_space: Submodule
+    null_space: Submodule
+    f1_blocks: tuple[Array, ...]
+    f4_blocks: tuple[Array, ...]
+    gamma_f1: float
+    off_diagonal_residual: float
+    splitting_cond: float
+
+
+def _similar(s: Array, a: Array, s_inv: Array) -> Array:
+    """S A S^-1, for one block or a stack."""
+    return s @ a @ s_inv
+
 
 def _outside(c: Array, k: Array) -> Array:
     """(I - P_k) C: the part of C's columns outside span(k)."""
@@ -409,56 +513,6 @@ def require_finite(arrays: list[Array], what: str) -> None:
     power chain."""
     if not np.isfinite(np.concatenate([a.ravel() for a in arrays])).all():
         raise DataError(f"{what} entries must be finite (got inf or nan)")
-
-
-# ---------------------------------------------------------------------------
-# restrictions to submodules
-
-
-@dataclass(frozen=True, eq=False)
-class RestrictedEndomorphism(BlockwiseMap):
-    """An endomorphism compressed to an invariant submodule.
-
-    The underlying submodule is projective but generally not free, so
-    the restriction is stored as per-block matrices in the submodule's
-    column-basis coordinates rather than as an algebra matrix.
-    ``invariance_defect`` certifies how far the parent map moved the
-    submodule out of itself (relative to the parent norm).  Only the
-    values-only record is kept: ``norm`` and ``singular_data``.
-    """
-
-    domain: Submodule
-    blocks: tuple[Array, ...]
-    invariance_defect: float
-
-    @classmethod
-    def of(
-        cls, f: AdjointableMap, sub: Submodule, tol: ToleranceConfig = DEFAULT_TOL
-    ) -> "RestrictedEndomorphism":
-        if not f.is_endomorphism or f.shape != sub.shape or f.m != sub.m:
-            raise StructureError("restriction needs an endomorphism of the ambient module")
-        scale = max(f.norm(), 1e-300)
-        moved = stacked(np.matmul, f.blocks, sub.column_bases)
-        blocks = stacked(lambda w, x: herm(w) @ x, sub.column_bases, moved)
-        residuals = residual_values(sub.column_bases, moved)
-        defect = max((float(v[0]) / scale for v in residuals if v.size), default=0.0)
-        if defect > tol.angle_tol * 10:
-            raise UnmetHypothesisError(
-                f"submodule is not invariant under the map (defect {defect:.3e})"
-            )
-        return cls(sub, tuple(blocks), float(defect))
-
-    @property
-    def dim(self) -> int:
-        return self.domain.dim
-
-    @property
-    def shape(self) -> AlgebraShape:
-        return self.domain.shape
-
-    @property
-    def dim_ctx(self) -> int:
-        return self.domain.ambient_dim
 
 
 # ---------------------------------------------------------------------------

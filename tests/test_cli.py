@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from modop import banach, drazin, fredholm, geometry
+from modop import banach, drazin, fredholm, geometry, linmap
 from modop.algebra import AlgebraShape
 from modop.cli import RunConfig, SUITE_NAMES, main, run_suite
 from modop.linmap import AdjointableMap
@@ -282,12 +282,9 @@ def _index_bumped_on_second_call(real):
     return planted
 
 
-def _zero_core_blocks(real):
-    def planted(g, split):
-        g1s, g4s, _, off = real(g, split)
-        return tuple(np.zeros_like(g1) for g1 in g1s), g4s, 0.0, off
-
-    return planted
+def _zero_blocks_on_split(real):
+    # S^-1 G S planted as zero: no off-diagonal part, and no invertible core
+    return lambda s, a, s_inv: 0.0 * real(s, a, s_inv)
 
 
 def _tilted_angle(real):
@@ -321,8 +318,8 @@ PLANTED_DEFECTS = [
      "intersection chains stabilize at k = 2, k' = 2, not at max(p, ind F) = 3"),
     ("dual", drazin, "drazin_inverse", _index_bumped_on_second_call,
      "Drazin index differs under adjoint"),
-    ("browder", drazin, "_browder_blocks", _zero_core_blocks,
-     "block 0: map not invertible on the stable range"),
+    ("browder", linmap, "_similar", _zero_blocks_on_split,
+     "map is not invertible on the stable range (rank 0 of 7)"),
     ("closed-sum", geometry, "dixmier_angle", _tilted_angle,
      "c0^2 + delta^2 = 1 violated"),
     ("banach-perturbation", banach, "defect_witness", _padded_banach_witness,

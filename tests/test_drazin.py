@@ -16,9 +16,10 @@ from modop.drazin import (
     drazin_inverse,
     shift_counterexample,
 )
-from modop.errors import StructureError, UnmetHypothesisError
+from modop.errors import IdentityViolation, StructureError, UnmetHypothesisError
 from modop.fredholm import b_fredholm_commuting_check, b_fredholm_report
-from modop.linmap import AdjointableMap
+from modop.linmap import AdjointableMap, PowerChain
+from modop.modules import Submodule
 from modop.randgen import random_commuting_pair, random_endomorphism, random_map
 
 
@@ -62,6 +63,70 @@ def test_drazin_frozen_example():
     assert max(rep.residuals.values()) < 1e-12
 
 
+def test_drazin_and_power_stabilization_read_one_core_block(shape23, rng):
+    f = random_endomorphism(shape23, 3, rng, nilpotent=(2,))
+    rep, stab = drazin_inverse(f), b_fredholm_report(f)
+    assert stab.restricted_gamma == rep.core_gamma > 0
+    assert stab.stable_image is rep.range_space
+    assert rep.residuals["off_diagonal"] == f.power_chain().core.off_diagonal_residual
+
+
+# The split of a chain, and the map's blocks on it, carry four gates, which
+# both the Drazin inverse and power stabilization reach (dependent summands:
+# tests/test_fredholm.py::test_power_stabilization_rejects_a_descent_one_step_short).
+SPLIT_READERS = pytest.mark.parametrize(
+    "certify", [drazin_inverse, b_fredholm_report], ids=["drazin_inverse", "b_fredholm_report"]
+)
+
+
+def _planted(monkeypatch, name, plant):
+    """Replace ``PowerChain.<name>(k)`` at the descent by ``plant(chain)``."""
+    real = getattr(PowerChain, name)
+
+    def planted(chain, k):
+        return plant(chain) if k == chain.descent else real(chain, k)
+
+    monkeypatch.setattr(PowerChain, name, planted)
+
+
+def _span(*columns):
+    basis = np.linalg.qr(np.array(columns, dtype=complex).T)[0]
+    return Submodule(AlgebraShape((1,)), 3, (basis,))
+
+
+@SPLIT_READERS
+def test_split_rejects_summands_that_do_not_fill_the_space(certify, monkeypatch):
+    _planted(monkeypatch, "kernel", lambda chain: Submodule.zero(chain.f.shape, chain.f.m))
+    with pytest.raises(IdentityViolation) as exc:
+        certify(AdjointableMap.from_matrix(CORE_NILPOTENT))
+    assert str(exc.value) == "block 0: Im F^p and ker F^p do not fill the space (1 + 0 != 3)"
+
+
+@pytest.mark.parametrize(
+    "name, plant",
+    [
+        ("image", lambda chain: _span([0, 1, 1])),  # F moves it out of itself
+        ("kernel", lambda chain: _span([1, 0, 0], [0, 1, 1])),  # F moves it into Im F^p
+    ],
+    ids=["non-invariant-image", "non-invariant-kernel"],
+)
+@SPLIT_READERS
+def test_split_rejects_a_map_that_is_not_block_diagonal(certify, name, plant, monkeypatch):
+    _planted(monkeypatch, name, plant)
+    with pytest.raises(IdentityViolation, match=r"^map is not block-diagonal on the splitting"):
+        certify(AdjointableMap.from_matrix(CORE_NILPOTENT))
+
+
+@SPLIT_READERS
+def test_split_rejects_a_core_rank_deficit(certify, monkeypatch):
+    # diag(0, 2) read at descent 0: S = I, and the core is all of F
+    descent = PowerChain.descent.fget
+    monkeypatch.setattr(PowerChain, "descent", property(lambda chain: descent(chain) - 1))
+    with pytest.raises(IdentityViolation) as exc:
+        certify(AdjointableMap.from_matrix(np.diag([0.0, 2.0])))
+    assert str(exc.value) == "map is not invertible on the stable range (rank 1 of 2)"
+
+
 def test_drazin_axioms_on_planted_endo(shape23, rng):
     f = random_endomorphism(shape23, 3, rng, nilpotent=(2,))
     rep = drazin_inverse(f)
@@ -96,7 +161,6 @@ def _scale_free_record(f):
         stab.rank_chain,
         rep.range_space.k0(),
         rep.null_space.k0(),
-        stab.kernel_meet_stable_image.k0(),
     )
 
 
@@ -124,7 +188,7 @@ def test_drazin_inverse_of_invertible_is_inverse(shape23, rng):
 def test_dual_check(shape23, rng):
     f = random_endomorphism(shape23, 2, rng, nilpotent=(2,))
     rep = drazin_dual_check(f)
-    assert rep.p == rep.p_adjoint == 2
+    assert rep.p == 2
     assert rep.inverse_residual < 1e-9
     assert len(rep.orthogonality_residuals) == rep.p
     assert max(rep.orthogonality_residuals) < 1e-8
@@ -235,7 +299,6 @@ def test_shift_example_range_strict():
     # strictly decreasing for n steps, then flat
     assert all(dims[k] > dims[k + 1] for k in range(5))
     assert dims[5] == dims[6]
-    assert rep.strict_depth == 5
     assert rep.fp_drazin_index <= 1  # the projected map stays tame throughout
     assert rep.commutation_residual < 1e-12
 
@@ -245,13 +308,15 @@ def test_shift_example_kernel_strict():
     dims = rep.chain_dims
     assert all(dims[k] < dims[k + 1] for k in range(4))
     assert dims[4] == dims[5]
-    assert rep.strict_depth == 4
 
 
 def test_shift_example_depth_grows():
     # the stabilization depth is unbounded in the family size — the finite
     # shadow of a chain that never stabilizes
-    depths = [shift_counterexample("range-strict", n).strict_depth for n in (2, 4, 6)]
+    depths = []
+    for n in (2, 4, 6):
+        dims = shift_counterexample("range-strict", n).chain_dims
+        depths.append(next(k for k in range(len(dims) - 1) if dims[k] == dims[k + 1]))
     assert depths == [2, 4, 6]
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from modop import fredholm
 from modop.algebra import AlgebraElement, AlgebraShape
+from modop.drazin import drazin_inverse
 from modop.errors import IdentityViolation, StructureError, UnmetHypothesisError
 from modop.fredholm import (
     b_fredholm_commuting_check,
@@ -194,7 +195,6 @@ def test_power_stabilization_frozen_example():
     assert rep.rank_chain == (3, 2, 1)
     assert rep.stable_image.dim == 1
     assert abs(rep.restricted_gamma - 2.0) < 1e-12  # F acts as *2 on the stable line
-    assert rep.kernel_meet_stable_image.k0().is_zero()
 
 
 def test_power_stabilization_nilpotent():
@@ -221,13 +221,14 @@ PLANTED = [
 
 @pytest.mark.parametrize("f", PLANTED, ids=["diag(J2,2)", "(2,3)/2"])
 def test_power_stabilization_rejects_a_descent_one_step_short(f, monkeypatch):
-    # Im F^(n-1) is invariant, but F is not injective on it: the
-    # restriction there has a rank defect that the gate must see.
+    # Im F^(n-1) is invariant, but F is not injective on it: it meets
+    # ker F^(n-1), and the split gate must see the dependent bases.
     descent = PowerChain.descent.fget
     assert descent(f.power_chain()) == 2
     monkeypatch.setattr(PowerChain, "descent", property(lambda chain: descent(chain) - 1))
-    with pytest.raises(IdentityViolation, match=r"not invertible \(rank \d+ of \d+\)"):
-        b_fredholm_report(f)
+    for certify in (b_fredholm_report, drazin_inverse):
+        with pytest.raises(IdentityViolation, match=r"block \d+: splitting bases are numerically dependent"):
+            certify(f)
 
 
 def test_commuting_stabilization_additivity(rng):

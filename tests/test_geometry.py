@@ -22,6 +22,7 @@ from modop.modules import Submodule
 from modop.randgen import parse_shape, random_submodule
 
 from flat_oracle import flat_basis
+from map_oracle import orthogonal_projection
 
 
 def line(shape, m, b_angles):
@@ -67,6 +68,43 @@ def test_min_modulus_conventions(shape23, rng):
     assert min_modulus_restricted(m, zero) == math.inf
     # shared directions push the modulus to numerical zero
     assert min_modulus_restricted(m, m) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "certify",
+    [
+        lambda m: closed_sum_report(m, m, samples=0),
+        lambda m: bouldin_criterion(orthogonal_projection(m), 0 * orthogonal_projection(m)),
+    ],
+    ids=["closed_sum_report", "bouldin_criterion"],
+)
+def test_reduced_pair_with_zero_delta_is_rejected(certify, shape23, rng, monkeypatch):
+    # the reduction planted as finding no intersection of a pair that meets:
+    # (M, M), or (Im F, ker D) = (M, everything)
+    monkeypatch.setattr(
+        geometry, "_reduce", lambda a, b, tol: (Submodule.zero(a.shape, a.m), a, b)
+    )
+    with pytest.raises(IdentityViolation, match=r"^trivial intersection but delta = .* is numerically zero"):
+        certify(random_submodule(shape23, 2, rng, ranks=(1, 1)))
+
+
+def test_reduced_pairs_are_not_intersected_again(shape23, rng, monkeypatch):
+    # (Im F, ker D) = (M, N) is transverse: one intersection.  The adjoint
+    # pair (N^perp, M^perp) meets, so its reduction makes three.  The four
+    # margins read the reductions and intersect nothing themselves.
+    calls = [0]
+    real = Submodule.intersection
+
+    def counting(self, *args):
+        calls[0] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(Submodule, "intersection", counting)
+    m = random_submodule(shape23, 3, rng, ranks=(1, 1))
+    n = random_submodule(shape23, 3, rng, ranks=(1, 2))
+    p_m, p_n = orthogonal_projection(m), orthogonal_projection(n)
+    bouldin_criterion(p_m, AdjointableMap.identity(shape23, 3) - p_n)
+    assert calls[0] == 1 + 3
 
 
 def test_closed_sum_pythagoras(shape23, rng):

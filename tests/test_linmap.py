@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from modop.algebra import AlgebraElement, AlgebraShape
-from modop.errors import DataError, StructureError, UnmetHypothesisError
-from modop.linmap import AdjointableMap, RestrictedEndomorphism
+from modop.errors import DataError, StructureError
+from modop.linmap import AdjointableMap
 from modop.modules import ModuleVector, flat_dim
 from modop.randgen import (
     random_element,
@@ -128,21 +128,6 @@ def test_orthogonal_projection_map(shape23, rng):
     assert p.image().equals(sub)
 
 
-def test_restriction_to_invariant_submodule(shape23, rng):
-    sub = random_submodule(shape23, 3, rng, ranks=(2, 3))
-    p = orthogonal_projection(sub)
-    g = random_endomorphism(shape23, 3, rng)
-    f = p @ g @ p  # leaves sub invariant by construction
-    r = RestrictedEndomorphism.of(f, sub)
-    assert r.dim == sub.dim
-    assert r.invariance_defect < 1e-12
-    assert r.norm() <= f.norm() + 1e-12
-    # the restriction's rank is the dimension of F(sub), a submodule of sub
-    img, _ = f.image_step(sub)
-    assert sub.contains(img)[0]
-    assert r.singular_data(scale=f.norm()).rank == img.dim
-
-
 def _count_svds(monkeypatch) -> dict[str, int]:
     calls = {"values": 0, "full": 0}
     svd = np.linalg.svd
@@ -165,26 +150,6 @@ def test_each_map_is_decomposed_once(shape23, rng, monkeypatch):
         f.image()
     assert calls["values"] <= shape23.num_blocks
     assert calls["full"] <= shape23.num_blocks
-
-
-def test_each_restriction_is_decomposed_once(shape23, rng, monkeypatch):
-    sub = random_submodule(shape23, 3, rng, ranks=(0, 2))  # one empty block
-    p = orthogonal_projection(sub)
-    r = RestrictedEndomorphism.of(p @ random_endomorphism(shape23, 3, rng) @ p, sub)
-    calls = _count_svds(monkeypatch)
-    for _ in range(2):
-        r.norm()
-        data = r.singular_data()
-    assert calls["values"] <= shape23.num_blocks
-    assert calls["full"] == 0  # a restriction keeps the values-only record alone
-    assert data.rank == sub.dim  # generic: invertible on sub
-
-
-def test_restriction_rejects_non_invariant(shape23, rng):
-    sub = random_submodule(shape23, 3, rng, ranks=(1, 1))
-    g = random_endomorphism(shape23, 3, rng)
-    with pytest.raises(UnmetHypothesisError):
-        RestrictedEndomorphism.of(g, sub)
 
 
 def test_from_matrix_trivial_algebra(rng):
