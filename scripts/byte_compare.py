@@ -11,7 +11,8 @@ Commands:
   * ``verify``: the eleven suites at seeds 1-3 on shapes 2,3, 1^8 and 4;
   * ``analyze`` (json and text), ``drazin`` and ``banach`` on a planted
     endomorphism and a rank-deficient map A^3 -> A^2 over (2,3), 1^8
-    and (4), module rank 3;
+    and (4), module rank 3, and ``banach T F`` on the map with a rank-one
+    perturbation F (the finite-rank perturbation certificate);
   * ``geometry`` on transverse, intersecting and operator pairs at seeds
     0-2;
   * the three ``probe`` families, text and csv.
@@ -82,6 +83,9 @@ def write_inputs() -> list[list[str]]:
                 ["drazin", path, "--format", "json"],
                 ["banach", path, "--format", "json"],
             ]
+        pert = randgen.random_low_rank(shape, MAP_RANK, 2, rng, rank=1, scale=0.5)
+        pert_path = save(f"pert-{text}-{MAP_RANK}.json", serialize.operator_to_jsonable(pert))
+        commands.append(["banach", path, pert_path, "--format", "json"])  # T: the rect map
 
     shape = randgen.parse_shape("2,3")
     for seed in GEOMETRY_SEEDS:

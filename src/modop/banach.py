@@ -11,15 +11,20 @@ The two substantial constructions mirror constructive proofs step by
 step.  A finite-rank perturbation of a regular operator is handled by
 splitting everything over T(ker F) and ker F and balancing dimensions;
 the balance is an exact integer identity, so it raises on failure
-rather than reporting a residual.  A composition of two regular
-operators yields a generalized inverse of the restriction of the outer
-factor to the inner one's range and an exact six-space sequence built
-from the oblique quotient maps, whose alternating dimension sum is the
-index theorem.
+rather than reporting a residual.  The perturbed operator's range
+complement V is the orthogonal complement of Im(T+F) = T(ker F) (+) N',
+N' the part of Im(T+F) transverse to T(ker F).  A composition of two
+regular operators yields a generalized inverse of the restriction of
+the outer factor to the inner one's range and an exact six-space
+sequence built from the oblique quotient maps, whose alternating
+dimension sum is the index theorem.
 
-Conditioning of every idempotent is recorded; a projector norm above
-the configured bound flags the instance ill-posed instead of letting
-residual checks silently degrade.
+Each regular operator decides its rank once, on one SVD: a given T at
+||T||, a derived one at its factor scale, ||T|| + ||F|| for T+F and
+||S|| ||T|| for ST, so a numerically-zero sum or product is zero, not
+of full rank.  Conditioning of every idempotent is recorded; a projector
+norm above the configured bound flags the instance ill-posed instead of
+letting residual checks silently degrade.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import numpy as np
 
 from .errors import IdentityViolation, StructureError, UnmetHypothesisError
 from .subspace import (
+    _decide,
     as_complex,
     chains_exactness,
     complement,
@@ -147,16 +153,12 @@ class RegularOperator:
     residuals: dict[str, float] = field(default_factory=dict)
 
     @property
-    def codomain_dim(self) -> int:
-        return self.t.shape[0]
-
-    @property
     def dim_ker(self) -> int:
         return self.kernel_basis.shape[1]
 
     @property
     def codim_im(self) -> int:
-        return self.codomain_dim - self.rank
+        return self.t.shape[0] - self.rank
 
     @property
     def ker_complement(self) -> Array:
@@ -171,25 +173,23 @@ class RegularOperator:
         return self.ker_decomposition.ill_posed or self.im_decomposition.ill_posed
 
 
-def make_regular(
+def _kernel_image(t: Array, scale: float, tol: ToleranceConfig) -> tuple[Array, Array]:
+    """Bases of ker T and Im T from one full SVD, the rank decided at ``scale``."""
+    u, s, vh = np.linalg.svd(t)
+    rank = _decide(s, tol, max(t.shape), scale).rank
+    return np.ascontiguousarray(vh[rank:].conj().T), np.ascontiguousarray(u[:, :rank])
+
+
+def _regular(
     t: Array,
+    scale: float,
+    kernel: Array,
+    image: Array,
     ker_complement: Array,
     im_complement: Array,
-    tol: ToleranceConfig = DEFAULT_TOL,
+    tol: ToleranceConfig,
 ) -> RegularOperator:
-    """Generalized inverse of ``t`` for explicitly chosen complements.
-
-    ``ker_complement`` must complement ker T in the domain and
-    ``im_complement`` must complement Im T in the codomain; violations
-    raise with the offending dimensions.
-    """
-    t = as_complex(t)
-    scale = max(op_norm(t), 1e-300)
-    kernel, _ = null_spaces([t], tol, scale=scale)[0]
-    image, img_data = orthonormal_images([t], tol, scale=scale)[0]
-    ker_complement = as_complex(ker_complement)
-    im_complement = as_complex(im_complement)
-
+    """Regular operator of ``t`` on its kernel and image decided at ``scale``."""
     try:
         ker_dec = oblique_decomposition(ker_complement, kernel, tol)
     except UnmetHypothesisError as exc:
@@ -222,7 +222,7 @@ def make_regular(
         image_basis=image,
         ker_decomposition=ker_dec,
         im_decomposition=im_dec,
-        rank=img_data.rank,
+        rank=image.shape[1],
         residuals={
             "ttprime_t": float(r1),
             "tprime_t_tprime": float(r2),
@@ -232,6 +232,31 @@ def make_regular(
     )
 
 
+def make_regular(
+    t: Array,
+    ker_complement: Array,
+    im_complement: Array,
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> RegularOperator:
+    """Generalized inverse of ``t`` for explicitly chosen complements.
+
+    ``ker_complement`` must complement ker T in the domain and
+    ``im_complement`` must complement Im T in the codomain; violations
+    raise with the offending dimensions.  The rank is decided at ||T||.
+    """
+    t = as_complex(t)
+    scale = max(op_norm(t), 1e-300)
+    kc, ic = as_complex(ker_complement), as_complex(im_complement)
+    return _regular(t, scale, *_kernel_image(t, scale, tol), kc, ic, tol)
+
+
+def _regular_orthogonal(t: Array, scale: float, tol: ToleranceConfig) -> RegularOperator:
+    """Orthogonal-complement regular operator of ``t``, its rank decided at
+    ``scale``: ||T|| for a given T, the factor scale for T+F and ST."""
+    kernel, image = _kernel_image(t, scale, tol)
+    return _regular(t, scale, kernel, image, complement(kernel), complement(image), tol)
+
+
 def make_regular_orthogonal(t: Array, tol: ToleranceConfig = DEFAULT_TOL) -> RegularOperator:
     """The orthogonal-complement choice, made explicitly.
 
@@ -239,10 +264,7 @@ def make_regular_orthogonal(t: Array, tol: ToleranceConfig = DEFAULT_TOL) -> Reg
     Moore-Penrose pseudoinverse.
     """
     t = as_complex(t)
-    scale = max(op_norm(t), 1e-300)
-    kernel, _ = null_spaces([t], tol, scale=scale)[0]
-    image, _ = orthonormal_images([t], tol, scale=scale)[0]
-    return make_regular(t, complement(kernel), complement(image), tol)
+    return _regular_orthogonal(t, max(op_norm(t), 1e-300), tol)
 
 
 @dataclass(frozen=True)
@@ -273,8 +295,11 @@ class PerturbationRecord:
 
     Spaces: W = T(ker F); N / N' are the parts of Im T / Im(T+F)
     transverse to W; M / M' complete ker T / ker(T+F) over the common
-    core ker T ∩ ker F; V completes Im(T+F) to the whole codomain.
-    The dimension identity balances all of them against T's witness.
+    core ker T ∩ ker F.  T+F is decided once, at the factor scale
+    ||T|| + ||F||, and ``perturbed`` is its regular operator with both
+    complements orthogonal: its range complement V completes
+    Im(T+F) = W (+) N' to the whole codomain.  The dimension identity
+    balances all of them against T's witness.
     """
 
     rank_f: int
@@ -289,9 +314,7 @@ class PerturbationRecord:
     witness: BanachWitness
     lhs: int
     rhs: int
-    v_basis: Array
     perturbed: RegularOperator
-    projector_norms: dict[str, float]
     ill_posed: bool
 
 
@@ -309,19 +332,15 @@ def banach_perturbation(
     if f.shape != t.shape:
         raise StructureError("perturbation must have the same shape as T")
     nt, nf = op_norm(t), op_norm(f)
-    tf = t + f
-    scale_sum = max(nt + nf, 1e-300)
-
-    rank_f = svd_datas([f], tol, scale=max(nf, 1e-300))[0].rank
-    ker_f, _ = null_spaces([f], tol, scale=max(nf, 1e-300))[0]
+    ker_f, f_data = null_spaces([f], tol, scale=max(nf, 1e-300))[0]
+    perturbed = _regular_orthogonal(t + f, max(nt + nf, 1e-300), tol)  # at ||T|| + ||F||
 
     w, _ = orthonormal_images([t @ ker_f], tol, scale=max(nt, 1e-300))[0]
     q_proj = np.eye(t.shape[0], dtype=complex) - w @ w.conj().T
     p_proj = np.eye(t.shape[1], dtype=complex) - ker_f @ ker_f.conj().T
 
     im_t, ker_t = reg.image_basis, reg.kernel_basis
-    im_tf, _ = orthonormal_images([tf], tol, scale=scale_sum)[0]
-    ker_tf, _ = null_spaces([tf], tol, scale=scale_sum)[0]
+    im_tf, ker_tf = perturbed.image_basis, perturbed.kernel_basis
     (common, _), (common2, _) = intersections([ker_t, ker_tf], [ker_f, ker_f], tol)
     if common.shape[1] != common2.shape[1]:
         raise IdentityViolation(
@@ -335,42 +354,31 @@ def banach_perturbation(
 
     # Y = W (+) N' (+) V: V completes Im(T+F) = W (+) N'.
     w_plus_np, _ = orthonormal_images([np.hstack([w, n_prime])], tol, scale=1.0)[0]
-    if w_plus_np.shape[1] != im_tf.shape[1]:
+    if w_plus_np.shape[1] != perturbed.rank:
         raise IdentityViolation(
             f"Im(T+F) should split as T(ker F) (+) N' "
-            f"({w.shape[1]} + {n_prime.shape[1]} vs rank {im_tf.shape[1]})"
+            f"({w.shape[1]} + {n_prime.shape[1]} vs rank {perturbed.rank})"
         )
-    v_basis = complement(w_plus_np)
-
-    perturbed = make_regular(tf, complement(ker_tf), v_basis, tol)
 
     wit = defect_witness(reg)
-    lhs = ker_tf.shape[1] + m_space.shape[1] + n_space.shape[1] + wit.z1
-    rhs = (t.shape[0] - im_tf.shape[1]) + m_prime.shape[1] + n_prime.shape[1] + wit.z2
+    lhs = perturbed.dim_ker + m_space.shape[1] + n_space.shape[1] + wit.z1
+    rhs = perturbed.codim_im + m_prime.shape[1] + n_prime.shape[1] + wit.z2
     if lhs != rhs:
-        raise IdentityViolation(
-            f"perturbation dimension identity failed: {lhs} != {rhs}"
-        )
+        raise IdentityViolation(f"perturbation dimension identity failed: {lhs} != {rhs}")
     return PerturbationRecord(
-        rank_f=rank_f,
+        rank_f=f_data.rank,
         w_dim=w.shape[1],
         n_dim=n_space.shape[1],
         n_prime_dim=n_prime.shape[1],
         m_dim=m_space.shape[1],
         m_prime_dim=m_prime.shape[1],
         common_kernel_dim=common.shape[1],
-        kernel_perturbed_dim=ker_tf.shape[1],
-        codim_perturbed=t.shape[0] - im_tf.shape[1],
+        kernel_perturbed_dim=perturbed.dim_ker,
+        codim_perturbed=perturbed.codim_im,
         witness=wit,
         lhs=lhs,
         rhs=rhs,
-        v_basis=v_basis,
         perturbed=perturbed,
-        projector_norms={
-            "onto_ker_complement": float(op_norm(p_proj)),
-            "onto_w_complement": float(op_norm(q_proj)),
-            "perturbed_im_projector": perturbed.im_decomposition.norm,
-        },
         ill_posed=perturbed.ill_posed or reg.ill_posed,
     )
 
@@ -413,16 +421,14 @@ def banach_product(
     s, t = s_reg.t, t_reg.t
     if s.shape[1] != t.shape[0]:
         raise StructureError("operators are not composable (S after T)")
-    st = s @ t
-    try:
-        st_reg = make_regular_orthogonal(st, tol)
-    except UnmetHypothesisError as exc:  # pragma: no cover - full rank always splits
-        raise UnmetHypothesisError(f"product is not regular: {exc}") from exc
+    ns, nt = op_norm(s), op_norm(t)
+    scale_s, scale_t = max(ns, 1e-300), max(nt, 1e-300)
+    # ST is decided at the factor scale ||S|| ||T||, as fredholm.product_chain does
+    st_reg = _regular_orthogonal(s @ t, max(ns * nt, 1e-300), tol)
 
     # TU := T (ST)' is a generalized inverse of S restricted to T(X).
     tu = t @ st_reg.tprime
     q_tx = t_reg.image_basis
-    scale_s = max(op_norm(s), 1e-300)
     a_on_tx = s @ q_tx
     r_aba = op_norm(s @ tu @ a_on_tx - a_on_tx) / scale_s
     ntu = max(op_norm(tu), 1e-300)
@@ -438,7 +444,6 @@ def banach_product(
         )
 
     # Six-space sequence through the oblique quotient realisations.
-    scale_t = max(op_norm(t), 1e-300)
     (t_quotient, _), (s_quotient, _) = orthonormal_images(
         [t_reg.im_complement, s_reg.im_complement], tol, scale=1.0
     )

@@ -229,7 +229,9 @@ def _suite_banach_perturbation(rng: np.random.Generator, cfg: RunConfig) -> dict
     f = 0.4 * np.outer(u, v) / max(np.linalg.norm(u) * np.linalg.norm(v), 1e-300)
     rec = banach.banach_perturbation(reg, f, cfg.tol)
     return {
-        "worst_projector_norm": max(worst_proj, max(rec.projector_norms.values())),
+        "worst_projector_norm": max(
+            worst_proj, rec.perturbed.ker_decomposition.norm, rec.perturbed.im_decomposition.norm
+        ),
         "rank_f": float(rec.rank_f),
     }
 

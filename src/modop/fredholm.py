@@ -14,7 +14,6 @@ failure raises instead of flagging.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -49,11 +48,6 @@ MODEL_NOTE = (
     "finite-dimensional model: ranges are closed and defect witnesses always "
     "exist; the quantitative content is in the classes, margins, and identities"
 )
-
-
-def _min_margin(*vals: float) -> float:
-    finite = [v for v in vals if v is not None]
-    return float(min(finite)) if finite else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +88,6 @@ def fredholm_report(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> Fr
             f"rank-nullity violated: index {index} != {expected} "
             "(per-block rank decisions are inconsistent)"
         )
-    margin = _min_margin(
-        f.singular_data(tol, scale=scale).margin,
-    )
     return FredholmReport(
         kernel=ker,
         image=img,
@@ -104,7 +95,7 @@ def fredholm_report(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> Fr
         index=index,
         is_weyl_zero_index=index.is_zero(),
         is_generalized_weyl=ker.k0().entries == coker.k0().entries,
-        margin=margin,
+        margin=f.singular_data(tol, scale=scale).margin,
     )
 
 
@@ -328,17 +319,6 @@ def weyl_perturbation_chain(
             "this balance is forced by the construction, so a rank decision broke"
         )
 
-    margin = _min_margin(
-        f.singular_data(tol, scale=nf).margin,
-        t.singular_data(tol, scale=nt).margin,
-        tf.singular_data(tol, scale=scale_sum).margin,
-        gap_n,
-        gap_np,
-        gap_c,
-        gap_c2,
-        gap_m,
-        gap_mp,
-    )
     return ChainReport(
         perturbation_class=perturb_class,
         splitting_image=w,
@@ -352,7 +332,17 @@ def weyl_perturbation_chain(
         coker_class_perturbed=coker_tf,
         lhs=lhs,
         rhs=rhs,
-        margin=margin,
+        margin=min(
+            f.singular_data(tol, scale=nf).margin,
+            t.singular_data(tol, scale=nt).margin,
+            tf.singular_data(tol, scale=scale_sum).margin,
+            gap_n,
+            gap_np,
+            gap_c,
+            gap_c2,
+            gap_m,
+            gap_mp,
+        ),
         residuals={"w_in_im_t": r_w1, "w_in_im_tf": r_w2},
     )
 
@@ -392,11 +382,6 @@ def product_chain(
     rhs = coker_df + wf.pad_cokernel + wd.pad_cokernel
     if lhs.entries != rhs.entries:
         raise IdentityViolation(f"product chain identity failed: {lhs} != {rhs}")
-    margin = _min_margin(
-        df.singular_data(tol, scale=scale).margin,
-        f.singular_data(tol, scale=f.norm()).margin,
-        d.singular_data(tol, scale=d.norm()).margin,
-    )
     return ProductChainReport(
         kernel_product=ker_df,
         coker_class_product=coker_df,
@@ -404,7 +389,11 @@ def product_chain(
         witness_second=wd,
         lhs=lhs,
         rhs=rhs,
-        margin=margin,
+        margin=min(
+            df.singular_data(tol, scale=scale).margin,
+            f.singular_data(tol, scale=f.norm()).margin,
+            d.singular_data(tol, scale=d.norm()).margin,
+        ),
     )
 
 

@@ -5,10 +5,11 @@ Subspaces of C^d are represented by matrices with orthonormal columns
 singular values funnels through one function, :func:`_decide`: it sets
 the cutoff under the shared tolerance policy and records the margin by
 which the decision was made.  :func:`svd_datas`, :func:`orthonormal_images`,
-:func:`null_spaces` and the chain maps of :func:`chains_exactness` (one full
-SVD each) call it once per matrix.  The maps of :mod:`modop.linmap` call
-it once per block family: a map's records and each step of its power
-chain merge the values of all blocks into one decision.
+:func:`null_spaces`, the chain maps of :func:`chains_exactness` and the
+regular operators of :mod:`modop.banach` (one full SVD each) call it once
+per matrix.  The maps of :mod:`modop.linmap` call it once per block family:
+a map's records and each step of its power chain merge the values of all
+blocks into one decision.
 
 Each operation has one form, on a list of matrices (one per algebra
 block, one per arrow, or the independent operands of one step of the

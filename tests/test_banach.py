@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from modop import banach
+from modop import banach, fredholm
 from modop.banach import (
     BanachWitness,
     banach_perturbation,
@@ -18,6 +18,7 @@ from modop.banach import (
 )
 from modop.algebra import AlgebraShape
 from modop.errors import IdentityViolation, StructureError, UnmetHypothesisError
+from modop.linmap import AdjointableMap
 from modop.subspace import op_norm, residual_values
 from modop.tolerances import DEFAULT_TOL
 from modop.randgen import (
@@ -126,6 +127,8 @@ def test_idempotent_norm_gate_trips_on_a_planted_norm(rng, monkeypatch):
 
 def test_make_regular_computes_each_projector_norm_once(monkeypatch):
     t, kc, ic = random_regular_data(6, 6, np.random.default_rng(8), rank_deficit=1)
+    reg = make_regular(t, kc, ic)
+    f = 0.4 * random_matrix(6, 6, np.random.default_rng(9), rank_deficit=5)  # rank 1
     calls = [0]
     svd = np.linalg.svd
 
@@ -133,24 +136,34 @@ def test_make_regular_computes_each_projector_norm_once(monkeypatch):
         calls[0] += 1
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    reg = make_regular(t, kc, ic)
-    monkeypatch.undo()
-    # ||T||, ker T and Im T; per decomposition the basis matrix, ||E||, the
-    # idempotency residual, the two halves' bases, and the norm and sine
-    # of the identity check; five residual norms.  Recomputing ||E|| for
-    # the idempotency residuals and the two projection residuals made 26.
-    assert calls[0] == 22
-    # the stored norms give the bits the recomputed ones gave
-    for dec in (reg.ker_decomposition, reg.im_decomposition):
-        e = dec.idempotent
-        assert dec.norm == op_norm(e)
-        assert dec.idempotency_residual == op_norm(e @ e - e) / max(op_norm(e), 1e-300)
-    e_y, e_x = reg.im_decomposition.idempotent, reg.ker_decomposition.idempotent
-    r3 = op_norm(reg.t @ reg.tprime - e_y) / max(op_norm(e_y), 1.0)
-    r4 = op_norm(reg.tprime @ reg.t - e_x) / max(op_norm(e_x), 1.0)
-    assert reg.residuals["tt_is_im_projection"] == r3
-    assert reg.residuals["t_t_is_ker_projection"] == r4
+    # ||T||, one SVD for ker T and Im T; per decomposition the basis matrix,
+    # ||E||, the idempotency residual, the two halves' bases, and the norm
+    # and sine of the identity check; five residual norms.  The orthogonal
+    # choice adds the two complements.  The perturbation takes ||T||, ||F||,
+    # ker F, T(ker F), one SVD of T+F and its two complements, the common
+    # kernel, four projected spaces, the split check and the perturbed
+    # operator, whose invertible T+F leaves nothing to cross-check.  A
+    # second decomposition of T or of T+F, or a recomputed ||E||, shows here.
+    for build, expected in (
+        (lambda: make_regular(t, kc, ic), 21),
+        (lambda: make_regular_orthogonal(t), 23),
+        (lambda: banach_perturbation(reg, f).perturbed, 28),
+    ):
+        calls[0] = 0
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        out = build()
+        monkeypatch.undo()
+        assert calls[0] == expected
+        # the stored norms give the bits the recomputed ones gave
+        for dec in (out.ker_decomposition, out.im_decomposition):
+            e = dec.idempotent
+            assert dec.norm == op_norm(e)
+            assert dec.idempotency_residual == op_norm(e @ e - e) / max(op_norm(e), 1e-300)
+        e_y, e_x = out.im_decomposition.idempotent, out.ker_decomposition.idempotent
+        r3 = op_norm(out.t @ out.tprime - e_y) / max(op_norm(e_y), 1.0)
+        r4 = op_norm(out.tprime @ out.t - e_x) / max(op_norm(e_x), 1.0)
+        assert out.residuals["tt_is_im_projection"] == r3
+        assert out.residuals["t_t_is_ker_projection"] == r4
 
 
 def test_ill_posed_follows_the_callers_tolerance():
@@ -199,6 +212,18 @@ def test_perturbation_zero_f(rng):
     assert rec.m_dim == rec.m_prime_dim == 0  # ker T sits inside ker F entirely
 
 
+def test_perturbation_decides_t_plus_f_once_at_the_factor_scale():
+    # T + F is noise of size 1e-15: zero at the scale ||T|| + ||F||, full
+    # rank at its own, so the identity and the perturbed operator must read
+    # one decision
+    rng = np.random.default_rng(0)
+    t = random_matrix(5, 5, rng, rank_deficit=1)
+    f = -t + 1e-15 * rng.standard_normal((5, 5))
+    rec = banach_perturbation(make_regular_orthogonal(t), f)
+    assert rec.kernel_perturbed_dim == 5 and rec.perturbed.rank == 0
+    assert rec.lhs == rec.rhs
+
+
 def test_perturbation_shape_checked(rng):
     reg = regular_from(rng, 4, 4)
     with pytest.raises(StructureError):
@@ -226,6 +251,18 @@ def test_product_frozen_inclusion_projection():
     assert not rec.gw_t and not rec.gw_s and rec.gw_st
     assert rec.chain_dims == (0, 0, 1, 1, 0, 0)
     assert rec.meet_dim == 0
+
+
+def test_product_decides_st_at_the_factor_scale():
+    # Im T = ker S, so ST is roundoff (||ST|| ~ 6e-16 against ||S|| ||T|| = 6)
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+    t = q[:, :2] @ np.diag([1.0, 2.0])
+    s = np.diag([1.0, 3.0]) @ q[:, 2:].conj().T
+    rec = banach_product(make_regular_orthogonal(s), make_regular_orthogonal(t))
+    assert rec.st.rank == 0
+    assert rec.chain_dims == (0, 2, 2, 2, 2, 0)
+    chain = fredholm.product_chain(AdjointableMap.from_matrix(s), AdjointableMap.from_matrix(t))
+    assert chain.kernel_product.dim == 2
 
 
 def test_product_composability_checked(rng):

@@ -300,8 +300,8 @@ def _padded_banach_witness(real):
 
 
 def _repeated_kernel_column(real):
-    def planted(t, tol):
-        reg = real(t, tol)
+    def planted(t, scale, tol):
+        reg = real(t, scale, tol)
         return replace(reg, kernel_basis=np.hstack([reg.kernel_basis, reg.kernel_basis[:, :1]]))
 
     return planted
@@ -326,7 +326,7 @@ PLANTED_DEFECTS = [
      "perturbation dimension identity failed"),
     ("banach-product", banach, "defect_witness", _padded_banach_witness,
      "composition witness identity failed"),
-    ("banach-product", banach, "make_regular_orthogonal", _repeated_kernel_column,
+    ("banach-product", banach, "_regular_orthogonal", _repeated_kernel_column,
      "alternating dimension sum is -1, not 0"),
 ]
 
