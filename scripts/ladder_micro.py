@@ -1,11 +1,11 @@
 """Size-ladder micro-benchmark of six certificates and the power chain.
 
 Times ``fredholm_report``, ``exact_sequence``, ``drazin_inverse``,
-``b_fredholm_report`` and ``power_chain`` (both staircases of the
-planted endomorphism) on maps built before the clock starts, along the
-ladder (2,3)/2, (16)/4, 1^32/4 and 1^256/4 (algebra shape / module
-rank).  Each repetition runs
-on a fresh copy of its maps, so no cached spectral record or power chain
+``b_fredholm_report`` and ``power_chain`` (the index and the stable
+image of the planted endomorphism: both staircases) on maps built
+before the clock starts, along the ladder (2,3)/2, (16)/4, 1^32/4 and
+1^256/4 (algebra shape / module rank).  Each repetition runs on a fresh
+copy of its maps, so no cached spectral record or power chain
 carries over from one repetition to the next.  ``closed_sum_report`` is
 timed on a random submodule pair at (1)/25 and at (2,3)/2 twice: with
 10,000 sampled pairs, as the ``geometry`` command runs it
@@ -80,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
 
     def staircases(f: AdjointableMap) -> tuple[int, int]:
         chain = f.power_chain()
-        return chain.descent, chain.ascent
+        return chain.index, chain.image(chain.index).dim
 
     results: dict[str, dict[str, float]] = {
         "fredholm_report": {},

@@ -36,6 +36,7 @@ from .drazin import (
 from .errors import (
     DataError,
     IdentityViolation,
+    IllConditionedError,
     ModopError,
     StructureError,
     UnmetHypothesisError,

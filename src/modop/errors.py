@@ -1,8 +1,9 @@
 """Exception hierarchy.
 
-Errors are split by who is at fault: bad data or unmet preconditions
-(caller), versus identities that the library guarantees by construction
-(a :class:`IdentityViolation` firing means a bug, not a bad input).
+Errors are split by who is at fault: bad data, unmet preconditions or
+ill-conditioning (the input), versus identities that the library
+guarantees by construction (a :class:`IdentityViolation` firing means a
+bug, not a bad input).
 """
 
 
@@ -31,6 +32,12 @@ class IdentityViolation(ModopError):
     underneath are sound, so this error must never fire on well-margined
     instances.  It is deliberately loud rather than a report flag.
     """
+
+
+class IllConditionedError(ModopError):
+    """The input is too ill-conditioned to certify: a numerically singular
+    split Im F^p +' ker F^p, or a gate that fires on a power chain whose
+    forced image ranks contradicted a cutoff (``PowerChain.margin < 0``)."""
 
 
 class DataError(ModopError):

@@ -82,12 +82,6 @@ def fredholm_report(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> Fr
     img = f.image(tol, scale=scale)
     coker = img.complement()
     index = ker.k0() - coker.k0()
-    expected = K0Class.free(f.shape, f.m) - K0Class.free(f.shape, f.n)
-    if index.entries != expected.entries:
-        raise IdentityViolation(
-            f"rank-nullity violated: index {index} != {expected} "
-            "(per-block rank decisions are inconsistent)"
-        )
     return FredholmReport(
         kernel=ker,
         image=img,
@@ -405,12 +399,13 @@ def product_chain(
 class BFredholmReport:
     """Stabilization data of the power-image chain of an endomorphism.
 
-    ``stabilization_exponent`` (the descent n), ``rank_chain`` and
-    ``stable_image`` = Im F^n are read off the image staircase of the
-    map's power chain.  F restricted to Im F^n (Berkani's T_n) is then
-    invertible: the chain's core–nilpotent split Im F^n +' ker F^n must be
-    nonsingular, F block-diagonal on it, and the rank decision on F's core
-    block, made at the scale ||F||, must find full rank.
+    ``stabilization_exponent`` (the index n) and ``rank_chain`` are read
+    off the kernel staircase of the map's power chain, and
+    ``stable_image`` = Im F^n off its image staircase.  F restricted to
+    Im F^n (Berkani's T_n) is then invertible: the chain's core–nilpotent
+    split Im F^n +' ker F^n must be nonsingular, F block-diagonal on it,
+    and the rank decision on F's core block, made at the scale ||F||, must
+    find full rank.
     ``restricted_gamma`` is that block's smallest singular value (+inf on
     the zero space), the ``core_gamma`` of the Drazin report.  ker F
     meets Im F^n only in 0: ker F lies in ker F^n, the other summand.
@@ -427,7 +422,7 @@ def b_fredholm_report(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> 
     if not f.is_endomorphism:
         raise StructureError("power stabilization needs an endomorphism")
     chain = f.power_chain(tol)
-    n = chain.descent
+    n = chain.index
     return BFredholmReport(
         stabilization_exponent=n,
         rank_chain=chain.rank_chain,

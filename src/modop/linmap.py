@@ -13,20 +13,18 @@ as the test oracle and as the plain matrix ``modop banach`` works on.
 Each map carries two spectral records, computed on first use and
 cached: the values-only SVD of every block (``_svals``, read by ``norm``
 and ``singular_data``) and the full SVD (``_svd``, read by ``kernel``,
-``image`` and step 1 of both power-chain staircases).  The two LAPACK
-jobs agree only to the last few digits, so each consumer keeps reading
-the record it needs.  Both are grouped stacked records:
+``image`` and step 1 of the power chain).  The two LAPACK jobs agree
+only to the last few digits, so each consumer keeps reading the record
+it needs.  Both are grouped stacked records:
 :func:`modop.subspace.stacked` makes one LAPACK call per distinct block
 shape and hands back per-block views, bitwise equal to per-block calls;
-the later staircase steps are grouped the same way.
+the later power-chain steps are grouped the same way.
 
-An endomorphism's :class:`PowerChain`, one per tolerance, also holds the
-core–nilpotent split Im F^p +' ker F^p at the descent p (the change of
-basis S = [U V], S^-1 and cond S) and F's blocks on it, certified
-block-diagonal with an invertible core.  The Drazin inverse and power
-stabilization read that one record; the Browder check certifies both
-factors of a commuting product on the product's split, by the same
-routine.
+An endomorphism's :class:`PowerChain`, one per tolerance, holds its
+staircases and the core–nilpotent split Im F^p +' ker F^p with F's
+blocks on it.  The Drazin inverse and power stabilization read that one
+record; the Browder check certifies both factors of a commuting product
+on the product's split, by the same routine.
 Every rank decision on a map, a staircase step and a core block
 included, is one call of :func:`modop.subspace._decide` on the merged
 values of all blocks: one absolute cutoff across blocks, derived from
@@ -36,6 +34,7 @@ agree decision-for-decision.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,12 +42,19 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape
-from .errors import DataError, IdentityViolation, StructureError, UnmetHypothesisError
+from .errors import (
+    DataError,
+    IdentityViolation,
+    IllConditionedError,
+    StructureError,
+    UnmetHypothesisError,
+)
 from .modules import ModuleVector, Submodule, flat_dim
 from .subspace import SingularData, _decide, as_complex, herm, stacked, svd_datas
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 Array = np.ndarray
+Svds = Sequence[tuple[Array, Array, Array]]  # one SVD per block
 
 __all__ = [
     "AdjointableMap",
@@ -242,11 +248,11 @@ class AdjointableMap:
         return self._merged(self._svals, tol, scale)
 
     @cached_property
-    def _svd(self) -> tuple[tuple[Array, Array, Array], ...]:
+    def _svd(self) -> Svds:
         return tuple(stacked(np.linalg.svd, self.blocks))
 
     def _ranks(
-        self, svds: Sequence[tuple[Array, Array, Array]], tol: ToleranceConfig, scale: float | None
+        self, svds: Svds, tol: ToleranceConfig, scale: float | None
     ) -> tuple[list[int], SingularData]:
         """Per-block ranks of ``svds`` under one shared cutoff, and the
         decision that set it."""
@@ -254,15 +260,17 @@ class AdjointableMap:
         return [sum(1 for v in s.tolist() if v > data.threshold) for _, s, _ in svds], data
 
     def _image_of(
-        self, svds: Sequence[tuple[Array, Array, Array]], tol: ToleranceConfig, scale: float | None
+        self, svds: Svds, tol: ToleranceConfig, scale: float | None, ranks: list[int] | None = None
     ) -> tuple[Submodule, float]:
-        """Column span of each decomposed block, and the decision's margin."""
-        ranks, data = self._ranks(svds, tol, scale)
-        bases = tuple(u[:, :r] for (u, _, _), r in zip(svds, ranks))
-        return Submodule(self.shape, self.n, bases), data.margin
+        """Column span of each decomposed block, and the decision's margin;
+        forced ``ranks`` that differ from the cutoff's negate it."""
+        decided, data = self._ranks(svds, tol, scale)
+        margin = data.margin if ranks is None or ranks == decided else -data.margin
+        bases = tuple(u[:, :r] for (u, _, _), r in zip(svds, decided if ranks is None else ranks))
+        return Submodule(self.shape, self.n, bases), margin
 
     def _kernel_of(
-        self, svds: Sequence[tuple[Array, Array, Array]], tol: ToleranceConfig, scale: float | None
+        self, svds: Svds, tol: ToleranceConfig, scale: float | None
     ) -> tuple[Submodule, float]:
         """Kernel of each fully decomposed block, and the decision's margin."""
         ranks, data = self._ranks(svds, tol, scale)
@@ -280,14 +288,15 @@ class AdjointableMap:
         return self._image_of(self._svd, tol, scale)[0]
 
     def image_step(
-        self, sub: Submodule, tol: ToleranceConfig = DEFAULT_TOL
+        self, sub: Submodule, tol: ToleranceConfig = DEFAULT_TOL, ranks: list[int] | None = None
     ) -> tuple[Submodule, float]:
         """F(sub), plus the margin of its shared-cutoff rank decision, made at
-        the scale ||F|| and the map's ``dim_ctx``."""
+        the scale ||F|| and the map's ``dim_ctx``, or of forced ``ranks``."""
         if sub.shape != self.shape or sub.m != self.m:
             raise StructureError("submodule not inside the domain module")
         moved = stacked(np.matmul, self.blocks, sub.column_bases)
-        return self._image_of(stacked(np.linalg.svd, moved, full_matrices=False), tol, self.norm())
+        svds = stacked(np.linalg.svd, moved, full_matrices=False)
+        return self._image_of(svds, tol, self.norm(), ranks)
 
     def preimage_step(
         self, sub: Submodule, tol: ToleranceConfig = DEFAULT_TOL
@@ -322,96 +331,92 @@ class AdjointableMap:
 
 @dataclass(frozen=True, eq=False)
 class PowerChain:
-    """Image and kernel staircases of an endomorphism F, free of powers,
+    """Kernel and image staircases of an endomorphism F, free of powers,
     and the core–nilpotent split they end in.
 
-    Im F^(k+1) = F(Im F^k) and ker F^(k+1) = F^-1(ker F^k), each step one
-    SVD per block and one shared-cutoff decision at the scale ||F||
-    (Kublanovskaya 1966; Golub & Wilkinson 1976): a cutoff at ||F||^k
-    misreads the index when ||F^k|| << ||F||^k, and overflows for large
-    ||F||.  Step 1 of both reads F's own full SVD record, the decomposition
-    a step would make anyway: F I = F, (I - 0) F = F, and on square blocks
-    the economy and the full SVD agree.  Each staircase is built on first
-    use and stops at its plateau, the descent and the ascent respectively;
-    ``image(k)`` and ``kernel(k)`` return the plateau past it.  ``margin``
-    is the smallest step margin of both.
+    ker F^(k+1) = F^-1(ker F^k), each step one SVD per block and one
+    shared-cutoff decision at the scale ||F|| (Kublanovskaya 1966; Golub &
+    Wilkinson 1976): a cutoff at ||F||^k misreads the index when
+    ||F^k|| << ||F||^k, and overflows for large ||F||.  This staircase
+    alone decides, and stops at the first step that does not grow it: the
+    ``index`` p.  For k = 1 .. p, Im F^k keeps in block b the leading
+    d_b - dim_b ker F^k left singular vectors of F Im F^(k-1), making no
+    decision of its own, so the two fill the space.  Step 1 of both reads
+    F's own full SVD record: F I = F, (I - 0) F = F, and on square blocks
+    the economy and the full SVD agree.  ``image(k)`` and ``kernel(k)``
+    return the plateau past p.  ``margin`` is the smallest step margin of
+    both, negative where a forced image rank contradicted its cutoff.
 
-    At the descent p the plateaus split the module as Im F^p +' ker F^p
-    (``split``), and ``core`` is F certified on that split: block-diagonal
-    and invertible on Im F^p.  Both are computed once per chain.
-    ``witness`` certifies any map on the split the same way.
+    At p the staircases split the module as Im F^p +' ker F^p (``split``),
+    and ``core`` is F certified on that split: block-diagonal and
+    invertible on Im F^p.  Both are computed once per chain.  ``witness``
+    certifies any map on the split the same way.
     """
 
     f: AdjointableMap
     tol: ToleranceConfig
 
-    def _staircase(
-        self, start: Submodule, first: tuple[Submodule, float], step
-    ) -> tuple[tuple[Submodule, ...], float]:
-        subs, (nxt, margin) = [start], first
-        for _ in range(start.ambient_dim + 1):
-            if nxt.dim == subs[-1].dim:
-                return tuple(subs), margin
+    @cached_property
+    def _kernels(self) -> tuple[tuple[Submodule, ...], float]:
+        f = self.f
+        subs = [Submodule.zero(f.shape, f.m)]
+        nxt, margin = f._kernel_of(f._svd, self.tol, f.norm())
+        while nxt.dim > subs[-1].dim:  # dims strictly grow: at most dim + 1 steps
             subs.append(nxt)
-            nxt, step_margin = step(nxt, self.tol)
+            nxt, step_margin = f.preimage_step(nxt, self.tol)
             margin = min(margin, step_margin)
-        raise IdentityViolation("power chain failed to stabilize within the dimension bound")
+        return tuple(subs), margin
 
     @cached_property
     def _images(self) -> tuple[tuple[Submodule, ...], float]:
         f = self.f
-        first = f._image_of(f._svd, self.tol, f.norm())
-        return self._staircase(Submodule.full(f.shape, f.m), first, f.image_step)
-
-    @cached_property
-    def _kernels(self) -> tuple[tuple[Submodule, ...], float]:
-        f = self.f
-        first = f._kernel_of(f._svd, self.tol, f.norm())
-        return self._staircase(Submodule.zero(f.shape, f.m), first, f.preimage_step)
-
-    @property
-    def descent(self) -> int:
-        return len(self._images[0]) - 1
+        subs, margin = [Submodule.full(f.shape, f.m)], math.inf
+        for k in range(1, self.index + 1):
+            ranks = [v.shape[0] - v.shape[1] for v in self.kernel(k).column_bases]
+            if k == 1:
+                nxt, step_margin = f._image_of(f._svd, self.tol, f.norm(), ranks)
+            else:
+                nxt, step_margin = f.image_step(subs[-1], self.tol, ranks)
+            subs.append(nxt)
+            margin = min(margin, step_margin)
+        return tuple(subs), margin
 
     @property
-    def ascent(self) -> int:
+    def index(self) -> int:
+        """Where the kernel staircase stops: ascent and descent in one."""
         return len(self._kernels[0]) - 1
 
     @property
     def rank_chain(self) -> tuple[int, ...]:
-        """dim Im F^k for k = 0 .. descent."""
-        return tuple(s.dim for s in self._images[0])
+        """dim Im F^k = dim - dim ker F^k for k = 0 .. index."""
+        return tuple(k.ambient_dim - k.dim for k in self._kernels[0])
 
     @property
     def margin(self) -> float:
         return min(self._images[1], self._kernels[1])
 
     def image(self, k: int) -> Submodule:
-        return self._images[0][min(k, self.descent)]
+        return self._images[0][min(k, self.index)]
 
     def kernel(self, k: int) -> Submodule:
-        return self._kernels[0][min(k, self.ascent)]
+        return self._kernels[0][min(k, self.index)]
 
     @cached_property
     def split(self) -> "CoreSplit":
-        """Im F^p +' ker F^p at the descent p.  Raises unless, per block, the
-        two bases S = [U V] form a square matrix of full rank."""
-        p = self.descent
+        """Im F^p +' ker F^p at the index p.  Raises IllConditionedError
+        unless, per block, S = [U V] has full row rank, which also catches a
+        block whose kernel chain shrank and left S too few columns."""
+        p = self.index
         range_space, null_space = self.image(p), self.kernel(p)
-        s_mats = []
-        for b, (u, v) in enumerate(zip(range_space.column_bases, null_space.column_bases)):
-            s = np.hstack([u, v])
-            if s.shape[0] != s.shape[1]:
-                raise IdentityViolation(
-                    f"block {b}: Im F^p and ker F^p do not fill the space "
-                    f"({u.shape[1]} + {v.shape[1]} != {s.shape[0]})"
-                )
-            s_mats.append(s)
+        s_mats = [np.hstack(uv) for uv in zip(range_space.column_bases, null_space.column_bases)]
         cond = 1.0
         for b, (s, sv) in enumerate(zip(s_mats, svd_datas(s_mats, self.tol, scale=1.0))):
+            cond_b = sv.smax / sv.values[-1] if sv.values and sv.values[-1] > 0 else math.inf
             if sv.rank < s.shape[0]:
-                raise IdentityViolation(f"block {b}: splitting bases are numerically dependent")
-            cond = max(cond, sv.values[0] / sv.values[-1])
+                raise IllConditionedError(
+                    f"block {b}: splitting bases are numerically dependent (cond S = {cond_b:.3e})"
+                )
+            cond = max(cond, cond_b)
         return CoreSplit(
             range_space, null_space, tuple(s_mats), tuple(stacked(np.linalg.inv, s_mats)), cond
         )
@@ -429,10 +434,12 @@ class PowerChain:
         ``residual_tol`` times the split's condition number.  The core blocks
         get one values-only SVD and one shared-cutoff decision at the scale
         ||G||, which must find full rank; ``gamma_f1`` is their smallest
-        singular value (+inf on the zero space).
+        singular value (+inf on the zero space).  A gate raises
+        :class:`IllConditionedError` if ``margin < 0``, else IdentityViolation.
         """
         split, tol = self.split, self.tol
-        ranks = split.ranks
+        failure = IllConditionedError if self.margin < 0 else IdentityViolation
+        ranks = split.range_space.k0().entries
         ts = stacked(_similar, split.s_invs, g.blocks, split.s_mats)
         g1s = tuple(t[:r, :r] for t, r in zip(ts, ranks))
         g4s = tuple(t[r:, r:] for t, r in zip(ts, ranks))
@@ -442,25 +449,20 @@ class PowerChain:
         ng = max(g.norm(), 1e-300)
         off = max((max(float(a[0]), float(b[0])) / ng for a, b in zip(upper, lower)), default=0.0)
         if off > tol.residual_tol * max(1.0, split.cond):
-            raise IdentityViolation(
-                f"map is not block-diagonal on the splitting (off-diagonal {off:.3e})"
-            )
+            raise failure(f"map is not block-diagonal on the splitting (off-diagonal {off:.3e})")
         cores = iter(stacked(np.linalg.svd, [g1 for g1 in g1s if g1.size], compute_uv=False))
         values = [next(cores) if g1.size else np.zeros(0) for g1 in g1s]
         data = g._merged(values, tol, g.norm())
         if data.rank != split.range_space.dim:
-            raise IdentityViolation(
+            raise failure(
                 "map is not invertible on the stable range "
                 f"(rank {data.rank} of {split.range_space.dim})"
             )
         return BrowderWitness(
-            range_space=split.range_space,
-            null_space=split.null_space,
             f1_blocks=g1s,
             f4_blocks=g4s,
             gamma_f1=data.gamma,
             off_diagonal_residual=off,
-            splitting_cond=split.cond,
         )
 
 
@@ -476,24 +478,17 @@ class CoreSplit:
     s_invs: tuple[Array, ...]
     cond: float
 
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return tuple(u.shape[1] for u in self.range_space.column_bases)
-
 
 @dataclass(frozen=True, eq=False)
 class BrowderWitness:
-    """Invariant splitting M +' N with a map G invertible on M, and G's
-    diagonal blocks on it; in this finite model the complement N is always
-    finitely generated."""
+    """A map G's diagonal blocks on a chain's invariant split M +' N (its
+    ``CoreSplit``), G invertible on M; in this finite model the complement
+    N is always finitely generated."""
 
-    range_space: Submodule
-    null_space: Submodule
     f1_blocks: tuple[Array, ...]
     f4_blocks: tuple[Array, ...]
     gamma_f1: float
     off_diagonal_residual: float
-    splitting_cond: float
 
 
 def _similar(s: Array, a: Array, s_inv: Array) -> Array:

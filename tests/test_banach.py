@@ -139,15 +139,16 @@ def test_make_regular_computes_each_projector_norm_once(monkeypatch):
     # ||T||, one SVD for ker T and Im T; per decomposition the basis matrix,
     # ||E||, the idempotency residual, the two halves' bases, and the norm
     # and sine of the identity check; five residual norms.  The orthogonal
-    # choice adds the two complements.  The perturbation takes ||T||, ||F||,
-    # ker F, T(ker F), one SVD of T+F and its two complements, the common
-    # kernel, four projected spaces, the split check and the perturbed
-    # operator, whose invertible T+F leaves nothing to cross-check.  A
-    # second decomposition of T or of T+F, or a recomputed ||E||, shows here.
+    # choice reads both complements off that one SVD.  The perturbation
+    # takes ||T||, ||F||, ker F, T(ker F), one SVD of T+F (its complements
+    # included), the common kernel, four projected spaces, the split check
+    # and the perturbed operator, whose invertible T+F leaves nothing to
+    # cross-check.  A second decomposition of T or of T+F, a complement
+    # recomputed from a basis, or a recomputed ||E||, shows here.
     for build, expected in (
         (lambda: make_regular(t, kc, ic), 21),
-        (lambda: make_regular_orthogonal(t), 23),
-        (lambda: banach_perturbation(reg, f).perturbed, 28),
+        (lambda: make_regular_orthogonal(t), 21),
+        (lambda: banach_perturbation(reg, f).perturbed, 26),
     ):
         calls[0] = 0
         monkeypatch.setattr(np.linalg, "svd", counting)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_drazin import graded_nilpotent_family
 
 from modop import banach, drazin, fredholm, geometry, linmap
 from modop.algebra import AlgebraShape
@@ -93,10 +94,10 @@ def _count_step_svds(monkeypatch) -> dict[str, int]:
     def tracked(name):
         step = getattr(AdjointableMap, name)
 
-        def run(self, sub, tol):
+        def run(self, sub, tol, *ranks):
             inside.append(name)
             try:
-                return step(self, sub, tol)
+                return step(self, sub, tol, *ranks)
             finally:
                 inside.pop()
 
@@ -117,9 +118,10 @@ def test_commands_build_each_staircase_once(tmp_path, rng, monkeypatch, capsys):
         assert main([cmd, path, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert (payload if cmd == "drazin" else payload["drazin"])["p"] == 2
-        # one SVD per block for each of the steps 2 .. p + 1 of each staircase;
-        # step 1 reads the map's own SVD record
-        assert calls == {"image_step": 2 * 2, "preimage_step": 2 * 2}
+        # one SVD per block for each of the steps 2 .. p + 1 of the deciding
+        # kernel staircase and 2 .. p of the rank-forced image staircase;
+        # step 1 of both reads the map's own SVD record
+        assert calls == {"image_step": 2 * (2 - 1), "preimage_step": 2 * 2}
 
 
 def test_geometry_subcommand_on_operator_pair(tmp_path, rng, capsys):
@@ -170,6 +172,16 @@ def test_operator_of_the_wrong_kind_is_usage_error(tmp_path, rng, capsys, comman
     assert len(captured.err.splitlines()) == 1
 
 
+def test_ill_conditioned_split_exits_3(tmp_path, capsys):
+    # a graded nilpotent map whose split Im F^p +' ker F^p has cond S ~ 1e11
+    path = write_operator(tmp_path, "graded.json", graded_nilpotent_family(-6, count=2)[1])
+    assert main(["analyze", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("IllConditionedError: block 1: splitting bases are ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_lapack_failure_exits_cleanly(tmp_path, rng, capsys, monkeypatch):
     shape = AlgebraShape((2,))
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -180,7 +192,7 @@ def test_lapack_failure_exits_cleanly(tmp_path, rng, capsys, monkeypatch):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(geometry, "stacked", failing)
-    assert main(["geometry", str(a), str(b)]) == 1
+    assert main(["geometry", str(a), str(b)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: LAPACK failed: Singular matrix\n"
@@ -573,7 +585,7 @@ def test_mutated_files_exit_cleanly(op_payload, sub_payload):
         ]
         for argv, must_reject in runs:
             code, out, err = _run_main(argv + ["--format", "json"])
-            assert code in (0, 1, 2), argv
+            assert code in (0, 1, 2, 3), argv
             if code == 2:
                 assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
             if must_reject:

@@ -99,7 +99,7 @@ def test_staircase_decisions_scale_with_steps_not_blocks(monkeypatch):
         for module in (subspace, linmap):
             monkeypatch.setattr(module, "_decide", counting)
         chain = f.power_chain()
-        assert chain.descent == chain.ascent == 2
+        assert chain.index == 2 and chain.margin > 0  # both staircases built
         counts[text] = calls[0]
         monkeypatch.undo()
     assert counts["1^32"] == counts["1^8"]
