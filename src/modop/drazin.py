@@ -14,8 +14,8 @@ core/nilpotent parts all stay inside the category of module maps.
 
 The conditioning of the oblique change of basis is reported on every
 result: it is the closedness margin of the decomposition and the lever
-by which all residuals should be judged; a numerically singular split
-raises :class:`~modop.errors.IllConditionedError`.
+by which all residuals should be judged; a numerically singular split or
+a disagreeing staircase raises :class:`~modop.errors.IllConditionedError`.
 """
 
 from __future__ import annotations

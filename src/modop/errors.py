@@ -36,8 +36,8 @@ class IdentityViolation(ModopError):
 
 class IllConditionedError(ModopError):
     """The input is too ill-conditioned to certify: a numerically singular
-    split Im F^p +' ker F^p, or a gate that fires on a power chain whose
-    forced image ranks contradicted a cutoff (``PowerChain.margin < 0``)."""
+    split Im F^p +' ker F^p, or an image staircase whose rank decisions
+    contradict the kernel staircase's."""
 
 
 class DataError(ModopError):

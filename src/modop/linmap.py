@@ -260,14 +260,12 @@ class AdjointableMap:
         return [sum(1 for v in s.tolist() if v > data.threshold) for _, s, _ in svds], data
 
     def _image_of(
-        self, svds: Svds, tol: ToleranceConfig, scale: float | None, ranks: list[int] | None = None
+        self, svds: Svds, tol: ToleranceConfig, scale: float | None
     ) -> tuple[Submodule, float]:
-        """Column span of each decomposed block, and the decision's margin;
-        forced ``ranks`` that differ from the cutoff's negate it."""
-        decided, data = self._ranks(svds, tol, scale)
-        margin = data.margin if ranks is None or ranks == decided else -data.margin
-        bases = tuple(u[:, :r] for (u, _, _), r in zip(svds, decided if ranks is None else ranks))
-        return Submodule(self.shape, self.n, bases), margin
+        """Column span of each decomposed block, and the decision's margin."""
+        ranks, data = self._ranks(svds, tol, scale)
+        bases = tuple(u[:, :r] for (u, _, _), r in zip(svds, ranks))
+        return Submodule(self.shape, self.n, bases), data.margin
 
     def _kernel_of(
         self, svds: Svds, tol: ToleranceConfig, scale: float | None
@@ -288,15 +286,14 @@ class AdjointableMap:
         return self._image_of(self._svd, tol, scale)[0]
 
     def image_step(
-        self, sub: Submodule, tol: ToleranceConfig = DEFAULT_TOL, ranks: list[int] | None = None
+        self, sub: Submodule, tol: ToleranceConfig = DEFAULT_TOL
     ) -> tuple[Submodule, float]:
         """F(sub), plus the margin of its shared-cutoff rank decision, made at
-        the scale ||F|| and the map's ``dim_ctx``, or of forced ``ranks``."""
+        the scale ||F|| and the map's ``dim_ctx``."""
         if sub.shape != self.shape or sub.m != self.m:
             raise StructureError("submodule not inside the domain module")
         moved = stacked(np.matmul, self.blocks, sub.column_bases)
-        svds = stacked(np.linalg.svd, moved, full_matrices=False)
-        return self._image_of(svds, tol, self.norm(), ranks)
+        return self._image_of(stacked(np.linalg.svd, moved, full_matrices=False), tol, self.norm())
 
     def preimage_step(
         self, sub: Submodule, tol: ToleranceConfig = DEFAULT_TOL
@@ -338,14 +335,14 @@ class PowerChain:
     shared-cutoff decision at the scale ||F|| (Kublanovskaya 1966; Golub &
     Wilkinson 1976): a cutoff at ||F||^k misreads the index when
     ||F^k|| << ||F||^k, and overflows for large ||F||.  This staircase
-    alone decides, and stops at the first step that does not grow it: the
-    ``index`` p.  For k = 1 .. p, Im F^k keeps in block b the leading
-    d_b - dim_b ker F^k left singular vectors of F Im F^(k-1), making no
-    decision of its own, so the two fill the space.  Step 1 of both reads
-    F's own full SVD record: F I = F, (I - 0) F = F, and on square blocks
-    the economy and the full SVD agree.  ``image(k)`` and ``kernel(k)``
-    return the plateau past p.  ``margin`` is the smallest step margin of
-    both, negative where a forced image rank contradicted its cutoff.
+    alone sets the index and the ranks, and stops at the first step that
+    does not grow it: the ``index`` p.  For k = 1 .. p, Im F^k = F(Im F^(k-1))
+    must have rank d_b - dim_b ker F^k in each block b, so the two fill the
+    space; an image step whose cutoff contradicts that rank raises
+    :class:`IllConditionedError`.  Step 1 of both reads F's own full SVD
+    record: F I = F, (I - 0) F = F, and on square blocks the economy and
+    the full SVD agree.  ``image(k)`` and ``kernel(k)`` return the plateau
+    past p.  ``margin`` is the smallest step margin of both.
 
     At p the staircases split the module as Im F^p +' ker F^p (``split``),
     and ``core`` is F certified on that split: block-diagonal and
@@ -372,11 +369,16 @@ class PowerChain:
         f = self.f
         subs, margin = [Submodule.full(f.shape, f.m)], math.inf
         for k in range(1, self.index + 1):
-            ranks = [v.shape[0] - v.shape[1] for v in self.kernel(k).column_bases]
             if k == 1:
-                nxt, step_margin = f._image_of(f._svd, self.tol, f.norm(), ranks)
+                nxt, step_margin = f._image_of(f._svd, self.tol, f.norm())
             else:
-                nxt, step_margin = f.image_step(subs[-1], self.tol, ranks)
+                nxt, step_margin = f.image_step(subs[-1], self.tol)
+            for b, (u, v) in enumerate(zip(nxt.column_bases, self.kernel(k).column_bases)):
+                if u.shape[1] + v.shape[1] != v.shape[0]:
+                    raise IllConditionedError(
+                        f"block {b}: rank {u.shape[1]} of Im F^{k} contradicts the kernel "
+                        f"staircase's {v.shape[0] - v.shape[1]} (step margin {step_margin:.3e})"
+                    )
             subs.append(nxt)
             margin = min(margin, step_margin)
         return tuple(subs), margin
@@ -404,8 +406,7 @@ class PowerChain:
     @cached_property
     def split(self) -> "CoreSplit":
         """Im F^p +' ker F^p at the index p.  Raises IllConditionedError
-        unless, per block, S = [U V] has full row rank, which also catches a
-        block whose kernel chain shrank and left S too few columns."""
+        unless, per block, the square S = [U V] has full rank."""
         p = self.index
         range_space, null_space = self.image(p), self.kernel(p)
         s_mats = [np.hstack(uv) for uv in zip(range_space.column_bases, null_space.column_bases)]
@@ -434,11 +435,9 @@ class PowerChain:
         ``residual_tol`` times the split's condition number.  The core blocks
         get one values-only SVD and one shared-cutoff decision at the scale
         ||G||, which must find full rank; ``gamma_f1`` is their smallest
-        singular value (+inf on the zero space).  A gate raises
-        :class:`IllConditionedError` if ``margin < 0``, else IdentityViolation.
+        singular value (+inf on the zero space).
         """
         split, tol = self.split, self.tol
-        failure = IllConditionedError if self.margin < 0 else IdentityViolation
         ranks = split.range_space.k0().entries
         ts = stacked(_similar, split.s_invs, g.blocks, split.s_mats)
         g1s = tuple(t[:r, :r] for t, r in zip(ts, ranks))
@@ -449,12 +448,14 @@ class PowerChain:
         ng = max(g.norm(), 1e-300)
         off = max((max(float(a[0]), float(b[0])) / ng for a, b in zip(upper, lower)), default=0.0)
         if off > tol.residual_tol * max(1.0, split.cond):
-            raise failure(f"map is not block-diagonal on the splitting (off-diagonal {off:.3e})")
+            raise IdentityViolation(
+                f"map is not block-diagonal on the splitting (off-diagonal {off:.3e})"
+            )
         cores = iter(stacked(np.linalg.svd, [g1 for g1 in g1s if g1.size], compute_uv=False))
         values = [next(cores) if g1.size else np.zeros(0) for g1 in g1s]
         data = g._merged(values, tol, g.norm())
         if data.rank != split.range_space.dim:
-            raise failure(
+            raise IdentityViolation(
                 "map is not invertible on the stable range "
                 f"(rank {data.rank} of {split.range_space.dim})"
             )
