@@ -26,12 +26,10 @@ from .drazin import (
     CriterionReport,
     DrazinReport,
     DualityReport,
-    ShiftExampleReport,
     commuting_browder_check,
     commuting_drazin_criterion,
     drazin_dual_check,
     drazin_inverse,
-    shift_counterexample,
 )
 from .errors import (
     DataError,

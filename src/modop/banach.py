@@ -434,10 +434,6 @@ def banach_product(
     gw_t = generalized_weyl_banach(t_reg)
     gw_s = generalized_weyl_banach(s_reg)
     gw_st = generalized_weyl_banach(st_reg)
-    if gw_t and gw_s and not gw_st:
-        raise IdentityViolation(
-            "product of generalized Weyl operators failed to be generalized Weyl"
-        )
 
     # Six-space sequence through the oblique quotient realisations.
     (t_quotient, _), (s_quotient, _) = orthonormal_images(

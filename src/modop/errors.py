@@ -25,19 +25,24 @@ class UnmetHypothesisError(ModopError):
 
 
 class IdentityViolation(ModopError):
-    """An exact structural identity failed.
+    """An identity the library guarantees failed: a bug, not a bad input.
 
-    These identities (K-theory bookkeeping, alternating dimension sums,
-    witness balances) hold by construction whenever the rank decisions
-    underneath are sound, so this error must never fire on well-margined
-    instances.  It is deliberately loud rather than a report flag.
+    These identities (K-theory bookkeeping, witness balances, residuals of
+    certified constructions) hold whenever the rank decisions underneath
+    are sound, so this error must never fire on well-margined instances;
+    a defect the input's conditioning explains raises
+    :class:`IllConditionedError` instead.  Identities that hold by
+    construction are not checked at all, and every check that is made has
+    a test that plants a defect and sees it fire.  It is deliberately loud
+    rather than a report flag.
     """
 
 
 class IllConditionedError(ModopError):
     """The input is too ill-conditioned to certify: a numerically singular
-    split Im F^p +' ker F^p, or an image staircase whose rank decisions
-    contradict the kernel staircase's."""
+    split Im F^p +' ker F^p, an image staircase whose rank decisions
+    contradict the kernel staircase's, or ker (F*)^k off (Im F^k)^perp by
+    no more than the two power chains' margins explain."""
 
 
 class DataError(ModopError):

@@ -80,7 +80,7 @@ def fredholm_report(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> Fr
     scale = f.norm()
     ker = f.kernel(tol, scale=scale)
     img = f.image(tol, scale=scale)
-    coker = img.complement()
+    coker = f.cokernel(tol, scale=scale)
     index = ker.k0() - coker.k0()
     return FredholmReport(
         kernel=ker,
@@ -126,8 +126,10 @@ class ExactSequenceReport:
     residual is the worst over blocks.  ``node_residuals`` are worst-of
     composition norm and principal-angle defect at each interior node;
     ``map_containment_residuals`` measure how far the inclusion and the
-    f-arrow leave their targets; the alternating sums are exact integer
-    checks.
+    f-arrow leave their targets.  The six spaces are read off the rank
+    decisions of f, g and gf, each map's kernel and cokernel from one SVD
+    under one cutoff, so the alternating sums of ``dims`` and ``classes``
+    vanish and ``index_gf == index_f + index_g`` by construction.
     """
 
     spaces: tuple[Submodule, ...]
@@ -137,8 +139,6 @@ class ExactSequenceReport:
     map_containment_residuals: tuple[float, ...]
     injectivity_defect: float
     surjectivity_defect: float
-    alternating_dim_sum: int
-    alternating_k0_sum: K0Class
     index_f: K0Class
     index_g: K0Class
     index_gf: K0Class
@@ -147,10 +147,6 @@ class ExactSequenceReport:
     def worst_residual(self) -> float:
         pool = self.node_residuals + self.map_containment_residuals
         return max(pool + (self.injectivity_defect, self.surjectivity_defect), default=0.0)
-
-    @property
-    def index_additive(self) -> bool:
-        return self.index_gf.entries == (self.index_f + self.index_g).entries
 
 
 def _stickout(targets: Sequence[Array], moved: Sequence[Array]) -> float:
@@ -175,7 +171,7 @@ def exact_sequence(
     ker_gf = gf.kernel(tol, scale=nf * ng)
     ker_g = rep_g.kernel
     im_f_perp = rep_f.coker_space
-    im_gf_perp = gf.image(tol, scale=nf * ng).complement()
+    im_gf_perp = gf.cokernel(tol, scale=nf * ng)
     im_g_perp = rep_g.coker_space
 
     spaces = (ker_f, ker_gf, ker_g, im_f_perp, im_gf_perp, im_g_perp)
@@ -206,24 +202,17 @@ def exact_sequence(
     f_arrow = _stickout(ker_g.column_bases, moved)
     worst = [max(col) for col in zip(*rows)]
 
-    classes = tuple(s.k0() for s in spaces)
-    alt_dim = dims[0] - dims[1] + dims[2] - dims[3] + dims[4] - dims[5]
-    alt_k0 = classes[0] - classes[1] + classes[2] - classes[3] + classes[4] - classes[5]
-
-    index_gf = ker_gf.k0() - im_gf_perp.k0()
     return ExactSequenceReport(
         spaces=spaces,
         dims=dims,
-        classes=classes,
+        classes=tuple(s.k0() for s in spaces),
         node_residuals=tuple(worst[:4]),
         map_containment_residuals=(inclusion, f_arrow),
         injectivity_defect=worst[4],
         surjectivity_defect=worst[5],
-        alternating_dim_sum=alt_dim,
-        alternating_k0_sum=alt_k0,
         index_f=rep_f.index,
         index_g=rep_g.index,
-        index_gf=index_gf,
+        index_gf=ker_gf.k0() - im_gf_perp.k0(),
     )
 
 

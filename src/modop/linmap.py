@@ -13,9 +13,9 @@ as the test oracle and as the plain matrix ``modop banach`` works on.
 Each map carries two spectral records, computed on first use and
 cached: the values-only SVD of every block (``_svals``, read by ``norm``
 and ``singular_data``) and the full SVD (``_svd``, read by ``kernel``,
-``image`` and step 1 of the power chain).  The two LAPACK jobs agree
-only to the last few digits, so each consumer keeps reading the record
-it needs.  Both are grouped stacked records:
+``image``, ``cokernel`` and step 1 of the power chain).  The two LAPACK
+jobs agree only to the last few digits, so each consumer keeps reading
+the record it needs.  Both are grouped stacked records:
 :func:`modop.subspace.stacked` makes one LAPACK call per distinct block
 shape and hands back per-block views, bitwise equal to per-block calls;
 the later power-chain steps are grouped the same way.
@@ -284,6 +284,15 @@ class AdjointableMap:
         self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
     ) -> Submodule:
         return self._image_of(self._svd, tol, scale)[0]
+
+    def cokernel(
+        self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
+    ) -> Submodule:
+        """(Im F)^perp: the trailing left singular vectors of the full SVD
+        record, under the decision that sets ``image``."""
+        ranks, _ = self._ranks(self._svd, tol, scale)
+        bases = tuple(u[:, r:] for (u, _, _), r in zip(self._svd, ranks))
+        return Submodule(self.shape, self.n, bases)
 
     def image_step(
         self, sub: Submodule, tol: ToleranceConfig = DEFAULT_TOL

@@ -148,10 +148,6 @@ class ModuleVector:
                 raise StructureError("entry algebra mismatch")
 
     @classmethod
-    def zero(cls, shape: AlgebraShape, m: int) -> "ModuleVector":
-        return cls(shape, m, tuple(AlgebraElement.zero(shape) for _ in range(m)))
-
-    @classmethod
     def generator(cls, shape: AlgebraShape, m: int, i: int) -> "ModuleVector":
         """i-th standard generator: identity in slot i, zero elsewhere."""
         ents = [AlgebraElement.zero(shape) for _ in range(m)]

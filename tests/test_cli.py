@@ -319,23 +319,115 @@ def _repeated_kernel_column(real):
     return planted
 
 
+def _unit_node_residuals(real):
+    def planted(f, g, tol):
+        rep = real(f, g, tol)
+        return replace(rep, node_residuals=(1.0,) * len(rep.node_residuals))
+
+    return planted
+
+
+def _axiom_residuals_raised(real):
+    def planted(f, tol):
+        rep = real(f, tol)
+        return replace(rep, residuals=dict.fromkeys(rep.residuals, 1e-6))
+
+    return planted
+
+
+def _off_diagonal_raised(real):
+    def planted(f, d, tol):
+        rep = real(f, d, tol)
+        return replace(rep, witness_f=replace(rep.witness_f, off_diagonal_residual=1e-6))
+
+    return planted
+
+
+def _inverse_doubled_on_second_call(real):
+    calls = itertools.count()
+
+    def planted(f, tol):
+        rep = real(f, tol)
+        return replace(rep, drazin_inverse=2.0 * rep.drazin_inverse) if next(calls) % 2 else rep
+
+    return planted
+
+
+def _unit_defect(real):
+    return lambda sub, other: 1.0
+
+
+def _never_contained(real):
+    return lambda sub, other, tol: (False, 1.0)
+
+
+def _never_equal(real):
+    return lambda sub, other, tol: False
+
+
+def _kernel_column_in_second_meet(real):
+    # ker(T+F) ∩ ker F planted one column larger than ker T ∩ ker F
+    def planted(q1s, q2s, tol):
+        pairs = real(q1s, q2s, tol)
+        if len(pairs) > 1:
+            meet, gap = pairs[1]
+            pairs[1] = (np.hstack([meet, q1s[0][:, :1]]), gap)
+        return pairs
+
+    return planted
+
+
+def _rank_bumped(real):
+    def planted(t, scale, tol):
+        reg = real(t, scale, tol)
+        return replace(reg, rank=reg.rank + 1)
+
+    return planted
+
+
+def _tilted_projector_values(real):
+    return lambda qm, qn: real(qm, qn) + 0.1
+
+
 # One planted defect per suite whose certificate raises before it returns:
 # the suite reports the library's own message.
 PLANTED_DEFECTS = [
+    ("exact-sequence", fredholm, "exact_sequence", _unit_node_residuals,
+     "node residual 1.000e+00 above 1e-8"),
     ("perturbation-chain", fredholm, "weyl_defect_witness", _pad_kernel_witness,
      "perturbation chain identity failed"),
+    ("perturbation-chain", Submodule, "contains", _never_contained,
+     "T(ker F) escaped Im T / Im(T+F) (residuals 1.00e+00, 1.00e+00)"),
+    ("perturbation-chain", Submodule, "equals", _never_equal,
+     "ker(T+F) ∩ ker F differs from ker T ∩ ker F"),
     ("product-chain", fredholm, "weyl_defect_witness", _pad_kernel_witness,
      "product chain identity failed"),
     ("commuting-drazin", Submodule, "equals", _every_pair_equal,
      "intersection chains stabilize at k = 2, k' = 2, not at max(p, ind F) = 3"),
+    ("drazin-axioms", drazin, "drazin_inverse", _axiom_residuals_raised,
+     "axiom residual 1.000e-06 above 1e-9"),
     ("dual", drazin, "drazin_inverse", _index_bumped_on_second_call,
      "Drazin index differs under adjoint"),
+    ("dual", drazin, "drazin_inverse", _inverse_doubled_on_second_call,
+     "(F^D)* differs from (F*)^D by relative"),
+    ("dual", Submodule, "equality_defect", _unit_defect,
+     "ker (F*)^1 is not the orthocomplement of Im F^1 (defect 1.000e+00)"),
     ("browder", linmap, "_similar", _zero_blocks_on_split,
      "map is not invertible on the stable range (rank 0 of 7)"),
+    ("browder", drazin, "commuting_browder_check", _off_diagonal_raised,
+     "off-diagonal block norm 1.000e-06 above 1e-8"),
+    ("browder", Submodule, "equality_defect", _unit_defect,
+     "kernel identity ker F^p D^p = ker F^(p+1) D^(p+1) fails (defect 1.000e+00)"),
     ("closed-sum", geometry, "dixmier_angle", _tilted_angle,
      "c0^2 + delta^2 = 1 violated"),
+    ("closed-sum", geometry, "_projector_values", _tilted_projector_values,
+     "angle cross-check failed"),
     ("banach-perturbation", banach, "defect_witness", _padded_banach_witness,
      "perturbation dimension identity failed"),
+    ("banach-perturbation", banach, "intersections", _kernel_column_in_second_meet,
+     "ker(T+F) ∩ ker F and ker T ∩ ker F have different dimensions"),
+    ("banach-perturbation", banach, "_regular_orthogonal", _rank_bumped,
+     "Im(T+F) should split as T(ker F) (+) N'"),
     ("banach-product", banach, "defect_witness", _padded_banach_witness,
      "composition witness identity failed"),
     ("banach-product", banach, "_regular_orthogonal", _repeated_kernel_column,
@@ -343,10 +435,17 @@ PLANTED_DEFECTS = [
 ]
 
 
+def _planted_ids(rows):
+    """suite:name, with the plant's name appended where that pair repeats."""
+    ids = []
+    for suite, _, name, plant, _ in rows:
+        key = f"{suite}:{name}"
+        ids.append(f"{key}:{plant.__name__.strip('_')}" if key in ids else key)
+    return ids
+
+
 @pytest.mark.parametrize(
-    "suite, module, name, plant, message",
-    PLANTED_DEFECTS,
-    ids=[f"{suite}:{name}" for suite, _, name, _, _ in PLANTED_DEFECTS],
+    "suite, module, name, plant, message", PLANTED_DEFECTS, ids=_planted_ids(PLANTED_DEFECTS)
 )
 def test_suite_reports_a_planted_certificate_defect(monkeypatch, suite, module, name, plant, message):
     monkeypatch.setattr(module, name, plant(getattr(module, name)))

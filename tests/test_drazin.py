@@ -1,5 +1,6 @@
 """Core-nilpotent splittings, their duals, and the commuting criteria."""
 
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from modop.drazin import (
     commuting_drazin_criterion,
     drazin_dual_check,
     drazin_inverse,
-    shift_counterexample,
 )
 from modop.errors import (
     IdentityViolation,
@@ -23,7 +23,7 @@ from modop.errors import (
     UnmetHypothesisError,
 )
 from modop.fredholm import b_fredholm_commuting_check, b_fredholm_report
-from modop.linmap import AdjointableMap, PowerChain
+from modop.linmap import AdjointableMap, PowerChain, commutator_residual
 from modop.modules import Submodule
 from modop.randgen import random_commuting_pair, random_endomorphism, random_map
 
@@ -167,6 +167,21 @@ def test_graded_nilpotent_maps_are_certified_or_ill_conditioned(low, clean_floor
         clean += 1
         assert stab.stabilization_exponent == rep.p and stab.stable_image is rep.range_space
         assert max(rep.residuals.values()) < 1e-9
+    assert clean >= clean_floor
+
+
+@pytest.mark.parametrize("low, clean_floor", [(-6, 27), (-12, 50)])
+def test_graded_nilpotent_maps_transport_to_the_adjoint_or_are_ill_conditioned(low, clean_floor):
+    # ker (F*)^k drifts off (Im F^k)^perp by up to angle_tol / (chain margin):
+    # ill-conditioning, raised as such, never a library bug
+    clean = 0
+    for f in graded_nilpotent_family(low):
+        try:
+            rep = drazin_dual_check(f)
+        except IllConditionedError:
+            continue
+        clean += 1
+        assert max(rep.orthogonality_residuals, default=0.0) <= 1e-8
     assert clean >= clean_floor
 
 
@@ -337,19 +352,35 @@ def test_commuting_browder_shares_splitting(rng):
     assert rep.commutator_residual < 1e-10
 
 
+def shift_example(n, kind="range-strict"):
+    """Finite shadow of the one-sided shift on A^2 over M_n: I + shift/2 (an
+    isomorphism) next to the truncated shift, or the adjoint of that for
+    "kernel-strict"; and the projection onto the isomorphism block, which
+    commutes with it."""
+    shift = jordan(n).astype(complex)
+    c = np.zeros((2 * n, 2 * n), dtype=complex)
+    c[:n, :n] = np.eye(n) + 0.5 * shift
+    c[n:, n:] = shift
+    f = AdjointableMap(AlgebraShape((n,)), 2, 2, (c,))
+    proj = AdjointableMap(AlgebraShape((n,)), 2, 2, (np.diag([1.0] * n + [0.0] * n),))
+    return (f if kind == "range-strict" else f.adjoint()), proj
+
+
 def test_shift_example_range_strict():
-    rep = shift_counterexample("range-strict", 5)
-    dims = rep.chain_dims
+    f, _ = shift_example(5)
+    chain = f.power_chain()
+    dims = [chain.image(k).dim for k in range(7)]
     # strictly decreasing for n steps, then flat
+    assert chain.index == 5
     assert all(dims[k] > dims[k + 1] for k in range(5))
     assert dims[5] == dims[6]
-    assert rep.fp_drazin_index <= 1  # the projected map stays tame throughout
-    assert rep.commutation_residual < 1e-12
 
 
 def test_shift_example_kernel_strict():
-    rep = shift_counterexample("kernel-strict", 4)
-    dims = rep.chain_dims
+    f, _ = shift_example(4, "kernel-strict")
+    chain = f.power_chain()
+    dims = [chain.kernel(k).dim for k in range(6)]
+    assert chain.index == 4
     assert all(dims[k] < dims[k + 1] for k in range(4))
     assert dims[4] == dims[5]
 
@@ -357,15 +388,13 @@ def test_shift_example_kernel_strict():
 def test_shift_example_depth_grows():
     # the stabilization depth is unbounded in the family size — the finite
     # shadow of a chain that never stabilizes
-    depths = []
-    for n in (2, 4, 6):
-        dims = shift_counterexample("range-strict", n).chain_dims
-        depths.append(next(k for k in range(len(dims) - 1) if dims[k] == dims[k + 1]))
-    assert depths == [2, 4, 6]
+    assert [shift_example(n)[0].power_chain().index for n in (2, 4, 6)] == [2, 4, 6]
 
 
-def test_shift_example_validation():
-    with pytest.raises(StructureError):
-        shift_counterexample("sideways", 4)
-    with pytest.raises(StructureError):
-        shift_counterexample("range-strict", 1)
+def test_shift_example_projection_stays_tame():
+    # the commuting projection P keeps FP Drazin invertible with index 1 at
+    # every depth
+    for n, kind in itertools.product((2, 5), ("range-strict", "kernel-strict")):
+        f, proj = shift_example(n, kind)
+        assert commutator_residual(f, proj) < 1e-12
+        assert drazin_inverse(f @ proj).p == 1

@@ -147,6 +147,15 @@ def test_closed_sum_near_parallel_bound_grows(shape23, rng):
     assert rep.sampled_max_norm > 1.0  # summands really do blow past norm(x+y)
 
 
+def test_min_modulus_gate_trips_on_a_planted_meet(shape23, rng, monkeypatch):
+    # a transverse pair (delta of order 1) whose intersection is planted nonzero
+    m = random_submodule(shape23, 3, rng, ranks=(1, 1))
+    n = random_submodule(shape23, 3, rng, ranks=(1, 1))
+    monkeypatch.setattr(Submodule, "intersection", lambda sub, other, tol: (sub, math.inf))
+    with pytest.raises(IdentityViolation, match=r"^nonzero intersection \(class .*\) but delta = "):
+        min_modulus_restricted(m, n)
+
+
 def test_summand_bound_gate_trips_on_a_planted_bound(shape23, rng, monkeypatch):
     # the near-parallel samples reach well past 1, so a bound of 1 must fail
     m = line(shape23, 2, (0.0, 0.0))

@@ -1,6 +1,7 @@
 """Closed-form decay families and their diagnostic tables."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,6 +70,17 @@ def test_square_family_closed_form_gate_trips_on_a_planted_map(monkeypatch):
     monkeypatch.setattr(probes, "nonclosed_square_family", lambda n: 2.0 * real(n))
     with pytest.raises(IdentityViolation, match="square family off closed form at n = 4"):
         family_table("nonclosed-square", [4])
+
+
+def test_left_multiplier_gate_trips_on_a_planted_matrix_gamma(monkeypatch):
+    real = probes.svd_datas
+
+    def planted(mats, tol, scale):
+        return [replace(d, gamma=2.0 * d.gamma) for d in real(mats, tol, scale=scale)]
+
+    monkeypatch.setattr(probes, "svd_datas", planted)
+    with pytest.raises(IdentityViolation, match=r"^module reduced minimum .* differs from matrix value"):
+        family_table("left-multiplier", [4])
 
 
 def test_family_table_diagnoses_each_map_once(monkeypatch):
