@@ -5,7 +5,8 @@ Runs the Tier-1 tests in process, with a plugin that records where each
 ``IdentityViolation`` is constructed, then lists every
 ``raise IdentityViolation`` statement of ``src/modop`` (found with
 ``ast``).  Prints the sites no test reaches and exits 1 if there is
-one, or if the tests themselves fail; exits 0 otherwise.
+one, or if the tests themselves fail; exits 0 otherwise.  CI runs the
+Tier-1 tests only through this script, with ``PYTHONPATH=src``.
 
     python3 scripts/gate_sites.py
 """

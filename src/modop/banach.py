@@ -23,8 +23,8 @@ Each regular operator decides its rank once, on one SVD: a given T at
 ||T||, a derived one at its factor scale, ||T|| + ||F|| for T+F and
 ||S|| ||T|| for ST, so a numerically-zero sum or product is zero, not
 of full rank.  Conditioning of every idempotent is recorded; a projector
-norm above the configured bound flags the instance ill-posed instead of
-letting residual checks silently degrade.
+norm above ``ILL_POSED_PROJECTOR_NORM`` flags the instance ill-posed
+instead of letting residual checks silently degrade.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .subspace import (
     residual_values,
     svd_datas,
 )
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .tolerances import DEFAULT_TOL, ILL_POSED_PROJECTOR_NORM, ToleranceConfig
 
 Array = np.ndarray
 
@@ -80,7 +80,7 @@ class ObliqueDecomposition:
     norm: float
     cond: float
     idempotency_residual: float
-    ill_posed: bool  # norm above the caller's tol.ill_posed_projector_norm
+    ill_posed: bool  # norm above ILL_POSED_PROJECTOR_NORM
 
 
 def oblique_decomposition(
@@ -127,7 +127,7 @@ def oblique_decomposition(
         norm=norm,
         cond=float(sdata.values[0] / sdata.values[-1]) if amb else 1.0,
         idempotency_residual=float(resid),
-        ill_posed=norm > tol.ill_posed_projector_norm,
+        ill_posed=norm > ILL_POSED_PROJECTOR_NORM,
     )
 
 
@@ -328,7 +328,7 @@ def banach_perturbation(
     if f.shape != t.shape:
         raise StructureError("perturbation must have the same shape as T")
     nt, nf = op_norm(t), op_norm(f)
-    ker_f, f_data = null_spaces([f], tol, scale=max(nf, 1e-300))[0]
+    ker_f, f_data = null_spaces([f], tol)[0]
     perturbed = _regular_orthogonal(t + f, max(nt + nf, 1e-300), tol)  # at ||T|| + ||F||
 
     w, _ = orthonormal_images([t @ ker_f], tol, scale=max(nt, 1e-300))[0]
@@ -337,7 +337,7 @@ def banach_perturbation(
 
     im_t, ker_t = reg.image_basis, reg.kernel_basis
     im_tf, ker_tf = perturbed.image_basis, perturbed.kernel_basis
-    (common, _), (common2, _) = intersections([ker_t, ker_tf], [ker_f, ker_f], tol)
+    (common, _), (common2, _) = intersections([ker_t, ker_tf], [ker_f, ker_f])
     if common.shape[1] != common2.shape[1]:
         raise IdentityViolation(
             "ker(T+F) ∩ ker F and ker T ∩ ker F have different dimensions "
@@ -387,15 +387,15 @@ def banach_perturbation(
 class ProductRecord:
     """Composition data for regular S after regular T.
 
-    ``tu`` is the generalized inverse of S restricted to T(X), built
-    from the product's own generalized inverse; ``meet_dim`` is the
-    dimension of S^{-1}(0) ∩ T(X).  The six-space sequence uses the
-    three chosen range complements as quotient realisations; its
-    alternating dimension sum vanishing is the index theorem.
+    ``tu_residuals`` certify TU := T (ST)', built from the product's own
+    generalized inverse, as a generalized inverse of S restricted to
+    T(X); ``meet_dim`` is the dimension of S^{-1}(0) ∩ T(X).  The
+    six-space sequence uses the three chosen range complements as
+    quotient realisations; its alternating dimension sum vanishing is
+    the index theorem.
     """
 
     st: RegularOperator
-    tu: Array
     tu_residuals: dict[str, float]
     meet_dim: int
     gw_t: bool
@@ -429,7 +429,7 @@ def banach_product(
     r_aba = op_norm(s @ tu @ a_on_tx - a_on_tx) / scale_s
     ntu = max(op_norm(tu), 1e-300)
     r_bab = op_norm(tu @ s @ tu - tu) / ntu
-    meet, _ = intersections([s_reg.kernel_basis], [q_tx], tol)[0]
+    meet, _ = intersections([s_reg.kernel_basis], [q_tx])[0]
 
     gw_t = generalized_weyl_banach(t_reg)
     gw_s = generalized_weyl_banach(s_reg)
@@ -471,7 +471,6 @@ def banach_product(
 
     return ProductRecord(
         st=st_reg,
-        tu=tu,
         tu_residuals={"s_tu_s": float(r_aba), "tu_s_tu": float(r_bab)},
         meet_dim=meet.shape[1],
         gw_t=gw_t,

@@ -28,7 +28,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from typing import Any, Callable, Sequence
 
@@ -74,8 +74,7 @@ class RunConfig:
             "seed": self.seed,
             "instances": self.n,
             "shape": self.shape,
-            "rank_tol": self.tol.rank_tol,
-            "angle_tol": self.tol.angle_tol,
+            **asdict(self.tol),
         }
 
 
@@ -301,7 +300,6 @@ def run_suite(name: str, cfg: RunConfig) -> dict[str, Any]:
 
 
 def _analyze_bundle(f: AdjointableMap, tol: ToleranceConfig) -> dict[str, Any]:
-    scale = max(f.norm(), 1e-300)
     bundle: dict[str, Any] = {
         "operator": serialize.report_to_jsonable(f),
         "fredholm": serialize.report_to_jsonable(fredholm.fredholm_report(f, tol)),
@@ -316,9 +314,7 @@ def _analyze_bundle(f: AdjointableMap, tol: ToleranceConfig) -> dict[str, Any]:
         bundle["power_stabilization"] = None
         bundle["note"] = "Drazin/power-chain analysis requires an endomorphism"
     bundle["kernel_image_geometry"] = serialize.report_to_jsonable(
-        geometry.closed_sum_report(
-            f.image(tol, scale=scale), f.kernel(tol, scale=scale), tol, samples=0
-        )
+        geometry.closed_sum_report(f.image(tol), f.kernel(tol), tol, samples=0)
         if f.is_endomorphism
         else None
     )
@@ -350,9 +346,9 @@ def cmd_geometry(args: argparse.Namespace, tol: ToleranceConfig) -> tuple[Any, i
     left = serialize.load_geometry_operand(args.left, tol)
     right = serialize.load_geometry_operand(args.right, tol)
     if isinstance(left, AdjointableMap):
-        left = left.image(tol, scale=max(left.norm(), 1e-300))
+        left = left.image(tol)
     if isinstance(right, AdjointableMap):
-        right = right.kernel(tol, scale=max(right.norm(), 1e-300))
+        right = right.kernel(tol)
     if left.shape != right.shape or left.m != right.m:
         raise DataError(
             f"operands live in different modules: A^{left.m} over {left.shape} "
@@ -481,8 +477,11 @@ def _emit(payload: Any, fmt: str, out: str | None, is_probe: bool = False) -> No
     else:
         text = "\n".join(_render_text(payload)) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DataError(f"{out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -29,7 +29,7 @@ from .errors import IdentityViolation, IllConditionedError, StructureError
 from .linmap import AdjointableMap, BrowderWitness, _similar, commutator_residual
 from .modules import K0Class, Submodule
 from .subspace import stacked
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .tolerances import DEFAULT_TOL, RESIDUAL_TOL, ToleranceConfig
 
 Array = np.ndarray
 
@@ -146,7 +146,7 @@ def drazin_dual_check(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> 
         raise IdentityViolation(f"Drazin index differs under adjoint: {rep.p} vs {rep_adj.p}")
     denom = max(rep.drazin_inverse.norm(), 1e-300)
     resid = (rep.drazin_inverse.adjoint() - rep_adj.drazin_inverse).norm() / denom
-    if resid > tol.residual_tol * max(1.0, rep.splitting_cond * rep_adj.splitting_cond):
+    if resid > RESIDUAL_TOL * max(1.0, rep.splitting_cond * rep_adj.splitting_cond):
         raise IdentityViolation(f"(F^D)* differs from (F*)^D by relative {resid:.3e}")
     chain, chain_adj = f.power_chain(tol), fstar.power_chain(tol)
     # The staircases agree in dimension (the indices match).  A close step
@@ -201,7 +201,7 @@ class CriterionReport:
 def commuting_drazin_criterion(
     f: AdjointableMap, d: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL
 ) -> CriterionReport:
-    comm = commutator_residual(f, d, tol)
+    comm = commutator_residual(f, d)
     p = (f @ d).power_chain(tol).index
 
     def plateau(g: AdjointableMap, h: AdjointableMap) -> tuple[int, list[Submodule]]:
@@ -209,7 +209,7 @@ def commuting_drazin_criterion(
         meets for j = p .. max(p, ind G), past which Im G^j is constant."""
         chain, ker = g.power_chain(tol), h.power_chain(tol).kernel(p)
         last = max(p, chain.index)
-        meets = [chain.image(j).intersection(ker, tol)[0] for j in range(p, last + 1)]
+        meets = [chain.image(j).intersection(ker)[0] for j in range(p, last + 1)]
         k = next((p + i for i in range(last - p) if meets[i].equals(meets[i + 1], tol)), last)
         return k, meets
 
@@ -251,7 +251,7 @@ class CommutingBrowderReport:
 def commuting_browder_check(
     f: AdjointableMap, d: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL
 ) -> CommutingBrowderReport:
-    comm = commutator_residual(f, d, tol)
+    comm = commutator_residual(f, d)
     chain = (d @ f).power_chain(tol)
     split, p = chain.split, chain.index
     wit_f, wit_d = chain.witness(f), chain.witness(d)

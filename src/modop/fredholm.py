@@ -77,10 +77,9 @@ class FredholmReport:
 
 
 def fredholm_report(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> FredholmReport:
-    scale = f.norm()
-    ker = f.kernel(tol, scale=scale)
-    img = f.image(tol, scale=scale)
-    coker = f.cokernel(tol, scale=scale)
+    ker = f.kernel(tol)
+    img = f.image(tol)
+    coker = f.cokernel(tol)
     index = ker.k0() - coker.k0()
     return FredholmReport(
         kernel=ker,
@@ -89,7 +88,7 @@ def fredholm_report(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> Fr
         index=index,
         is_weyl_zero_index=index.is_zero(),
         is_generalized_weyl=ker.k0().entries == coker.k0().entries,
-        margin=f.singular_data(tol, scale=scale).margin,
+        margin=f.singular_data(tol).margin,
     )
 
 
@@ -224,29 +223,21 @@ def exact_sequence(
 class ChainReport:
     """Constructive K0 balance for a finite-rank perturbation T -> T + F.
 
-    ``splitting_image``: T(ker F), shared by Im T and Im (T+F).
-    ``new_image_part``/``new_image_part_perturbed``: the parts of Im T /
-    Im (T+F) transverse to it.  ``kernel_part``/``kernel_part_perturbed``
-    complete ker T / ker (T+F) over their common core ker T ∩ ker F.
-    Together with the defect pads of T these balance exactly:
-    [ker(T+F)] + [M] + [N] + [R] == [Im(T+F)perp] + [M'] + [N'] + [R'].
+    ``splitting_image``: T(ker F), shared by Im T and Im (T+F).  With
+    N / N' the parts of Im T / Im (T+F) transverse to it, M / M' the
+    parts of ker T / ker (T+F) over their common core ker T ∩ ker F, and
+    the defect pads R / R' of T, the classes balance exactly, ``lhs`` =
+    [ker(T+F)] + [M] + [N] + [R] == [Im(T+F)perp] + [M'] + [N'] + [R'] = ``rhs``.
     """
 
     perturbation_class: K0Class
     splitting_image: Submodule
-    new_image_part: Submodule
-    new_image_part_perturbed: Submodule
-    common_kernel: Submodule
-    kernel_part: Submodule
-    kernel_part_perturbed: Submodule
     witness: WitnessPair
     kernel_perturbed: Submodule
-    coker_class_perturbed: K0Class
     lhs: K0Class
     rhs: K0Class
     margin: float
     residuals: dict[str, float] = field(default_factory=dict)
-    note: str = MODEL_NOTE
 
 
 def weyl_perturbation_chain(
@@ -255,15 +246,14 @@ def weyl_perturbation_chain(
     """Build and verify the perturbation identity for T and finite-class F."""
     if t.shape != f.shape or t.m != f.m or t.n != f.n:
         raise StructureError("T and F must act between the same modules")
-    nt, nf = t.norm(), f.norm()
-    scale_sum = nt + nf
+    scale_sum = t.norm() + f.norm()
     tf = t + f
 
-    ker_f = f.kernel(tol, scale=nf)
+    ker_f = f.kernel(tol)
     perturb_class = K0Class.free(f.shape, f.m) - ker_f.k0()  # class of Im F
 
     w = t.image_step(ker_f, tol)[0]  # T(ker F)
-    im_t = t.image(tol, scale=nt)
+    im_t = t.image(tol)
     im_tf = tf.image(tol, scale=scale_sum)
 
     ok_w1, r_w1 = im_t.contains(w, tol)
@@ -274,13 +264,13 @@ def weyl_perturbation_chain(
         )
 
     w_perp = w.complement()
-    n_part, gap_n = im_t.intersection(w_perp, tol)
-    n_part_p, gap_np = im_tf.intersection(w_perp, tol)
+    n_part, gap_n = im_t.intersection(w_perp)
+    n_part_p, gap_np = im_tf.intersection(w_perp)
 
-    ker_t = t.kernel(tol, scale=nt)
+    ker_t = t.kernel(tol)
     ker_tf = tf.kernel(tol, scale=scale_sum)
-    common, gap_c = ker_t.intersection(ker_f, tol)
-    common2, gap_c2 = ker_tf.intersection(ker_f, tol)
+    common, gap_c = ker_t.intersection(ker_f)
+    common2, gap_c2 = ker_tf.intersection(ker_f)
     if not common.equals(common2, tol):
         raise IdentityViolation(
             "ker(T+F) ∩ ker F differs from ker T ∩ ker F "
@@ -288,8 +278,8 @@ def weyl_perturbation_chain(
         )
 
     common_perp = common.complement()
-    m_part, gap_m = ker_t.intersection(common_perp, tol)
-    m_part_p, gap_mp = ker_tf.intersection(common_perp, tol)
+    m_part, gap_m = ker_t.intersection(common_perp)
+    m_part_p, gap_mp = ker_tf.intersection(common_perp)
 
     witness = weyl_defect_witness(t, tol)
     coker_tf = K0Class.free(t.shape, t.n) - im_tf.k0()
@@ -305,19 +295,13 @@ def weyl_perturbation_chain(
     return ChainReport(
         perturbation_class=perturb_class,
         splitting_image=w,
-        new_image_part=n_part,
-        new_image_part_perturbed=n_part_p,
-        common_kernel=common,
-        kernel_part=m_part,
-        kernel_part_perturbed=m_part_p,
         witness=witness,
         kernel_perturbed=ker_tf,
-        coker_class_perturbed=coker_tf,
         lhs=lhs,
         rhs=rhs,
         margin=min(
-            f.singular_data(tol, scale=nf).margin,
-            t.singular_data(tol, scale=nt).margin,
+            f.singular_data(tol).margin,
+            t.singular_data(tol).margin,
             tf.singular_data(tol, scale=scale_sum).margin,
             gap_n,
             gap_np,
@@ -340,13 +324,9 @@ class ProductChainReport:
     the kernel/cokernel mismatch of the product exactly."""
 
     kernel_product: Submodule
-    coker_class_product: K0Class
-    witness_first: WitnessPair
-    witness_second: WitnessPair
     lhs: K0Class
     rhs: K0Class
     margin: float
-    note: str = MODEL_NOTE
 
 
 def product_chain(
@@ -367,15 +347,12 @@ def product_chain(
         raise IdentityViolation(f"product chain identity failed: {lhs} != {rhs}")
     return ProductChainReport(
         kernel_product=ker_df,
-        coker_class_product=coker_df,
-        witness_first=wf,
-        witness_second=wd,
         lhs=lhs,
         rhs=rhs,
         margin=min(
             df.singular_data(tol, scale=scale).margin,
-            f.singular_data(tol, scale=f.norm()).margin,
-            d.singular_data(tol, scale=d.norm()).margin,
+            f.singular_data(tol).margin,
+            d.singular_data(tol).margin,
         ),
     )
 
@@ -438,13 +415,13 @@ class BFredholmCommutingReport:
 def b_fredholm_commuting_check(
     f: AdjointableMap, d: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL
 ) -> BFredholmCommutingReport:
-    comm = commutator_residual(f, d, tol)
+    comm = commutator_residual(f, d)
     rep_f = b_fredholm_report(f, tol)
     rep_d = b_fredholm_report(d, tol)
     rep_p = b_fredholm_report(d @ f, tol)
     stable = rep_p.stable_image
-    meet_f, _ = f.kernel(tol, scale=f.norm()).intersection(stable, tol)
-    meet_d, _ = d.kernel(tol, scale=d.norm()).intersection(stable, tol)
+    meet_f, _ = f.kernel(tol).intersection(stable)
+    meet_d, _ = d.kernel(tol).intersection(stable)
     # A vector of Im(DF)^n in ker F or ker D lies in ker DF, and DF is
     # invertible on Im(DF)^n: both meets are zero.
     for name, meet in (("F", meet_f), ("D", meet_d)):

@@ -58,7 +58,7 @@ from .errors import IdentityViolation, StructureError
 from .linmap import AdjointableMap
 from .modules import K0Class, Submodule
 from .subspace import herm, residual_values, stacked
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .tolerances import COINCIDE_TOL, DEFAULT_TOL, POSITIVITY_TAU, ToleranceConfig
 
 Array = np.ndarray
 
@@ -155,7 +155,7 @@ def min_modulus_restricted(m: Submodule, n: Submodule, tol: ToleranceConfig = DE
     """
     if m.shape != n.shape or m.m != n.m:
         raise StructureError("submodules live in different modules")
-    return _min_modulus(m, n, tol, m.intersection(n, tol)[0])
+    return _min_modulus(m, n, tol, m.intersection(n)[0])
 
 
 def _min_modulus(
@@ -167,7 +167,7 @@ def _min_modulus(
     residuals = residual_values([qm for qm, _ in pairs], [qn for _, qn in pairs])
     delta = min((float(v[-1]) for v in residuals), default=math.inf)
     if meet is not None and meet.dim > 0:
-        if delta > 10.0 * tol.coincide_tol:
+        if delta > 10.0 * COINCIDE_TOL:
             raise IdentityViolation(
                 f"nonzero intersection (class {meet.k0()}) but delta = {delta:.3e}"
             )
@@ -210,18 +210,16 @@ def _module_norms(stacks: list[Array]) -> Array:
 # closed-sum report
 
 
-def _reduce(
-    m: Submodule, n: Submodule, tol: ToleranceConfig
-) -> tuple[Submodule, Submodule, Submodule]:
+def _reduce(m: Submodule, n: Submodule) -> tuple[Submodule, Submodule, Submodule]:
     """K = M ∩ N, and the parts M ∩ K^perp and N ∩ K^perp of the pair
     transverse to it (M and N themselves when K = 0)."""
     if m.shape != n.shape or m.m != n.m:
         raise StructureError("submodules live in different modules")
-    meet, _ = m.intersection(n, tol)
+    meet, _ = m.intersection(n)
     if meet.dim == 0:
         return meet, m, n
     perp = meet.complement()
-    return meet, m.intersection(perp, tol)[0], n.intersection(perp, tol)[0]
+    return meet, m.intersection(perp)[0], n.intersection(perp)[0]
 
 
 def closed_sum_report(
@@ -246,7 +244,7 @@ def closed_sum_report(
     command reports it: x = W_M a in M and y = W_N b in N, with ||x|| the
     norm of a and ||x + y|| that of R [a; b], per block.
     """
-    return _closed_sum(*_reduce(m, n, tol), tol, rng, samples)
+    return _closed_sum(*_reduce(m, n), tol, rng, samples)
 
 
 def _closed_sum(
@@ -294,7 +292,7 @@ def _closed_sum(
         c0=c0,
         delta=delta,
         bound_C=bound,
-        verdict=delta > tol.positivity_tau,
+        verdict=delta > POSITIVITY_TAU,
         degenerate=degenerate,
         reduced=meet.dim > 0,
         intersection_class=meet.k0(),
@@ -324,10 +322,10 @@ def bouldin_criterion(
     """
     if f.shape != d.shape or d.m != f.n:
         raise StructureError("maps are not composable (d after f)")
-    meet, s1, s2 = _reduce(f.image(tol, scale=f.norm()), d.kernel(tol, scale=d.norm()), tol)
+    meet, s1, s2 = _reduce(f.image(tol), d.kernel(tol))
     cs = _closed_sum(meet, s1, s2, tol, rng=None, samples=0)
     margin_p, margin_q = _min_modulus(s2, s1, tol), cs.delta
-    if (margin_p > tol.positivity_tau) != cs.verdict:
+    if (margin_p > POSITIVITY_TAU) != cs.verdict:
         raise IdentityViolation(
             f"restricted-projection margins disagree: {margin_p:.3e} vs {margin_q:.3e}"
         )
@@ -340,7 +338,7 @@ def bouldin_criterion(
     # Duality: the same margins must come out of the adjoint-side pair
     # (Im D*, ker F*) = ((ker D)^perp, (Im F)^perp).
     ds, fs = d.adjoint(), f.adjoint()
-    _, t1, t2 = _reduce(ds.image(tol, scale=ds.norm()), fs.kernel(tol, scale=fs.norm()), tol)
+    _, t1, t2 = _reduce(ds.image(tol), fs.kernel(tol))
     dual_p, dual_q = _min_modulus(t2, t1, tol), _min_modulus(t1, t2, tol)
     finite_pairs = [
         (a, b)

@@ -348,10 +348,10 @@ class Submodule:
         bases = [basis for basis, _ in null_spaces(adjoints, scale=1.0)]
         return Submodule(self.shape, self.m, tuple(bases))
 
-    def intersection(self, other: "Submodule", tol: ToleranceConfig = DEFAULT_TOL) -> tuple["Submodule", float]:
+    def intersection(self, other: "Submodule") -> tuple["Submodule", float]:
         """Intersection plus the worst cosine gap behind the decisions."""
         self._check_ambient(other)
-        pairs = intersections(self.column_bases, other.column_bases, tol)
+        pairs = intersections(self.column_bases, other.column_bases)
         gap = min(g for _, g in pairs)
         return Submodule(self.shape, self.m, tuple(w for w, _ in pairs)), float(gap)
 

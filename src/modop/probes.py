@@ -36,7 +36,7 @@ from .errors import IdentityViolation, StructureError
 from .geometry import bouldin_criterion, dixmier_angle, min_modulus_restricted
 from .linmap import AdjointableMap
 from .subspace import svd_datas
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .tolerances import DEFAULT_TOL, POSITIVITY_TAU, ToleranceConfig
 
 Array = np.ndarray
 
@@ -123,7 +123,7 @@ def left_multiplier_family(
     if s.shape != (n, n):
         raise StructureError(f"multiplier must be {n}x{n}, got {s.shape}")
     f = AdjointableMap(AlgebraShape((n,)), 1, 1, (s,))
-    gamma_f = f.singular_data(tol, scale=f.norm()).gamma
+    gamma_f = f.singular_data(tol).gamma
     gamma_s = svd_datas([s], tol, scale=float(np.linalg.norm(s, 2)))[0].gamma
     agree = (
         gamma_f == gamma_s
@@ -183,20 +183,17 @@ def _diagnose(
 ) -> FamilyDiagnostic:
     gamma_f, gamma_f2, c0s, deltas, margins, agrees = [], [], [], [], [], []
     for f in maps:
-        nf = max(f.norm(), 1e-300)
-        gamma_f.append(f.singular_data(tol, scale=nf).gamma)
+        gamma_f.append(f.singular_data(tol).gamma)
         # c0 and delta of the unreduced pair: they differ from the reduced
         # pair's when Im F meets ker F (left-multiplier at n = 16)
-        image = f.image(tol, scale=nf)
-        kernel = f.kernel(tol, scale=nf)
+        image = f.image(tol)
+        kernel = f.kernel(tol)
         c0s.append(dixmier_angle(image, kernel, tol))
         deltas.append(min_modulus_restricted(image, kernel, tol))
         rep = bouldin_criterion(f, f, tol)
         gamma_f2.append(rep.gamma_composition)
         margins.append(rep.margin_p)
-        gamma2_positive = (
-            math.isinf(gamma_f2[-1]) or gamma_f2[-1] > tol.positivity_tau
-        )
+        gamma2_positive = math.isinf(gamma_f2[-1]) or gamma_f2[-1] > POSITIVITY_TAU
         agrees.append(rep.closed_sum.verdict == gamma2_positive)
 
     def decreasing(xs: Sequence[float]) -> bool:
@@ -206,9 +203,7 @@ def _diagnose(
     mono = {
         "gamma_f2_strictly_decreasing": decreasing(gamma_f2),
         "delta_strictly_decreasing": decreasing(deltas),
-        "gamma_f_bounded_below": all(
-            g > tol.positivity_tau for g in gamma_f if math.isfinite(g)
-        ),
+        "gamma_f_bounded_below": all(g > POSITIVITY_TAU for g in gamma_f if math.isfinite(g)),
     }
     return FamilyDiagnostic(
         family=family,

@@ -9,9 +9,10 @@ design points that matter:
   interesting Drazin structure comes from planting Jordan blocks behind
   a bounded-condition similarity, and rank deficits are planted by
   zeroing trailing singular values well separated from the rest;
-* every knob that affects conditioning (similarity spread, complement
-  shear) is bounded, so tolerance-based rank decisions in the suites
-  sit on comfortable margins instead of coin flips.
+* everything that affects conditioning (the similarity's condition
+  number, complement shear) is bounded, so tolerance-based rank
+  decisions in the suites sit on comfortable margins instead of coin
+  flips.
 """
 
 from __future__ import annotations
@@ -105,13 +106,12 @@ def random_endomorphism(
     rng: np.random.Generator,
     *,
     nilpotent: Sequence[int] = (),
-    spread: float = 10.0,
 ) -> AdjointableMap:
     """Endomorphism with planted Jordan structure.
 
     Per block, an invertible part (singular values in [0.5, 2]) is
     padded with nilpotent Jordan blocks of the given sizes, then
-    conjugated by a similarity of condition ~``spread``.  The Drazin
+    conjugated by a similarity of condition at most 10.  The Drazin
     index is generically the largest planted size (0 sizes -> invertible).
     """
     blocks = []
@@ -133,7 +133,7 @@ def random_endomorphism(
             pos += size
         g = (
             _unitary(rng, dim)
-            * np.exp(rng.uniform(0.0, np.log(max(spread, 1.0)), size=dim))
+            * np.exp(rng.uniform(0.0, np.log(10.0), size=dim))
         ) @ _unitary(rng, dim)
         blocks.append(g @ core @ np.linalg.inv(g))
     return AdjointableMap(shape, m, m, tuple(blocks))
@@ -144,28 +144,23 @@ def random_commuting_pair(
     m: int,
     rng: np.random.Generator,
     *,
-    degree: int = 3,
     nilpotent: Sequence[int] = (),
-    zero_constant: bool = True,
 ) -> tuple[AdjointableMap, AdjointableMap]:
-    """Commuting pair (F, D): both are polynomials of one common map.
+    """Commuting pair (F, D): both are cubic polynomials of one common map X.
 
     Commutation is exact by construction (up to roundoff of the matrix
-    products).  ``zero_constant`` drops the constant terms so both maps
-    inherit the common map's kernel, keeping the pair singular when a
-    nilpotent part is planted.
+    products).  The polynomials have no constant term, so both maps
+    inherit X's kernel, keeping the pair singular when a nilpotent part
+    is planted.
     """
     x = random_endomorphism(shape, m, rng, nilpotent=nilpotent)
 
     def poly() -> AdjointableMap:
-        lo = 1 if zero_constant else 0
-        coeffs = _cnormal(rng, degree - lo + 1, 1)[:, 0]
-        # keep the leading/linear coefficient away from zero
+        coeffs = _cnormal(rng, 3, 1)[:, 0]
+        # keep the linear coefficient away from zero
         coeffs[0] += np.sign(coeffs[0].real + 1e-9)
         acc = AdjointableMap.zero(shape, m, m)
-        p = AdjointableMap.identity(shape, m)
-        for _ in range(lo):
-            p = p @ x
+        p = x
         for c in coeffs:
             acc = acc + complex(c) * p
             p = p @ x
@@ -280,9 +275,8 @@ def random_regular_data(
     """(T, kernel complement, image complement) with bounded obliqueness —
     raw material for a regular-operator certificate on plain matrices."""
     t = random_matrix(rows, cols, rng, rank_deficit=rank_deficit)
-    scale = max(np.linalg.norm(t, 2), 1e-300)
-    kernel, _ = null_spaces([t], tol, scale=scale)[0]
-    image, _ = orthonormal_images([t], tol, scale=scale)[0]
+    kernel, _ = null_spaces([t], tol)[0]
+    image, _ = orthonormal_images([t], tol)[0]
     ker_c = sheared_complement(kernel, rng, shear=shear, tol=tol)
     im_c = sheared_complement(image, rng, shear=shear, tol=tol)
     return t, ker_c, im_c

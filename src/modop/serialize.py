@@ -260,7 +260,10 @@ def submodule_from_jsonable(data: Any, tol: ToleranceConfig = DEFAULT_TOL) -> Su
     if not isinstance(raw, list):
         raise DataError("submodule: 'vectors' must be a list")
     if not raw:
-        return Submodule.zero(shape, m)
+        try:
+            return Submodule.zero(shape, m)
+        except ValueError as exc:  # more basis rows than numpy can index
+            raise DataError(f"submodule: A^{m} over {shape_to_jsonable(shape)} is too large") from exc
     vectors = []
     for i, v in enumerate(raw):
         payload = dict(v) if isinstance(v, dict) else {}

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .tolerances import COINCIDE_TOL, DEFAULT_TOL, ToleranceConfig
 
 Array = np.ndarray
 
@@ -121,7 +121,6 @@ class SingularData:
     rank: int
     gamma: float
     threshold: float
-    scale: float
     margin: float
 
     @property
@@ -152,7 +151,7 @@ def _decide(
         margin = vals[-1] / refm
     else:
         margin = (vals[rank - 1] - vals[rank]) / refm
-    return SingularData(vals, rank, gamma, threshold, ref, margin)
+    return SingularData(vals, rank, gamma, threshold, margin)
 
 
 def svd_datas(
@@ -275,18 +274,16 @@ def _meet(q1: Array, res, cut: float) -> tuple[Array | None, float]:
     return q1 @ vh[n - k :].conj().T[: q1.shape[1]], gap
 
 
-def intersections(
-    q1s: Sequence[Array], q2s: Sequence[Array], tol: ToleranceConfig = DEFAULT_TOL
-) -> list[tuple[Array, float]]:
+def intersections(q1s: Sequence[Array], q2s: Sequence[Array]) -> list[tuple[Array, float]]:
     """Orthonormal basis of the intersection of span(q1) and span(q2) for
     each pair, one stacked SVD and one stacked QR per shape group.
 
     Computed from the small singular values of ``[q1, -q2]`` (see
-    :func:`_meet`); directions below ``tol.coincide_tol`` (radians) count
+    :func:`_meet`); directions below ``COINCIDE_TOL`` (radians) count
     as shared.  Each pair also gets the angle gap separating kept from
     dropped directions (+inf when unambiguous).
     """
-    cut = 2.0 * math.sin(0.5 * tol.coincide_tol)
+    cut = 2.0 * math.sin(0.5 * COINCIDE_TOL)
     out = [(empty_basis(q.shape[0]), math.inf) for q in q1s]
     live = [i for i, (a, b) in enumerate(zip(q1s, q2s)) if a.shape[1] and b.shape[1]]
     svds = stacked(_difference_svd, [q1s[i] for i in live], [q2s[i] for i in live])

@@ -1,5 +1,34 @@
 """Single tolerance policy shared by every numerical decision.
 
+Two knobs, the fields of :class:`ToleranceConfig`, are set per run
+(``--tol-rank`` and ``--tol-angle`` on the command line):
+
+``rank_tol`` (default 1e-10)
+    Relative rank cutoff: singular values below
+    ``rank_tol * smax * ambient_dim`` are treated as zero.
+``angle_tol`` (default 1e-8)
+    Largest principal angle (radians) at which two subspaces are
+    declared equal, and the containment and defect gates built on it.
+
+The other thresholds have one value in use and are module constants:
+
+``COINCIDE_TOL`` = 1e-7
+    Angle below which directions of two subspaces are counted as common
+    when *intersecting* them.  Laxer than ``angle_tol`` on purpose:
+    intersection detection separates structural zeros (~1e-13) from
+    genuine angles (>1e-3 on filtered instances).
+``RESIDUAL_TOL`` = 1e-9
+    Relative residual accepted when certifying operator identities (a
+    map block-diagonal on its core–nilpotent split, the Drazin inverse
+    under the adjoint), times the split's condition number.
+``COMM_TOL`` = 1e-10
+    Relative commutator accepted as the commuting-pair precondition.
+``POSITIVITY_TAU`` = 1e-6
+    Threshold for "bounded below" verdicts on restricted projections and
+    reduced minimum moduli.
+``ILL_POSED_PROJECTOR_NORM`` = 1e6
+    An oblique projector with norm beyond this is flagged ill-posed.
+
 Every rank decision goes through one function,
 ``modop.subspace._decide``, parameterized by a :class:`ToleranceConfig`;
 a module map feeds it the singular values it computed once and cached
@@ -18,54 +47,33 @@ from dataclasses import dataclass, fields
 
 from .errors import DataError
 
+COINCIDE_TOL = 1e-7
+RESIDUAL_TOL = 1e-9
+COMM_TOL = 1e-10
+POSITIVITY_TAU = 1e-6
+ILL_POSED_PROJECTOR_NORM = 1e6
+
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Knobs for rank, angle, and residual decisions.
+    """The two per-run knobs (see the module docstring).
 
-    rank_tol
-        Relative rank cutoff: singular values below
-        ``rank_tol * smax * ambient_dim`` are treated as zero.
-    angle_tol
-        Largest principal angle (radians) at which two subspaces are
-        declared equal.
-    coincide_tol
-        Angle below which directions of two subspaces are counted as
-        common when *intersecting* them.  Laxer than ``angle_tol`` on
-        purpose: intersection detection separates structural zeros
-        (~1e-13) from genuine angles (>1e-3 on filtered instances).
-    residual_tol
-        Relative residual accepted when certifying operator identities
-        (generalized-inverse axioms, exactness, adjoint symmetry).
-    comm_tol
-        Relative residual accepted for commutativity preconditions.
-    positivity_tau
-        Threshold for "bounded below" verdicts on restricted
-        projections and reduced minimum moduli.
-    ill_posed_projector_norm
-        An oblique projector with norm beyond this is flagged ill-posed.
-
-    Every knob must be finite and positive, with ``angle_tol`` at most
-    ``coincide_tol``; anything else raises :class:`~modop.errors.DataError`.
+    Both must be finite and positive, with ``angle_tol`` at most
+    ``COINCIDE_TOL``; anything else raises :class:`~modop.errors.DataError`.
     """
 
     rank_tol: float = 1e-10
     angle_tol: float = 1e-8
-    coincide_tol: float = 1e-7
-    residual_tol: float = 1e-9
-    comm_tol: float = 1e-10
-    positivity_tau: float = 1e-6
-    ill_posed_projector_norm: float = 1e6
 
     def __post_init__(self):
         for fld in fields(self):
             val = getattr(self, fld.name)
             if not (math.isfinite(val) and val > 0):
                 raise DataError(f"tolerance {fld.name} must be finite and positive, got {val!r}")
-        if self.angle_tol > self.coincide_tol:
+        if self.angle_tol > COINCIDE_TOL:
             raise DataError(
                 f"tolerance angle_tol ({self.angle_tol!r}) must not exceed "
-                f"coincide_tol ({self.coincide_tol!r})"
+                f"coincide_tol ({COINCIDE_TOL!r})"
             )
 
     def rank_threshold(self, smax: float, ambient_dim: int) -> float:

@@ -1,7 +1,5 @@
 """Chosen-complement operator calculus: generalized inverses, perturbation, products."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -20,7 +18,7 @@ from modop.algebra import AlgebraShape
 from modop.errors import IdentityViolation, StructureError, UnmetHypothesisError
 from modop.linmap import AdjointableMap
 from modop.subspace import op_norm, residual_values
-from modop.tolerances import DEFAULT_TOL
+from modop.tolerances import ILL_POSED_PROJECTOR_NORM
 from modop.randgen import (
     random_complement,
     random_map,
@@ -167,12 +165,14 @@ def test_make_regular_computes_each_projector_norm_once(monkeypatch):
         assert out.residuals["t_t_is_ker_projection"] == r4
 
 
-def test_ill_posed_follows_the_callers_tolerance():
+def test_ill_posed_above_the_projector_norm_bound():
+    assert ILL_POSED_PROJECTOR_NORM == 1e6
+    # onto e0 along (1, tilt): the projector norm is sqrt(1 + tilt^-2)
     onto = np.array([[1.0], [0.0]])
-    along = np.array([[1.0], [1e-2]])  # projector norm about 100
-    assert not oblique_decomposition(onto, along).ill_posed
-    strict = dataclasses.replace(DEFAULT_TOL, ill_posed_projector_norm=10.0)
-    assert oblique_decomposition(onto, along, strict).ill_posed
+    for tilt, ill_posed in ((1e-5, False), (1e-7, True)):
+        dec = oblique_decomposition(onto, np.array([[1.0], [tilt]]))
+        assert dec.norm == pytest.approx(1.0 / tilt, rel=1e-6)
+        assert dec.ill_posed is ill_posed
 
 
 def test_perturbation_frozen_rank_one():

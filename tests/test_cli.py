@@ -5,7 +5,7 @@ import io
 import itertools
 import json
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from modop.linmap import AdjointableMap
 from modop.modules import K0Class, Submodule
 from modop.randgen import random_endomorphism, random_low_rank, random_map, random_submodule
 from modop.serialize import dumps_canonical, operator_to_jsonable, save_json, submodule_to_jsonable
+from modop.tolerances import ToleranceConfig
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -367,8 +368,8 @@ def _never_equal(real):
 
 def _kernel_column_in_second_meet(real):
     # ker(T+F) ∩ ker F planted one column larger than ker T ∩ ker F
-    def planted(q1s, q2s, tol):
-        pairs = real(q1s, q2s, tol)
+    def planted(q1s, q2s):
+        pairs = real(q1s, q2s)
         if len(pairs) > 1:
             meet, gap = pairs[1]
             pairs[1] = (np.hstack([meet, q1s[0][:, :1]]), gap)
@@ -479,11 +480,28 @@ def test_out_writes_file(tmp_path, identity_file, capsys):
     assert json.loads(target.read_text())["fredholm"]["index"] == [0]
 
 
+def test_out_to_an_unwritable_path_is_usage_error(tmp_path, capsys):
+    for out in (tmp_path, tmp_path / "missing" / "table.txt"):
+        assert main(["probe", "multiplier", "--sizes", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {out}: ") and len(captured.err.splitlines()) == 1
+
+
 def test_tolerance_overrides_are_echoed(capsys):
     argv = ["verify", "dual", "--n", "1", "--tol-rank", "1e-9", "--format", "json"]
     assert main(argv) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"]["rank_tol"] == 1e-9
+
+
+def test_every_tolerance_is_settable_from_the_command_line(capsys):
+    # a ToleranceConfig field is a per-run knob: --tol-<name> sets it
+    for fld in fields(ToleranceConfig):
+        value = fld.default / 2
+        flag = "--tol-" + fld.name.removesuffix("_tol")
+        assert main(["verify", "dual", "--n", "0", flag, repr(value), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"][fld.name] == value
 
 
 def _no_svd(*args, **kwargs):

@@ -82,7 +82,7 @@ def test_reduced_pair_with_zero_delta_is_rejected(certify, shape23, rng, monkeyp
     # the reduction planted as finding no intersection of a pair that meets:
     # (M, M), or (Im F, ker D) = (M, everything)
     monkeypatch.setattr(
-        geometry, "_reduce", lambda a, b, tol: (Submodule.zero(a.shape, a.m), a, b)
+        geometry, "_reduce", lambda a, b: (Submodule.zero(a.shape, a.m), a, b)
     )
     with pytest.raises(IdentityViolation, match=r"^trivial intersection but delta = .* is numerically zero"):
         certify(random_submodule(shape23, 2, rng, ranks=(1, 1)))
@@ -151,7 +151,7 @@ def test_min_modulus_gate_trips_on_a_planted_meet(shape23, rng, monkeypatch):
     # a transverse pair (delta of order 1) whose intersection is planted nonzero
     m = random_submodule(shape23, 3, rng, ranks=(1, 1))
     n = random_submodule(shape23, 3, rng, ranks=(1, 1))
-    monkeypatch.setattr(Submodule, "intersection", lambda sub, other, tol: (sub, math.inf))
+    monkeypatch.setattr(Submodule, "intersection", lambda sub, other: (sub, math.inf))
     with pytest.raises(IdentityViolation, match=r"^nonzero intersection \(class .*\) but delta = "):
         min_modulus_restricted(m, n)
 

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from modop.algebra import AlgebraShape
 from modop.drazin import drazin_inverse
 from modop.errors import DataError
 from modop.linmap import AdjointableMap
@@ -159,3 +162,110 @@ def test_submodule_rejects_mismatched_vector(shape23, rng):
     payload["vectors"][0]["m"] = 3
     with pytest.raises(DataError):
         submodule_from_jsonable(payload)
+
+
+# -- fuzzing: shapes, vector and submodule payloads --------------------------
+
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=2))
+_JUNK = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=12,
+)
+_SHAPES = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+_INTS = st.one_of(st.integers(), st.integers(min_value=2**31))  # and sizes past any array
+_ANY_SHAPE = st.one_of(_SHAPES, st.lists(_INTS, max_size=3), _JUNK)
+
+
+def _mutate_vector(draw, payload: dict) -> None:
+    """Replace one part of a vector payload (possibly none) by junk."""
+    entries = payload["entries"]
+    i = draw(st.integers(0, len(entries) - 1))
+    b = draw(st.integers(0, len(entries[i]) - 1))
+    r = draw(st.integers(0, len(entries[i][b]) - 1))
+    c = draw(st.integers(0, len(entries[i][b][r]) - 1))
+    parts = ["keep", "shape", "m", "entries", "entry", "block", "row", "pair", "number"]
+    part = draw(st.sampled_from(parts))
+    if part == "shape":
+        payload["shape"] = draw(_ANY_SHAPE)
+    elif part == "m":
+        payload["m"] = draw(st.one_of(_INTS, _JUNK))
+    elif part == "entries":
+        payload["entries"] = draw(_JUNK)
+    elif part == "entry":
+        entries[i] = draw(_JUNK)
+    elif part == "block":
+        entries[i][b] = draw(_JUNK)
+    elif part == "row":
+        entries[i][b][r] = draw(_JUNK)
+    elif part == "pair":
+        entries[i][b][r][c] = draw(_JUNK)
+    elif part == "number":
+        entries[i][b][r][c][draw(st.integers(0, 1))] = draw(_LEAVES)
+
+
+@st.composite
+def _vector_payloads(draw):
+    shape = AlgebraShape(tuple(draw(_SHAPES)))
+    m = draw(st.integers(1, 2))
+    flat = random_vector_flat(shape, m, np.random.default_rng(draw(st.integers(0, 99))))
+    payload = vector_to_jsonable(ModuleVector.from_flat(shape, m, flat))
+    _mutate_vector(draw, payload)
+    return payload
+
+
+@st.composite
+def _submodule_payloads(draw):
+    shape = AlgebraShape(tuple(draw(_SHAPES)))
+    m = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 99)))
+    ranks = [draw(st.integers(0, m * n)) for n in shape.block_sizes]
+    payload = submodule_to_jsonable(random_submodule(shape, m, rng, ranks=ranks))
+    parts = ["vector", "foreign vector", "shape", "m", "no vectors", "vectors"]
+    chosen = draw(st.sets(st.sampled_from(parts), max_size=2))
+    for part in (p for p in parts if p in chosen):  # vector edits before replacements
+        if part == "shape":
+            payload["shape"] = draw(_ANY_SHAPE)
+        elif part == "m":
+            payload["m"] = draw(st.one_of(_INTS, _JUNK))
+        elif part == "no vectors":
+            payload["vectors"] = []
+        elif part == "vectors":
+            payload["vectors"] = draw(_JUNK)
+        elif part == "vector" and payload["vectors"]:
+            vectors = payload["vectors"]
+            _mutate_vector(draw, vectors[draw(st.integers(0, len(vectors) - 1))])
+        elif part == "foreign vector":
+            payload["vectors"].append(draw(_vector_payloads()))
+    return payload
+
+
+@given(_ANY_SHAPE)
+def test_fuzzed_shapes_load_or_raise_data_error(data):
+    try:
+        shape = shape_from_jsonable(data)
+    except DataError:
+        return
+    assert list(shape.block_sizes) == data
+
+
+@given(_vector_payloads())
+def test_fuzzed_vector_payloads_load_or_raise_data_error(payload):
+    try:
+        vec = vector_from_jsonable(payload)
+    except DataError:
+        return
+    assert (list(vec.shape.block_sizes), vec.m) == (payload["shape"], payload["m"])
+    assert np.isfinite(vec.flatten()).all()
+
+
+@given(_submodule_payloads())
+@example({"shape": [2**31, 2], "m": 2**31, "vectors": []})  # bases numpy cannot size
+def test_fuzzed_submodule_payloads_load_or_raise_data_error(payload):
+    try:
+        sub = submodule_from_jsonable(payload)
+    except DataError:
+        return
+    assert (list(sub.shape.block_sizes), sub.m) == (payload["shape"], payload["m"])
+    assert sub.dim <= sub.ambient_dim
