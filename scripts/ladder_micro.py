@@ -19,8 +19,15 @@ the host.
 
     python3 scripts/ladder_micro.py [--repeats 7] [--seed 0] [--parent REV] [--out FILE]
 
-``--parent`` times the modop of another commit instead of this
-checkout's, from a ``git archive`` export under ``.bench_build/``:
+``--parent`` also times the modop of another commit, from a ``git
+archive`` export under ``.bench_build/``, interleaved with this
+checkout's: each repetition times both trees, one fresh process per tree,
+and the order alternates from one repetition to the next, so load that
+drifts during the run falls on both sides alike.  Each process times
+every certificate and rung twice: ``"results"`` holds the medians of
+the first call, which pays what a ``modop`` command (a fresh process)
+pays, and ``"second_call"`` those of the second.  That commit's medians
+go under ``"parent"``:
 
     python3 scripts/ladder_micro.py --parent HEAD~1
 
@@ -34,6 +41,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -57,18 +65,9 @@ COMMUTING_MS = (24, 48, 96)
 COMMUTING_NILPOTENT = (3,)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=7, help="runs per median (default 7)")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the planted maps")
-    parser.add_argument("--parent", default=None, help="time this commit instead of the checkout")
-    parser.add_argument("--out", default=None, help="also write the JSON to this file")
-    args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
-
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    tree = export(args.parent) if args.parent else ROOT
+def measure(tree: Path, repeats: int, seed: int) -> dict[str, dict[str, list[float]]]:
+    """Milliseconds of ``repeats`` timed runs per certificate and rung, with
+    the modop of ``tree``."""
     sys.path.insert(0, str(tree / "src"))
     import numpy as np
 
@@ -82,7 +81,15 @@ def main(argv: list[str] | None = None) -> int:
         chain = f.power_chain()
         return chain.index, chain.image(chain.index).dim
 
-    results: dict[str, dict[str, float]] = {
+    def timed(run, inputs: list) -> list[float]:
+        times = []
+        for item in inputs:
+            start = time.perf_counter()
+            run(item)
+            times.append((time.perf_counter() - start) * 1e3)
+        return times
+
+    results: dict[str, dict[str, list[float]]] = {
         "fredholm_report": {},
         "exact_sequence": {},
         "drazin_inverse": {},
@@ -93,12 +100,11 @@ def main(argv: list[str] | None = None) -> int:
         "commuting_drazin_criterion": {},
     }
     for text, m, nilpotent in RUNGS:
-        rng = np.random.default_rng([args.seed, len(text), m])
+        rng = np.random.default_rng([seed, len(text), m])
         shape = randgen.parse_shape(text)
         f = randgen.random_map(shape, m, m, rng, rank_deficit=1)
         g = randgen.random_map(shape, m, m, rng, rank_deficit=1)
         endo = randgen.random_endomorphism(shape, m, rng, nilpotent=nilpotent)
-        rung = f"({text})/{m}"
         runs = {
             "fredholm_report": lambda fs: fredholm.fredholm_report(fs[0]),
             "exact_sequence": lambda fs: fredholm.exact_sequence(fs[0], fs[1]),
@@ -107,48 +113,92 @@ def main(argv: list[str] | None = None) -> int:
             "power_chain": lambda fs: staircases(fs[2]),
         }
         for name, run in runs.items():
-            copies = [(fresh(f), fresh(g), fresh(endo)) for _ in range(args.repeats)]
-            times = []
-            for maps in copies:
-                start = time.perf_counter()
-                run(maps)
-                times.append((time.perf_counter() - start) * 1e3)
-            results[name][rung] = round(statistics.median(times), 3)
+            copies = [(fresh(f), fresh(g), fresh(endo)) for _ in range(repeats)]
+            results[name][f"({text})/{m}"] = timed(run, copies)
     for text, m, ranks_m, ranks_n in PAIRS:
-        rng = np.random.default_rng([args.seed, len(text), m])
+        rng = np.random.default_rng([seed, len(text), m])
         shape = randgen.parse_shape(text)
         a = randgen.random_submodule(shape, m, rng, ranks=ranks_m)
         b = randgen.random_submodule(shape, m, rng, ranks=ranks_n)
         for name, samples in (("closed_sum_report", 10_000), ("closed_sum_report_unsampled", 0)):
-            times = []
-            for rep in range(args.repeats):
-                start = time.perf_counter()
+
+            def closed_sum(rep: int, samples: int = samples) -> None:
                 geometry.closed_sum_report(a, b, rng=np.random.default_rng(rep), samples=samples)
-                times.append((time.perf_counter() - start) * 1e3)
-            results[name][f"({text})/{m}"] = round(statistics.median(times), 3)
+
+            results[name][f"({text})/{m}"] = timed(closed_sum, list(range(repeats)))
     for m in COMMUTING_MS:
-        rng = np.random.default_rng([args.seed, m])
+        rng = np.random.default_rng([seed, m])
         f, d = randgen.random_commuting_pair(
             randgen.parse_shape("1"), m, rng, nilpotent=COMMUTING_NILPOTENT
         )
-        times = []
-        for f_copy, d_copy in [(fresh(f), fresh(d)) for _ in range(args.repeats)]:
-            start = time.perf_counter()
-            drazin.commuting_drazin_criterion(f_copy, d_copy)
-            times.append((time.perf_counter() - start) * 1e3)
-        results["commuting_drazin_criterion"][f"(1)/{m}"] = round(statistics.median(times), 3)
+        copies = [(fresh(f), fresh(d)) for _ in range(repeats)]
+        results["commuting_drazin_criterion"][f"(1)/{m}"] = timed(
+            lambda fd: drazin.commuting_drazin_criterion(*fd), copies
+        )
+    return results
+
+
+def measure_in_child(tree: Path, seed: int) -> dict[str, dict[str, list[float]]]:
+    """Two timed calls per certificate and rung, in a fresh process."""
+    code = (
+        "import json, pathlib, ladder_micro; "
+        f"print(json.dumps(ladder_micro.measure(pathlib.Path({str(tree)!r}), 2, {seed})))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=Path(__file__).parent, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def medians(
+    runs: list[dict[str, dict[str, list[float]]]], calls: slice = slice(None)
+) -> dict[str, dict[str, float]]:
+    """Median per certificate and rung over the ``calls`` of every run."""
+    return {
+        name: {
+            rung: round(statistics.median(t for run in runs for t in run[name][rung][calls]), 3)
+            for rung in rungs
+        }
+        for name, rungs in runs[0].items()
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=7, help="runs per median (default 7)")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the planted maps")
+    parser.add_argument("--parent", default=None, help="also time this commit, interleaved")
+    parser.add_argument("--out", default=None, help="also write the JSON to this file")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
+
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    import numpy as np
 
     payload = {
         "unit": "ms (median)",
         "repeats": args.repeats,
         "seed": args.seed,
-        "commit": tree.name if args.parent else "checkout",
+        "commit": "checkout",
         "numpy": np.__version__,
         "python": platform.python_version(),
         "host": platform.machine(),
         "openblas_threads": os.environ["OPENBLAS_NUM_THREADS"],
-        "results": results,
     }
+    if args.parent:
+        trees = {"parent": export(args.parent), "checkout": ROOT}
+        runs: dict[str, list] = {side: [] for side in trees}
+        for rep in range(args.repeats):
+            for side in list(trees)[:: 1 if rep % 2 == 0 else -1]:
+                runs[side].append(measure_in_child(trees[side], args.seed))
+        payload["parent"] = {"commit": trees["parent"].name}
+        for side, out in (("parent", payload["parent"]), ("checkout", payload)):
+            out["results"] = medians(runs[side], slice(0, 1))
+            out["second_call"] = medians(runs[side], slice(1, 2))
+    else:
+        payload["results"] = medians([measure(ROOT, args.repeats, args.seed)])
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
     if args.out:

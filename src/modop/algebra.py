@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StructureError
-from .subspace import as_complex
+from .subspace import Grouped, _partition, as_complex
 
 Array = np.ndarray
 
@@ -35,6 +35,9 @@ class AlgebraShape:
     # Complex dimension, the sum of squared block sizes: summed once here,
     # since rank cutoffs read it on every decision.
     dim: int = field(init=False, repr=False, compare=False)
+    # The ascending positions of each block size: every map over the shape
+    # stores one stack of blocks per size, on this one tuple of groups.
+    size_groups: tuple[Array, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = tuple(int(n) for n in self.block_sizes)
@@ -44,6 +47,13 @@ class AlgebraShape:
             raise StructureError(f"block sizes must be positive, got {sizes}")
         object.__setattr__(self, "block_sizes", sizes)
         object.__setattr__(self, "dim", sum(n * n for n in sizes))
+        groups = tuple(np.array(idx) for idx in _partition(sizes))
+        object.__setattr__(self, "size_groups", groups)
+
+    def stacks(self, make) -> Grouped:
+        """One stack per block size, ``make(n_b, positions)``, covering every block."""
+        idxs = [idx.tolist() for idx in self.size_groups]
+        return Grouped([make(self.block_sizes[idx[0]], idx) for idx in idxs], self.size_groups)
 
     @property
     def num_blocks(self) -> int:

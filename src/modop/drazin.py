@@ -28,7 +28,7 @@ import numpy as np
 from .errors import IdentityViolation, IllConditionedError, StructureError
 from .linmap import AdjointableMap, BrowderWitness, _similar, commutator_residual
 from .modules import K0Class, Submodule
-from .subspace import stacked
+from .subspace import Grouped, stacked
 from .tolerances import DEFAULT_TOL, RESIDUAL_TOL, ToleranceConfig
 
 Array = np.ndarray
@@ -80,18 +80,21 @@ def drazin_inverse(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> Dra
     chain = f.power_chain(tol)
     split, core, p = chain.split, chain.core, chain.index
     nf = max(f.norm(), 1e-300)
+    invs = stacked(np.linalg.inv, core.f1_blocks)
     ys, es = [], []
-    ranks = split.range_space.k0().entries
-    for s, r, inv in zip(split.s_mats, ranks, stacked(np.linalg.inv, core.f1_blocks)):
-        y = np.zeros_like(s)
-        e = np.zeros_like(s)
-        y[:r, :r] = inv
-        e[:r, :r] = np.eye(r)
+    for inv, idx in zip(invs.stacks, invs.members):
+        d, r = f.m * f.shape.block_sizes[idx[0]], inv.shape[-1]
+        y = np.zeros((len(idx), d, d), dtype=complex)
+        e = np.zeros_like(y)
+        y[:, :r, :r] = inv
+        e[:, :r, :r] = np.eye(r)
         ys.append(y)
         es.append(e)
-    x = AdjointableMap(f.shape, f.m, f.m, tuple(stacked(_similar, split.s_mats, ys, split.s_invs)))
-    proj = AdjointableMap(
-        f.shape, f.m, f.m, tuple(stacked(_similar, split.s_mats, es, split.s_invs))
+    x, proj = (
+        AdjointableMap._of_groups(
+            f.shape, f.m, f.m, stacked(_similar, split.s_mats, z, split.s_invs)
+        )
+        for z in (Grouped(ys, invs.members), Grouped(es, invs.members))
     )
     core_part = f @ proj
     nilp = f - core_part

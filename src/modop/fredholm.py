@@ -44,12 +44,6 @@ __all__ = [
     "b_fredholm_commuting_check",
 ]
 
-MODEL_NOTE = (
-    "finite-dimensional model: ranges are closed and defect witnesses always "
-    "exist; the quantitative content is in the classes, margins, and identities"
-)
-
-
 # ---------------------------------------------------------------------------
 # basic reports
 
@@ -65,7 +59,6 @@ class FredholmReport:
     is_weyl_zero_index: bool
     is_generalized_weyl: bool
     margin: float
-    note: str = MODEL_NOTE
 
     @property
     def kernel_class(self) -> K0Class:

@@ -57,7 +57,7 @@ import numpy as np
 from .errors import IdentityViolation, StructureError
 from .linmap import AdjointableMap
 from .modules import K0Class, Submodule
-from .subspace import herm, residual_values, stacked
+from .subspace import _live, _residual_values, herm, stacked
 from .tolerances import COINCIDE_TOL, DEFAULT_TOL, POSITIVITY_TAU, ToleranceConfig
 
 Array = np.ndarray
@@ -128,10 +128,11 @@ def dixmier_angle(m: Submodule, n: Submodule, tol: ToleranceConfig = DEFAULT_TOL
     """
     if m.shape != n.shape or m.m != n.m:
         raise StructureError("submodules live in different modules")
-    pairs = [(a, b) for a, b in zip(m.column_bases, n.column_bases) if a.shape[1] and b.shape[1]]
-    qms, qns = [a for a, _ in pairs], [b for _, b in pairs]
-    c_svd = max((float(v[0]) for v in stacked(_cross_values, qms, qns)), default=0.0)
-    c_proj = max((float(v[0]) for v in stacked(_projector_values, qms, qns)), default=0.0)
+    qms, qns = _live((m.groups, n.groups), lambda a, b: a.shape[-1] and b.shape[-1])
+    c_svd, c_proj = (
+        max((max(v[:, 0].tolist()) for v in stacked(fn, qms, qns).stacks), default=0.0)
+        for fn in (_cross_values, _projector_values)
+    )
     if abs(c_svd - c_proj) > tol.angle_tol:
         raise IdentityViolation(
             f"angle cross-check failed: {c_svd:.12e} vs {c_proj:.12e}"
@@ -163,9 +164,9 @@ def _min_modulus(
 ) -> float:
     """``min_modulus_restricted`` checked against ``meet`` = M ∩ N; None
     for a pair already cut down by ``_reduce``, whose intersection is zero."""
-    pairs = [(qm, qn) for qm, qn in zip(m.column_bases, n.column_bases) if qn.shape[1]]
-    residuals = residual_values([qm for qm, _ in pairs], [qn for _, qn in pairs])
-    delta = min((float(v[-1]) for v in residuals), default=math.inf)
+    qms, qns = _live((m.groups, n.groups), lambda _, qn: qn.shape[-1] > 0)
+    residuals = stacked(_residual_values, qms, qns)
+    delta = min((min(v[:, -1].tolist()) for v in residuals.stacks), default=math.inf)
     if meet is not None and meet.dim > 0:
         if delta > 10.0 * COINCIDE_TOL:
             raise IdentityViolation(
@@ -268,8 +269,8 @@ def _closed_sum(
 
     oblique = worst = None
     if m_red.dim > 0 and n_red.dim > 0:
-        factors = stacked(_oblique_factors, m_red.column_bases, n_red.column_bases)
-        oblique = max(float(v.max(initial=0.0)) for _, v in factors)
+        factors, values = stacked(_oblique_factors, m_red.groups, n_red.groups)
+        oblique = max(float(v.max(initial=0.0)) for v in values.stacks)
         if abs(delta - 1.0 / oblique) > 1e-8:
             raise IdentityViolation(
                 f"oblique projector norm {oblique:.12e} is not 1/delta = {1.0 / delta:.12e}"
@@ -279,7 +280,7 @@ def _closed_sum(
         xs = m_red.sample_coefficients(gen, samples)
         ys = n_red.sample_coefficients(gen, samples)
         sums = [
-            np.tensordot(r, np.concatenate([x, y]), axes=1) for (r, _), x, y in zip(factors, xs, ys)
+            np.tensordot(r, np.concatenate([x, y]), axes=1) for r, x, y in zip(factors.mats, xs, ys)
         ]
         scale = np.maximum(_module_norms([s.transpose(2, 0, 1) for s in sums]), 1e-300)
         x_norms = _module_norms([x.transpose(2, 0, 1) for x in xs]) / scale

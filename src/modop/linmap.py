@@ -1,4 +1,4 @@
-"""Adjointable maps between free modules, stored per block.
+"""Adjointable maps between free modules, stored group-major.
 
 A module map is an (n x m) matrix over the algebra acting by left
 multiplication.  Per algebra block it compresses to one complex matrix
@@ -9,6 +9,17 @@ compressed matrix tensored with I_{n_b}, so its singular values are the
 per-block ones with multiplicity n_b.  Every certificate works on the
 compressed blocks.  The dense flat matrix (``realization``) serves only
 as the test oracle and as the plain matrix ``modop banach`` works on.
+
+The blocks are stored as one read-only (count, rows, cols) stack per block
+size (a :class:`~modop.subspace.Grouped`), so a map over 1^256 is one
+(256, rows, cols) array.  Every operation (sums, products, adjoints, the
+spectral records, the staircase steps, the split and its certificate)
+runs on those stacks, one numpy call per group, and so does every
+per-block rank count.  A map copies its input once per block size only
+when built from per-block matrices (``AdjointableMap(shape, m, n,
+blocks)``, the files of :mod:`modop.serialize`); the results of its own
+operations are fresh stacks and are owned without a copy.  ``blocks``
+holds per-block views for I/O, reports and the test oracles.
 
 Each map carries two spectral records, computed on first use and
 cached: the values-only SVD of every block (``_svals``, read by ``norm``
@@ -22,10 +33,10 @@ complex block the full SVD takes 4.1 ms and the values-only one 1.7 ms
 (numpy 2.4, OpenBLAS on one thread, 2-core x86 machine).  Reading
 ``norm`` off the full SVD instead made the ladder-blockwise benchmark
 slower in 4 of 4 alternating pairs: 31.95 -> 29.32 ops/s, p90
-97.3 -> 110.5 ms.  Both are grouped stacked records:
-:func:`modop.subspace.stacked` makes one LAPACK call per distinct block
-shape and hands back per-block views, bitwise equal to per-block calls;
-the later power-chain steps are grouped the same way.
+97.3 -> 110.5 ms.  Both are stacked records on the map's groups:
+:func:`modop.subspace.stacked` makes one LAPACK call per group, bitwise
+equal to per-block calls; the later power-chain steps are grouped the
+same way.
 
 An endomorphism's :class:`PowerChain`, one per tolerance, holds its
 staircases and the core–nilpotent split Im F^p +' ker F^p with F's
@@ -57,11 +68,24 @@ from .errors import (
     UnmetHypothesisError,
 )
 from .modules import ModuleVector, Submodule, flat_dim
-from .subspace import SingularData, _decide, as_complex, herm, stacked, svd_datas
+from .subspace import (
+    Grouped,
+    SingularData,
+    _above,
+    _columns,
+    _decide,
+    _eyes,
+    _live,
+    _side_by_side,
+    _stack_ranks,
+    as_complex,
+    herm,
+    stacked,
+)
 from .tolerances import COMM_TOL, DEFAULT_TOL, RESIDUAL_TOL, ToleranceConfig
 
 Array = np.ndarray
-Svds = Sequence[tuple[Array, Array, Array]]  # one SVD per block
+Svd = tuple[Grouped, Grouped, Grouped]  # u, s, vh of every block
 
 __all__ = [
     "AdjointableMap",
@@ -77,40 +101,59 @@ __all__ = [
 class AdjointableMap:
     """Module map A^m -> A^n over a block algebra.
 
-    ``blocks[b]`` is the compressed complex matrix of shape
-    ``(n * n_b, m * n_b)`` acting on block-b column coordinates.
+    Block b's compressed complex matrix, of shape ``(n * n_b, m * n_b)``,
+    acts on block-b column coordinates.  ``groups`` holds them as one
+    stack per block shape; ``blocks[b]`` is a read-only view of block b.
+    The constructor checks and copies the per-block matrices (or the
+    blocks of a :class:`~modop.subspace.Grouped`) passed in, once per
+    block size; the map's own operations own their fresh result stacks
+    (:meth:`_of_groups`).
     """
 
     shape: AlgebraShape
     m: int
     n: int
-    blocks: tuple[Array, ...]
+    groups: Grouped
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise StructureError("module ranks must be positive")
-        if len(self.blocks) != self.shape.num_blocks:
+        blocks = self.groups.mats if isinstance(self.groups, Grouped) else self.groups
+        if len(blocks) != self.shape.num_blocks:
             raise StructureError("one compressed block per algebra block required")
-        frozen = []
-        for nb, blk in zip(self.shape.block_sizes, self.blocks):
-            blk = np.array(blk, dtype=np.complex128, order="C")  # a private copy
-            if blk.shape != (self.n * nb, self.m * nb):
+        for nb, blk in zip(self.shape.block_sizes, blocks):
+            if np.shape(blk) != (self.n * nb, self.m * nb):
                 raise StructureError(
-                    f"compressed block shape {blk.shape}, expected ({self.n * nb},{self.m * nb})"
+                    f"compressed block shape {np.shape(blk)}, "
+                    f"expected ({self.n * nb},{self.m * nb})"
                 )
-            blk.setflags(write=False)
-            frozen.append(blk)
-        object.__setattr__(self, "blocks", tuple(frozen))
+        stacks = self.shape.stacks(
+            lambda _, idx: np.array([blocks[b] for b in idx], dtype=complex, order="C")
+        )
+        object.__setattr__(self, "groups", stacks.frozen())
+
+    @classmethod
+    def _of_groups(cls, shape: AlgebraShape, m: int, n: int, groups: Grouped) -> "AdjointableMap":
+        """A map owning fresh stacks (results of stacked work, on groups
+        inside the block sizes): no copy and no check."""
+        out = cls.__new__(cls)
+        out.__dict__.update(shape=shape, m=m, n=n, groups=groups.frozen())
+        return out
+
+    @cached_property
+    def blocks(self) -> tuple[Array, ...]:
+        return self.groups.mats
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, shape: AlgebraShape, m: int, n: int) -> "AdjointableMap":
-        return cls(shape, m, n, tuple(np.zeros((n * nb, m * nb)) for nb in shape.block_sizes))
+        zeros = shape.stacks(lambda nb, idx: np.zeros((len(idx), n * nb, m * nb), complex))
+        return cls._of_groups(shape, m, n, zeros)
 
     @classmethod
     def identity(cls, shape: AlgebraShape, m: int) -> "AdjointableMap":
-        return cls(shape, m, m, tuple(np.eye(m * nb) for nb in shape.block_sizes))
+        return cls._of_groups(shape, m, m, shape.stacks(lambda nb, idx: _eyes(len(idx), m * nb)))
 
     @classmethod
     def from_entries(cls, rows: list[list[AlgebraElement]]) -> "AdjointableMap":
@@ -179,21 +222,22 @@ class AdjointableMap:
 
     def __add__(self, other: "AdjointableMap") -> "AdjointableMap":
         self._same_spaces(other)
-        return AdjointableMap(
-            self.shape, self.m, self.n, tuple(a + b for a, b in zip(self.blocks, other.blocks))
+        return AdjointableMap._of_groups(
+            self.shape, self.m, self.n, stacked(np.add, self.groups, other.groups)
         )
 
     def __sub__(self, other: "AdjointableMap") -> "AdjointableMap":
         self._same_spaces(other)
-        return AdjointableMap(
-            self.shape, self.m, self.n, tuple(a - b for a, b in zip(self.blocks, other.blocks))
+        return AdjointableMap._of_groups(
+            self.shape, self.m, self.n, stacked(np.subtract, self.groups, other.groups)
         )
 
     def __rmul__(self, scalar) -> "AdjointableMap":
-        return AdjointableMap(self.shape, self.m, self.n, tuple(scalar * b for b in self.blocks))
+        groups = self.groups.map(lambda s: scalar * s)
+        return AdjointableMap._of_groups(self.shape, self.m, self.n, groups)
 
     def __neg__(self) -> "AdjointableMap":
-        return AdjointableMap(self.shape, self.m, self.n, tuple(-b for b in self.blocks))
+        return AdjointableMap._of_groups(self.shape, self.m, self.n, self.groups.map(np.negative))
 
     def __matmul__(self, other: "AdjointableMap") -> "AdjointableMap":
         """Composition self after other."""
@@ -201,13 +245,13 @@ class AdjointableMap:
             raise StructureError(
                 f"cannot compose: domain rank {self.m} != codomain rank {other.n}"
             )
-        return AdjointableMap(
-            self.shape, other.m, self.n, tuple(stacked(np.matmul, self.blocks, other.blocks))
+        return AdjointableMap._of_groups(
+            self.shape, other.m, self.n, stacked(np.matmul, self.groups, other.groups)
         )
 
     def adjoint(self) -> "AdjointableMap":
-        return AdjointableMap(
-            self.shape, self.n, self.m, tuple(b.conj().T for b in self.blocks)
+        return AdjointableMap._of_groups(
+            self.shape, self.n, self.m, self.groups.map(lambda s: np.ascontiguousarray(herm(s)))
         )
 
     def power(self, k: int) -> "AdjointableMap":
@@ -234,20 +278,22 @@ class AdjointableMap:
     # -- spectral records, kernels and images ----------------------------------
 
     @cached_property
-    def _svals(self) -> tuple[Array, ...]:
-        return tuple(stacked(np.linalg.svd, self.blocks, compute_uv=False))
+    def _svals(self) -> Grouped:
+        return stacked(np.linalg.svd, self.groups, compute_uv=False)
 
     def _merged(
-        self, values: Sequence[Array], tol: ToleranceConfig, scale: float | None
+        self, values: Grouped, tol: ToleranceConfig, scale: float | None
     ) -> SingularData:
         """Shared-cutoff decision: block b's values repeated n_b times."""
-        counts = np.repeat(self.shape.block_sizes, [v.size for v in values])
-        merged = np.repeat(np.concatenate(values), counts)
+        # every group of a map's records lies inside one block size
+        sizes = [self.shape.block_sizes[idx[0]] for idx in values.members]
+        counts = np.repeat(sizes, [v.size for v in values.stacks]).astype(int)
+        merged = np.repeat(np.concatenate([v.ravel() for v in values.stacks] or [[]]), counts)
         return _decide(np.sort(merged)[::-1], tol, self.dim_ctx, scale)
 
     def norm(self) -> float:
         """Operator norm in the module sense (= largest block singular value)."""
-        return max((float(s[0]) if s.size else 0.0 for s in self._svals), default=0.0)
+        return max((max(s[:, 0].tolist()) for s in self._svals.stacks if s.shape[-1]), default=0.0)
 
     def singular_data(
         self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
@@ -255,32 +301,33 @@ class AdjointableMap:
         return self._merged(self._svals, tol, scale)
 
     @cached_property
-    def _svd(self) -> Svds:
-        return tuple(stacked(np.linalg.svd, self.blocks))
+    def _svd(self) -> Svd:
+        return stacked(np.linalg.svd, self.groups)
 
     def _ranks(
-        self, svds: Svds, tol: ToleranceConfig, scale: float | None
-    ) -> tuple[list[int], SingularData]:
-        """Per-block ranks of ``svds`` under one shared cutoff, and the
-        decision that set it."""
-        data = self._merged([s for _, s, _ in svds], tol, scale)
-        return [sum(1 for v in s.tolist() if v > data.threshold) for _, s, _ in svds], data
+        self, values: Grouped, tol: ToleranceConfig, scale: float | None
+    ) -> tuple[list[Sequence[int]], SingularData]:
+        """Per-block ranks of ``values``, one sequence per group, under one shared
+        cutoff, and the decision that set it."""
+        data = self._merged(values, tol, scale)
+        return [_above(v, data.threshold) for v in values.stacks], data
 
     def _image_of(
-        self, svds: Svds, tol: ToleranceConfig, scale: float | None
+        self, svd: Svd, tol: ToleranceConfig, scale: float | None
     ) -> tuple[Submodule, float]:
         """Column span of each decomposed block, and the decision's margin."""
-        ranks, data = self._ranks(svds, tol, scale)
-        bases = tuple(u[:, :r] for (u, _, _), r in zip(svds, ranks))
-        return Submodule(self.shape, self.n, bases), data.margin
+        u, s, _ = svd
+        ranks, data = self._ranks(s, tol, scale)
+        return Submodule._of_groups(self.shape, self.n, _columns(u, ranks, lead=True)), data.margin
 
     def _kernel_of(
-        self, svds: Svds, tol: ToleranceConfig, scale: float | None
+        self, svd: Svd, tol: ToleranceConfig, scale: float | None
     ) -> tuple[Submodule, float]:
         """Kernel of each fully decomposed block, and the decision's margin."""
-        ranks, data = self._ranks(svds, tol, scale)
-        bases = tuple(vh[r:].conj().T for (_, _, vh), r in zip(svds, ranks))
-        return Submodule(self.shape, self.m, bases), data.margin
+        _, s, vh = svd
+        ranks, data = self._ranks(s, tol, scale)
+        bases = _columns(vh.map(herm), ranks, lead=False)
+        return Submodule._of_groups(self.shape, self.m, bases), data.margin
 
     def kernel(
         self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
@@ -297,9 +344,9 @@ class AdjointableMap:
     ) -> Submodule:
         """(Im F)^perp: the trailing left singular vectors of the full SVD
         record, under the decision that sets ``image``."""
-        ranks, _ = self._ranks(self._svd, tol, scale)
-        bases = tuple(u[:, r:] for (u, _, _), r in zip(self._svd, ranks))
-        return Submodule(self.shape, self.n, bases)
+        u, s, _ = self._svd
+        ranks, _ = self._ranks(s, tol, scale)
+        return Submodule._of_groups(self.shape, self.n, _columns(u, ranks, lead=False))
 
     def image_step(
         self, sub: Submodule, tol: ToleranceConfig = DEFAULT_TOL
@@ -308,7 +355,7 @@ class AdjointableMap:
         the scale ||F|| and the map's ``dim_ctx``."""
         if sub.shape != self.shape or sub.m != self.m:
             raise StructureError("submodule not inside the domain module")
-        moved = stacked(np.matmul, self.blocks, sub.column_bases)
+        moved = stacked(np.matmul, self.groups, sub.groups)
         return self._image_of(stacked(np.linalg.svd, moved, full_matrices=False), tol, self.norm())
 
     def preimage_step(
@@ -318,7 +365,7 @@ class AdjointableMap:
         rank decision (same rule as :meth:`image_step`)."""
         if sub.shape != self.shape or sub.m != self.n:
             raise StructureError("submodule not inside the codomain module")
-        outside = stacked(_outside, self.blocks, sub.column_bases)
+        outside = stacked(_outside, self.groups, sub.groups)
         return self._kernel_of(stacked(np.linalg.svd, outside), tol, self.norm())
 
     def power_chain(self, tol: ToleranceConfig = DEFAULT_TOL) -> "PowerChain":
@@ -389,11 +436,13 @@ class PowerChain:
                 nxt, step_margin = f._image_of(f._svd, self.tol, f.norm())
             else:
                 nxt, step_margin = f.image_step(subs[-1], self.tol)
-            for b, (u, v) in enumerate(zip(nxt.column_bases, self.kernel(k).column_bases)):
-                if u.shape[1] + v.shape[1] != v.shape[0]:
+            kernel = self.kernel(k).groups
+            blocks = zip(nxt.groups.sizes(-1), kernel.sizes(-1), kernel.sizes(-2))
+            for b, (rank, null, rows) in enumerate(blocks):
+                if rank + null != rows:
                     raise IllConditionedError(
-                        f"block {b}: rank {u.shape[1]} of Im F^{k} contradicts the kernel "
-                        f"staircase's {v.shape[0] - v.shape[1]} (step margin {step_margin:.3e})"
+                        f"block {b}: rank {rank} of Im F^{k} contradicts the kernel "
+                        f"staircase's {rows - null} (step margin {step_margin:.3e})"
                     )
             subs.append(nxt)
             margin = min(margin, step_margin)
@@ -425,18 +474,21 @@ class PowerChain:
         unless, per block, the square S = [U V] has full rank."""
         p = self.index
         range_space, null_space = self.image(p), self.kernel(p)
-        s_mats = [np.hstack(uv) for uv in zip(range_space.column_bases, null_space.column_bases)]
-        cond = 1.0
-        for b, (s, sv) in enumerate(zip(s_mats, svd_datas(s_mats, self.tol, scale=1.0))):
-            cond_b = sv.smax / sv.values[-1] if sv.values and sv.values[-1] > 0 else math.inf
-            if sv.rank < s.shape[0]:
-                raise IllConditionedError(
-                    f"block {b}: splitting bases are numerically dependent (cond S = {cond_b:.3e})"
-                )
-            cond = max(cond, cond_b)
-        return CoreSplit(
-            range_space, null_space, tuple(s_mats), tuple(stacked(np.linalg.inv, s_mats)), cond
-        )
+        s_mats = stacked(_side_by_side, range_space.groups, null_space.groups)
+        values = stacked(np.linalg.svd, s_mats, compute_uv=False)
+        cond, bad = np.ones(s_mats.count), []
+        for s, idx in zip(values.stacks, values.members):
+            inf = np.full(len(s), math.inf)
+            cond[idx] = np.divide(s[:, 0], s[:, -1], out=inf, where=s[:, -1] > 0)
+            ranks = _stack_ranks(s, self.tol, s.shape[-1], 1.0)
+            bad += [b for b, r in zip(idx.tolist(), ranks) if r < s.shape[-1]]
+        if bad:
+            raise IllConditionedError(
+                f"block {min(bad)}: splitting bases are numerically dependent "
+                f"(cond S = {cond[min(bad)]:.3e})"
+            )
+        cond = max(1.0, max(cond.tolist()))
+        return CoreSplit(range_space, null_space, s_mats, stacked(np.linalg.inv, s_mats), cond)
 
     @cached_property
     def core(self) -> "BrowderWitness":
@@ -454,22 +506,25 @@ class PowerChain:
         singular value (+inf on the zero space).
         """
         split, tol = self.split, self.tol
-        ranks = split.range_space.k0().entries
-        ts = stacked(_similar, split.s_invs, g.blocks, split.s_mats)
-        g1s = tuple(t[:r, :r] for t, r in zip(ts, ranks))
-        g4s = tuple(t[r:, r:] for t, r in zip(ts, ranks))
-        mixed = [(t, r) for t, r in zip(ts, ranks) if 0 < r < t.shape[0]]
-        upper = stacked(np.linalg.svd, [t[:r, r:] for t, r in mixed], compute_uv=False)
-        lower = stacked(np.linalg.svd, [t[r:, :r] for t, r in mixed], compute_uv=False)
-        ng = max(g.norm(), 1e-300)
-        off = max((max(float(a[0]), float(b[0])) / ng for a, b in zip(upper, lower)), default=0.0)
+        # ts's groups lie inside the split's, whose blocks share their range
+        # rank: stacked never merges positions an operand keeps apart
+        ts = stacked(_similar, split.s_invs, g.groups, split.s_mats)
+        ranks = split.range_space.groups.sizes(-1)
+        parts = [(t, ranks[idx[0]], idx) for t, idx in zip(ts.stacks, ts.members)]
+        g1s = Grouped([t[:, :r, :r] for t, r, _ in parts], ts.members)
+        g4s = Grouped([t[:, r:, r:] for t, r, _ in parts], ts.members)
+        mixed = [(t, r, idx) for t, r, idx in parts if 0 < r < t.shape[-1]]
+        ng, off = max(g.norm(), 1e-300), 0.0
+        for corner in (lambda t, r: t[:, :r, r:], lambda t, r: t[:, r:, :r]):
+            corners = Grouped([corner(t, r) for t, r, _ in mixed], [idx for *_, idx in mixed])
+            for v in stacked(np.linalg.svd, corners, compute_uv=False).stacks:
+                off = max(off, max(v[:, 0].tolist()) / ng)
         if off > RESIDUAL_TOL * max(1.0, split.cond):
             raise IdentityViolation(
                 f"map is not block-diagonal on the splitting (off-diagonal {off:.3e})"
             )
-        cores = iter(stacked(np.linalg.svd, [g1 for g1 in g1s if g1.size], compute_uv=False))
-        values = [next(cores) if g1.size else np.zeros(0) for g1 in g1s]
-        data = g._merged(values, tol, g.norm())
+        (cores,) = _live((g1s,), lambda t: t.shape[-1] > 0)
+        data = g._merged(stacked(np.linalg.svd, cores, compute_uv=False), tol, g.norm())
         if data.rank != split.range_space.dim:
             raise IdentityViolation(
                 "map is not invertible on the stable range "
@@ -491,8 +546,8 @@ class CoreSplit:
 
     range_space: Submodule
     null_space: Submodule
-    s_mats: tuple[Array, ...]
-    s_invs: tuple[Array, ...]
+    s_mats: Grouped
+    s_invs: Grouped
     cond: float
 
 
@@ -502,8 +557,8 @@ class BrowderWitness:
     ``CoreSplit``), G invertible on M; in this finite model the complement
     N is always finitely generated."""
 
-    f1_blocks: tuple[Array, ...]
-    f4_blocks: tuple[Array, ...]
+    f1_blocks: Grouped
+    f4_blocks: Grouped
     gamma_f1: float
     off_diagonal_residual: float
 

@@ -7,11 +7,15 @@ into one (m*n_b) x n_b matrix.
 
 The key structural fact the code leans on: a subspace closed under the
 right algebra action decomposes per block as (column space) x (column
-positions).  A submodule is therefore stored as one orthonormal column
-basis per block — its K0 class is just the tuple of those basis sizes,
-so every K-theory statement downstream reduces to integer arithmetic on
-ranks decided per block, and random vectors are sampled as coefficients
-on those bases, never as tall forms.
+positions).  A submodule is therefore one orthonormal column basis per
+block — its K0 class is just the tuple of those basis sizes, so every
+K-theory statement downstream reduces to integer arithmetic on ranks
+decided per block, and random vectors are sampled as coefficients on
+those bases, never as tall forms.  The bases are stored as one read-only
+stack per (ambient, width) (a :class:`~modop.subspace.Grouped`), like a
+map's blocks, so the dimension, the class and the lattice operations
+(meets, complements) run per group; ``column_bases`` holds per-block
+views for I/O, reports and the test oracles.
 
 Flat coordinates (every entry block raveled, blocks in order, chosen so
 the standard inner product equals the trace of the algebra-valued one)
@@ -23,18 +27,24 @@ The dense flat basis of a submodule is a test oracle, not library code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape
 from .errors import StructureError
 from .subspace import (
+    Grouped,
+    _eyes,
+    _meets,
+    _side_by_side,
+    _spans,
     as_complex,
     empty_basis,
-    intersections,
-    null_spaces,
+    herm,
     orthonormal_images,
     residual_values,
+    stacked,
     subspace_equals,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -223,39 +233,51 @@ def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
 class Submodule:
     """A subspace of the free module closed under the right algebra action.
 
-    ``column_bases[b]`` is an orthonormal basis of the block-b column
-    space; the block-b component of the submodule is exactly (that
-    space) x (all column positions), so the complex dimension of the
-    component is ``n_b * column_bases[b].shape[1]``.
+    Block b's component is exactly (the span of an orthonormal column
+    basis of C^(m n_b)) x (all column positions), so its complex
+    dimension is n_b times the basis width.  ``groups`` holds the bases as
+    one stack per (ambient, width); ``column_bases[b]`` is a read-only view
+    of block b's.  The constructor checks and copies the per-block bases
+    (or the bases of a :class:`~modop.subspace.Grouped`) passed in, once
+    per shape; lattice operations own their fresh result stacks
+    (:meth:`_of_groups`).
     """
 
     shape: AlgebraShape
     m: int
-    column_bases: tuple[Array, ...]
+    groups: Grouped
 
     def __post_init__(self):
-        if len(self.column_bases) != self.shape.num_blocks:
+        bases = self.groups.mats if isinstance(self.groups, Grouped) else self.groups
+        if len(bases) != self.shape.num_blocks:
             raise StructureError("one column basis per block required")
-        frozen = []
-        for n, w in zip(self.shape.block_sizes, self.column_bases):
-            w = np.array(w, dtype=np.complex128, order="C")  # a private copy
-            if w.shape[0] != self.m * n:
-                raise StructureError(
-                    f"column basis rows {w.shape[0]} != {self.m}*{n}"
-                )
-            w.setflags(write=False)
-            frozen.append(w)
-        object.__setattr__(self, "column_bases", tuple(frozen))
+        for n, w in zip(self.shape.block_sizes, bases):
+            if np.shape(w)[0] != self.m * n:
+                raise StructureError(f"column basis rows {np.shape(w)[0]} != {self.m}*{n}")
+        object.__setattr__(self, "groups", Grouped.of(bases, complex).frozen())
+
+    @classmethod
+    def _of_groups(cls, shape: AlgebraShape, m: int, groups: Grouped) -> "Submodule":
+        """A submodule owning fresh basis stacks (results of stacked work):
+        no copy and no check."""
+        out = cls.__new__(cls)
+        out.__dict__.update(shape=shape, m=m, groups=groups.frozen())
+        return out
+
+    @cached_property
+    def column_bases(self) -> tuple[Array, ...]:
+        return self.groups.mats
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, shape: AlgebraShape, m: int) -> "Submodule":
-        return cls(shape, m, tuple(empty_basis(m * n) for n in shape.block_sizes))
+        zeros = shape.stacks(lambda n, idx: np.zeros((len(idx), m * n, 0), complex))
+        return cls._of_groups(shape, m, zeros)
 
     @classmethod
     def full(cls, shape: AlgebraShape, m: int) -> "Submodule":
-        return cls(shape, m, tuple(np.eye(m * n, dtype=np.complex128) for n in shape.block_sizes))
+        return cls._of_groups(shape, m, shape.stacks(lambda n, idx: _eyes(len(idx), m * n)))
 
     @classmethod
     def span_flat(
@@ -271,7 +293,7 @@ class Submodule:
             raise StructureError("flat matrix row count mismatch")
         q, _ = orthonormal_images([flat_matrix], tol, scale=1.0)[0]
         talls = _tall_from_flat(shape, m, q)
-        return cls(shape, m, tuple(w for w, _ in orthonormal_images(talls, tol, scale=1.0)))
+        return cls._of_groups(shape, m, _spans(Grouped.of(talls), tol, scale=1.0))
 
     @classmethod
     def span_vectors(
@@ -289,17 +311,15 @@ class Submodule:
 
     @property
     def dim(self) -> int:
-        """Complex dimension."""
-        return sum(
-            n * w.shape[1] for n, w in zip(self.shape.block_sizes, self.column_bases)
-        )
+        """Complex dimension: n_b times the width, summed over blocks."""
+        return sum(w.size for w in self.groups.stacks) // self.m
 
     @property
     def ambient_dim(self) -> int:
         return flat_dim(self.shape, self.m)
 
     def k0(self) -> K0Class:
-        return K0Class(tuple(w.shape[1] for w in self.column_bases))
+        return K0Class(tuple(self.groups.sizes(-1)))
 
     def basis_vectors(self) -> list[ModuleVector]:
         """Orthonormal basis in (block b, column j, position t) order: the
@@ -344,22 +364,19 @@ class Submodule:
     def complement(self) -> "Submodule":
         """Orthogonal complement (a submodule, since the action is *-closed):
         per block the kernel of W^H, decided at unit scale."""
-        adjoints = [w.conj().T for w in self.column_bases]
-        bases = [basis for basis, _ in null_spaces(adjoints, scale=1.0)]
-        return Submodule(self.shape, self.m, tuple(bases))
+        bases = _spans(self.groups.map(herm), DEFAULT_TOL, scale=1.0, kernel=True)
+        return Submodule._of_groups(self.shape, self.m, bases)
 
     def intersection(self, other: "Submodule") -> tuple["Submodule", float]:
         """Intersection plus the worst cosine gap behind the decisions."""
         self._check_ambient(other)
-        pairs = intersections(self.column_bases, other.column_bases)
-        gap = min(g for _, g in pairs)
-        return Submodule(self.shape, self.m, tuple(w for w, _ in pairs)), float(gap)
+        bases, gaps = _meets(self.groups, other.groups)
+        return Submodule._of_groups(self.shape, self.m, bases), min(gaps.tolist())
 
     def add(self, other: "Submodule", tol: ToleranceConfig = DEFAULT_TOL) -> "Submodule":
         self._check_ambient(other)
-        spans = [np.hstack([a, b]) for a, b in zip(self.column_bases, other.column_bases)]
-        bases = [basis for basis, _ in orthonormal_images(spans, tol, scale=1.0)]
-        return Submodule(self.shape, self.m, tuple(bases))
+        spans = stacked(_side_by_side, self.groups, other.groups)
+        return Submodule._of_groups(self.shape, self.m, _spans(spans, tol, scale=1.0))
 
     def sample_coefficients(self, rng: np.random.Generator, count: int = 1) -> list[Array]:
         """Random vectors inside the submodule, per block as the
@@ -370,7 +387,7 @@ class Submodule:
         to the C_b of all samples at once.  W_b has orthonormal columns, so
         every norm of W_b C_b is that of C_b: the tall forms are never built.
         """
-        sizes, ks = self.shape.block_sizes, [w.shape[1] for w in self.column_bases]
+        sizes, ks = self.shape.block_sizes, self.k0().entries
         coeff = rng.normal(size=(self.dim, count)) + 1j * rng.normal(size=(self.dim, count))
         parts = np.split(coeff, np.cumsum([k * n for k, n in zip(ks, sizes)])[:-1])
         return [c.reshape(k, n, count) for c, k, n in zip(parts, ks, sizes)]

@@ -16,8 +16,10 @@ submodule  -- ``{"shape": [...], "m": k, "vectors": [vector-entries...]}``;
 Every matrix entry must be finite: ``inf``/``nan`` (JSON ``1e999``,
 ``NaN``) are rejected with :class:`~modop.errors.DataError` before any
 numerical work runs, by the one check :func:`~modop.linmap.require_finite`:
-once per loaded vector and once per loaded operator (converted blockwise,
-or entry by entry when malformed, so the error names the bad entry).
+once per loaded vector and once per loaded operator (converted with one
+array conversion per block size, or entry by entry when malformed, so the
+error names the bad entry).  Operators are written back the same way: one
+``tolist`` per block-size group, with no element object per entry.
 
 Report emission is write-only: a generic walker keeps scalars,
 dimension data, margins, residuals, and K0 classes, and drops raw
@@ -40,6 +42,7 @@ from .algebra import AlgebraElement, AlgebraShape
 from .errors import DataError
 from .linmap import AdjointableMap, require_finite
 from .modules import K0Class, ModuleVector, Submodule
+from .subspace import Grouped
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
@@ -178,13 +181,23 @@ def vector_from_jsonable(data: Any) -> ModuleVector:
 
 
 def operator_to_jsonable(f: AdjointableMap) -> dict:
+    """The inverse of :func:`_blocks_from_entries`: one ``tolist`` per
+    block-size group, on a float view of its stack."""
+    entries = [[[None] * f.shape.num_blocks for _ in range(f.m)] for _ in range(f.n)]
+    for stack, idx in zip(f.groups.stacks, f.groups.members):
+        k, nb = len(idx), stack.shape[-1] // f.m
+        # row i*nb + r, column j*nb + c of block slot s -> entry (i, j), block s, element (r, c)
+        parts = np.ascontiguousarray(stack.reshape(k, f.n, nb, f.m, nb).transpose(1, 3, 0, 2, 4))
+        pairs = parts.view(np.float64).reshape(f.n, f.m, k, nb, nb, 2).tolist()
+        for row, lists in zip(entries, pairs):
+            for element, blocks in zip(row, lists):
+                for b, blk in zip(idx.tolist(), blocks):
+                    element[b] = blk
     return {
         "shape": shape_to_jsonable(f.shape),
         "domain": f.m,
         "codomain": f.n,
-        "entries": [
-            [element_to_jsonable(f.entry(i, j)) for j in range(f.m)] for i in range(f.n)
-        ],
+        "entries": entries,
     }
 
 
@@ -203,8 +216,8 @@ def operator_from_jsonable(data: Any) -> AdjointableMap:
         raise DataError(f"operator: 'entries' must have {n} rows")
     blocks = _blocks_from_entries(shape, entries, m, n)
     if blocks is not None:
-        require_finite(blocks, "map")
-        return AdjointableMap(shape, m, n, tuple(blocks))
+        require_finite(blocks.stacks, "map")
+        return AdjointableMap._of_groups(shape, m, n, blocks)
     # Malformed somewhere: parse entry by entry to name the first bad one.
     rows = []
     for i, row in enumerate(entries):
@@ -216,26 +229,30 @@ def operator_from_jsonable(data: Any) -> AdjointableMap:
     return AdjointableMap.from_entries(rows)
 
 
-def _blocks_from_entries(shape: AlgebraShape, entries: list, m: int, n: int) -> list | None:
+def _blocks_from_entries(shape: AlgebraShape, entries: list, m: int, n: int) -> Grouped | None:
     """Compressed blocks of a well-formed n x m entry list, one array
-    conversion per block; None if any row, entry or block is malformed."""
+    conversion per block size; None if any row, entry or block is malformed."""
     k = shape.num_blocks
     if not all(
         isinstance(row, list) and len(row) == m and all(isinstance(e, list) and len(e) == k for e in row)
         for row in entries
     ):
         return None
-    try:
-        arrs = [np.asarray([[e[b] for e in row] for row in entries], dtype=float) for b in range(k)]
-    except (TypeError, ValueError):
-        return None
-    if any(a.shape != (n, m, nb, nb, 2) for a, nb in zip(arrs, shape.block_sizes)):
-        return None
-    # entry (i, j), element (r, c) -> row i*nb + r, column j*nb + c
-    return [
-        np.ascontiguousarray(a.transpose(0, 2, 1, 3, 4)).view(np.complex128).reshape(n * nb, m * nb)
-        for a, nb in zip(arrs, shape.block_sizes)
-    ]
+    stacks = []
+    for idx in shape.size_groups:
+        # a shape of one block size takes every block: the entries as they stand
+        sel, nb = idx.tolist(), shape.block_sizes[idx[0]]
+        picked = entries if len(sel) == k else [[[e[b] for b in sel] for e in row] for row in entries]
+        try:
+            arr = np.asarray(picked, dtype=float)
+        except (TypeError, ValueError):
+            return None
+        if arr.shape != (n, m, len(idx), nb, nb, 2):
+            return None
+        # entry (i, j), block slot s, element (r, c) -> slot s, row i*nb + r, column j*nb + c
+        arr = np.ascontiguousarray(arr.transpose(2, 0, 3, 1, 4, 5))
+        stacks.append(arr.view(np.complex128).reshape(len(idx), n * nb, m * nb))
+    return Grouped(stacks, shape.size_groups)
 
 
 def submodule_to_jsonable(sub: Submodule) -> dict:

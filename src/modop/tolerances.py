@@ -77,9 +77,8 @@ class ToleranceConfig:
             )
 
     def rank_threshold(self, smax: float, ambient_dim: int) -> float:
-        """Absolute cutoff below which singular values count as zero."""
-        if smax == 0.0:
-            return 0.0
+        """Absolute cutoff below which singular values count as zero (0.0 for
+        the zero map); ``smax`` may be an array of references."""
         return self.rank_tol * smax * max(ambient_dim, 1)
 
 

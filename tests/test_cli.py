@@ -183,6 +183,20 @@ def test_ill_conditioned_split_exits_3(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_near_overflow_submodule_entry_exits_3(tmp_path, rng, capsys):
+    # finite entries whose SVD overflows to NaN singular values: no cutoff
+    # can rank them, so the load must not decide the zero submodule
+    payload = submodule_to_jsonable(random_submodule(AlgebraShape((2, 3)), 1, rng, ranks=(1, 2)))
+    payload["vectors"][0]["entries"][0][0][0][0] = [1.7e308, 1.7e308]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload))
+    assert main(["geometry", str(path), str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("IllConditionedError: singular values are not finite")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_lapack_failure_exits_cleanly(tmp_path, rng, capsys, monkeypatch):
     shape = AlgebraShape((2,))
     a, b = tmp_path / "a.json", tmp_path / "b.json"

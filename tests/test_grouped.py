@@ -12,10 +12,15 @@ import pytest
 from modop import linmap, subspace
 from modop.algebra import AlgebraShape
 from modop.cli import main
+from modop.drazin import commuting_browder_check, drazin_inverse
+from modop.errors import StructureError
+from modop.fredholm import b_fredholm_report
 from modop.linmap import AdjointableMap
+from modop.modules import Submodule
 from modop.randgen import parse_shape, random_endomorphism, random_submodule
 from modop.serialize import operator_to_jsonable, save_json
 from modop.subspace import (
+    Grouped,
     _decide,
     complement,
     empty_basis,
@@ -28,7 +33,18 @@ from modop.subspace import (
 
 
 def _one_by_one(fn, *operands, **kwargs):
-    return [fn(*mats, **kwargs) for mats in zip(*operands)]
+    """``stacked`` as a plain loop: fn on each position's 2-D matrices,
+    the results stacked on the groups ``stacked`` would call fn on."""
+    members, _ = subspace._aligned(operands)
+    held = [i for idx in members for i in idx.tolist()]
+    per = {i: fn(*(op.mats[i] for op in operands), **kwargs) for i in held}
+
+    def grouped(pick):
+        return Grouped([np.stack([pick(per[i]) for i in idx.tolist()]) for idx in members], members)
+
+    if per and isinstance(next(iter(per.values())), tuple):
+        return tuple(grouped(lambda r, j=j: r[j]) for j in range(len(next(iter(per.values())))))
+    return grouped(lambda r: r)
 
 
 def _per_matrix(monkeypatch):
@@ -60,12 +76,15 @@ def _svd_calls(monkeypatch):
 def test_stacked_keeps_input_order_and_per_matrix_bits(rng):
     shapes = [(4, 3), (2, 2), (4, 3), (4, 0), (2, 2), (4, 3), (1, 5)]
     mats = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
-    for (u, s, vh), a in zip(stacked(np.linalg.svd, mats), mats):
+    grouped = Grouped.of(mats)
+    assert len(grouped.stacks) == 4  # one stack per distinct shape
+    u, s, vh = stacked(np.linalg.svd, grouped)
+    for i, a in enumerate(mats):
         ref = np.linalg.svd(a)
-        assert all(np.array_equal(x, y) for x, y in zip((u, s, vh), ref))
-    vals = stacked(np.linalg.svd, mats, compute_uv=False)
+        assert all(np.array_equal(x.mats[i], y) for x, y in zip((u, s, vh), ref))
+    vals = stacked(np.linalg.svd, grouped, compute_uv=False).mats
     assert all(np.array_equal(v, np.linalg.svd(a, compute_uv=False)) for v, a in zip(vals, mats))
-    prods = stacked(np.matmul, mats, [a.conj().T for a in mats])
+    prods = stacked(np.matmul, grouped, Grouped.of([a.conj().T for a in mats])).mats
     assert all(np.array_equal(p, a @ a.conj().T) for p, a in zip(prods, mats))
 
 
@@ -83,6 +102,83 @@ def test_analyze_svd_calls_scale_with_shapes_not_blocks(tmp_path, monkeypatch, c
         counts[text] = calls[0]
         monkeypatch.undo()
     assert counts["1^32"] == counts["1^8"]
+
+
+def _group_calls(monkeypatch) -> collections.Counter:
+    """Count the numpy calls ``stacked`` makes, one per group, by routine."""
+    calls = collections.Counter()
+
+    def counting(fn, *operands, **kwargs):
+        def counted(*args, **kw):
+            calls[fn.__name__] += 1
+            return fn(*args, **kw)
+
+        return stacked(counted, *operands, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("modop") and getattr(module, "stacked", None) is stacked:
+            monkeypatch.setattr(module, "stacked", counting)
+    return calls
+
+
+def test_analyze_group_calls_scale_with_shapes_not_blocks(tmp_path, monkeypatch, capsys):
+    # every stacked routine (SVDs, products, inverses, the QR of a meet) runs
+    # once per stored group: 1^64/4 makes the calls 1^8/4 makes
+    counts = {}
+    for text in ("1^8", "1^64"):
+        f = random_endomorphism(parse_shape(text), 4, np.random.default_rng(7), nilpotent=(2, 1))
+        path = _write(tmp_path, f"endo-{text}.json", f)
+        calls = _group_calls(monkeypatch)
+        assert main(["analyze", path, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["drazin"]["p"] == 2
+        counts[text] = calls
+        monkeypatch.undo()
+    assert counts["1^64"] == counts["1^8"]
+    assert {"svd", "matmul", "inv", "_shared"} <= set(counts["1^8"])
+
+
+@pytest.mark.parametrize("make", ["map", "submodule"])
+def test_constructors_copy_their_inputs(make, rng):
+    shape = parse_shape("1^3,2")
+    if make == "map":
+        mats = [rng.normal(size=(2 * nb, 2 * nb)) + 0j for nb in shape.block_sizes]
+        obj = AdjointableMap(shape, 2, 2, mats)
+        stored = obj.blocks
+    else:
+        mats = [np.linalg.qr(rng.normal(size=(2 * nb, nb)) + 0j)[0] for nb in shape.block_sizes]
+        obj = Submodule(shape, 2, mats)
+        stored = obj.column_bases
+    before = [a.copy() for a in stored]
+    for a in mats:
+        a[...] = 7.0
+    assert all(np.array_equal(a, b) for a, b in zip(stored, before))
+
+
+def test_constructors_check_a_passed_grouped(rng):
+    # a Grouped handed to the public constructors is checked and copied like
+    # per-block input: a block short, or a block of the wrong size, is refused
+    shape = parse_shape("1^3,2")
+    mats = [rng.normal(size=(2 * nb, 2 * nb)) + 0j for nb in shape.block_sizes]
+    with pytest.raises(StructureError):
+        AdjointableMap(shape, 2, 2, Grouped.of(mats[:3]))
+    with pytest.raises(StructureError):
+        AdjointableMap(shape, 2, 2, Grouped.of(mats[:3] + [mats[0]]))
+    with pytest.raises(StructureError):
+        Submodule(shape, 2, Grouped.of([np.eye(2 * nb)[:, :1] for nb in (1, 1, 2, 2)]))
+    grouped = Grouped.of(mats)
+    f = AdjointableMap(shape, 2, 2, grouped)
+    assert all(a is not b for a, b in zip(f.groups.stacks, grouped.stacks))
+    assert all(np.array_equal(a, b) for a, b in zip(f.blocks, mats))
+
+
+def test_block_and_basis_views_are_read_only(rng):
+    f = random_endomorphism(parse_shape("1^4,3"), 2, rng, nilpotent=(1,))
+    derived = [f, f @ f, f.adjoint(), 2.0 * f - f]
+    subs = [f.kernel(), f.image(), f.kernel().complement(), f.image().intersection(f.kernel())[0]]
+    views = [b for g in derived for b in g.blocks] + [w for s in subs for w in s.column_bases]
+    assert views and not any(v.flags.writeable for v in views)
+    with pytest.raises(ValueError):
+        f.blocks[0][0, 0] = 1.0
 
 
 def test_staircase_decisions_scale_with_steps_not_blocks(monkeypatch):
@@ -167,6 +263,42 @@ def test_ragged_widths_match_per_matrix_loop(rng, monkeypatch):
     assert [w.shape[1] for w in meet] == [1, 1, 2, 1, 0, 2, 1]
     for got, want in ((meet, ref_meet), (comp_a, ref_a), (comp_b, ref_b)):
         assert all(x.shape == y.shape and np.array_equal(x, y) for x, y in zip(got, want))
+
+
+def test_regrouping_never_merges_positions_an_operand_keeps_apart(rng):
+    # four 2 x 2 matrices: one group in a, two in b (as a split keeps
+    # blocks of one size but different ranks apart)
+    mats = [_cnormal(rng, 2, 2) for _ in range(4)]
+    a = Grouped.of(mats)
+    b = Grouped([np.array(mats[0::2]), np.array(mats[1::2])], [np.array([0, 2]), np.array([1, 3])])
+    members, parts = subspace._aligned((a, b))
+    assert [idx.tolist() for idx in members] == [[0, 2], [1, 3]]
+    for idx, (x, y) in zip(members, parts):
+        assert np.array_equal(x, y) and np.array_equal(x, np.array([mats[i] for i in idx]))
+
+
+def test_equal_size_blocks_of_different_stable_ranks():
+    # 1^2 with F = diag(I, 0) and G = diag(I, J), J the nilpotent Jordan
+    # block: both blocks are 2 x 2, their stable ranges 2 and 0
+    shape, eye = AlgebraShape((1, 1)), np.eye(2)
+    jordan, zero = np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2))
+    f = AdjointableMap(shape, 2, 2, (eye, zero))
+    g = AdjointableMap(shape, 2, 2, (eye, jordan))
+    flipped = AdjointableMap(shape, 2, 2, (jordan, eye))
+    cases = ((f, 1, (4, 2), (2, 0)), (g, 2, (4, 3, 2), (2, 0)), (flipped, 2, (4, 3, 2), (0, 2)))
+    for h, p, chain, k0 in cases:
+        rep = drazin_inverse(h)
+        assert rep.p == p
+        for blk, rank in zip(rep.drazin_inverse.blocks, k0):
+            assert np.allclose(blk, eye if rank else zero)
+        b_rep = b_fredholm_report(h)
+        assert b_rep.rank_chain == chain and abs(b_rep.restricted_gamma - 1.0) < 1e-12
+        assert b_rep.stable_image.k0().entries == k0
+    browder = commuting_browder_check(f, g)
+    assert browder.p == 1 and browder.range_space.k0().entries == (2, 0)
+    for wit in (browder.witness_f, browder.witness_d):
+        assert [a.shape for a in wit.f1_blocks.mats] == [(2, 2), (0, 0)]
+        assert np.allclose(wit.f1_blocks.mats[0], eye)
 
 
 def _cnormal(rng, rows, cols):

@@ -13,9 +13,10 @@ from modop.drazin import drazin_inverse
 from modop.errors import DataError
 from modop.linmap import AdjointableMap
 from modop.modules import ModuleVector, Submodule
-from modop.randgen import random_map, random_submodule, random_vector_flat
+from modop.randgen import parse_shape, random_map, random_submodule, random_vector_flat
 from modop.serialize import (
     dumps_canonical,
+    element_to_jsonable,
     load_geometry_operand,
     load_json,
     load_operator,
@@ -30,6 +31,19 @@ from modop.serialize import (
     vector_from_jsonable,
     vector_to_jsonable,
 )
+
+
+@pytest.mark.parametrize("text, m", [("1^6,2^3,3", 2), ("16", 4), ("2,3", 2)])
+def test_grouped_operator_io_matches_the_entrywise_path(text, m, rng):
+    # one tolist per block-size group writes the JSON values the per-entry
+    # element path writes, and reading them back restores every bit
+    f = random_map(parse_shape(text), m, m + 1, rng)
+    data = operator_to_jsonable(f)
+    assert data["entries"] == [
+        [element_to_jsonable(f.entry(i, j)) for j in range(f.m)] for i in range(f.n)
+    ]
+    g = operator_from_jsonable(json.loads(json.dumps(data)))
+    assert all(np.array_equal(a, b) for a, b in zip(g.blocks, f.blocks))
 
 
 def test_operator_roundtrip(shape23, rng):
