@@ -13,6 +13,12 @@ Commands:
     endomorphism and a rank-deficient map A^3 -> A^2 over (2,3), 1^8
     and (4), module rank 3, and ``banach T F`` on the map with a rank-one
     perturbation F (the finite-rank perturbation certificate);
+  * ``analyze`` (json and text) and ``drazin`` on a 1^8 endomorphism whose
+    equal-size blocks differ in nilpotent sizes and a 1^8 map A^3 -> A^2
+    whose blocks differ in rank deficit, and ``geometry`` on the
+    endomorphism with itself and with the map: their kernels and images
+    hold blocks of one size in several groups, so the certificates
+    regroup them;
   * ``geometry`` on transverse, intersecting and operator pairs at seeds
     0-2;
   * the three ``probe`` families, text and csv.
@@ -43,6 +49,9 @@ VERIFY_SEEDS = (1, 2, 3)
 MAP_SHAPES = ("2,3", "1^8", "4")
 MAP_RANK = 3
 GEOMETRY_SEEDS = (0, 1, 2)
+# per block of the 1^8 maps: planted nilpotent sizes, and rank deficits
+RAGGED_NILPOTENT = ((), (1,), (2,), (3,), (2, 1), (1, 1), (1, 1, 1), (2,))
+RAGGED_DEFICITS = (0, 1, 2, 0, 1, 2, 1, 0)
 
 
 def write_inputs() -> list[list[str]]:
@@ -52,6 +61,7 @@ def write_inputs() -> list[list[str]]:
 
     from modop import randgen, serialize
     from modop.cli import SUITE_NAMES
+    from modop.linmap import AdjointableMap
     from modop.modules import Submodule
     from modop.probes import FAMILY_NAMES
 
@@ -86,6 +96,27 @@ def write_inputs() -> list[list[str]]:
         pert = randgen.random_low_rank(shape, MAP_RANK, 2, rng, rank=1, scale=0.5)
         pert_path = save(f"pert-{text}-{MAP_RANK}.json", serialize.operator_to_jsonable(pert))
         commands.append(["banach", path, pert_path, "--format", "json"])  # T: the rect map
+
+    shape, one = randgen.parse_shape("1^8"), randgen.parse_shape("1")
+    rng = np.random.default_rng([MAP_RANK, 8, 8])
+    endo = AdjointableMap(shape, MAP_RANK, MAP_RANK, tuple(
+        randgen.random_endomorphism(one, MAP_RANK, rng, nilpotent=sizes).blocks[0]
+        for sizes in RAGGED_NILPOTENT
+    ))
+    rect = AdjointableMap(shape, MAP_RANK, 2, tuple(
+        randgen.random_map(one, MAP_RANK, 2, rng, rank_deficit=d).blocks[0] for d in RAGGED_DEFICITS
+    ))
+    paths = {}
+    for kind, f in (("endo", endo), ("rect", rect)):
+        path = save(f"ragged-{kind}-1^8-{MAP_RANK}.json", serialize.operator_to_jsonable(f))
+        paths[kind] = path
+        commands += [
+            ["analyze", path, "--format", "json"],
+            ["analyze", path],
+            ["drazin", path, "--format", "json"],
+        ]
+    for right in paths.values():  # Im F against ker F, and against the kernel of the map
+        commands.append(["geometry", paths["endo"], right, "--seed", "0", "--format", "json"])
 
     shape = randgen.parse_shape("2,3")
     for seed in GEOMETRY_SEEDS:

@@ -35,15 +35,16 @@ import numpy as np
 
 from .errors import IdentityViolation, StructureError, UnmetHypothesisError
 from .subspace import (
+    Grouped,
     _decide,
+    _residual_values,
     as_complex,
     chains_exactness,
     intersections,
-    null_spaces,
+    null_space,
     op_norm,
-    orthonormal_images,
-    residual_values,
-    svd_datas,
+    orthonormal_image,
+    svd_data,
 )
 from .tolerances import DEFAULT_TOL, ILL_POSED_PROJECTOR_NORM, ToleranceConfig
 
@@ -105,16 +106,16 @@ def oblique_decomposition(
             f"complement dimensions {onto.shape[1]}+{along.shape[1]} != ambient {amb}"
         )
     s_mat = np.hstack([onto, along])
-    sdata = svd_datas([s_mat], tol, scale=1.0)[0]
+    sdata = svd_data(s_mat, tol, scale=1.0)
     if sdata.rank < amb:
         raise UnmetHypothesisError("claimed complements share directions (singular basis matrix)")
     e = onto @ np.linalg.inv(s_mat)[: onto.shape[1]]
     norm = op_norm(e)
     resid = op_norm(e @ e - e) / max(norm, 1e-300)
-    (image, _), (kernel, _) = orthonormal_images([onto, along], tol, scale=1.0)
+    image, kernel = (orthonormal_image(a, tol, scale=1.0)[0] for a in (onto, along))
     if image.shape[1] and kernel.shape[1]:
         exact = op_norm(np.linalg.inv(np.hstack([image, kernel]))[: image.shape[1]])
-        sin_min = float(residual_values([kernel], [image])[0][-1])
+        sin_min = float(_residual_values(kernel, image)[-1])
         if abs(1.0 / exact - sin_min) > 1e-8:
             raise IdentityViolation(
                 f"idempotent norm {exact:.12e} is not 1/sin theta_min = {1.0 / sin_min:.12e}"
@@ -328,10 +329,10 @@ def banach_perturbation(
     if f.shape != t.shape:
         raise StructureError("perturbation must have the same shape as T")
     nt, nf = op_norm(t), op_norm(f)
-    ker_f, f_data = null_spaces([f], tol)[0]
+    ker_f, f_data = null_space(f, tol)
     perturbed = _regular_orthogonal(t + f, max(nt + nf, 1e-300), tol)  # at ||T|| + ||F||
 
-    w, _ = orthonormal_images([t @ ker_f], tol, scale=max(nt, 1e-300))[0]
+    w, _ = orthonormal_image(t @ ker_f, tol, scale=max(nt, 1e-300))
     q_proj = np.eye(t.shape[0], dtype=complex) - w @ w.conj().T
     p_proj = np.eye(t.shape[1], dtype=complex) - ker_f @ ker_f.conj().T
 
@@ -344,12 +345,12 @@ def banach_perturbation(
             f"({common2.shape[1]} vs {common.shape[1]})"
         )
     projected = [q_proj @ im_t, q_proj @ im_tf, p_proj @ ker_t, p_proj @ ker_tf]
-    (n_space, _), (n_prime, _), (m_space, _), (m_prime, _) = orthonormal_images(
-        projected, tol, scale=1.0
+    n_space, n_prime, m_space, m_prime = (
+        orthonormal_image(a, tol, scale=1.0)[0] for a in projected
     )
 
     # Y = W (+) N' (+) V: V completes Im(T+F) = W (+) N'.
-    w_plus_np, _ = orthonormal_images([np.hstack([w, n_prime])], tol, scale=1.0)[0]
+    w_plus_np, _ = orthonormal_image(np.hstack([w, n_prime]), tol, scale=1.0)
     if w_plus_np.shape[1] != perturbed.rank:
         raise IdentityViolation(
             f"Im(T+F) should split as T(ker F) (+) N' "
@@ -436,8 +437,9 @@ def banach_product(
     gw_st = generalized_weyl_banach(st_reg)
 
     # Six-space sequence through the oblique quotient realisations.
-    (t_quotient, _), (s_quotient, _) = orthonormal_images(
-        [t_reg.im_complement, s_reg.im_complement], tol, scale=1.0
+    t_quotient, s_quotient = (
+        orthonormal_image(a, tol, scale=1.0)[0]
+        for a in (t_reg.im_complement, s_reg.im_complement)
     )
     spaces = (
         t_reg.kernel_basis,
@@ -458,7 +460,7 @@ def banach_product(
         spaces[5].conj().T @ (g_s @ spaces[4]),
     )
     dims = tuple(b.shape[1] for b in spaces)
-    nodes, inj, surj = chains_exactness([(dims, maps)], tol)[0]
+    nodes, inj, surj = chains_exactness([Grouped.of([a]) for a in maps], tol)
     alt = dims[0] - dims[1] + dims[2] - dims[3] + dims[4] - dims[5]
     if alt != 0:
         raise IdentityViolation(f"alternating dimension sum is {alt}, not 0")
@@ -477,9 +479,9 @@ def banach_product(
         gw_s=gw_s,
         gw_st=gw_st,
         chain_dims=dims,
-        node_residuals=tuple(n.residual for n in nodes),
-        injectivity_defect=inj,
-        surjectivity_defect=surj,
+        node_residuals=tuple(float(node[0]) for node in nodes),
+        injectivity_defect=float(inj[0]),
+        surjectivity_defect=float(surj[0]),
         witness_lhs=lhs,
         witness_rhs=rhs,
         ill_posed=s_reg.ill_posed or t_reg.ill_posed or st_reg.ill_posed,

@@ -14,7 +14,6 @@ failure raises instead of flagging.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from .errors import IdentityViolation, StructureError
 from .linmap import AdjointableMap, commutator_residual
 from .modules import K0Class, Submodule
-from .subspace import chains_exactness, residual_values
+from .subspace import _stickout, chains_exactness, herm, stacked
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 Array = np.ndarray
@@ -114,8 +113,9 @@ class ExactSequenceReport:
     Connecting maps: inclusion, the map itself, and orthogonal
     projections onto the complement spaces.  The sequence is certified
     per algebra block, on the column bases of the six submodules (the
-    flat sequence is each block's tensored with I_{n_b}), and every
-    residual is the worst over blocks.  ``node_residuals`` are worst-of
+    flat sequence is each block's tensored with I_{n_b}): each arrow is
+    one stacked product per group of blocks, and every residual is the
+    worst over blocks.  ``node_residuals`` are worst-of
     composition norm and principal-angle defect at each interior node;
     ``map_containment_residuals`` measure how far the inclusion and the
     f-arrow leave their targets.  The six spaces are read off the rank
@@ -141,11 +141,9 @@ class ExactSequenceReport:
         return max(pool + (self.injectivity_defect, self.surjectivity_defect), default=0.0)
 
 
-def _stickout(targets: Sequence[Array], moved: Sequence[Array]) -> float:
-    """Worst norm, over blocks, of the part of span(moved) outside span(target)."""
-    live = [(t, x) for t, x in zip(targets, moved) if x.shape[1]]
-    values = residual_values([t for t, _ in live], [x for _, x in live])
-    return max((float(v[0]) for v in values), default=0.0)
+def _coordinates(target: Array, x: Array) -> Array:
+    """x in the orthonormal column basis of ``target``: target^H x."""
+    return herm(target) @ x
 
 
 def exact_sequence(
@@ -173,35 +171,27 @@ def exact_sequence(
     # normalised so every map is O(1).  The two restriction arrows
     # (inclusion, and f from ker gf into ker g) must genuinely land in
     # their targets; the projection arrows carry no such requirement.
-    chains, moved = [], []
-    for b, (cf, cg) in enumerate(zip(f.blocks, g.blocks)):
-        w = [s.column_bases[b] for s in spaces]
-        moved_f = (cf / max(nf, 1e-300)) @ w[1]
-        maps = [
-            w[1].conj().T @ w[0],
-            w[2].conj().T @ moved_f,
-            w[3].conj().T @ w[2],
-            w[4].conj().T @ ((cg / max(ng, 1e-300)) @ w[3]),
-            w[5].conj().T @ w[4],
-        ]
-        chains.append(([x.shape[1] for x in w], maps))
-        moved.append(moved_f)
-    rows = [
-        [n.residual for n in nodes] + [inj, surj]
-        for nodes, inj, surj in chains_exactness(chains, tol)
+    w = [s.groups for s in spaces]
+    unit_f = f.groups.map(lambda c: c / max(nf, 1e-300))
+    unit_g = g.groups.map(lambda c: c / max(ng, 1e-300))
+    moved = stacked(np.matmul, unit_f, w[1])
+    arrows = [
+        stacked(_coordinates, w[1], w[0]),
+        stacked(_coordinates, w[2], moved),
+        stacked(_coordinates, w[3], w[2]),
+        stacked(_coordinates, w[4], stacked(np.matmul, unit_g, w[3])),
+        stacked(_coordinates, w[5], w[4]),
     ]
-    inclusion = _stickout(ker_gf.column_bases, ker_f.column_bases)
-    f_arrow = _stickout(ker_g.column_bases, moved)
-    worst = [max(col) for col in zip(*rows)]
+    nodes, inj, surj = chains_exactness(arrows, tol)
 
     return ExactSequenceReport(
         spaces=spaces,
         dims=dims,
         classes=tuple(s.k0() for s in spaces),
-        node_residuals=tuple(worst[:4]),
-        map_containment_residuals=(inclusion, f_arrow),
-        injectivity_defect=worst[4],
-        surjectivity_defect=worst[5],
+        node_residuals=tuple(max(node.tolist()) for node in nodes),
+        map_containment_residuals=(_stickout(w[1], w[0]), _stickout(w[2], moved)),
+        injectivity_defect=max(inj.tolist()),
+        surjectivity_defect=max(surj.tolist()),
         index_f=rep_f.index,
         index_g=rep_g.index,
         index_gf=ker_gf.k0() - im_gf_perp.k0(),

@@ -26,6 +26,7 @@ The dense flat basis of a submodule is a test oracle, not library code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,13 +40,12 @@ from .subspace import (
     _meets,
     _side_by_side,
     _spans,
+    _stickout,
     as_complex,
     empty_basis,
     herm,
-    orthonormal_images,
-    residual_values,
+    orthonormal_image,
     stacked,
-    subspace_equals,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -291,7 +291,7 @@ class Submodule:
         flat_matrix = as_complex(flat_matrix)
         if flat_matrix.shape[0] != flat_dim(shape, m):
             raise StructureError("flat matrix row count mismatch")
-        q, _ = orthonormal_images([flat_matrix], tol, scale=1.0)[0]
+        q, _ = orthonormal_image(flat_matrix, tol, scale=1.0)
         talls = _tall_from_flat(shape, m, q)
         return cls._of_groups(shape, m, _spans(Grouped.of(talls), tol, scale=1.0))
 
@@ -342,24 +342,26 @@ class Submodule:
             raise StructureError("submodules live in different modules")
 
     def equals(self, other: "Submodule", tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-        self._check_ambient(other)
-        pairs = subspace_equals(self.column_bases, other.column_bases, tol)
-        return all(ok for ok, _ in pairs)
+        """Same class, and a worst sine of at most ``tol.angle_tol``."""
+        return self.equality_defect(other) <= tol.angle_tol
 
     def equality_defect(self, other: "Submodule") -> float:
-        """Worst sine between corresponding blocks (+inf on dimension mismatch)."""
+        """Worst sine between corresponding blocks (+inf on dimension mismatch),
+        measured by projection defects in both directions: near zero angle a
+        principal cosine is quadratically insensitive and would report
+        sqrt(eps) noise."""
         self._check_ambient(other)
-        pairs = subspace_equals(self.column_bases, other.column_bases)
-        return max((worst for _, worst in pairs), default=0.0)
+        if self.groups.sizes(-1) != other.groups.sizes(-1):
+            return math.inf
+        return max(_stickout(self.groups, other.groups), _stickout(other.groups, self.groups))
 
     def contains(self, other: "Submodule", tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float]:
         self._check_ambient(other)
-        pairs = [(a, b) for a, b in zip(self.column_bases, other.column_bases) if b.shape[1]]
-        if any(big.shape[1] == 0 for big, _ in pairs):
+        widths = zip(self.groups.sizes(-1), other.groups.sizes(-1))
+        if any(big == 0 < small for big, small in widths):
             return False, 1.0
-        values = residual_values([big for big, _ in pairs], [small for _, small in pairs])
-        resids = [float(v[0]) for v in values]
-        return all(r <= tol.angle_tol for r in resids), max(resids, default=0.0)
+        worst = _stickout(self.groups, other.groups)
+        return worst <= tol.angle_tol, worst
 
     def complement(self) -> "Submodule":
         """Orthogonal complement (a submodule, since the action is *-closed):

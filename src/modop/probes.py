@@ -35,7 +35,7 @@ from .algebra import AlgebraShape
 from .errors import IdentityViolation, StructureError
 from .geometry import bouldin_criterion, dixmier_angle, min_modulus_restricted
 from .linmap import AdjointableMap
-from .subspace import svd_datas
+from .subspace import svd_data
 from .tolerances import DEFAULT_TOL, POSITIVITY_TAU, ToleranceConfig
 
 Array = np.ndarray
@@ -124,7 +124,7 @@ def left_multiplier_family(
         raise StructureError(f"multiplier must be {n}x{n}, got {s.shape}")
     f = AdjointableMap(AlgebraShape((n,)), 1, 1, (s,))
     gamma_f = f.singular_data(tol).gamma
-    gamma_s = svd_datas([s], tol, scale=float(np.linalg.norm(s, 2)))[0].gamma
+    gamma_s = svd_data(s, tol, scale=float(np.linalg.norm(s, 2))).gamma
     agree = (
         gamma_f == gamma_s
         if math.isinf(gamma_f) or math.isinf(gamma_s)

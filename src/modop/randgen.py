@@ -25,7 +25,7 @@ from .algebra import AlgebraElement, AlgebraShape
 from .errors import StructureError
 from .linmap import AdjointableMap
 from .modules import Submodule
-from .subspace import complement, null_spaces, orthonormal_images
+from .subspace import complement, null_space, orthonormal_image
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 Array = np.ndarray
@@ -259,7 +259,7 @@ def sheared_complement(
         return wc
     mix = basis @ _cnormal(rng, basis.shape[1], wc.shape[1])
     mix *= shear / max(np.linalg.norm(mix, 2), 1e-300)
-    q, _ = orthonormal_images([wc + mix], tol, scale=1.0)[0]
+    q, _ = orthonormal_image(wc + mix, tol, scale=1.0)
     return q
 
 
@@ -275,8 +275,8 @@ def random_regular_data(
     """(T, kernel complement, image complement) with bounded obliqueness —
     raw material for a regular-operator certificate on plain matrices."""
     t = random_matrix(rows, cols, rng, rank_deficit=rank_deficit)
-    kernel, _ = null_spaces([t], tol)[0]
-    image, _ = orthonormal_images([t], tol)[0]
+    kernel, _ = null_space(t, tol)
+    image, _ = orthonormal_image(t, tol)
     ker_c = sheared_complement(kernel, rng, shear=shear, tol=tol)
     im_c = sheared_complement(image, rng, shear=shear, tol=tol)
     return t, ker_c, im_c

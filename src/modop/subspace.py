@@ -5,12 +5,16 @@ Subspaces of C^d are represented by matrices with orthonormal columns
 singular values funnels through one cutoff, ``ToleranceConfig.rank_threshold``,
 and every recorded decision through one function, :func:`_decide`: it
 sets the cutoff under the shared tolerance policy and records the margin
-by which the decision was made.  :func:`svd_datas`, :func:`orthonormal_images`,
-:func:`null_spaces`, the chain maps of :func:`chains_exactness` and the
-regular operators of :mod:`modop.banach` (one full SVD each) call it once
-per matrix.  The maps of :mod:`modop.linmap` call it once per block family:
-a map's records and each step of its power chain merge the values of all
-blocks into one decision.
+by which the decision was made.  The one-matrix forms :func:`svd_data`,
+:func:`orthonormal_image` and :func:`null_space` (one SVD each) call it
+once per matrix, for callers holding a loose matrix: the flat calculus
+of :mod:`modop.banach`, the random constructions of :mod:`modop.randgen`,
+the probes, and the first step of ``Submodule.span_flat``.  The maps of
+:mod:`modop.linmap` call it once per block family: a map's records and
+each step of its power chain merge the values of all blocks into one
+decision.  The grouped rank counts (:func:`_stack_ranks`, used by the
+lattice operations and the arrows of :func:`chains_exactness`) decide
+every matrix of a stack at once, by the rule of :func:`_decide`.
 
 Storage is group-major.  A :class:`Grouped` holds matrices indexed by
 position (an algebra block, most often) as one (count, rows, cols) stack
@@ -25,15 +29,7 @@ numpy gives it an empty image, an identity kernel and no singular
 values, so its margin is +inf.  When operands are grouped differently
 (a map's blocks and a submodule whose widths vary, say), :func:`stacked`
 calls numpy once per group of positions that every operand holds in
-one group.  The list functions (:func:`orthonormal_images` and the
-rest) take and return per-position matrices, for callers holding loose
-ones, such as the flat calculus of :mod:`modop.banach` and the arrows of
-:func:`chains_exactness`: :func:`stacked` groups a list by shape per
-call and computes a lone matrix on its own.  Routing loose matrices
-through :class:`Grouped` objects instead, with lone rows counted by
-numpy, cost the verify-small benchmark (shape 2,3, 35 s runs) 19 % of
-its throughput and put its 90th percentile latency 29 % above that of
-the per-block storage it replaced, in 10 of 10 alternating pairs.
+one group.
 
 One wrinkle worth stating: rank cutoffs are relative to a *scale
 reference*.  For a matrix taken as primary input this is its own largest
@@ -61,15 +57,12 @@ __all__ = [
     "Grouped",
     "SingularData",
     "stacked",
-    "svd_datas",
+    "svd_data",
     "op_norm",
-    "orthonormal_images",
-    "null_spaces",
+    "orthonormal_image",
+    "null_space",
     "complement",
-    "residual_values",
-    "subspace_equals",
     "intersections",
-    "NodeCheck",
     "chains_exactness",
 ]
 
@@ -248,7 +241,7 @@ def _columns(g: Grouped, widths: Sequence[Sequence[int]], lead: bool) -> Grouped
     return Grouped([np.ascontiguousarray(p) for p, _ in pieces], g.members)
 
 
-def stacked(fn: Callable, *operands: Grouped | Sequence[Array], **kwargs):
+def stacked(fn: Callable, *operands: Grouped, **kwargs):
     """``fn`` on every position's matrices, one call per group of positions
     that every operand holds in one group (:func:`_aligned`).
 
@@ -256,36 +249,15 @@ def stacked(fn: Callable, *operands: Grouped | Sequence[Array], **kwargs):
     (``np.linalg.svd``, ``qr``, ``inv``, ``np.matmul`` or an expression of
     them).  Operands grouped alike (a map's blocks and the column bases of
     a submodule of uniform rank, say) pass their stored stacks, a stack of
-    one included, and the result is a :class:`Grouped` on the same groups
-    (a tuple of them for tuple results, such as an SVD).  Lists of loose
-    matrices are grouped by shape here: each group of two or more is
-    copied into a stack, a lone matrix is computed on its own, and the
-    result is a list in input order (tuple results per item as tuples).
-    Stacked LAPACK and BLAS output is bitwise equal to the per-matrix
-    output.
+    one included.  The result is a :class:`Grouped` on the called groups (a
+    tuple of them for tuple results, such as an SVD).  Stacked LAPACK and
+    BLAS output is bitwise equal to the per-matrix output.
     """
-    if not isinstance(operands[0], Grouped):
-        return _stacked_list(fn, operands, kwargs)
     members, parts = _aligned(operands)
     results = [fn(*args, **kwargs) for args in parts]
     if results and isinstance(results[0], tuple):
         return tuple([Grouped(rs, members) for rs in zip(*results)])
     return Grouped(results, members)
-
-
-def _stacked_list(fn: Callable, operands: tuple, kwargs: dict) -> list:
-    keys = [a.shape for a in operands[0]]
-    for op in operands[1:]:
-        keys = [k + a.shape for k, a in zip(keys, op)]
-    if len(set(keys)) == len(keys):  # every matrix alone in its group
-        return [fn(*mats, **kwargs) for mats in zip(*operands)]
-    out: list = [None] * len(keys)
-    for idx in _partition(keys):
-        if len(idx) > 1:
-            res = fn(*(np.array([op[i] for i in idx]) for op in operands), **kwargs)
-            for i, r in zip(idx, zip(*res) if isinstance(res, tuple) else res):
-                out[i] = r
-    return [fn(*mats, **kwargs) if r is None else r for r, mats in zip(out, zip(*operands))]
 
 
 @dataclass(frozen=True)
@@ -339,26 +311,19 @@ def _decide(
     return SingularData(vals, rank, gamma, threshold, margin)
 
 
-def _above(values: Array, cut: float | Array) -> Sequence[int]:
+def _above(values: Array, cut: float | Array) -> Array:
     """Per row of a (count, k) stack, how many values exceed ``cut`` (one
-    cutoff, or one per row).  A lone row, the rule on shapes whose block
-    sizes all differ, is counted in Python: a numpy reduction costs
-    microseconds even on a handful of values."""
-    if len(values) == 1:
-        c = cut if isinstance(cut, float) else float(cut[0])
-        return [sum(1 for v in values[0].tolist() if v > c)]
+    cutoff, or one per row)."""
     return np.add.reduce(values > (cut if isinstance(cut, float) else cut[:, None]), axis=-1)
 
 
 def _stack_ranks(
     values: Array, tol: ToleranceConfig, dim_ctx: int, scale: float | None
-) -> Sequence[int]:
+) -> Array:
     """The ranks :func:`_decide` gives the rows of a (count, k) stack of
     descending singular values, counted for the whole stack at once: the
     cutoff of each row is ``tol.rank_threshold`` at ``max(smax, scale)``,
-    as in :func:`_decide` (a lone row goes through :func:`_decide`)."""
-    if len(values) == 1:
-        return [_decide(values[0], tol, dim_ctx, scale).rank]
+    as in :func:`_decide`."""
     if not np.logical_and.reduce(np.isfinite(values), axis=None):
         raise IllConditionedError("singular values are not finite: the SVD overflowed")
     if not values.shape[-1]:
@@ -380,99 +345,58 @@ def _spans(
     return _columns(u, ranks, lead=True)
 
 
-def svd_datas(
-    mats: Sequence[Array],
-    tol: ToleranceConfig = DEFAULT_TOL,
-    *,
-    scale: float | None = None,
-) -> list[SingularData]:
-    """Singular values of each matrix plus the rank decision they support,
-    one stacked SVD per shape group.
+def svd_data(
+    a: Array, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
+) -> SingularData:
+    """Singular values of one matrix plus the rank decision they support.
 
-    The cutoff's dimension is ``max(a.shape)`` per matrix; ``scale`` is the
-    reference magnitude (defaults to each matrix's own largest singular
-    value).
+    The cutoff's dimension is ``max(a.shape)``; ``scale`` is the reference
+    magnitude (defaults to the matrix's own largest singular value).
     """
-    return [
-        _decide(s, tol, max(a.shape), scale)
-        for a, s in zip(mats, stacked(np.linalg.svd, mats, compute_uv=False))
-    ]
+    return _decide(np.linalg.svd(a, compute_uv=False), tol, max(a.shape), scale)
 
 
 def op_norm(a: Array) -> float:
     return float(np.linalg.svd(as_complex(a), compute_uv=False).max(initial=0.0))
 
 
-def orthonormal_images(
-    mats: Sequence[Array],
-    tol: ToleranceConfig = DEFAULT_TOL,
-    *,
-    scale: float | None = None,
-) -> list[tuple[Array, SingularData]]:
-    """Orthonormal basis of the column span of each matrix, with the rank
-    decision; one stacked SVD per shape group."""
-    out = []
-    for a, (u, s, _) in zip(mats, stacked(np.linalg.svd, mats, full_matrices=False)):
-        data = _decide(s, tol, max(a.shape), scale)
-        out.append((np.ascontiguousarray(u[:, : data.rank]), data))
-    return out
+def orthonormal_image(
+    a: Array, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
+) -> tuple[Array, SingularData]:
+    """Orthonormal basis of the column span of one matrix, with the rank
+    decision; one economy SVD."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    data = _decide(s, tol, max(a.shape), scale)
+    return np.ascontiguousarray(u[:, : data.rank]), data
 
 
-def null_spaces(
-    mats: Sequence[Array],
-    tol: ToleranceConfig = DEFAULT_TOL,
-    *,
-    scale: float | None = None,
-) -> list[tuple[Array, SingularData]]:
-    """Orthonormal basis of the (right) kernel of each matrix, with the rank
-    decision; one stacked SVD per shape group."""
-    out = []
-    for a, (_, s, vh) in zip(mats, stacked(np.linalg.svd, mats)):
-        data = _decide(s, tol, max(a.shape), scale)
-        out.append((np.ascontiguousarray(vh[data.rank :].conj().T), data))
-    return out
+def null_space(
+    a: Array, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
+) -> tuple[Array, SingularData]:
+    """Orthonormal basis of the (right) kernel of one matrix, with the rank
+    decision; one full SVD."""
+    _, s, vh = np.linalg.svd(a)
+    data = _decide(s, tol, max(a.shape), scale)
+    return np.ascontiguousarray(herm(vh[data.rank :])), data
 
 
 def complement(q: Array) -> Array:
     """Orthonormal basis of the orthogonal complement of span(q), decided
     at unit scale."""
-    return null_spaces([herm(q)], scale=1.0)[0][0]
+    return null_space(herm(q), scale=1.0)[0]
 
 
 def _residual_values(q: Array, x: Array) -> Array:
+    """Singular values of x - q q^H x, the part of span(x) outside span(q)."""
     return np.linalg.svd(x - q @ (herm(q) @ x), compute_uv=False)
 
 
-def residual_values(qs: Sequence[Array], xs: Sequence[Array]) -> list[Array]:
-    """Singular values of x - q q^H x, the part of span(x) outside span(q),
-    for each pair: one stacked SVD per shape group."""
-    return stacked(_residual_values, qs, xs)
-
-
-def subspace_equals(
-    q1s: Sequence[Array], q2s: Sequence[Array], tol: ToleranceConfig = DEFAULT_TOL
-) -> list[tuple[bool, float]]:
-    """Equality as subspaces, pair by pair: same dimension and worst sine
-    below tol.
-
-    Measured via projection defects in both directions rather than
-    arccos of principal cosines; near zero angle the cosine is
-    quadratically insensitive and would report sqrt(eps) noise.
-    """
-    live = [i for i, (a, b) in enumerate(zip(q1s, q2s)) if a.shape[1] == b.shape[1] > 0]
-    a, b = [q1s[i] for i in live], [q2s[i] for i in live]
-    d12 = iter(residual_values(b, a))
-    d21 = iter(residual_values(a, b))
-    out = []
-    for q1, q2 in zip(q1s, q2s):
-        if q1.shape[1] != q2.shape[1]:
-            out.append((False, math.inf))
-        elif q1.shape[1] == 0:
-            out.append((True, 0.0))
-        else:
-            worst = max(float(next(d12)[0]), float(next(d21)[0]))
-            out.append((worst <= tol.angle_tol, worst))
-    return out
+def _stickout(q: Grouped, x: Grouped) -> float:
+    """Worst norm, over the positions where x has columns, of the part of
+    span(x) outside span(q) (0.0 when there is none)."""
+    qs, xs = _live((q, x), lambda _, b: b.shape[-1] > 0)
+    values = stacked(_residual_values, qs, xs).stacks
+    return max((max(v[:, 0].tolist()) for v in values), default=0.0)
 
 
 def _side_by_side(u: Array, v: Array) -> Array:
@@ -535,85 +459,65 @@ def intersections(q1s: Sequence[Array], q2s: Sequence[Array]) -> list[tuple[Arra
     return list(zip(bases.mats, gaps.tolist()))
 
 
-@dataclass(frozen=True)
-class NodeCheck:
-    """Exactness bookkeeping at one interior node of a finite chain."""
-
-    dim: int
-    incoming_rank: int
-    outgoing_kernel_dim: int
-    composition_residual: float
-    angle_gap: float
-
-    @property
-    def exact(self) -> bool:
-        return self.incoming_rank == self.outgoing_kernel_dim
-
-    @property
-    def residual(self) -> float:
-        return max(self.composition_residual, self.angle_gap)
+def _largest(values: Array) -> Array:
+    """Per matrix of a stack of singular values, the largest (0.0 for none)."""
+    return values.max(axis=-1, initial=0.0)
 
 
 def _product_values(a: Array, b: Array) -> Array:
     return np.linalg.svd(a @ b, compute_uv=False)
 
 
-def chains_exactness(
-    chains: Sequence[tuple[Sequence[int], Sequence[Array]]],
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> list[tuple[list[NodeCheck], float, float]]:
-    """Check exactness of chains 0 -> V_0 -> ... -> V_k -> 0 given coordinate maps.
+def _node_residuals(out: Array, values: Array, image: Array, kernel: Array) -> Array:
+    """Per interior node of a group, the worse of two defects: the norm of
+    the outgoing arrow ``out`` (singular ``values``) on the incoming image,
+    and the projection defect between that image and the outgoing kernel,
+    1.0 when their dimensions differ.
 
-    ``chains`` holds (dims, maps) pairs; ``maps[i]`` is the matrix of
-    V_i -> V_{i+1} in orthonormal bases of the node spaces.  Returns per
-    chain the records of its interior nodes plus the injectivity residual
-    of the first map and the surjectivity residual of the last (as
-    sin-style defects; 0 means clean).  Each map is decomposed once: one
-    full SVD gives its rank (at unit scale), image, kernel and norm.  The
-    SVDs, node compositions and node comparisons of all chains are
-    grouped by shape.
+    Arrows are expected in unit scale (orthonormal node bases, normalised
+    operators), so the composition is divided by max(1, |out|): a
+    structurally-zero factor on either side then cannot amplify roundoff
+    into a fake defect.
     """
-    assert all(len(maps) == len(dims) - 1 for dims, maps in chains)
-    flat = [a for _, maps in chains for a in maps]
-    datas, images, kernels = [], [], []
-    for a, (u, s, vh) in zip(flat, stacked(np.linalg.svd, flat)):
-        datas.append(_decide(s, tol, max(a.shape), 1.0))
-        images.append(u[:, : datas[-1].rank])
-        kernels.append(vh[datas[-1].rank :].conj().T)
-    # interior nodes, by the index in ``flat`` of their incoming map
-    nodes, first = [], 0
-    for _, maps in chains:
-        nodes.extend(range(first, first + len(maps) - 1))
-        first += len(maps)
-    # Residual of the outgoing map on the *orthonormalised* image.  Maps are
-    # expected in unit scale (orthonormal node bases, normalised operators),
-    # so divide by max(1, |out|): a structurally-zero factor on either side
-    # then cannot amplify roundoff into a fake defect.
-    composed = [i for i in nodes if images[i].shape[1] and flat[i + 1].size]
-    norms = stacked(_product_values, [flat[i + 1] for i in composed], [images[i] for i in composed])
-    comps = dict.fromkeys(nodes, 0.0)
-    for i, vals in zip(composed, norms):
-        comps[i] = float(vals[0]) / max(datas[i + 1].smax, 1.0)
-    gaps = {i: 0.0 if images[i].shape[1] == kernels[i + 1].shape[1] else 1.0 for i in nodes}
-    compared = [i for i in nodes if images[i].shape[1] == kernels[i + 1].shape[1] > 0]
-    equal = subspace_equals([images[i] for i in compared], [kernels[i + 1] for i in compared], tol)
-    for i, (_, gap) in zip(compared, equal):
-        gaps[i] = gap
-    out, first = [], 0
-    for dims, maps in chains:
-        checks = [
-            NodeCheck(
-                dim=dims[i - first + 1],
-                incoming_rank=datas[i].rank,
-                outgoing_kernel_dim=kernels[i + 1].shape[1],
-                composition_residual=float(comps[i]),
-                angle_gap=float(gaps[i]),
-            )
-            for i in range(first, first + len(maps) - 1)
-        ]
-        last = first + len(maps) - 1
-        inj = 0.0 if datas[first].rank == dims[0] else 1.0
-        surj = 0.0 if datas[last].rank == dims[-1] else 1.0
-        out.append((checks, inj, surj))
-        first += len(maps)
-    return out
+    worst = np.zeros(len(out))
+    if out.shape[-2] and image.shape[-1]:
+        worst = _largest(_product_values(out, image)) / np.maximum(_largest(values), 1.0)
+    if image.shape[-1] != kernel.shape[-1]:
+        return np.maximum(worst, 1.0)
+    if image.shape[-1]:
+        for q, x in ((kernel, image), (image, kernel)):
+            worst = np.maximum(worst, _largest(_residual_values(q, x)))
+    return worst
+
+
+def chains_exactness(
+    arrows: Sequence[Grouped], tol: ToleranceConfig = DEFAULT_TOL
+) -> tuple[Array, Array, Array]:
+    """Check exactness of chains 0 -> V_0 -> ... -> V_k -> 0, one per position.
+
+    ``arrows[i]`` holds, at each position, the matrix of V_i -> V_{i+1} in
+    orthonormal bases of the node spaces.  Returns a (nodes, positions)
+    array of the residuals at the interior nodes: the worse of the
+    composition norm and the principal-angle defect between the incoming
+    image and the outgoing kernel, 1.0 where their dimensions differ.  Then,
+    per position, the injectivity defect of the first arrow and the
+    surjectivity defect of the last (0.0 clean, 1.0 not).  Each arrow is
+    decomposed once: one full SVD per group gives its ranks (at unit
+    scale, counted per group), images, kernels and norms.  Each node is
+    checked by one stacked call per group of positions as well.
+    """
+    images, kernels, values = [], [], []
+    for arrow in arrows:
+        u, s, vh = stacked(np.linalg.svd, arrow)
+        ranks = [_stack_ranks(v, tol, max(a.shape[1:]), 1.0) for v, a in zip(s.stacks, arrow.stacks)]
+        images.append(_columns(u, ranks, lead=True))
+        kernels.append(_columns(vh.map(herm), ranks, lead=False))
+        values.append(s)
+    nodes = np.zeros((len(arrows) - 1, arrows[0].count))
+    for i, node in enumerate(nodes):
+        checks = stacked(_node_residuals, arrows[i + 1], values[i + 1], images[i], kernels[i + 1])
+        for r, idx in zip(checks.stacks, checks.members):
+            node[idx] = r
+    inj = np.not_equal(images[0].sizes(-1), arrows[0].sizes(-1)).astype(float)
+    surj = np.not_equal(images[-1].sizes(-1), arrows[-1].sizes(-2)).astype(float)
+    return nodes, inj, surj

@@ -17,7 +17,7 @@ from modop.banach import (
 from modop.algebra import AlgebraShape
 from modop.errors import IdentityViolation, StructureError, UnmetHypothesisError
 from modop.linmap import AdjointableMap
-from modop.subspace import op_norm, residual_values
+from modop.subspace import _residual_values, op_norm
 from modop.tolerances import ILL_POSED_PROJECTOR_NORM
 from modop.randgen import (
     random_complement,
@@ -110,7 +110,7 @@ def test_idempotent_norm_gate_reads_the_orthonormal_bases():
     onto = np.stack([u, u + 1e-9 * v], axis=1)
     along = np.stack([w + 0.1 * u, z], axis=1)
     dec = oblique_decomposition(onto, along)
-    sin_min = residual_values([dec.kernel_basis], [dec.image_basis])[0][-1]
+    sin_min = _residual_values(dec.kernel_basis, dec.image_basis)[-1]
     assert dec.cond > 1e9 and sin_min > 0.9
     assert abs(1.0 / dec.norm - sin_min) > 1e-8
 

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
+from flat_oracle import flat_basis
 from test_acceptance import assert_index_bookkeeping
 
 from modop import fredholm
@@ -33,6 +35,7 @@ from modop.randgen import (
     random_endomorphism,
     random_low_rank,
     random_map,
+    random_matrix,
 )
 
 
@@ -151,6 +154,52 @@ def test_exact_sequence_runs_at_block_size(rng, monkeypatch):
     assert rep.worst_residual < 1e-8
     assert_index_bookkeeping(rep)
     assert sides and max(sides) <= 4 * 16
+
+
+def _unitary(rng, n):
+    return np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+
+
+def _flat_projectors(a):
+    """Orthogonal projectors onto ker A and (Im A)perp of a dense matrix,
+    from numpy's SVD and rank."""
+    u, _, vh = np.linalg.svd(a)
+    r = np.linalg.matrix_rank(a)
+    ker, coker = vh[r:].conj().T, u[:, r:]
+    return ker @ ker.conj().T, coker @ coker.conj().T
+
+
+def test_exact_sequence_on_blocks_of_one_size_and_different_structure(rng):
+    # 1^6, every block 3 x 3, but f's blocks differ in rank and nilpotent
+    # structure and g's in rank: the six spaces hold equal-size blocks of
+    # different widths, so the arrows regroup the blocks
+    shape = parse_shape("1^6")
+    jordan = np.eye(2, k=1)
+    cores = [
+        np.diag([1.5, 0.7, 1.2]),  # invertible
+        np.eye(3, k=1),  # one Jordan block: rank 2, index 3
+        np.zeros((3, 3)),
+        block_diag(jordan, 0.8),  # rank 2, index 2
+        np.diag([0.0, 0.0, 1.3]),  # rank 1, semisimple kernel
+        block_diag(jordan, 0.0),  # rank 1, index 2
+    ]
+    unitaries = [_unitary(rng, 3) for _ in cores]
+    f = AdjointableMap(shape, 3, 3, tuple(u @ c @ u.conj().T for u, c in zip(unitaries, cores)))
+    g = AdjointableMap(
+        shape, 3, 3, tuple(random_matrix(3, 3, rng, rank_deficit=d) for d in (1, 0, 2, 3, 1, 0))
+    )
+    rep = exact_sequence(f, g)
+    assert len({w.shape[1] for w in rep.spaces[1].column_bases}) > 1
+    a, b, ab = f.realization, g.realization, (g @ f).realization
+    (ker_a, perp_a), (ker_b, perp_b), (ker_ab, perp_ab) = map(_flat_projectors, (a, b, ab))
+    oracle = (ker_a, ker_ab, ker_b, perp_a, perp_ab, perp_b)
+    assert rep.dims == tuple(round(np.trace(p).real) for p in oracle)
+    for space, p in zip(rep.spaces, oracle):
+        q = flat_basis(space)
+        assert np.linalg.norm(q @ q.conj().T - p, 2) < 1e-8
+    assert max(rep.node_residuals + rep.map_containment_residuals) < 1e-8
+    assert rep.injectivity_defect == rep.surjectivity_defect == 0.0
+    assert_index_bookkeeping(rep)
 
 
 def test_exact_sequence_requires_composability(shape23, rng):

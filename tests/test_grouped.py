@@ -14,22 +14,25 @@ from modop.algebra import AlgebraShape
 from modop.cli import main
 from modop.drazin import commuting_browder_check, drazin_inverse
 from modop.errors import StructureError
-from modop.fredholm import b_fredholm_report
+from modop.fredholm import b_fredholm_report, exact_sequence
 from modop.linmap import AdjointableMap
 from modop.modules import Submodule
-from modop.randgen import parse_shape, random_endomorphism, random_submodule
+from modop.randgen import parse_shape, random_endomorphism, random_map, random_submodule
 from modop.serialize import operator_to_jsonable, save_json
 from modop.subspace import (
     Grouped,
     _decide,
+    _spans,
+    _stack_ranks,
     complement,
     empty_basis,
     intersections,
-    null_spaces,
-    orthonormal_images,
+    null_space,
+    orthonormal_image,
     stacked,
-    svd_datas,
+    svd_data,
 )
+from modop.tolerances import DEFAULT_TOL
 
 
 def _one_by_one(fn, *operands, **kwargs):
@@ -201,6 +204,32 @@ def test_staircase_decisions_scale_with_steps_not_blocks(monkeypatch):
     assert counts["1^32"] == counts["1^8"]
 
 
+def test_exact_sequence_decisions_scale_with_shapes_not_blocks(monkeypatch):
+    # every rank decision of the certificate, shared-cutoff (_decide) or
+    # counted per stack (_stack_ranks): 1^64/4 makes the calls 1^8/4 makes
+    counts = {}
+    for text in ("1^8", "1^64"):
+        rng = np.random.default_rng(3)
+        f, g = (random_map(parse_shape(text), 4, 4, rng, rank_deficit=1) for _ in range(2))
+        calls = collections.Counter()
+
+        def counting(real):
+            def counted(*args, **kwargs):
+                calls[real.__name__] += 1
+                return real(*args, **kwargs)
+
+            return counted
+
+        for module in (subspace, linmap):
+            for real in (_decide, _stack_ranks):
+                monkeypatch.setattr(module, real.__name__, counting(real))
+        assert exact_sequence(f, g).worst_residual < 1e-8
+        counts[text] = calls
+        monkeypatch.undo()
+    assert counts["1^64"] == counts["1^8"]
+    assert set(counts["1^8"]) == {"_decide", "_stack_ranks"}
+
+
 def test_analyze_runs_no_svd_job_twice(tmp_path, monkeypatch, capsys):
     # step 1 of both staircases reads the map's own full SVD record
     f = random_endomorphism(AlgebraShape((2, 3)), 2, np.random.default_rng(5), nilpotent=(2, 1))
@@ -265,6 +294,57 @@ def test_ragged_widths_match_per_matrix_loop(rng, monkeypatch):
         assert all(x.shape == y.shape and np.array_equal(x, y) for x, y in zip(got, want))
 
 
+def _outside(q, x):
+    """Norm of the part of span(x) outside span(q), in plain numpy."""
+    return float(np.linalg.norm(x - q @ (q.conj().T @ x), 2)) if x.shape[1] else 0.0
+
+
+def test_equals_and_contains_on_ragged_widths_match_a_per_block_loop(rng):
+    # equal-size blocks whose column bases differ in width, a zero one included
+    shape = AlgebraShape((2,) * 7)
+    a = random_submodule(shape, 2, rng, ranks=(3, 2, 3, 4, 0, 3, 1))
+    other = random_submodule(shape, 2, rng, ranks=(3, 2, 3, 4, 0, 3, 1))
+    turned = [w @ np.linalg.qr(_cnormal(rng, w.shape[1], w.shape[1]))[0] for w in a.column_bases]
+    tilted = list(turned)
+    tilted[2] = np.linalg.qr(turned[2] + 1e-6 * _cnormal(rng, 4, 3))[0]
+    inner = [w[:, : w.shape[1] // 2] for w in a.column_bases]  # widths 1, 1, 1, 2, 0, 1, 0
+    subs = {
+        "a": a,
+        "other": other,
+        "turned": Submodule(shape, 2, tuple(turned)),
+        "tilted": Submodule(shape, 2, tuple(tilted)),
+        "inner": Submodule(shape, 2, tuple(inner)),
+    }
+
+    def defect_loop(p, q):
+        if [w.shape[1] for w in p.column_bases] != [w.shape[1] for w in q.column_bases]:
+            return math.inf
+        pairs = zip(p.column_bases, q.column_bases)
+        return max(max(_outside(x, y), _outside(y, x)) for x, y in pairs)
+
+    def contains_loop(big, small):
+        pairs = [(x, y) for x, y in zip(big.column_bases, small.column_bases) if y.shape[1]]
+        if any(x.shape[1] == 0 for x, _ in pairs):
+            return False, 1.0
+        worst = max((_outside(x, y) for x, y in pairs), default=0.0)
+        return worst <= DEFAULT_TOL.angle_tol, worst
+
+    verdicts = set()
+    for p in subs.values():
+        for q in subs.values():
+            want = defect_loop(p, q)
+            got = p.equality_defect(q)
+            assert got == want or abs(got - want) <= 1e-14
+            assert p.equals(q) == (want <= DEFAULT_TOL.angle_tol)
+            (ok, worst), (want_ok, want_worst) = p.contains(q), contains_loop(p, q)
+            assert ok == want_ok and abs(worst - want_worst) <= 1e-14
+            verdicts.add((p.equals(q), ok))
+    assert verdicts == {(True, True), (False, True), (False, False)}
+    assert subs["a"].equals(subs["turned"]) and not subs["a"].equals(subs["tilted"])
+    assert subs["a"].contains(subs["inner"])[0]
+    assert subs["inner"].contains(subs["a"]) == (False, 1.0)
+
+
 def test_regrouping_never_merges_positions_an_operand_keeps_apart(rng):
     # four 2 x 2 matrices: one group in a, two in b (as a split keeps
     # blocks of one size but different ranks apart)
@@ -306,24 +386,39 @@ def _cnormal(rng, rows, cols):
 
 
 def test_zero_size_matrices_get_empty_answers_beside_live_ones(rng):
-    # (d, 0) and (0, d) matrices inside one list with two live 4 x 3 ones
+    # (d, 0) and (0, d) matrices beside two live 4 x 3 ones, one at a time
+    # and as one Grouped (the twins in one stack)
     live, twin = _cnormal(rng, 4, 3), _cnormal(rng, 4, 3)
     thin, flat = empty_basis(4), np.zeros((0, 3), dtype=np.complex128)
     mats = [live, thin, flat, twin]
-    images = orthonormal_images(mats, scale=1.0)
-    kernels = null_spaces(mats, scale=1.0)
-    datas = svd_datas(mats, scale=1.0)
+    images = [orthonormal_image(a, scale=1.0) for a in mats]
+    kernels = [null_space(a, scale=1.0) for a in mats]
+    datas = [svd_data(a, scale=1.0) for a in mats]
+    grouped = Grouped.of(mats)
+    assert len(grouped.stacks) == 3
+    spans = _spans(grouped, DEFAULT_TOL, scale=1.0).mats
+    nulls = _spans(grouped, DEFAULT_TOL, scale=1.0, kernel=True).mats
+    values = stacked(np.linalg.svd, grouped, compute_uv=False)
+    ranks = {}
+    for v, a, idx in zip(values.stacks, grouped.stacks, grouped.members):
+        got = _stack_ranks(v, DEFAULT_TOL, max(a.shape[1:]), 1.0)
+        ranks.update(zip(idx.tolist(), got.tolist()))
+    assert ranks == {i: d.rank for i, d in enumerate(datas)}
     for i, a in ((0, live), (3, twin)):
-        # grouped with its twin, a live matrix still gets the plain numpy bits
+        # alone, or stacked with its twin, a live matrix gets the plain numpy bits
         assert np.array_equal(images[i][0], np.linalg.svd(a, full_matrices=False)[0])
-        assert kernels[i][0].shape == (3, 0)
+        assert np.array_equal(spans[i], images[i][0])
+        assert kernels[i][0].shape == (3, 0) and nulls[i].shape == (3, 0)
         assert datas[i].values == tuple(np.linalg.svd(a, compute_uv=False).tolist())
+        assert datas[i].values == tuple(values.mats[i].tolist())
         assert datas[i].rank == 3 and math.isfinite(datas[i].margin)
     for i, (rows, cols) in ((1, (4, 0)), (2, (0, 3))):
         image, image_data = images[i]
         kernel, kernel_data = kernels[i]
-        assert image.shape == (rows, 0) and image.dtype == np.complex128
-        assert np.array_equal(kernel, np.eye(cols))  # everything is in the kernel
+        for basis in (image, spans[i]):
+            assert basis.shape == (rows, 0) and basis.dtype == np.complex128
+        for basis in (kernel, nulls[i]):
+            assert np.array_equal(basis, np.eye(cols))  # everything is in the kernel
         for data in (image_data, kernel_data, datas[i]):
             assert data.values == () and data.rank == 0
             assert data.gamma == math.inf and data.margin == math.inf

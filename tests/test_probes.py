@@ -73,12 +73,13 @@ def test_square_family_closed_form_gate_trips_on_a_planted_map(monkeypatch):
 
 
 def test_left_multiplier_gate_trips_on_a_planted_matrix_gamma(monkeypatch):
-    real = probes.svd_datas
+    real = probes.svd_data
 
-    def planted(mats, tol, scale):
-        return [replace(d, gamma=2.0 * d.gamma) for d in real(mats, tol, scale=scale)]
+    def planted(a, tol, scale):
+        data = real(a, tol, scale=scale)
+        return replace(data, gamma=2.0 * data.gamma)
 
-    monkeypatch.setattr(probes, "svd_datas", planted)
+    monkeypatch.setattr(probes, "svd_data", planted)
     with pytest.raises(IdentityViolation, match=r"^module reduced minimum .* differs from matrix value"):
         family_table("left-multiplier", [4])
 

@@ -7,19 +7,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from modop.algebra import AlgebraShape
 from modop.banach import oblique_decomposition
 from modop.errors import UnmetHypothesisError
+from modop.modules import Submodule
 from modop.subspace import (
+    Grouped,
+    _residual_values,
     as_complex,
     chains_exactness,
     complement,
     intersections,
-    null_spaces,
+    null_space,
     op_norm,
-    orthonormal_images,
-    residual_values,
-    subspace_equals,
-    svd_datas,
+    orthonormal_image,
+    svd_data,
 )
 
 
@@ -34,12 +36,12 @@ def tilted_plane(theta, ambient=4):
 
 def image_basis(a):
     """Column-span basis and rank decision of one matrix."""
-    return orthonormal_images([as_complex(a)])[0]
+    return orthonormal_image(as_complex(a))
 
 
 def kernel_basis(a):
     """Kernel basis and rank decision of one matrix."""
-    return null_spaces([as_complex(a)])[0]
+    return null_space(as_complex(a))
 
 
 def projector(q):
@@ -49,7 +51,7 @@ def projector(q):
 
 def test_svd_data_reads_off_planted_spectrum():
     a = np.diag([3.0, 1.0, 1e-14])
-    (data,) = svd_datas([as_complex(a)])
+    data = svd_data(as_complex(a))
     assert data.rank == 2
     assert abs(data.gamma - 1.0) < 1e-12
     assert abs(data.smax - 3.0) < 1e-12
@@ -57,7 +59,7 @@ def test_svd_data_reads_off_planted_spectrum():
 
 
 def test_svd_data_zero_map_conventions():
-    (data,) = svd_datas([as_complex(np.zeros((3, 2)))])
+    data = svd_data(as_complex(np.zeros((3, 2))))
     assert data.rank == 0
     assert data.gamma == math.inf
     assert data.margin == math.inf
@@ -87,7 +89,7 @@ def test_principal_angle_matches_planted_tilt():
     theta = 0.3
     a = tilted_plane(0.0)
     b = tilted_plane(theta)
-    sines = residual_values([a], [b])[0]
+    sines = _residual_values(a, b)
     assert abs(sines[-1]) < 1e-8
     assert abs(sines[0] - math.sin(theta)) < 1e-12
 
@@ -96,11 +98,12 @@ def test_subspace_equal_is_sine_based(rng):
     q, _ = image_basis(rng.normal(size=(6, 3)))
     # same span, different basis
     u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    (ok, defect), (tilted_ok, tilted_defect) = subspace_equals(
-        [q, tilted_plane(0.0)], [q @ u, tilted_plane(1e-5)]
-    )
-    assert ok and defect < 1e-12
-    assert not tilted_ok
+    line = AlgebraShape((1,))  # one 1 x 1 block: a submodule is a plain subspace
+    same, turned = Submodule(line, 6, (q,)), Submodule(line, 6, (q @ u,))
+    plane, tilted = (Submodule(line, 4, (tilted_plane(t),)) for t in (0.0, 1e-5))
+    assert same.equals(turned) and same.equality_defect(turned) < 1e-12
+    assert not plane.equals(tilted)
+    tilted_defect = plane.equality_defect(tilted)
     assert abs(tilted_defect - math.sin(1e-5)) < 1e-9  # linear, not sqrt(eps)-floored
 
 
@@ -116,9 +119,10 @@ def test_intersection_recovers_shared_line():
 def test_sum_and_containment(tol):
     # the sum is the image of the stacked bases; containment is a vanishing
     # residual of the smaller span against the larger
-    total, _ = orthonormal_images([np.hstack([tilted_plane(0.0), tilted_plane(0.3)])], scale=1.0)[0]
+    total, _ = orthonormal_image(np.hstack([tilted_plane(0.0), tilted_plane(0.3)]), scale=1.0)
     assert total.shape[1] == 3
-    inside, outside = residual_values([total, tilted_plane(0.0)], [tilted_plane(0.0), total])
+    inside = _residual_values(total, tilted_plane(0.0))
+    outside = _residual_values(tilted_plane(0.0), total)
     assert inside[0] <= tol.angle_tol
     assert outside[0] > tol.angle_tol
 
@@ -128,7 +132,7 @@ def test_min_modulus_is_sine_of_gap_angle():
     m = tilted_plane(0.0)[:, :1]  # span{e0}
     n = np.zeros((4, 1), dtype=complex)
     n[0, 0], n[1, 0] = math.cos(theta), math.sin(theta)
-    assert abs(residual_values([m], [n])[0][-1] - math.sin(theta)) < 1e-12
+    assert abs(_residual_values(m, n)[-1] - math.sin(theta)) < 1e-12
 
 
 def test_oblique_projector_idempotent_and_sliced(rng):
@@ -165,20 +169,28 @@ def test_chain_exactness_on_split_chain():
     # 0 -> C -> C^2 -> C -> 0 with inclusion then projection: exact everywhere
     inc = np.array([[1.0], [0.0]])
     proj = np.array([[0.0, 1.0]])
-    ((nodes, inj, surj),) = chains_exactness([([1, 2, 1], [inc, proj])])
-    assert inj == 0.0 and surj == 0.0
-    assert len(nodes) == 1 and nodes[0].exact
-    assert nodes[0].residual < 1e-14
+    nodes, inj, surj = chains_exactness([Grouped.of([inc]), Grouped.of([proj])])
+    assert inj.tolist() == [0.0] and surj.tolist() == [0.0]
+    assert len(nodes) == 1 and nodes[0][0] < 1e-14  # a rank mismatch would read 1.0
 
 
 def test_chain_exactness_flags_homology():
     # zero maps: kernel is everything, image is nothing -> not exact
     z1 = np.zeros((2, 1))
     z2 = np.zeros((1, 2))
-    ((nodes, inj, surj),) = chains_exactness([([1, 2, 1], [z1, z2])])
-    assert inj == 1.0 and surj == 1.0
-    assert not nodes[0].exact
-    assert nodes[0].incoming_rank == 0 and nodes[0].outgoing_kernel_dim == 2
+    nodes, inj, surj = chains_exactness([Grouped.of([z1]), Grouped.of([z2])])
+    assert inj.tolist() == [1.0] and surj.tolist() == [1.0]
+    # incoming rank 0 against an outgoing kernel of dimension 2
+    assert nodes[0].tolist() == [1.0]
+
+
+def test_chain_exactness_keeps_positions_apart():
+    # one stack, two chains of one shape: the split chain beside the zero one
+    inc, proj = np.array([[1.0], [0.0]]), np.array([[0.0, 1.0]])
+    z1, z2 = np.zeros((2, 1)), np.zeros((1, 2))
+    nodes, inj, surj = chains_exactness([Grouped.of([inc, z1]), Grouped.of([proj, z2])])
+    assert nodes[0][0] < 1e-14 and nodes[0][1] == 1.0
+    assert inj.tolist() == [0.0, 1.0] and surj.tolist() == [0.0, 1.0]
 
 
 def test_chain_exactness_decomposes_each_map_once(monkeypatch):
@@ -197,9 +209,10 @@ def test_chain_exactness_decomposes_each_map_once(monkeypatch):
         return svd(x, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
-    ((nodes, inj, surj),) = chains_exactness([([x + y for x, y in zip(a, b)], maps)])
-    assert inj == 0.0 and surj == 0.0
-    assert all(n.exact and n.residual < 1e-14 for n in nodes)
+    nodes, inj, surj = chains_exactness([Grouped.of([m]) for m in maps])
+    assert [m.shape[1] for m in maps] + [maps[-1].shape[0]] == [x + y for x, y in zip(a, b)]
+    assert inj.tolist() == [0.0] and surj.tolist() == [0.0]
+    assert len(nodes) == 4 and all(n[0] < 1e-14 for n in nodes)
     assert calls["full"] == len(maps)
 
 
@@ -211,7 +224,7 @@ def test_pythagoras_for_angles(seed):
     m, _ = image_basis(rng.normal(size=(5, 1)) + 1j * rng.normal(size=(5, 1)))
     n, _ = image_basis(rng.normal(size=(5, 1)) + 1j * rng.normal(size=(5, 1)))
     c = abs(np.vdot(m[:, 0], n[:, 0]))  # principal cosine of two lines
-    s = residual_values([m], [n])[0][-1]
+    s = _residual_values(m, n)[-1]
     assert abs(c * c + s * s - 1.0) < 1e-10
 
 
