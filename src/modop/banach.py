@@ -22,9 +22,11 @@ dimension sum is the index theorem.
 Each regular operator decides its rank once, on one SVD: a given T at
 ||T||, a derived one at its factor scale, ||T|| + ||F|| for T+F and
 ||S|| ||T|| for ST, so a numerically-zero sum or product is zero, not
-of full rank.  Conditioning of every idempotent is recorded; a projector
-norm above ``ILL_POSED_PROJECTOR_NORM`` flags the instance ill-posed
-instead of letting residual checks silently degrade.
+of full rank.  Each space is orthonormalized once (the SVD of T gives
+ker T, Im T and their orthogonal complements), and every idempotent E,
+||E|| and the sine checking ||E|| = 1/sin theta_min are read from that
+orthonormal pair.  A projector norm above ``ILL_POSED_PROJECTOR_NORM``
+flags the instance ill-posed instead of letting residual checks degrade.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ import numpy as np
 from .errors import IdentityViolation, StructureError, UnmetHypothesisError
 from .subspace import (
     Grouped,
-    _decide,
     _residual_values,
     as_complex,
     chains_exactness,
     intersections,
+    kernel_image,
     null_space,
     op_norm,
     orthonormal_image,
@@ -72,7 +74,10 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ObliqueDecomposition:
-    """A splitting of C^d into Im E and ker E for an idempotent E."""
+    """A splitting of C^d into Im E and ker E for an idempotent E, on
+    orthonormal bases of both.  ``cond`` is the condition number of
+    [image_basis kernel_basis]: cot(theta_min / 2), theta_min the smallest
+    principal angle between the halves (1.0 when a half is trivial)."""
 
     ambient: int
     idempotent: Array
@@ -84,22 +89,21 @@ class ObliqueDecomposition:
     ill_posed: bool  # norm above ILL_POSED_PROJECTOR_NORM
 
 
-def oblique_decomposition(
-    onto: Array, along: Array, tol: ToleranceConfig = DEFAULT_TOL
-) -> ObliqueDecomposition:
-    """The idempotent with range span(onto) and kernel span(along).
+def _orthonormal(a: Array, name: str, tol: ToleranceConfig) -> Array:
+    """Orthonormal basis of span(a) at unit scale; dependent columns raise."""
+    q, data = orthonormal_image(a, tol, scale=1.0)
+    if data.rank < a.shape[1]:
+        raise UnmetHypothesisError(
+            f"{name} has dependent columns (rank {data.rank} of {a.shape[1]})"
+        )
+    return q
 
-    The two spans must be algebraic complements of the ambient space;
-    anything else raises :class:`UnmetHypothesisError`.  When both are
-    nonzero, the identity ||E|| = 1/sin theta_min, theta_min the smallest
-    principal angle between them, is checked to within 1e-8 on the sine
-    scale.  Both sides come from the orthonormal bases of the two spans:
-    ||E|| from the top rows of the inverse of [image kernel], sin theta_min
-    from the residual of one basis against the other.  E itself is built
-    from the given bases, whose error grows with their conditioning, not
-    with the angle.
-    """
-    onto, along = as_complex(onto), as_complex(along)
+
+def _split(onto: Array, along: Array, tol: ToleranceConfig) -> ObliqueDecomposition:
+    """The idempotent onto span(onto) along span(along), both bases
+    orthonormal: E = onto (top rows of [onto along]^-1), its norm taken
+    once and checked against 1/sin theta_min, the sine read off the part
+    of span(onto) outside span(along)."""
     amb = onto.shape[0]
     if onto.shape[1] + along.shape[1] != amb:
         raise UnmetHypothesisError(
@@ -112,24 +116,39 @@ def oblique_decomposition(
     e = onto @ np.linalg.inv(s_mat)[: onto.shape[1]]
     norm = op_norm(e)
     resid = op_norm(e @ e - e) / max(norm, 1e-300)
-    image, kernel = (orthonormal_image(a, tol, scale=1.0)[0] for a in (onto, along))
-    if image.shape[1] and kernel.shape[1]:
-        exact = op_norm(np.linalg.inv(np.hstack([image, kernel]))[: image.shape[1]])
-        sin_min = float(_residual_values(kernel, image)[-1])
-        if abs(1.0 / exact - sin_min) > 1e-8:
+    if onto.shape[1] and along.shape[1]:
+        sin_min = float(_residual_values(along, onto)[-1])
+        if abs(1.0 / norm - sin_min) > 1e-8:
             raise IdentityViolation(
-                f"idempotent norm {exact:.12e} is not 1/sin theta_min = {1.0 / sin_min:.12e}"
+                f"idempotent norm {norm:.12e} is not 1/sin theta_min = {1.0 / sin_min:.12e}"
             )
     return ObliqueDecomposition(
         ambient=amb,
         idempotent=e,
-        image_basis=image,
-        kernel_basis=kernel,
+        image_basis=onto,
+        kernel_basis=along,
         norm=norm,
         cond=float(sdata.values[0] / sdata.values[-1]) if amb else 1.0,
         idempotency_residual=float(resid),
         ill_posed=norm > ILL_POSED_PROJECTOR_NORM,
     )
+
+
+def oblique_decomposition(
+    onto: Array, along: Array, tol: ToleranceConfig = DEFAULT_TOL
+) -> ObliqueDecomposition:
+    """The idempotent with range span(onto) and kernel span(along).
+
+    The two spans must be algebraic complements of the ambient space and
+    each basis must have independent columns; anything else raises
+    :class:`UnmetHypothesisError`.  Both bases are orthonormalized once,
+    and E, ||E|| and sin theta_min are all read from that orthonormal pair
+    (:func:`_split`), which checks ||E|| = 1/sin theta_min to within 1e-8.
+    """
+    onto, along = as_complex(onto), as_complex(along)
+    if onto.shape[1] + along.shape[1] == onto.shape[0]:  # else _split names the widths
+        onto, along = _orthonormal(onto, "onto", tol), _orthonormal(along, "along", tol)
+    return _split(onto, along, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,50 +188,28 @@ class RegularOperator:
         return self.ker_decomposition.ill_posed or self.im_decomposition.ill_posed
 
 
-def _kernel_image(t: Array, scale: float, tol: ToleranceConfig) -> tuple[Array, ...]:
-    """Orthonormal bases of ker T, Im T and of their orthogonal complements,
-    from one full SVD, the rank decided at ``scale``."""
-    u, s, vh = np.linalg.svd(t)
-    rank = _decide(s, tol, max(t.shape), scale).rank
-    bases = (vh[rank:].conj().T, u[:, :rank], vh[:rank].conj().T, u[:, rank:])
-    return tuple(np.ascontiguousarray(a) for a in bases)
-
-
 def _regular(
-    t: Array,
-    scale: float,
-    kernel: Array,
-    image: Array,
-    ker_complement: Array,
-    im_complement: Array,
-    tol: ToleranceConfig,
+    t: Array, scale: float, kernel: Array, image: Array, kc: Array, ic: Array, tol: ToleranceConfig
 ) -> RegularOperator:
-    """Regular operator of ``t`` on its kernel and image decided at ``scale``."""
+    """Regular operator of ``t`` decided at ``scale``, on orthonormal bases
+    of ker T, Im T and their chosen complements ``kc`` and ``ic``."""
     try:
-        ker_dec = oblique_decomposition(ker_complement, kernel, tol)
+        ker_dec = _split(kc, kernel, tol)
     except UnmetHypothesisError as exc:
         raise UnmetHypothesisError(
-            f"kernel complement (dim {ker_complement.shape[1]}) does not complement "
+            f"kernel complement (dim {kc.shape[1]}) does not complement "
             f"ker T (dim {kernel.shape[1]}) in C^{t.shape[1]}: {exc}"
         ) from exc
     try:
-        im_dec = oblique_decomposition(image, im_complement, tol)
+        im_dec = _split(image, ic, tol)
     except UnmetHypothesisError as exc:
         raise UnmetHypothesisError(
-            f"range complement (dim {im_complement.shape[1]}) does not complement "
+            f"range complement (dim {ic.shape[1]}) does not complement "
             f"Im T (dim {image.shape[1]}) in C^{t.shape[0]}: {exc}"
         ) from exc
 
-    kc = ker_dec.image_basis
-    e_y = im_dec.idempotent
-    t_on_kc = t @ kc
-    tprime = kc @ np.linalg.pinv(t_on_kc) @ e_y if kc.shape[1] else np.zeros((t.shape[1], t.shape[0]), complex)
-
-    r1 = op_norm(t @ tprime @ t - t) / scale
-    nprime = max(op_norm(tprime), 1e-300)
-    r2 = op_norm(tprime @ t @ tprime - tprime) / nprime
-    r3 = op_norm(t @ tprime - e_y) / max(im_dec.norm, 1.0)
-    r4 = op_norm(tprime @ t - ker_dec.idempotent) / max(ker_dec.norm, 1.0)
+    e_x, e_y = ker_dec.idempotent, im_dec.idempotent
+    tprime = kc @ np.linalg.pinv(t @ kc) @ e_y if kc.shape[1] else np.zeros((t.shape[1], t.shape[0]), complex)
     return RegularOperator(
         t=t,
         tprime=tprime,
@@ -222,36 +219,36 @@ def _regular(
         im_decomposition=im_dec,
         rank=image.shape[1],
         residuals={
-            "ttprime_t": float(r1),
-            "tprime_t_tprime": float(r2),
-            "tt_is_im_projection": float(r3),
-            "t_t_is_ker_projection": float(r4),
+            "ttprime_t": op_norm(t @ tprime @ t - t) / scale,
+            "tprime_t_tprime": op_norm(tprime @ t @ tprime - tprime) / max(op_norm(tprime), 1e-300),
+            "tt_is_im_projection": op_norm(t @ tprime - e_y) / max(im_dec.norm, 1.0),
+            "t_t_is_ker_projection": op_norm(tprime @ t - e_x) / max(ker_dec.norm, 1.0),
         },
     )
 
 
 def make_regular(
-    t: Array,
-    ker_complement: Array,
-    im_complement: Array,
-    tol: ToleranceConfig = DEFAULT_TOL,
+    t: Array, ker_complement: Array, im_complement: Array, tol: ToleranceConfig = DEFAULT_TOL
 ) -> RegularOperator:
     """Generalized inverse of ``t`` for explicitly chosen complements.
 
     ``ker_complement`` must complement ker T in the domain and
-    ``im_complement`` must complement Im T in the codomain; violations
-    raise with the offending dimensions.  The rank is decided at ||T||.
+    ``im_complement`` Im T in the codomain, each with independent columns;
+    violations raise with the offending dimensions.  The rank is decided
+    at ||T||, read off the one SVD of T.
     """
     t = as_complex(t)
-    scale = max(op_norm(t), 1e-300)
-    kc, ic = as_complex(ker_complement), as_complex(im_complement)
-    return _regular(t, scale, *_kernel_image(t, scale, tol)[:2], kc, ic, tol)
+    (kernel, image, _, _), data = kernel_image(t, tol)
+    kc = _orthonormal(as_complex(ker_complement), "kernel complement", tol)
+    ic = _orthonormal(as_complex(im_complement), "range complement", tol)
+    return _regular(t, max(data.smax, 1e-300), kernel, image, kc, ic, tol)
 
 
-def _regular_orthogonal(t: Array, scale: float, tol: ToleranceConfig) -> RegularOperator:
+def _regular_orthogonal(t: Array, scale: float | None, tol: ToleranceConfig) -> RegularOperator:
     """Orthogonal-complement regular operator of ``t``, its rank decided at
-    ``scale``: ||T|| for a given T, the factor scale for T+F and ST."""
-    return _regular(t, scale, *_kernel_image(t, scale, tol), tol)
+    ``scale`` (the factor scale for T+F and ST), or at ||T|| when None."""
+    bases, data = kernel_image(t, tol, scale=scale)
+    return _regular(t, max(data.smax, 1e-300) if scale is None else scale, *bases, tol)
 
 
 def make_regular_orthogonal(t: Array, tol: ToleranceConfig = DEFAULT_TOL) -> RegularOperator:
@@ -260,8 +257,7 @@ def make_regular_orthogonal(t: Array, tol: ToleranceConfig = DEFAULT_TOL) -> Reg
     With both complements orthogonal the generalized inverse is the
     Moore-Penrose pseudoinverse.
     """
-    t = as_complex(t)
-    return _regular_orthogonal(t, max(op_norm(t), 1e-300), tol)
+    return _regular_orthogonal(as_complex(t), None, tol)
 
 
 @dataclass(frozen=True)
@@ -328,8 +324,8 @@ def banach_perturbation(
     f = as_complex(f)
     if f.shape != t.shape:
         raise StructureError("perturbation must have the same shape as T")
-    nt, nf = op_norm(t), op_norm(f)
     ker_f, f_data = null_space(f, tol)
+    nt, nf = op_norm(t), f_data.smax
     perturbed = _regular_orthogonal(t + f, max(nt + nf, 1e-300), tol)  # at ||T|| + ||F||
 
     w, _ = orthonormal_image(t @ ker_f, tol, scale=max(nt, 1e-300))
@@ -432,22 +428,14 @@ def banach_product(
     r_bab = op_norm(tu @ s @ tu - tu) / ntu
     meet, _ = intersections([s_reg.kernel_basis], [q_tx])[0]
 
-    gw_t = generalized_weyl_banach(t_reg)
-    gw_s = generalized_weyl_banach(s_reg)
-    gw_st = generalized_weyl_banach(st_reg)
-
     # Six-space sequence through the oblique quotient realisations.
-    t_quotient, s_quotient = (
-        orthonormal_image(a, tol, scale=1.0)[0]
-        for a in (t_reg.im_complement, s_reg.im_complement)
-    )
     spaces = (
         t_reg.kernel_basis,
         st_reg.kernel_basis,
         s_reg.kernel_basis,
-        t_quotient,
+        t_reg.im_complement,
         st_reg.im_complement,
-        s_quotient,
+        s_reg.im_complement,
     )
     g_t = np.eye(t.shape[0], dtype=complex) - t_reg.im_decomposition.idempotent
     g_st = np.eye(s.shape[0], dtype=complex) - st_reg.im_decomposition.idempotent
@@ -475,9 +463,9 @@ def banach_product(
         st=st_reg,
         tu_residuals={"s_tu_s": float(r_aba), "tu_s_tu": float(r_bab)},
         meet_dim=meet.shape[1],
-        gw_t=gw_t,
-        gw_s=gw_s,
-        gw_st=gw_st,
+        gw_t=generalized_weyl_banach(t_reg),
+        gw_s=generalized_weyl_banach(s_reg),
+        gw_st=generalized_weyl_banach(st_reg),
         chain_dims=dims,
         node_residuals=tuple(float(node[0]) for node in nodes),
         injectivity_defect=float(inj[0]),

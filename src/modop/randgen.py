@@ -25,7 +25,7 @@ from .algebra import AlgebraElement, AlgebraShape
 from .errors import StructureError
 from .linmap import AdjointableMap
 from .modules import Submodule
-from .subspace import complement, null_space, orthonormal_image
+from .subspace import complement, kernel_image, orthonormal_image
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 Array = np.ndarray
@@ -259,8 +259,7 @@ def sheared_complement(
         return wc
     mix = basis @ _cnormal(rng, basis.shape[1], wc.shape[1])
     mix *= shear / max(np.linalg.norm(mix, 2), 1e-300)
-    q, _ = orthonormal_image(wc + mix, tol, scale=1.0)
-    return q
+    return orthonormal_image(wc + mix, tol, scale=1.0)[0]
 
 
 def random_regular_data(
@@ -275,8 +274,5 @@ def random_regular_data(
     """(T, kernel complement, image complement) with bounded obliqueness —
     raw material for a regular-operator certificate on plain matrices."""
     t = random_matrix(rows, cols, rng, rank_deficit=rank_deficit)
-    kernel, _ = null_space(t, tol)
-    image, _ = orthonormal_image(t, tol)
-    ker_c = sheared_complement(kernel, rng, shear=shear, tol=tol)
-    im_c = sheared_complement(image, rng, shear=shear, tol=tol)
-    return t, ker_c, im_c
+    (kernel, image, _, _), _ = kernel_image(t, tol)
+    return (t, *(sheared_complement(b, rng, shear=shear, tol=tol) for b in (kernel, image)))

@@ -6,15 +6,16 @@ singular values funnels through one cutoff, ``ToleranceConfig.rank_threshold``,
 and every recorded decision through one function, :func:`_decide`: it
 sets the cutoff under the shared tolerance policy and records the margin
 by which the decision was made.  The one-matrix forms :func:`svd_data`,
-:func:`orthonormal_image` and :func:`null_space` (one SVD each) call it
-once per matrix, for callers holding a loose matrix: the flat calculus
-of :mod:`modop.banach`, the random constructions of :mod:`modop.randgen`,
-the probes, and the first step of ``Submodule.span_flat``.  The maps of
-:mod:`modop.linmap` call it once per block family: a map's records and
-each step of its power chain merge the values of all blocks into one
-decision.  The grouped rank counts (:func:`_stack_ranks`, used by the
-lattice operations and the arrows of :func:`chains_exactness`) decide
-every matrix of a stack at once, by the rule of :func:`_decide`.
+:func:`orthonormal_image`, :func:`null_space` and :func:`kernel_image`
+(one SVD each) call it once per matrix, for callers holding a loose
+matrix: the flat calculus of :mod:`modop.banach`, the random
+constructions of :mod:`modop.randgen`, the probes, and the first step of
+``Submodule.span_flat``.  The maps of :mod:`modop.linmap` call it once
+per block family: a map's records and each step of its power chain
+merge the values of all blocks into one decision.  The grouped rank
+counts (:func:`_stack_ranks`, used by the lattice operations and the
+arrows of :func:`chains_exactness`) decide every matrix of a stack at
+once, by the rule of :func:`_decide`.
 
 Storage is group-major.  A :class:`Grouped` holds matrices indexed by
 position (an algebra block, most often) as one (count, rows, cols) stack
@@ -61,6 +62,7 @@ __all__ = [
     "op_norm",
     "orthonormal_image",
     "null_space",
+    "kernel_image",
     "complement",
     "intersections",
     "chains_exactness",
@@ -370,14 +372,26 @@ def orthonormal_image(
     return np.ascontiguousarray(u[:, : data.rank]), data
 
 
+def kernel_image(
+    a: Array, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
+) -> tuple[tuple[Array, Array, Array, Array], SingularData]:
+    """Orthonormal bases of the kernel and the column span of one matrix and
+    of their orthogonal complements (kernel, image, row span, left kernel),
+    with the rank decision; one full SVD."""
+    u, s, vh = np.linalg.svd(a)
+    data = _decide(s, tol, max(a.shape), scale)
+    r = data.rank
+    bases = (herm(vh[r:]), u[:, :r], herm(vh[:r]), u[:, r:])
+    return tuple(np.ascontiguousarray(b) for b in bases), data
+
+
 def null_space(
     a: Array, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
 ) -> tuple[Array, SingularData]:
     """Orthonormal basis of the (right) kernel of one matrix, with the rank
-    decision; one full SVD."""
-    _, s, vh = np.linalg.svd(a)
-    data = _decide(s, tol, max(a.shape), scale)
-    return np.ascontiguousarray(herm(vh[data.rank :])), data
+    decision: the first basis of :func:`kernel_image`."""
+    (kernel, *_), data = kernel_image(a, tol, scale=scale)
+    return kernel, data
 
 
 def complement(q: Array) -> Array:

@@ -15,6 +15,7 @@ from modop.banach import (
     oblique_decomposition,
 )
 from modop.algebra import AlgebraShape
+from modop.cli import RunConfig, run_suite
 from modop.errors import IdentityViolation, StructureError, UnmetHypothesisError
 from modop.linmap import AdjointableMap
 from modop.subspace import _residual_values, op_norm
@@ -70,6 +71,9 @@ def test_wrong_complements_rejected(rng):
     with pytest.raises(UnmetHypothesisError):
         # right dimensions, but the claimed range complement is inside Im T
         make_regular(t, np.eye(3)[:, :2], np.eye(3)[:, :1])
+    # the widths add up, but onto's two columns span one line
+    with pytest.raises(UnmetHypothesisError, match=r"^onto has dependent columns \(rank 1 of 2\)"):
+        oblique_decomposition([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]], np.eye(3)[:, 1:2])
 
 
 def test_witness_pads():
@@ -103,16 +107,19 @@ def test_idempotent_norm_is_one_over_the_smallest_sine(rng):
 
 
 def test_idempotent_norm_gate_reads_the_orthonormal_bases():
-    # onto's columns are 1e-9 apart, so E, built from them, is off by more
-    # than 1e-8 on the sine scale, though the spans meet at a large angle
+    # onto's columns are 1e-9 apart, but E is built from the orthonormal
+    # bases of the two spans, which meet at a large angle: ||E|| matches
+    # 1/sin theta_min to roundoff, and the basis matrix is conditioned by
+    # the angle alone, cot(theta_min / 2)
     q, _ = np.linalg.qr(np.random.default_rng(39).standard_normal((4, 4)))
     u, v, w, z = q.T
     onto = np.stack([u, u + 1e-9 * v], axis=1)
     along = np.stack([w + 0.1 * u, z], axis=1)
     dec = oblique_decomposition(onto, along)
     sin_min = _residual_values(dec.kernel_basis, dec.image_basis)[-1]
-    assert dec.cond > 1e9 and sin_min > 0.9
-    assert abs(1.0 / dec.norm - sin_min) > 1e-8
+    assert sin_min > 0.9
+    assert abs(1.0 / dec.norm - sin_min) <= 1e-14
+    assert abs(dec.cond - 1.0 / np.tan(0.5 * np.arcsin(sin_min))) <= 1e-12
 
 
 def test_idempotent_norm_gate_trips_on_a_planted_norm(rng, monkeypatch):
@@ -134,19 +141,21 @@ def test_make_regular_computes_each_projector_norm_once(monkeypatch):
         calls[0] += 1
         return svd(a, *args, **kwargs)
 
-    # ||T||, one SVD for ker T and Im T; per decomposition the basis matrix,
-    # ||E||, the idempotency residual, the two halves' bases, and the norm
-    # and sine of the identity check; five residual norms.  The orthogonal
-    # choice reads both complements off that one SVD.  The perturbation
-    # takes ||T||, ||F||, ker F, T(ker F), one SVD of T+F (its complements
-    # included), the common kernel, four projected spaces, the split check
-    # and the perturbed operator, whose invertible T+F leaves nothing to
-    # cross-check.  A second decomposition of T or of T+F, a complement
-    # recomputed from a basis, or a recomputed ||E||, shows here.
+    # One SVD of T gives ker T, Im T and ||T||; make_regular orthonormalizes
+    # each given complement once; per decomposition the basis matrix, ||E||,
+    # the idempotency residual and the sine of the identity check; five
+    # residual norms.  The orthogonal choice reads both complements off the
+    # SVD of T.  The perturbation takes ||T||, one SVD of F (ker F and
+    # ||F||), T(ker F), one SVD of T+F (its complements included), the
+    # common kernel, four projected spaces, the split check and the
+    # perturbed operator, whose invertible T+F leaves no sine to take.  A
+    # second decomposition of T, F or T+F, a norm taken beside its SVD, an
+    # orthonormal basis orthonormalized again, or a recomputed ||E||, shows
+    # here.
     for build, expected in (
-        (lambda: make_regular(t, kc, ic), 21),
-        (lambda: make_regular_orthogonal(t), 21),
-        (lambda: banach_perturbation(reg, f).perturbed, 26),
+        (lambda: make_regular(t, kc, ic), 16),
+        (lambda: make_regular_orthogonal(t), 14),
+        (lambda: banach_perturbation(reg, f).perturbed, 21),
     ):
         calls[0] = 0
         monkeypatch.setattr(np.linalg, "svd", counting)
@@ -163,6 +172,24 @@ def test_make_regular_computes_each_projector_norm_once(monkeypatch):
         r4 = op_norm(out.tprime @ out.t - e_x) / max(op_norm(e_x), 1.0)
         assert out.residuals["tt_is_im_projection"] == r3
         assert out.residuals["t_t_is_ker_projection"] == r4
+
+
+@pytest.mark.parametrize("suite, budget", [("banach-perturbation", 221), ("banach-product", 374)])
+def test_banach_suites_keep_their_svd_budget(monkeypatch, suite, budget):
+    # the first five instances at seed 5 on 2,3: every space orthonormalized
+    # once, each T decomposed by one SVD; a re-added decomposition shows here
+    calls = [0]
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls[0] += 1
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    payload = run_suite(suite, RunConfig(seed=5, n=5, shape="2,3"))
+    monkeypatch.undo()
+    assert payload["passes"] == 5
+    assert calls[0] <= budget
 
 
 def test_ill_posed_above_the_projector_norm_bound():
