@@ -14,6 +14,10 @@ geometry   angle/closed-sum report for two submodule or operator files
 banach     regular-operator certificate for a flattened operator, with
            an optional finite-rank perturbation.
 
+Only ``verify`` and ``geometry`` draw random numbers, so only they take
+``--seed``; only ``probe`` renders ``--format csv`` besides text and json.
+argparse rejects either option on any other command (exit code 2).
+
 Determinism contract: identical command line (seed, counts, tolerances)
 produces byte-identical output.  Suite instances run serially in index
 order, each drawing from its own index-keyed generator.
@@ -300,9 +304,10 @@ def run_suite(name: str, cfg: RunConfig) -> dict[str, Any]:
 
 
 def _analyze_bundle(f: AdjointableMap, tol: ToleranceConfig) -> dict[str, Any]:
+    rep = fredholm.fredholm_report(f, tol)
     bundle: dict[str, Any] = {
         "operator": serialize.report_to_jsonable(f),
-        "fredholm": serialize.report_to_jsonable(fredholm.fredholm_report(f, tol)),
+        "fredholm": serialize.report_to_jsonable(rep),
     }
     if f.is_endomorphism:
         bundle["drazin"] = serialize.report_to_jsonable(drazin.drazin_inverse(f, tol))
@@ -314,7 +319,7 @@ def _analyze_bundle(f: AdjointableMap, tol: ToleranceConfig) -> dict[str, Any]:
         bundle["power_stabilization"] = None
         bundle["note"] = "Drazin/power-chain analysis requires an endomorphism"
     bundle["kernel_image_geometry"] = serialize.report_to_jsonable(
-        geometry.closed_sum_report(f.image(tol), f.kernel(tol), tol, samples=0)
+        geometry.closed_sum_report(rep.image, rep.kernel, tol, samples=0)
         if f.is_endomorphism
         else None
     )
@@ -467,12 +472,10 @@ def _probe_csv(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(payload: Any, fmt: str, out: str | None, is_probe: bool = False) -> None:
+def _emit(payload: Any, fmt: str, out: str | None) -> None:
     if fmt == "json":
         text = serialize.dumps_canonical(payload) + "\n"
-    elif fmt == "csv":
-        if not is_probe:
-            raise DataError("csv format is only available for probe tables")
+    elif fmt == "csv":  # only ``probe`` accepts it
         text = _probe_csv(payload)
     else:
         text = "\n".join(_render_text(payload)) + "\n"
@@ -492,13 +495,9 @@ def _emit(payload: Any, fmt: str, out: str | None, is_probe: bool = False) -> No
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     common.add_argument("--tol-rank", type=float, default=None, help="override rank cutoff")
     common.add_argument("--tol-angle", type=float, default=None, help="override angle tolerance")
     common.add_argument("--out", default=None, help="write output to this path")
-    common.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text", help="output format"
-    )
 
     parser = argparse.ArgumentParser(
         prog="modop",
@@ -506,36 +505,39 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common], help="full report bundle for an operator file")
-    p.add_argument("operator", help="operator JSON file")
-    p.set_defaults(func=cmd_analyze)
+    def command(name, func, help, seed=False, csv=False):
+        p = sub.add_parser(name, parents=[common], help=help)
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+        formats = ("text", "json", "csv") if csv else ("text", "json")
+        p.add_argument("--format", choices=formats, default="text", help="output format")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("verify", parents=[common], help="run a seeded property suite")
+    p = command("analyze", cmd_analyze, "full report bundle for an operator file")
+    p.add_argument("operator", help="operator JSON file")
+
+    p = command("verify", cmd_verify, "run a seeded property suite", seed=True)
     p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument("--n", type=int, default=20, help="instance count (default 20)")
     p.add_argument("--shape", default="2,3", help='algebra shape, e.g. "2,3" or "1^8"')
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("probe", parents=[common], help="decay table for an operator family")
+    p = command("probe", cmd_probe, "decay table for an operator family", csv=True)
     p.add_argument("family", choices=probes.FAMILY_NAMES)
     p.add_argument("--sizes", default="4,8,16,32", help="comma-separated sizes")
-    p.set_defaults(func=cmd_probe)
 
-    p = sub.add_parser("drazin", parents=[common], help="core-nilpotent report for an operator file")
+    p = command("drazin", cmd_drazin, "core-nilpotent report for an operator file")
     p.add_argument("operator", help="operator JSON file")
-    p.set_defaults(func=cmd_drazin)
 
-    p = sub.add_parser(
-        "geometry", parents=[common], help="pair geometry from submodule or operator files"
+    p = command(
+        "geometry", cmd_geometry, "pair geometry from submodule or operator files", seed=True
     )
     p.add_argument("left", help="submodule file, or operator file (its image is used)")
     p.add_argument("right", help="submodule file, or operator file (its kernel is used)")
-    p.set_defaults(func=cmd_geometry)
 
-    p = sub.add_parser("banach", parents=[common], help="regular-operator certificate")
+    p = command("banach", cmd_banach, "regular-operator certificate")
     p.add_argument("operator", help="operator JSON file (flattened to a plain matrix)")
     p.add_argument("perturbation", nargs="?", default=None, help="optional perturbation file")
-    p.set_defaults(func=cmd_banach)
     return parser
 
 
@@ -553,7 +555,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code = args.func(args, _tol_from(args))
-        _emit(payload, args.format, args.out, is_probe=(args.command == "probe"))
+        _emit(payload, args.format, args.out)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IdentityViolation, IllConditionedError, StructureError
-from .linmap import AdjointableMap, BrowderWitness, _similar, commutator_residual
+from .linmap import AdjointableMap, BrowderWitness, PowerChain, _similar, commutator_residual
 from .modules import K0Class, Submodule
-from .subspace import Grouped, stacked
+from .subspace import Grouped, _eyes, stacked
 from .tolerances import DEFAULT_TOL, RESIDUAL_TOL, ToleranceConfig
 
 Array = np.ndarray
@@ -81,21 +81,8 @@ def drazin_inverse(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> Dra
     split, core, p = chain.split, chain.core, chain.index
     nf = max(f.norm(), 1e-300)
     invs = stacked(np.linalg.inv, core.f1_blocks)
-    ys, es = [], []
-    for inv, idx in zip(invs.stacks, invs.members):
-        d, r = f.m * f.shape.block_sizes[idx[0]], inv.shape[-1]
-        y = np.zeros((len(idx), d, d), dtype=complex)
-        e = np.zeros_like(y)
-        y[:, :r, :r] = inv
-        e[:, :r, :r] = np.eye(r)
-        ys.append(y)
-        es.append(e)
-    x, proj = (
-        AdjointableMap._of_groups(
-            f.shape, f.m, f.m, stacked(_similar, split.s_mats, z, split.s_invs)
-        )
-        for z in (Grouped(ys, invs.members), Grouped(es, invs.members))
-    )
+    x = _on_split(chain, invs)
+    proj = _on_split(chain, invs.map(lambda inv: _eyes(len(inv), inv.shape[-1])))
     core_part = f @ proj
     nilp = f - core_part
 
@@ -128,6 +115,21 @@ def drazin_inverse(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> Dra
     )
 
 
+def _on_split(chain: PowerChain, cores: Grouped) -> AdjointableMap:
+    """S diag(C, 0) S^-1 on the chain's split Im F^p +' ker F^p, for per-block
+    cores C grouped as the chain's F1 blocks: with C = F1^-1 the Drazin
+    inverse, with C = I the spectral projector."""
+    f, split = chain.f, chain.split
+    padded = []
+    for c, idx in zip(cores.stacks, cores.members):
+        d, r = f.m * f.shape.block_sizes[idx[0]], c.shape[-1]
+        z = np.zeros((len(idx), d, d), dtype=complex)
+        z[:, :r, :r] = c
+        padded.append(z)
+    moved = stacked(_similar, split.s_mats, Grouped(padded, cores.members), split.s_invs)
+    return AdjointableMap._of_groups(f.shape, f.m, f.m, moved)
+
+
 # ---------------------------------------------------------------------------
 # duality under the adjoint
 
@@ -142,22 +144,26 @@ class DualityReport:
 
 
 def drazin_dual_check(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> DualityReport:
-    fstar = f.adjoint()
-    rep = drazin_inverse(f, tol)
-    rep_adj = drazin_inverse(fstar, tol)
-    if rep.p != rep_adj.p:
-        raise IdentityViolation(f"Drazin index differs under adjoint: {rep.p} vs {rep_adj.p}")
-    denom = max(rep.drazin_inverse.norm(), 1e-300)
-    resid = (rep.drazin_inverse.adjoint() - rep_adj.drazin_inverse).norm() / denom
-    if resid > RESIDUAL_TOL * max(1.0, rep.splitting_cond * rep_adj.splitting_cond):
+    """Three gates on F and F*, read off their power chains (p, cond S and
+    F^D = S diag(F1^-1, 0) S^-1; no Drazin residual is formed): equal
+    indices, (F^D)* = (F*)^D within RESIDUAL_TOL cond S cond S*, and
+    ker (F*)^k = (Im F^k)^perp for k = 1 .. p."""
+    chain, chain_adj = f.power_chain(tol), f.adjoint().power_chain(tol)
+    # both splits are certified before the indices are compared: an index
+    # that differs on an ill-conditioned input raises IllConditionedError there
+    x, x_adj = (_on_split(c, stacked(np.linalg.inv, c.core.f1_blocks)) for c in (chain, chain_adj))
+    p = chain.index
+    if p != chain_adj.index:
+        raise IdentityViolation(f"Drazin index differs under adjoint: {p} vs {chain_adj.index}")
+    resid = (x.adjoint() - x_adj).norm() / max(x.norm(), 1e-300)
+    if resid > RESIDUAL_TOL * max(1.0, chain.split.cond * chain_adj.split.cond):
         raise IdentityViolation(f"(F^D)* differs from (F*)^D by relative {resid:.3e}")
-    chain, chain_adj = f.power_chain(tol), fstar.power_chain(tol)
     # The staircases agree in dimension (the indices match).  A close step
     # decision can still tilt either one by up to about angle_tol / margin:
     # that is the input's conditioning, not a bug.
     margin = min(1.0, chain.margin, chain_adj.margin)
     orth: list[float] = []
-    for k in range(1, rep.p + 1):
+    for k in range(1, p + 1):
         worst = chain_adj.kernel(k).equality_defect(chain.image(k).complement())
         orth.append(worst)
         if worst > tol.angle_tol:
@@ -166,7 +172,7 @@ def drazin_dual_check(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> 
                 raise IllConditionedError(f"{message}, chain margin {margin:.3e})")
             raise IdentityViolation(f"{message})")
     return DualityReport(
-        p=rep.p,
+        p=p,
         inverse_residual=float(resid),
         orthogonality_residuals=tuple(orth),
     )

@@ -59,14 +59,6 @@ class FredholmReport:
     is_generalized_weyl: bool
     margin: float
 
-    @property
-    def kernel_class(self) -> K0Class:
-        return self.kernel.k0()
-
-    @property
-    def coker_class(self) -> K0Class:
-        return self.coker_space.k0()
-
 
 def fredholm_report(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> FredholmReport:
     ker = f.kernel(tol)
@@ -96,10 +88,14 @@ class WitnessPair:
     pad_cokernel: K0Class
 
 
-def weyl_defect_witness(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> WitnessPair:
-    rep = fredholm_report(f, tol)
-    ker, cok = rep.kernel_class, rep.coker_class
+def _witness(ker: K0Class, cok: K0Class) -> WitnessPair:
     return WitnessPair((cok - ker).positive_part(), (ker - cok).positive_part())
+
+
+def weyl_defect_witness(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> WitnessPair:
+    """The pads of F, read off its kernel and cokernel: two rank decisions on
+    F's full SVD record and nothing else."""
+    return _witness(f.kernel(tol).k0(), f.cokernel(tol).k0())
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +150,9 @@ def exact_sequence(
         raise StructureError("maps are not composable (g after f)")
     gf = g @ f
     nf, ng = f.norm(), g.norm()
-    rep_f = fredholm_report(f, tol)
-    rep_g = fredholm_report(g, tol)
-
-    ker_f = rep_f.kernel
-    ker_gf = gf.kernel(tol, scale=nf * ng)
-    ker_g = rep_g.kernel
-    im_f_perp = rep_f.coker_space
-    im_gf_perp = gf.cokernel(tol, scale=nf * ng)
-    im_g_perp = rep_g.coker_space
+    ker_f, im_f_perp = f.kernel(tol), f.cokernel(tol)
+    ker_gf, im_gf_perp = gf.kernel(tol, scale=nf * ng), gf.cokernel(tol, scale=nf * ng)
+    ker_g, im_g_perp = g.kernel(tol), g.cokernel(tol)
 
     spaces = (ker_f, ker_gf, ker_g, im_f_perp, im_gf_perp, im_g_perp)
     dims = tuple(s.dim for s in spaces)
@@ -192,8 +182,8 @@ def exact_sequence(
         map_containment_residuals=(_stickout(w[1], w[0]), _stickout(w[2], moved)),
         injectivity_defect=max(inj.tolist()),
         surjectivity_defect=max(surj.tolist()),
-        index_f=rep_f.index,
-        index_g=rep_g.index,
+        index_f=ker_f.k0() - im_f_perp.k0(),
+        index_g=ker_g.k0() - im_g_perp.k0(),
         index_gf=ker_gf.k0() - im_gf_perp.k0(),
     )
 
@@ -264,7 +254,8 @@ def weyl_perturbation_chain(
     m_part, gap_m = ker_t.intersection(common_perp)
     m_part_p, gap_mp = ker_tf.intersection(common_perp)
 
-    witness = weyl_defect_witness(t, tol)
+    # T's pads from the decisions above: [coker T] = free - [Im T]
+    witness = _witness(ker_t.k0(), K0Class.free(t.shape, t.n) - im_t.k0())
     coker_tf = K0Class.free(t.shape, t.n) - im_tf.k0()
 
     lhs = ker_tf.k0() + m_part.k0() + n_part.k0() + witness.pad_kernel

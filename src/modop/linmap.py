@@ -512,7 +512,6 @@ class PowerChain:
         ranks = split.range_space.groups.sizes(-1)
         parts = [(t, ranks[idx[0]], idx) for t, idx in zip(ts.stacks, ts.members)]
         g1s = Grouped([t[:, :r, :r] for t, r, _ in parts], ts.members)
-        g4s = Grouped([t[:, r:, r:] for t, r, _ in parts], ts.members)
         mixed = [(t, r, idx) for t, r, idx in parts if 0 < r < t.shape[-1]]
         ng, off = max(g.norm(), 1e-300), 0.0
         for corner in (lambda t, r: t[:, :r, r:], lambda t, r: t[:, r:, :r]):
@@ -532,7 +531,6 @@ class PowerChain:
             )
         return BrowderWitness(
             f1_blocks=g1s,
-            f4_blocks=g4s,
             gamma_f1=data.gamma,
             off_diagonal_residual=off,
         )
@@ -553,12 +551,11 @@ class CoreSplit:
 
 @dataclass(frozen=True, eq=False)
 class BrowderWitness:
-    """A map G's diagonal blocks on a chain's invariant split M +' N (its
-    ``CoreSplit``), G invertible on M; in this finite model the complement
-    N is always finitely generated."""
+    """A map G's core block on a chain's invariant split M +' N (its
+    ``CoreSplit``), G block-diagonal on the split and invertible on M; in
+    this finite model the complement N is always finitely generated."""
 
     f1_blocks: Grouped
-    f4_blocks: Grouped
     gamma_f1: float
     off_diagonal_residual: float
 

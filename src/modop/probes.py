@@ -124,7 +124,7 @@ def left_multiplier_family(
         raise StructureError(f"multiplier must be {n}x{n}, got {s.shape}")
     f = AdjointableMap(AlgebraShape((n,)), 1, 1, (s,))
     gamma_f = f.singular_data(tol).gamma
-    gamma_s = svd_data(s, tol, scale=float(np.linalg.norm(s, 2))).gamma
+    gamma_s = svd_data(s, tol).gamma
     agree = (
         gamma_f == gamma_s
         if math.isinf(gamma_f) or math.isinf(gamma_s)

@@ -16,7 +16,7 @@ from test_drazin import graded_nilpotent_family
 
 from modop import banach, drazin, fredholm, geometry, linmap
 from modop.algebra import AlgebraShape
-from modop.cli import RunConfig, SUITE_NAMES, main, run_suite
+from modop.cli import RunConfig, SUITE_NAMES, _build_parser, main, run_suite
 from modop.linmap import AdjointableMap
 from modop.modules import K0Class, Submodule
 from modop.randgen import random_endomorphism, random_low_rank, random_map, random_submodule
@@ -286,10 +286,45 @@ def test_run_suite_api_matches_cli(capsys):
     assert set(SUITE_NAMES) >= {"drazin-axioms", "exact-sequence", "closed-sum"}
 
 
+@pytest.mark.parametrize(
+    "suite, owner, name, budget",
+    [
+        ("exact-sequence", AdjointableMap, "_merged", 30),
+        ("perturbation-chain", AdjointableMap, "_merged", 45),
+        ("product-chain", AdjointableMap, "_merged", 45),
+        ("dual", np.linalg, "svd", 138),
+    ],
+)
+def test_certificates_read_each_decision_once(monkeypatch, suite, owner, name, budget):
+    # the first five instances at seed 0 on 2,3: each factor's kernel and
+    # cokernel decided once (6 and 9 decisions per instance), and the dual
+    # check forms none of the Drazin report's residual maps
+    calls = [0]
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    payload = run_suite(suite, RunConfig(seed=0, n=5, shape="2,3"))
+    monkeypatch.undo()
+    assert payload["passes"] == 5
+    assert calls[0] <= budget
+
+
 def _pad_kernel_witness(real):
     def planted(f, tol):
         w = real(f, tol)
         return replace(w, pad_kernel=w.pad_kernel + K0Class.free(f.shape, 1))
+
+    return planted
+
+
+def _pad_kernel_pads(real):
+    def planted(ker, cok):
+        w = real(ker, cok)
+        return replace(w, pad_kernel=w.pad_kernel + K0Class((1,) * len(ker.entries)))
 
     return planted
 
@@ -299,14 +334,17 @@ def _every_pair_equal(real):
     return lambda sub, other, tol: True
 
 
-def _index_bumped_on_second_call(real):
-    calls = itertools.count()
+def _index_bumped_on_second_chain(real):
+    # the dual check certifies F's chain, then F*'s, then compares their
+    # indices: F*'s reads one more once its core is certified (cached)
+    chains = []
 
-    def planted(f, tol):
-        rep = real(f, tol)
-        return replace(rep, p=rep.p + 1) if next(calls) % 2 else rep
+    def index(chain):
+        if chain not in chains:
+            chains.append(chain)
+        return real.fget(chain) + (chain is not chains[0] and "core" in vars(chain))
 
-    return planted
+    return property(index)
 
 
 def _zero_blocks_on_split(real):
@@ -361,9 +399,9 @@ def _off_diagonal_raised(real):
 def _inverse_doubled_on_second_call(real):
     calls = itertools.count()
 
-    def planted(f, tol):
-        rep = real(f, tol)
-        return replace(rep, drazin_inverse=2.0 * rep.drazin_inverse) if next(calls) % 2 else rep
+    def planted(chain, cores):
+        x = real(chain, cores)
+        return 2.0 * x if next(calls) % 2 else x
 
     return planted
 
@@ -409,7 +447,7 @@ def _tilted_projector_values(real):
 PLANTED_DEFECTS = [
     ("exact-sequence", fredholm, "exact_sequence", _unit_node_residuals,
      "node residual 1.000e+00 above 1e-8"),
-    ("perturbation-chain", fredholm, "weyl_defect_witness", _pad_kernel_witness,
+    ("perturbation-chain", fredholm, "_witness", _pad_kernel_pads,
      "perturbation chain identity failed"),
     ("perturbation-chain", Submodule, "contains", _never_contained,
      "T(ker F) escaped Im T / Im(T+F) (residuals 1.00e+00, 1.00e+00)"),
@@ -421,9 +459,9 @@ PLANTED_DEFECTS = [
      "intersection chains stabilize at k = 2, k' = 2, not at max(p, ind F) = 3"),
     ("drazin-axioms", drazin, "drazin_inverse", _axiom_residuals_raised,
      "axiom residual 1.000e-06 above 1e-9"),
-    ("dual", drazin, "drazin_inverse", _index_bumped_on_second_call,
+    ("dual", linmap.PowerChain, "index", _index_bumped_on_second_chain,
      "Drazin index differs under adjoint"),
-    ("dual", drazin, "drazin_inverse", _inverse_doubled_on_second_call,
+    ("dual", drazin, "_on_split", _inverse_doubled_on_second_call,
      "(F^D)* differs from (F*)^D by relative"),
     ("dual", Submodule, "equality_defect", _unit_defect,
      "ker (F*)^1 is not the orthocomplement of Im F^1 (defect 1.000e+00)"),
@@ -483,8 +521,36 @@ def test_missing_file_is_usage_error(tmp_path, capsys):
 
 
 def test_csv_only_for_probe(identity_file, capsys):
-    assert main(["analyze", identity_file, "--format", "csv"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", identity_file, "--format", "csv"])
+    assert exc.value.code == 2
     assert "csv" in capsys.readouterr().err
+
+
+def test_each_command_takes_only_the_options_it_reads(capsys):
+    # --seed only where random draws are made, --format csv only for the probe table
+    argvs = {
+        "analyze": ["analyze", "f.json"],
+        "verify": ["verify", "dual"],
+        "probe": ["probe", "multiplier"],
+        "drazin": ["drazin", "f.json"],
+        "geometry": ["geometry", "m.json", "n.json"],
+        "banach": ["banach", "f.json"],
+    }
+    parser = _build_parser()
+    for command, argv in argvs.items():
+        for option, value, takes in (
+            ("--seed", "1", command in ("verify", "geometry")),
+            ("--format", "csv", command == "probe"),
+        ):
+            if takes:
+                args = parser.parse_args([*argv, option, value])
+                assert str(getattr(args, option[2:])) == value
+                continue
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, option, value])
+            assert exc.value.code == 2, (command, option)
+            assert value in capsys.readouterr().err
 
 
 def test_out_writes_file(tmp_path, identity_file, capsys):

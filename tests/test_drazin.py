@@ -335,7 +335,6 @@ def test_browder_frozen_example():
     wit = rep.witness_f
     assert rep.range_space.dim == 1 and rep.null_space.dim == 2
     assert np.allclose(wit.f1_blocks.mats[0], [[2.0]])
-    assert np.allclose(np.sort(np.linalg.svd(wit.f4_blocks.mats[0], compute_uv=False)), [0.0, 1.0])
     assert abs(wit.gamma_f1 - 2.0) < 1e-12
     assert wit.off_diagonal_residual < 1e-14
 

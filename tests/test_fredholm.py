@@ -55,7 +55,7 @@ def project_second(shape):
 
 def test_report_of_identity(shape23):
     rep = fredholm_report(AdjointableMap.identity(shape23, 2))
-    assert rep.kernel_class.is_zero() and rep.coker_class.is_zero()
+    assert rep.kernel.k0().is_zero() and rep.coker_space.k0().is_zero()
     assert rep.index.is_zero()
     assert rep.is_weyl_zero_index and rep.is_generalized_weyl
 
@@ -63,8 +63,8 @@ def test_report_of_identity(shape23):
 def test_report_counts_planted_deficits(shape23, rng):
     f = random_map(shape23, 3, 2, rng, rank_deficit=1)
     rep = fredholm_report(f)
-    assert rep.kernel_class.entries == (3, 4)  # n_b + 1 per block
-    assert rep.coker_class.entries == (1, 1)
+    assert rep.kernel.k0().entries == (3, 4)  # n_b + 1 per block
+    assert rep.coker_space.k0().entries == (1, 1)
     assert rep.index.entries == (2, 3)  # free(3) - free(2)
     assert not rep.is_generalized_weyl
     assert rep.margin > 0.01
@@ -74,8 +74,8 @@ def test_defect_witness_balances(shape23, rng):
     f = random_map(shape23, 3, 2, rng, rank_deficit=1)
     w = weyl_defect_witness(f)
     rep = fredholm_report(f)
-    lhs = rep.kernel_class + w.pad_kernel
-    rhs = rep.coker_class + w.pad_cokernel
+    lhs = rep.kernel.k0() + w.pad_kernel
+    rhs = rep.coker_space.k0() + w.pad_cokernel
     assert lhs.entries == rhs.entries
     assert min(w.pad_kernel.entries + w.pad_cokernel.entries) >= 0
     # minimality: per block at least one pad entry vanishes

@@ -75,7 +75,7 @@ def test_square_family_closed_form_gate_trips_on_a_planted_map(monkeypatch):
 def test_left_multiplier_gate_trips_on_a_planted_matrix_gamma(monkeypatch):
     real = probes.svd_data
 
-    def planted(a, tol, scale):
+    def planted(a, tol, scale=None):
         data = real(a, tol, scale=scale)
         return replace(data, gamma=2.0 * data.gamma)
 
