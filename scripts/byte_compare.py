@@ -23,8 +23,11 @@ Commands:
     0-2;
   * the three ``probe`` families, text and csv.
 
-Prints each differing command with its differing lines and exits 1 if
-any command differs, 0 otherwise.
+Prints each differing command with its differing lines, then how many
+commands differ, and ends with one line counting the differing lines per
+key: the JSON or text key before the colon, csv rows under ``csv`` and
+exit codes under ``exit code``.  Exits 1 if any command differs, 0
+otherwise.
 
     python3 scripts/byte_compare.py --parent HEAD~1
 """
@@ -37,6 +40,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -171,6 +175,16 @@ def differences(before: tuple[str, str, int], after: tuple[str, str, int]) -> li
     return lines
 
 
+def key_of(argv: list[str], line: str) -> str:
+    """The key a line of :func:`differences` belongs to."""
+    stream, _, rest = line.strip().partition(" ")
+    if stream not in ("stdout", "stderr"):
+        return "exit code"
+    if stream == "stdout" and "csv" in argv:
+        return "csv"
+    return rest[1:].partition(":")[0].strip().strip('"')
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="commit to compare against, e.g. HEAD")
@@ -182,14 +196,17 @@ def main(argv: list[str] | None = None) -> int:
     with ThreadPoolExecutor(max_workers=2) as pool:
         results = list(pool.map(lambda job: run(*job), jobs))
 
-    differing = 0
+    differing, keys = 0, Counter()
     for i, argv in enumerate(commands):
         lines = differences(results[2 * i], results[2 * i + 1])
         if lines:
             differing += 1
+            keys.update(key_of(argv, line) for line in lines)
             print("modop " + " ".join(argv).replace(f"{INPUTS}{os.sep}", ""))
             print("\n".join(lines))
     print(f"{differing} of {len(commands)} commands differ from {args.parent}")
+    tally = ", ".join(f"{key} {count}" for key, count in sorted(keys.items()))
+    print(f"differing lines per key: {tally or 'none'}")
     return 1 if differing else 0
 
 

@@ -38,6 +38,7 @@ import numpy as np
 from .errors import IdentityViolation, StructureError, UnmetHypothesisError
 from .subspace import (
     Grouped,
+    SingularData,
     _residual_values,
     as_complex,
     chains_exactness,
@@ -164,6 +165,7 @@ class RegularOperator:
 
     t: Array
     tprime: Array
+    singular_values: Array  # of T, from the one SVD that decided its rank
     kernel_basis: Array
     image_basis: Array
     ker_decomposition: ObliqueDecomposition  # of the domain: complement (+) ker T
@@ -189,10 +191,12 @@ class RegularOperator:
 
 
 def _regular(
-    t: Array, scale: float, kernel: Array, image: Array, kc: Array, ic: Array, tol: ToleranceConfig
+    t: Array, data: SingularData, scale: float | None, bases: tuple, tol: ToleranceConfig
 ) -> RegularOperator:
-    """Regular operator of ``t`` decided at ``scale``, on orthonormal bases
-    of ker T, Im T and their chosen complements ``kc`` and ``ic``."""
+    """Regular operator of ``t`` under the decision ``data`` made at ``scale``
+    (||T|| when None), on orthonormal bases (ker T, Im T, kc, ic) ``bases``."""
+    kernel, image, kc, ic = bases
+    scale = max(data.smax, 1e-300) if scale is None else scale
     try:
         ker_dec = _split(kc, kernel, tol)
     except UnmetHypothesisError as exc:
@@ -213,6 +217,7 @@ def _regular(
     return RegularOperator(
         t=t,
         tprime=tprime,
+        singular_values=np.array(data.values),
         kernel_basis=kernel,
         image_basis=image,
         ker_decomposition=ker_dec,
@@ -241,14 +246,14 @@ def make_regular(
     (kernel, image, _, _), data = kernel_image(t, tol)
     kc = _orthonormal(as_complex(ker_complement), "kernel complement", tol)
     ic = _orthonormal(as_complex(im_complement), "range complement", tol)
-    return _regular(t, max(data.smax, 1e-300), kernel, image, kc, ic, tol)
+    return _regular(t, data, None, (kernel, image, kc, ic), tol)
 
 
 def _regular_orthogonal(t: Array, scale: float | None, tol: ToleranceConfig) -> RegularOperator:
     """Orthogonal-complement regular operator of ``t``, its rank decided at
     ``scale`` (the factor scale for T+F and ST), or at ||T|| when None."""
     bases, data = kernel_image(t, tol, scale=scale)
-    return _regular(t, max(data.smax, 1e-300) if scale is None else scale, *bases, tol)
+    return _regular(t, data, scale, bases, tol)
 
 
 def make_regular_orthogonal(t: Array, tol: ToleranceConfig = DEFAULT_TOL) -> RegularOperator:
@@ -325,7 +330,7 @@ def banach_perturbation(
     if f.shape != t.shape:
         raise StructureError("perturbation must have the same shape as T")
     ker_f, f_data = null_space(f, tol)
-    nt, nf = op_norm(t), f_data.smax
+    nt, nf = reg.singular_values.max(initial=0.0), f_data.smax
     perturbed = _regular_orthogonal(t + f, max(nt + nf, 1e-300), tol)  # at ||T|| + ||F||
 
     w, _ = orthonormal_image(t @ ker_f, tol, scale=max(nt, 1e-300))
@@ -414,7 +419,7 @@ def banach_product(
     s, t = s_reg.t, t_reg.t
     if s.shape[1] != t.shape[0]:
         raise StructureError("operators are not composable (S after T)")
-    ns, nt = op_norm(s), op_norm(t)
+    ns, nt = s_reg.singular_values.max(initial=0.0), t_reg.singular_values.max(initial=0.0)
     scale_s, scale_t = max(ns, 1e-300), max(nt, 1e-300)
     # ST is decided at the factor scale ||S|| ||T||, as fredholm.product_chain does
     st_reg = _regular_orthogonal(s @ t, max(ns * nt, 1e-300), tol)

@@ -61,9 +61,7 @@ class FredholmReport:
 
 
 def fredholm_report(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> FredholmReport:
-    ker = f.kernel(tol)
-    img = f.image(tol)
-    coker = f.cokernel(tol)
+    ker, img, coker = f.kernel(tol), f.image(tol), f.cokernel(tol)
     index = ker.k0() - coker.k0()
     return FredholmReport(
         kernel=ker,
@@ -88,14 +86,11 @@ class WitnessPair:
     pad_cokernel: K0Class
 
 
-def _witness(ker: K0Class, cok: K0Class) -> WitnessPair:
-    return WitnessPair((cok - ker).positive_part(), (ker - cok).positive_part())
-
-
 def weyl_defect_witness(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> WitnessPair:
-    """The pads of F, read off its kernel and cokernel: two rank decisions on
-    F's full SVD record and nothing else."""
-    return _witness(f.kernel(tol).k0(), f.cokernel(tol).k0())
+    """The pads of F, read off the classes of its kernel and cokernel under
+    F's one rank decision."""
+    ker, cok = f.kernel(tol).k0(), f.cokernel(tol).k0()
+    return WitnessPair((cok - ker).positive_part(), (ker - cok).positive_part())
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +235,7 @@ def weyl_perturbation_chain(
     n_part, gap_n = im_t.intersection(w_perp)
     n_part_p, gap_np = im_tf.intersection(w_perp)
 
-    ker_t = t.kernel(tol)
-    ker_tf = tf.kernel(tol, scale=scale_sum)
+    ker_t, ker_tf = t.kernel(tol), tf.kernel(tol, scale=scale_sum)
     common, gap_c = ker_t.intersection(ker_f)
     common2, gap_c2 = ker_tf.intersection(ker_f)
     if not common.equals(common2, tol):
@@ -254,9 +248,8 @@ def weyl_perturbation_chain(
     m_part, gap_m = ker_t.intersection(common_perp)
     m_part_p, gap_mp = ker_tf.intersection(common_perp)
 
-    # T's pads from the decisions above: [coker T] = free - [Im T]
-    witness = _witness(ker_t.k0(), K0Class.free(t.shape, t.n) - im_t.k0())
-    coker_tf = K0Class.free(t.shape, t.n) - im_tf.k0()
+    witness = weyl_defect_witness(t, tol)
+    coker_tf = tf.cokernel(tol, scale=scale_sum).k0()
 
     lhs = ker_tf.k0() + m_part.k0() + n_part.k0() + witness.pad_kernel
     rhs = coker_tf + m_part_p.k0() + n_part_p.k0() + witness.pad_cokernel
@@ -312,9 +305,8 @@ def product_chain(
     df = d @ f
     scale = d.norm() * f.norm()
     ker_df = df.kernel(tol, scale=scale)
-    coker_df = K0Class.free(d.shape, d.n) - df.image(tol, scale=scale).k0()
-    wf = weyl_defect_witness(f, tol)
-    wd = weyl_defect_witness(d, tol)
+    coker_df = df.cokernel(tol, scale=scale).k0()
+    wf, wd = weyl_defect_witness(f, tol), weyl_defect_witness(d, tol)
     lhs = ker_df.k0() + wf.pad_kernel + wd.pad_kernel
     rhs = coker_df + wf.pad_cokernel + wd.pad_cokernel
     if lhs.entries != rhs.entries:

@@ -23,10 +23,11 @@ holds per-block views for I/O, reports and the test oracles.
 
 Each map carries two spectral records, computed on first use and
 cached: the values-only SVD of every block (``_svals``, read by ``norm``
-and ``singular_data``) and the full SVD (``_svd``, read by ``kernel``,
-``image``, ``cokernel`` and step 1 of the power chain).  The two LAPACK
-jobs agree only to the last few digits, so each consumer keeps reading
-the record it needs.  The values-only record stays because many maps
+alone) and the full SVD (``_svd``).  Each tolerance and scale gets one
+rank decision on the full record, referenced to ``norm()`` when no scale
+is given, made once (``_decided``): ``kernel``, ``image``, ``cokernel``,
+``singular_data`` and step 1 of both staircases read it.  The
+values-only record stays because many maps
 only have their norm read: the Drazin report's inverse, core part,
 nilpotent part and projector, and every residual map.  On a 96 x 96
 complex block the full SVD takes 4.1 ms and the values-only one 1.7 ms
@@ -86,6 +87,7 @@ from .tolerances import COMM_TOL, DEFAULT_TOL, RESIDUAL_TOL, ToleranceConfig
 
 Array = np.ndarray
 Svd = tuple[Grouped, Grouped, Grouped]  # u, s, vh of every block
+Decision = tuple[list[Sequence[int]], SingularData]  # per-group ranks, and their decision
 
 __all__ = [
     "AdjointableMap",
@@ -298,55 +300,56 @@ class AdjointableMap:
     def singular_data(
         self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
     ) -> SingularData:
-        return self._merged(self._svals, tol, scale)
+        """The rank decision ``kernel``, ``image`` and ``cokernel`` read (:meth:`_decided`)."""
+        return self._decided(tol, scale)[1]
 
     @cached_property
     def _svd(self) -> Svd:
         return stacked(np.linalg.svd, self.groups)
 
-    def _ranks(
-        self, values: Grouped, tol: ToleranceConfig, scale: float | None
-    ) -> tuple[list[Sequence[int]], SingularData]:
+    def _ranks(self, values: Grouped, tol: ToleranceConfig, scale: float | None) -> Decision:
         """Per-block ranks of ``values``, one sequence per group, under one shared
         cutoff, and the decision that set it."""
         data = self._merged(values, tol, scale)
         return [_above(v, data.threshold) for v in values.stacks], data
 
-    def _image_of(
-        self, svd: Svd, tol: ToleranceConfig, scale: float | None
-    ) -> tuple[Submodule, float]:
-        """Column span of each decomposed block, and the decision's margin."""
-        u, s, _ = svd
-        ranks, data = self._ranks(s, tol, scale)
-        return Submodule._of_groups(self.shape, self.n, _columns(u, ranks, lead=True)), data.margin
+    def _decided(self, tol: ToleranceConfig, scale: float | None) -> Decision:
+        """The map's one rank decision per tolerance and scale, on its full
+        SVD record and referenced to ``norm()`` when no scale is given."""
+        key = (tol, self.norm() if scale is None else scale)
+        if key not in self._decisions:
+            self._decisions[key] = self._ranks(self._svd[1], *key)
+        return self._decisions[key]
 
-    def _kernel_of(
-        self, svd: Svd, tol: ToleranceConfig, scale: float | None
-    ) -> tuple[Submodule, float]:
-        """Kernel of each fully decomposed block, and the decision's margin."""
-        _, s, vh = svd
-        ranks, data = self._ranks(s, tol, scale)
-        bases = _columns(vh.map(herm), ranks, lead=False)
-        return Submodule._of_groups(self.shape, self.m, bases), data.margin
+    @cached_property
+    def _decisions(self) -> dict[tuple[ToleranceConfig, float], Decision]:
+        return {}
+
+    def _image_of(self, u: Grouped, ranks: list[Sequence[int]]) -> Submodule:
+        """Column span of each decomposed block, under ``ranks``."""
+        return Submodule._of_groups(self.shape, self.n, _columns(u, ranks, lead=True))
+
+    def _kernel_of(self, vh: Grouped, ranks: list[Sequence[int]]) -> Submodule:
+        """Kernel of each fully decomposed block, under ``ranks``."""
+        return Submodule._of_groups(self.shape, self.m, _columns(vh.map(herm), ranks, lead=False))
 
     def kernel(
         self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
     ) -> Submodule:
-        return self._kernel_of(self._svd, tol, scale)[0]
+        return self._kernel_of(self._svd[2], self._decided(tol, scale)[0])
 
     def image(
         self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
     ) -> Submodule:
-        return self._image_of(self._svd, tol, scale)[0]
+        return self._image_of(self._svd[0], self._decided(tol, scale)[0])
 
     def cokernel(
         self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
     ) -> Submodule:
         """(Im F)^perp: the trailing left singular vectors of the full SVD
         record, under the decision that sets ``image``."""
-        u, s, _ = self._svd
-        ranks, _ = self._ranks(s, tol, scale)
-        return Submodule._of_groups(self.shape, self.n, _columns(u, ranks, lead=False))
+        ranks = self._decided(tol, scale)[0]
+        return Submodule._of_groups(self.shape, self.n, _columns(self._svd[0], ranks, lead=False))
 
     def image_step(
         self, sub: Submodule, tol: ToleranceConfig = DEFAULT_TOL
@@ -356,7 +359,9 @@ class AdjointableMap:
         if sub.shape != self.shape or sub.m != self.m:
             raise StructureError("submodule not inside the domain module")
         moved = stacked(np.matmul, self.groups, sub.groups)
-        return self._image_of(stacked(np.linalg.svd, moved, full_matrices=False), tol, self.norm())
+        u, s, _ = stacked(np.linalg.svd, moved, full_matrices=False)
+        ranks, data = self._ranks(s, tol, self.norm())
+        return self._image_of(u, ranks), data.margin
 
     def preimage_step(
         self, sub: Submodule, tol: ToleranceConfig = DEFAULT_TOL
@@ -365,8 +370,9 @@ class AdjointableMap:
         rank decision (same rule as :meth:`image_step`)."""
         if sub.shape != self.shape or sub.m != self.n:
             raise StructureError("submodule not inside the codomain module")
-        outside = stacked(_outside, self.groups, sub.groups)
-        return self._kernel_of(stacked(np.linalg.svd, outside), tol, self.norm())
+        _, s, vh = stacked(np.linalg.svd, stacked(_outside, self.groups, sub.groups))
+        ranks, data = self._ranks(s, tol, self.norm())
+        return self._kernel_of(vh, ranks), data.margin
 
     def power_chain(self, tol: ToleranceConfig = DEFAULT_TOL) -> "PowerChain":
         """The power chain of this endomorphism, one per tolerance."""
@@ -402,10 +408,11 @@ class PowerChain:
     does not grow it: the ``index`` p.  For k = 1 .. p, Im F^k = F(Im F^(k-1))
     must have rank d_b - dim_b ker F^k in each block b, so the two fill the
     space; an image step whose cutoff contradicts that rank raises
-    :class:`IllConditionedError`.  Step 1 of both reads F's own full SVD
-    record: F I = F, (I - 0) F = F, and on square blocks the economy and
-    the full SVD agree.  ``image(k)`` and ``kernel(k)`` return the plateau
-    past p.  ``margin`` is the smallest step margin of both.
+    :class:`IllConditionedError`.  Step 1 of both is F's own rank decision
+    (``F.kernel``, ``F.image``): F I = F, (I - 0) F = F, and on square
+    blocks the economy and the full SVD agree.  ``image(k)`` and
+    ``kernel(k)`` return the plateau past p.  ``margin`` is the smallest
+    step margin of both.
 
     At p the staircases split the module as Im F^p +' ker F^p (``split``),
     and ``core`` is F certified on that split: block-diagonal and
@@ -420,7 +427,7 @@ class PowerChain:
     def _kernels(self) -> tuple[tuple[Submodule, ...], float]:
         f = self.f
         subs = [Submodule.zero(f.shape, f.m)]
-        nxt, margin = f._kernel_of(f._svd, self.tol, f.norm())
+        nxt, margin = f.kernel(self.tol), f.singular_data(self.tol).margin
         while nxt.dim > subs[-1].dim:  # dims strictly grow: at most dim + 1 steps
             subs.append(nxt)
             nxt, step_margin = f.preimage_step(nxt, self.tol)
@@ -433,7 +440,7 @@ class PowerChain:
         subs, margin = [Submodule.full(f.shape, f.m)], math.inf
         for k in range(1, self.index + 1):
             if k == 1:
-                nxt, step_margin = f._image_of(f._svd, self.tol, f.norm())
+                nxt, step_margin = f.image(self.tol), f.singular_data(self.tol).margin
             else:
                 nxt, step_margin = f.image_step(subs[-1], self.tol)
             kernel = self.kernel(k).groups

@@ -78,16 +78,6 @@ class FamilyDiagnostic:
     closed_sum_agrees: tuple[bool, ...]
     monotonicity: dict[str, bool] = field(default_factory=dict)
 
-    def row(self, i: int) -> dict[str, float]:
-        return {
-            "n": self.sizes[i],
-            "gamma_f": self.gamma_f[i],
-            "gamma_f2": self.gamma_f2[i],
-            "c0": self.c0[i],
-            "delta": self.delta[i],
-            "bouldin_margin": self.bouldin_margins[i],
-        }
-
 
 # ---------------------------------------------------------------------------
 # families

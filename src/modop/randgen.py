@@ -220,7 +220,9 @@ def random_complement(
     basis, which bounds the resulting projector norm by roughly
     1/(1 - shear).
     """
-    bases = tuple(sheared_complement(w, rng, shear=shear, tol=tol) for w in sub.column_bases)
+    bases = tuple(
+        sheared_complement(w, complement(w), rng, shear=shear, tol=tol) for w in sub.column_bases
+    )
     return Submodule(sub.shape, sub.m, bases)
 
 
@@ -243,18 +245,18 @@ def random_matrix(
 
 def sheared_complement(
     basis: Array,
+    wc: Array,
     rng: np.random.Generator,
     *,
     shear: float = 0.3,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> Array:
     """Complement of span(basis) in the space of its rows, tilted off the
-    orthogonal one by mixing in directions inside the span (relative size
-    ``shear``)."""
+    orthogonal one, with orthonormal basis ``wc``, by mixing in directions
+    inside the span (relative size ``shear``)."""
     if not 0.0 <= shear < 1.0:
         raise StructureError("shear must lie in [0, 1)")
     basis = np.asarray(basis, dtype=complex)
-    wc = complement(basis)
     if wc.shape[1] == 0 or basis.shape[1] == 0:
         return wc
     mix = basis @ _cnormal(rng, basis.shape[1], wc.shape[1])
@@ -274,5 +276,6 @@ def random_regular_data(
     """(T, kernel complement, image complement) with bounded obliqueness —
     raw material for a regular-operator certificate on plain matrices."""
     t = random_matrix(rows, cols, rng, rank_deficit=rank_deficit)
-    (kernel, image, _, _), _ = kernel_image(t, tol)
-    return (t, *(sheared_complement(b, rng, shear=shear, tol=tol) for b in (kernel, image)))
+    (kernel, image, row_span, left_kernel), _ = kernel_image(t, tol)
+    kc = sheared_complement(kernel, row_span, rng, shear=shear, tol=tol)
+    return t, kc, sheared_complement(image, left_kernel, rng, shear=shear, tol=tol)

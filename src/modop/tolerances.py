@@ -31,9 +31,11 @@ The other thresholds have one value in use and are module constants:
 
 Every rank decision goes through one function,
 ``modop.subspace._decide``, parameterized by a :class:`ToleranceConfig`;
-a module map feeds it the singular values it computed once and cached
-(see :mod:`modop.linmap`), so tolerance and scale move the cutoff but
-never trigger a new decomposition.  Rank cutoffs scale with the largest
+a module map feeds it the singular values of its one full SVD and makes
+one decision per tolerance and scale, referenced to its norm when no
+scale is given, which its kernel, image, cokernel and margin all read
+(see :mod:`modop.linmap`): tolerance and scale move the cutoff but never
+trigger a new decomposition.  Rank cutoffs scale with the largest
 singular value and the ambient dimension, in line with standard
 numerical-rank practice; angle and residual tolerances are absolute.
 Every classification decision made under these knobs records the margin

@@ -16,7 +16,7 @@ from test_drazin import graded_nilpotent_family
 
 from modop import banach, drazin, fredholm, geometry, linmap
 from modop.algebra import AlgebraShape
-from modop.cli import RunConfig, SUITE_NAMES, _build_parser, main, run_suite
+from modop.cli import RunConfig, SUITE_NAMES, _analyze_bundle, _build_parser, main, run_suite
 from modop.linmap import AdjointableMap
 from modop.modules import K0Class, Submodule
 from modop.randgen import random_endomorphism, random_low_rank, random_map, random_submodule
@@ -296,9 +296,10 @@ def test_run_suite_api_matches_cli(capsys):
     ],
 )
 def test_certificates_read_each_decision_once(monkeypatch, suite, owner, name, budget):
-    # the first five instances at seed 0 on 2,3: each factor's kernel and
-    # cokernel decided once (6 and 9 decisions per instance), and the dual
-    # check forms none of the Drazin report's residual maps
+    # the first five instances at seed 0 on 2,3: no certificate decides a
+    # class twice, and the dual check forms none of the Drazin report's
+    # residual maps; test_certificates_decide_each_map_once pins the
+    # decisions per map
     calls = [0]
     real = getattr(owner, name)
 
@@ -313,18 +314,29 @@ def test_certificates_read_each_decision_once(monkeypatch, suite, owner, name, b
     assert calls[0] <= budget
 
 
+@pytest.mark.parametrize(
+    "suite, budget", [("exact-sequence", 15), ("perturbation-chain", 20), ("product-chain", 15)]
+)
+def test_certificates_decide_each_map_once(monkeypatch, suite, budget):
+    # one decision per map and scale (f, g and gf; T, F, T+F and the step
+    # T(ker F); D, F and DF), read by kernel, cokernel, the pads and the
+    # margin alike
+    test_certificates_read_each_decision_once(monkeypatch, suite, AdjointableMap, "_merged", budget)
+
+
+def test_analyze_prints_one_margin_per_decision():
+    # F's rank decision sets the Fredholm margin and step 1 of both
+    # staircases, whose margins the Drazin and stabilization reports take
+    f = random_endomorphism(AlgebraShape((4,)), 3, np.random.default_rng([3, 4]), nilpotent=(2, 1))
+    bundle = _analyze_bundle(f, ToleranceConfig())
+    margins = {bundle[key]["margin"] for key in ("fredholm", "drazin", "power_stabilization")}
+    assert len(margins) == 1
+
+
 def _pad_kernel_witness(real):
     def planted(f, tol):
         w = real(f, tol)
         return replace(w, pad_kernel=w.pad_kernel + K0Class.free(f.shape, 1))
-
-    return planted
-
-
-def _pad_kernel_pads(real):
-    def planted(ker, cok):
-        w = real(ker, cok)
-        return replace(w, pad_kernel=w.pad_kernel + K0Class((1,) * len(ker.entries)))
 
     return planted
 
@@ -447,7 +459,7 @@ def _tilted_projector_values(real):
 PLANTED_DEFECTS = [
     ("exact-sequence", fredholm, "exact_sequence", _unit_node_residuals,
      "node residual 1.000e+00 above 1e-8"),
-    ("perturbation-chain", fredholm, "_witness", _pad_kernel_pads,
+    ("perturbation-chain", fredholm, "weyl_defect_witness", _pad_kernel_witness,
      "perturbation chain identity failed"),
     ("perturbation-chain", Submodule, "contains", _never_contained,
      "T(ker F) escaped Im T / Im(T+F) (residuals 1.00e+00, 1.00e+00)"),

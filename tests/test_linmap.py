@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from modop.algebra import AlgebraElement, AlgebraShape
 from modop.errors import DataError, StructureError
+from modop.fredholm import fredholm_report
 from modop.linmap import AdjointableMap
 from modop.modules import ModuleVector, flat_dim
 from modop.randgen import (
@@ -150,6 +151,36 @@ def test_each_map_is_decomposed_once(shape23, rng, monkeypatch):
         f.image()
     assert calls["values"] <= shape23.num_blocks
     assert calls["full"] <= shape23.num_blocks
+
+
+def _count_decisions(monkeypatch) -> list[int]:
+    calls = [0]
+    merged = AdjointableMap._merged
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return merged(*args, **kwargs)
+
+    monkeypatch.setattr(AdjointableMap, "_merged", counting)
+    return calls
+
+
+def test_each_map_decides_once_per_tolerance_and_scale(shape23, rng, monkeypatch):
+    f = random_map(shape23, 3, 2, rng, rank_deficit=1)
+    calls = _count_decisions(monkeypatch)
+    # no scale means the scale norm(): one decision serves all five reads
+    f.kernel(), f.image(), f.cokernel(), f.singular_data(), f.kernel(scale=f.norm())
+    assert calls[0] == 1
+    f.kernel(scale=2 * f.norm())
+    assert calls[0] == 2
+
+
+def test_fredholm_report_reads_the_power_chain_decision(shape23, rng, monkeypatch):
+    f = random_endomorphism(shape23, 3, rng, nilpotent=(2, 1))
+    f.power_chain().split
+    calls = _count_decisions(monkeypatch)
+    fredholm_report(f)
+    assert calls[0] == 0
 
 
 def test_from_matrix_trivial_algebra(rng):

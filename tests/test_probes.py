@@ -132,9 +132,6 @@ def test_family_table_monotonicity_verdicts():
     assert diag.monotonicity["delta_strictly_decreasing"]
     assert diag.monotonicity["gamma_f_bounded_below"]
     assert diag.sizes == (4, 8, 16)
-    row = diag.row(1)
-    assert row["n"] == 8
-    assert row["gamma_f"] == diag.gamma_f[1]
 
 
 def test_family_table_validation():
