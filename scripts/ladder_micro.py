@@ -1,4 +1,4 @@
-"""Size-ladder micro-benchmark of six certificates and the power chain.
+"""Size-ladder micro-benchmark of six certificates, the power chain and operator loading.
 
 Times ``fredholm_report``, ``exact_sequence``, ``drazin_inverse``,
 ``b_fredholm_report`` and ``power_chain`` (the index and the stable
@@ -13,7 +13,10 @@ timed on a random submodule pair at (1)/25 and at (2,3)/2 twice: with
 runs it (``closed_sum_report_unsampled``).  ``commuting_drazin_criterion``
 is timed on commuting pairs (1)/24, (1)/48 and (1)/96 with a planted
 nilpotent part of index 3, the pairs the ladder-blockwise benchmark
-analyzes, fresh copies per repetition.  Prints one JSON object: the
+analyzes, fresh copies per repetition.  ``load_operator`` times the I/O
+layer beside them: ``serialize.load_operator`` reading each rung's planted
+endomorphism from the operator file ``modop analyze`` would read, written
+before the clock starts.  Prints one JSON object: the
 median milliseconds per certificate and rung, plus the numpy version and
 the host.
 
@@ -43,6 +46,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -71,7 +75,7 @@ def measure(tree: Path, repeats: int, seed: int) -> dict[str, dict[str, list[flo
     sys.path.insert(0, str(tree / "src"))
     import numpy as np
 
-    from modop import drazin, fredholm, geometry, randgen
+    from modop import drazin, fredholm, geometry, randgen, serialize
     from modop.linmap import AdjointableMap
 
     def fresh(f: AdjointableMap) -> AdjointableMap:
@@ -98,6 +102,7 @@ def measure(tree: Path, repeats: int, seed: int) -> dict[str, dict[str, list[flo
         "closed_sum_report": {},
         "closed_sum_report_unsampled": {},
         "commuting_drazin_criterion": {},
+        "load_operator": {},
     }
     for text, m, nilpotent in RUNGS:
         rng = np.random.default_rng([seed, len(text), m])
@@ -115,6 +120,10 @@ def measure(tree: Path, repeats: int, seed: int) -> dict[str, dict[str, list[flo
         for name, run in runs.items():
             copies = [(fresh(f), fresh(g), fresh(endo)) for _ in range(repeats)]
             results[name][f"({text})/{m}"] = timed(run, copies)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "endo.json")
+            serialize.save_json(path, serialize.operator_to_jsonable(endo))
+            results["load_operator"][f"({text})/{m}"] = timed(serialize.load_operator, [path] * repeats)
     for text, m, ranks_m, ranks_n in PAIRS:
         rng = np.random.default_rng([seed, len(text), m])
         shape = randgen.parse_shape(text)

@@ -22,6 +22,11 @@ Determinism contract: identical command line (seed, counts, tolerances)
 produces byte-identical output.  Suite instances run serially in index
 order, each drawing from its own index-keyed generator.
 
+The argument parser is built once per process and reused by every
+``main`` call: a ``modop`` process builds it once, as before, and
+in-process callers (the tests, the benchmarks, scripts) stop rebuilding
+it per command.
+
 Exit codes: 0 all checks pass, 1 a property check failed, 2 usage or
 data errors, 3 the input is too ill-conditioned to certify
 (``IllConditionedError``) or a LAPACK routine failed on it.
@@ -33,7 +38,7 @@ import argparse
 import math
 import sys
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -493,7 +498,10 @@ def _emit(payload: Any, fmt: str, out: str | None) -> None:
 # argument parsing
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: immutable configuration, and
+    ``parse_args`` returns a fresh namespace on every call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol-rank", type=float, default=None, help="override rank cutoff")
     common.add_argument("--tol-angle", type=float, default=None, help="override angle tolerance")

@@ -11,12 +11,16 @@ closed sum.
 Bouldin's closed-range criterion for a composition DF (R. Bouldin, "The
 product of operators with closed range", Tohoku Math. J. 25, 1973) is the
 same geometry for the pair (Im F, ker D).  Both spaces are cut down once
-to their parts transverse to K = Im F ∩ ker D; the closed-sum report of
-that reduced pair gives c0, delta and the verdict, and delta is one of
-the two restricted-projection margins.  The other margin is the mirror
-quantity.  Both equal the sine of the smallest angle between the
-leftover pieces, so they are positive together — that equivalence is
-asserted, not assumed.
+to their parts transverse to K = Im F ∩ ker D, each the complement of K
+inside its own space: per block, one SVD of the small matrix K^H Q, whose
+trailing right singular vectors span it.  No rank is decided there, since
+the width (the space's less K's) is forced, and no complement of K in the
+whole module is formed (see ``_reduce``; Björck & Golub, Math. Comp. 27,
+1973).  The closed-sum report of that reduced pair gives c0, delta and
+the verdict, and delta is one of the two restricted-projection margins.
+The other margin is the mirror quantity.  Both equal the sine of the
+smallest angle between the leftover pieces, so they are positive
+together — that equivalence is asserted, not assumed.
 
 All SVD work happens on the per-block compressed column bases: the
 flat cross-Gram of two submodules is the direct sum of the per-block
@@ -57,7 +61,7 @@ import numpy as np
 from .errors import IdentityViolation, StructureError
 from .linmap import AdjointableMap
 from .modules import K0Class, Submodule
-from .subspace import _live, _residual_values, herm, stacked
+from .subspace import _live, _merge, _residual_values, herm, stacked
 from .tolerances import COINCIDE_TOL, DEFAULT_TOL, POSITIVITY_TAU, ToleranceConfig
 
 Array = np.ndarray
@@ -211,16 +215,36 @@ def _module_norms(stacks: list[Array]) -> Array:
 # closed-sum report
 
 
+def _outside(q: Array, k: Array) -> Array:
+    """span(q) ⊖ span(k), for span(k) inside span(q) up to roundoff: q times
+    the trailing right singular vectors of k^H q, as many as q has columns
+    more than k."""
+    if not k.shape[-1]:
+        return q
+    vh = np.linalg.svd(herm(k) @ q)[2]
+    return q @ herm(vh[..., k.shape[-1] :, :])
+
+
 def _reduce(m: Submodule, n: Submodule) -> tuple[Submodule, Submodule, Submodule]:
-    """K = M ∩ N, and the parts M ∩ K^perp and N ∩ K^perp of the pair
-    transverse to it (M and N themselves when K = 0)."""
+    """K = M ∩ N, and the parts M ⊖ K and N ⊖ K of the pair transverse to
+    it (M and N themselves when K = 0).
+
+    Each part is the complement of K inside its own space, one SVD of the
+    k x r matrix K^H Q per block (Björck & Golub, Math. Comp. 27, 1973):
+    no rank is decided, since the width r - k is forced.  K = qr(Q_M v) lies
+    in M to roundoff and within ``COINCIDE_TOL`` of N, so K^H Q has k
+    singular values at 1 up to that angle, and its trailing r - k right
+    singular vectors span the directions of Q orthogonal to K."""
     if m.shape != n.shape or m.m != n.m:
         raise StructureError("submodules live in different modules")
     meet, _ = m.intersection(n)
     if meet.dim == 0:
         return meet, m, n
-    perp = meet.complement()
-    return meet, m.intersection(perp)[0], n.intersection(perp)[0]
+    parts = []
+    for x in (m, n):
+        out = stacked(_outside, x.groups, meet.groups)
+        parts.append(Submodule._of_groups(m.shape, m.m, _merge(zip(out.stacks, out.members))))
+    return meet, *parts
 
 
 def closed_sum_report(
@@ -338,8 +362,10 @@ def bouldin_criterion(
 
     # Duality: the same margins must come out of the adjoint-side pair
     # (Im D*, ker F*) = ((ker D)^perp, (Im F)^perp).
+    # Each adjoint decides at its map's norm, the one its decision is
+    # referenced to, so neither runs a values-only SVD for it.
     ds, fs = d.adjoint(), f.adjoint()
-    _, t1, t2 = _reduce(ds.image(tol), fs.kernel(tol))
+    _, t1, t2 = _reduce(ds.image(tol, scale=d.norm()), fs.kernel(tol, scale=f.norm()))
     dual_p, dual_q = _min_modulus(t2, t1, tol), _min_modulus(t1, t2, tol)
     finite_pairs = [
         (a, b)

@@ -16,17 +16,23 @@ submodule  -- ``{"shape": [...], "m": k, "vectors": [vector-entries...]}``;
 Every matrix entry must be finite: ``inf``/``nan`` (JSON ``1e999``,
 ``NaN``) are rejected with :class:`~modop.errors.DataError` before any
 numerical work runs, by the one check :func:`~modop.linmap.require_finite`:
-once per loaded vector and once per loaded operator (converted with one
-array conversion per block size, or entry by entry when malformed, so the
-error names the bad entry).  Operators are written back the same way: one
-``tolist`` per block-size group, with no element object per entry.
+once per loaded vector and once per loaded operator.  An operator file is
+converted with one flat conversion per block size: each nesting level is
+checked and flattened at C speed (the types and lengths of a level as
+sets, ``itertools.chain``), and the numbers of a size group become one
+1-D float array, reshaped and transposed into the group's stack.  A
+malformed file (a wrong length or type at any level, a number that is not
+one, an integer too large for a float) is converted again entry by entry,
+so the error names the bad entry.  Operators are written back the same
+way: one ``tolist`` per block-size group, with no element object per entry.
 
 Report emission is write-only: a generic walker keeps scalars,
 dimension data, margins, residuals, and K0 classes, and drops raw
 matrices.  Floats are printed in fixed 17-significant-digit scientific
 form and dictionary keys are emitted sorted, so identical reports are
 identical bytes (non-finite values become the strings "inf"/"-inf"/"nan",
-which JSON numbers cannot carry).
+which JSON numbers cannot carry).  A list of plain integers (K0 classes,
+rank chains, sizes) is written with one join.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -102,6 +109,8 @@ def dumps_canonical(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if set(map(type, obj)) == {int}:  # K0 classes, rank chains, sizes (bools excluded)
+            return "[" + ", ".join(map(str, obj)) + "]"
         flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
         if flat:
             return "[" + ", ".join(dumps_canonical(v) for v in obj) + "]"
@@ -136,7 +145,7 @@ def _matrix_to_pairs(mat: np.ndarray) -> list[list[list[float]]]:
 def _matrix_from_pairs(data: Any, n: int, where: str) -> np.ndarray:
     try:
         arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{where}: expected nested [re, im] lists ({exc})") from exc
     if arr.shape != (n, n, 2):
         raise DataError(f"{where}: expected shape ({n}, {n}, 2), got {arr.shape}")
@@ -229,29 +238,43 @@ def operator_from_jsonable(data: Any) -> AdjointableMap:
     return AdjointableMap.from_entries(rows)
 
 
+def _flatten(level: list, sizes: tuple[int, ...]) -> list | None:
+    """The items ``len(sizes)`` levels down a nest of lists, in order, where
+    every list d levels down holds ``sizes[d]`` members; None if one does not."""
+    for size in sizes:
+        if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
+            return None
+        level = list(chain.from_iterable(level))
+    return level
+
+
 def _blocks_from_entries(shape: AlgebraShape, entries: list, m: int, n: int) -> Grouped | None:
-    """Compressed blocks of a well-formed n x m entry list, one array
-    conversion per block size; None if any row, entry or block is malformed."""
+    """Compressed blocks of a well-formed n x m entry list, one flat array
+    conversion per block size; None if any row, entry, block or number is
+    malformed."""
     k = shape.num_blocks
-    if not all(
-        isinstance(row, list) and len(row) == m and all(isinstance(e, list) and len(e) == k for e in row)
-        for row in entries
-    ):
+    blocks = _flatten(entries, (m, k))  # in (row i, column j, block b) order
+    if blocks is None:
         return None
     stacks = []
     for idx in shape.size_groups:
-        # a shape of one block size takes every block: the entries as they stand
-        sel, nb = idx.tolist(), shape.block_sizes[idx[0]]
-        picked = entries if len(sel) == k else [[[e[b] for b in sel] for e in row] for row in entries]
-        try:
-            arr = np.asarray(picked, dtype=float)
-        except (TypeError, ValueError):
+        nb, cnt = shape.block_sizes[idx[0]], len(idx)
+        picked = blocks  # a shape of one block size takes every block
+        if cnt < k:
+            where = (np.arange(n * m)[:, None] * k + idx).ravel().tolist()
+            picked = list(map(blocks.__getitem__, where))
+        leaves = _flatten(picked, (nb, nb, 2))  # block rows, [re, im] pairs, numbers
+        if leaves is None:
             return None
-        if arr.shape != (n, m, len(idx), nb, nb, 2):
+        try:
+            arr = np.array(leaves, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        if arr.ndim != 1:  # every "number" a list of one length
             return None
         # entry (i, j), block slot s, element (r, c) -> slot s, row i*nb + r, column j*nb + c
-        arr = np.ascontiguousarray(arr.transpose(2, 0, 3, 1, 4, 5))
-        stacks.append(arr.view(np.complex128).reshape(len(idx), n * nb, m * nb))
+        arr = arr.reshape(n, m, cnt, nb, nb, 2).transpose(2, 0, 3, 1, 4, 5)
+        stacks.append(np.ascontiguousarray(arr).view(np.complex128).reshape(cnt, n * nb, m * nb))
     return Grouped(stacks, shape.size_groups)
 
 

@@ -293,13 +293,15 @@ def test_run_suite_api_matches_cli(capsys):
         ("perturbation-chain", AdjointableMap, "_merged", 45),
         ("product-chain", AdjointableMap, "_merged", 45),
         ("dual", np.linalg, "svd", 138),
+        ("bouldin", np.linalg, "svd", 82),
     ],
 )
 def test_certificates_read_each_decision_once(monkeypatch, suite, owner, name, budget):
     # the first five instances at seed 0 on 2,3: no certificate decides a
-    # class twice, and the dual check forms none of the Drazin report's
-    # residual maps; test_certificates_decide_each_map_once pins the
-    # decisions per map
+    # class twice, the dual check forms none of the Drazin report's
+    # residual maps, and Bouldin's adjoints decide at their maps' norms
+    # (no values-only SVD for them) and split the meet off inside each
+    # space; test_certificates_decide_each_map_once pins the decisions per map
     calls = [0]
     real = getattr(owner, name)
 
@@ -596,6 +598,21 @@ def test_every_tolerance_is_settable_from_the_command_line(capsys):
         assert json.loads(capsys.readouterr().out)["config"][fld.name] == value
 
 
+def test_parser_is_built_once_and_options_do_not_carry_over(tmp_path, capsys):
+    # one parser per process; each call parses into a fresh namespace
+    assert _build_parser() is _build_parser()
+    argv = ["verify", "dual", "--n", "1"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    target = tmp_path / "run.json"
+    assert main([*argv, "--tol-rank", "1e-9", "--format", "json", "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(target.read_text())["config"]["rank_tol"] == 1e-9
+    assert main(argv) == 0
+    again = capsys.readouterr().out  # text, on stdout, at the default tolerance
+    assert again == plain and f"rank_tol: {ToleranceConfig().rank_tol:.16e}" in again
+
+
 def _no_svd(*args, **kwargs):
     raise AssertionError("an SVD ran on data that should have been rejected")
 
@@ -624,6 +641,28 @@ def test_nonfinite_submodule_entry_is_usage_error(tmp_path, rng, monkeypatch, ca
     monkeypatch.setattr(np.linalg, "svd", _no_svd)
     assert main(["geometry", str(bad), good]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["operator", "submodule"])
+def test_integer_too_large_for_a_float_is_usage_error(tmp_path, rng, monkeypatch, capsys, kind):
+    shape = AlgebraShape((2,))
+    good = write_operator(tmp_path, "good.json", AdjointableMap.identity(shape, 2))
+    if kind == "operator":
+        payload = operator_to_jsonable(AdjointableMap.identity(shape, 2))
+        payload["entries"][1][0][0][1][0] = [10**400, 0.0]
+        argv, where = ["analyze"], "entries[1][0].block[0]"
+    else:
+        payload = submodule_to_jsonable(random_submodule(shape, 2, rng, ranks=(1,)))
+        payload["vectors"][0]["entries"][1][0][1][0] = [10**400, 0.0]
+        argv, where = ["geometry"], "entries[1].block[0]"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))  # the integer literal as written, all 401 digits
+    monkeypatch.setattr(np.linalg, "svd", _no_svd)
+    assert main([*argv, str(bad), *([good] if kind == "submodule" else [])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: ") and len(captured.err.splitlines()) == 1
+    assert where in captured.err
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "inf"])

@@ -90,8 +90,9 @@ def test_reduced_pair_with_zero_delta_is_rejected(certify, shape23, rng, monkeyp
 
 def test_reduced_pairs_are_not_intersected_again(shape23, rng, monkeypatch):
     # (Im F, ker D) = (M, N) is transverse: one intersection.  The adjoint
-    # pair (N^perp, M^perp) meets, so its reduction makes three.  The four
-    # margins read the reductions and intersect nothing themselves.
+    # pair (N^perp, M^perp) meets, and its reduction splits the meet off
+    # inside each space, so it makes one as well.  The four margins read
+    # the reductions and intersect nothing themselves.
     calls = [0]
     real = Submodule.intersection
 
@@ -104,7 +105,7 @@ def test_reduced_pairs_are_not_intersected_again(shape23, rng, monkeypatch):
     n = random_submodule(shape23, 3, rng, ranks=(1, 2))
     p_m, p_n = orthogonal_projection(m), orthogonal_projection(n)
     bouldin_criterion(p_m, AdjointableMap.identity(shape23, 3) - p_n)
-    assert calls[0] == 1 + 3
+    assert calls[0] == 1 + 1
 
 
 def test_closed_sum_pythagoras(shape23, rng):
@@ -216,9 +217,8 @@ def test_coefficient_norms_match_ambient_oracle(shape_text, case):
     samples = 2000
     rep = closed_sum_report(m, n, rng=np.random.default_rng(9), samples=samples)
     assert rep.reduced == (case == "reduced")
-    if rep.reduced:
-        perp = m.intersection(n)[0].complement()
-        m, n = m.intersection(perp)[0], n.intersection(perp)[0]
+    if rep.reduced:  # the bases the report samples on
+        _, m, n = geometry._reduce(m, n)
     # same seeded draws, taken as coefficients on the flat oracle bases
     draw = np.random.default_rng(9)
     x = flat_basis(m) @ _cnormal(draw, m.dim, samples)
@@ -290,6 +290,27 @@ def test_oblique_norm_matches_dense_projector_oracle(shape_text, case):
     proj = np.hstack([qm, np.zeros_like(qn)]) @ np.linalg.pinv(both)
     expect = float(np.linalg.norm(proj, 2))
     assert abs(rep.oblique_norm - expect) <= 1e-12 * expect
+
+
+@pytest.mark.parametrize(
+    "shape_text, case",
+    [(text, case) for text in ("1", "2,3", "1^4") for case in ("transverse", "reduced")]
+    + [("2,3", "zero-blocks"), ("1^4", "zero-blocks")],
+)
+def test_reduction_matches_dense_oracle(shape_text, case):
+    # M ⊖ K and N ⊖ K, split off inside each space, are the SciPy oracle's
+    # parts orthogonal to the meet, with orthonormal bases held one stack per shape
+    shape = parse_shape(shape_text)
+    rng = np.random.default_rng(4)
+    m, n = _zero_block_pair(shape, rng) if case == "zero-blocks" else _planted_pairs(shape, rng)[case]
+    meet, m_red, n_red = geometry._reduce(m, n)
+    assert meet.k0().is_zero() == (case != "reduced")
+    for got, expect in zip((m_red, n_red), _flat_reduced(flat_basis(m), flat_basis(n))):
+        q = flat_basis(got)
+        assert np.abs(q.conj().T @ q - np.eye(q.shape[1])).max() <= 1e-13
+        assert np.abs(q @ q.conj().T - expect @ expect.conj().T).max() <= 1e-13
+        shapes = [s.shape[1:] for s in got.groups.stacks]
+        assert len(shapes) == len(set(shapes))
 
 
 def test_sampled_ratios_never_exceed_the_oblique_norm():

@@ -15,7 +15,9 @@ from modop.linmap import AdjointableMap
 from modop.modules import ModuleVector, Submodule
 from modop.randgen import parse_shape, random_map, random_submodule, random_vector_flat
 from modop.serialize import (
+    _blocks_from_entries,
     dumps_canonical,
+    element_from_jsonable,
     element_to_jsonable,
     load_geometry_operand,
     load_json,
@@ -283,3 +285,56 @@ def test_fuzzed_submodule_payloads_load_or_raise_data_error(payload):
         return
     assert (list(sub.shape.block_sizes), sub.m) == (payload["shape"], payload["m"])
     assert sub.dim <= sub.ambient_dim
+
+
+# -- fuzzing: operator payloads, the flat conversion against the entry path --
+
+_NUMBERS = st.one_of(_LEAVES, st.integers(min_value=2**1024))  # and ints past any float
+
+
+@st.composite
+def _operator_payloads(draw):
+    """An operator on a shape mixing block sizes and singletons, with one
+    row, entry, block, block row, pair or number (possibly none) replaced."""
+    shape = AlgebraShape(tuple(draw(st.sampled_from([[1, 1, 2], [2, 3]]))))
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    f = random_map(shape, m, n, np.random.default_rng(draw(st.integers(0, 99))))
+    payload = operator_to_jsonable(f)
+    entries = payload["entries"]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))
+    b = draw(st.integers(0, shape.num_blocks - 1))
+    r, c = (draw(st.integers(0, shape.block_sizes[b] - 1)) for _ in range(2))
+    part = draw(st.sampled_from(["keep", "row", "entry", "block", "block row", "pair", "number"]))
+    if part == "row":
+        entries[i] = draw(_JUNK)
+    elif part == "entry":
+        entries[i][j] = draw(_JUNK)
+    elif part == "block":
+        entries[i][j][b] = draw(_JUNK)
+    elif part == "block row":
+        entries[i][j][b][r] = draw(_JUNK)
+    elif part == "pair":
+        entries[i][j][b][r][c] = draw(_JUNK)
+    elif part == "number":
+        entries[i][j][b][r][c][draw(st.integers(0, 1))] = draw(_NUMBERS)
+    return payload
+
+
+def _one_number(number) -> dict:
+    return {"shape": [1], "domain": 1, "codomain": 1, "entries": [[[[[number]]]]]}
+
+
+@given(_operator_payloads())
+@example(_one_number([1.0, 2**1024]))  # too large for a float
+@example(_one_number([[1.0], [0.0]]))  # every number a list: numpy would add an axis
+def test_fuzzed_operator_payloads_convert_like_the_entry_path(payload):
+    try:
+        f = operator_from_jsonable(payload)
+    except DataError:
+        return
+    shape = AlgebraShape(tuple(payload["shape"]))
+    # whatever loads took the flat conversion, whose bits are the entry path's
+    assert _blocks_from_entries(shape, payload["entries"], f.m, f.n) is not None
+    rows = [[element_from_jsonable(shape, e) for e in row] for row in payload["entries"]]
+    expect = AdjointableMap.from_entries(rows)
+    assert [a.tobytes() for a in f.blocks] == [a.tobytes() for a in expect.blocks]
