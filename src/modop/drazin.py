@@ -74,7 +74,9 @@ class DrazinReport:
 
 def drazin_inverse(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> DrazinReport:
     """F^D = S diag(F1^-1, 0) S^-1 on the split of F's power chain, where F
-    is certified block-diagonal and invertible on the core."""
+    is certified block-diagonal and invertible on the core.  Each of the four
+    axiom residuals must stay within ``RESIDUAL_TOL`` times cond S, as
+    ``PowerChain.witness`` gates the off-diagonal blocks."""
     if not f.is_endomorphism:
         raise StructureError("Drazin inversion needs an endomorphism")
     chain = f.power_chain(tol)
@@ -86,14 +88,21 @@ def drazin_inverse(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> Dra
     core_part = f @ proj
     nilp = f - core_part
 
-    nx = x.norm()
-    r_xfx = (x @ f @ x - x).norm() / max(nx, 1e-300) if nx > 0 else 0.0
-    r_comm = (f @ x - x @ f).norm() / max(nf * nx, 1e-300) if nx > 0 else 0.0
-    # ||F^(p+1) X - F^p|| / ||F||^p and ||N^p|| / ||F||^p, on F/||F|| and
-    # N/||F|| so that no power of the norm is formed.
-    gp = ((1.0 / nf) * f).power(p)
-    r_power = (gp @ (f @ x) - gp).norm()
-    r_nilp = 0.0 if p == 0 else ((1.0 / nf) * nilp).power(p).norm()
+    nx, gp = x.norm(), ((1.0 / nf) * f).power(p)
+    residuals = {
+        "xfx_minus_x": (x @ f @ x - x).norm() / max(nx, 1e-300) if nx > 0 else 0.0,
+        "commutator": (f @ x - x @ f).norm() / max(nf * nx, 1e-300) if nx > 0 else 0.0,
+        # ||F^(p+1) X - F^p|| / ||F||^p and ||N^p|| / ||F||^p, on F/||F|| and
+        # N/||F|| so that no power of the norm is formed.
+        "power_identity": (gp @ (f @ x) - gp).norm(),
+        "nilpotency": 0.0 if p == 0 else ((1.0 / nf) * nilp).power(p).norm(),
+    }
+    worst = max(residuals, key=residuals.__getitem__)
+    if residuals[worst] > RESIDUAL_TOL * split.cond:
+        raise IdentityViolation(
+            f"Drazin axiom residual {worst} = {residuals[worst]:.3e} above "
+            f"RESIDUAL_TOL x cond S (cond S = {split.cond:.3e})"
+        )
     return DrazinReport(
         p=p,
         drazin_inverse=x,
@@ -104,13 +113,7 @@ def drazin_inverse(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> Dra
         null_space=split.null_space,
         core_gamma=core.gamma_f1,
         splitting_cond=split.cond,
-        residuals={
-            "xfx_minus_x": float(r_xfx),
-            "commutator": float(r_comm),
-            "power_identity": float(r_power),
-            "nilpotency": float(r_nilp),
-            "off_diagonal": float(core.off_diagonal_residual),
-        },
+        residuals={**residuals, "off_diagonal": float(core.off_diagonal_residual)},
         margin=chain.margin,
     )
 
@@ -148,10 +151,13 @@ def drazin_dual_check(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> 
     F^D = S diag(F1^-1, 0) S^-1; no Drazin residual is formed): equal
     indices, (F^D)* = (F*)^D within RESIDUAL_TOL cond S cond S*, and
     ker (F*)^k = (Im F^k)^perp for k = 1 .. p."""
-    chain, chain_adj = f.power_chain(tol), f.adjoint().power_chain(tol)
-    # both splits are certified before the indices are compared: an index
-    # that differs on an ill-conditioned input raises IllConditionedError there
-    x, x_adj = (_on_split(c, stacked(np.linalg.inv, c.core.f1_blocks)) for c in (chain, chain_adj))
+    # F is decided before F* is formed, so F* takes F's record over.  Both
+    # splits are certified before the indices are compared: an index that
+    # differs on an ill-conditioned input raises IllConditionedError there.
+    chain = f.power_chain(tol)
+    x = _on_split(chain, stacked(np.linalg.inv, chain.core.f1_blocks))
+    chain_adj = f.adjoint().power_chain(tol)
+    x_adj = _on_split(chain_adj, stacked(np.linalg.inv, chain_adj.core.f1_blocks))
     p = chain.index
     if p != chain_adj.index:
         raise IdentityViolation(f"Drazin index differs under adjoint: {p} vs {chain_adj.index}")

@@ -144,10 +144,10 @@ def exact_sequence(
     if f.shape != g.shape or g.m != f.n:
         raise StructureError("maps are not composable (g after f)")
     gf = g @ f
-    nf, ng = f.norm(), g.norm()
     ker_f, im_f_perp = f.kernel(tol), f.cokernel(tol)
-    ker_gf, im_gf_perp = gf.kernel(tol, scale=nf * ng), gf.cokernel(tol, scale=nf * ng)
     ker_g, im_g_perp = g.kernel(tol), g.cokernel(tol)
+    nf, ng = f.norm(), g.norm()
+    ker_gf, im_gf_perp = gf.kernel(tol, scale=nf * ng), gf.cokernel(tol, scale=nf * ng)
 
     spaces = (ker_f, ker_gf, ker_g, im_f_perp, im_gf_perp, im_g_perp)
     dims = tuple(s.dim for s in spaces)
@@ -214,14 +214,13 @@ def weyl_perturbation_chain(
     """Build and verify the perturbation identity for T and finite-class F."""
     if t.shape != f.shape or t.m != f.m or t.n != f.n:
         raise StructureError("T and F must act between the same modules")
-    scale_sum = t.norm() + f.norm()
-    tf = t + f
-
     ker_f = f.kernel(tol)
     perturb_class = K0Class.free(f.shape, f.m) - ker_f.k0()  # class of Im F
 
-    w = t.image_step(ker_f, tol)[0]  # T(ker F)
     im_t = t.image(tol)
+    w = t.image_step(ker_f, tol)[0]  # T(ker F)
+    scale_sum = t.norm() + f.norm()
+    tf = t + f
     im_tf = tf.image(tol, scale=scale_sum)
 
     ok_w1, r_w1 = im_t.contains(w, tol)
@@ -302,11 +301,10 @@ def product_chain(
     """Verify the K0 balance for the composition d after f."""
     if d.shape != f.shape or d.m != f.n:
         raise StructureError("maps are not composable (d after f)")
-    df = d @ f
-    scale = d.norm() * f.norm()
+    wf, wd = weyl_defect_witness(f, tol), weyl_defect_witness(d, tol)
+    df, scale = d @ f, d.norm() * f.norm()
     ker_df = df.kernel(tol, scale=scale)
     coker_df = df.cokernel(tol, scale=scale).k0()
-    wf, wd = weyl_defect_witness(f, tol), weyl_defect_witness(d, tol)
     lhs = ker_df.k0() + wf.pad_kernel + wd.pad_kernel
     rhs = coker_df + wf.pad_cokernel + wd.pad_cokernel
     if lhs.entries != rhs.entries:

@@ -362,10 +362,8 @@ def bouldin_criterion(
 
     # Duality: the same margins must come out of the adjoint-side pair
     # (Im D*, ker F*) = ((ker D)^perp, (Im F)^perp).
-    # Each adjoint decides at its map's norm, the one its decision is
-    # referenced to, so neither runs a values-only SVD for it.
     ds, fs = d.adjoint(), f.adjoint()
-    _, t1, t2 = _reduce(ds.image(tol, scale=d.norm()), fs.kernel(tol, scale=f.norm()))
+    _, t1, t2 = _reduce(ds.image(tol), fs.kernel(tol))
     dual_p, dual_q = _min_modulus(t2, t1, tol), _min_modulus(t1, t2, tol)
     finite_pairs = [
         (a, b)

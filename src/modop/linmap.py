@@ -13,7 +13,7 @@ as the test oracle and as the plain matrix ``modop banach`` works on.
 The blocks are stored as one read-only (count, rows, cols) stack per block
 size (a :class:`~modop.subspace.Grouped`), so a map over 1^256 is one
 (256, rows, cols) array.  Every operation (sums, products, adjoints, the
-spectral records, the staircase steps, the split and its certificate)
+spectral record, the staircase steps, the split and its certificate)
 runs on those stacks, one numpy call per group, and so does every
 per-block rank count.  A map copies its input once per block size only
 when built from per-block matrices (``AdjointableMap(shape, m, n,
@@ -21,23 +21,21 @@ blocks)``, the files of :mod:`modop.serialize`); the results of its own
 operations are fresh stacks and are owned without a copy.  ``blocks``
 holds per-block views for I/O, reports and the test oracles.
 
-Each map carries two spectral records, computed on first use and
-cached: the values-only SVD of every block (``_svals``, read by ``norm``
-alone) and the full SVD (``_svd``).  Each tolerance and scale gets one
-rank decision on the full record, referenced to ``norm()`` when no scale
-is given, made once (``_decided``): ``kernel``, ``image``, ``cokernel``,
-``singular_data`` and step 1 of both staircases read it.  The
-values-only record stays because many maps
-only have their norm read: the Drazin report's inverse, core part,
-nilpotent part and projector, and every residual map.  On a 96 x 96
-complex block the full SVD takes 4.1 ms and the values-only one 1.7 ms
-(numpy 2.4, OpenBLAS on one thread, 2-core x86 machine).  Reading
-``norm`` off the full SVD instead made the ladder-blockwise benchmark
-slower in 4 of 4 alternating pairs: 31.95 -> 29.32 ops/s, p90
-97.3 -> 110.5 ms.  Both are stacked records on the map's groups:
-:func:`modop.subspace.stacked` makes one LAPACK call per group, bitwise
-equal to per-block calls; the later power-chain steps are grouped the
-same way.
+Each map caches one spectral record, the full SVD of every block
+(``_svd``).  Each tolerance and scale gets one rank decision on it,
+referenced to ``norm()`` when no scale is given, made once
+(``_decided``): ``kernel``, ``image``, ``cokernel``, ``singular_data``
+and step 1 of both staircases read it.  ``norm()`` reads that record if
+the map holds it, and otherwise runs one values-only SVD: which SVD it
+reads depends on whether the map was decided first, and only trailing
+digits depend on that order.  Maps whose norm alone is read (the Drazin
+report's inverse, core part, nilpotent part and projector, every
+residual map) keep that path: reading every norm off a full SVD made
+``drazin`` on the commuting (1)/96 file 50.1 -> 63.9 ms (numpy 2.4,
+OpenBLAS on one thread, 2-core x86 machine).  An adjoint takes its
+map's record, F* = V S^H U^H, and its norm over.  The record is stacked
+on the map's groups, one LAPACK call per group, bitwise equal to
+per-block calls.
 
 An endomorphism's :class:`PowerChain`, one per tolerance, holds its
 staircases and the core–nilpotent split Im F^p +' ker F^p with F's
@@ -252,9 +250,16 @@ class AdjointableMap:
         )
 
     def adjoint(self) -> "AdjointableMap":
-        return AdjointableMap._of_groups(
+        """F*, holding F's spectral record (F* = V S^H U^H) and norm, if F has them."""
+        adj = AdjointableMap._of_groups(
             self.shape, self.n, self.m, self.groups.map(lambda s: np.ascontiguousarray(herm(s)))
         )
+        if "_svd" in self.__dict__:
+            u, s, vh = self._svd
+            adj.__dict__["_svd"] = (vh.map(herm), s, u.map(herm))
+        if "_norm" in self.__dict__:
+            adj.__dict__["_norm"] = self._norm
+        return adj
 
     def power(self, k: int) -> "AdjointableMap":
         if not self.is_endomorphism:
@@ -279,10 +284,6 @@ class AdjointableMap:
 
     # -- spectral records, kernels and images ----------------------------------
 
-    @cached_property
-    def _svals(self) -> Grouped:
-        return stacked(np.linalg.svd, self.groups, compute_uv=False)
-
     def _merged(
         self, values: Grouped, tol: ToleranceConfig, scale: float | None
     ) -> SingularData:
@@ -294,8 +295,15 @@ class AdjointableMap:
         return _decide(np.sort(merged)[::-1], tol, self.dim_ctx, scale)
 
     def norm(self) -> float:
-        """Operator norm in the module sense (= largest block singular value)."""
-        return max((max(s[:, 0].tolist()) for s in self._svals.stacks if s.shape[-1]), default=0.0)
+        """Operator norm in the module sense (= largest block singular value),
+        off ``_svd`` if the map holds it, else off one values-only SVD."""
+        return self._norm
+
+    @cached_property
+    def _norm(self) -> float:
+        svd = self.__dict__.get("_svd")
+        values = stacked(np.linalg.svd, self.groups, compute_uv=False) if svd is None else svd[1]
+        return max((max(s[:, 0].tolist()) for s in values.stacks if s.shape[-1]), default=0.0)
 
     def singular_data(
         self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
@@ -316,9 +324,10 @@ class AdjointableMap:
     def _decided(self, tol: ToleranceConfig, scale: float | None) -> Decision:
         """The map's one rank decision per tolerance and scale, on its full
         SVD record and referenced to ``norm()`` when no scale is given."""
+        values = self._svd[1]  # before norm(), which then reads it
         key = (tol, self.norm() if scale is None else scale)
         if key not in self._decisions:
-            self._decisions[key] = self._ranks(self._svd[1], *key)
+            self._decisions[key] = self._ranks(values, *key)
         return self._decisions[key]
 
     @cached_property
@@ -389,10 +398,7 @@ class AdjointableMap:
         return all(np.allclose(a, b, atol=atol) for a, b in zip(self.blocks, other.blocks))
 
     def __repr__(self) -> str:
-        return (
-            f"AdjointableMap(shape={self.shape}, A^{self.m} -> A^{self.n}, "
-            f"norm={self.norm():.3g})"
-        )
+        return f"AdjointableMap(shape={self.shape}, A^{self.m} -> A^{self.n})"
 
 
 @dataclass(frozen=True, eq=False)

@@ -130,17 +130,10 @@ def test_idempotent_norm_gate_trips_on_a_planted_norm(rng, monkeypatch):
         oblique_decomposition(onto, along)
 
 
-def test_make_regular_computes_each_projector_norm_once(monkeypatch):
+def test_make_regular_computes_each_projector_norm_once(svd_calls):
     t, kc, ic = random_regular_data(6, 6, np.random.default_rng(8), rank_deficit=1)
     reg = make_regular(t, kc, ic)
     f = 0.4 * random_matrix(6, 6, np.random.default_rng(9), rank_deficit=5)  # rank 1
-    calls = [0]
-    svd = np.linalg.svd
-
-    def counting(a, *args, **kwargs):
-        calls[0] += 1
-        return svd(a, *args, **kwargs)
-
     # One SVD of T gives ker T, Im T and ||T||; make_regular orthonormalizes
     # each given complement once; per decomposition the basis matrix, ||E||,
     # the idempotency residual and the sine of the identity check; five
@@ -157,11 +150,9 @@ def test_make_regular_computes_each_projector_norm_once(monkeypatch):
         (lambda: make_regular_orthogonal(t), 14),
         (lambda: banach_perturbation(reg, f).perturbed, 20),
     ):
-        calls[0] = 0
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        svd_calls.clear()
         out = build()
-        monkeypatch.undo()
-        assert calls[0] == expected
+        assert len(svd_calls) == expected
         # the stored norms give the bits the recomputed ones gave
         for dec in (out.ker_decomposition, out.im_decomposition):
             e = dec.idempotent
@@ -175,22 +166,13 @@ def test_make_regular_computes_each_projector_norm_once(monkeypatch):
 
 
 @pytest.mark.parametrize("suite, budget", [("banach-perturbation", 206), ("banach-product", 344)])
-def test_banach_suites_keep_their_svd_budget(monkeypatch, suite, budget):
+def test_banach_suites_keep_their_svd_budget(svd_calls, suite, budget):
     # the first five instances at seed 5 on 2,3: every space orthonormalized
     # once, each T decomposed by one SVD and its norm read off it; a re-added
     # decomposition or norm shows here
-    calls = [0]
-    svd = np.linalg.svd
-
-    def counting(a, *args, **kwargs):
-        calls[0] += 1
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
     payload = run_suite(suite, RunConfig(seed=5, n=5, shape="2,3"))
-    monkeypatch.undo()
     assert payload["passes"] == 5
-    assert calls[0] <= budget
+    assert len(svd_calls) <= budget
 
 
 def test_ill_posed_above_the_projector_norm_bound():

@@ -80,40 +80,26 @@ def test_one_operator_commands_on_extreme_scales(tmp_path, rng, capsys, scale):
     assert bundle["drazin"]["p"] == bundle["power_stabilization"]["stabilization_exponent"] == 2
 
 
-def _count_step_svds(monkeypatch) -> dict[str, int]:
-    """Full SVDs run inside each staircase step, by step kind (the map's
-    values-only record, read by ``norm``, is not a step's)."""
+def test_commands_build_each_staircase_once(tmp_path, rng, monkeypatch, svd_calls, capsys):
+    f = random_endomorphism(AlgebraShape((2, 3)), 2, rng, nilpotent=(2, 1))
+    path = write_operator(tmp_path, "endo.json", f)
     calls = {"image_step": 0, "preimage_step": 0}
-    inside: list[str] = []
-    svd = np.linalg.svd
-
-    def counting(a, *args, **kwargs):
-        if inside and kwargs.get("compute_uv", True):
-            calls[inside[-1]] += 1
-        return svd(a, *args, **kwargs)
 
     def tracked(name):
+        """The step, adding the full SVDs run inside it (a values-only norm
+        is not a step's) to calls[name]."""
         step = getattr(AdjointableMap, name)
 
         def run(self, sub, tol):
-            inside.append(name)
-            try:
-                return step(self, sub, tol)
-            finally:
-                inside.pop()
+            start = len(svd_calls)
+            out = step(self, sub, tol)
+            calls[name] += sum(call.compute_uv for call in svd_calls[start:])
+            return out
 
         return run
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
     for name in calls:
         monkeypatch.setattr(AdjointableMap, name, tracked(name))
-    return calls
-
-
-def test_commands_build_each_staircase_once(tmp_path, rng, monkeypatch, capsys):
-    f = random_endomorphism(AlgebraShape((2, 3)), 2, rng, nilpotent=(2, 1))
-    path = write_operator(tmp_path, "endo.json", f)
-    calls = _count_step_svds(monkeypatch)
     for cmd in ("drazin", "analyze"):
         calls.update(image_step=0, preimage_step=0)
         assert main([cmd, path, "--format", "json"]) == 0
@@ -292,16 +278,23 @@ def test_run_suite_api_matches_cli(capsys):
         ("exact-sequence", AdjointableMap, "_merged", 30),
         ("perturbation-chain", AdjointableMap, "_merged", 45),
         ("product-chain", AdjointableMap, "_merged", 45),
-        ("dual", np.linalg, "svd", 138),
-        ("bouldin", np.linalg, "svd", 82),
+        ("exact-sequence", np.linalg, "svd", 164),
+        ("perturbation-chain", np.linalg, "svd", 94),
+        ("product-chain", np.linalg, "svd", 30),
+        ("drazin-axioms", np.linalg, "svd", 77),
+        ("commuting-drazin", np.linalg, "svd", 126),
+        ("dual", np.linalg, "svd", 117),
+        ("browder", np.linalg, "svd", 115),
+        ("bouldin", np.linalg, "svd", 62),
     ],
 )
 def test_certificates_read_each_decision_once(monkeypatch, suite, owner, name, budget):
     # the first five instances at seed 0 on 2,3: no certificate decides a
-    # class twice, the dual check forms none of the Drazin report's
-    # residual maps, and Bouldin's adjoints decide at their maps' norms
-    # (no values-only SVD for them) and split the meet off inside each
-    # space; test_certificates_decide_each_map_once pins the decisions per map
+    # class twice, a decided map reads its norm off its one full SVD, an
+    # adjoint takes its map's record over, the dual check forms none of the
+    # Drazin report's residual maps, and Bouldin splits the meet off inside
+    # each space; test_certificates_decide_each_map_once pins the decisions
+    # per map
     calls = [0]
     real = getattr(owner, name)
 

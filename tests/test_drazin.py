@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_acceptance import kernel_chain_ascent
 
+from modop import drazin
 from modop.algebra import AlgebraShape
 from modop.drazin import (
     commuting_browder_check,
@@ -135,6 +136,14 @@ def test_split_rejects_a_core_rank_deficit(certify, monkeypatch):
     with pytest.raises(IdentityViolation) as exc:
         certify(AdjointableMap.from_matrix(np.diag([0.0, 2.0])))
     assert str(exc.value) == "map is not invertible on the stable range (rank 1 of 2)"
+
+
+def test_drazin_inverse_rejects_a_planted_axiom_defect(monkeypatch):
+    # X and the projector off by 1e-6 relative, on a split with cond S = 1
+    real = drazin._on_split
+    monkeypatch.setattr(drazin, "_on_split", lambda chain, cores: (1 + 1e-6) * real(chain, cores))
+    with pytest.raises(IdentityViolation, match=r"^Drazin axiom residual \w+ = .* x cond S"):
+        drazin_inverse(AdjointableMap.from_matrix(CORE_NILPOTENT))
 
 
 def graded_nilpotent_family(low, count=200, seed=1):

@@ -137,23 +137,16 @@ def test_exact_sequence_dims_match_flat_ranks(shape_text, m1, m2, m3, rng):
     assert rep.worst_residual < 1e-8
 
 
-def test_exact_sequence_runs_at_block_size(rng, monkeypatch):
+def test_exact_sequence_runs_at_block_size(rng, svd_calls):
     # shape (16,), m = 4: blocks are 64 x 64, the flat matrices 1024 x 1024
     shape = parse_shape("16")
     f = random_map(shape, 4, 4, rng, rank_deficit=1)
     g = random_map(shape, 4, 4, rng, rank_deficit=1)
-    sides = []
-    svd = np.linalg.svd
-
-    def spy(a, *args, **kwargs):
-        sides.append(max(a.shape[-2:]))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", spy)
+    svd_calls.clear()
     rep = exact_sequence(f, g)
     assert rep.worst_residual < 1e-8
     assert_index_bookkeeping(rep)
-    assert sides and max(sides) <= 4 * 16
+    assert svd_calls and max(max(c.a.shape[-2:]) for c in svd_calls) <= 4 * 16
 
 
 def _unitary(rng, n):

@@ -64,18 +64,6 @@ def _write(tmp_path, name, f):
     return str(path)
 
 
-def _svd_calls(monkeypatch):
-    calls = [0]
-    svd = np.linalg.svd
-
-    def counting(a, *args, **kwargs):
-        calls[0] += 1
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    return calls
-
-
 def test_stacked_keeps_input_order_and_per_matrix_bits(rng):
     shapes = [(4, 3), (2, 2), (4, 3), (4, 0), (2, 2), (4, 3), (1, 5)]
     mats = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
@@ -91,7 +79,7 @@ def test_stacked_keeps_input_order_and_per_matrix_bits(rng):
     assert all(np.array_equal(p, a @ a.conj().T) for p, a in zip(prods, mats))
 
 
-def test_analyze_svd_calls_scale_with_shapes_not_blocks(tmp_path, monkeypatch, capsys):
+def test_analyze_svd_calls_scale_with_shapes_not_blocks(tmp_path, svd_calls, capsys):
     # the planted 1^32/4 endomorphism of the size ladder against its 1^8/4
     # counterpart: four times the blocks, all of one shape
     counts = {}
@@ -99,11 +87,10 @@ def test_analyze_svd_calls_scale_with_shapes_not_blocks(tmp_path, monkeypatch, c
         rng = np.random.default_rng(7)
         f = random_endomorphism(parse_shape(text), 4, rng, nilpotent=(2, 1))
         path = _write(tmp_path, f"endo-{text}.json", f)
-        calls = _svd_calls(monkeypatch)
+        svd_calls.clear()
         assert main(["analyze", path, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["drazin"]["p"] == 2
-        counts[text] = calls[0]
-        monkeypatch.undo()
+        counts[text] = len(svd_calls)
     assert counts["1^32"] == counts["1^8"]
 
 
@@ -230,22 +217,18 @@ def test_exact_sequence_decisions_scale_with_shapes_not_blocks(monkeypatch):
     assert set(counts["1^8"]) == {"_decide", "_stack_ranks"}
 
 
-def test_analyze_runs_no_svd_job_twice(tmp_path, monkeypatch, capsys):
+def test_analyze_runs_no_svd_job_twice(tmp_path, svd_calls, capsys):
     # step 1 of both staircases reads the map's own full SVD record
     f = random_endomorphism(AlgebraShape((2, 3)), 2, np.random.default_rng(5), nilpotent=(2, 1))
     path = _write(tmp_path, "endo.json", f)
-    jobs = collections.Counter()
-    svd = np.linalg.svd
-
-    def recording(a, *args, **kwargs):
-        flags = (kwargs.get("full_matrices", True), kwargs.get("compute_uv", True))
-        for mat in np.asarray(a).reshape((-1,) + np.shape(a)[-2:]):
-            jobs[mat.shape, mat.tobytes(), flags] += 1
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording)
+    svd_calls.clear()
     assert main(["analyze", path, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["drazin"]["p"] == 2
+    jobs = collections.Counter(
+        (mat.shape, mat.tobytes(), call.full_matrices, call.compute_uv)
+        for call in svd_calls
+        for mat in call.a.reshape((-1,) + call.a.shape[-2:])
+    )
     assert jobs and max(jobs.values()) == 1
 
 

@@ -129,28 +129,30 @@ def test_orthogonal_projection_map(shape23, rng):
     assert p.image().equals(sub)
 
 
-def _count_svds(monkeypatch) -> dict[str, int]:
-    calls = {"values": 0, "full": 0}
-    svd = np.linalg.svd
-
-    def counting(a, *args, **kwargs):
-        calls["full" if kwargs.get("compute_uv", True) else "values"] += 1
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    return calls
-
-
-def test_each_map_is_decomposed_once(shape23, rng, monkeypatch):
-    f = random_map(shape23, 3, 2, rng, rank_deficit=1)
-    calls = _count_svds(monkeypatch)
+def _read_decided(f: AdjointableMap) -> AdjointableMap:
+    """Read everything of F's one record twice, a decision first."""
     for _ in range(2):
-        f.norm()
-        f.singular_data()
-        f.kernel()
-        f.image()
-    assert calls["values"] <= shape23.num_blocks
-    assert calls["full"] <= shape23.num_blocks
+        f.kernel(), f.norm(), f.image(), f.cokernel(), f.singular_data()
+        if f.is_endomorphism:
+            f.power_chain().kernel(1)
+    return f
+
+
+def test_each_map_is_decomposed_once(shape23, rng, svd_calls):
+    for m, n in ((3, 2), (3, 3)):
+        f, g = (random_map(shape23, m, n, rng, rank_deficit=1) for _ in range(2))
+        svd_calls.clear()
+        # a decided map and its adjoint: one full SVD per group between them
+        fs = _read_decided(_read_decided(f).adjoint())
+        stacks = f.groups.stacks + fs.groups.stacks
+        own = [c for c in svd_calls if any(np.array_equal(c.a, s) for s in stacks)]
+        assert len(own) == len(f.groups.stacks) and all(c.compute_uv for c in svd_calls)
+        assert fs.norm() == f.norm()
+        # a norm read alone: one values-only SVD per group, however often
+        svd_calls.clear()
+        for _ in range(3):
+            g.norm()
+        assert [call.compute_uv for call in svd_calls] == [False] * len(g.groups.stacks)
 
 
 def _count_decisions(monkeypatch) -> list[int]:
