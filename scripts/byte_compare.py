@@ -7,7 +7,7 @@ and runs every command below with the ``src/`` of that export and with
 this checkout's ``src/``, one fresh process per run and OpenBLAS on one
 thread.  Stdout, stderr and the exit code of the two runs must be equal.
 
-Commands:
+Commands (150):
   * ``verify``: the eleven suites at seeds 1-3 on shapes 2,3, 1^8 and 4;
   * ``analyze`` (json and text), ``drazin`` and ``banach`` on a planted
     endomorphism and a rank-deficient map A^3 -> A^2 over (2,3), 1^8
@@ -20,7 +20,10 @@ Commands:
     hold blocks of one size in several groups, so the certificates
     regroup them;
   * ``geometry`` on transverse, intersecting and operator pairs at seeds
-    0-2;
+    0-2, and on a submodule file whose spanning set is dependent (one
+    vector twice and one of its right multiples v a) against the
+    seed-0 transverse file: the per-block span decision on redundant
+    input;
   * the three ``probe`` families, text and csv.
 
 Prints each differing command with its differing lines, then how many
@@ -66,7 +69,7 @@ def write_inputs() -> list[list[str]]:
     from modop import randgen, serialize
     from modop.cli import SUITE_NAMES
     from modop.linmap import AdjointableMap
-    from modop.modules import Submodule
+    from modop.modules import ModuleVector, Submodule
     from modop.probes import FAMILY_NAMES
 
     shutil.rmtree(INPUTS, ignore_errors=True)
@@ -150,6 +153,17 @@ def write_inputs() -> list[list[str]]:
                 for side, x in zip(("left", "right"), operands)
             ]
             commands.append(["geometry", *paths, "--seed", str(seed), "--format", "json"])
+
+    rng = np.random.default_rng([MAP_RANK, 2, 3])
+    v = ModuleVector.from_flat(shape, 3, randgen.random_vector_flat(shape, 3, rng))
+    moved = v.right_mul(randgen.random_element(shape, rng))
+    dependent = save("geometry-dependent.json", {
+        "shape": serialize.shape_to_jsonable(shape),
+        "m": 3,
+        "vectors": [serialize.vector_to_jsonable(x) for x in (v, v, moved)],
+    })
+    transverse = str(INPUTS / "geometry-transverse-0-right.json")
+    commands.append(["geometry", dependent, transverse, "--seed", "0", "--format", "json"])
 
     for family in FAMILY_NAMES:
         commands += [["probe", family], ["probe", family, "--format", "csv"]]

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import IdentityViolation, IllConditionedError, StructureError
 from .linmap import AdjointableMap, BrowderWitness, PowerChain, _similar, commutator_residual
 from .modules import K0Class, Submodule
-from .subspace import Grouped, _eyes, stacked
+from .subspace import Grouped, _cross_values, _eyes, _live, stacked
 from .tolerances import DEFAULT_TOL, RESIDUAL_TOL, ToleranceConfig
 
 Array = np.ndarray
@@ -150,7 +150,8 @@ def drazin_dual_check(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> 
     """Three gates on F and F*, read off their power chains (p, cond S and
     F^D = S diag(F1^-1, 0) S^-1; no Drazin residual is formed): equal
     indices, (F^D)* = (F*)^D within RESIDUAL_TOL cond S cond S*, and
-    ker (F*)^k = (Im F^k)^perp for k = 1 .. p."""
+    ker (F*)^k = (Im F^k)^perp for k = 1 .. p, measured by
+    :func:`_orthocomplement_defect` without forming the complement."""
     # F is decided before F* is formed, so F* takes F's record over.  Both
     # splits are certified before the indices are compared: an index that
     # differs on an ill-conditioned input raises IllConditionedError there.
@@ -170,7 +171,7 @@ def drazin_dual_check(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> 
     margin = min(1.0, chain.margin, chain_adj.margin)
     orth: list[float] = []
     for k in range(1, p + 1):
-        worst = chain_adj.kernel(k).equality_defect(chain.image(k).complement())
+        worst = _orthocomplement_defect(chain.image(k), chain_adj.kernel(k))
         orth.append(worst)
         if worst > tol.angle_tol:
             message = f"ker (F*)^{k} is not the orthocomplement of Im F^{k} (defect {worst:.3e}"
@@ -182,6 +183,19 @@ def drazin_dual_check(f: AdjointableMap, tol: ToleranceConfig = DEFAULT_TOL) -> 
         inverse_residual=float(resid),
         orthogonality_residuals=tuple(orth),
     )
+
+
+def _orthocomplement_defect(image: Submodule, kernel: Submodule) -> float:
+    """dist(kernel, image^perp), +inf unless their widths fill every block.
+    With Q_I, Q_K orthonormal bases of image and kernel, I - P_(image^perp)
+    is P_I, so the sine of the largest principal angle (Golub & Van Loan,
+    *Matrix Computations*, Thm 2.5.1) is ||P_I Q_K|| = ||Q_I^H Q_K||, the
+    largest cross-Gram value."""
+    qi, qk = image.groups, kernel.groups
+    if [a + b for a, b in zip(qi.sizes(-1), qk.sizes(-1))] != qi.sizes(-2):
+        return math.inf
+    qi, qk = _live((qi, qk), lambda a, b: a.shape[-1] and b.shape[-1])
+    return max((max(v[:, 0].tolist()) for v in stacked(_cross_values, qi, qk).stacks), default=0.0)
 
 
 # ---------------------------------------------------------------------------

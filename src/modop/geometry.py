@@ -61,7 +61,7 @@ import numpy as np
 from .errors import IdentityViolation, StructureError
 from .linmap import AdjointableMap
 from .modules import K0Class, Submodule
-from .subspace import _live, _merge, _residual_values, herm, stacked
+from .subspace import _cross_values, _live, _merge, _residual_values, herm, stacked
 from .tolerances import COINCIDE_TOL, DEFAULT_TOL, POSITIVITY_TAU, ToleranceConfig
 
 Array = np.ndarray
@@ -142,10 +142,6 @@ def dixmier_angle(m: Submodule, n: Submodule, tol: ToleranceConfig = DEFAULT_TOL
             f"angle cross-check failed: {c_svd:.12e} vs {c_proj:.12e}"
         )
     return min(c_svd, 1.0)
-
-
-def _cross_values(qm: Array, qn: Array) -> Array:
-    return np.linalg.svd(herm(qm) @ qn, compute_uv=False)
 
 
 def _projector_values(qm: Array, qn: Array) -> Array:

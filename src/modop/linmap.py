@@ -604,6 +604,7 @@ def commutator_residual(f: AdjointableMap, d: AdjointableMap) -> float:
     """
     if f.shape != d.shape or f.m != d.m or not f.is_endomorphism or not d.is_endomorphism:
         raise StructureError("need two endomorphisms of the same module")
+    f._svd, d._svd  # the records the certificates decide on next: norm() reads them
     comm = (f @ d - d @ f).norm() / max(f.norm() * d.norm(), 1e-300)
     if comm > COMM_TOL:
         raise UnmetHypothesisError(f"maps do not commute (relative residual {comm:.3e})")

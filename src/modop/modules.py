@@ -17,11 +17,12 @@ map's blocks, so the dimension, the class and the lattice operations
 (meets, complements) run per group; ``column_bases`` holds per-block
 views for I/O, reports and the test oracles.
 
+Submodule files are read per block too: ``Submodule.span_vectors`` puts
+the vectors' tall forms side by side and decides their span per block.
 Flat coordinates (every entry block raveled, blocks in order, chosen so
 the standard inner product equals the trace of the algebra-valued one)
-remain only at the input boundary: ``ModuleVector.from_flat``/``flatten``
-and ``Submodule.span_flat``, through which submodule files are read.
-The dense flat basis of a submodule is a test oracle, not library code.
+serve only the test oracles: ``ModuleVector.from_flat``/``flatten``,
+``block_layout`` and the dense flat basis of a submodule.
 """
 
 from __future__ import annotations
@@ -42,9 +43,7 @@ from .subspace import (
     _spans,
     _stickout,
     as_complex,
-    empty_basis,
     herm,
-    orthonormal_image,
     stacked,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -78,17 +77,6 @@ def block_layout(shape: AlgebraShape, m: int) -> list[tuple[int, int]]:
         out.append((off, seg))
         off += seg
     return out
-
-
-def _tall_from_flat(shape: AlgebraShape, m: int, mat: Array) -> list[Array]:
-    """Per block: stack of reshaped basis columns, shape (m*n_b, n_b * ncols)."""
-    mat = as_complex(mat)
-    talls = []
-    for (off, seg), n in zip(block_layout(shape, m), shape.block_sizes):
-        rows = mat[off : off + seg]
-        cols = [rows[:, j].reshape(m * n, n) for j in range(rows.shape[1])]
-        talls.append(np.hstack(cols) if cols else empty_basis(m * n))
-    return talls
 
 
 # ---------------------------------------------------------------------------
@@ -280,32 +268,18 @@ class Submodule:
         return cls._of_groups(shape, m, shape.stacks(lambda n, idx: _eyes(len(idx), m * n)))
 
     @classmethod
-    def span_flat(
-        cls,
-        shape: AlgebraShape,
-        m: int,
-        flat_matrix: Array,
-        tol: ToleranceConfig = DEFAULT_TOL,
-    ) -> "Submodule":
-        """Smallest submodule containing the given flat column vectors."""
-        flat_matrix = as_complex(flat_matrix)
-        if flat_matrix.shape[0] != flat_dim(shape, m):
-            raise StructureError("flat matrix row count mismatch")
-        q, _ = orthonormal_image(flat_matrix, tol, scale=1.0)
-        talls = _tall_from_flat(shape, m, q)
-        return cls._of_groups(shape, m, _spans(Grouped.of(talls), tol, scale=1.0))
-
-    @classmethod
     def span_vectors(
         cls,
         vectors: list[ModuleVector],
         tol: ToleranceConfig = DEFAULT_TOL,
     ) -> "Submodule":
+        """Smallest submodule containing the vectors: per block, the column
+        span of their tall forms side by side, decided at unit scale."""
         if not vectors:
             raise StructureError("need at least one vector to span")
         shape, m = vectors[0].shape, vectors[0].m
-        mat = np.column_stack([v.flatten() for v in vectors])
-        return cls.span_flat(shape, m, mat, tol)
+        talls = [np.hstack([v.tall(b) for v in vectors]) for b in range(shape.num_blocks)]
+        return cls._of_groups(shape, m, _spans(Grouped.of(talls, complex), tol, scale=1.0))
 
     # -- basic data -------------------------------------------------------
 
@@ -347,13 +321,15 @@ class Submodule:
 
     def equality_defect(self, other: "Submodule") -> float:
         """Worst sine between corresponding blocks (+inf on dimension mismatch),
-        measured by projection defects in both directions: near zero angle a
-        principal cosine is quadratically insensitive and would report
-        sqrt(eps) noise."""
+        measured by a projection defect: near zero angle a principal cosine
+        is quadratically insensitive and would report sqrt(eps) noise.  The
+        widths agree per block, so ||(I - P_A) Q_B|| = ||(I - P_B) Q_A|| is
+        the sine of the largest principal angle (Golub & Van Loan, *Matrix
+        Computations*, Thm 2.5.1): one direction suffices."""
         self._check_ambient(other)
         if self.groups.sizes(-1) != other.groups.sizes(-1):
             return math.inf
-        return max(_stickout(self.groups, other.groups), _stickout(other.groups, self.groups))
+        return _stickout(self.groups, other.groups)
 
     def contains(self, other: "Submodule", tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float]:
         self._check_ambient(other)

@@ -185,7 +185,7 @@ def vector_from_jsonable(data: Any) -> ModuleVector:
     vec = ModuleVector(
         shape, m, tuple(element_from_jsonable(shape, e, f"entries[{i}]") for i, e in enumerate(entries))
     )
-    require_finite([vec.flatten()], "vector")
+    require_finite([b for e in vec.entries for b in e.blocks], "vector")
     return vec
 
 
@@ -306,12 +306,14 @@ def submodule_from_jsonable(data: Any, tol: ToleranceConfig = DEFAULT_TOL) -> Su
             raise DataError(f"submodule: A^{m} over {shape_to_jsonable(shape)} is too large") from exc
     vectors = []
     for i, v in enumerate(raw):
-        payload = dict(v) if isinstance(v, dict) else {}
-        payload.setdefault("shape", shape_to_jsonable(shape))
-        payload.setdefault("m", m)
-        vec = vector_from_jsonable(payload)
+        if not isinstance(v, dict):
+            raise DataError(f"vectors[{i}]: expected an object")
+        try:
+            vec = vector_from_jsonable({"shape": shape_to_jsonable(shape), "m": m, **v})
+        except DataError as exc:
+            raise DataError(f"vectors[{i}]: {exc}") from exc
         if vec.shape != shape or vec.m != m:
-            raise DataError(f"submodule: vectors[{i}] lives in a different module")
+            raise DataError(f"vectors[{i}]: lives in a different module")
         vectors.append(vec)
     return Submodule.span_vectors(vectors, tol)
 

@@ -9,13 +9,13 @@ by which the decision was made.  The one-matrix forms :func:`svd_data`,
 :func:`orthonormal_image`, :func:`null_space` and :func:`kernel_image`
 (one SVD each) call it once per matrix, for callers holding a loose
 matrix: the flat calculus of :mod:`modop.banach`, the random
-constructions of :mod:`modop.randgen`, the probes, and the first step of
-``Submodule.span_flat``.  The maps of :mod:`modop.linmap` call it once
-per block family: a map's records and each step of its power chain
-merge the values of all blocks into one decision.  The grouped rank
-counts (:func:`_stack_ranks`, used by the lattice operations and the
-arrows of :func:`chains_exactness`) decide every matrix of a stack at
-once, by the rule of :func:`_decide`.
+constructions of :mod:`modop.randgen` and the probes.  The maps of
+:mod:`modop.linmap` call it once per block family: a map's records and
+each step of its power chain merge the values of all blocks into one
+decision.  The grouped rank counts (:func:`_stack_ranks`, used by the
+lattice operations, the spans of submodule files and the arrows of
+:func:`chains_exactness`) decide every matrix of a stack at once, by
+the rule of :func:`_decide`.
 
 Storage is group-major.  A :class:`Grouped` holds matrices indexed by
 position (an algebra block, most often) as one (count, rows, cols) stack
@@ -400,6 +400,12 @@ def complement(q: Array) -> Array:
     return null_space(herm(q), scale=1.0)[0]
 
 
+def _cross_values(q: Array, x: Array) -> Array:
+    """Singular values of q^H x: the cosines of the principal angles between
+    span(q) and span(x), for orthonormal q and x."""
+    return np.linalg.svd(herm(q) @ x, compute_uv=False)
+
+
 def _residual_values(q: Array, x: Array) -> Array:
     """Singular values of x - q q^H x, the part of span(x) outside span(q)."""
     return np.linalg.svd(x - q @ (herm(q) @ x), compute_uv=False)
@@ -486,7 +492,10 @@ def _node_residuals(out: Array, values: Array, image: Array, kernel: Array) -> A
     """Per interior node of a group, the worse of two defects: the norm of
     the outgoing arrow ``out`` (singular ``values``) on the incoming image,
     and the projection defect between that image and the outgoing kernel,
-    1.0 when their dimensions differ.
+    1.0 when their dimensions differ.  With equal dimensions the defect of
+    the image outside the kernel is the sine of the largest principal
+    angle, as is the reverse one (Golub & Van Loan, *Matrix Computations*,
+    Thm 2.5.1), so it is measured in that one direction.
 
     Arrows are expected in unit scale (orthonormal node bases, normalised
     operators), so the composition is divided by max(1, |out|): a
@@ -499,8 +508,7 @@ def _node_residuals(out: Array, values: Array, image: Array, kernel: Array) -> A
     if image.shape[-1] != kernel.shape[-1]:
         return np.maximum(worst, 1.0)
     if image.shape[-1]:
-        for q, x in ((kernel, image), (image, kernel)):
-            worst = np.maximum(worst, _largest(_residual_values(q, x)))
+        worst = np.maximum(worst, _largest(_residual_values(kernel, image)))
     return worst
 
 

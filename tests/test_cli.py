@@ -278,13 +278,13 @@ def test_run_suite_api_matches_cli(capsys):
         ("exact-sequence", AdjointableMap, "_merged", 30),
         ("perturbation-chain", AdjointableMap, "_merged", 45),
         ("product-chain", AdjointableMap, "_merged", 45),
-        ("exact-sequence", np.linalg, "svd", 164),
+        ("exact-sequence", np.linalg, "svd", 140),
         ("perturbation-chain", np.linalg, "svd", 94),
         ("product-chain", np.linalg, "svd", 30),
         ("drazin-axioms", np.linalg, "svd", 77),
-        ("commuting-drazin", np.linalg, "svd", 126),
-        ("dual", np.linalg, "svd", 117),
-        ("browder", np.linalg, "svd", 115),
+        ("commuting-drazin", np.linalg, "svd", 116),
+        ("dual", np.linalg, "svd", 101),
+        ("browder", np.linalg, "svd", 105),
         ("bouldin", np.linalg, "svd", 62),
     ],
 )
@@ -292,9 +292,10 @@ def test_certificates_read_each_decision_once(monkeypatch, suite, owner, name, b
     # the first five instances at seed 0 on 2,3: no certificate decides a
     # class twice, a decided map reads its norm off its one full SVD, an
     # adjoint takes its map's record over, the dual check forms none of the
-    # Drazin report's residual maps, and Bouldin splits the meet off inside
-    # each space; test_certificates_decide_each_map_once pins the decisions
-    # per map
+    # Drazin report's residual maps and no orthocomplement, a subspace
+    # distance is measured in one direction, a commuting pair's factors keep
+    # one record each, and Bouldin splits the meet off inside each space;
+    # test_certificates_decide_each_map_once pins the decisions per map
     calls = [0]
     real = getattr(owner, name)
 
@@ -417,6 +418,10 @@ def _unit_defect(real):
     return lambda sub, other: 1.0
 
 
+def _unit_cross_values(real):
+    return lambda q, x: np.ones((len(q), 1))
+
+
 def _never_contained(real):
     return lambda sub, other, tol: (False, 1.0)
 
@@ -470,7 +475,7 @@ PLANTED_DEFECTS = [
      "Drazin index differs under adjoint"),
     ("dual", drazin, "_on_split", _inverse_doubled_on_second_call,
      "(F^D)* differs from (F*)^D by relative"),
-    ("dual", Submodule, "equality_defect", _unit_defect,
+    ("dual", drazin, "_cross_values", _unit_cross_values,
      "ker (F*)^1 is not the orthocomplement of Im F^1 (defect 1.000e+00)"),
     ("browder", linmap, "_similar", _zero_blocks_on_split,
      "map is not invertible on the stable range (rank 0 of 7)"),
@@ -750,6 +755,28 @@ def test_geometry_names_the_bad_file(tmp_path, capsys):
         assert main(["geometry", *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: submodule: 'm'") and good not in err
+
+
+@pytest.mark.parametrize(
+    "edit, index",
+    [
+        (lambda vectors: vectors[1]["entries"].pop(), 1),
+        (lambda vectors: vectors.append({"entries": vectors[0]["entries"] * 2}), 2),
+        (lambda vectors: vectors.insert(1, 5), 1),
+    ],
+    ids=["missing entry", "extra vector of the wrong shape", "bare number"],
+)
+def test_bad_vector_in_a_submodule_file_is_named(tmp_path, capsys, edit, index):
+    shape = AlgebraShape((1,))
+    payload = submodule_to_jsonable(Submodule.full(shape, 2))  # two vectors
+    edit(payload["vectors"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    good = write_operator(tmp_path, "good.json", AdjointableMap.identity(shape, 2))
+    assert main(["geometry", str(bad), good]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {bad}: vectors[{index}]: ")
 
 
 # -- exit-code fuzzing: mutated operator and submodule files ----------------

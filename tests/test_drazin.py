@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import null_space, orth
 from test_acceptance import kernel_chain_ascent
 
 from modop import drazin
@@ -26,7 +27,15 @@ from modop.errors import (
 from modop.fredholm import b_fredholm_commuting_check, b_fredholm_report
 from modop.linmap import AdjointableMap, PowerChain, commutator_residual
 from modop.modules import Submodule
-from modop.randgen import random_commuting_pair, random_endomorphism, random_map
+from modop.randgen import (
+    parse_shape,
+    random_commuting_pair,
+    random_endomorphism,
+    random_map,
+    random_submodule,
+)
+
+from flat_oracle import flat_basis
 
 
 def jordan(n):
@@ -259,6 +268,43 @@ def test_dual_check(shape23, rng):
     assert rep.inverse_residual < 1e-9
     assert len(rep.orthogonality_residuals) == rep.p
     assert max(rep.orthogonality_residuals) < 1e-8
+
+
+def _dense_orthocomplement_defect(qi, qk):
+    """Two-sided projection defect between span(qk) and span(qi)^perp, on
+    dense flat bases; inf when their dimensions differ."""
+    qc = null_space(qi.conj().T)
+    if qc.shape[1] != qk.shape[1]:
+        return math.inf
+    return max(
+        np.linalg.norm(x - q @ (q.conj().T @ x), 2) if x.shape[1] else 0.0
+        for q, x in ((qc, qk), (qk, qc))
+    )
+
+
+@pytest.mark.parametrize("text", ["2,3", "1^6,2^3,3"])
+def test_dual_defect_is_the_dense_projection_defect(text, rng):
+    shape = parse_shape(text)
+    f = random_endomorphism(shape, 3, rng, nilpotent=(2, 1))
+    rep = drazin_dual_check(f)
+    a = f.realization
+    assert rep.p == 2
+    for k, got in enumerate(rep.orthogonality_residuals, start=1):
+        qi = orth(np.linalg.matrix_power(a, k))
+        qk = null_space(np.linalg.matrix_power(a.conj().T, k))
+        assert abs(got - _dense_orthocomplement_defect(qi, qk)) <= 1e-14
+    # against random kernels: widths that fill every block, and widths that do not
+    image = f.power_chain().image(1)
+    fill = [3 * n - w.shape[1] for n, w in zip(shape.block_sizes, image.column_bases)]
+    short = [fill[0] - 1 if fill[0] else 1, *fill[1:]]
+    for widths in (fill, short):
+        kernel = random_submodule(shape, 3, rng, ranks=widths)
+        got = drazin._orthocomplement_defect(image, kernel)
+        want = _dense_orthocomplement_defect(flat_basis(image), flat_basis(kernel))
+        if widths is short:
+            assert got == want == math.inf
+        else:
+            assert 0.1 < want and abs(got - want) <= 1e-14
 
 
 def test_criterion_invertible_pair(rng):

@@ -122,7 +122,7 @@ def test_single_flat_vector_is_not_a_submodule(shape23, rng):
     mat = random_vector_flat(shape23, 2, rng)[:, None]
     assert invariance_residual(shape23, 2, mat / np.linalg.norm(mat)) > 0.1
     # the closure itself is fine and strictly larger
-    sub = Submodule.span_flat(shape23, 2, mat)
+    sub = Submodule.span_vectors([ModuleVector.from_flat(shape23, 2, mat)])
     assert sub.dim > 1
     assert invariance_residual(shape23, 2, flat_basis(sub)) < 1e-10
 

@@ -185,12 +185,24 @@ def test_chain_exactness_flags_homology():
 
 
 def test_chain_exactness_keeps_positions_apart():
-    # one stack, two chains of one shape: the split chain beside the zero one
+    # one stack, three chains of one shape: the split chain, the zero one, and
+    # a chain whose projection is tilted by 1e-3 and halved
     inc, proj = np.array([[1.0], [0.0]]), np.array([[0.0, 1.0]])
     z1, z2 = np.zeros((2, 1)), np.zeros((1, 2))
-    nodes, inj, surj = chains_exactness([Grouped.of([inc, z1]), Grouped.of([proj, z2])])
+    tilted = 0.5 * np.array([[math.sin(1e-3), math.cos(1e-3)]])
+    nodes, inj, surj = chains_exactness(
+        [Grouped.of([inc, z1, inc]), Grouped.of([proj, z2, tilted])]
+    )
     assert nodes[0][0] < 1e-14 and nodes[0][1] == 1.0
-    assert inj.tolist() == [0.0, 1.0] and surj.tolist() == [0.0, 1.0]
+    assert inj.tolist() == [0.0, 1.0, 0.0] and surj.tolist() == [0.0, 1.0, 0.0]
+    # the one-direction node defect against the composition and both directions
+    image, kernel = image_basis(inc)[0], kernel_basis(tilted)[0]
+    two_sided = max(
+        np.linalg.norm(tilted @ image, 2) / max(np.linalg.norm(tilted, 2), 1.0),
+        np.linalg.norm(image - projector(kernel) @ image, 2),
+        np.linalg.norm(kernel - projector(image) @ kernel, 2),
+    )
+    assert abs(nodes[0][2] - two_sided) <= 1e-15 and abs(two_sided - math.sin(1e-3)) < 1e-15
 
 
 def test_chain_exactness_decomposes_each_map_once(svd_calls):
