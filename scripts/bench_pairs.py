@@ -7,7 +7,12 @@ The parent is a commit, exported with ``git archive`` under
 (S the ``run_seconds`` of ``BENCHMARK.json``) once in each tree, each
 side with its own ``perfbench/``, and alternates which side runs first
 (the parent in even pairs, counting from 0), so an order effect on a
-shared machine falls on both sides alike.
+shared machine falls on both sides alike.  Before every run the
+``__pycache__`` folders of ``src/modop/`` and ``perfbench/`` are removed
+from both trees, so both start from the same bytecode-cache state: the
+export has none, and stale files in the checkout would spare it the
+compilation that the fresh-interpreter metrics (``cold_start_ms``, and
+the import inside ``setup_s``) pay on the other side.
 
 For every end-to-end metric of ``BENCHMARK.json`` the file holds the
 per-pair values of both sides, their medians and inclusive quartiles,
@@ -29,6 +34,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -46,8 +52,15 @@ def seed_range(text: str) -> list[int]:
     return list(range(int(first), int(last or first) + 1))
 
 
+def clear_bytecode(tree: Path) -> None:
+    """Remove the bytecode caches that a run of ``tree`` reads."""
+    for package in ("src/modop", "perfbench"):
+        shutil.rmtree(tree / package / "__pycache__", ignore_errors=True)
+
+
 def run_once(tree: Path, workload: str, seed: int) -> dict:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    clear_bytecode(tree)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(SECONDS), "--trace", "0"],
@@ -137,7 +150,9 @@ def main(argv: list[str] | None = None) -> int:
                        f"{SECONDS} --trace 0, in each tree with its own perfbench/",
             "method": (
                 f"{len(seeds)} parent/change pairs per workload at seeds {args.seeds}, "
-                "alternating which side runs first (first_in_pair); medians and inclusive "
+                "alternating which side runs first (first_in_pair); the src/modop and "
+                "perfbench __pycache__ folders of both trees removed before every run; "
+                "medians and inclusive "
                 "quartiles over each side's runs; median_gap is the change's median gain in "
                 "the metric's better direction; better_pairs counts the pairs in which the "
                 "change read better; parent_iqr is the distance between the parent's quartiles"

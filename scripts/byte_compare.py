@@ -6,9 +6,13 @@ writes seeded input files once into ``.bench_build/byte-compare-inputs/``
 and runs every command below with the ``src/`` of that export and with
 this checkout's ``src/``, one fresh process per run and OpenBLAS on one
 thread.  Stdout, stderr and the exit code of the two runs must be equal.
+The input files come from this checkout's ``randgen`` alone, so across
+the two trees only the ``verify`` commands compare the generators.
 
-Commands (150):
-  * ``verify``: the eleven suites at seeds 1-3 on shapes 2,3, 1^8 and 4;
+Commands (183):
+  * ``verify``: the eleven suites at seeds 1-3 on shapes 2,3, 1^8, 4 and
+    1^6,2^3,3 (several blocks of one size beside single blocks, so the
+    generators' per-group builds meet both kinds of group);
   * ``analyze`` (json and text), ``drazin`` and ``banach`` on a planted
     endomorphism and a rank-deficient map A^3 -> A^2 over (2,3), 1^8
     and (4), module rank 3, and ``banach T F`` on the map with a rank-one
@@ -51,7 +55,7 @@ from _export import BUILD, ROOT, export
 
 INPUTS = BUILD / "byte-compare-inputs"
 
-VERIFY_SHAPES = ("2,3", "1^8", "4")
+VERIFY_SHAPES = ("2,3", "1^8", "4", "1^6,2^3,3")
 VERIFY_SEEDS = (1, 2, 3)
 MAP_SHAPES = ("2,3", "1^8", "4")
 MAP_RANK = 3

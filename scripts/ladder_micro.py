@@ -1,4 +1,4 @@
-"""Size-ladder micro-benchmark of six certificates, the power chain and operator loading.
+"""Size-ladder micro-benchmark of six certificates, the power chain, generation and operator I/O.
 
 Times ``fredholm_report``, ``exact_sequence``, ``drazin_inverse``,
 ``b_fredholm_report`` and ``power_chain`` (the index and the stable
@@ -16,7 +16,12 @@ nilpotent part of index 3, the pairs the ladder-blockwise benchmark
 analyzes, fresh copies per repetition.  ``load_operator`` times the I/O
 layer beside them: ``serialize.load_operator`` reading each rung's planted
 endomorphism from the operator file ``modop analyze`` would read, written
-before the clock starts.  Prints one JSON object: the
+before the clock starts; ``write_operator`` times
+``serialize.operator_to_jsonable`` on the same endomorphism (on F of each
+commuting pair).  ``generate`` times the random instances themselves:
+each rung's ``random_endomorphism`` plus one ``random_map`` (each
+commuting pair's ``random_commuting_pair``), on a fresh generator of one
+seed per repetition.  Prints one JSON object: the
 median milliseconds per certificate and rung, plus the numpy version and
 the host.
 
@@ -103,10 +108,19 @@ def measure(tree: Path, repeats: int, seed: int) -> dict[str, dict[str, list[flo
         "closed_sum_report_unsampled": {},
         "commuting_drazin_criterion": {},
         "load_operator": {},
+        "write_operator": {},
+        "generate": {},
     }
     for text, m, nilpotent in RUNGS:
         rng = np.random.default_rng([seed, len(text), m])
         shape = randgen.parse_shape(text)
+
+        def generate(rng: np.random.Generator) -> None:
+            randgen.random_endomorphism(shape, m, rng, nilpotent=nilpotent)
+            randgen.random_map(shape, m, m, rng, rank_deficit=1)
+
+        fresh_rngs = [np.random.default_rng([seed, len(text), m]) for _ in range(repeats)]
+        results["generate"][f"({text})/{m}"] = timed(generate, fresh_rngs)
         f = randgen.random_map(shape, m, m, rng, rank_deficit=1)
         g = randgen.random_map(shape, m, m, rng, rank_deficit=1)
         endo = randgen.random_endomorphism(shape, m, rng, nilpotent=nilpotent)
@@ -124,6 +138,9 @@ def measure(tree: Path, repeats: int, seed: int) -> dict[str, dict[str, list[flo
             path = os.path.join(tmp, "endo.json")
             serialize.save_json(path, serialize.operator_to_jsonable(endo))
             results["load_operator"][f"({text})/{m}"] = timed(serialize.load_operator, [path] * repeats)
+        results["write_operator"][f"({text})/{m}"] = timed(
+            serialize.operator_to_jsonable, [endo] * repeats
+        )
     for text, m, ranks_m, ranks_n in PAIRS:
         rng = np.random.default_rng([seed, len(text), m])
         shape = randgen.parse_shape(text)
@@ -136,9 +153,17 @@ def measure(tree: Path, repeats: int, seed: int) -> dict[str, dict[str, list[flo
 
             results[name][f"({text})/{m}"] = timed(closed_sum, list(range(repeats)))
     for m in COMMUTING_MS:
-        rng = np.random.default_rng([seed, m])
-        f, d = randgen.random_commuting_pair(
-            randgen.parse_shape("1"), m, rng, nilpotent=COMMUTING_NILPOTENT
+
+        def pair(rng: np.random.Generator) -> tuple[AdjointableMap, AdjointableMap]:
+            return randgen.random_commuting_pair(
+                randgen.parse_shape("1"), m, rng, nilpotent=COMMUTING_NILPOTENT
+            )
+
+        fresh_rngs = [np.random.default_rng([seed, m]) for _ in range(repeats)]
+        results["generate"][f"(1)/{m}"] = timed(pair, fresh_rngs)
+        f, d = pair(np.random.default_rng([seed, m]))
+        results["write_operator"][f"(1)/{m}"] = timed(
+            serialize.operator_to_jsonable, [f] * repeats
         )
         copies = [(fresh(f), fresh(d)) for _ in range(repeats)]
         results["commuting_drazin_criterion"][f"(1)/{m}"] = timed(

@@ -13,11 +13,15 @@ design points that matter:
   number, complement shear) is bounded, so tolerance-based rank
   decisions in the suites sit on comfortable margins instead of coin
   flips.
+
+Each generator makes a block's draws, in per-block order, before the next
+block's, then builds each size group at once.  No bit moves: merged normal draws
+read the same stream, and stacked LAPACK, BLAS and ufuncs equal per-matrix calls.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -25,7 +29,7 @@ from .algebra import AlgebraElement, AlgebraShape
 from .errors import StructureError
 from .linmap import AdjointableMap
 from .modules import Submodule
-from .subspace import complement, kernel_image, orthonormal_image
+from .subspace import Grouped, complement, herm, kernel_image, orthonormal_image, stacked
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 Array = np.ndarray
@@ -64,23 +68,37 @@ def parse_shape(text: str) -> AlgebraShape:
     return AlgebraShape(tuple(sizes))
 
 
-def _cnormal(rng: np.random.Generator, rows: int, cols: int) -> Array:
-    return (rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))) / np.sqrt(2.0)
+def _complex(z: Array) -> Array:
+    """Standard complex normals from [real, imaginary] normal pairs on axis -3."""
+    t = z[..., 1, :, :] * 1j  # (re + 1j * im) / sqrt 2, step by step, in one array
+    return np.divide(np.add(z[..., 0, :, :], t, out=t), np.sqrt(2.0), out=t)
 
 
-def _unitary(rng: np.random.Generator, n: int) -> Array:
-    q, r = np.linalg.qr(_cnormal(rng, n, n))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+def _unitaries(*raws: Array) -> list[Array]:
+    """Haar unitaries (Mezzadri, Notices AMS 54, 2007) per role from its normal pairs
+    (count, 2, n, n); roles of one size n <= 32 share a QR, where a call outweighs its flops."""
+    if len(raws) > 1 and (len({z.shape for z in raws}) > 1 or raws[0].shape[-1] > 32):
+        return [_unitaries(z)[0] for z in raws]
+    q, r = np.linalg.qr(_complex(np.stack(raws) if len(raws) > 1 else raws[0][None]))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return list(np.multiply(q, (d / np.abs(d))[..., None, :], out=q))
+
+
+def _grouped(shape: AlgebraShape, draws: Sequence[tuple], build: Callable) -> Grouped:
+    """``build(key, *stacks)`` per group, keyed by block size; each stack is a draw over it."""
+    return shape.stacks(lambda nb, idx: build(nb, *(
+        np.stack(p) if len(idx) > 1 else p[0][None] for p in zip(*[draws[b] for b in idx]))))
 
 
 def random_element(shape: AlgebraShape, rng: np.random.Generator) -> AlgebraElement:
-    return AlgebraElement(shape, tuple(_cnormal(rng, n, n) for n in shape.block_sizes))
+    blocks = tuple(_complex(rng.normal(size=(2, n, n))) for n in shape.block_sizes)
+    return AlgebraElement(shape, blocks)
 
 
 def random_vector_flat(shape: AlgebraShape, m: int, rng: np.random.Generator) -> Array:
     from .modules import flat_dim
 
-    return _cnormal(rng, flat_dim(shape, m), 1)[:, 0]
+    return _complex(rng.normal(size=(2, flat_dim(shape, m), 1)))[:, 0]
 
 
 def random_map(
@@ -94,10 +112,18 @@ def random_map(
     """Random adjointable map; ``rank_deficit`` kills that many trailing
     singular values per block (clipped to the block size), leaving the
     kept ones in [0.5, 2] so the rank decision has a wide margin."""
-    blocks = tuple(
-        random_matrix(n * nb, m * nb, rng, rank_deficit=rank_deficit) for nb in shape.block_sizes
-    )
-    return AdjointableMap(shape, m, n, blocks)
+    # per block, in stream order: the kept singular values, the left and the right unitary
+    draws = [(rng.uniform(np.log(0.5), np.log(2.0), size=max(min(m, n) * nb - rank_deficit, 0)),
+              rng.normal(size=(2, n * nb, n * nb)), rng.normal(size=(2, m * nb, m * nb)))
+             for nb in shape.block_sizes]
+
+    def build(_, svals: Array, zu: Array, zv: Array) -> Array:
+        k = min(zu.shape[-1], zv.shape[-1])
+        u, v = _unitaries(zu, zv)
+        s = np.concatenate([np.exp(svals), np.zeros((len(zu), k - svals.shape[-1]))], axis=1)
+        return np.multiply(u[..., :k], s[:, None, :], out=u[..., :k]) @ herm(v[..., :k])
+
+    return AdjointableMap._of_groups(shape, m, n, _grouped(shape, draws, build))
 
 
 def random_endomorphism(
@@ -114,29 +140,34 @@ def random_endomorphism(
     conjugated by a similarity of condition at most 10.  The Drazin
     index is generically the largest planted size (0 sizes -> invertible).
     """
-    blocks = []
-    for nb in shape.block_sizes:
-        dim = m * nb
-        nil_total = sum(nilpotent)
-        if nil_total > dim:
+
+    def core(nb: int, uv: Array, svals: Array) -> Array:
+        k = svals.shape[-1]
+        u, v = _unitaries(uv[:, :2], uv[:, 2:])
+        invertible = np.multiply(u, np.exp(svals)[:, None, :], out=u) @ herm(v)
+        out = np.zeros((len(uv), m * nb, m * nb), dtype=complex)
+        out[:, :k, :k] = invertible
+        for pos, size in zip(np.cumsum((k, *nilpotent)), nilpotent):
+            out[:, pos : pos + size - 1, pos + 1 : pos + size] += np.eye(size - 1)
+        return out
+
+    def similarity(_, g1: Array, gvals: Array, g2: Array) -> Array:
+        w1, w2 = _unitaries(g1, g2)
+        return np.multiply(w1, np.exp(gvals)[:, None, :], out=w1) @ w2
+
+    draws = []  # per block, in stream order: [core's u, v and values, similarity's g1, values, g2]
+    for dim in (m * nb for nb in shape.block_sizes):
+        k = dim - sum(nilpotent)
+        if k < 0:
             raise StructureError(f"nilpotent sizes {tuple(nilpotent)} exceed block dimension {dim}")
-        core = np.zeros((dim, dim), dtype=complex)
-        inv_dim = dim - nil_total
-        if inv_dim:
-            u = _unitary(rng, inv_dim)
-            v = _unitary(rng, inv_dim)
-            svals = np.exp(rng.uniform(np.log(0.5), np.log(2.0), size=inv_dim))
-            core[:inv_dim, :inv_dim] = (u * svals) @ v.conj().T
-        pos = inv_dim
-        for size in nilpotent:
-            core[pos : pos + size - 1, pos + 1 : pos + size] += np.eye(size - 1)
-            pos += size
-        g = (
-            _unitary(rng, dim)
-            * np.exp(rng.uniform(0.0, np.log(10.0), size=dim))
-        ) @ _unitary(rng, dim)
-        blocks.append(g @ core @ np.linalg.inv(g))
-    return AdjointableMap(shape, m, m, tuple(blocks))
+        draws.append([(rng.normal(size=(4, k, k)), rng.uniform(np.log(0.5), np.log(2.0), size=k)),
+                      (rng.normal(size=(2, dim, dim)), rng.uniform(0.0, np.log(10.0), size=dim),
+                       rng.normal(size=(2, dim, dim)))])
+    # each part leaves ``draws`` as it is built, freeing its draws as a per-block loop would
+    cores = _grouped(shape, [d.pop(0) for d in draws], core)
+    gs = _grouped(shape, [d.pop() for d in draws], similarity)
+    blocks = stacked(lambda g, c: g @ c @ np.linalg.inv(g), gs, cores)
+    return AdjointableMap._of_groups(shape, m, m, blocks)
 
 
 def random_commuting_pair(
@@ -156,7 +187,7 @@ def random_commuting_pair(
     x = random_endomorphism(shape, m, rng, nilpotent=nilpotent)
 
     def poly() -> AdjointableMap:
-        coeffs = _cnormal(rng, 3, 1)[:, 0]
+        coeffs = _complex(rng.normal(size=(2, 3, 1)))[:, 0]
         # keep the linear coefficient away from zero
         coeffs[0] += np.sign(coeffs[0].real + 1e-9)
         acc = AdjointableMap.zero(shape, m, m)
@@ -179,13 +210,13 @@ def random_low_rank(
 ) -> AdjointableMap:
     """Sum of ``rank`` module rank-one maps x <y, .>; image has at most
     ``rank`` generators, so the perturbation is finitely generated."""
-    blocks = [np.zeros((n * nb, m * nb), dtype=complex) for nb in shape.block_sizes]
-    for _ in range(rank):
-        for b, nb in enumerate(shape.block_sizes):
-            x = _cnormal(rng, n * nb, nb)
-            y = _cnormal(rng, m * nb, nb)
-            blocks[b] += scale * (x @ y.conj().T)
-    return AdjointableMap(shape, m, n, tuple(blocks))
+    if rank < 1:
+        return AdjointableMap.zero(shape, m, n)
+    terms = [[(rng.normal(size=(2, n * nb, nb)), rng.normal(size=(2, m * nb, nb)))
+              for nb in shape.block_sizes] for _ in range(rank)]  # x then y; terms outermost
+    draws = [tuple(z for term in terms for z in term[b]) for b in range(shape.num_blocks)]
+    return AdjointableMap._of_groups(shape, m, n, _grouped(shape, draws, lambda _, *xy: sum(
+        scale * (_complex(x) @ herm(_complex(y))) for x, y in zip(xy[::2], xy[1::2]))))
 
 
 def random_submodule(
@@ -198,13 +229,12 @@ def random_submodule(
     (uniform random multiplicities when omitted)."""
     if ranks is None:
         ranks = [int(rng.integers(0, m * nb + 1)) for nb in shape.block_sizes]
-    bases = []
     for nb, r in zip(shape.block_sizes, ranks):
         if not 0 <= r <= m * nb:
             raise StructureError(f"multiplicity {r} out of range for block dimension {m * nb}")
-        q = _unitary(rng, m * nb)[:, :r]
-        bases.append(q)
-    return Submodule(shape, m, tuple(bases))
+    draws = [(rng.normal(size=(2, m * nb, m * nb)),) for nb in shape.block_sizes]
+    unitaries = _grouped(shape, draws, lambda _, z: _unitaries(z)[0])
+    return Submodule(shape, m, tuple(q[:, :r] for q, r in zip(unitaries.mats, ranks)))
 
 
 def random_complement(
@@ -235,12 +265,7 @@ def random_matrix(
 ) -> Array:
     """Plain complex matrix with a planted rank deficit (kept singular
     values in [0.5, 2]); one block of :func:`random_map`."""
-    k = min(rows, cols)
-    keep = max(k - rank_deficit, 0)
-    svals = np.zeros(k)
-    if keep:
-        svals[:keep] = np.exp(rng.uniform(np.log(0.5), np.log(2.0), size=keep))
-    return (_unitary(rng, rows)[:, :k] * svals) @ _unitary(rng, cols)[:, :k].conj().T
+    return random_map(AlgebraShape((1,)), cols, rows, rng, rank_deficit=rank_deficit).blocks[0]
 
 
 def sheared_complement(
@@ -259,7 +284,7 @@ def sheared_complement(
     basis = np.asarray(basis, dtype=complex)
     if wc.shape[1] == 0 or basis.shape[1] == 0:
         return wc
-    mix = basis @ _cnormal(rng, basis.shape[1], wc.shape[1])
+    mix = basis @ _complex(rng.normal(size=(2, basis.shape[1], wc.shape[1])))
     mix *= shear / max(np.linalg.norm(mix, 2), 1e-300)
     return orthonormal_image(wc + mix, tol, scale=1.0)[0]
 

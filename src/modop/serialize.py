@@ -192,15 +192,20 @@ def vector_from_jsonable(data: Any) -> ModuleVector:
 def operator_to_jsonable(f: AdjointableMap) -> dict:
     """The inverse of :func:`_blocks_from_entries`: one ``tolist`` per
     block-size group, on a float view of its stack."""
-    entries = [[[None] * f.shape.num_blocks for _ in range(f.m)] for _ in range(f.n)]
+    k, entries = f.shape.num_blocks, None
     for stack, idx in zip(f.groups.stacks, f.groups.members):
-        k, nb = len(idx), stack.shape[-1] // f.m
+        cnt, nb = len(idx), stack.shape[-1] // f.m
         # row i*nb + r, column j*nb + c of block slot s -> entry (i, j), block s, element (r, c)
-        parts = np.ascontiguousarray(stack.reshape(k, f.n, nb, f.m, nb).transpose(1, 3, 0, 2, 4))
-        pairs = parts.view(np.float64).reshape(f.n, f.m, k, nb, nb, 2).tolist()
+        parts = np.ascontiguousarray(stack.reshape(cnt, f.n, nb, f.m, nb).transpose(1, 3, 0, 2, 4))
+        pairs = parts.view(np.float64).reshape(f.n, f.m, cnt, nb, nb, 2).tolist()
+        if cnt == k:  # one group holds every block, in order: its lists are the entries
+            entries = pairs
+            break
+        entries = entries or [[[None] * k for _ in range(f.m)] for _ in range(f.n)]
+        positions = idx.tolist()
         for row, lists in zip(entries, pairs):
             for element, blocks in zip(row, lists):
-                for b, blk in zip(idx.tolist(), blocks):
+                for b, blk in zip(positions, blocks):
                     element[b] = blk
     return {
         "shape": shape_to_jsonable(f.shape),
