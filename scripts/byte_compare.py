@@ -9,7 +9,7 @@ thread.  Stdout, stderr and the exit code of the two runs must be equal.
 The input files come from this checkout's ``randgen`` alone, so across
 the two trees only the ``verify`` commands compare the generators.
 
-Commands (183):
+Commands (187):
   * ``verify``: the eleven suites at seeds 1-3 on shapes 2,3, 1^8, 4 and
     1^6,2^3,3 (several blocks of one size beside single blocks, so the
     generators' per-group builds meet both kinds of group);
@@ -23,6 +23,10 @@ Commands (183):
     endomorphism with itself and with the map: their kernels and images
     hold blocks of one size in several groups, so the certificates
     regroup them;
+  * ``analyze`` and ``drazin`` (json) on a planted 1^64/4 endomorphism
+    scaled by 2^-560 and by 2^+500, whose squared entries under- and
+    overflow: the largest singular value over many blocks must not
+    square them unscaled;
   * ``geometry`` on transverse, intersecting and operator pairs at seeds
     0-2, and on a submodule file whose spanning set is dependent (one
     vector twice and one of its right multiples v a) against the
@@ -63,6 +67,8 @@ GEOMETRY_SEEDS = (0, 1, 2)
 # per block of the 1^8 maps: planted nilpotent sizes, and rank deficits
 RAGGED_NILPOTENT = ((), (1,), (2,), (3,), (2, 1), (1, 1), (1, 1, 1), (2,))
 RAGGED_DEFICITS = (0, 1, 2, 0, 1, 2, 1, 0)
+# powers of two scaling the 1^64 endomorphism: its squares under- and overflow
+EXTREME_SCALES = (-560, 500)
 
 
 def write_inputs() -> list[list[str]]:
@@ -128,6 +134,14 @@ def write_inputs() -> list[list[str]]:
         ]
     for right in paths.values():  # Im F against ker F, and against the kernel of the map
         commands.append(["geometry", paths["endo"], right, "--seed", "0", "--format", "json"])
+
+    endo = randgen.random_endomorphism(
+        randgen.parse_shape("1^64"), 4, np.random.default_rng([4, 64]), nilpotent=(2, 1)
+    )
+    for power in EXTREME_SCALES:
+        scaled = serialize.operator_to_jsonable(2.0**power * endo)
+        path = save(f"scaled-endo-1^64-4-{power}.json", scaled)
+        commands += [["analyze", path, "--format", "json"], ["drazin", path, "--format", "json"]]
 
     shape = randgen.parse_shape("2,3")
     for seed in GEOMETRY_SEEDS:

@@ -21,9 +21,12 @@ before the clock starts; ``write_operator`` times
 commuting pair).  ``generate`` times the random instances themselves:
 each rung's ``random_endomorphism`` plus one ``random_map`` (each
 commuting pair's ``random_commuting_pair``), on a fresh generator of one
-seed per repetition.  Prints one JSON object: the
-median milliseconds per certificate and rung, plus the numpy version and
-the host.
+seed per repetition.  Prints one JSON object: per certificate and rung
+the median milliseconds per call (``ms``) and, beside it, the median
+minor page faults per call (``minflt``, the ``ru_minflt`` delta of
+``getrusage``), plus the numpy version and the host.  A row whose time
+moves while its faults move too may be reading the heap layout of the
+process rather than the code: each fault costs a few microseconds.
 
     python3 scripts/ladder_micro.py [--repeats 7] [--seed 0] [--parent REV] [--out FILE]
 
@@ -48,6 +51,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -74,9 +78,9 @@ COMMUTING_MS = (24, 48, 96)
 COMMUTING_NILPOTENT = (3,)
 
 
-def measure(tree: Path, repeats: int, seed: int) -> dict[str, dict[str, list[float]]]:
-    """Milliseconds of ``repeats`` timed runs per certificate and rung, with
-    the modop of ``tree``."""
+def measure(tree: Path, repeats: int, seed: int) -> dict[str, dict[str, list[list[float]]]]:
+    """(milliseconds, minor page faults) of ``repeats`` timed runs per
+    certificate and rung, with the modop of ``tree``."""
     sys.path.insert(0, str(tree / "src"))
     import numpy as np
 
@@ -90,15 +94,17 @@ def measure(tree: Path, repeats: int, seed: int) -> dict[str, dict[str, list[flo
         chain = f.power_chain()
         return chain.index, chain.image(chain.index).dim
 
-    def timed(run, inputs: list) -> list[float]:
+    def timed(run, inputs: list) -> list[list[float]]:
         times = []
         for item in inputs:
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
             run(item)
-            times.append((time.perf_counter() - start) * 1e3)
+            ms = (time.perf_counter() - start) * 1e3
+            times.append([ms, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults])
         return times
 
-    results: dict[str, dict[str, list[float]]] = {
+    results: dict[str, dict[str, list[list[float]]]] = {
         "fredholm_report": {},
         "exact_sequence": {},
         "drazin_inverse": {},
@@ -172,7 +178,7 @@ def measure(tree: Path, repeats: int, seed: int) -> dict[str, dict[str, list[flo
     return results
 
 
-def measure_in_child(tree: Path, seed: int) -> dict[str, dict[str, list[float]]]:
+def measure_in_child(tree: Path, seed: int) -> dict[str, dict[str, list[list[float]]]]:
     """Two timed calls per certificate and rung, in a fresh process."""
     code = (
         "import json, pathlib, ladder_micro; "
@@ -186,12 +192,17 @@ def measure_in_child(tree: Path, seed: int) -> dict[str, dict[str, list[float]]]
 
 
 def medians(
-    runs: list[dict[str, dict[str, list[float]]]], calls: slice = slice(None)
-) -> dict[str, dict[str, float]]:
-    """Median per certificate and rung over the ``calls`` of every run."""
+    runs: list[dict[str, dict[str, list[list[float]]]]], calls: slice = slice(None)
+) -> dict[str, dict[str, dict[str, float]]]:
+    """Median milliseconds and minor page faults per certificate and rung
+    over the ``calls`` of every run."""
+
+    def median(name: str, rung: str, column: int) -> float:
+        return statistics.median(t[column] for run in runs for t in run[name][rung][calls])
+
     return {
         name: {
-            rung: round(statistics.median(t for run in runs for t in run[name][rung][calls]), 3)
+            rung: {"ms": round(median(name, rung, 0), 3), "minflt": median(name, rung, 1)}
             for rung in rungs
         }
         for name, rungs in runs[0].items()
@@ -212,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     import numpy as np
 
     payload = {
-        "unit": "ms (median)",
+        "unit": "ms and minor page faults per call (medians)",
         "repeats": args.repeats,
         "seed": args.seed,
         "commit": "checkout",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StructureError
-from .subspace import Grouped, _partition, as_complex
+from .subspace import Grouped, _partition, _top_singular, as_complex
 
 Array = np.ndarray
 
@@ -130,11 +130,7 @@ class AlgebraElement:
 
     def norm(self) -> float:
         """C*-norm: max over blocks of the spectral norm."""
-        out = 0.0
-        for blk in self.blocks:
-            if blk.size:
-                out = max(out, float(np.linalg.svd(blk, compute_uv=False)[0]))
-        return out
+        return _top_singular(Grouped.of(self.blocks))
 
     def allclose(self, other: "AlgebraElement", atol: float = 1e-12) -> bool:
         self._check_same(other)

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import IdentityViolation, IllConditionedError, StructureError
 from .linmap import AdjointableMap, BrowderWitness, PowerChain, _similar, commutator_residual
 from .modules import K0Class, Submodule
-from .subspace import Grouped, _cross_values, _eyes, _live, stacked
+from .subspace import Grouped, _cross, _eyes, _live, _top_singular, stacked
 from .tolerances import DEFAULT_TOL, RESIDUAL_TOL, ToleranceConfig
 
 Array = np.ndarray
@@ -195,7 +195,7 @@ def _orthocomplement_defect(image: Submodule, kernel: Submodule) -> float:
     if [a + b for a, b in zip(qi.sizes(-1), qk.sizes(-1))] != qi.sizes(-2):
         return math.inf
     qi, qk = _live((qi, qk), lambda a, b: a.shape[-1] and b.shape[-1])
-    return max((max(v[:, 0].tolist()) for v in stacked(_cross_values, qi, qk).stacks), default=0.0)
+    return _top_singular(stacked(_cross, qi, qk))
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ import numpy as np
 from .errors import IdentityViolation, StructureError
 from .linmap import AdjointableMap
 from .modules import K0Class, Submodule
-from .subspace import _cross_values, _live, _merge, _residual_values, herm, stacked
+from .subspace import _cross, _live, _merge, _residual_values, _top_singular, herm, stacked
 from .tolerances import COINCIDE_TOL, DEFAULT_TOL, POSITIVITY_TAU, ToleranceConfig
 
 Array = np.ndarray
@@ -133,10 +133,7 @@ def dixmier_angle(m: Submodule, n: Submodule, tol: ToleranceConfig = DEFAULT_TOL
     if m.shape != n.shape or m.m != n.m:
         raise StructureError("submodules live in different modules")
     qms, qns = _live((m.groups, n.groups), lambda a, b: a.shape[-1] and b.shape[-1])
-    c_svd, c_proj = (
-        max((max(v[:, 0].tolist()) for v in stacked(fn, qms, qns).stacks), default=0.0)
-        for fn in (_cross_values, _projector_values)
-    )
+    c_svd, c_proj = (_top_singular(stacked(fn, qms, qns)) for fn in (_cross, _projector))
     if abs(c_svd - c_proj) > tol.angle_tol:
         raise IdentityViolation(
             f"angle cross-check failed: {c_svd:.12e} vs {c_proj:.12e}"
@@ -144,8 +141,8 @@ def dixmier_angle(m: Submodule, n: Submodule, tol: ToleranceConfig = DEFAULT_TOL
     return min(c_svd, 1.0)
 
 
-def _projector_values(qm: Array, qn: Array) -> Array:
-    return np.linalg.svd((qm @ herm(qm)) @ (qn @ herm(qn)), compute_uv=False)
+def _projector(qm: Array, qn: Array) -> Array:
+    return (qm @ herm(qm)) @ (qn @ herm(qn))
 
 
 def min_modulus_restricted(m: Submodule, n: Submodule, tol: ToleranceConfig = DEFAULT_TOL) -> float:

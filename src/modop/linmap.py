@@ -26,12 +26,15 @@ Each map caches one spectral record, the full SVD of every block
 referenced to ``norm()`` when no scale is given, made once
 (``_decided``): ``kernel``, ``image``, ``cokernel``, ``singular_data``
 and step 1 of both staircases read it.  ``norm()`` reads that record if
-the map holds it, and otherwise runs one values-only SVD: which SVD it
-reads depends on whether the map was decided first, and only trailing
-digits depend on that order.  Maps whose norm alone is read (the Drazin
-report's inverse, core part, nilpotent part and projector, every
-residual map) keep that path: reading every norm off a full SVD made
-``drazin`` on the commuting (1)/96 file 50.1 -> 63.9 ms (numpy 2.4,
+the map holds it, and otherwise takes the largest block singular value
+by :func:`modop.subspace._top_singular`: a Frobenius screen per group
+leaves values-only SVDs, at most two LAPACK calls per group, only for
+the blocks that can set the max, with the bits of per-block SVDs.  Which
+SVD it reads depends on whether the map was decided first, and only
+trailing digits depend on that order.  Maps whose norm alone is read
+(the Drazin report's inverse, core part, nilpotent part and projector,
+every residual map) keep that path: reading every norm off a full SVD
+made ``drazin`` on the commuting (1)/96 file 50.1 -> 63.9 ms (numpy 2.4,
 OpenBLAS on one thread, 2-core x86 machine).  An adjoint takes its
 map's record, F* = V S^H U^H, and its norm over.  The record is stacked
 on the map's groups, one LAPACK call per group, bitwise equal to
@@ -75,8 +78,10 @@ from .subspace import (
     _decide,
     _eyes,
     _live,
+    _outside,
     _side_by_side,
     _stack_ranks,
+    _top_singular,
     as_complex,
     herm,
     stacked,
@@ -296,14 +301,15 @@ class AdjointableMap:
 
     def norm(self) -> float:
         """Operator norm in the module sense (= largest block singular value),
-        off ``_svd`` if the map holds it, else off one values-only SVD."""
+        off ``_svd`` if the map holds it, else off screened values-only SVDs."""
         return self._norm
 
     @cached_property
     def _norm(self) -> float:
         svd = self.__dict__.get("_svd")
-        values = stacked(np.linalg.svd, self.groups, compute_uv=False) if svd is None else svd[1]
-        return max((max(s[:, 0].tolist()) for s in values.stacks if s.shape[-1]), default=0.0)
+        if svd is None:
+            return _top_singular(self.groups)
+        return max((max(s[:, 0].tolist()) for s in svd[1].stacks if s.shape[-1]), default=0.0)
 
     def singular_data(
         self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
@@ -526,11 +532,10 @@ class PowerChain:
         parts = [(t, ranks[idx[0]], idx) for t, idx in zip(ts.stacks, ts.members)]
         g1s = Grouped([t[:, :r, :r] for t, r, _ in parts], ts.members)
         mixed = [(t, r, idx) for t, r, idx in parts if 0 < r < t.shape[-1]]
-        ng, off = max(g.norm(), 1e-300), 0.0
-        for corner in (lambda t, r: t[:, :r, r:], lambda t, r: t[:, r:, :r]):
-            corners = Grouped([corner(t, r) for t, r, _ in mixed], [idx for *_, idx in mixed])
-            for v in stacked(np.linalg.svd, corners, compute_uv=False).stacks:
-                off = max(off, max(v[:, 0].tolist()) / ng)
+        off = max(
+            _top_singular(Grouped([corner(t, r) for t, r, _ in mixed], [idx for *_, idx in mixed]))
+            for corner in (lambda t, r: t[:, :r, r:], lambda t, r: t[:, r:, :r])
+        ) / max(g.norm(), 1e-300)
         if off > RESIDUAL_TOL * max(1.0, split.cond):
             raise IdentityViolation(
                 f"map is not block-diagonal on the splitting (off-diagonal {off:.3e})"
@@ -576,11 +581,6 @@ class BrowderWitness:
 def _similar(s: Array, a: Array, s_inv: Array) -> Array:
     """S A S^-1, for one block or a stack."""
     return s @ a @ s_inv
-
-
-def _outside(c: Array, k: Array) -> Array:
-    """(I - P_k) C: the part of C's columns outside span(k)."""
-    return c - k @ (herm(k) @ c)
 
 
 def require_finite(arrays: list[Array], what: str) -> None:
