@@ -1,4 +1,4 @@
-"""Size-ladder micro-benchmark of six certificates, the power chain, generation and operator I/O.
+"""Size-ladder micro-benchmark of certificates, the power chain, generation, operator I/O and banach.
 
 Times ``fredholm_report``, ``exact_sequence``, ``drazin_inverse``,
 ``b_fredholm_report`` and ``power_chain`` (the index and the stable
@@ -21,7 +21,10 @@ before the clock starts; ``write_operator`` times
 commuting pair).  ``generate`` times the random instances themselves:
 each rung's ``random_endomorphism`` plus one ``random_map`` (each
 commuting pair's ``random_commuting_pair``), on a fresh generator of one
-seed per repetition.  Prints one JSON object: per certificate and rung
+seed per repetition.  ``banach`` times the command ``modop banach T F
+--format json`` through ``cli.main`` at (2,3)/3, (8)/2 and 1^64/4, T of
+rank deficit 1 and F of rank 1, on operator files written before the
+clock starts; the command line is the same in every tree.  Prints one JSON object: per certificate and rung
 the median milliseconds per call (``ms``) and, beside it, the median
 minor page faults per call (``minflt``, the ``ru_minflt`` delta of
 ``getrusage``), plus the numpy version and the host.  A row whose time
@@ -48,6 +51,8 @@ OpenBLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` is already set.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -76,6 +81,8 @@ PAIRS = (
 # module ranks over shape (1) and nilpotent Jordan sizes of the commuting pairs
 COMMUTING_MS = (24, 48, 96)
 COMMUTING_NILPOTENT = (3,)
+# (shape, module rank) of the ``modop banach T F`` rows
+BANACH = (("2,3", 3), ("8", 2), ("1^64", 4))
 
 
 def measure(tree: Path, repeats: int, seed: int) -> dict[str, dict[str, list[list[float]]]]:
@@ -84,7 +91,7 @@ def measure(tree: Path, repeats: int, seed: int) -> dict[str, dict[str, list[lis
     sys.path.insert(0, str(tree / "src"))
     import numpy as np
 
-    from modop import drazin, fredholm, geometry, randgen, serialize
+    from modop import cli, drazin, fredholm, geometry, randgen, serialize
     from modop.linmap import AdjointableMap
 
     def fresh(f: AdjointableMap) -> AdjointableMap:
@@ -116,6 +123,7 @@ def measure(tree: Path, repeats: int, seed: int) -> dict[str, dict[str, list[lis
         "load_operator": {},
         "write_operator": {},
         "generate": {},
+        "banach": {},
     }
     for text, m, nilpotent in RUNGS:
         rng = np.random.default_rng([seed, len(text), m])
@@ -175,6 +183,23 @@ def measure(tree: Path, repeats: int, seed: int) -> dict[str, dict[str, list[lis
         results["commuting_drazin_criterion"][f"(1)/{m}"] = timed(
             lambda fd: drazin.commuting_drazin_criterion(*fd), copies
         )
+    with tempfile.TemporaryDirectory() as tmp:
+        for text, m in BANACH:
+            rng = np.random.default_rng([seed, len(text), m])
+            shape = randgen.parse_shape(text)
+            paths = [os.path.join(tmp, f"{name}-{text}-{m}.json") for name in "tf"]
+            for path, op in zip(paths, (
+                randgen.random_map(shape, m, m, rng, rank_deficit=1),
+                randgen.random_low_rank(shape, m, m, rng, rank=1, scale=0.5),
+            )):
+                serialize.save_json(path, serialize.operator_to_jsonable(op))
+
+            def banach(argv: list[str]) -> None:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv) == 0
+
+            argv = ["banach", *paths, "--format", "json"]
+            results["banach"][f"({text})/{m}"] = timed(banach, [argv] * repeats)
     return results
 
 

@@ -11,8 +11,8 @@ drazin     core-nilpotent report for one operator file.
 geometry   angle/closed-sum report for two submodule or operator files
            (an operator contributes its image on the left slot, its
            kernel on the right slot).
-banach     regular-operator certificate for a flattened operator, with
-           an optional finite-rank perturbation.
+banach     regular-operator certificate (orthogonal complements) for one
+           operator file, with an optional finite-rank perturbation.
 
 Only ``verify`` and ``geometry`` draw random numbers, so only they take
 ``--seed``; only ``probe`` renders ``--format csv`` besides text and json.
@@ -237,7 +237,7 @@ def _suite_banach_perturbation(rng: np.random.Generator, cfg: RunConfig) -> dict
     u = rng.normal(size=rows) + 1j * rng.normal(size=rows)
     v = rng.normal(size=cols) + 1j * rng.normal(size=cols)
     f = 0.4 * np.outer(u, v) / max(np.linalg.norm(u) * np.linalg.norm(v), 1e-300)
-    rec = banach.banach_perturbation(reg, f, cfg.tol)
+    rec = banach.banach_perturbation(reg, AdjointableMap(t.shape, cols, rows, (f,)), cfg.tol)
     return {
         "worst_projector_norm": max(
             worst_proj, rec.perturbed.ker_decomposition.norm, rec.perturbed.im_decomposition.norm
@@ -379,14 +379,14 @@ def cmd_banach(args: argparse.Namespace, tol: ToleranceConfig) -> tuple[Any, int
             f"{args.perturbation}: the perturbation maps A^{f_map.m} -> A^{f_map.n} over "
             f"{f_map.shape}, the operator A^{t_map.m} -> A^{t_map.n} over {t_map.shape}"
         )
-    reg = banach.make_regular_orthogonal(t_map.realization, tol)
+    reg = banach.make_regular_orthogonal(t_map, tol)
     payload: dict[str, Any] = {
         "regular": serialize.report_to_jsonable(reg),
         "generalized_weyl": banach.generalized_weyl_banach(reg),
         "witness": serialize.report_to_jsonable(banach.defect_witness(reg)),
     }
     if f_map is not None:
-        rec = banach.banach_perturbation(reg, f_map.realization, tol)
+        rec = banach.banach_perturbation(reg, f_map, tol)
         payload["perturbation"] = serialize.report_to_jsonable(rec)
     return payload, EXIT_OK
 
@@ -544,7 +544,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("right", help="submodule file, or operator file (its kernel is used)")
 
     p = command("banach", cmd_banach, "regular-operator certificate")
-    p.add_argument("operator", help="operator JSON file (flattened to a plain matrix)")
+    p.add_argument("operator", help="operator JSON file")
     p.add_argument("perturbation", nargs="?", default=None, help="optional perturbation file")
     return parser
 

@@ -7,8 +7,9 @@ form is the computational workhorse: adjoints are conjugate transposes,
 composition is matrix product, and the flat matrix of the map is block b's
 compressed matrix tensored with I_{n_b}, so its singular values are the
 per-block ones with multiplicity n_b.  Every certificate works on the
-compressed blocks.  The dense flat matrix (``realization``) serves only
-as the test oracle and as the plain matrix ``modop banach`` works on.
+compressed blocks, the chosen-complement calculus of :mod:`modop.banach`
+included: no module builds the dense flat matrix, which only the test
+oracles build.  A plain matrix is a map over the one-block algebra (1).
 
 The blocks are stored as one read-only (count, rows, cols) stack per block
 size (a :class:`~modop.subspace.Grouped`), so a map over 1^256 is one
@@ -24,12 +25,13 @@ holds per-block views for I/O, reports and the test oracles.
 Each map caches one spectral record, the full SVD of every block
 (``_svd``).  Each tolerance and scale gets one rank decision on it,
 referenced to ``norm()`` when no scale is given, made once
-(``_decided``): ``kernel``, ``image``, ``cokernel``, ``singular_data``
-and step 1 of both staircases read it.  ``norm()`` reads that record if
-the map holds it, and otherwise takes the largest block singular value
-by :func:`modop.subspace._top_singular`: a Frobenius screen per group
-leaves values-only SVDs, at most two LAPACK calls per group, only for
-the blocks that can set the max, with the bits of per-block SVDs.  Which
+(``_decided``): ``kernel``, ``image``, ``cokernel``, ``coimage``,
+``singular_data`` and step 1 of both staircases read it.  ``norm()``
+reads that record if the map holds it, and otherwise takes the largest
+block singular value by :func:`modop.subspace._top_singular`: a
+Frobenius screen per group leaves values-only SVDs, at most two LAPACK
+calls per group, only for the blocks that can set the max, with the
+bits of per-block SVDs.  Which
 SVD it reads depends on whether the map was decided first, and only
 trailing digits depend on that order.  Maps whose norm alone is read
 (the Drazin report's inverse, core part, nilpotent part and projector,
@@ -82,7 +84,6 @@ from .subspace import (
     _side_by_side,
     _stack_ranks,
     _top_singular,
-    as_complex,
     herm,
     stacked,
 )
@@ -180,15 +181,6 @@ class AdjointableMap:
         require_finite(blocks, "map")
         return cls(shape, m, n, tuple(blocks))
 
-    @classmethod
-    def from_matrix(cls, mat: Array) -> "AdjointableMap":
-        """A plain finite complex matrix as a map over the trivial one-block algebra."""
-        mat = as_complex(mat)
-        if mat.ndim != 2 or 0 in mat.shape:
-            raise StructureError("need a nonempty 2-d matrix")
-        require_finite([mat], "map")
-        return cls(AlgebraShape((1,)), mat.shape[1], mat.shape[0], (mat,))
-
     # -- structure access -------------------------------------------------
 
     def entry(self, i: int, j: int) -> AlgebraElement:
@@ -204,20 +196,6 @@ class AdjointableMap:
     @property
     def dim_ctx(self) -> int:
         return max(flat_dim(self.shape, self.m), flat_dim(self.shape, self.n))
-
-    @cached_property
-    def realization(self) -> Array:
-        """Dense flat matrix (block-diagonal Kronecker lift): the test oracle
-        and the plain matrix of ``modop banach``; no certificate reads it."""
-        d_dom, d_cod = flat_dim(self.shape, self.m), flat_dim(self.shape, self.n)
-        out = np.zeros((d_cod, d_dom), dtype=np.complex128)
-        dom_off = cod_off = 0
-        for nb, c in zip(self.shape.block_sizes, self.blocks):
-            seg_d, seg_c = self.m * nb * nb, self.n * nb * nb
-            out[cod_off : cod_off + seg_c, dom_off : dom_off + seg_d] = np.kron(c, np.eye(nb))
-            dom_off += seg_d
-            cod_off += seg_c
-        return out
 
     # -- algebra of maps -------------------------------------------------
 
@@ -294,10 +272,11 @@ class AdjointableMap:
     ) -> SingularData:
         """Shared-cutoff decision: block b's values repeated n_b times."""
         # every group of a map's records lies inside one block size
-        sizes = [self.shape.block_sizes[idx[0]] for idx in values.members]
-        counts = np.repeat(sizes, [v.size for v in values.stacks]).astype(int)
-        merged = np.repeat(np.concatenate([v.ravel() for v in values.stacks] or [[]]), counts)
-        return _decide(np.sort(merged)[::-1], tol, self.dim_ctx, scale)
+        sizes = self.shape.block_sizes
+        parts = [v.ravel().repeat(sizes[idx[0]]) for v, idx in zip(values.stacks, values.members)]
+        merged = parts[0] if len(parts) == 1 else np.concatenate(parts or [[]])
+        merged.sort()  # a fresh array: repeat copies
+        return _decide(merged[::-1], tol, self.dim_ctx, scale)
 
     def norm(self) -> float:
         """Operator norm in the module sense (= largest block singular value),
@@ -365,6 +344,16 @@ class AdjointableMap:
         record, under the decision that sets ``image``."""
         ranks = self._decided(tol, scale)[0]
         return Submodule._of_groups(self.shape, self.n, _columns(self._svd[0], ranks, lead=False))
+
+    def coimage(
+        self, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
+    ) -> Submodule:
+        """(ker F)^perp = Im F*: the leading right singular vectors of the
+        full SVD record, under the decision that sets ``kernel``."""
+        ranks = self._decided(tol, scale)[0]
+        return Submodule._of_groups(
+            self.shape, self.m, _columns(self._svd[2].map(herm), ranks, lead=True)
+        )
 
     def image_step(
         self, sub: Submodule, tol: ToleranceConfig = DEFAULT_TOL

@@ -35,7 +35,6 @@ from .algebra import AlgebraShape
 from .errors import IdentityViolation, StructureError
 from .geometry import bouldin_criterion, dixmier_angle, min_modulus_restricted
 from .linmap import AdjointableMap
-from .subspace import svd_data
 from .tolerances import DEFAULT_TOL, POSITIVITY_TAU, ToleranceConfig
 
 Array = np.ndarray
@@ -105,16 +104,16 @@ def left_multiplier_family(
     """Left multiplication by ``s`` on the full matrix block M_n.
 
     The compressed matrix of x -> s x on the one-generator module is s
-    itself; the reduced minimum of the module map equals that of s
-    (each singular value just picks up multiplicity n), which is
-    checked before returning.
+    itself; the reduced minimum of the module map equals that of s, a map
+    over the one-block algebra (1) (each singular value just picks up
+    multiplicity n), which is checked before returning.
     """
     s = np.asarray(s, dtype=complex)
     if s.shape != (n, n):
         raise StructureError(f"multiplier must be {n}x{n}, got {s.shape}")
     f = AdjointableMap(AlgebraShape((n,)), 1, 1, (s,))
     gamma_f = f.singular_data(tol).gamma
-    gamma_s = svd_data(s, tol).gamma
+    gamma_s = AdjointableMap(AlgebraShape((1,)), n, n, (s,)).singular_data(tol).gamma
     agree = (
         gamma_f == gamma_s
         if math.isinf(gamma_f) or math.isinf(gamma_s)

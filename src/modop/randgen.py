@@ -29,7 +29,7 @@ from .algebra import AlgebraElement, AlgebraShape
 from .errors import StructureError
 from .linmap import AdjointableMap
 from .modules import Submodule
-from .subspace import Grouped, complement, herm, kernel_image, orthonormal_image, stacked
+from .subspace import Grouped, herm, stacked
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 Array = np.ndarray
@@ -242,18 +242,11 @@ def random_complement(
     rng: np.random.Generator,
     *,
     shear: float = 0.3,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> Submodule:
-    """Algebraic complement of ``sub``, tilted away from the orthogonal one.
-
-    Each block is a :func:`sheared_complement` of the block's column
-    basis, which bounds the resulting projector norm by roughly
-    1/(1 - shear).
-    """
-    bases = tuple(
-        sheared_complement(w, complement(w), rng, shear=shear, tol=tol) for w in sub.column_bases
-    )
-    return Submodule(sub.shape, sub.m, bases)
+    """Algebraic complement of ``sub``, tilted away from the orthogonal one:
+    the :func:`sheared_complement` of ``sub`` and its orthogonal complement,
+    which bounds the resulting projector norm by roughly 1/(1 - shear)."""
+    return sheared_complement(sub, sub.complement(), rng, shear=shear)
 
 
 def random_matrix(
@@ -269,24 +262,28 @@ def random_matrix(
 
 
 def sheared_complement(
-    basis: Array,
-    wc: Array,
+    sub: Submodule,
+    wc: Submodule,
     rng: np.random.Generator,
     *,
     shear: float = 0.3,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> Array:
-    """Complement of span(basis) in the space of its rows, tilted off the
-    orthogonal one, with orthonormal basis ``wc``, by mixing in directions
-    inside the span (relative size ``shear``)."""
+) -> Submodule:
+    """Complement of ``sub``, tilted off the orthogonal one, whose
+    orthonormal bases are ``wc``: per block, in block order, directions
+    inside the block's span (relative size ``shear``) are mixed into its
+    complement basis.  The mix is orthogonal to ``wc``, so each mixed
+    basis has singular values at least 1 and one QR per size group
+    orthonormalizes it."""
     if not 0.0 <= shear < 1.0:
         raise StructureError("shear must lie in [0, 1)")
-    basis = np.asarray(basis, dtype=complex)
-    if wc.shape[1] == 0 or basis.shape[1] == 0:
-        return wc
-    mix = basis @ _complex(rng.normal(size=(2, basis.shape[1], wc.shape[1])))
-    mix *= shear / max(np.linalg.norm(mix, 2), 1e-300)
-    return orthonormal_image(wc + mix, tol, scale=1.0)[0]
+    mixed = []
+    for w, c in zip(sub.column_bases, wc.column_bases):
+        if w.shape[1] and c.shape[1]:
+            mix = w @ _complex(rng.normal(size=(2, w.shape[1], c.shape[1])))
+            c = c + mix * (shear / max(np.linalg.svd(mix, compute_uv=False)[0], 1e-300))
+        mixed.append(c)
+    bases = Grouped.of(mixed).map(lambda c: np.linalg.qr(c)[0])
+    return Submodule._of_groups(wc.shape, wc.m, bases)
 
 
 def random_regular_data(
@@ -297,10 +294,10 @@ def random_regular_data(
     rank_deficit: int = 1,
     shear: float = 0.3,
     tol: ToleranceConfig = DEFAULT_TOL,
-) -> tuple[Array, Array, Array]:
+) -> tuple[AdjointableMap, Submodule, Submodule]:
     """(T, kernel complement, image complement) with bounded obliqueness —
-    raw material for a regular-operator certificate on plain matrices."""
-    t = random_matrix(rows, cols, rng, rank_deficit=rank_deficit)
-    (kernel, image, row_span, left_kernel), _ = kernel_image(t, tol)
-    kc = sheared_complement(kernel, row_span, rng, shear=shear, tol=tol)
-    return t, kc, sheared_complement(image, left_kernel, rng, shear=shear, tol=tol)
+    raw material for a regular-operator certificate on a plain matrix, a
+    map over the one-block algebra (1)."""
+    t = random_map(AlgebraShape((1,)), cols, rows, rng, rank_deficit=rank_deficit)
+    kc = sheared_complement(t.kernel(tol), t.coimage(tol), rng, shear=shear)
+    return t, kc, sheared_complement(t.image(tol), t.cokernel(tol), rng, shear=shear)

@@ -331,7 +331,9 @@ def report_to_jsonable(obj: Any) -> Any:
     """Strip a report down to its JSON-safe content.
 
     Keeps scalars, strings, K0 classes, dimensions, margins, residual
-    dictionaries, and nested reports; drops raw matrices and bases.
+    dictionaries, and nested reports; drops raw matrices and bases, and
+    the dataclass fields marked ``metadata={"report": False}`` (the maps
+    and submodules a record was built on).
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -365,6 +367,8 @@ def report_to_jsonable(obj: Any) -> Any:
     if dataclasses.is_dataclass(obj):
         out = {}
         for fld in dataclasses.fields(obj):
+            if not fld.metadata.get("report", True):
+                continue
             val = report_to_jsonable(getattr(obj, fld.name))
             if val is not None or getattr(obj, fld.name) is None:
                 out[fld.name] = val

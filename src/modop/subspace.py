@@ -5,17 +5,14 @@ Subspaces of C^d are represented by matrices with orthonormal columns
 singular values funnels through one cutoff, ``ToleranceConfig.rank_threshold``,
 and every recorded decision through one function, :func:`_decide`: it
 sets the cutoff under the shared tolerance policy and records the margin
-by which the decision was made.  The one-matrix forms :func:`svd_data`,
-:func:`orthonormal_image`, :func:`null_space` and :func:`kernel_image`
-(one SVD each) call it once per matrix, for callers holding a loose
-matrix: the flat calculus of :mod:`modop.banach`, the random
-constructions of :mod:`modop.randgen` and the probes.  The maps of
-:mod:`modop.linmap` call it once per block family: a map's records and
-each step of its power chain merge the values of all blocks into one
-decision.  The grouped rank counts (:func:`_stack_ranks`, used by the
-lattice operations, the spans of submodule files and the arrows of
-:func:`chains_exactness`) decide every matrix of a stack at once, by
-the rule of :func:`_decide`.
+by which the decision was made.  The maps of :mod:`modop.linmap` call
+it once per block family: a map's records and each step of its power
+chain merge the values of all blocks into one decision.  The grouped
+rank counts (:func:`_stack_ranks`, used by the lattice operations, the
+spans of submodule files and the arrows of :func:`chains_exactness`)
+decide every matrix of a stack at once, by the rule of :func:`_decide`.
+There is no one-matrix path: a loose matrix is a map over the one-block
+algebra (1).
 
 Storage is group-major.  A :class:`Grouped` holds matrices indexed by
 position (an algebra block, most often) as one (count, rows, cols) stack
@@ -58,23 +55,12 @@ __all__ = [
     "Grouped",
     "SingularData",
     "stacked",
-    "svd_data",
-    "op_norm",
-    "orthonormal_image",
-    "null_space",
-    "kernel_image",
-    "complement",
-    "intersections",
     "chains_exactness",
 ]
 
 
 def as_complex(a) -> Array:
     return np.ascontiguousarray(np.asarray(a, dtype=np.complex128))
-
-
-def empty_basis(ambient: int) -> Array:
-    return np.zeros((ambient, 0), dtype=np.complex128)
 
 
 def herm(a: Array) -> Array:
@@ -347,59 +333,6 @@ def _spans(
     return _columns(u, ranks, lead=True)
 
 
-def svd_data(
-    a: Array, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
-) -> SingularData:
-    """Singular values of one matrix plus the rank decision they support.
-
-    The cutoff's dimension is ``max(a.shape)``; ``scale`` is the reference
-    magnitude (defaults to the matrix's own largest singular value).
-    """
-    return _decide(np.linalg.svd(a, compute_uv=False), tol, max(a.shape), scale)
-
-
-def op_norm(a: Array) -> float:
-    return float(np.linalg.svd(as_complex(a), compute_uv=False).max(initial=0.0))
-
-
-def orthonormal_image(
-    a: Array, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
-) -> tuple[Array, SingularData]:
-    """Orthonormal basis of the column span of one matrix, with the rank
-    decision; one economy SVD."""
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    data = _decide(s, tol, max(a.shape), scale)
-    return np.ascontiguousarray(u[:, : data.rank]), data
-
-
-def kernel_image(
-    a: Array, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
-) -> tuple[tuple[Array, Array, Array, Array], SingularData]:
-    """Orthonormal bases of the kernel and the column span of one matrix and
-    of their orthogonal complements (kernel, image, row span, left kernel),
-    with the rank decision; one full SVD."""
-    u, s, vh = np.linalg.svd(a)
-    data = _decide(s, tol, max(a.shape), scale)
-    r = data.rank
-    bases = (herm(vh[r:]), u[:, :r], herm(vh[:r]), u[:, r:])
-    return tuple(np.ascontiguousarray(b) for b in bases), data
-
-
-def null_space(
-    a: Array, tol: ToleranceConfig = DEFAULT_TOL, *, scale: float | None = None
-) -> tuple[Array, SingularData]:
-    """Orthonormal basis of the (right) kernel of one matrix, with the rank
-    decision: the first basis of :func:`kernel_image`."""
-    (kernel, *_), data = kernel_image(a, tol, scale=scale)
-    return kernel, data
-
-
-def complement(q: Array) -> Array:
-    """Orthonormal basis of the orthogonal complement of span(q), decided
-    at unit scale."""
-    return null_space(herm(q), scale=1.0)[0]
-
-
 def _top_singular(g: Grouped) -> float:
     """The largest singular value over g's matrices (0.0 for none): bitwise
     the ``max`` of their values-only SVDs, in at most two LAPACK calls per
@@ -520,12 +453,6 @@ def _meets(q1: Grouped, q2: Grouped) -> tuple[Grouped, Array]:
         qs = stacked(_shared, Grouped(xs, where), Grouped(vs, where))
         pieces += zip(qs.stacks, qs.members)
     return _merge(pieces), gaps
-
-
-def intersections(q1s: Sequence[Array], q2s: Sequence[Array]) -> list[tuple[Array, float]]:
-    """:func:`_meets` pair by pair: the intersection basis and its angle gap."""
-    bases, gaps = _meets(Grouped.of(q1s), Grouped.of(q2s))
-    return list(zip(bases.mats, gaps.tolist()))
 
 
 def _largest(values: Array) -> Array:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from flat_oracle import from_matrix
 from test_drazin import graded_nilpotent_family
 
 from modop import banach, drazin, fredholm, geometry, linmap
@@ -61,7 +62,7 @@ def test_analyze_non_endomorphism_notes_skip(tmp_path, rng, capsys):
 
 def test_drazin_subcommand_reports_structure(tmp_path, capsys):
     mat = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
-    path = write_operator(tmp_path, "core.json", AdjointableMap.from_matrix(mat))
+    path = write_operator(tmp_path, "core.json", from_matrix(mat))
     assert main(["drazin", path, "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["p"] == 2 and payload["ascent"] == 2
@@ -373,9 +374,13 @@ def _padded_banach_witness(real):
 
 
 def _repeated_kernel_column(real):
+    # the product's kernel planted one column larger, in every block
     def planted(t, scale, tol):
         reg = real(t, scale, tol)
-        return replace(reg, kernel_basis=np.hstack([reg.kernel_basis, reg.kernel_basis[:, :1]]))
+        kernel = reg.kernel
+        bases = tuple(np.hstack([w, w[:, :1]]) for w in kernel.column_bases)
+        dec = replace(reg.ker_decomposition, kernel=Submodule(kernel.shape, kernel.m, bases))
+        return replace(reg, ker_decomposition=dec)
 
     return planted
 
@@ -430,14 +435,17 @@ def _never_equal(real):
     return lambda sub, other, tol: False
 
 
-def _kernel_column_in_second_meet(real):
-    # ker(T+F) ∩ ker F planted one column larger than ker T ∩ ker F
-    def planted(q1s, q2s):
-        pairs = real(q1s, q2s)
-        if len(pairs) > 1:
-            meet, gap = pairs[1]
-            pairs[1] = (np.hstack([meet, q1s[0][:, :1]]), gap)
-        return pairs
+def _column_added_to_last_part(real):
+    # M', the last of the four parts built, planted one column larger: the
+    # common core ker(T+F) ∩ ker F then reads one smaller than ker T ∩ ker F
+    calls = itertools.count(1)
+
+    def planted(sub, q, tol):
+        part = real(sub, q, tol)
+        if next(calls) % 4:
+            return part
+        bases = tuple(np.hstack([w, b[:, :1]]) for w, b in zip(part.column_bases, q.column_bases))
+        return Submodule(part.shape, part.m, bases)
 
     return planted
 
@@ -489,7 +497,7 @@ PLANTED_DEFECTS = [
      "angle cross-check failed"),
     ("banach-perturbation", banach, "defect_witness", _padded_banach_witness,
      "perturbation dimension identity failed"),
-    ("banach-perturbation", banach, "intersections", _kernel_column_in_second_meet,
+    ("banach-perturbation", banach, "_outside_of", _column_added_to_last_part,
      "ker(T+F) ∩ ker F and ker T ∩ ker F have different dimensions"),
     ("banach-perturbation", banach, "_regular_orthogonal", _rank_bumped,
      "Im(T+F) should split as T(ker F) (+) N'"),

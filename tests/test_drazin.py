@@ -35,7 +35,7 @@ from modop.randgen import (
     random_submodule,
 )
 
-from flat_oracle import flat_basis
+from flat_oracle import flat_basis, from_matrix, realization
 
 
 def jordan(n):
@@ -46,7 +46,7 @@ CORE_NILPOTENT = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
 
 
 def test_ascent_descent_of_jordan_block():
-    chain = AdjointableMap.from_matrix(jordan(3)).power_chain()
+    chain = from_matrix(jordan(3)).power_chain()
     assert chain.index == 3
     assert chain.rank_chain == (3, 2, 1, 0)
     assert [chain.image(k).dim for k in range(5)] == [3, 2, 1, 0, 0]
@@ -65,7 +65,7 @@ def test_ascent_needs_endomorphism(shape23, rng):
 
 def test_drazin_frozen_example():
     # diag(J_2, 2): inverse is diag(0, 0, 1/2), projector kills the Jordan part
-    rep = drazin_inverse(AdjointableMap.from_matrix(CORE_NILPOTENT))
+    rep = drazin_inverse(from_matrix(CORE_NILPOTENT))
     assert rep.p == 2
     x = rep.drazin_inverse.blocks[0]
     assert np.allclose(x, np.diag([0.0, 0.0, 0.5]))
@@ -116,7 +116,7 @@ def test_split_rejects_summands_that_do_not_fill_the_space(certify, monkeypatch)
     # rank it forces: the image step rejects it before any S is formed
     _planted(monkeypatch, "kernel", lambda chain: Submodule.zero(chain.f.shape, chain.f.m))
     with pytest.raises(IllConditionedError) as exc:
-        certify(AdjointableMap.from_matrix(CORE_NILPOTENT))
+        certify(from_matrix(CORE_NILPOTENT))
     assert str(exc.value).startswith(
         "block 0: rank 1 of Im F^2 contradicts the kernel staircase's 3 (step margin "
     )
@@ -134,7 +134,7 @@ def test_split_rejects_summands_that_do_not_fill_the_space(certify, monkeypatch)
 def test_split_rejects_a_map_that_is_not_block_diagonal(certify, name, plant, monkeypatch):
     _planted(monkeypatch, name, plant)
     with pytest.raises(IdentityViolation, match=r"^map is not block-diagonal on the splitting"):
-        certify(AdjointableMap.from_matrix(CORE_NILPOTENT))
+        certify(from_matrix(CORE_NILPOTENT))
 
 
 @SPLIT_READERS
@@ -143,7 +143,7 @@ def test_split_rejects_a_core_rank_deficit(certify, monkeypatch):
     index = PowerChain.index.fget
     monkeypatch.setattr(PowerChain, "index", property(lambda chain: index(chain) - 1))
     with pytest.raises(IdentityViolation) as exc:
-        certify(AdjointableMap.from_matrix(np.diag([0.0, 2.0])))
+        certify(from_matrix(np.diag([0.0, 2.0])))
     assert str(exc.value) == "map is not invertible on the stable range (rank 1 of 2)"
 
 
@@ -152,7 +152,7 @@ def test_drazin_inverse_rejects_a_planted_axiom_defect(monkeypatch):
     real = drazin._on_split
     monkeypatch.setattr(drazin, "_on_split", lambda chain, cores: (1 + 1e-6) * real(chain, cores))
     with pytest.raises(IdentityViolation, match=r"^Drazin axiom residual \w+ = .* x cond S"):
-        drazin_inverse(AdjointableMap.from_matrix(CORE_NILPOTENT))
+        drazin_inverse(from_matrix(CORE_NILPOTENT))
 
 
 def graded_nilpotent_family(low, count=200, seed=1):
@@ -287,7 +287,7 @@ def test_dual_defect_is_the_dense_projection_defect(text, rng):
     shape = parse_shape(text)
     f = random_endomorphism(shape, 3, rng, nilpotent=(2, 1))
     rep = drazin_dual_check(f)
-    a = f.realization
+    a = realization(f)
     assert rep.p == 2
     for k, got in enumerate(rep.orthogonality_residuals, start=1):
         qi = orth(np.linalg.matrix_power(a, k))
@@ -318,7 +318,7 @@ def test_criterion_invertible_pair(rng):
 
 
 def test_criterion_nilpotent_pair_frozen():
-    f = AdjointableMap.from_matrix(jordan(3))
+    f = from_matrix(jordan(3))
     rep = commuting_drazin_criterion(f, f)
     assert rep.p == 2  # (F D)^2 = J^4 = 0 but J^2 != 0
     assert rep.k == 3 == max(rep.p, f.power_chain().index)  # quiet once powers hit zero
@@ -341,7 +341,7 @@ def kronecker_pair(rng, a_planted, b_planted):
     s_inv = np.linalg.inv(s)
     f = s @ np.kron(a, np.eye(b.shape[0])) @ s_inv
     d = s @ np.kron(np.eye(a.shape[0]), b) @ s_inv
-    return AdjointableMap.from_matrix(f), AdjointableMap.from_matrix(d)
+    return from_matrix(f), from_matrix(d)
 
 
 def _kronecker_index(a_planted, b_planted):
@@ -385,7 +385,7 @@ def test_criterion_rejects_noncommuting(rng):
 
 
 def test_browder_frozen_example():
-    f = AdjointableMap.from_matrix(CORE_NILPOTENT)
+    f = from_matrix(CORE_NILPOTENT)
     rep = commuting_browder_check(f, AdjointableMap.identity(f.shape, f.m))
     wit = rep.witness_f
     assert rep.range_space.dim == 1 and rep.null_space.dim == 2

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
-from flat_oracle import flat_basis
+from flat_oracle import flat_basis, from_matrix, realization
 from test_acceptance import assert_index_bookkeeping
 
 from modop import fredholm
@@ -123,7 +123,7 @@ def test_exact_sequence_dims_match_flat_ranks(shape_text, m1, m2, m3, rng):
     f = random_map(shape, m1, m2, rng, rank_deficit=1)
     g = random_map(shape, m2, m3, rng, rank_deficit=1)
     rep = exact_sequence(f, g)
-    a, b, ab = f.realization, g.realization, (g @ f).realization
+    a, b, ab = realization(f), realization(g), realization(g @ f)
     ra, rb, rab = (np.linalg.matrix_rank(x) for x in (a, b, ab))
     expect = (
         a.shape[1] - ra,
@@ -183,7 +183,7 @@ def test_exact_sequence_on_blocks_of_one_size_and_different_structure(rng):
     )
     rep = exact_sequence(f, g)
     assert len({w.shape[1] for w in rep.spaces[1].column_bases}) > 1
-    a, b, ab = f.realization, g.realization, (g @ f).realization
+    a, b, ab = realization(f), realization(g), realization(g @ f)
     (ker_a, perp_a), (ker_b, perp_b), (ker_ab, perp_ab) = map(_flat_projectors, (a, b, ab))
     oracle = (ker_a, ker_ab, ker_b, perp_a, perp_ab, perp_b)
     assert rep.dims == tuple(round(np.trace(p).real) for p in oracle)
@@ -235,7 +235,7 @@ def test_product_chain_balances(shape23, rng):
 def test_power_stabilization_frozen_example():
     # diag(J_2, 2) on C^3: ranks 3, 2, 1, then constant
     mat = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
-    rep = b_fredholm_report(AdjointableMap.from_matrix(mat))
+    rep = b_fredholm_report(from_matrix(mat))
     assert rep.stabilization_exponent == 2
     assert rep.rank_chain == (3, 2, 1)
     assert rep.stable_image.dim == 1
@@ -244,7 +244,7 @@ def test_power_stabilization_frozen_example():
 
 def test_power_stabilization_nilpotent():
     j3 = np.diag(np.ones(2), 1)
-    rep = b_fredholm_report(AdjointableMap.from_matrix(j3))
+    rep = b_fredholm_report(from_matrix(j3))
     assert rep.stabilization_exponent == 3
     assert rep.rank_chain == (3, 2, 1, 0)
     assert rep.stable_image.dim == 0
@@ -259,7 +259,7 @@ def test_power_stabilization_invertible(shape23, rng):
 
 
 PLANTED = [
-    AdjointableMap.from_matrix(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])),
+    from_matrix(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])),
     random_endomorphism(parse_shape("2,3"), 2, np.random.default_rng(3), nilpotent=(2, 1)),
 ]
 

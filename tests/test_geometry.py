@@ -21,7 +21,7 @@ from modop.linmap import AdjointableMap
 from modop.modules import Submodule
 from modop.randgen import parse_shape, random_submodule
 
-from flat_oracle import flat_basis
+from flat_oracle import flat_basis, from_matrix
 from map_oracle import orthogonal_projection
 
 
@@ -333,8 +333,8 @@ def test_oblique_norm_gate_holds_when_ill_conditioned(shape23):
 
 
 def _sine_pair(theta):
-    f = AdjointableMap.from_matrix(np.array([[math.cos(theta)], [math.sin(theta)]]))
-    d = AdjointableMap.from_matrix(np.array([[0.0, 1.0]]))  # kernel = first axis
+    f = from_matrix(np.array([[math.cos(theta)], [math.sin(theta)]]))
+    d = from_matrix(np.array([[0.0, 1.0]]))  # kernel = first axis
     return f, d
 
 
@@ -359,16 +359,16 @@ def test_composition_identity_pair_degenerate(shape23):
 
 def test_composition_margin_on_the_zero_space_is_infinite():
     # F = 0: Im F = 0, so margin_p has nothing to act on
-    f = AdjointableMap.from_matrix(np.zeros((2, 1)))
-    d = AdjointableMap.from_matrix(np.array([[0.0, 1.0]]))
+    f = from_matrix(np.zeros((2, 1)))
+    d = from_matrix(np.array([[0.0, 1.0]]))
     rep = bouldin_criterion(f, d)
     assert rep.margin_p == math.inf
     assert rep.closed_sum.delta == 1.0 and rep.closed_sum.verdict
 
 
 def test_composition_with_overlap_is_reduced():
-    f = AdjointableMap.from_matrix(np.eye(2))
-    d = AdjointableMap.from_matrix(np.array([[0.0, 1.0]]))
+    f = from_matrix(np.eye(2))
+    d = from_matrix(np.array([[0.0, 1.0]]))
     rep = bouldin_criterion(f, d)
     assert rep.closed_sum.reduced
     assert rep.closed_sum.intersection_class.entries == (1,)  # ker D sits inside Im F

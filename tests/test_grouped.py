@@ -19,19 +19,7 @@ from modop.linmap import AdjointableMap
 from modop.modules import Submodule
 from modop.randgen import parse_shape, random_endomorphism, random_map, random_submodule
 from modop.serialize import operator_to_jsonable, save_json
-from modop.subspace import (
-    Grouped,
-    _decide,
-    _spans,
-    _stack_ranks,
-    complement,
-    empty_basis,
-    intersections,
-    null_space,
-    orthonormal_image,
-    stacked,
-    svd_data,
-)
+from modop.subspace import Grouped, _decide, _meets, _spans, _stack_ranks, herm, stacked
 from modop.tolerances import DEFAULT_TOL
 
 
@@ -372,11 +360,13 @@ def test_zero_size_matrices_get_empty_answers_beside_live_ones(rng):
     # (d, 0) and (0, d) matrices beside two live 4 x 3 ones, one at a time
     # and as one Grouped (the twins in one stack)
     live, twin = _cnormal(rng, 4, 3), _cnormal(rng, 4, 3)
-    thin, flat = empty_basis(4), np.zeros((0, 3), dtype=np.complex128)
+    thin, flat = np.zeros((4, 0), dtype=np.complex128), np.zeros((0, 3), dtype=np.complex128)
     mats = [live, thin, flat, twin]
-    images = [orthonormal_image(a, scale=1.0) for a in mats]
-    kernels = [null_space(a, scale=1.0) for a in mats]
-    datas = [svd_data(a, scale=1.0) for a in mats]
+    # one matrix at a time: numpy's SVD and the one decision rule at unit scale
+    values = [np.linalg.svd(a, compute_uv=False) for a in mats]
+    datas = [_decide(v, DEFAULT_TOL, max(a.shape), 1.0) for v, a in zip(values, mats)]
+    images = [(np.linalg.svd(a, full_matrices=False)[0][:, : d.rank], d) for a, d in zip(mats, datas)]
+    kernels = [(herm(np.linalg.svd(a)[2][d.rank :]), d) for a, d in zip(mats, datas)]
     grouped = Grouped.of(mats)
     assert len(grouped.stacks) == 3
     spans = _spans(grouped, DEFAULT_TOL, scale=1.0).mats
@@ -406,13 +396,19 @@ def test_zero_size_matrices_get_empty_answers_beside_live_ones(rng):
             assert data.values == () and data.rank == 0
             assert data.gamma == math.inf and data.margin == math.inf
     # the orthogonal complement of the zero subspace is everything
-    assert np.array_equal(complement(thin), np.eye(4))
+    zero = Submodule(AlgebraShape((1,)), 4, (thin,))
+    assert np.array_equal(zero.complement().column_bases[0], np.eye(4))
 
 
 def test_zero_width_bases_meet_in_nothing_beside_live_pairs(rng):
     q1 = np.linalg.qr(_cnormal(rng, 5, 3))[0]
     q2 = np.linalg.qr(np.hstack([q1[:, :1], _cnormal(rng, 5, 2)]))[0]  # shares one line
-    thin = empty_basis(5)
+    thin = np.zeros((5, 0), dtype=np.complex128)
+
+    def intersections(q1s, q2s):
+        bases, gaps = _meets(Grouped.of(q1s), Grouped.of(q2s))
+        return list(zip(bases.mats, gaps.tolist()))
+
     pairs = intersections([q1, thin, q1, thin], [thin, q2, q2, thin])
     for i in (0, 1, 3):
         basis, gap = pairs[i]

@@ -8,6 +8,7 @@ import pytest
 
 from modop import geometry, probes
 from modop.errors import IdentityViolation, StructureError
+from modop.linmap import AdjointableMap
 from modop.probes import (
     FAMILY_NAMES,
     SQUARE_FAMILY_SCALE,
@@ -73,13 +74,14 @@ def test_square_family_closed_form_gate_trips_on_a_planted_map(monkeypatch):
 
 
 def test_left_multiplier_gate_trips_on_a_planted_matrix_gamma(monkeypatch):
-    real = probes.svd_data
+    # the matrix's own decision is the map over the one-block algebra (1)
+    real = AdjointableMap.singular_data
 
-    def planted(a, tol, scale=None):
-        data = real(a, tol, scale=scale)
-        return replace(data, gamma=2.0 * data.gamma)
+    def planted(f, tol, scale=None):
+        data = real(f, tol, scale=scale)
+        return replace(data, gamma=2.0 * data.gamma) if f.shape.block_sizes == (1,) else data
 
-    monkeypatch.setattr(probes, "svd_data", planted)
+    monkeypatch.setattr(AdjointableMap, "singular_data", planted)
     with pytest.raises(IdentityViolation, match=r"^module reduced minimum .* differs from matrix value"):
         family_table("left-multiplier", [4])
 

@@ -11,18 +11,9 @@ from modop.algebra import AlgebraShape
 from modop.banach import oblique_decomposition
 from modop.errors import UnmetHypothesisError
 from modop.modules import Submodule
-from modop.subspace import (
-    Grouped,
-    _residual_values,
-    as_complex,
-    chains_exactness,
-    complement,
-    intersections,
-    null_space,
-    op_norm,
-    orthonormal_image,
-    svd_data,
-)
+from modop.subspace import Grouped, _residual_values, chains_exactness
+
+from flat_oracle import columns, from_matrix, realization
 
 
 def tilted_plane(theta, ambient=4):
@@ -35,13 +26,24 @@ def tilted_plane(theta, ambient=4):
 
 
 def image_basis(a):
-    """Column-span basis and rank decision of one matrix."""
-    return orthonormal_image(as_complex(a))
+    """Column-span basis and rank decision of one matrix, a map over (1)."""
+    f = from_matrix(a)
+    return f.image().column_bases[0], f.singular_data()
 
 
 def kernel_basis(a):
-    """Kernel basis and rank decision of one matrix."""
-    return null_space(as_complex(a))
+    """Kernel basis and rank decision of one matrix, a map over (1)."""
+    f = from_matrix(a)
+    return f.kernel().column_bases[0], f.singular_data()
+
+
+def op_norm(a):
+    return np.linalg.norm(a, 2)
+
+
+def complement(q):
+    """Orthonormal basis of the orthogonal complement of span(q)."""
+    return columns(q).complement().column_bases[0]
 
 
 def projector(q):
@@ -51,7 +53,7 @@ def projector(q):
 
 def test_svd_data_reads_off_planted_spectrum():
     a = np.diag([3.0, 1.0, 1e-14])
-    data = svd_data(as_complex(a))
+    data = from_matrix(a).singular_data()
     assert data.rank == 2
     assert abs(data.gamma - 1.0) < 1e-12
     assert abs(data.smax - 3.0) < 1e-12
@@ -59,7 +61,7 @@ def test_svd_data_reads_off_planted_spectrum():
 
 
 def test_svd_data_zero_map_conventions():
-    data = svd_data(as_complex(np.zeros((3, 2))))
+    data = from_matrix(np.zeros((3, 2))).singular_data()
     assert data.rank == 0
     assert data.gamma == math.inf
     assert data.margin == math.inf
@@ -108,7 +110,8 @@ def test_subspace_equal_is_sine_based(rng):
 
 
 def test_intersection_recovers_shared_line():
-    ((inter, gap),) = intersections([tilted_plane(0.0)], [tilted_plane(0.3)])
+    inter, gap = columns(tilted_plane(0.0)).intersection(columns(tilted_plane(0.3)))
+    inter = inter.column_bases[0]
     assert inter.shape[1] == 1
     e0 = np.zeros(4, dtype=complex)
     e0[0] = 1.0
@@ -119,7 +122,7 @@ def test_intersection_recovers_shared_line():
 def test_sum_and_containment(tol):
     # the sum is the image of the stacked bases; containment is a vanishing
     # residual of the smaller span against the larger
-    total, _ = orthonormal_image(np.hstack([tilted_plane(0.0), tilted_plane(0.3)]), scale=1.0)
+    total = columns(tilted_plane(0.0)).add(columns(tilted_plane(0.3))).column_bases[0]
     assert total.shape[1] == 3
     inside = _residual_values(total, tilted_plane(0.0))
     outside = _residual_values(tilted_plane(0.0), total)
@@ -141,8 +144,8 @@ def test_oblique_projector_idempotent_and_sliced(rng):
     # shear the complement so the projector is genuinely oblique
     along = along + 0.3 * onto @ rng.normal(size=(2, 4))
     along, _ = image_basis(along)
-    p = oblique_decomposition(onto, along)
-    e = p.idempotent
+    p = oblique_decomposition(columns(onto), columns(along))
+    e = realization(p.idempotent)
     assert op_norm(e @ e - e) < 1e-12
     assert op_norm(e @ onto - onto) < 1e-12
     assert op_norm(e @ along) < 1e-12
@@ -151,18 +154,19 @@ def test_oblique_projector_idempotent_and_sliced(rng):
 
 def test_oblique_projector_orthogonal_case_has_norm_one(rng):
     onto, _ = image_basis(rng.normal(size=(5, 3)))
-    p = oblique_decomposition(onto, complement(onto))
+    p = oblique_decomposition(columns(onto), columns(complement(onto)))
     assert abs(p.norm - 1.0) < 1e-12
-    assert np.allclose(p.idempotent, projector(onto))
+    assert np.allclose(realization(p.idempotent), projector(onto))
 
 
 def test_oblique_projector_rejects_non_complements(rng):
     onto, _ = image_basis(rng.normal(size=(5, 3)))
     with pytest.raises(UnmetHypothesisError):
-        oblique_decomposition(onto, onto)  # dimensions wrong
+        oblique_decomposition(columns(onto), columns(onto))  # dimensions wrong
     with pytest.raises(UnmetHypothesisError):
         # right dimension count, but shares span(onto) directions
-        oblique_decomposition(onto, np.hstack([onto[:, :1], complement(onto)[:, :1]]))
+        shared = np.hstack([onto[:, :1], complement(onto)[:, :1]])
+        oblique_decomposition(columns(onto), columns(shared))
 
 
 def test_chain_exactness_on_split_chain():
