@@ -24,7 +24,9 @@ commuting pair's ``random_commuting_pair``), on a fresh generator of one
 seed per repetition.  ``banach`` times the command ``modop banach T F
 --format json`` through ``cli.main`` at (2,3)/3, (8)/2 and 1^64/4, T of
 rank deficit 1 and F of rank 1, on operator files written before the
-clock starts; the command line is the same in every tree.  Prints one JSON object: per certificate and rung
+clock starts; the command line is the same in every tree.  ``verify`` times
+each verify suite, ``run_suite(suite, RunConfig(seed, n=20, shape="2,3"))``,
+drawing, building and checking its 20 instances.  Prints one JSON object: per certificate and rung
 the median milliseconds per call (``ms``) and, beside it, the median
 minor page faults per call (``minflt``, the ``ru_minflt`` delta of
 ``getrusage``), plus the numpy version and the host.  A row whose time
@@ -124,6 +126,7 @@ def measure(tree: Path, repeats: int, seed: int) -> dict[str, dict[str, list[lis
         "write_operator": {},
         "generate": {},
         "banach": {},
+        "verify": {},
     }
     for text, m, nilpotent in RUNGS:
         rng = np.random.default_rng([seed, len(text), m])
@@ -200,6 +203,9 @@ def measure(tree: Path, repeats: int, seed: int) -> dict[str, dict[str, list[lis
 
             argv = ["banach", *paths, "--format", "json"]
             results["banach"][f"({text})/{m}"] = timed(banach, [argv] * repeats)
+    cfg = cli.RunConfig(seed=seed, n=20, shape="2,3")
+    for suite in cli.SUITE_NAMES:
+        results["verify"][suite] = timed(lambda c, s=suite: cli.run_suite(s, c), [cfg] * repeats)
     return results
 
 

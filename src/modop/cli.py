@@ -19,8 +19,13 @@ Only ``verify`` and ``geometry`` draw random numbers, so only they take
 argparse rejects either option on any other command (exit code 2).
 
 Determinism contract: identical command line (seed, counts, tolerances)
-produces byte-identical output.  Suite instances run serially in index
-order, each drawing from its own index-keyed generator.
+produces byte-identical output.  A suite runs its instances in chunks of
+at most ``BATCH``: it draws each instance of a chunk in index order, each
+from its own index-keyed generator, builds the whole chunk once
+(``randgen.build``, bitwise what building each instance alone gives),
+then checks each instance in index order.  So no output depends on
+``BATCH``.  A failed draw or check is recorded against its instance; a
+LAPACK error inside a chunk's build belongs to no instance and exits 3.
 
 The argument parser is built once per process and reused by every
 ``main`` call: a ``modop`` process builds it once, as before, and
@@ -94,43 +99,54 @@ def _rng_for(seed: int, index: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# verify suites: one function per suite, runs a single seeded instance,
-# returns metrics, raises a ModopError subtype on any violated property.
+# verify suites: per suite, ``draw`` makes one seeded instance's draws (a
+# tuple holding randgen.Pending objects and plain values) and ``check``
+# runs its certificate on the built instance, returns metrics and raises a
+# ModopError subtype on any violated property.
 
 
-def _suite_exact_sequence(rng: np.random.Generator, cfg: RunConfig) -> dict[str, float]:
+def _draw_exact_sequence(rng: np.random.Generator, cfg: RunConfig) -> tuple:
     shape = cfg.algebra
     m1, m2, m3 = 2 + int(rng.integers(0, 2)), 3, 2
-    f = randgen.random_map(shape, m1, m2, rng, rank_deficit=int(rng.integers(0, 2)))
-    g = randgen.random_map(shape, m2, m3, rng, rank_deficit=int(rng.integers(0, 2)))
-    rep = fredholm.exact_sequence(f, g, cfg.tol)
+    f = randgen.draw_map(shape, m1, m2, rng, rank_deficit=int(rng.integers(0, 2)))
+    return f, randgen.draw_map(shape, m2, m3, rng, rank_deficit=int(rng.integers(0, 2)))
+
+
+def _check_exact_sequence(inst: tuple, cfg: RunConfig) -> dict[str, float]:
+    rep = fredholm.exact_sequence(*inst, cfg.tol)
     if rep.worst_residual > 1e-8:
         raise IdentityViolation(f"node residual {rep.worst_residual:.3e} above 1e-8")
     return {"worst_node_residual": rep.worst_residual}
 
 
-def _suite_perturbation_chain(rng: np.random.Generator, cfg: RunConfig) -> dict[str, float]:
+def _draw_perturbation_chain(rng: np.random.Generator, cfg: RunConfig) -> tuple:
     shape = cfg.algebra
     m, n = 2, 3
-    t = randgen.random_map(shape, m, n, rng, rank_deficit=int(rng.integers(0, 2)))
-    f = randgen.random_low_rank(shape, m, n, rng, rank=1 + int(rng.integers(0, 2)), scale=0.8)
-    rep = fredholm.weyl_perturbation_chain(t, f, cfg.tol)
-    return {"margin": rep.margin}
+    t = randgen.draw_map(shape, m, n, rng, rank_deficit=int(rng.integers(0, 2)))
+    return t, randgen.draw_low_rank(shape, m, n, rng, rank=1 + int(rng.integers(0, 2)), scale=0.8)
 
 
-def _suite_product_chain(rng: np.random.Generator, cfg: RunConfig) -> dict[str, float]:
+def _check_perturbation_chain(inst: tuple, cfg: RunConfig) -> dict[str, float]:
+    return {"margin": fredholm.weyl_perturbation_chain(*inst, cfg.tol).margin}
+
+
+def _draw_product_chain(rng: np.random.Generator, cfg: RunConfig) -> tuple:
     shape = cfg.algebra
     m1, m2, m3 = 3, 2, 3
-    f = randgen.random_map(shape, m1, m2, rng, rank_deficit=int(rng.integers(0, 2)))
-    d = randgen.random_map(shape, m2, m3, rng, rank_deficit=int(rng.integers(0, 2)))
-    rep = fredholm.product_chain(d, f, cfg.tol)
-    return {"margin": rep.margin}
+    f = randgen.draw_map(shape, m1, m2, rng, rank_deficit=int(rng.integers(0, 2)))
+    return f, randgen.draw_map(shape, m2, m3, rng, rank_deficit=int(rng.integers(0, 2)))
+
+
+def _check_product_chain(inst: tuple, cfg: RunConfig) -> dict[str, float]:
+    f, d = inst
+    return {"margin": fredholm.product_chain(d, f, cfg.tol).margin}
 
 
 _DRAZIN_SHAPES = ("1^6", "2", "2,3")
 
 
-def _planted_endo(rng: np.random.Generator, shape_text: str):
+def _draw_planted_endo(rng: np.random.Generator, cfg: RunConfig) -> tuple:
+    shape_text = _DRAZIN_SHAPES[int(rng.integers(0, len(_DRAZIN_SHAPES)))]
     shape = randgen.parse_shape(shape_text)
     m = 2 if shape.block_sizes == (2, 3) else (3 if shape.block_sizes == (2,) else 1)
     dim_min = m * min(shape.block_sizes)
@@ -141,46 +157,48 @@ def _planted_endo(rng: np.random.Generator, shape_text: str):
         if k <= budget - len(sizes):
             sizes.append(k)
             budget -= k
-    return randgen.random_endomorphism(shape, m, rng, nilpotent=sizes)
+    return (randgen.draw_endomorphism(shape, m, rng, nilpotent=sizes),)
 
 
-def _suite_drazin_axioms(rng: np.random.Generator, cfg: RunConfig) -> dict[str, float]:
-    shape_text = _DRAZIN_SHAPES[int(rng.integers(0, len(_DRAZIN_SHAPES)))]
-    f = _planted_endo(rng, shape_text)
-    rep = drazin.drazin_inverse(f, cfg.tol)
+def _check_drazin_axioms(inst: tuple, cfg: RunConfig) -> dict[str, float]:
+    rep = drazin.drazin_inverse(*inst, cfg.tol)
     worst = max(rep.residuals.values())
     if worst > 1e-9:
         raise IdentityViolation(f"axiom residual {worst:.3e} above 1e-9")
     return {"worst_axiom_residual": worst, "splitting_cond": rep.splitting_cond}
 
 
-def _suite_commuting_drazin(rng: np.random.Generator, cfg: RunConfig) -> dict[str, float]:
+def _draw_commuting_drazin(rng: np.random.Generator, cfg: RunConfig) -> tuple:
     m = 6 + int(rng.integers(0, 7))  # complex dimensions 6..12
     shape = randgen.parse_shape("1")
     nil = [int(rng.integers(1, 4))]
     if rng.integers(0, 2):
         nil.append(int(rng.integers(1, 3)))
-    f, d = randgen.random_commuting_pair(shape, m, rng, nilpotent=nil)
-    rep = drazin.commuting_drazin_criterion(f, d, cfg.tol)
+    return (randgen.draw_commuting_pair(shape, m, rng, nilpotent=nil),)
+
+
+def _check_commuting_drazin(inst: tuple, cfg: RunConfig) -> dict[str, float]:
+    rep = drazin.commuting_drazin_criterion(*inst[0], cfg.tol)
     return {"commutator_residual": rep.commutator_residual, "found_k": float(rep.k)}
 
 
-def _suite_dual(rng: np.random.Generator, cfg: RunConfig) -> dict[str, float]:
-    shape_text = _DRAZIN_SHAPES[int(rng.integers(0, len(_DRAZIN_SHAPES)))]
-    f = _planted_endo(rng, shape_text)
-    rep = drazin.drazin_dual_check(f, cfg.tol)
+def _check_dual(inst: tuple, cfg: RunConfig) -> dict[str, float]:
+    rep = drazin.drazin_dual_check(*inst, cfg.tol)
     return {
         "inverse_residual": rep.inverse_residual,
         "worst_orthogonality": max(rep.orthogonality_residuals, default=0.0),
     }
 
 
-def _suite_browder(rng: np.random.Generator, cfg: RunConfig) -> dict[str, float]:
+def _draw_browder(rng: np.random.Generator, cfg: RunConfig) -> tuple:
     m = 6 + int(rng.integers(0, 5))
-    f, d = randgen.random_commuting_pair(
+    return (randgen.draw_commuting_pair(
         randgen.parse_shape("1"), m, rng, nilpotent=[int(rng.integers(1, 4))]
-    )
-    rep = drazin.commuting_browder_check(f, d, cfg.tol)
+    ),)
+
+
+def _check_browder(inst: tuple, cfg: RunConfig) -> dict[str, float]:
+    rep = drazin.commuting_browder_check(*inst[0], cfg.tol)
     worst_off = max(rep.witness_f.off_diagonal_residual, rep.witness_d.off_diagonal_residual)
     if worst_off > 1e-8:
         raise IdentityViolation(f"off-diagonal block norm {worst_off:.3e} above 1e-8")
@@ -190,12 +208,15 @@ def _suite_browder(rng: np.random.Generator, cfg: RunConfig) -> dict[str, float]
     }
 
 
-def _suite_bouldin(rng: np.random.Generator, cfg: RunConfig) -> dict[str, float]:
+def _draw_bouldin(rng: np.random.Generator, cfg: RunConfig) -> tuple:
     shape = randgen.parse_shape("2")
     m1, m2, m3 = 3, 3, 3
-    f = randgen.random_map(shape, m1, m2, rng, rank_deficit=int(rng.integers(0, 3)))
-    d = randgen.random_map(shape, m2, m3, rng, rank_deficit=int(rng.integers(0, 3)))
-    rep = geometry.bouldin_criterion(f, d, cfg.tol)
+    f = randgen.draw_map(shape, m1, m2, rng, rank_deficit=int(rng.integers(0, 3)))
+    return f, randgen.draw_map(shape, m2, m3, rng, rank_deficit=int(rng.integers(0, 3)))
+
+
+def _check_bouldin(inst: tuple, cfg: RunConfig) -> dict[str, float]:
+    rep = geometry.bouldin_criterion(*inst, cfg.tol)
     margin_q = rep.closed_sum.delta
     gap = (
         abs(rep.margin_p - margin_q)
@@ -209,14 +230,17 @@ def _suite_bouldin(rng: np.random.Generator, cfg: RunConfig) -> dict[str, float]
     }
 
 
-def _suite_closed_sum(rng: np.random.Generator, cfg: RunConfig) -> dict[str, float]:
+def _draw_closed_sum(rng: np.random.Generator, cfg: RunConfig) -> tuple:
     m = 10 + int(rng.integers(0, 31))  # ambient complex dimension 10..40
     shape = randgen.parse_shape("1")
     r1 = 1 + int(rng.integers(0, m // 3))
     r2 = 1 + int(rng.integers(0, m - r1 - 1)) if m - r1 - 1 >= 1 else 1
-    msub = randgen.random_submodule(shape, m, rng, ranks=(r1,))
-    nsub = randgen.random_submodule(shape, m, rng, ranks=(r2,))
-    rep = geometry.closed_sum_report(msub, nsub, cfg.tol, samples=0)
+    msub = randgen.draw_submodule(shape, m, rng, ranks=(r1,))
+    return msub, randgen.draw_submodule(shape, m, rng, ranks=(r2,))
+
+
+def _check_closed_sum(inst: tuple, cfg: RunConfig) -> dict[str, float]:
+    rep = geometry.closed_sum_report(*inst, cfg.tol, samples=0)
     return {
         "pythagoras_residual": rep.pythagoras_residual or 0.0,
         "bound_utilization": (rep.oblique_norm or 0.0) / rep.bound_C
@@ -225,19 +249,24 @@ def _suite_closed_sum(rng: np.random.Generator, cfg: RunConfig) -> dict[str, flo
     }
 
 
-def _suite_banach_perturbation(rng: np.random.Generator, cfg: RunConfig) -> dict[str, float]:
+def _draw_banach_perturbation(rng: np.random.Generator, cfg: RunConfig) -> tuple:
     rows, cols = 6 + int(rng.integers(0, 4)), 6 + int(rng.integers(0, 3))
-    t, kc, ic = randgen.random_regular_data(
+    data = randgen.draw_regular_data(
         rows, cols, rng, rank_deficit=1 + int(rng.integers(0, 2)), shear=0.3, tol=cfg.tol
     )
+    u = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+    v = rng.normal(size=cols) + 1j * rng.normal(size=cols)
+    return data, u, v
+
+
+def _check_banach_perturbation(inst: tuple, cfg: RunConfig) -> dict[str, float]:
+    (t, kc, ic), u, v = inst
     reg = banach.make_regular(t, kc, ic, cfg.tol)
     worst_proj = max(reg.ker_decomposition.norm, reg.im_decomposition.norm)
     if worst_proj > 1e4:
         raise UnmetHypothesisError(f"projector norm {worst_proj:.3e} above the 1e4 gate")
-    u = rng.normal(size=rows) + 1j * rng.normal(size=rows)
-    v = rng.normal(size=cols) + 1j * rng.normal(size=cols)
     f = 0.4 * np.outer(u, v) / max(np.linalg.norm(u) * np.linalg.norm(v), 1e-300)
-    rec = banach.banach_perturbation(reg, AdjointableMap(t.shape, cols, rows, (f,)), cfg.tol)
+    rec = banach.banach_perturbation(reg, AdjointableMap(t.shape, t.m, t.n, (f,)), cfg.tol)
     return {
         "worst_projector_norm": max(
             worst_proj, rec.perturbed.ker_decomposition.norm, rec.perturbed.im_decomposition.norm
@@ -246,12 +275,14 @@ def _suite_banach_perturbation(rng: np.random.Generator, cfg: RunConfig) -> dict
     }
 
 
-def _suite_banach_product(rng: np.random.Generator, cfg: RunConfig) -> dict[str, float]:
+def _draw_banach_product(rng: np.random.Generator, cfg: RunConfig) -> tuple:
     x, y, z = 6 + int(rng.integers(0, 3)), 7, 6
-    t, t_kc, t_ic = randgen.random_regular_data(y, x, rng, rank_deficit=1, shear=0.25, tol=cfg.tol)
-    s, s_kc, s_ic = randgen.random_regular_data(z, y, rng, rank_deficit=1, shear=0.25, tol=cfg.tol)
-    t_reg = banach.make_regular(t, t_kc, t_ic, cfg.tol)
-    s_reg = banach.make_regular(s, s_kc, s_ic, cfg.tol)
+    t = randgen.draw_regular_data(y, x, rng, rank_deficit=1, shear=0.25, tol=cfg.tol)
+    return t, randgen.draw_regular_data(z, y, rng, rank_deficit=1, shear=0.25, tol=cfg.tol)
+
+
+def _check_banach_product(inst: tuple, cfg: RunConfig) -> dict[str, float]:
+    t_reg, s_reg = (banach.make_regular(*data, cfg.tol) for data in inst)
     rec = banach.banach_product(s_reg, t_reg, cfg.tol)
     return {
         "worst_node_residual": max(rec.node_residuals) if rec.node_residuals else 0.0,
@@ -259,39 +290,65 @@ def _suite_banach_product(rng: np.random.Generator, cfg: RunConfig) -> dict[str,
     }
 
 
-SUITES: dict[str, Callable[[np.random.Generator, RunConfig], dict[str, float]]] = {
-    "exact-sequence": _suite_exact_sequence,
-    "perturbation-chain": _suite_perturbation_chain,
-    "product-chain": _suite_product_chain,
-    "drazin-axioms": _suite_drazin_axioms,
-    "commuting-drazin": _suite_commuting_drazin,
-    "dual": _suite_dual,
-    "browder": _suite_browder,
-    "bouldin": _suite_bouldin,
-    "closed-sum": _suite_closed_sum,
-    "banach-perturbation": _suite_banach_perturbation,
-    "banach-product": _suite_banach_product,
+_SUITES: dict[str, tuple[Callable, Callable]] = {
+    "exact-sequence": (_draw_exact_sequence, _check_exact_sequence),
+    "perturbation-chain": (_draw_perturbation_chain, _check_perturbation_chain),
+    "product-chain": (_draw_product_chain, _check_product_chain),
+    "drazin-axioms": (_draw_planted_endo, _check_drazin_axioms),
+    "commuting-drazin": (_draw_commuting_drazin, _check_commuting_drazin),
+    "dual": (_draw_planted_endo, _check_dual),
+    "browder": (_draw_browder, _check_browder),
+    "bouldin": (_draw_bouldin, _check_bouldin),
+    "closed-sum": (_draw_closed_sum, _check_closed_sum),
+    "banach-perturbation": (_draw_banach_perturbation, _check_banach_perturbation),
+    "banach-product": (_draw_banach_product, _check_banach_product),
 }
+# each suite's draw, and its check: the part that runs once per built instance
+DRAWS: dict[str, Callable] = {name: draw for name, (draw, _) in _SUITES.items()}
+SUITES: dict[str, Callable] = {name: check for name, (_, check) in _SUITES.items()}
 SUITE_NAMES = tuple(SUITES)
+
+# instances drawn and built together; no output depends on it, and it
+# bounds how many instances a run holds at once
+BATCH = 20
 
 
 def run_suite(name: str, cfg: RunConfig) -> dict[str, Any]:
-    """All instances of one suite; per-metric worst values and failures."""
+    """All instances of one suite; per-metric worst values and failures.
+
+    Each chunk of at most ``BATCH`` instances is drawn in index order,
+    each instance from its own index-keyed stream, built in one
+    :func:`randgen.build` call and checked in index order.  A failed draw
+    or check is recorded against its instance.  A LAPACK error inside a
+    batch build belongs to no instance, so it propagates (``main`` exits 3).
+    """
     if name not in SUITES:
         raise DataError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     worst: dict[str, float] = {}
     failures = []
-    for idx in range(cfg.n):
-        try:
-            metrics = SUITES[name](_rng_for(cfg.seed, idx), cfg)
-        except (ModopError, np.linalg.LinAlgError) as exc:
-            failures.append({"instance": idx, "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        for key, val in metrics.items():
-            if not math.isfinite(val):
+    for start in range(0, cfg.n, BATCH):
+        indices, chunk = range(start, min(start + BATCH, cfg.n)), {}
+        for idx in indices:
+            try:
+                chunk[idx] = DRAWS[name](_rng_for(cfg.seed, idx), cfg)
+            except (ModopError, np.linalg.LinAlgError) as exc:
+                chunk[idx] = exc
+        drawn = [idx for idx, inst in chunk.items() if not isinstance(inst, Exception)]
+        chunk.update(zip(drawn, randgen.build([chunk[idx] for idx in drawn])))
+        for idx in indices:
+            inst = chunk.pop(idx)  # an instance, and what its check cached, leaves after it
+            try:
+                if isinstance(inst, Exception):
+                    raise inst
+                metrics = SUITES[name](inst, cfg)
+            except (ModopError, np.linalg.LinAlgError) as exc:
+                failures.append({"instance": idx, "error": f"{type(exc).__name__}: {exc}"})
                 continue
-            if key not in worst or abs(val) > abs(worst[key]):
-                worst[key] = float(val)
+            for key, val in metrics.items():
+                if not math.isfinite(val):
+                    continue
+                if key not in worst or abs(val) > abs(worst[key]):
+                    worst[key] = float(val)
     payload = {
         "suite": name,
         "config": cfg.echo(),
@@ -352,7 +409,13 @@ def cmd_drazin(args: argparse.Namespace, tol: ToleranceConfig) -> tuple[Any, int
     return payload, EXIT_OK
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise DataError(f"--seed must be >= 0, got {seed}")
+
+
 def cmd_geometry(args: argparse.Namespace, tol: ToleranceConfig) -> tuple[Any, int]:
+    _check_seed(args.seed)
     left = serialize.load_geometry_operand(args.left, tol)
     right = serialize.load_geometry_operand(args.right, tol)
     if isinstance(left, AdjointableMap):
@@ -408,6 +471,7 @@ def cmd_probe(args: argparse.Namespace, tol: ToleranceConfig) -> tuple[Any, int]
 def cmd_verify(args: argparse.Namespace, tol: ToleranceConfig) -> tuple[Any, int]:
     if args.n < 0:
         raise DataError(f"--n must be >= 0, got {args.n}")
+    _check_seed(args.seed)
     cfg = RunConfig(seed=args.seed, n=args.n, shape=args.shape, tol=tol)
     try:
         cfg.algebra  # parsed once, here; every instance reads it

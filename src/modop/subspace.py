@@ -406,7 +406,9 @@ def _side_by_side(u: Array, v: Array) -> Array:
 
 
 def _difference_svd(q1: Array, q2: Array):
-    return np.linalg.svd(np.concatenate([q1, -q2], axis=-1), full_matrices=True)
+    """SVD of [q1, -q2]; the full Vᴴ matters only on a wide stack, and U is never read."""
+    a = np.concatenate([q1, -q2], axis=-1)
+    return np.linalg.svd(a, full_matrices=a.shape[-1] > a.shape[-2])
 
 
 def _shared(q1: Array, v: Array) -> Array:

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 from flat_oracle import from_matrix
 from test_drazin import graded_nilpotent_family
 
-from modop import banach, drazin, fredholm, geometry, linmap
+from modop import banach, cli, drazin, fredholm, geometry, linmap, randgen
 from modop.algebra import AlgebraShape
 from modop.cli import RunConfig, SUITE_NAMES, _analyze_bundle, _build_parser, main, run_suite
+from modop.errors import StructureError
 from modop.linmap import AdjointableMap
 from modop.modules import K0Class, Submodule
 from modop.randgen import random_endomorphism, random_low_rank, random_map, random_submodule
@@ -257,6 +258,53 @@ def test_verify_zero_instances_warns(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert "vacuous" in payload["warning"]
     assert payload["passes"] == 0
+
+
+@pytest.mark.parametrize("shape", ["2,3", "1^6,2^3,3"])
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_verify_payload_does_not_depend_on_the_batch_size(monkeypatch, suite, shape):
+    cfg = RunConfig(seed=0, n=20, shape=shape)
+    batched = dumps_canonical(run_suite(suite, cfg))
+    monkeypatch.setattr(cli, "BATCH", 1)
+    assert dumps_canonical(run_suite(suite, cfg)) == batched
+    if suite == "exact-sequence":  # chunks that do not divide n
+        monkeypatch.setattr(cli, "BATCH", 3)
+        assert dumps_canonical(run_suite(suite, cfg)) == batched
+
+
+def test_a_failed_draw_is_recorded_against_its_instance(monkeypatch):
+    real, calls = randgen.draw_endomorphism, itertools.count()
+
+    def failing_second(*args, **kwargs):
+        if next(calls) == 1:
+            raise StructureError("planted draw failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(randgen, "draw_endomorphism", failing_second)
+    payload = run_suite("dual", RunConfig(seed=0, n=4))
+    assert payload["passes"] == 3
+    assert payload["failures"] == [{"instance": 1, "error": "StructureError: planted draw failure"}]
+
+
+def test_lapack_failure_in_a_batch_build_exits_3(capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(randgen, "_unitaries", failing)
+    assert main(["verify", "exact-sequence", "--n", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: LAPACK failed: Singular matrix\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "dual", "--n", "2"], ["geometry", "f.json", "f.json"]], ids=["verify", "geometry"]
+)
+def test_negative_seed_is_a_usage_error(capsys, argv):
+    assert main([*argv, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be >= 0, got -1\n"
 
 
 def test_verify_rejects_unknown_suite():

@@ -2,6 +2,7 @@
 with output bitwise equal to the per-matrix computation."""
 
 import collections
+import itertools
 import json
 import math
 import sys
@@ -418,3 +419,18 @@ def test_zero_width_bases_meet_in_nothing_beside_live_pairs(rng):
     assert meet.shape == (5, 1) and gap > 0.1
     lone_meet, lone_gap = intersections([q1], [q2])[0]
     assert np.array_equal(meet, lone_meet) and gap == lone_gap
+
+
+def test_difference_svd_reads_the_full_factor_only_on_wide_stacks():
+    # the values and V^H a meet reads are bitwise those of the full SVD, tall or wide
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 5, 9, 16):
+        z = rng.normal(size=(2, 2, 3, d, d))
+        q1, q2 = np.linalg.qr(z[:, 0] + 1j * z[:, 1])[0]
+        for a, b in itertools.product(range(d + 1), repeat=2):
+            if a + b:
+                _, s, vh = subspace._difference_svd(q1[..., :a], q2[..., :b])
+                full = np.concatenate([q1[..., :a], -q2[..., :b]], axis=-1)
+                _, s_full, vh_full = np.linalg.svd(full, full_matrices=True)
+                assert s.tobytes() == s_full.tobytes(), (d, a, b)
+                assert vh.tobytes() == vh_full.tobytes(), (d, a, b)

@@ -1,7 +1,8 @@
 """The random generators build each size group at once and draw exactly
 what a per-block loop draws: every operator, submodule and generator
 state after the call is bitwise equal to the per-block reference
-generators below, which build one block at a time."""
+generators below, which build one block at a time.  A batch built in one
+``build`` call gives every object bitwise as it is built alone."""
 
 import json
 import math
@@ -13,15 +14,26 @@ import pytest
 from modop.errors import StructureError
 from modop.linmap import AdjointableMap
 from modop.randgen import (
+    build,
+    draw_commuting_pair,
+    draw_endomorphism,
+    draw_low_rank,
+    draw_map,
+    draw_regular_data,
+    draw_sheared_complement,
+    draw_submodule,
     parse_shape,
     random_commuting_pair,
     random_endomorphism,
     random_low_rank,
     random_map,
     random_matrix,
+    random_regular_data,
     random_submodule,
+    sheared_complement,
 )
 from modop.serialize import operator_to_jsonable
+from modop.tolerances import ToleranceConfig
 
 SHAPES = ("2,3", "1^6,2^3,3", "1^32", "16", "1", "4")
 SEEDS = range(5)
@@ -233,10 +245,92 @@ def test_endomorphism_runs_two_qr_calls_per_size_group(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", counting)
     shape = parse_shape("1^32")
-    random_endomorphism(shape, 4, np.random.default_rng(0), nilpotent=(2, 1))
-    assert len(calls) <= 2 * len(shape.size_groups)
-    # all four unitaries of every block
-    assert sum(math.prod(s[:-2]) for s in calls) == 4 * 32
+    rngs = [np.random.default_rng(seed) for seed in range(3)]
+    build([(draw_endomorphism(shape, 4, r, nilpotent=(2, 1)),) for r in rngs])
+    # across the batch: one QR per build key, the core's and the similarity's
+    # (the two roles of each share it)
+    assert len(calls) == 2 * len(shape.size_groups)
+    # all four unitaries of every block of every instance
+    assert sum(math.prod(s[:-2]) for s in calls) == 3 * 4 * 32
+
+
+def _flat(obj):
+    """Every matrix of a built object: map blocks, submodule bases, or
+    those of each item of a tuple, in order."""
+    if isinstance(obj, tuple):
+        return [a for item in obj for a in _flat(item)]
+    return list(getattr(obj, "blocks", None) or obj.column_bases)
+
+
+def _batch_cases():
+    """(draw, the single-instance generator, the per-block reference or
+    None) on one generator: mixed shapes, m, rank deficits, nilpotent
+    sizes, regular-data dimensions, commuting pairs and drawn ranks, with
+    blocks of one size shared between instances."""
+    s23, mixed, one, big = (parse_shape(t) for t in ("2,3", "1^6,2^3,3", "1", "16"))
+    sub = random_submodule(mixed, 2, np.random.default_rng(99))
+    cases = []
+    for shape, m, n, deficit in ((s23, 2, 3, 1), (s23, 2, 3, 0), (mixed, 2, 3, 1), (s23, 3, 2, 2),
+                                 (big, 2, 2, 3)):
+        cases.append((lambda r, a=(shape, m, n, deficit): draw_map(*a[:3], r, rank_deficit=a[3]),
+                      lambda r, a=(shape, m, n, deficit): random_map(*a[:3], r, rank_deficit=a[3]),
+                      lambda r, a=(shape, m, n, deficit): _ref_map(*a[:3], r, a[3])))
+    for shape, m, nil in ((s23, 2, ()), (s23, 2, (2, 1)), (mixed, 2, (1,)), (mixed, 2, (2,)),
+                          (s23, 2, (2, 1))):
+        cases.append((lambda r, a=(shape, m, nil): draw_endomorphism(*a[:2], r, nilpotent=a[2]),
+                      lambda r, a=(shape, m, nil): random_endomorphism(*a[:2], r, nilpotent=a[2]),
+                      lambda r, a=(shape, m, nil): _ref_endomorphism(*a[:2], r, a[2])))
+    for shape, m, nil in ((one, 6, (2,)), (one, 8, (3, 1)), (one, 6, (1,)), (s23, 2, (1,))):
+        cases.append((lambda r, a=(shape, m, nil): draw_commuting_pair(*a[:2], r, nilpotent=a[2]),
+                      lambda r, a=(shape, m, nil): random_commuting_pair(*a[:2], r, nilpotent=a[2]),
+                      lambda r, a=(shape, m, nil): sum(_ref_commuting_pair(*a[:2], r, a[2]), ())))
+    for shape, m, n, rank in ((s23, 2, 3, 1), (s23, 2, 3, 2), (mixed, 3, 1, 1)):
+        cases.append((lambda r, a=(shape, m, n, rank): draw_low_rank(*a[:3], r, a[3], 0.8),
+                      lambda r, a=(shape, m, n, rank): random_low_rank(*a[:3], r, a[3], 0.8),
+                      lambda r, a=(shape, m, n, rank): _ref_low_rank(*a[:3], r, a[3], 0.8)))
+    for shape, m, ranks in ((s23, 2, None), (mixed, 2, None), (s23, 2, None), (one, 12, (4,))):
+        cases.append((lambda r, a=(shape, m, ranks): draw_submodule(*a[:2], r, ranks=a[2]),
+                      lambda r, a=(shape, m, ranks): random_submodule(*a[:2], r, ranks=a[2]),
+                      lambda r, a=(shape, m, ranks): _ref_submodule(*a[:2], r, a[2])))
+    for rows, cols, deficit in ((7, 6, 1), (6, 7, 2), (7, 7, 1), (7, 6, 1), (3, 3, 3)):
+        cases.append((lambda r, a=(rows, cols, deficit): draw_regular_data(*a[:2], r, rank_deficit=a[2]),
+                      lambda r, a=(rows, cols, deficit): random_regular_data(*a[:2], r, rank_deficit=a[2]),
+                      None))
+    for shear in (0.5, 0.5, 0.2):
+        cases.append((lambda r, h=shear: draw_sheared_complement(sub, sub.complement(), r, shear=h),
+                      lambda r, h=shear: sheared_complement(sub, sub.complement(), r, shear=h),
+                      None))
+    return cases
+
+
+def test_a_mixed_batch_builds_each_object_as_alone_and_as_the_per_block_reference():
+    cases = _batch_cases()
+    rngs = [np.random.default_rng(seed) for seed in range(len(cases))]
+    drawn = [draw(r) for (draw, _, _), r in zip(cases, rngs)]
+    # instances of one to three objects, the objects in case order
+    start, batch = 0, []
+    while start < len(drawn):
+        width = 1 + len(batch) % 3
+        batch.append(tuple(drawn[start : start + width]))
+        start += width
+    built = [obj for instance in build(batch) for obj in instance]
+    assert len(built) == len(cases)
+    for seed, ((_, alone, reference), obj, rng) in enumerate(zip(cases, built, rngs)):
+        mine = np.random.default_rng(seed)
+        _assert_bitwise(_flat(obj), _flat(alone(mine)))
+        assert rng.bit_generator.state == mine.bit_generator.state, f"case {seed}"
+        if reference is not None:
+            ref = np.random.default_rng(seed)
+            _assert_bitwise(_flat(obj), reference(ref))
+            assert rng.bit_generator.state == ref.bit_generator.state, f"case {seed}"
+
+
+def test_regular_data_refuses_a_decided_rank_off_the_planted_one():
+    # the complements' mixes are drawn with T's planted rank, 5 here; a rank
+    # cutoff above the kept singular values makes T decide a smaller one
+    tol = ToleranceConfig(rank_tol=0.1)
+    with pytest.raises(StructureError, match=r"T decides rank [0-4], planted 5"):
+        random_regular_data(6, 6, np.random.default_rng(0), rank_deficit=1, tol=tol)
 
 
 def test_oversize_nilpotent_list_is_refused_by_name():
