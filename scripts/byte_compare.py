@@ -9,7 +9,7 @@ thread.  Stdout, stderr and the exit code of the two runs must be equal.
 The input files come from this checkout's ``randgen`` alone, so across
 the two trees only the ``verify`` commands compare the generators.
 
-Commands (187):
+Commands (197):
   * ``verify``: the eleven suites at seeds 1-3 on shapes 2,3, 1^8, 4 and
     1^6,2^3,3 (several blocks of one size beside single blocks, so the
     generators' per-group builds meet both kinds of group);
@@ -32,7 +32,12 @@ Commands (187):
     vector twice and one of its right multiples v a) against the
     seed-0 transverse file: the per-block span decision on redundant
     input;
-  * the three ``probe`` families, text and csv.
+  * the three ``probe`` families, text and csv;
+  * ``analyze`` (json) on the (2,3) endomorphism's operator file and
+    ``geometry`` on the seed-0 transverse pair with one number of the
+    left submodule file replaced by a JSON value that is not a number:
+    ``"1.5"``, ``" 2 "``, ``true``, ``null`` and the integer 2^1024.
+    Each must exit 2 with one error line naming the file and the entry.
 
 Prints each differing command with its differing lines, then how many
 commands differ, and ends with one line counting the differing lines per
@@ -47,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import json
 import os
 import shutil
 import subprocess
@@ -69,6 +75,8 @@ RAGGED_NILPOTENT = ((), (1,), (2,), (3,), (2, 1), (1, 1), (1, 1, 1), (2,))
 RAGGED_DEFICITS = (0, 1, 2, 0, 1, 2, 1, 0)
 # powers of two scaling the 1^64 endomorphism: its squares under- and overflow
 EXTREME_SCALES = (-560, 500)
+# JSON values that are not numbers, each put in place of one number of a file
+NOT_NUMBERS = {"string": "1.5", "padded": " 2 ", "true": True, "null": None, "2^1024": 2**1024}
 
 
 def write_inputs() -> list[list[str]]:
@@ -182,6 +190,16 @@ def write_inputs() -> list[list[str]]:
     })
     transverse = str(INPUTS / "geometry-transverse-0-right.json")
     commands.append(["geometry", dependent, transverse, "--seed", "0", "--format", "json"])
+
+    operator = json.loads((INPUTS / f"endo-2,3-{MAP_RANK}.json").read_text())
+    submodule = json.loads((INPUTS / "geometry-transverse-0-left.json").read_text())
+    for name, value in NOT_NUMBERS.items():
+        operator["entries"][1][0][0][1][0][0] = value
+        submodule["vectors"][0]["entries"][1][0][1][0][0] = value
+        path = save(f"not-a-number-{name}-operator.json", operator)
+        commands.append(["analyze", path, "--format", "json"])
+        path = save(f"not-a-number-{name}-submodule.json", submodule)
+        commands.append(["geometry", path, transverse, "--seed", "0", "--format", "json"])
 
     for family in FAMILY_NAMES:
         commands += [["probe", family], ["probe", family, "--format", "csv"]]

@@ -15,8 +15,11 @@ is timed on commuting pairs (1)/24, (1)/48 and (1)/96 with a planted
 nilpotent part of index 3, the pairs the ladder-blockwise benchmark
 analyzes, fresh copies per repetition.  ``load_operator`` times the I/O
 layer beside them: ``serialize.load_operator`` reading each rung's planted
-endomorphism from the operator file ``modop analyze`` would read, written
-before the clock starts; ``write_operator`` times
+endomorphism (F of each commuting pair) from the operator file ``modop
+analyze`` would read, written before the clock starts, and
+``load_submodule`` times ``serialize.load_submodule`` on a random 1^64/4
+submodule of column rank 2 per block, the file ``modop geometry`` would
+read; ``write_operator`` times
 ``serialize.operator_to_jsonable`` on the same endomorphism (on F of each
 commuting pair).  ``generate`` times the random instances themselves:
 each rung's ``random_endomorphism`` plus one ``random_map`` (each
@@ -85,6 +88,8 @@ COMMUTING_MS = (24, 48, 96)
 COMMUTING_NILPOTENT = (3,)
 # (shape, module rank) of the ``modop banach T F`` rows
 BANACH = (("2,3", 3), ("8", 2), ("1^64", 4))
+# (shape, module rank, column rank per block) of the ``load_submodule`` row
+SUBMODULE_FILE = ("1^64", 4, 2)
 
 
 def measure(tree: Path, repeats: int, seed: int) -> dict[str, dict[str, list[list[float]]]]:
@@ -123,6 +128,7 @@ def measure(tree: Path, repeats: int, seed: int) -> dict[str, dict[str, list[lis
         "closed_sum_report_unsampled": {},
         "commuting_drazin_criterion": {},
         "load_operator": {},
+        "load_submodule": {},
         "write_operator": {},
         "generate": {},
         "banach": {},
@@ -182,10 +188,23 @@ def measure(tree: Path, repeats: int, seed: int) -> dict[str, dict[str, list[lis
         results["write_operator"][f"(1)/{m}"] = timed(
             serialize.operator_to_jsonable, [f] * repeats
         )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f.json")
+            serialize.save_json(path, serialize.operator_to_jsonable(f))
+            results["load_operator"][f"(1)/{m}"] = timed(serialize.load_operator, [path] * repeats)
         copies = [(fresh(f), fresh(d)) for _ in range(repeats)]
         results["commuting_drazin_criterion"][f"(1)/{m}"] = timed(
             lambda fd: drazin.commuting_drazin_criterion(*fd), copies
         )
+    text, m, rank = SUBMODULE_FILE
+    shape = randgen.parse_shape(text)
+    sub = randgen.random_submodule(
+        shape, m, np.random.default_rng([seed, len(text), m]), ranks=[rank] * shape.num_blocks
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sub.json")
+        serialize.save_json(path, serialize.submodule_to_jsonable(sub))
+        results["load_submodule"][f"({text})/{m}"] = timed(serialize.load_submodule, [path] * repeats)
     with tempfile.TemporaryDirectory() as tmp:
         for text, m in BANACH:
             rng = np.random.default_rng([seed, len(text), m])

@@ -39,6 +39,7 @@ out.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,7 +76,7 @@ __all__ = [
     "banach_product",
 ]
 
-# A field holding an operand of the record (a map or a submodule): not reported.
+# A field holding an operand of the record (a map, a submodule, a scale): not reported.
 _OPERAND = {"report": False}
 
 
@@ -98,8 +99,13 @@ class ObliqueDecomposition:
     kernel: Submodule = field(metadata=_OPERAND)
     norm: float
     cond: float
-    idempotency_residual: float
     ill_posed: bool  # norm above ILL_POSED_PROJECTOR_NORM
+
+    @cached_property
+    def idempotency_residual(self) -> float:
+        """||E E - E|| / ||E||, computed when a report reads it."""
+        defect = stacked(lambda e: e @ e - e, self.idempotent.groups)
+        return _top_singular(defect) / max(self.norm, 1e-300)
 
 
 def _basis_values(w: Array, a: Array) -> Array:
@@ -108,11 +114,10 @@ def _basis_values(w: Array, a: Array) -> Array:
     return np.linalg.svd(_side_by_side(w, a), compute_uv=False)
 
 
-def _idempotent(w: Array, a: Array) -> tuple[Array, Array]:
+def _idempotent(w: Array, a: Array) -> Array:
     """E = W (top rows of [W A]^-1), the idempotent onto span(W) along
-    span(A), and E E - E."""
-    e = w @ np.linalg.inv(_side_by_side(w, a))[..., : w.shape[-1], :]
-    return e, e @ e - e
+    span(A)."""
+    return w @ np.linalg.inv(_side_by_side(w, a))[..., : w.shape[-1], :]
 
 
 def _split(
@@ -136,7 +141,7 @@ def _split(
     values = stacked(_basis_values, onto.groups, along.groups).stacks
     if any((_stack_ranks(v, tol, v.shape[-1], 1.0) < v.shape[-1]).any() for v in values):
         raise UnmetHypothesisError(f"the {name} complement and its space share directions")
-    e, defect = stacked(_idempotent, onto.groups, along.groups)
+    e = stacked(_idempotent, onto.groups, along.groups)
     norm = _top_singular(e)
     low = min(float(v[:, -1].min()) for v in values)
     sin_min = low * (2.0 - low * low) ** 0.5
@@ -151,7 +156,6 @@ def _split(
         kernel=along,
         norm=norm,
         cond=max(float(v[:, 0].max()) for v in values) / low,
-        idempotency_residual=_top_singular(defect) / max(norm, 1e-300),
         ill_posed=norm > ILL_POSED_PROJECTOR_NORM,
     )
 
@@ -180,7 +184,7 @@ class RegularOperator:
     ``tprime`` inverts ``t`` from the kernel complement onto the range
     and kills the range complement; consequently t t' is the projection
     onto Im T along the range complement and t' t the projection onto
-    the kernel complement along ker T.  ``rank`` is the flat rank.
+    the kernel complement along ker T.  ``rank`` is the flat rank at ``scale``.
     """
 
     t: AdjointableMap = field(metadata=_OPERAND)
@@ -188,7 +192,23 @@ class RegularOperator:
     ker_decomposition: ObliqueDecomposition  # of the domain: complement (+) ker T
     im_decomposition: ObliqueDecomposition  # of the codomain: Im T (+) complement
     rank: int
-    residuals: dict[str, float] = field(default_factory=dict)
+    scale: float = field(metadata=_OPERAND)
+
+    @cached_property
+    def residuals(self) -> dict[str, float]:
+        """T' as a generalized inverse, computed when a report reads it: the
+        defects T T' T - T, T' T T' - T', T T' - E_y and T' T - E_x, relative
+        to the scale, ||T'|| and the idempotents' norms (at least 1)."""
+        ker_dec, im_dec, tprime = self.ker_decomposition, self.im_decomposition, self.tprime.groups
+        r_tpt, r_ptp, r_im, r_ker = map(_top_singular, stacked(
+            lambda t, p, e_y, e_x: (t @ p @ t - t, p @ t @ p - p, t @ p - e_y, p @ t - e_x),
+            self.t.groups, tprime, im_dec.idempotent.groups, ker_dec.idempotent.groups))
+        return {
+            "ttprime_t": r_tpt / self.scale,
+            "tprime_t_tprime": r_ptp / max(_top_singular(tprime), 1e-300),
+            "tt_is_im_projection": r_im / max(im_dec.norm, 1.0),
+            "t_t_is_ker_projection": r_ker / max(ker_dec.norm, 1.0),
+        }
 
     @property
     def kernel(self) -> Submodule:
@@ -215,16 +235,13 @@ class RegularOperator:
         return self.ker_decomposition.ill_posed or self.im_decomposition.ill_posed
 
 
-def _inverse(t: Array, kc: Array, ur: Array, e_y: Array, e_x: Array) -> tuple[Array, ...]:
+def _inverse(t: Array, kc: Array, ur: Array, e_y: Array) -> Array:
     """T' = K_c (U_r^H T K_c)^-1 U_r^H E_y, T inverted from span(K_c) onto
-    Im T = span(U_r) after E_y, and its defects T T' T - T, T' T T' - T',
-    T T' - E_y and T' T - E_x.  On the SVD that decided the rank,
+    Im T = span(U_r) after E_y.  On the SVD that decided the rank,
     U_r^H T = Sigma_r V_r^H, so T' = K_c (V_r^H K_c)^-1 Sigma_r^-1 U_r^H E_y,
     and V_r^H K_c is invertible exactly when K_c complements ker T."""
     u_h = herm(ur)
-    tp = kc @ np.linalg.solve(u_h @ t @ kc, u_h @ e_y)
-    t_tp, tp_t = t @ tp, tp @ t
-    return tp, t_tp @ t - t, tp_t @ tp - tp, t_tp - e_y, tp_t - e_x
+    return kc @ np.linalg.solve(u_h @ t @ kc, u_h @ e_y)
 
 
 def _regular(
@@ -235,21 +252,14 @@ def _regular(
     kernel, image, kc, ic = bases
     scale = max(t.norm(), 1e-300) if scale is None else scale
     ker_dec, im_dec = _split(kc, kernel, tol, "kernel"), _split(image, ic, tol, "range")
-    e_x, e_y = ker_dec.idempotent.groups, im_dec.idempotent.groups
-    tprime, *defects = stacked(_inverse, t.groups, kc.groups, image.groups, e_y, e_x)
-    r_tpt, r_ptp, r_im, r_ker = map(_top_singular, defects)
+    tprime = stacked(_inverse, t.groups, kc.groups, image.groups, im_dec.idempotent.groups)
     return RegularOperator(
         t=t,
         tprime=AdjointableMap._of_groups(t.shape, t.n, t.m, tprime),
         ker_decomposition=ker_dec,
         im_decomposition=im_dec,
         rank=image.dim,
-        residuals={
-            "ttprime_t": r_tpt / scale,
-            "tprime_t_tprime": r_ptp / max(_top_singular(tprime), 1e-300),
-            "tt_is_im_projection": r_im / max(im_dec.norm, 1.0),
-            "t_t_is_ker_projection": r_ker / max(ker_dec.norm, 1.0),
-        },
+        scale=scale,
     )
 
 

@@ -573,7 +573,7 @@ def _similar(s: Array, a: Array, s_inv: Array) -> Array:
 
 
 def require_finite(arrays: list[Array], what: str) -> None:
-    """Reject inf/nan where outside data becomes a map or a vector, before
+    """Reject inf/nan where outside data becomes a map, before
     any SVD can spin or fail on it.  Maps derived from finite ones are not
     re-checked: a check on every construction costs a few percent of a
     power chain."""

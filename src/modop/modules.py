@@ -17,8 +17,8 @@ map's blocks, so the dimension, the class and the lattice operations
 (meets, complements) run per group; ``column_bases`` holds per-block
 views for I/O, reports and the test oracles.
 
-Submodule files are read per block too: ``Submodule.span_vectors`` puts
-the vectors' tall forms side by side and decides their span per block.
+Submodule files are read per block too: ``modop.serialize`` spans the
+vectors' tall forms side by side, one stack per size group.
 Flat coordinates (every entry block raveled, blocks in order, chosen so
 the standard inner product equals the trace of the algebra-valued one)
 serve only the test oracles: ``ModuleVector.from_flat``/``flatten``,
@@ -46,7 +46,7 @@ from .subspace import (
     herm,
     stacked,
 )
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .tolerances import DEFAULT_TOL, ORTHONORMAL_TOL, ToleranceConfig
 
 Array = np.ndarray
 
@@ -225,10 +225,10 @@ class Submodule:
     basis of C^(m n_b)) x (all column positions), so its complex
     dimension is n_b times the basis width.  ``groups`` holds the bases as
     one stack per (ambient, width); ``column_bases[b]`` is a read-only view
-    of block b's.  The constructor checks and copies the per-block bases
-    (or the bases of a :class:`~modop.subspace.Grouped`) passed in, once
-    per shape; lattice operations own their fresh result stacks
-    (:meth:`_of_groups`).
+    of block b's.  The constructor checks the per-block bases (or those of a
+    :class:`~modop.subspace.Grouped`) passed in, row counts and orthonormality
+    to ``ORTHONORMAL_TOL``, and copies them once per shape; lattice operations
+    own their fresh result stacks (:meth:`_of_groups`), unchecked.
     """
 
     shape: AlgebraShape
@@ -242,7 +242,14 @@ class Submodule:
         for n, w in zip(self.shape.block_sizes, bases):
             if np.shape(w)[0] != self.m * n:
                 raise StructureError(f"column basis rows {np.shape(w)[0]} != {self.m}*{n}")
-        object.__setattr__(self, "groups", Grouped.of(bases, complex).frozen())
+        groups = Grouped.of(bases, complex)
+        for w, idx in zip(groups.stacks, groups.members):
+            defect = np.abs(herm(w) @ w - np.eye(w.shape[-1])).max(axis=(1, 2), initial=0)
+            bad = np.flatnonzero(~(defect <= ORTHONORMAL_TOL))  # nan included
+            if bad.size:
+                raise StructureError(f"column basis of block {idx[bad[0]]} is not "
+                                     f"orthonormal (max |W^H W - I| = {defect[bad[0]]:.3e})")
+        object.__setattr__(self, "groups", groups.frozen())
 
     @classmethod
     def _of_groups(cls, shape: AlgebraShape, m: int, groups: Grouped) -> "Submodule":

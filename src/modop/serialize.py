@@ -3,28 +3,24 @@
 File formats
 ------------
 shape      -- a JSON array of block sizes, e.g. ``[2, 3]``.
-element    -- one row-major matrix of ``[re, im]`` pairs per block.
-vector     -- ``{"shape": [...], "m": k, "entries": [element, ...]}``.
 operator   -- ``{"shape": [...], "domain": m, "codomain": n,
-                "entries": [[element, ...], ...]}`` (codomain-many rows
-                of domain-many algebra elements).
-submodule  -- ``{"shape": [...], "m": k, "vectors": [vector-entries...]}``;
-                the vectors are a spanning set, not necessarily
-                orthonormal — loading re-orthonormalizes and closes
-                under the algebra action.
+                "entries": [[element, ...], ...]}``: codomain-many rows
+                of domain-many elements.
+submodule  -- ``{"shape": [...], "m": k, "vectors": [vector, ...]}``: a
+                spanning set, spanned block by block on loading.
 
-Every matrix entry must be finite: ``inf``/``nan`` (JSON ``1e999``,
-``NaN``) are rejected with :class:`~modop.errors.DataError` before any
-numerical work runs, by the one check :func:`~modop.linmap.require_finite`:
-once per loaded vector and once per loaded operator.  An operator file is
-converted with one flat conversion per block size: each nesting level is
-checked and flattened at C speed (the types and lengths of a level as
-sets, ``itertools.chain``), and the numbers of a size group become one
-1-D float array, reshaped and transposed into the group's stack.  A
-malformed file (a wrong length or type at any level, a number that is not
-one, an integer too large for a float) is converted again entry by entry,
-so the error names the bad entry.  Operators are written back the same
-way: one ``tolist`` per block-size group, with no element object per entry.
+An element is one row-major matrix of ``[re, im]`` pairs per block; a
+vector is ``{"entries": [element, ...]}`` with m elements, and may repeat
+the file's ``"shape"`` and ``"m"``.  So both files are nests of elements
+(a submodule's rows are its vectors), and one reader converts both,
+:func:`_blocks_from_entries`: it checks each level's lengths and flattens
+it at C speed, requires every leaf to be a finite JSON number (RFC 8259
+§6: a ``float``, or an ``int`` that is not a ``bool``), and turns a size
+group's numbers into one float array, reshaped into its stack.  On any
+failure it names the first bad item by its path, such as
+``entries[i][j].block[b][r][c][p]`` or ``vectors[i]: entries[j]...``.
+Writing takes one ``tolist`` per block-size group of an operator, per
+block of an element.
 
 Report emission is write-only: a generic walker keeps scalars,
 dimension data, margins, residuals, and K0 classes, and drops raw
@@ -40,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from functools import cached_property
 from itertools import chain
 from typing import Any
 
@@ -47,9 +44,9 @@ import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape
 from .errors import DataError
-from .linmap import AdjointableMap, require_finite
+from .linmap import AdjointableMap
 from .modules import K0Class, ModuleVector, Submodule
-from .subspace import Grouped
+from .subspace import Grouped, _spans
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
@@ -57,9 +54,7 @@ __all__ = [
     "shape_to_jsonable",
     "shape_from_jsonable",
     "element_to_jsonable",
-    "element_from_jsonable",
     "vector_to_jsonable",
-    "vector_from_jsonable",
     "operator_to_jsonable",
     "operator_from_jsonable",
     "submodule_to_jsonable",
@@ -138,32 +133,10 @@ def shape_from_jsonable(data: Any) -> AlgebraShape:
     return AlgebraShape(tuple(data))
 
 
-def _matrix_to_pairs(mat: np.ndarray) -> list[list[list[float]]]:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat, complex)]
-
-
-def _matrix_from_pairs(data: Any, n: int, where: str) -> np.ndarray:
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{where}: expected nested [re, im] lists ({exc})") from exc
-    if arr.shape != (n, n, 2):
-        raise DataError(f"{where}: expected shape ({n}, {n}, 2), got {arr.shape}")
-    return np.ascontiguousarray(arr).view(np.complex128)[..., 0]
-
-
 def element_to_jsonable(a: AlgebraElement) -> list:
-    return [_matrix_to_pairs(b) for b in a.blocks]
-
-
-def element_from_jsonable(shape: AlgebraShape, data: Any, where: str = "element") -> AlgebraElement:
-    if not isinstance(data, list) or len(data) != shape.num_blocks:
-        raise DataError(f"{where}: expected {shape.num_blocks} blocks")
-    blocks = tuple(
-        _matrix_from_pairs(blk, n, f"{where}.block[{b}]")
-        for b, (blk, n) in enumerate(zip(data, shape.block_sizes))
-    )
-    return AlgebraElement(shape, blocks)
+    """Per block, its row-major ``[re, im]`` pairs: one ``tolist`` on a float view."""
+    views = (np.ascontiguousarray(b, complex).view(np.float64) for b in a.blocks)
+    return [v.reshape(v.shape[0], -1, 2).tolist() for v in views]
 
 
 def vector_to_jsonable(x: ModuleVector) -> dict:
@@ -172,21 +145,6 @@ def vector_to_jsonable(x: ModuleVector) -> dict:
         "m": x.m,
         "entries": [element_to_jsonable(e) for e in x.entries],
     }
-
-
-def vector_from_jsonable(data: Any) -> ModuleVector:
-    if not isinstance(data, dict):
-        raise DataError("vector: expected an object")
-    shape = shape_from_jsonable(data.get("shape"))
-    m = data.get("m")
-    entries = data.get("entries")
-    if not _positive_int(m) or not isinstance(entries, list) or len(entries) != m:
-        raise DataError(f"vector: need integer 'm' and exactly m 'entries' (m={m!r})")
-    vec = ModuleVector(
-        shape, m, tuple(element_from_jsonable(shape, e, f"entries[{i}]") for i, e in enumerate(entries))
-    )
-    require_finite([b for e in vec.entries for b in e.blocks], "vector")
-    return vec
 
 
 def operator_to_jsonable(f: AdjointableMap) -> dict:
@@ -215,72 +173,103 @@ def operator_to_jsonable(f: AdjointableMap) -> dict:
     }
 
 
-def operator_from_jsonable(data: Any) -> AdjointableMap:
+def _header(data: Any, kind: str, nest: str, *counts: str) -> tuple:
+    """The shape and the positive integers ``counts`` of an operator or a
+    submodule object, whose field ``nest`` must be a list."""
     if not isinstance(data, dict):
-        raise DataError("operator: expected an object")
-    missing = {"shape", "domain", "codomain", "entries"} - set(data)
-    if missing:
-        raise DataError(f"operator: missing fields {sorted(missing)}")
+        raise DataError(f"{kind}: expected an object")
+    if missing := {"shape", nest, *counts} - set(data):
+        raise DataError(f"{kind}: missing fields {sorted(missing)}")
     shape = shape_from_jsonable(data["shape"])
-    m, n = data["domain"], data["codomain"]
-    if not (_positive_int(m) and _positive_int(n)):
-        raise DataError(f"operator: domain/codomain must be positive integers ({m!r}, {n!r})")
-    entries = data["entries"]
-    if not isinstance(entries, list) or len(entries) != n:
+    for key in counts:
+        if not _positive_int(data[key]):
+            raise DataError(f"{kind}: '{key}' must be a positive integer, got {data[key]!r}")
+    if not isinstance(data[nest], list):
+        raise DataError(f"{kind}: '{nest}' must be a list")
+    return (shape, *(data[key] for key in counts))
+
+
+def operator_from_jsonable(data: Any) -> AdjointableMap:
+    shape, m, n = _header(data, "operator", "entries", "domain", "codomain")
+    if len(data["entries"]) != n:
         raise DataError(f"operator: 'entries' must have {n} rows")
-    blocks = _blocks_from_entries(shape, entries, m, n)
-    if blocks is not None:
-        require_finite(blocks.stacks, "map")
-        return AdjointableMap._of_groups(shape, m, n, blocks)
-    # Malformed somewhere: parse entry by entry to name the first bad one.
-    rows = []
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != m:
-            raise DataError(f"operator: entries[{i}] must have {m} columns")
-        rows.append(
-            [element_from_jsonable(shape, e, f"entries[{i}][{j}]") for j, e in enumerate(row)]
-        )
-    return AdjointableMap.from_entries(rows)
+    return AdjointableMap._of_groups(shape, m, n, _blocks_from_entries(shape, data["entries"], m))
 
 
-def _flatten(level: list, sizes: tuple[int, ...]) -> list | None:
-    """The items ``len(sizes)`` levels down a nest of lists, in order, where
-    every list d levels down holds ``sizes[d]`` members; None if one does not."""
+_NUMBER_TYPES = {float, int}  # of a JSON number once loaded; a bool is its own type
+
+
+def _flatten(level: list, sizes: tuple[int, ...]) -> list:
+    """The items ``len(sizes)`` levels down a nest whose items d levels down
+    have ``sizes[d]`` members (strings or objects flatten into strings)."""
     for size in sizes:
-        if set(map(type, level)) != {list} or set(map(len, level)) != {size}:
-            return None
+        if set(map(len, level)) != {size}:
+            raise ValueError
         level = list(chain.from_iterable(level))
     return level
 
 
-def _blocks_from_entries(shape: AlgebraShape, entries: list, m: int, n: int) -> Grouped | None:
-    """Compressed blocks of a well-formed n x m entry list, one flat array
-    conversion per block size; None if any row, entry, block or number is
-    malformed."""
-    k = shape.num_blocks
-    blocks = _flatten(entries, (m, k))  # in (row i, column j, block b) order
-    if blocks is None:
-        return None
+def _blocks_from_entries(
+    shape: AlgebraShape, entries: list, m: int, row: str = "entries[{}]", tall: bool = False
+) -> Grouped:
+    """Compressed blocks of a nest of n = len(entries) rows of m elements,
+    one float conversion per block size: element (i, j)'s block b at rows
+    i*n_b, columns j*n_b of block b (the block transpose when ``tall``).
+    On a malformed row, element, block or number, raises DataError naming
+    the first in file order, ``row.format(i)`` the path of row i."""
+    n, k = len(entries), shape.num_blocks
     stacks = []
-    for idx in shape.size_groups:
-        nb, cnt = shape.block_sizes[idx[0]], len(idx)
-        picked = blocks  # a shape of one block size takes every block
-        if cnt < k:
-            where = (np.arange(n * m)[:, None] * k + idx).ravel().tolist()
-            picked = list(map(blocks.__getitem__, where))
-        leaves = _flatten(picked, (nb, nb, 2))  # block rows, [re, im] pairs, numbers
-        if leaves is None:
-            return None
-        try:
+    try:
+        blocks = _flatten(entries, (m, k))  # in (row i, column j, block b) order
+        for idx in shape.size_groups:
+            nb, cnt = shape.block_sizes[idx[0]], len(idx)
+            picked = blocks  # a shape of one block size takes every block
+            if cnt < k:
+                where = (np.arange(n * m)[:, None] * k + idx).ravel().tolist()
+                picked = list(map(blocks.__getitem__, where))
+            leaves = _flatten(picked, (nb, nb, 2))  # block rows, [re, im] pairs, numbers
             arr = np.array(leaves, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            return None
-        if arr.ndim != 1:  # every "number" a list of one length
-            return None
-        # entry (i, j), block slot s, element (r, c) -> slot s, row i*nb + r, column j*nb + c
-        arr = arr.reshape(n, m, cnt, nb, nb, 2).transpose(2, 0, 3, 1, 4, 5)
-        stacks.append(np.ascontiguousarray(arr).view(np.complex128).reshape(cnt, n * nb, m * nb))
+            if not (set(map(type, leaves)) <= _NUMBER_TYPES and np.isfinite(arr).all()):
+                raise ValueError
+            # entry (i, j), block slot s, element (r, c) -> slot s, row i*nb + r, column j*nb + c
+            axes = (2, 1, 3, 0, 4, 5) if tall else (2, 0, 3, 1, 4, 5)
+            arr = np.ascontiguousarray(arr.reshape(n, m, cnt, nb, nb, 2).transpose(axes))
+            stacks.append(arr.view(np.complex128).reshape(cnt, arr.shape[1] * nb, -1))
+    except (TypeError, ValueError, OverflowError):
+        for i, elements in enumerate(entries):
+            for j, element in enumerate(_checked(elements, m, row.format(i))):
+                where = f"{row.format(i)}[{j}]"
+                for b, block in enumerate(_checked(element, k, where)):
+                    _check_nest(block, (shape.block_sizes[b],) * 2 + (2,), f"{where}.block[{b}]")
+        raise AssertionError("the flat conversion rejected a well-formed nest") from None
     return Grouped(stacks, shape.size_groups)
+
+
+def _check_nest(item: Any, sizes: tuple[int, ...], where: str) -> None:
+    """``item`` is a nest of lists ``sizes[d]`` long at depth d over finite
+    JSON numbers, or :class:`DataError` names its first bad part."""
+    if sizes:
+        for p, x in enumerate(_checked(item, sizes[0], where)):
+            _check_nest(x, sizes[1:], f"{where}[{p}]")
+        return
+    try:
+        finite = type(item) in _NUMBER_TYPES and math.isfinite(item)
+    except OverflowError:  # an integer past float range
+        finite = False
+    if not finite:
+        raise DataError(f"{where}: expected a finite number in float range, got {_shown(item)}")
+
+
+def _checked(item: Any, size: int, where: str) -> list:
+    if not isinstance(item, list) or len(item) != size:
+        raise DataError(f"{where}: expected a list of {size}, got {_shown(item)}")
+    return item
+
+
+def _shown(item: Any) -> str:
+    """At most 24 characters of an item's JSON text, for an error line."""
+    text = json.dumps(item)
+    return text if len(text) <= 24 else text[:21] + "..."
 
 
 def submodule_to_jsonable(sub: Submodule) -> dict:
@@ -292,35 +281,23 @@ def submodule_to_jsonable(sub: Submodule) -> dict:
 
 
 def submodule_from_jsonable(data: Any, tol: ToleranceConfig = DEFAULT_TOL) -> Submodule:
-    if not isinstance(data, dict):
-        raise DataError("submodule: expected an object")
-    missing = {"shape", "m", "vectors"} - set(data)
-    if missing:
-        raise DataError(f"submodule: missing fields {sorted(missing)}")
-    shape = shape_from_jsonable(data["shape"])
-    m = data["m"]
-    if not _positive_int(m):
-        raise DataError(f"submodule: 'm' must be a positive integer, got {m!r}")
+    shape, m = _header(data, "submodule", "vectors", "m")
     raw = data["vectors"]
-    if not isinstance(raw, list):
-        raise DataError("submodule: 'vectors' must be a list")
     if not raw:
         try:
             return Submodule.zero(shape, m)
         except ValueError as exc:  # more basis rows than numpy can index
             raise DataError(f"submodule: A^{m} over {shape_to_jsonable(shape)} is too large") from exc
-    vectors = []
     for i, v in enumerate(raw):
         if not isinstance(v, dict):
             raise DataError(f"vectors[{i}]: expected an object")
-        try:
-            vec = vector_from_jsonable({"shape": shape_to_jsonable(shape), "m": m, **v})
-        except DataError as exc:
-            raise DataError(f"vectors[{i}]: {exc}") from exc
-        if vec.shape != shape or vec.m != m:
-            raise DataError(f"vectors[{i}]: lives in a different module")
-        vectors.append(vec)
-    return Submodule.span_vectors(vectors, tol)
+        own = v.get("shape", data["shape"]), v.get("m", m)
+        if own != (data["shape"], m) or set(map(type, (*own[0], own[1]))) != {int}:
+            raise DataError(f"vectors[{i}]: lives in a different module "
+                            "(its 'shape' and 'm' must be the file's integers)")
+    entries = [v.get("entries") for v in raw]  # per block, the vectors' tall forms side by side
+    talls = _blocks_from_entries(shape, entries, m, "vectors[{}]: entries", tall=True)
+    return Submodule._of_groups(shape, m, _spans(talls, tol, scale=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +310,8 @@ def report_to_jsonable(obj: Any) -> Any:
     Keeps scalars, strings, K0 classes, dimensions, margins, residual
     dictionaries, and nested reports; drops raw matrices and bases, and
     the dataclass fields marked ``metadata={"report": False}`` (the maps
-    and submodules a record was built on).
+    and submodules a record was built on).  A record's public cached
+    properties (numbers only a report reads) are reported like its fields.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -365,13 +343,14 @@ def report_to_jsonable(obj: Any) -> Any:
             return None  # a basis/block tuple, dropped like a lone matrix
         return [report_to_jsonable(v) for v in obj]
     if dataclasses.is_dataclass(obj):
+        names = [f.name for f in dataclasses.fields(obj) if f.metadata.get("report", True)]
+        names += [k for k, v in vars(type(obj)).items()
+                  if isinstance(v, cached_property) and not k.startswith("_")]
         out = {}
-        for fld in dataclasses.fields(obj):
-            if not fld.metadata.get("report", True):
-                continue
-            val = report_to_jsonable(getattr(obj, fld.name))
-            if val is not None or getattr(obj, fld.name) is None:
-                out[fld.name] = val
+        for name in names:
+            raw = getattr(obj, name)
+            if (val := report_to_jsonable(raw)) is not None or raw is None:
+                out[name] = val
         return out
     return None
 

@@ -28,6 +28,8 @@ The other thresholds have one value in use and are module constants:
     reduced minimum moduli.
 ``ILL_POSED_PROJECTOR_NORM`` = 1e6
     An oblique projector with norm beyond this is flagged ill-posed.
+``ORTHONORMAL_TOL`` = 1e-10
+    Largest |W^H W - I| entry of a column basis W given to ``Submodule``.
 
 Every rank decision goes through one function,
 ``modop.subspace._decide``, parameterized by a :class:`ToleranceConfig`;
@@ -54,6 +56,7 @@ RESIDUAL_TOL = 1e-9
 COMM_TOL = 1e-10
 POSITIVITY_TAU = 1e-6
 ILL_POSED_PROJECTOR_NORM = 1e6
+ORTHONORMAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from modop.errors import IdentityViolation, StructureError, UnmetHypothesisError
 from modop.linmap import AdjointableMap
 from modop.subspace import _residual_values
 from modop.tolerances import ILL_POSED_PROJECTOR_NORM
+from modop.serialize import report_to_jsonable
 from modop.randgen import (
     random_complement,
     random_low_rank,
@@ -163,8 +164,9 @@ def test_make_regular_computes_each_projector_norm_once(svd_calls):
     # One SVD of T gives ker T, Im T, their orthogonal complements and ||T||;
     # the complements are submodules, so their bases come orthonormal; per
     # decomposition the basis matrix [W A] (its values give the rank check,
-    # cond and the sine of the identity check), ||E|| and the idempotency
-    # residual; five residual norms.  The perturbation reads ||T||, ker T
+    # cond and the sine of the identity check) and ||E||.  The idempotency
+    # residuals and the five residual norms are read only by reports, and
+    # cost their seven SVDs when read.  The perturbation reads ||T||, ker T
     # and Im T off T's regular operator and takes one SVD of F (ker F and
     # ||F||), one of T+F (its complements included), T(ker F), the parts N,
     # N' and M of Im T, Im(T+F) and ker T outside T(ker F) and ker F (M' is
@@ -178,15 +180,19 @@ def test_make_regular_computes_each_projector_norm_once(svd_calls):
         return AdjointableMap(a.shape, a.m, a.n, a.blocks)
 
     for build, expected in (
-        (lambda: make_regular(fresh(t), kc, ic), 12),
-        (lambda: make_regular_orthogonal(fresh(t)), 12),
-        (lambda: banach_perturbation(reg, fresh(f)).perturbed, 17),
+        (lambda: make_regular(fresh(t), kc, ic), 5),
+        (lambda: make_regular_orthogonal(fresh(t)), 5),
+        (lambda: banach_perturbation(reg, fresh(f)).perturbed, 10),
     ):
         svd_calls.clear()
         out = build()
         assert len(svd_calls) == expected
+        report = report_to_jsonable(out)  # reads the residuals: seven SVDs, once
+        assert len(svd_calls) == expected + 7
+        decs = (out.ker_decomposition, out.im_decomposition)
+        assert report["residuals"] == out.residuals and len(svd_calls) == expected + 7
         # the stored norms give the bits per-block SVDs give
-        for dec in (out.ker_decomposition, out.im_decomposition):
+        for dec in decs:
             e = dec.idempotent.blocks[0]
             assert dec.norm == top(e)
             assert dec.idempotency_residual == top(e @ e - e) / max(top(e), 1e-300)
@@ -197,12 +203,13 @@ def test_make_regular_computes_each_projector_norm_once(svd_calls):
         assert out.residuals["t_t_is_ker_projection"] == top(tp @ t_ - e_x) / max(top(e_x), 1.0)
 
 
-@pytest.mark.parametrize("suite, budget", [("banach-perturbation", 156), ("banach-product", 253)])
+@pytest.mark.parametrize("suite, budget", [("banach-perturbation", 86), ("banach-product", 148)])
 def test_banach_suites_keep_their_svd_budget(svd_calls, suite, budget):
     # the first five instances at seed 5 on 2,3: every space orthonormalized
     # once, each T decomposed by one SVD and its norm read off it, and the
     # complements' mixes of one shape scaled by one SVD across the batch; a
-    # re-added decomposition or norm shows here
+    # re-added decomposition or norm, or a report-only residual computed
+    # without a report, shows here
     payload = run_suite(suite, RunConfig(seed=5, n=5, shape="2,3"))
     assert payload["passes"] == 5
     assert len(svd_calls) <= budget

@@ -23,6 +23,7 @@ from modop.linmap import AdjointableMap
 from modop.modules import K0Class, Submodule
 from modop.randgen import random_endomorphism, random_low_rank, random_map, random_submodule
 from modop.serialize import dumps_canonical, operator_to_jsonable, save_json, submodule_to_jsonable
+from modop.subspace import Grouped
 from modop.tolerances import ToleranceConfig
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -422,12 +423,13 @@ def _padded_banach_witness(real):
 
 
 def _repeated_kernel_column(real):
-    # the product's kernel planted one column larger, in every block
+    # the product's kernel planted one column larger, in every block: a basis
+    # that is not orthonormal, so it is planted past the constructor's check
     def planted(t, scale, tol):
         reg = real(t, scale, tol)
         kernel = reg.kernel
-        bases = tuple(np.hstack([w, w[:, :1]]) for w in kernel.column_bases)
-        dec = replace(reg.ker_decomposition, kernel=Submodule(kernel.shape, kernel.m, bases))
+        bases = Grouped.of([np.hstack([w, w[:, :1]]) for w in kernel.column_bases], complex)
+        dec = replace(reg.ker_decomposition, kernel=Submodule._of_groups(kernel.shape, kernel.m, bases))
         return replace(reg, ker_decomposition=dec)
 
     return planted
@@ -717,6 +719,33 @@ def test_integer_too_large_for_a_float_is_usage_error(tmp_path, rng, monkeypatch
     assert captured.out == ""
     assert captured.err.startswith(f"error: {bad}: ") and len(captured.err.splitlines()) == 1
     assert where in captured.err
+
+
+@pytest.mark.parametrize(
+    "value", ["1.5", " 2 ", True, None, 2**1024], ids=["'1.5'", "' 2 '", "true", "null", "2**1024"]
+)
+@pytest.mark.parametrize("kind", ["operator", "submodule"])
+def test_json_value_that_is_not_a_number_is_usage_error(
+    tmp_path, rng, monkeypatch, capsys, kind, value
+):
+    # numpy would cast the strings and true to floats, and null to nan
+    shape = AlgebraShape((2,))
+    bad = tmp_path / "bad.json"
+    if kind == "operator":
+        payload = operator_to_jsonable(AdjointableMap.identity(shape, 2))
+        payload["entries"][1][0][0][1][0][0] = value
+        argv, where = ["analyze", str(bad)], "entries[1][0].block[0][1][0][0]"
+    else:
+        payload = submodule_to_jsonable(random_submodule(shape, 2, rng, ranks=(1,)))
+        payload["vectors"][0]["entries"][1][0][1][0][0] = value
+        good = write_operator(tmp_path, "good.json", AdjointableMap.identity(shape, 2))
+        argv, where = ["geometry", str(bad), good], "vectors[0]: entries[1].block[0][1][0][0]"
+    bad.write_text(json.dumps(payload))
+    monkeypatch.setattr(np.linalg, "svd", _no_svd)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {bad}: {where}: expected a finite number")
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "inf"])

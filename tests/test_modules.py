@@ -194,6 +194,18 @@ def test_contains_and_equals(shape23, rng):
     assert small.equality_defect(small) < 1e-12
 
 
+def test_basis_that_is_not_orthonormal_is_refused():
+    # read as a basis, two columns of one line would count dim 2, and the
+    # complement of their span another 2, in C^3
+    bases = ([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]],)
+    with pytest.raises(StructureError, match=r"block 0 is not orthonormal"):
+        Submodule(AlgebraShape((1,)), 3, bases)
+    with pytest.raises(StructureError, match=r"block 1 is not orthonormal"):
+        Submodule(AlgebraShape((1, 1)), 1, ([[1.0]], [[float("nan")]]))
+    line = Submodule(AlgebraShape((1,)), 3, ([[0.6], [0.8j], [0.0]],))
+    assert (line.dim, line.complement().dim) == (1, 2)
+
+
 def test_zero_submodule_conventions(shape23):
     z = Submodule.zero(shape23, 2)
     assert z.dim == 0

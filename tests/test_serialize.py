@@ -1,4 +1,8 @@
-"""JSON schemas, canonical emission, and the error diagnostics they promise."""
+"""JSON schemas, canonical emission, and the error diagnostics they promise.
+
+The reader's oracle is :func:`_strict_read`, a pure-Python walk of an
+entry nest written here from the file format alone.
+"""
 
 import json
 import math
@@ -8,16 +12,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from modop.algebra import AlgebraShape
+from modop.algebra import AlgebraElement, AlgebraShape
 from modop.drazin import drazin_inverse
 from modop.errors import DataError
 from modop.linmap import AdjointableMap
 from modop.modules import ModuleVector, Submodule
 from modop.randgen import parse_shape, random_map, random_submodule, random_vector_flat
 from modop.serialize import (
-    _blocks_from_entries,
     dumps_canonical,
-    element_from_jsonable,
     element_to_jsonable,
     load_geometry_operand,
     load_json,
@@ -30,9 +32,60 @@ from modop.serialize import (
     shape_from_jsonable,
     submodule_from_jsonable,
     submodule_to_jsonable,
-    vector_from_jsonable,
     vector_to_jsonable,
 )
+
+
+def _finite_number(x) -> bool:
+    """A JSON number (RFC 8259 §6: a float, or an int that is not a bool),
+    finite once read as a float."""
+    if type(x) not in (float, int):
+        return False
+    try:
+        return math.isfinite(float(x))
+    except OverflowError:
+        return False
+
+
+def _strict_read(shape: AlgebraShape, rows, m: int, row: str):
+    """Per row, per element, the complex block matrices of a nest of rows
+    of m elements (an element: per block, an n_b x n_b matrix of
+    [re, im] pairs); or, if any row, element, block, block row, pair or
+    number is malformed, the path of the first in file order."""
+    out = []
+    for i, elements in enumerate(rows):
+        path = row.format(i)
+        if type(elements) is not list or len(elements) != m:
+            return path
+        read = []
+        for j, element in enumerate(elements):
+            where = f"{path}[{j}]"
+            if type(element) is not list or len(element) != shape.num_blocks:
+                return where
+            blocks = []
+            for b, (block, nb) in enumerate(zip(element, shape.block_sizes)):
+                at = f"{where}.block[{b}]"
+                if type(block) is not list or len(block) != nb:
+                    return at
+                mat = np.zeros((nb, nb), complex)
+                for r, block_row in enumerate(block):
+                    if type(block_row) is not list or len(block_row) != nb:
+                        return f"{at}[{r}]"
+                    for c, pair in enumerate(block_row):
+                        if type(pair) is not list or len(pair) != 2:
+                            return f"{at}[{r}][{c}]"
+                        for p, x in enumerate(pair):
+                            if not _finite_number(x):
+                                return f"{at}[{r}][{c}][{p}]"
+                        mat[r, c] = complex(float(pair[0]), float(pair[1]))
+                blocks.append(mat)
+            read.append(blocks)
+        out.append(read)
+    return out
+
+
+def _same_bits(a, b) -> bool:
+    return [x.tobytes() for x in a] == [x.tobytes() for x in b]
 
 
 @pytest.mark.parametrize("text, m", [("1^6,2^3,3", 2), ("16", 4), ("2,3", 2)])
@@ -56,9 +109,12 @@ def test_operator_roundtrip(shape23, rng):
 
 
 def test_vector_roundtrip(shape23, rng):
+    # a vector is read as part of a submodule file: the file of one vector
+    # loads as the submodule the vector spans, bit for bit
     v = ModuleVector.from_flat(shape23, 2, random_vector_flat(shape23, 2, rng))
-    w = vector_from_jsonable(vector_to_jsonable(v))
-    assert np.allclose(w.flatten(), v.flatten())
+    sub = submodule_from_jsonable({"shape": [2, 3], "m": 2, "vectors": [vector_to_jsonable(v)]})
+    assert _same_bits(sub.groups.stacks, Submodule.span_vectors([v]).groups.stacks)
+    assert sub.dim == 2 * 2 + 3 * 3  # one generic vector spans every column position
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -66,16 +122,16 @@ def test_nonfinite_entries_rejected(shape23, rng, bad):
     flat = random_vector_flat(shape23, 2, rng)
     vec = vector_to_jsonable(ModuleVector.from_flat(shape23, 2, flat))
     vec["entries"][1][1][2][0] = [0.0, bad]
-    with pytest.raises(DataError) as exc:
-        vector_from_jsonable(vec)
-    assert "finite" in str(exc.value)
     sub = {"shape": [2, 3], "m": 2, "vectors": [vec]}
-    with pytest.raises(DataError):
+    with pytest.raises(DataError) as exc:
         submodule_from_jsonable(sub)
+    assert str(exc.value).startswith("vectors[0]: entries[1].block[1][2][0][1]: ")
+    assert "finite" in str(exc.value)
     op = operator_to_jsonable(random_map(shape23, 1, 1, rng))
     op["entries"][0][0][0][1][1] = [bad, 0.0]
-    with pytest.raises(DataError):
+    with pytest.raises(DataError) as exc:
         operator_from_jsonable(op)
+    assert str(exc.value).startswith("entries[0][0].block[0][1][1][0]: ")
 
 
 def test_submodule_roundtrip(shape23, rng):
@@ -228,7 +284,7 @@ def _vector_payloads(draw):
     flat = random_vector_flat(shape, m, np.random.default_rng(draw(st.integers(0, 99))))
     payload = vector_to_jsonable(ModuleVector.from_flat(shape, m, flat))
     _mutate_vector(draw, payload)
-    return payload
+    return (list(shape.block_sizes), m), payload  # the module it was written for
 
 
 @st.composite
@@ -253,7 +309,7 @@ def _submodule_payloads(draw):
             vectors = payload["vectors"]
             _mutate_vector(draw, vectors[draw(st.integers(0, len(vectors) - 1))])
         elif part == "foreign vector":
-            payload["vectors"].append(draw(_vector_payloads()))
+            payload["vectors"].append(draw(_vector_payloads())[1])
     return payload
 
 
@@ -266,14 +322,47 @@ def test_fuzzed_shapes_load_or_raise_data_error(data):
     assert list(shape.block_sizes) == data
 
 
+def _expected_submodule(payload: dict, tol=None):
+    """What a well-formed submodule header with these vectors loads as:
+    the span of the strictly read vectors, or the start of the error that
+    names the first bad vector or item."""
+    shape, m, vectors = AlgebraShape(tuple(payload["shape"])), payload["m"], payload["vectors"]
+    header = json.dumps([payload["shape"], m])  # json text tells 2 from 2.0 and 1 from true
+    for i, v in enumerate(vectors):
+        if not isinstance(v, dict):
+            return f"vectors[{i}]: "
+        if json.dumps([v.get("shape", payload["shape"]), v.get("m", m)]) != header:
+            return f"vectors[{i}]: lives in a different module"
+    read = _strict_read(shape, [v.get("entries") for v in vectors], m, "vectors[{}]: entries")
+    if isinstance(read, str):
+        return f"{read}: "
+    elements = [[AlgebraElement(shape, tuple(blocks)) for blocks in row] for row in read]
+    return Submodule.span_vectors([ModuleVector(shape, m, tuple(row)) for row in elements])
+
+
+def _one_vector(number) -> tuple:
+    return ([1], 1), {"shape": [1], "m": 1, "entries": [[[[number]]]]}
+
+
 @given(_vector_payloads())
-def test_fuzzed_vector_payloads_load_or_raise_data_error(payload):
+@example(_one_vector([1.0, 2**1024]))  # too large for a float
+@example(_one_vector(["1.5", 0.0]))  # strings, booleans and null numpy would cast
+@example(_one_vector([" 2 ", 0.0]))
+@example(_one_vector([0.0, True]))
+@example(_one_vector([None, 0.0]))
+def test_fuzzed_vector_payloads_load_or_raise_data_error(vector):
+    # each payload is the one vector of a submodule file in the module it
+    # was written for, which its own "shape" and "m" may no longer name
+    (shape, m), payload = vector
+    file = {"shape": shape, "m": m, "vectors": [payload]}
+    expect = _expected_submodule(file)
     try:
-        vec = vector_from_jsonable(payload)
-    except DataError:
+        sub = submodule_from_jsonable(file)
+    except DataError as exc:
+        assert isinstance(expect, str) and str(exc).startswith(expect)
         return
-    assert (list(vec.shape.block_sizes), vec.m) == (payload["shape"], payload["m"])
-    assert np.isfinite(vec.flatten()).all()
+    assert isinstance(expect, Submodule)
+    assert _same_bits(sub.groups.stacks, expect.groups.stacks)
 
 
 @given(_submodule_payloads())
@@ -285,9 +374,11 @@ def test_fuzzed_submodule_payloads_load_or_raise_data_error(payload):
         return
     assert (list(sub.shape.block_sizes), sub.m) == (payload["shape"], payload["m"])
     assert sub.dim <= sub.ambient_dim
+    if payload["vectors"]:  # a header that loads: its vectors read as the strict walk reads them
+        assert _same_bits(sub.groups.stacks, _expected_submodule(payload).groups.stacks)
 
 
-# -- fuzzing: operator payloads, the flat conversion against the entry path --
+# -- fuzzing: operator payloads, the flat conversion against the strict walk --
 
 _NUMBERS = st.one_of(_LEAVES, st.integers(min_value=2**1024))  # and ints past any float
 
@@ -327,14 +418,19 @@ def _one_number(number) -> dict:
 @given(_operator_payloads())
 @example(_one_number([1.0, 2**1024]))  # too large for a float
 @example(_one_number([[1.0], [0.0]]))  # every number a list: numpy would add an axis
-def test_fuzzed_operator_payloads_convert_like_the_entry_path(payload):
+@example(_one_number(["1.5", 0.0]))  # strings, booleans and null numpy would cast
+@example(_one_number([" 2 ", 0.0]))
+@example(_one_number([0.0, True]))
+@example(_one_number([None, 0.0]))
+@example(_one_number({"re": 1.0, "im": 0.0}))  # an object of two keys flattens into strings
+def test_fuzzed_operator_payloads_convert_like_a_strict_walk(payload):
+    shape = AlgebraShape(tuple(payload["shape"]))
+    read = _strict_read(shape, payload["entries"], payload["domain"], "entries[{}]")
     try:
         f = operator_from_jsonable(payload)
-    except DataError:
+    except DataError as exc:
+        assert isinstance(read, str) and str(exc).startswith(f"{read}: ")
         return
-    shape = AlgebraShape(tuple(payload["shape"]))
-    # whatever loads took the flat conversion, whose bits are the entry path's
-    assert _blocks_from_entries(shape, payload["entries"], f.m, f.n) is not None
-    rows = [[element_from_jsonable(shape, e) for e in row] for row in payload["entries"]]
-    expect = AdjointableMap.from_entries(rows)
-    assert [a.tobytes() for a in f.blocks] == [a.tobytes() for a in expect.blocks]
+    assert not isinstance(read, str)
+    expect = [np.block([[e[b] for e in row] for row in read]) for b in range(shape.num_blocks)]
+    assert _same_bits(f.blocks, expect)
