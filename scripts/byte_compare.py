@@ -39,11 +39,11 @@ Commands (197):
     ``"1.5"``, ``" 2 "``, ``true``, ``null`` and the integer 2^1024.
     Each must exit 2 with one error line naming the file and the entry.
 
-Prints each differing command with its differing lines, then how many
-commands differ, and ends with one line counting the differing lines per
-key: the JSON or text key before the colon, csv rows under ``csv`` and
-exit codes under ``exit code``.  Exits 1 if any command differs, 0
-otherwise.
+Prints each differing command with its differing lines, input files
+named without their folder, then how many commands differ, and ends
+with one line counting the differing lines per key: the JSON or text
+key before the colon, csv rows under ``csv`` and exit codes under
+``exit code``.  Exits 1 if any command differs, 0 otherwise.
 
     python3 scripts/byte_compare.py --parent HEAD~1
 """
@@ -87,7 +87,7 @@ def write_inputs() -> list[list[str]]:
     from modop import randgen, serialize
     from modop.cli import SUITE_NAMES
     from modop.linmap import AdjointableMap
-    from modop.modules import ModuleVector, Submodule
+    from modop.modules import Submodule
     from modop.probes import FAMILY_NAMES
 
     shutil.rmtree(INPUTS, ignore_errors=True)
@@ -180,13 +180,30 @@ def write_inputs() -> list[list[str]]:
             ]
             commands.append(["geometry", *paths, "--seed", str(seed), "--format", "json"])
 
+    # a standard complex normal vector v of A^3, the module of the pairs above
+    # (flat coordinates: block by block, its entries' rows in turn), and an
+    # element a, as per-block arrays
     rng = np.random.default_rng([MAP_RANK, 2, 3])
-    v = ModuleVector.from_flat(shape, 3, randgen.random_vector_flat(shape, 3, rng))
-    moved = v.right_mul(randgen.random_element(shape, rng))
+    m, sizes = 3, shape.block_sizes
+    z = rng.normal(size=(2, m * shape.dim))
+    flat = (z[0] + z[1] * 1j) / np.sqrt(2.0)
+    ends = np.cumsum([m * n * n for n in sizes])[:-1]
+    v = [seg.reshape(m, n, n) for seg, n in zip(np.split(flat, ends), sizes)]
+    a = [(w[0] + w[1] * 1j) / np.sqrt(2.0) for w in (rng.normal(size=(2, n, n)) for n in sizes)]
+    moved = [blocks @ block for blocks, block in zip(v, a)]  # v a: every entry times a
+
+    def vector(blocks: list[np.ndarray]) -> dict:
+        """A submodule file's vector, from its per-block (entry, row, column) arrays."""
+        pairs = [
+            np.ascontiguousarray(b).view(float).reshape(m, n, n, 2) for b, n in zip(blocks, sizes)
+        ]
+        entries = [[p[i].tolist() for p in pairs] for i in range(m)]
+        return {"shape": list(sizes), "m": m, "entries": entries}
+
     dependent = save("geometry-dependent.json", {
-        "shape": serialize.shape_to_jsonable(shape),
-        "m": 3,
-        "vectors": [serialize.vector_to_jsonable(x) for x in (v, v, moved)],
+        "shape": list(sizes),
+        "m": m,
+        "vectors": [vector(x) for x in (v, v, moved)],
     })
     transverse = str(INPUTS / "geometry-transverse-0-right.json")
     commands.append(["geometry", dependent, transverse, "--seed", "0", "--format", "json"])
@@ -253,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
             differing += 1
             keys.update(key_of(argv, line) for line in lines)
             print("modop " + " ".join(argv).replace(f"{INPUTS}{os.sep}", ""))
-            print("\n".join(lines))
+            print("\n".join(lines).replace(f"{INPUTS}{os.sep}", ""))
     print(f"{differing} of {len(commands)} commands differ from {args.parent}")
     tally = ", ".join(f"{key} {count}" for key, count in sorted(keys.items()))
     print(f"differing lines per key: {tally or 'none'}")

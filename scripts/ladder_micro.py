@@ -1,4 +1,4 @@
-"""Size-ladder micro-benchmark of certificates, the power chain, generation, operator I/O and banach.
+"""Size-ladder micro-benchmark of certificates, the power chain, generation, file I/O and banach.
 
 Times ``fredholm_report``, ``exact_sequence``, ``drazin_inverse``,
 ``b_fredholm_report`` and ``power_chain`` (the index and the stable
@@ -19,10 +19,10 @@ endomorphism (F of each commuting pair) from the operator file ``modop
 analyze`` would read, written before the clock starts, and
 ``load_submodule`` times ``serialize.load_submodule`` on a random 1^64/4
 submodule of column rank 2 per block, the file ``modop geometry`` would
-read; ``write_operator`` times
-``serialize.operator_to_jsonable`` on the same endomorphism (on F of each
-commuting pair).  ``generate`` times the random instances themselves:
-each rung's ``random_endomorphism`` plus one ``random_map`` (each
+read; ``write_operator`` times ``serialize.operator_to_jsonable`` on the
+same endomorphism (on F of each commuting pair), and ``write_submodule``
+times ``serialize.submodule_to_jsonable`` on that submodule.
+``generate`` times the random instances themselves: each rung's ``random_endomorphism`` plus one ``random_map`` (each
 commuting pair's ``random_commuting_pair``), on a fresh generator of one
 seed per repetition.  ``banach`` times the command ``modop banach T F
 --format json`` through ``cli.main`` at (2,3)/3, (8)/2 and 1^64/4, T of
@@ -88,7 +88,8 @@ COMMUTING_MS = (24, 48, 96)
 COMMUTING_NILPOTENT = (3,)
 # (shape, module rank) of the ``modop banach T F`` rows
 BANACH = (("2,3", 3), ("8", 2), ("1^64", 4))
-# (shape, module rank, column rank per block) of the ``load_submodule`` row
+# (shape, module rank, column rank per block) of the ``load_submodule`` and
+# ``write_submodule`` rows
 SUBMODULE_FILE = ("1^64", 4, 2)
 
 
@@ -130,6 +131,7 @@ def measure(tree: Path, repeats: int, seed: int) -> dict[str, dict[str, list[lis
         "load_operator": {},
         "load_submodule": {},
         "write_operator": {},
+        "write_submodule": {},
         "generate": {},
         "banach": {},
         "verify": {},
@@ -205,6 +207,9 @@ def measure(tree: Path, repeats: int, seed: int) -> dict[str, dict[str, list[lis
         path = os.path.join(tmp, "sub.json")
         serialize.save_json(path, serialize.submodule_to_jsonable(sub))
         results["load_submodule"][f"({text})/{m}"] = timed(serialize.load_submodule, [path] * repeats)
+    results["write_submodule"][f"({text})/{m}"] = timed(
+        serialize.submodule_to_jsonable, [sub] * repeats
+    )
     with tempfile.TemporaryDirectory() as tmp:
         for text, m in BANACH:
             rng = np.random.default_rng([seed, len(text), m])

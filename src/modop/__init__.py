@@ -6,7 +6,7 @@ K0, Drazin core-nilpotent splittings, subspace-angle geometry of closed
 sums, and oblique (Banach-style) regular-operator calculus.
 """
 
-from .algebra import AlgebraElement, AlgebraShape
+from .algebra import AlgebraShape
 from .banach import (
     BanachWitness,
     ObliqueDecomposition,
@@ -63,7 +63,7 @@ from .geometry import (
     min_modulus_restricted,
 )
 from .linmap import AdjointableMap, BrowderWitness
-from .modules import K0Class, ModuleVector, Submodule, inner_product
+from .modules import K0Class, Submodule
 from .probes import (
     FamilyDiagnostic,
     family_table,

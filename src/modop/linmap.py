@@ -9,7 +9,8 @@ compressed matrix tensored with I_{n_b}, so its singular values are the
 per-block ones with multiplicity n_b.  Every certificate works on the
 compressed blocks, the chosen-complement calculus of :mod:`modop.banach`
 included: no module builds the dense flat matrix, which only the test
-oracles build.  A plain matrix is a map over the one-block algebra (1).
+oracles build.  An element of the algebra is a map over A^1, and a plain
+matrix is a map over the one-block algebra (1).
 
 The blocks are stored as one read-only (count, rows, cols) stack per block
 size (a :class:`~modop.subspace.Grouped`), so a map over 1^256 is one
@@ -63,15 +64,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape
+from .algebra import AlgebraShape
 from .errors import (
-    DataError,
     IdentityViolation,
     IllConditionedError,
     StructureError,
     UnmetHypothesisError,
 )
-from .modules import ModuleVector, Submodule, flat_dim
+from .modules import Submodule, flat_dim
 from .subspace import (
     Grouped,
     SingularData,
@@ -99,7 +99,6 @@ __all__ = [
     "CoreSplit",
     "PowerChain",
     "commutator_residual",
-    "require_finite",
 ]
 
 
@@ -161,33 +160,7 @@ class AdjointableMap:
     def identity(cls, shape: AlgebraShape, m: int) -> "AdjointableMap":
         return cls._of_groups(shape, m, m, shape.stacks(lambda nb, idx: _eyes(len(idx), m * nb)))
 
-    @classmethod
-    def from_entries(cls, rows: list[list[AlgebraElement]]) -> "AdjointableMap":
-        """Build from an (n x m) nested list of algebra elements (finite)."""
-        n = len(rows)
-        if n == 0 or len(rows[0]) == 0:
-            raise StructureError("entry matrix must be nonempty")
-        m = len(rows[0])
-        shape = rows[0][0].shape
-        blocks = []
-        for b, nb in enumerate(shape.block_sizes):
-            c = np.zeros((n * nb, m * nb), dtype=np.complex128)
-            for i in range(n):
-                for j in range(m):
-                    if rows[i][j].shape != shape:
-                        raise StructureError("mixed algebra shapes in entries")
-                    c[i * nb : (i + 1) * nb, j * nb : (j + 1) * nb] = rows[i][j].blocks[b]
-            blocks.append(c)
-        require_finite(blocks, "map")
-        return cls(shape, m, n, tuple(blocks))
-
     # -- structure access -------------------------------------------------
-
-    def entry(self, i: int, j: int) -> AlgebraElement:
-        blks = []
-        for nb, c in zip(self.shape.block_sizes, self.blocks):
-            blks.append(c[i * nb : (i + 1) * nb, j * nb : (j + 1) * nb])
-        return AlgebraElement(self.shape, tuple(blks))
 
     @property
     def is_endomorphism(self) -> bool:
@@ -258,12 +231,6 @@ class AdjointableMap:
             if k:
                 base = base @ base
         return out
-
-    def apply(self, x: ModuleVector) -> ModuleVector:
-        if x.shape != self.shape or x.m != self.m:
-            raise StructureError("vector not in the domain module")
-        talls = [c @ x.tall(b) for b, c in enumerate(self.blocks)]
-        return ModuleVector.from_talls(self.shape, self.n, talls)
 
     # -- spectral records, kernels and images ----------------------------------
 
@@ -570,15 +537,6 @@ class BrowderWitness:
 def _similar(s: Array, a: Array, s_inv: Array) -> Array:
     """S A S^-1, for one block or a stack."""
     return s @ a @ s_inv
-
-
-def require_finite(arrays: list[Array], what: str) -> None:
-    """Reject inf/nan where outside data becomes a map, before
-    any SVD can spin or fail on it.  Maps derived from finite ones are not
-    re-checked: a check on every construction costs a few percent of a
-    power chain."""
-    if not np.isfinite(np.concatenate([a.ravel() for a in arrays])).all():
-        raise DataError(f"{what} entries must be finite (got inf or nan)")
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 A vector in the free module of rank ``m`` is an m-tuple of algebra
 elements with the algebra-valued inner product ``<x, y> = sum_i x_i* y_i``.
-Per block b its numerics run on the tall form: the m entry blocks stacked
-into one (m*n_b) x n_b matrix.
+Per block b it is its tall form: the m entry blocks stacked into one
+(m*n_b) x n_b matrix, on which a map's compressed block acts.  No module
+holds a vector object: vectors live as the columns of those tall forms,
+in bases, in sampled coefficients and in the rows of submodule files.
 
 The key structural fact the code leans on: a subspace closed under the
 right algebra action decomposes per block as (column space) x (column
@@ -17,12 +19,13 @@ map's blocks, so the dimension, the class and the lattice operations
 (meets, complements) run per group; ``column_bases`` holds per-block
 views for I/O, reports and the test oracles.
 
-Submodule files are read per block too: ``modop.serialize`` spans the
-vectors' tall forms side by side, one stack per size group.
+Submodule files are read and written per group too: ``modop.serialize``
+spans the vectors' tall forms side by side, one stack per block size, and
+writes a submodule's basis vectors with one float view per group.
 Flat coordinates (every entry block raveled, blocks in order, chosen so
 the standard inner product equals the trace of the algebra-valued one)
-serve only the test oracles: ``ModuleVector.from_flat``/``flatten``,
-``block_layout`` and the dense flat basis of a submodule.
+serve only the test oracles; the library reads only their count,
+:func:`flat_dim`.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape
+from .algebra import AlgebraShape
 from .errors import StructureError
 from .subspace import (
     Grouped,
@@ -42,7 +45,6 @@ from .subspace import (
     _side_by_side,
     _spans,
     _stickout,
-    as_complex,
     herm,
     stacked,
 )
@@ -50,33 +52,16 @@ from .tolerances import DEFAULT_TOL, ORTHONORMAL_TOL, ToleranceConfig
 
 Array = np.ndarray
 
-__all__ = [
-    "K0Class",
-    "ModuleVector",
-    "Submodule",
-    "inner_product",
-    "flat_dim",
-    "block_layout",
-]
+__all__ = ["K0Class", "Submodule", "flat_dim"]
 
 
 # ---------------------------------------------------------------------------
-# flat coordinate layout
+# flat coordinates
 
 
 def flat_dim(shape: AlgebraShape, m: int) -> int:
     """Complex dimension of the rank-m free module."""
     return m * shape.dim
-
-
-def block_layout(shape: AlgebraShape, m: int) -> list[tuple[int, int]]:
-    """(offset, length) of each block's segment in flat coordinates."""
-    out, off = [], 0
-    for n in shape.block_sizes:
-        seg = m * n * n
-        out.append((off, seg))
-        off += seg
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -122,95 +107,6 @@ class K0Class:
 
     def __str__(self) -> str:
         return "[" + ",".join(str(e) for e in self.entries) + "]"
-
-
-# ---------------------------------------------------------------------------
-# module vectors
-
-
-@dataclass(frozen=True, eq=False)
-class ModuleVector:
-    """An m-tuple of algebra elements."""
-
-    shape: AlgebraShape
-    m: int
-    entries: tuple[AlgebraElement, ...]
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise StructureError("module rank must be positive")
-        if len(self.entries) != self.m:
-            raise StructureError(f"expected {self.m} entries, got {len(self.entries)}")
-        for e in self.entries:
-            if e.shape != self.shape:
-                raise StructureError("entry algebra mismatch")
-
-    @classmethod
-    def generator(cls, shape: AlgebraShape, m: int, i: int) -> "ModuleVector":
-        """i-th standard generator: identity in slot i, zero elsewhere."""
-        ents = [AlgebraElement.zero(shape) for _ in range(m)]
-        ents[i] = AlgebraElement.identity(shape)
-        return cls(shape, m, tuple(ents))
-
-    @classmethod
-    def from_flat(cls, shape: AlgebraShape, m: int, vec: Array) -> "ModuleVector":
-        vec = as_complex(vec).ravel()
-        if vec.shape[0] != flat_dim(shape, m):
-            raise StructureError("flat vector length mismatch")
-        # block b's segment is its tall form raveled row by row
-        talls = [
-            vec[off : off + seg].reshape(m * n, n)
-            for (off, seg), n in zip(block_layout(shape, m), shape.block_sizes)
-        ]
-        return cls.from_talls(shape, m, talls)
-
-    def flatten(self) -> Array:
-        return np.concatenate([self.tall(b).ravel() for b in range(self.shape.num_blocks)])
-
-    @classmethod
-    def from_talls(cls, shape: AlgebraShape, m: int, talls: list[Array]) -> "ModuleVector":
-        """Inverse of :meth:`tall`: block b of entry i is rows i*n_b .. (i+1)*n_b of talls[b]."""
-        entries = []
-        for i in range(m):
-            blks = tuple(t[i * n : (i + 1) * n] for t, n in zip(talls, shape.block_sizes))
-            entries.append(AlgebraElement(shape, blks))
-        return cls(shape, m, tuple(entries))
-
-    def tall(self, b: int) -> Array:
-        """Block-b tall form: the m entry matrices stacked vertically."""
-        return np.vstack([e.blocks[b] for e in self.entries])
-
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        return ModuleVector(
-            self.shape, self.m, tuple(a + b for a, b in zip(self.entries, other.entries))
-        )
-
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        return ModuleVector(
-            self.shape, self.m, tuple(a - b for a, b in zip(self.entries, other.entries))
-        )
-
-    def __rmul__(self, scalar) -> "ModuleVector":
-        return ModuleVector(self.shape, self.m, tuple(scalar * a for a in self.entries))
-
-    def right_mul(self, a: AlgebraElement) -> "ModuleVector":
-        """Right action: every entry multiplied by ``a`` on the right."""
-        return ModuleVector(self.shape, self.m, tuple(e * a for e in self.entries))
-
-    def norm(self) -> float:
-        """Module norm: sqrt of the C*-norm of <x, x>."""
-        return float(np.sqrt(inner_product(self, self).norm()))
-
-
-def inner_product(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
-    """Algebra-valued inner product sum_i x_i* y_i (linear in y)."""
-    if x.shape != y.shape or x.m != y.m:
-        raise StructureError("inner product needs vectors from the same module")
-    blocks = []
-    for b in range(x.shape.num_blocks):
-        xb, yb = x.tall(b), y.tall(b)
-        blocks.append(xb.conj().T @ yb)
-    return AlgebraElement(x.shape, tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -274,20 +170,6 @@ class Submodule:
     def full(cls, shape: AlgebraShape, m: int) -> "Submodule":
         return cls._of_groups(shape, m, shape.stacks(lambda n, idx: _eyes(len(idx), m * n)))
 
-    @classmethod
-    def span_vectors(
-        cls,
-        vectors: list[ModuleVector],
-        tol: ToleranceConfig = DEFAULT_TOL,
-    ) -> "Submodule":
-        """Smallest submodule containing the vectors: per block, the column
-        span of their tall forms side by side, decided at unit scale."""
-        if not vectors:
-            raise StructureError("need at least one vector to span")
-        shape, m = vectors[0].shape, vectors[0].m
-        talls = [np.hstack([v.tall(b) for v in vectors]) for b in range(shape.num_blocks)]
-        return cls._of_groups(shape, m, _spans(Grouped.of(talls, complex), tol, scale=1.0))
-
     # -- basic data -------------------------------------------------------
 
     @property
@@ -301,20 +183,6 @@ class Submodule:
 
     def k0(self) -> K0Class:
         return K0Class(tuple(self.groups.sizes(-1)))
-
-    def basis_vectors(self) -> list[ModuleVector]:
-        """Orthonormal basis in (block b, column j, position t) order: the
-        vector whose block-b tall form has column j of ``column_bases[b]``
-        in position t and zeros elsewhere."""
-        sizes = self.shape.block_sizes
-        out = []
-        for b, (n, w) in enumerate(zip(sizes, self.column_bases)):
-            for j in range(w.shape[1]):
-                for t in range(n):
-                    talls = [np.zeros((self.m * k, k), dtype=np.complex128) for k in sizes]
-                    talls[b][:, t] = w[:, j]
-                    out.append(ModuleVector.from_talls(self.shape, self.m, talls))
-        return out
 
     # -- lattice operations -------------------------------------------------
 
@@ -368,8 +236,9 @@ class Submodule:
         (k_b, n_b, count) coefficients C_b of their tall forms W_b C_b.
 
         The gaussian coefficients are drawn as one (dim, count) array whose
-        rows run in :meth:`basis_vectors` order, so block b's rows reshape
-        to the C_b of all samples at once.  W_b has orthonormal columns, so
+        rows run in (block b, column j, position t) order, the order of
+        the basis vectors a submodule file lists, so block b's rows
+        reshape to the C_b of all samples at once.  W_b has orthonormal columns, so
         every norm of W_b C_b is that of C_b: the tall forms are never built.
         """
         sizes, ks = self.shape.block_sizes, self.k0().entries

@@ -38,7 +38,7 @@ from itertools import islice
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape
+from .algebra import AlgebraShape
 from .errors import StructureError
 from .linmap import AdjointableMap
 from .modules import Submodule
@@ -49,8 +49,6 @@ Array = np.ndarray
 
 __all__ = [
     "parse_shape",
-    "random_element",
-    "random_vector_flat",
     "random_map",
     "random_endomorphism",
     "random_commuting_pair",
@@ -208,17 +206,6 @@ def _alone(draw: Callable) -> Callable:
         return build([(draw(*args, **kwargs),)])[0][0]
 
     return generate
-
-
-def random_element(shape: AlgebraShape, rng: np.random.Generator) -> AlgebraElement:
-    blocks = tuple(_complex(rng.normal(size=(2, n, n))) for n in shape.block_sizes)
-    return AlgebraElement(shape, blocks)
-
-
-def random_vector_flat(shape: AlgebraShape, m: int, rng: np.random.Generator) -> Array:
-    from .modules import flat_dim
-
-    return _complex(rng.normal(size=(2, flat_dim(shape, m), 1)))[:, 0]
 
 
 def _map_blocks(svals: Array, zu: Array, zv: Array) -> Array:

@@ -13,14 +13,15 @@ An element is one row-major matrix of ``[re, im]`` pairs per block; a
 vector is ``{"entries": [element, ...]}`` with m elements, and may repeat
 the file's ``"shape"`` and ``"m"``.  So both files are nests of elements
 (a submodule's rows are its vectors), and one reader converts both,
-:func:`_blocks_from_entries`: it checks each level's lengths and flattens
+:func:`_blocks_from_nest`: it checks each level's lengths and flattens
 it at C speed, requires every leaf to be a finite JSON number (RFC 8259
 §6: a ``float``, or an ``int`` that is not a ``bool``), and turns a size
 group's numbers into one float array, reshaped into its stack.  On any
 failure it names the first bad item by its path, such as
 ``entries[i][j].block[b][r][c][p]`` or ``vectors[i]: entries[j]...``.
-Writing takes one ``tolist`` per block-size group of an operator, per
-block of an element.
+Writing takes one ``tolist`` per group, on a float view of its stack for
+an operator and of its basis vectors' blocks for a submodule, which
+writes its orthonormal basis vectors (one per basis column and position).
 
 Report emission is write-only: a generic walker keeps scalars,
 dimension data, margins, residuals, and K0 classes, and drops raw
@@ -42,10 +43,10 @@ from typing import Any
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape
+from .algebra import AlgebraShape
 from .errors import DataError
 from .linmap import AdjointableMap
-from .modules import K0Class, ModuleVector, Submodule
+from .modules import K0Class, Submodule
 from .subspace import Grouped, _spans
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -53,8 +54,6 @@ __all__ = [
     "dumps_canonical",
     "shape_to_jsonable",
     "shape_from_jsonable",
-    "element_to_jsonable",
-    "vector_to_jsonable",
     "operator_to_jsonable",
     "operator_from_jsonable",
     "submodule_to_jsonable",
@@ -133,44 +132,35 @@ def shape_from_jsonable(data: Any) -> AlgebraShape:
     return AlgebraShape(tuple(data))
 
 
-def element_to_jsonable(a: AlgebraElement) -> list:
-    """Per block, its row-major ``[re, im]`` pairs: one ``tolist`` on a float view."""
-    views = (np.ascontiguousarray(b, complex).view(np.float64) for b in a.blocks)
-    return [v.reshape(v.shape[0], -1, 2).tolist() for v in views]
-
-
-def vector_to_jsonable(x: ModuleVector) -> dict:
-    return {
-        "shape": shape_to_jsonable(x.shape),
-        "m": x.m,
-        "entries": [element_to_jsonable(e) for e in x.entries],
-    }
+def _rows_of_elements(shape: AlgebraShape, rows: int, cols: int, groups) -> list:
+    """A rows x cols nest of elements from the (rows, cols, slot) nests of
+    blocks that ``groups`` yields with their positions, one per group, in
+    order: the lists of a group that holds every block are the nest."""
+    k, out = shape.num_blocks, None
+    for lists, idx in groups:
+        if len(idx) == k:
+            return lists
+        out = out or [[[None] * k for _ in range(cols)] for _ in range(rows)]
+        positions = idx.tolist()
+        for row, parts in zip(out, lists):
+            for element, blocks in zip(row, parts):
+                for b, blk in zip(positions, blocks):
+                    element[b] = blk
+    return out
 
 
 def operator_to_jsonable(f: AdjointableMap) -> dict:
-    """The inverse of :func:`_blocks_from_entries`: one ``tolist`` per
+    """The inverse of :func:`_blocks_from_nest`: one ``tolist`` per
     block-size group, on a float view of its stack."""
-    k, entries = f.shape.num_blocks, None
-    for stack, idx in zip(f.groups.stacks, f.groups.members):
+
+    def group(stack: np.ndarray, idx: np.ndarray) -> tuple[list, np.ndarray]:
         cnt, nb = len(idx), stack.shape[-1] // f.m
         # row i*nb + r, column j*nb + c of block slot s -> entry (i, j), block s, element (r, c)
         parts = np.ascontiguousarray(stack.reshape(cnt, f.n, nb, f.m, nb).transpose(1, 3, 0, 2, 4))
-        pairs = parts.view(np.float64).reshape(f.n, f.m, cnt, nb, nb, 2).tolist()
-        if cnt == k:  # one group holds every block, in order: its lists are the entries
-            entries = pairs
-            break
-        entries = entries or [[[None] * k for _ in range(f.m)] for _ in range(f.n)]
-        positions = idx.tolist()
-        for row, lists in zip(entries, pairs):
-            for element, blocks in zip(row, lists):
-                for b, blk in zip(positions, blocks):
-                    element[b] = blk
-    return {
-        "shape": shape_to_jsonable(f.shape),
-        "domain": f.m,
-        "codomain": f.n,
-        "entries": entries,
-    }
+        return parts.view(np.float64).reshape(f.n, f.m, cnt, nb, nb, 2).tolist(), idx
+
+    entries = _rows_of_elements(f.shape, f.n, f.m, map(group, f.groups.stacks, f.groups.members))
+    return {"shape": shape_to_jsonable(f.shape), "domain": f.m, "codomain": f.n, "entries": entries}
 
 
 def _header(data: Any, kind: str, nest: str, *counts: str) -> tuple:
@@ -193,7 +183,7 @@ def operator_from_jsonable(data: Any) -> AdjointableMap:
     shape, m, n = _header(data, "operator", "entries", "domain", "codomain")
     if len(data["entries"]) != n:
         raise DataError(f"operator: 'entries' must have {n} rows")
-    return AdjointableMap._of_groups(shape, m, n, _blocks_from_entries(shape, data["entries"], m))
+    return AdjointableMap._of_groups(shape, m, n, _blocks_from_nest(shape, data["entries"], m))
 
 
 _NUMBER_TYPES = {float, int}  # of a JSON number once loaded; a bool is its own type
@@ -209,7 +199,7 @@ def _flatten(level: list, sizes: tuple[int, ...]) -> list:
     return level
 
 
-def _blocks_from_entries(
+def _blocks_from_nest(
     shape: AlgebraShape, entries: list, m: int, row: str = "entries[{}]", tall: bool = False
 ) -> Grouped:
     """Compressed blocks of a nest of n = len(entries) rows of m elements,
@@ -273,11 +263,28 @@ def _shown(item: Any) -> str:
 
 
 def submodule_to_jsonable(sub: Submodule) -> dict:
-    return {
-        "shape": shape_to_jsonable(sub.shape),
-        "m": sub.m,
-        "vectors": [vector_to_jsonable(v) for v in sub.basis_vectors()],
-    }
+    """The basis vectors, in (block b, column j, position t) order: vector
+    (b, j, t) has column j of ``column_bases[b]`` as column t of its block-b
+    tall form, and zeros elsewhere.  Per group, one zero array holds every
+    vector's blocks of that group, takes the group's columns, and is
+    written by one ``tolist`` on its float view, so every list is fresh."""
+    shape, m = sub.shape, sub.m
+    firsts = np.cumsum([0, *(w * n for w, n in zip(sub.k0().entries, shape.block_sizes))])
+    count = int(firsts[-1])
+
+    def group(basis: np.ndarray, idx: np.ndarray) -> tuple[list, np.ndarray]:
+        cnt, nb, width = len(idx), shape.block_sizes[idx[0]], basis.shape[-1]
+        blocks = np.zeros((count, m, cnt, nb, nb), complex)  # vector, entry i, slot s, row, column
+        # vector (b, j, t), b the block of slot s: entry i's block holds
+        # rows i*nb .. (i+1)*nb of column j, in column t
+        rows = firsts[idx, None, None] + np.arange(width * nb).reshape(width, nb)
+        columns = basis.reshape(cnt, m, nb, width).transpose(0, 3, 1, 2)[:, :, None]
+        blocks[rows, :, np.arange(cnt)[:, None, None], :, np.arange(nb)] = columns
+        return blocks.view(np.float64).reshape(count, m, cnt, nb, nb, 2).tolist(), idx
+
+    entries = _rows_of_elements(shape, count, m, map(group, sub.groups.stacks, sub.groups.members))
+    vectors = [{"shape": shape_to_jsonable(shape), "m": m, "entries": e} for e in entries]
+    return {"shape": shape_to_jsonable(shape), "m": m, "vectors": vectors}
 
 
 def submodule_from_jsonable(data: Any, tol: ToleranceConfig = DEFAULT_TOL) -> Submodule:
@@ -296,7 +303,7 @@ def submodule_from_jsonable(data: Any, tol: ToleranceConfig = DEFAULT_TOL) -> Su
             raise DataError(f"vectors[{i}]: lives in a different module "
                             "(its 'shape' and 'm' must be the file's integers)")
     entries = [v.get("entries") for v in raw]  # per block, the vectors' tall forms side by side
-    talls = _blocks_from_entries(shape, entries, m, "vectors[{}]: entries", tall=True)
+    talls = _blocks_from_nest(shape, entries, m, "vectors[{}]: entries", tall=True)
     return Submodule._of_groups(shape, m, _spans(talls, tol, scale=1.0))
 
 

@@ -13,10 +13,12 @@ b's rows.  A plain matrix is a map over the one-block algebra (1)
 import numpy as np
 from scipy.linalg import block_diag, orth
 
-from modop.algebra import AlgebraElement, AlgebraShape
+from modop.algebra import AlgebraShape
 from modop.errors import StructureError
-from modop.linmap import AdjointableMap, require_finite
-from modop.modules import ModuleVector, Submodule, flat_dim
+from modop.linmap import AdjointableMap
+from modop.modules import Submodule, flat_dim
+
+from element_oracle import AlgebraElement, ModuleVector, require_finite
 
 LINE = AlgebraShape((1,))
 

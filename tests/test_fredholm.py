@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
+from element_oracle import AlgebraElement, from_entries
 from flat_oracle import flat_basis, from_matrix, realization
 from test_acceptance import assert_index_bookkeeping
 
 from modop import fredholm
-from modop.algebra import AlgebraElement, AlgebraShape
+from modop.algebra import AlgebraShape
 from modop.drazin import drazin_inverse
 from modop.errors import (
     IdentityViolation,
@@ -43,14 +44,14 @@ def embed_first(shape):
     """A^1 -> A^2, x |-> (x, 0)."""
     one = AlgebraElement.identity(shape)
     zero = AlgebraElement.zero(shape)
-    return AdjointableMap.from_entries([[one], [zero]])
+    return from_entries([[one], [zero]])
 
 
 def project_second(shape):
     """A^2 -> A^1, (x, y) |-> y."""
     one = AlgebraElement.identity(shape)
     zero = AlgebraElement.zero(shape)
-    return AdjointableMap.from_entries([[zero, one]])
+    return from_entries([[zero, one]])
 
 
 def test_report_of_identity(shape23):

@@ -1,7 +1,9 @@
 """JSON schemas, canonical emission, and the error diagnostics they promise.
 
 The reader's oracle is :func:`_strict_read`, a pure-Python walk of an
-entry nest written here from the file format alone.
+entry nest written here from the file format alone; the submodule
+writer's is the vector-wise writer of ``element_oracle``, one dense basis
+vector at a time.
 """
 
 import json
@@ -12,15 +14,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from modop.algebra import AlgebraElement, AlgebraShape
+from modop.algebra import AlgebraShape
 from modop.drazin import drazin_inverse
 from modop.errors import DataError
 from modop.linmap import AdjointableMap
-from modop.modules import ModuleVector, Submodule
-from modop.randgen import parse_shape, random_map, random_submodule, random_vector_flat
+from modop.modules import Submodule
+from modop.randgen import parse_shape, random_map, random_submodule
 from modop.serialize import (
     dumps_canonical,
-    element_to_jsonable,
     load_geometry_operand,
     load_json,
     load_operator,
@@ -32,6 +33,16 @@ from modop.serialize import (
     shape_from_jsonable,
     submodule_from_jsonable,
     submodule_to_jsonable,
+)
+
+import element_oracle
+from element_oracle import (
+    AlgebraElement,
+    ModuleVector,
+    element_to_jsonable,
+    entry,
+    random_vector_flat,
+    span_vectors,
     vector_to_jsonable,
 )
 
@@ -95,7 +106,7 @@ def test_grouped_operator_io_matches_the_entrywise_path(text, m, rng):
     f = random_map(parse_shape(text), m, m + 1, rng)
     data = operator_to_jsonable(f)
     assert data["entries"] == [
-        [element_to_jsonable(f.entry(i, j)) for j in range(f.m)] for i in range(f.n)
+        [element_to_jsonable(entry(f, i, j)) for j in range(f.m)] for i in range(f.n)
     ]
     g = operator_from_jsonable(json.loads(json.dumps(data)))
     assert all(np.array_equal(a, b) for a, b in zip(g.blocks, f.blocks))
@@ -113,7 +124,7 @@ def test_vector_roundtrip(shape23, rng):
     # loads as the submodule the vector spans, bit for bit
     v = ModuleVector.from_flat(shape23, 2, random_vector_flat(shape23, 2, rng))
     sub = submodule_from_jsonable({"shape": [2, 3], "m": 2, "vectors": [vector_to_jsonable(v)]})
-    assert _same_bits(sub.groups.stacks, Submodule.span_vectors([v]).groups.stacks)
+    assert _same_bits(sub.groups.stacks, span_vectors([v]).groups.stacks)
     assert sub.dim == 2 * 2 + 3 * 3  # one generic vector spans every column position
 
 
@@ -132,6 +143,59 @@ def test_nonfinite_entries_rejected(shape23, rng, bad):
     with pytest.raises(DataError) as exc:
         operator_from_jsonable(op)
     assert str(exc.value).startswith("entries[0][0].block[0][1][1][0]: ")
+
+
+def _lists(item) -> list:
+    """Every list in a JSON payload, nested ones included."""
+    if isinstance(item, dict):
+        return [x for v in item.values() for x in _lists(v)]
+    if isinstance(item, list):
+        return [item] + [x for v in item for x in _lists(v)]
+    return []
+
+
+_WRITTEN = [  # (shape, module rank, column rank per block)
+    ("2,3", 2, (1, 3)),
+    ("2,3", 3, (0, 4)),  # a zero-width block
+    ("1^6,2^3,3", 2, (1, 2, 0, 1, 2, 2, 3, 0, 4, 5)),  # one block size in several groups
+    ("1^6,2^3,3", 1, (1,) * 6 + (2,) * 3 + (3,)),
+    ("1^64", 4, (2,) * 64),
+]
+
+
+@pytest.mark.parametrize("text, m, ranks", _WRITTEN)
+def test_grouped_submodule_writer_matches_the_vectorwise_writer(text, m, ranks, rng):
+    # one tolist per group writes the file the basis vectors, written one
+    # dense vector at a time, write; it loads back as the submodule
+    shape = parse_shape(text)
+    subs = [
+        random_submodule(shape, m, rng, ranks=ranks),
+        Submodule.zero(shape, m),
+        Submodule.full(shape, m),
+    ]
+    for sub in subs:
+        payload = submodule_to_jsonable(sub)
+        oracle = element_oracle.submodule_to_jsonable(sub)
+        assert dumps_canonical(payload) == dumps_canonical(oracle)
+        assert len(payload["vectors"]) == sub.dim
+        assert submodule_from_jsonable(json.loads(dumps_canonical(payload))).equals(sub)
+
+
+@pytest.mark.parametrize("text, m, ranks", _WRITTEN[:3])
+def test_written_submodule_lists_are_fresh(text, m, ranks, rng):
+    # no list is shared: one edited number changes its vector alone
+    payload = submodule_to_jsonable(random_submodule(parse_shape(text), m, rng, ranks=ranks))
+    lists = _lists(payload)
+    assert len({id(x) for x in lists}) == len(lists)
+    before = [dumps_canonical(v) for v in payload["vectors"]]
+    for i, vector in enumerate(payload["vectors"]):
+        last = len(vector["entries"][-1]) - 1  # the last block: zero in vectors of the others
+        vector["entries"][-1][last][0][0][1] = 7.0
+        vector["shape"].append(1)
+        after = [dumps_canonical(v) for v in payload["vectors"]]
+        assert after[:i] == before[:i] and after[i + 1 :] == before[i + 1 :]
+        assert after[i] != before[i]
+        before[i] = after[i]
 
 
 def test_submodule_roundtrip(shape23, rng):
@@ -337,7 +401,7 @@ def _expected_submodule(payload: dict, tol=None):
     if isinstance(read, str):
         return f"{read}: "
     elements = [[AlgebraElement(shape, tuple(blocks)) for blocks in row] for row in read]
-    return Submodule.span_vectors([ModuleVector(shape, m, tuple(row)) for row in elements])
+    return span_vectors([ModuleVector(shape, m, tuple(row)) for row in elements])
 
 
 def _one_vector(number) -> tuple:
